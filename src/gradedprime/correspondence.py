@@ -22,9 +22,10 @@ from .finring import (
     bits,
     closed_product,
     generate_ideal,
+    is_ideal_mask,
+    is_prime_among,
     mask_of,
-    set_product,
-    subgroup_closure,
+    triple_product,
 )
 from .grading import (
     GradedRing,
@@ -57,22 +58,8 @@ def base_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...
 
 def is_base_ideal(graded: GradedRing, jmask: int) -> bool:
     """Whether a subset of S_e is a two-sided ideal of the subring S_e."""
-    ring = graded.ring
     emask = graded.e_mask
-    if jmask & ~emask:
-        return False
-    if not jmask >> ring.zero & 1:
-        return False
-    for x in bits(jmask):
-        for y in bits(jmask):
-            if not jmask >> ring.add(x, y) & 1:
-                return False
-        for r in bits(emask):
-            if not jmask >> ring.mul(r, x) & 1:
-                return False
-            if not jmask >> ring.mul(x, r) & 1:
-                return False
-    return True
+    return not jmask & ~emask and is_ideal_mask(graded.ring, jmask, acting=emask)
 
 
 def _invariance_sites(graded: GradedRing):
@@ -91,9 +78,7 @@ def is_g_invariant(graded: GradedRing, jmask: int) -> bool:
     for x in _invariance_sites(graded):
         sxi = graded.component(group.inverse(x))
         sx = graded.component(x)
-        conj = subgroup_closure(
-            ring, set_product(ring, set_product(ring, sxi, jmask), sx)
-        )
+        conj = triple_product(ring, sxi, jmask, sx)
         if conj | jmask != jmask:
             return False
     return True
@@ -109,15 +94,7 @@ def is_g_prime_ideal(graded: GradedRing, qmask: int, caps: Caps = DEFAULT_CAPS) 
         raise ValueError("subset is not an invariant ideal")
     if qmask == graded.e_mask:
         raise ValueError("ideal must be proper in the identity component")
-    ring = graded.ring
-    invariant = invariant_base_ideals(graded, caps)
-    for a in invariant:
-        for b in invariant:
-            prod = closed_product(ring, a, b)
-            if prod | qmask == qmask:
-                if a | qmask != qmask and b | qmask != qmask:
-                    return False
-    return True
+    return is_prime_among(graded.ring, qmask, invariant_base_ideals(graded, caps))
 
 
 def is_g_prime_base(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> bool:
@@ -167,6 +144,11 @@ class Report:
         return "\n".join(self.lines())
 
 
+def _monotone(masks, image) -> bool:
+    """Whether a inside b implies image(a) inside image(b) among the masks."""
+    return all(image(a) | image(b) == image(b) for a in masks for b in masks if a | b == b)
+
+
 def verify_bijection_identity_generated(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> Report:
     """Exhaustively check the correspondence between invariant ideals of the
     identity component and identity-generated graded ideals.
@@ -206,18 +188,9 @@ def verify_bijection_identity_generated(graded: GradedRing, caps: Caps = DEFAULT
 
     image_ok = set(generated.values()) == idgen_masks and len(generated) == len(idgen_masks)
 
-    inclusion_ok = True
-    for j1 in invariant:
-        for j2 in invariant:
-            if j1 | j2 == j2 and generated[j1] | generated[j2] != generated[j2]:
-                inclusion_ok = False
-    for i1 in idgen:
-        for i2 in idgen:
-            if i1.members | i2.members == i2.members:
-                p1 = e_component(graded, i1.members)
-                p2 = e_component(graded, i2.members)
-                if p1 | p2 != p2:
-                    inclusion_ok = False
+    inclusion_ok = _monotone(invariant, generated.__getitem__) and _monotone(
+        [i.members for i in idgen], lambda m: e_component(graded, m)
+    )
 
     n_inv, n_idgen = len(invariant), len(idgen)
     checks = (
@@ -258,11 +231,7 @@ def verify_bijection_ideally_symmetric(graded: GradedRing, caps: Caps = DEFAULT_
     onto_ok = set(generated.values()) == {i.members for i in graded_ideals}
     inverse_ok = all(e_component(graded, generated[j]) == j for j in invariant)
 
-    inclusion_ok = True
-    for j1 in invariant:
-        for j2 in invariant:
-            if j1 | j2 == j2 and generated[j1] | generated[j2] != generated[j2]:
-                inclusion_ok = False
+    inclusion_ok = _monotone(invariant, generated.__getitem__)
 
     prime_match = True
     gprime = []

@@ -16,7 +16,10 @@ contract, since spec files refer to elements by index):
 * ``product``, ``mat``, ``tri``, ``grpalg``: elements are coefficient tuples
   (factors, matrix entries row-major, upper-triangular entries row-major,
   group elements in index order) encoded in mixed radix with the *last*
-  coordinate varying fastest, like ``itertools.product``.
+  coordinate varying fastest, like ``itertools.product``.  All of them, and
+  the filter subrings of group rings, come from one tuple-ring builder;
+  ``grpalg`` is the filter subring whose every coefficient set is the whole
+  base ring.
 * ``subring``: elements are the chosen base-ring indices in ascending order.
 """
 
@@ -141,12 +144,14 @@ def make_ring(
         raise SpecError("ring must contain at least a zero element")
     if n > caps.max_ring_order:
         raise CapError(f"ring order {n} exceeds cap {caps.max_ring_order}")
+    rows = (*add_rows, *mul_rows)
+    if len(mul_rows) != n or any(len(row) != n for row in rows):
+        raise SpecError("tables must be square and of equal size")
+    # range-checked before the int16 cast, which overflows on large entries
+    if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
+        raise SpecError("table entries must be element indices")
     add = np.asarray(add_rows, dtype=np.int16)
     mul = np.asarray(mul_rows, dtype=np.int16)
-    if add.shape != (n, n) or mul.shape != (n, n):
-        raise SpecError("tables must be square and of equal size")
-    if add.min() < 0 or add.max() >= n or mul.min() < 0 or mul.max() >= n:
-        raise SpecError("table entries must be element indices")
     if not (add == add.T).all():
         raise SpecError("addition is not commutative")
     if not (add[add, :] == add[:, add]).all():
@@ -315,45 +320,54 @@ def gf(q: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     return make_ring(add, mul, names, caps=caps)
 
 
-def _mixed_radix_ring(base: FiniteRing, length: int, mul_vec, name_vec, caps: Caps) -> FiniteRing:
-    """Rings whose elements are length-tuples over a base ring, added
-    componentwise, with a caller-supplied vector multiplication."""
-    order = base.order**length
+def _tuple_ring(factors, members, mul_vec, name_vec, caps: Caps):
+    """The ring of tuples whose coordinate t is drawn from members[t], a
+    list of elements of the ring factors[t], added componentwise and
+    multiplied by mul_vec.
+
+    Returns (ring, index) with index mapping each tuple to its element.
+    Nothing is validated up front: a sum or product leaving the tuples
+    raises SpecError.
+    """
+    order = 1
+    for m in members:
+        order *= len(m)
     if order > caps.max_ring_order:
         raise CapError(f"ring order {order} exceeds cap {caps.max_ring_order}")
-    vectors = list(itertools.product(base.elements(), repeat=length))
+    vectors = list(itertools.product(*members))
     index = {v: i for i, v in enumerate(vectors)}
-    badd = base.add_table
+    adds = [f.add_table for f in factors]
+    coords = range(len(factors))
+
+    def element(v, what):
+        i = index.get(v)
+        if i is None:
+            raise SpecError(f"coefficient sets are not closed under {what}")
+        return i
+
     add = [
-        [index[tuple(badd[x[t]][y[t]] for t in range(length))] for y in vectors]
+        [element(tuple(adds[t][x[t]][y[t]] for t in coords), "addition") for y in vectors]
         for x in vectors
     ]
-    mul = [[index[mul_vec(x, y)] for y in vectors] for x in vectors]
+    mul = [[element(mul_vec(x, y), "multiplication") for y in vectors] for x in vectors]
     names = [name_vec(v) for v in vectors]
-    return make_ring(add, mul, names, caps=caps)
+    return make_ring(add, mul, names, caps=caps), index
 
 
 def product(*rings: FiniteRing, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     """Direct product with componentwise operations."""
     if not rings:
         raise SpecError("product needs at least one factor")
-    order = 1
-    for r in rings:
-        order *= r.order
-    if order > caps.max_ring_order:
-        raise CapError(f"ring order {order} exceeds cap {caps.max_ring_order}")
-    vectors = list(itertools.product(*[r.elements() for r in rings]))
-    index = {v: i for i, v in enumerate(vectors)}
-    add = [
-        [index[tuple(rings[t].add(x[t], y[t]) for t in range(len(rings)))] for y in vectors]
-        for x in vectors
-    ]
-    mul = [
-        [index[tuple(rings[t].mul(x[t], y[t]) for t in range(len(rings)))] for y in vectors]
-        for x in vectors
-    ]
-    names = ["(" + ",".join(rings[t].name(v[t]) for t in range(len(rings))) + ")" for v in vectors]
-    return make_ring(add, mul, names, caps=caps)
+    muls = [r.mul_table for r in rings]
+    coords = range(len(rings))
+
+    def mul_vec(x, y):
+        return tuple(muls[t][x[t]][y[t]] for t in coords)
+
+    def name_vec(v):
+        return "(" + ",".join(rings[t].name(v[t]) for t in coords) + ")"
+
+    return _tuple_ring(rings, [r.elements() for r in rings], mul_vec, name_vec, caps)[0]
 
 
 def mat_positions(n: int) -> list[tuple[int, int]]:
@@ -386,7 +400,8 @@ def _matrix_ring(base: FiniteRing, n: int, positions, caps: Caps) -> FiniteRing:
             rows.append("[" + ",".join(base.name(entry(vec, i, j)) for j in range(n)) + "]")
         return "[" + ",".join(rows) + "]"
 
-    return _mixed_radix_ring(base, len(positions), mul_vec, name_vec, caps)
+    length = len(positions)
+    return _tuple_ring([base] * length, [base.elements()] * length, mul_vec, name_vec, caps)[0]
 
 
 def mat(base: FiniteRing, n: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
@@ -403,18 +418,20 @@ def tri(base: FiniteRing, n: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     return _matrix_ring(base, n, tri_positions(n), caps)
 
 
-def grpalg(base: FiniteRing, group: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
-    """Group algebra of a finite group; elements map group indices to base
-    coefficients."""
+def _group_ring(base: FiniteRing, group: FiniteGroup, members, caps: Caps):
+    """The tuples of the group ring whose coefficient at group element x is
+    drawn from members[x], under convolution; returns (ring, index) as
+    _tuple_ring does."""
     g = group.order
+    zero = base.zero
 
     def mul_vec(x, y):
-        out = [base.zero] * g
+        out = [zero] * g
         for i in range(g):
-            if x[i] == base.zero:
+            if x[i] == zero:
                 continue
             for j in range(g):
-                if y[j] == base.zero:
+                if y[j] == zero:
                     continue
                 k = group.op(i, j)
                 out[k] = base.add(out[k], base.mul(x[i], y[j]))
@@ -424,11 +441,17 @@ def grpalg(base: FiniteRing, group: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> F
         terms = [
             f"{base.name(vec[i])}*{group.name(i)}"
             for i in range(g)
-            if vec[i] != base.zero
+            if vec[i] != zero
         ]
         return "+".join(terms) if terms else "0"
 
-    return _mixed_radix_ring(base, g, mul_vec, name_vec, caps)
+    return _tuple_ring([base] * g, members, mul_vec, name_vec, caps)
+
+
+def grpalg(base: FiniteRing, group: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
+    """Group algebra of a finite group; elements map group indices to base
+    coefficients."""
+    return _group_ring(base, group, [base.elements()] * group.order, caps)[0]
 
 
 def induced_subring(ring: FiniteRing, elements: Iterable[int], caps: Caps = DEFAULT_CAPS):
@@ -517,12 +540,15 @@ def is_additive_subgroup(ring: FiniteRing, mask: int) -> bool:
     return True
 
 
-def is_ideal_mask(ring: FiniteRing, mask: int) -> bool:
+def is_ideal_mask(ring: FiniteRing, mask: int, acting: Optional[int] = None) -> bool:
+    """Whether mask is an additive subgroup absorbing products with the
+    acting elements (default: the whole ring) on both sides."""
     if not is_additive_subgroup(ring, mask):
         return False
     mul = ring.mul_table
+    actors = ring.elements() if acting is None else list(bits(acting))
     for m in bits(mask):
-        for s in ring.elements():
+        for s in actors:
             if not mask >> mul[s][m] & 1:
                 return False
             if not mask >> mul[m][s] & 1:
@@ -636,6 +662,11 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
     return Ideal(a.ring, closed_product(a.ring, a.members, b.members))
 
 
+def triple_product(ring: FiniteRing, amask: int, bmask: int, cmask: int) -> int:
+    """All finite sums of products abc, as a mask."""
+    return subgroup_closure(ring, set_product(ring, set_product(ring, amask, bmask), cmask))
+
+
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     if a.ring != b.ring:
         raise ValueError("ideals live in different rings")
@@ -652,16 +683,30 @@ def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
 # primeness
 
 
-def is_m_system(ring: FiniteRing, tmask: int) -> bool:
-    """Whether T is an m-system: a,b in T admit ab in T or asb in T."""
+def _restrict(mask: int, subset: Optional[int]) -> list[int]:
+    return list(bits(mask if subset is None else mask & subset))
+
+
+def is_m_system(
+    ring: FiniteRing,
+    tmask: int,
+    candidates: Optional[int] = None,
+    middles: Optional[int] = None,
+) -> bool:
+    """Whether T is an m-system: a,b in T admit ab in T or asb in T.
+
+    Only a, b in the candidates mask and s in the middles mask are
+    considered; both default to the whole ring.
+    """
     mul = ring.mul_table
-    members = list(bits(tmask))
+    members = _restrict(tmask, candidates)
+    mids = _restrict(ring.full_mask, middles)
     for a in members:
         arow = mul[a]
         for b in members:
             if tmask >> arow[b] & 1:
                 continue
-            if not any(tmask >> mul[arow[s]][b] & 1 for s in ring.elements()):
+            if not any(tmask >> mul[arow[s]][b] & 1 for s in mids):
                 return False
     return True
 
@@ -679,18 +724,19 @@ def is_prime_ideal(ring: FiniteRing, p: Ideal) -> bool:
     return is_m_system(ring, ring.full_mask & ~p.members)
 
 
-def prime_element_criterion(ring: FiniteRing, p: Ideal) -> bool:
-    """Elementwise criterion: aSb in P and ab in P force a in P or b in P."""
+def prime_element_criterion(ring: FiniteRing, p: Ideal, candidates: Optional[int] = None) -> bool:
+    """Elementwise criterion: aSb in P and ab in P force a in P or b in P.
+
+    Only a, b in the candidates mask (default: the whole ring) are tested;
+    the middle factor always ranges over the whole ring.
+    """
     _check_proper_ideal(ring, p)
     pm = p.members
     mul = ring.mul_table
-    for a in ring.elements():
-        if pm >> a & 1:
-            continue
+    outside = _restrict(ring.full_mask & ~pm, candidates)
+    for a in outside:
         arow = mul[a]
-        for b in ring.elements():
-            if pm >> b & 1:
-                continue
+        for b in outside:
             if not pm >> arow[b] & 1:
                 continue
             if all(pm >> mul[arow[s]][b] & 1 for s in ring.elements()):
@@ -698,17 +744,21 @@ def prime_element_criterion(ring: FiniteRing, p: Ideal) -> bool:
     return True
 
 
+def is_prime_among(ring: FiniteRing, pmask: int, ideals: Iterable[int]) -> bool:
+    """Whether AB inside P forces A or B inside P, for A and B ranging over
+    the given ideal masks."""
+    outside = [a for a in ideals if a | pmask != pmask]
+    for a in outside:
+        for b in outside:
+            if closed_product(ring, a, b) | pmask == pmask:
+                return False
+    return True
+
+
 def is_prime_ideal_by_pairs(ring: FiniteRing, p: Ideal, caps: Caps = DEFAULT_CAPS) -> bool:
     """Primeness via the defining quantification over all ideal pairs."""
     _check_proper_ideal(ring, p)
-    pm = p.members
-    lattice = all_ideals(ring, caps)
-    for a in lattice:
-        for b in lattice:
-            if ideal_product(a, b).members | pm == pm:
-                if a.members | pm != pm and b.members | pm != pm:
-                    return False
-    return True
+    return is_prime_among(ring, p.members, (i.members for i in all_ideals(ring, caps)))
 
 
 def is_prime_ring(ring: FiniteRing) -> bool:

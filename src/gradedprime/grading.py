@@ -22,15 +22,20 @@ from .finring import (
     DEFAULT_CAPS,
     FiniteRing,
     Ideal,
+    _check_proper_ideal,
     all_ideals,
     bits,
     closed_product,
     generate_ideal,
     induced_subring,
     is_additive_subgroup,
+    is_m_system,
+    is_prime_among,
     mask_of,
+    prime_element_criterion,
     set_product,
-    subgroup_closure,
+    triple_product,
+    zero_ideal,
 )
 from .groups import FiniteGroup, IntegerGroup, Z
 
@@ -187,41 +192,20 @@ def generate_graded_ideal(graded: GradedRing, gens: Iterable[int]) -> Ideal:
 def is_graded_m_system(graded: GradedRing, tmask: int) -> bool:
     """Graded m-system test: homogeneous a,b in T admit ab in T or asb in T
     for some homogeneous s."""
-    ring = graded.ring
-    mul = ring.mul_table
-    hom = list(bits(graded.homogeneous_mask))
-    members = [a for a in hom if tmask >> a & 1]
-    for a in members:
-        arow = mul[a]
-        for b in members:
-            if tmask >> arow[b] & 1:
-                continue
-            if not any(tmask >> mul[arow[s]][b] & 1 for s in hom):
-                return False
-    return True
+    hom = graded.homogeneous_mask
+    return is_m_system(graded.ring, tmask, candidates=hom, middles=hom)
 
 
 def _check_proper_graded(graded: GradedRing, p: Ideal) -> None:
-    if p.ring != graded.ring:
-        raise ValueError("ideal belongs to a different ring")
-    if not p.is_proper:
-        raise ValueError("ideal must be proper")
+    _check_proper_ideal(graded.ring, p)
     if not is_graded_ideal(graded, p):
         raise ValueError("ideal is not graded")
 
 
 def graded_prime_pair_test(graded: GradedRing, p: Ideal, caps: Caps = DEFAULT_CAPS) -> bool:
     """Quantification over pairs of graded ideals."""
-    from .finring import ideal_product
-
-    pm = p.members
     lattice = all_graded_ideals(graded, caps)
-    for a in lattice:
-        for b in lattice:
-            if ideal_product(a, b).members | pm == pm:
-                if a.members | pm != pm and b.members | pm != pm:
-                    return False
-    return True
+    return is_prime_among(graded.ring, p.members, (i.members for i in lattice))
 
 
 def graded_prime_element_criterion(graded: GradedRing, p: Ideal) -> bool:
@@ -230,22 +214,7 @@ def graded_prime_element_criterion(graded: GradedRing, p: Ideal) -> bool:
     The middle factor s ranges over the whole ring, not only over
     homogeneous elements.
     """
-    ring = graded.ring
-    pm = p.members
-    mul = ring.mul_table
-    hom = list(bits(graded.homogeneous_mask))
-    for a in hom:
-        if pm >> a & 1:
-            continue
-        arow = mul[a]
-        for b in hom:
-            if pm >> b & 1:
-                continue
-            if not pm >> arow[b] & 1:
-                continue
-            if all(pm >> mul[arow[s]][b] & 1 for s in ring.elements()):
-                return False
-    return True
+    return prime_element_criterion(graded.ring, p, candidates=graded.homogeneous_mask)
 
 
 def is_graded_prime_ideal(graded: GradedRing, p: Ideal, caps: Caps = DEFAULT_CAPS) -> bool:
@@ -268,17 +237,11 @@ def is_graded_prime_ring(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> bool:
     """Whether the zero ideal is graded prime."""
     if graded.ring.order == 1:
         raise ValueError("the zero ring is neither prime nor not prime")
-    from .finring import zero_ideal
-
     return is_graded_prime_ideal(graded, zero_ideal(graded.ring), caps)
 
 
 # ---------------------------------------------------------------------------
 # classification
-
-
-def _triple_product(ring, a, b, c):
-    return closed_product(ring, closed_product(ring, a, b), c)
 
 
 def _is_strongly_graded(graded: GradedRing) -> bool:
@@ -303,7 +266,7 @@ def _is_symmetrically_graded(graded: GradedRing) -> bool:
     for x in graded.support:
         sx = graded.component(x)
         sxi = graded.component(group.inverse(x))
-        if _triple_product(ring, sx, sxi, sx) != sx:
+        if triple_product(ring, sx, sxi, sx) != sx:
             return False
     return True
 
@@ -316,9 +279,9 @@ def _is_ideally_symmetrically_graded(graded: GradedRing, caps: Caps) -> bool:
             ix = ideal.members & graded.component(x)
             sx = graded.component(x)
             sxi = graded.component(group.inverse(x))
-            if _triple_product(ring, sx, sxi, ix) != ix:
+            if triple_product(ring, sx, sxi, ix) != ix:
                 return False
-            if _triple_product(ring, ix, sxi, sx) != ix:
+            if triple_product(ring, ix, sxi, sx) != ix:
                 return False
     return True
 
@@ -329,8 +292,8 @@ def _is_nearly_epsilon_strongly_graded(graded: GradedRing) -> bool:
     for x in graded.support:
         sx = graded.component(x)
         sxi = graded.component(group.inverse(x))
-        left_units = subgroup_closure(ring, set_product(ring, sx, sxi))
-        right_units = subgroup_closure(ring, set_product(ring, sxi, sx))
+        left_units = closed_product(ring, sx, sxi)
+        right_units = closed_product(ring, sxi, sx)
         for s in bits(sx):
             if not any(ring.mul(eps, s) == s for eps in bits(left_units)):
                 return False

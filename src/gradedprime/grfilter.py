@@ -20,19 +20,19 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
-from .errors import CapError, SpecError
+from .errors import SpecError
 from .finring import (
     Caps,
     DEFAULT_CAPS,
     FiniteRing,
+    _group_ring,
     all_ideals,
     bits,
     closed_product,
     is_fully_idempotent,
     is_ideal_mask,
-    make_ring,
     mask_of,
-    subgroup_closure,
+    triple_product,
 )
 from .grading import GradedRing, attach_grading, classify_grading
 from .groups import FiniteGroup, IntegerGroup
@@ -161,47 +161,8 @@ def assemble_filter_ring(f: GFilter, caps: Caps = DEFAULT_CAPS) -> GradedRing:
     ring = f.ring
     group = f.group
     members = [sorted(bits(f.ideal_at(x))) for x in group.elements()]
-    order = 1
-    for m in members:
-        order *= len(m)
-    if order > caps.max_ring_order:
-        raise CapError(f"filter subring order {order} exceeds cap {caps.max_ring_order}")
-    vectors = list(itertools.product(*members))
-    index = {v: i for i, v in enumerate(vectors)}
+    built, index = _group_ring(ring, group, members, caps)
     g = group.order
-    add = []
-    mul = []
-    for x in vectors:
-        arow = []
-        mrow = []
-        for y in vectors:
-            s = tuple(ring.add(x[i], y[i]) for i in range(g))
-            if s not in index:
-                raise SpecError("components are not closed under addition")
-            arow.append(index[s])
-            conv = [ring.zero] * g
-            for i in range(g):
-                if x[i] == ring.zero:
-                    continue
-                for j in range(g):
-                    if y[j] == ring.zero:
-                        continue
-                    k = group.op(i, j)
-                    conv[k] = ring.add(conv[k], ring.mul(x[i], y[j]))
-            key = tuple(conv)
-            if key not in index:
-                raise SpecError("products leave the filter components")
-            mrow.append(index[key])
-        add.append(arow)
-        mul.append(mrow)
-
-    def vec_name(v):
-        terms = [
-            f"{ring.name(v[i])}*{group.name(i)}" for i in range(g) if v[i] != ring.zero
-        ]
-        return "+".join(terms) if terms else "0"
-
-    built = make_ring(add, mul, [vec_name(v) for v in vectors], caps=caps)
     components = {}
     for x in group.elements():
         comp = [
@@ -254,6 +215,8 @@ class FilterRing:
 
         Deterministic for a given random.Random instance.
         """
+        if self.coeff.order == 1:
+            raise SpecError("the zero ring has no nonzero elements")
         while True:
             base = rng.randint(-max_shift, max_shift)
             width = rng.randint(1, max_width)
@@ -345,11 +308,8 @@ def is_s_unital_module(ring: FiniteRing, acting: int, acted: int, side: str) -> 
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     for m in bits(acted):
-        if side == "left":
-            orbit = mask_of(ring.mul(t, m) for t in bits(acting))
-        else:
-            orbit = mask_of(ring.mul(m, t) for t in bits(acting))
-        if not subgroup_closure(ring, orbit) >> m & 1:
+        factors = (acting, 1 << m) if side == "left" else (1 << m, acting)
+        if not closed_product(ring, *factors) >> m & 1:
             return False
     return True
 
@@ -362,10 +322,6 @@ class FilterClassification:
     nearly_eps: bool
     R_idempotent: bool
     R_fully_idempotent: bool
-
-
-def _triple(ring, a, b, c):
-    return closed_product(ring, closed_product(ring, a, b), c)
 
 
 def _ideally_symmetric_finite(f: GFilter, caps: Caps) -> bool:
@@ -402,16 +358,12 @@ def _ideally_symmetric_finite(f: GFilter, caps: Caps) -> bool:
             ix = f.ideal_at(x)
             ixi = f.ideal_at(group.inverse(x))
             kx = family[x]
-            if _triple(ring, ix, ixi, kx) != kx or _triple(ring, kx, ixi, ix) != kx:
+            if triple_product(ring, ix, ixi, kx) != kx or triple_product(ring, kx, ixi, ix) != kx:
                 return False
     return True
 
 
-def classify_filter(
-    f: GFilter,
-    caps: Caps = DEFAULT_CAPS,
-    cross_check: bool = True,
-) -> FilterClassification:
+def classify_filter(f: GFilter, caps: Caps = DEFAULT_CAPS) -> FilterClassification:
     """Classify the grading of the filter subring from the filter data.
 
     The symmetric, inverse-equality and local-unit flags come straight from
@@ -430,7 +382,7 @@ def classify_filter(
     sites = filter_sites(f)
 
     symmetric = all(
-        _triple(ring, f.ideal_at(x), f.ideal_at(group.inverse(x)), f.ideal_at(x))
+        triple_product(ring, f.ideal_at(x), f.ideal_at(group.inverse(x)), f.ideal_at(x))
         == f.ideal_at(x)
         for x in sites
     )
@@ -472,7 +424,7 @@ def classify_filter(
                 "symmetry and ideal symmetry disagree over a fully idempotent ring; internal bug"
             )
 
-    if group.is_finite and cross_check:
+    if group.is_finite:
         order = 1
         for x in group.elements():
             order *= f.ideal_at(x).bit_count()

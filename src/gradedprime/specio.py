@@ -24,6 +24,9 @@ Filter file:
     pattern constant [gens]           # integers: R at 0, <gens> ideal off
     override <x> = [gens]             # integers: finitely many exceptions
 
+In both files a repeated ``ring:``, ``group:`` or ``pattern`` line, or a
+repeated degree in ``component``, ``I`` or ``override`` lines, is an error.
+
 Graph file:
 
     vertex <name>
@@ -131,7 +134,9 @@ def _parse_table_block(ts: _Tokens) -> dict:
             ts.next()
 
 
-def _as_rows(value, n: int, what: str):
+def _as_rows(value, n, what: str):
+    if not isinstance(n, int) or n < 1:
+        raise SpecError("order must be a positive integer")
     if not isinstance(value, list):
         raise SpecError(f"{what} must be a list")
     if len(value) == n and all(isinstance(row, list) for row in value):
@@ -195,8 +200,6 @@ def _parse_ring_expr(ts: _Tokens, caps: Caps) -> FiniteRing:
         if "order" not in fields or "add" not in fields or "mul" not in fields:
             raise SpecError("tables need order, add and mul")
         n = fields["order"]
-        if not isinstance(n, int) or n < 1:
-            raise SpecError("order must be a positive integer")
         add = _as_rows(fields["add"], n, "add")
         mul = _as_rows(fields["mul"], n, "mul")
         return fr.make_ring(add, mul, caps=caps)
@@ -268,52 +271,67 @@ def _meaningful_lines(text: str):
             yield line
 
 
-def parse_graded_file(text: str, caps: Caps = DEFAULT_CAPS) -> GradedRing:
-    ring = None
-    group = None
-    components = {}
+def _headed_lines(text: str, caps: Caps, kind: str):
+    """The ring and group of a graded or filter file, and its other lines.
+
+    Each of ``ring:`` and ``group:`` must appear exactly once.
+    """
+    parsers = {"ring": lambda spec: parse_ring_spec(spec, caps), "group": parse_group_spec}
+    headers = {}
+    rest = []
     for line in _meaningful_lines(text):
-        if line.startswith("ring:"):
-            ring = parse_ring_spec(line[len("ring:") :], caps)
-        elif line.startswith("group:"):
-            group = parse_group_spec(line[len("group:") :], allow_z=True)
-        elif line.startswith("component"):
-            body = line[len("component") :]
-            if ":" not in body:
-                raise SpecError(f"malformed component line: {line!r}")
-            deg_text, members_text = body.split(":", 1)
-            ts = _Tokens(tokenize(deg_text))
-            x = _parse_int(ts)
-            if not ts.at_end():
-                raise SpecError(f"malformed component degree: {deg_text!r}")
-            if x in components:
-                raise SpecError(f"component {x} given twice")
-            components[x] = parse_element_list(members_text)
+        key, colon, spec = line.partition(":")
+        if not colon or key not in parsers:
+            rest.append(line)
+        elif key in headers:
+            raise SpecError(f"{key}: line given twice")
+        else:
+            headers[key] = parsers[key](spec)
+    if len(headers) != 2:
+        raise SpecError(f"a {kind} file needs ring: and group: lines")
+    return headers["ring"], headers["group"], rest
+
+
+def _degree_line(line: str, keyword: str, sep: str, seen) -> tuple[int, list[int]]:
+    """Split '<keyword> <x> <sep> <element list>' into x and the list,
+    rejecting a degree already in seen."""
+    body = line[len(keyword) :]
+    if sep not in body:
+        raise SpecError(f"malformed {keyword} line: {line!r}")
+    deg_text, members_text = body.split(sep, 1)
+    ts = _Tokens(tokenize(deg_text))
+    x = _parse_int(ts)
+    if not ts.at_end():
+        raise SpecError(f"malformed {keyword} degree: {deg_text!r}")
+    if x in seen:
+        raise SpecError(f"{keyword} {x} given twice")
+    return x, parse_element_list(members_text)
+
+
+def parse_graded_file(text: str, caps: Caps = DEFAULT_CAPS) -> GradedRing:
+    ring, group, lines = _headed_lines(text, caps, "graded ring")
+    components = {}
+    for line in lines:
+        if line.startswith("component"):
+            x, members = _degree_line(line, "component", ":", components)
+            components[x] = members
         else:
             raise SpecError(f"unrecognized line: {line!r}")
-    if ring is None or group is None:
-        raise SpecError("a graded ring file needs ring: and group: lines")
     return attach_grading(ring, group, components, caps=caps)
 
 
 def parse_filter_file(text: str, caps: Caps = DEFAULT_CAPS) -> GFilter:
-    ring = None
-    group = None
+    ring, group, lines = _headed_lines(text, caps, "filter")
     assignments = {}
     rule = None
     overrides = {}
-    for line in _meaningful_lines(text):
-        if line.startswith("ring:"):
-            ring = parse_ring_spec(line[len("ring:") :], caps)
-        elif line.startswith("group:"):
-            group = parse_group_spec(line[len("group:") :], allow_z=True)
-        elif line.startswith("I "):
-            body = line[2:]
-            if "=" not in body:
-                raise SpecError(f"malformed assignment line: {line!r}")
-            deg_text, gens_text = body.split("=", 1)
-            assignments[int(deg_text.strip())] = parse_element_list(gens_text)
+    for line in lines:
+        if line.startswith("I "):
+            x, gens = _degree_line(line, "I", "=", assignments)
+            assignments[x] = gens
         elif line.startswith("pattern"):
+            if rule is not None:
+                raise SpecError("pattern line given twice")
             parts = line.split(None, 2)
             if len(parts) < 2:
                 raise SpecError(f"malformed pattern line: {line!r}")
@@ -332,15 +350,10 @@ def parse_filter_file(text: str, caps: Caps = DEFAULT_CAPS) -> GFilter:
             else:
                 raise SpecError(f"unknown pattern {kind!r}")
         elif line.startswith("override"):
-            body = line[len("override") :]
-            if "=" not in body:
-                raise SpecError(f"malformed override line: {line!r}")
-            deg_text, gens_text = body.split("=", 1)
-            overrides[int(deg_text.strip())] = parse_element_list(gens_text)
+            x, gens = _degree_line(line, "override", "=", overrides)
+            overrides[x] = gens
         else:
             raise SpecError(f"unrecognized line: {line!r}")
-    if ring is None or group is None:
-        raise SpecError("a filter file needs ring: and group: lines")
 
     def ideal_mask(gens):
         return generate_ideal(ring, gens).members

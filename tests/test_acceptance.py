@@ -28,6 +28,7 @@ from corpus import (
 )
 
 DATA = Path(__file__).parent / "data"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def finish(number, name, budget, started, ok, detail):
@@ -281,7 +282,7 @@ def test_09_filter_classifiers():
             if not is_valid:
                 continue
             valid += 1
-            c = gfl.classify_filter(filt, cross_check=False)
+            c = gfl.classify_filter(filt)
             cg = gr.classify_grading(built)
             ok = ok and c.symmetric == cg.symmetrically
             ok = ok and c.ideally_symmetric == cg.ideally_symmetrically
@@ -361,7 +362,7 @@ def test_11_cli_determinism(capsys):
         ["filter", str(DATA / "z_half_tri2.filter")],
     ]
     ok = True
-    for argv in commands:
+    for k, argv in enumerate(commands):
         outputs = []
         for _ in range(2):
             status = main(argv)
@@ -369,6 +370,8 @@ def test_11_cli_determinism(capsys):
             outputs.append((status, captured.out.encode(), captured.err.encode()))
             ok = ok and status == 0
         ok = ok and outputs[0] == outputs[1]
+        golden = GOLDEN / f"{k:02d}_{argv[0]}_{Path(argv[1]).stem}.out"
+        ok = ok and outputs[0][1] == golden.read_bytes()
     elapsed_ok = ok
     with capsys.disabled():
         finish(11, "cli determinism", 60, started, elapsed_ok, f"{len(commands)} commands x2")

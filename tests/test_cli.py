@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from gradedprime.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -173,6 +175,37 @@ class TestErrors:
         status, _, err = run_cli(capsys, "filter", DATA / "c3_prod.filter", "--witness")
         assert status == 2
         assert "integer" in err
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("prime", "grpalg(gf(2), tables{order=[1]; op=[[0]]})"),
+            ("prime", "tables{order=2; add=[[0,1],[1,99999]]; mul=[[0,0],[0,0]]}"),
+            ("classify", "ring: gf(3)\nring: gf(2)\ngroup: Z\ncomponent 0: [0, 1]"),
+            ("filter", "ring: gf(2)\ngroup: cyclic(2)\nI 1 = [1]\nI 1 = [0]"),
+        ],
+        ids=["group_order_list", "entry_out_of_range", "repeated_ring", "repeated_I"],
+    )
+    def test_bad_input_is_a_one_line_error(self, capsys, tmp_path, command, text):
+        spec = tmp_path / "spec"
+        spec.write_text(text)
+        status, out, err = run_cli(capsys, command, spec)
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_zero_ring_witness_fails_fast(self, tmp_path):
+        spec = tmp_path / "zero.filter"
+        spec.write_text("ring: zmod(1)\ngroup: Z\npattern subgroup 1\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "gradedprime", "filter", str(spec), "--witness"],
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert result.returncode == 2
+        assert result.stdout == "valid filter: YES\n"
+        assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
 
     def test_cap_flags_are_honoured(self, capsys):
         status, _, err = run_cli(capsys, "ideals", DATA / "tri2.ring", "--max-ring-order", "4")

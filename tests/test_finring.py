@@ -1,11 +1,14 @@
 """Finite ring kernel: construction, ideals, primeness."""
 
+import hashlib
+
 import pytest
 
 from gradedprime import finring as fr
 from gradedprime.errors import CapError, SpecError
 
 from corpus import corpus_rings, ring_by_name, zero_mult_ring
+from gradedprime.groups import cyclic, symmetric_group
 
 
 def members(ideal):
@@ -75,6 +78,40 @@ class TestConstruction:
         else:
             u = ring.unit
             assert all(ring.mul(u, x) == x == ring.mul(x, u) for x in ring.elements())
+
+
+def table_digest(*parts):
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+
+
+class TestConstructorTables:
+    """The element order, tables and names of the tuple-ring constructors
+    are a public contract; these digests pin them exactly."""
+
+    @pytest.mark.parametrize(
+        "build,expected",
+        [
+            (lambda: fr.product(fr.gf(2), fr.gf(3)), "2d82f0e704864936"),
+            (lambda: fr.product(*[fr.gf(2)] * 8), "c3fb3d2b3ebb9c02"),
+            (lambda: fr.mat(fr.gf(2), 2), "10a715b6159abfab"),
+            (lambda: fr.mat(fr.gf(3), 2), "372212f8e93dcd31"),
+            (lambda: fr.tri(fr.gf(2), 3), "a15b2fc9b9e5a6ec"),
+            (lambda: fr.grpalg(fr.gf(2), symmetric_group(3)), "d80e6bf1a50f1c39"),
+            (lambda: fr.grpalg(fr.gf(3), cyclic(2)), "eb392ac7ea16d3b7"),
+        ],
+        ids=[
+            "product_gf2_gf3",
+            "product_gf2_x8",
+            "mat_gf2_2",
+            "mat_gf3_2",
+            "tri_gf2_3",
+            "grpalg_gf2_sym3",
+            "grpalg_gf3_cyclic2",
+        ],
+    )
+    def test_table_digest(self, build, expected):
+        r = build()
+        assert table_digest(r.add_table, r.mul_table, r.names) == expected
 
 
 class TestIdealGeneration:

@@ -1,15 +1,18 @@
 """Filter subrings of group rings: validation, building, classification,
 witness search."""
 
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
 from gradedprime import finring as fr
 from gradedprime import grading as gr
 from gradedprime import grfilter as gfl
+from gradedprime import specio
 from gradedprime.errors import SpecError
-from gradedprime.groups import cyclic
+from gradedprime.groups import cyclic, symmetric_group
 
 from corpus import (
     all_candidate_filters,
@@ -19,6 +22,7 @@ from corpus import (
 )
 
 GF2 = fr.gf(2)
+DATA = Path(__file__).parent / "data"
 
 
 def f2_c2_full():
@@ -112,6 +116,29 @@ class TestBuild:
                 built = False
             assert built == expected
 
+    @pytest.mark.parametrize(
+        "name,expected", [("c3_prod", "e545fc68018eab4b"), ("c2_row", "854fc227dd84ed94")]
+    )
+    def test_assembled_tables_are_pinned(self, name, expected):
+        filt = specio.parse_filter_file((DATA / f"{name}.filter").read_text())
+        built = gfl.assemble_filter_ring(filt)
+        r = built.ring
+        parts = (r.add_table, r.mul_table, r.names, sorted(built.components.items()))
+        assert hashlib.sha256(repr(parts).encode()).hexdigest()[:16] == expected
+
+    @pytest.mark.parametrize(
+        "base,group",
+        [(GF2, symmetric_group(3)), (fr.gf(3), cyclic(2)), (fr.zmod(4), cyclic(3))],
+        ids=["gf2_sym3", "gf3_c2", "zmod4_c3"],
+    )
+    def test_full_filter_ring_is_the_group_algebra(self, base, group):
+        full = {x: base.full_mask for x in group.elements()}
+        built = gfl.assemble_filter_ring(gfl.make_finite_filter(base, group, full)).ring
+        algebra = fr.grpalg(base, group)
+        assert built.add_table == algebra.add_table
+        assert built.mul_table == algebra.mul_table
+        assert built.names == algebra.names
+
 
 @pytest.fixture(scope="module")
 def handle():
@@ -187,7 +214,7 @@ class TestClassification:
 
     @pytest.mark.parametrize("name,filt", finite_filter_corpus())
     def test_filter_flags_match_the_built_grading(self, name, filt):
-        c = gfl.classify_filter(filt, cross_check=False)
+        c = gfl.classify_filter(filt)
         built = gfl.build_filter_subring(filt)
         cg = gr.classify_grading(built)
         assert c.symmetric == cg.symmetrically
@@ -247,7 +274,7 @@ class TestSubgroupPatternAnalogue:
             t2, cyclic(4), {0: t2.full_mask, 1: row, 2: t2.full_mask, 3: row}
         )
         assert gfl.validate_filter(filt)
-        c = gfl.classify_filter(filt, cross_check=False)
+        c = gfl.classify_filter(filt)
         assert c.symmetric and not c.nearly_eps
 
     def test_z_row_pattern(self):

@@ -43,6 +43,10 @@ class TestRingExpressions:
         with pytest.raises(SpecError):
             specio.parse_ring_spec("gf(2) gf(3)")
 
+    def test_out_of_range_table_entry_rejected(self):
+        with pytest.raises(SpecError, match="element indices"):
+            specio.parse_ring_spec("tables{order=2; add=[[0,1],[1,99999]]; mul=[[0,0],[0,0]]}")
+
     def test_unknown_constructor_rejected(self):
         with pytest.raises(SpecError):
             specio.parse_ring_spec("field(2)")
@@ -75,6 +79,10 @@ class TestGroupExpressions:
     def test_bad_tables_rejected(self):
         with pytest.raises(SpecError):
             specio.parse_group_spec("tables{order=2; op=[[0,0],[0,0]]}")
+
+    def test_order_must_be_an_integer(self):
+        with pytest.raises(SpecError, match="order"):
+            specio.parse_group_spec("tables{order=[1]; op=[[0]]}")
 
 
 class TestGradedFiles:
@@ -182,6 +190,27 @@ class TestFilterFiles:
                 pattern subgroup 1
                 I 1 = [1]
             """)
+
+
+class TestRepeatedLines:
+    @pytest.mark.parametrize(
+        "parse,text",
+        [
+            (specio.parse_graded_file, "ring: gf(3)\nring: gf(2)\ngroup: Z\ncomponent 0: [0, 1]"),
+            (specio.parse_graded_file, "ring: gf(2)\ngroup: Z\ngroup: Z\ncomponent 0: [0, 1]"),
+            (specio.parse_filter_file, "ring: gf(2)\nring: gf(2)\ngroup: cyclic(2)\nI 1 = [1]"),
+            (specio.parse_filter_file, "ring: gf(2)\ngroup: cyclic(2)\nI 1 = [1]\nI 1 = [0]"),
+            (specio.parse_filter_file, "ring: gf(2)\ngroup: Z\npattern subgroup 1\npattern constant"),
+            (
+                specio.parse_filter_file,
+                "ring: gf(2)\ngroup: Z\npattern subgroup 1\noverride 1 = [0]\noverride 1 = [1]",
+            ),
+        ],
+        ids=["ring", "group", "filter_ring", "I", "pattern", "override"],
+    )
+    def test_repeated_line_rejected(self, parse, text):
+        with pytest.raises(SpecError, match="given twice"):
+            parse(text)
 
 
 class TestGraphFiles:
