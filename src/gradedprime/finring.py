@@ -21,13 +21,24 @@ contract, since spec files refer to elements by index):
   ``grpalg`` is the filter subring whose every coefficient set is the whole
   base ring.
 * ``subring``: elements are the chosen base-ring indices in ascending order.
+
+Additive subgroups (ideals, graded components, filter values) all go through
+one kernel that carries a subgroup as a mask plus at most log2(order)
+additive generators.  A subgroup H grows by an element g coset by coset: the
+span of H and g is the union of the cosets H + kg up to the first kg in H
+(Dimino's algorithm), so a closure costs time linear in its size.
+Multiplication is biadditive, so a product of spans is the span of the
+products of their generators.  Hence the ideal generated by X is the span of
+X, GX, XG and GXG for G the ring's additive generators (one pass, no
+fixpoint), ideal products and triple products multiply generators only, and
+an absorption or "aSb in P" test needs s to range over G only.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -122,6 +133,11 @@ class FiniteRing:
 
     def name(self, i: int) -> str:
         return self.names[i]
+
+    @cached_property
+    def additive_generators(self) -> tuple[int, ...]:
+        """A generating set of the additive group, at most log2(order) long."""
+        return tuple(_gens(self, self.full_mask))
 
     def __repr__(self) -> str:
         kind = "unital" if self.unit is not None else "nonunital"
@@ -489,26 +505,52 @@ def subring(ring: FiniteRing, elements: Iterable[int], caps: Caps = DEFAULT_CAPS
 # subsets, closures, ideals
 
 
+def _extend(ring: FiniteRing, mask: int, gens: Sequence[int], xmask: int):
+    """Extend the additive subgroup mask, spanned by gens, by the elements of
+    xmask.  Returns (mask, generators) of the span.
+
+    Each new generator g not yet in the subgroup H adds the cosets H + kg for
+    k = 1, 2, ... until kg falls in H (Dimino's coset extension), so each
+    element of the result is produced once and every generator at least
+    doubles the subgroup: there are at most log2(order) generators.
+    """
+    add = ring.add_table
+    elems = list(bits(mask))
+    gens = list(gens)
+    rest = xmask & ~mask
+    while rest:
+        g = (rest & -rest).bit_length() - 1
+        gens.append(g)
+        base = elems
+        elems = list(base)
+        rep = g
+        while not mask >> rep & 1:
+            row = add[rep]
+            coset = [row[h] for h in base]
+            elems += coset
+            for z in coset:
+                mask |= 1 << z
+            rep = row[g]
+        rest &= ~mask
+    return mask, gens
+
+
+def _span(ring: FiniteRing, xmask: int):
+    """(mask, generators) of the additive subgroup spanned by xmask."""
+    return _extend(ring, ring.zero_mask, (), xmask)
+
+
 def subgroup_closure(ring: FiniteRing, mask: int) -> int:
     """Additive closure of a subset; always contains zero.
 
     In a finite abelian group, closure under addition already yields a
-    subgroup (negatives arise as repeated sums).
+    subgroup (negatives arise as repeated sums).  The closure is built coset
+    by coset: a subgroup H and an element g outside it span the union of
+    the cosets H + kg for k up to the first kg in H, so the cost is linear
+    in the size of the result and the subgroup is carried by at most
+    log2(order) additive generators.
     """
-    closed = mask | ring.zero_mask
-    elems = list(bits(closed))
-    add = ring.add_table
-    i = 0
-    while i < len(elems):
-        x = elems[i]
-        i += 1
-        row = add[x]
-        for y in elems[:i]:
-            z = row[y]
-            if not closed >> z & 1:
-                closed |= 1 << z
-                elems.append(z)
-    return closed
+    return _span(ring, mask)[0]
 
 
 def set_product(ring: FiniteRing, amask: int, bmask: int) -> int:
@@ -522,32 +564,50 @@ def set_product(ring: FiniteRing, amask: int, bmask: int) -> int:
     return out
 
 
+def _gens(ring: FiniteRing, mask: int) -> list[int]:
+    """Additive generators of the span of mask."""
+    return _span(ring, mask)[1]
+
+
+def _product_span(ring: FiniteRing, *factors: Sequence[int]) -> int:
+    """The span of all products f1 f2 ... fk with fi in the span of the
+    generator list factors[i].
+
+    Multiplication is biadditive, so this is the span of the products of the
+    generators alone.
+    """
+    mul = ring.mul_table
+    terms = factors[0]
+    for right in factors[1:]:
+        terms = [mul[a][b] for a in terms for b in right]
+    return _span(ring, mask_of(terms))[0]
+
+
 def closed_product(ring: FiniteRing, amask: int, bmask: int) -> int:
     """All finite sums of products ab, as a mask."""
-    return subgroup_closure(ring, set_product(ring, amask, bmask))
+    return _product_span(ring, _gens(ring, amask), _gens(ring, bmask))
 
 
 def is_additive_subgroup(ring: FiniteRing, mask: int) -> bool:
-    if not mask >> ring.zero & 1:
-        return False
-    members = list(bits(mask))
-    add = ring.add_table
-    for x in members:
-        row = add[x]
-        for y in members:
-            if not mask >> row[y] & 1:
-                return False
-    return True
+    """Whether mask is an additive subgroup: it equals its own closure,
+    which always contains zero."""
+    return subgroup_closure(ring, mask) == mask
 
 
 def is_ideal_mask(ring: FiniteRing, mask: int, acting: Optional[int] = None) -> bool:
     """Whether mask is an additive subgroup absorbing products with the
-    acting elements (default: the whole ring) on both sides."""
-    if not is_additive_subgroup(ring, mask):
+    acting elements (default: the whole ring) on both sides.
+
+    Once mask is known to be a subgroup, absorption is tested on additive
+    generators of mask and of the acting set's span only: by biadditivity
+    every product of their sums is a sum of those products.
+    """
+    closed, gens = _span(ring, mask)
+    if closed != mask:
         return False
     mul = ring.mul_table
-    actors = ring.elements() if acting is None else list(bits(acting))
-    for m in bits(mask):
+    actors = ring.additive_generators if acting is None else _gens(ring, acting)
+    for m in gens:
         for s in actors:
             if not mask >> mul[s][m] & 1:
                 return False
@@ -585,6 +645,10 @@ class Ideal:
     def is_zero(self) -> bool:
         return self.members == self.ring.zero_mask
 
+    @cached_property
+    def _generators(self) -> list[int]:
+        return _gens(self.ring, self.members)
+
     def __le__(self, other: "Ideal") -> bool:
         return self.members | other.members == other.members
 
@@ -600,71 +664,74 @@ def full_ideal(ring: FiniteRing) -> Ideal:
     return Ideal(ring, ring.full_mask)
 
 
-def generate_ideal(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
-    """Smallest two-sided ideal containing the generators.
+def _ideal_span(ring: FiniteRing, xmask: int):
+    """(mask, generators) of the ideal generated by xmask.
 
-    Iterates additive closure and two-sided absorption to a fixpoint, so no
-    unit is ever assumed: the integer-multiple part of the generated ideal
-    comes from the additive closure step.
+    That ideal is ZX + RX + XR + RXR, and by biadditivity it is the additive
+    span of X u GX u XG u GXG for X the additive generators of xmask's span
+    and G those of the ring, so one pass suffices and no unit is assumed.
     """
+    mul = ring.mul_table
+    ring_gens = ring.additive_generators
+    out = 0
+    for x in _gens(ring, xmask):
+        out |= 1 << x
+        xrow = mul[x]
+        for s in ring_gens:
+            sx = mul[s][x]
+            out |= 1 << sx | 1 << xrow[s]
+            sxrow = mul[sx]
+            for t in ring_gens:
+                out |= 1 << sxrow[t]
+    return _span(ring, out)
+
+
+def generate_ideal(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
+    """Smallest two-sided ideal containing the generators."""
     mask = mask_of(gens)
     if mask >> ring.order:
         raise SpecError("generator index out of range")
-    current = subgroup_closure(ring, mask)
-    mul = ring.mul_table
-    while True:
-        grow = current
-        for m in bits(current):
-            for s in ring.elements():
-                grow |= 1 << mul[s][m]
-                grow |= 1 << mul[m][s]
-        grow = subgroup_closure(ring, grow)
-        if grow == current:
-            return Ideal(ring, current)
-        current = grow
+    return Ideal(ring, _ideal_span(ring, mask)[0])
 
 
-@lru_cache(maxsize=None)
+# Both caches are keyed by ring, so they are bounded: a long-lived process
+# would otherwise keep every lattice and product it ever computed.
+@lru_cache(maxsize=16)
 def all_ideals(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]:
     """The complete ideal lattice, canonically ordered by bitmask.
 
-    Computed as the join-closure of all principal ideals, which is correct
-    for any finite ring.
+    Computed as the closure of the zero ideal under joins with the distinct
+    principal ideals, which is correct for any finite ring: every ideal is
+    the join of the principal ideals of its elements.  A join extends the
+    current ideal by the principal ideal's additive generators only.
     """
-    lattice = {ring.zero_mask}
+    principal = {}
     for a in ring.elements():
-        lattice.add(generate_ideal(ring, (a,)).members)
-        if len(lattice) > caps.max_ideals:
-            raise CapError(f"ideal lattice exceeds cap {caps.max_ideals}")
-    frontier = list(lattice)
-    while frontier:
-        fresh = []
-        snapshot = list(lattice)
-        for a in frontier:
-            for b in snapshot:
-                join = subgroup_closure(ring, a | b)
+        mask, gens = _ideal_span(ring, 1 << a)
+        principal.setdefault(mask, mask_of(gens))
+    lattice = {ring.zero_mask: ()}
+    for pmask, pgens in principal.items():
+        for mask, gens in list(lattice.items()):
+            if pmask & ~mask:
+                join, join_gens = _extend(ring, mask, gens, pgens)
                 if join not in lattice:
-                    lattice.add(join)
-                    fresh.append(join)
+                    lattice[join] = join_gens
                     if len(lattice) > caps.max_ideals:
-                        raise CapError(
-                            f"ideal lattice exceeds cap {caps.max_ideals}"
-                        )
-        frontier = fresh
+                        raise CapError(f"ideal lattice exceeds cap {caps.max_ideals}")
     return tuple(Ideal(ring, m) for m in sorted(lattice))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
     """The ideal AB: all finite sums of products ab."""
     if a.ring != b.ring:
         raise ValueError("ideals live in different rings")
-    return Ideal(a.ring, closed_product(a.ring, a.members, b.members))
+    return Ideal(a.ring, _product_span(a.ring, a._generators, b._generators))
 
 
 def triple_product(ring: FiniteRing, amask: int, bmask: int, cmask: int) -> int:
     """All finite sums of products abc, as a mask."""
-    return subgroup_closure(ring, set_product(ring, set_product(ring, amask, bmask), cmask))
+    return _product_span(ring, _gens(ring, amask), _gens(ring, bmask), _gens(ring, cmask))
 
 
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
@@ -727,8 +794,10 @@ def is_prime_ideal(ring: FiniteRing, p: Ideal) -> bool:
 def prime_element_criterion(ring: FiniteRing, p: Ideal, candidates: Optional[int] = None) -> bool:
     """Elementwise criterion: aSb in P and ab in P force a in P or b in P.
 
-    Only a, b in the candidates mask (default: the whole ring) are tested;
-    the middle factor always ranges over the whole ring.
+    Only a, b in the candidates mask (default: the whole ring) are tested.
+    The middle factor ranges over the ring's additive generators, which is
+    the same test: P is additive, so aSb lies in P when agb does for each
+    generator g.
     """
     _check_proper_ideal(ring, p)
     pm = p.members
@@ -739,18 +808,24 @@ def prime_element_criterion(ring: FiniteRing, p: Ideal, candidates: Optional[int
         for b in outside:
             if not pm >> arow[b] & 1:
                 continue
-            if all(pm >> mul[arow[s]][b] & 1 for s in ring.elements()):
+            if all(pm >> mul[arow[s]][b] & 1 for s in ring.additive_generators):
                 return False
     return True
 
 
 def is_prime_among(ring: FiniteRing, pmask: int, ideals: Iterable[int]) -> bool:
     """Whether AB inside P forces A or B inside P, for A and B ranging over
-    the given ideal masks."""
-    outside = [a for a in ideals if a | pmask != pmask]
-    for a in outside:
-        for b in outside:
-            if closed_product(ring, a, b) | pmask == pmask:
+    the given ideal masks.
+
+    P must be an additive subgroup (every caller passes an ideal); then AB
+    lies in P exactly when the products of additive generators of A and B
+    do.
+    """
+    mul = ring.mul_table
+    outside = [_gens(ring, a) for a in ideals if a | pmask != pmask]
+    for ga in outside:
+        for gb in outside:
+            if all(pmask >> mul[x][y] & 1 for x in ga for y in gb):
                 return False
     return True
 

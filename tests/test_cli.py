@@ -212,6 +212,18 @@ class TestErrors:
         assert status == 2
         assert "cap" in err
 
+    def test_ideal_cap_below_the_lattice_is_a_one_line_error(self, capsys, tmp_path):
+        spec = tmp_path / "prod2x5.ring"
+        spec.write_text("product(" + ", ".join(["gf(2)"] * 5) + ")\n")
+        status, out, _ = run_cli(capsys, "ideals", spec, "--max-ideals", "32")
+        assert status == 0
+        assert "ideals: 32" in out.splitlines()
+        status, out, err = run_cli(capsys, "ideals", spec, "--max-ideals", "31")
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestDeterminism:
     COMMANDS = (

@@ -164,6 +164,14 @@ class TestIdealLattice:
         with pytest.raises(CapError):
             fr.all_ideals(fr.zmod(6), fr.Caps(max_ideals=2))
 
+    def test_lattice_cap_is_exact(self):
+        # a product of five fields has 2^5 = 32 ideals: the cap admits a
+        # lattice of exactly its size and rejects a larger one
+        ring = fr.product(*[fr.gf(2)] * 5)
+        assert len(fr.all_ideals(ring, fr.Caps(max_ideals=32))) == 32
+        with pytest.raises(CapError):
+            fr.all_ideals(ring, fr.Caps(max_ideals=31))
+
     @pytest.mark.parametrize(
         "name", ["gf2", "gf3", "gf4", "zmod4", "zmod6", "prod22", "tri2", "grpalg2", "even8", "mat2"]
     )
