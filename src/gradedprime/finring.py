@@ -2,9 +2,11 @@
 
 Elements of a ring of order n are the indices 0..n-1 and subsets of a ring
 are int bitmasks (bit i set means element i is in the subset).  Every ring
-axiom is checked exhaustively at construction time, so any FiniteRing in
-circulation is known-good.  All values are immutable and all operations are
-pure functions, safe for concurrent use.
+axiom is checked exactly at construction time, so any FiniteRing in
+circulation is known-good: commutativity of addition on all pairs, the rest
+on additive generators only, which is exact by Light's associativity test
+and by biadditivity (see groups.check_group_table and make_ring).  All values
+are immutable and all operations are pure functions, safe for concurrent use.
 
 Element index conventions of the built-in constructors (these are a public
 contract, since spec files refer to elements by index):
@@ -39,12 +41,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from .errors import CapError, SpecError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, check_group_table, element_names, square_table, table_identity
 
 
 @dataclass(frozen=True)
@@ -150,65 +151,44 @@ def make_ring(
     names: Optional[Sequence[str]] = None,
     caps: Caps = DEFAULT_CAPS,
 ) -> FiniteRing:
-    """Build a ring from raw tables, verifying every axiom exhaustively.
+    """Build a ring from raw tables, verifying every axiom exactly.
 
-    The additive identity, negation table and (optional) two-sided unit are
-    derived from the tables rather than taken on trust.
+    Addition is checked to commute on all pairs, and the additive group goes
+    through check_group_table, which finds the zero and negation by search
+    and tests associativity on a greedy set G of additive generators.  The
+    other axioms then need G only.  A map f with f(b+g) = f(b) + f(g) for
+    every b and every g in G is additive, because the g with this property
+    are closed under addition; so distributivity is checked that way for
+    x -> ax and x -> xa for every a.  Both sides of (xy)z = x(yz) are then
+    additive in each variable, so associativity is checked on G x G x G.
+    The unit, if any, is found by search like the zero.
     """
     n = len(add_rows)
     if n == 0:
         raise SpecError("ring must contain at least a zero element")
     if n > caps.max_ring_order:
         raise CapError(f"ring order {n} exceeds cap {caps.max_ring_order}")
-    rows = (*add_rows, *mul_rows)
-    if len(mul_rows) != n or any(len(row) != n for row in rows):
+    if len(mul_rows) != n or any(len(row) != n for row in (*add_rows, *mul_rows)):
         raise SpecError("tables must be square and of equal size")
-    # range-checked before the int16 cast, which overflows on large entries
-    if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
+    add, mul = square_table(add_rows), square_table(mul_rows)
+    if add is None or mul is None:
         raise SpecError("table entries must be element indices")
-    add = np.asarray(add_rows, dtype=np.int16)
-    mul = np.asarray(mul_rows, dtype=np.int16)
-    if not (add == add.T).all():
+    if add != tuple(zip(*add)):
         raise SpecError("addition is not commutative")
-    if not (add[add, :] == add[:, add]).all():
-        raise SpecError("addition is not associative")
-    rng = np.arange(n, dtype=np.int16)
-    zeros = np.nonzero((add == rng).all(axis=1))[0]
-    if len(zeros) != 1:
-        raise SpecError("addition has no identity element")
-    zero = int(zeros[0])
-    neg = []
-    for x in range(n):
-        ys = np.nonzero(add[x] == zero)[0]
-        if len(ys) != 1:
-            raise SpecError(f"element {x} has no unique additive inverse")
-        neg.append(int(ys[0]))
-    if not (mul[mul, :] == mul[:, mul]).all():
-        raise SpecError("multiplication is not associative")
-    if not (mul[:, add] == add[mul[:, :, None], mul[:, None, :]]).all():
-        raise SpecError("left distributivity fails")
-    if not (mul[add, :] == add[mul[:, None, :], mul[None, :, :]]).all():
-        raise SpecError("right distributivity fails")
-    unit = None
-    for u in range(n):
-        if (mul[u] == rng).all() and (mul[:, u] == rng).all():
-            unit = u
-            break
-    if names is None:
-        names = tuple(str(i) for i in range(n))
-    else:
-        names = tuple(names)
-        if len(names) != n:
-            raise SpecError("wrong number of element names")
-    return FiniteRing(
-        order=n,
-        add_table=tuple(tuple(int(v) for v in row) for row in add),
-        mul_table=tuple(tuple(int(v) for v in row) for row in mul),
-        zero=zero,
-        neg_table=tuple(neg),
-        unit=unit,
-        names=names,
+    zero, neg, gens = check_group_table(
+        add,
+        ("addition is not associative", "addition has no identity element", "element {} has no unique additive inverse"),
     )
+    plus_g = [(g, itemgetter(*add[g])) for g in gens]  # b -> b+g, for every b
+    for lines, error in ((mul, "left distributivity fails"), (tuple(zip(*mul)), "right distributivity fails")):
+        for f in lines:  # f is x -> ax (a row) or x -> xa (a column)
+            through_f = itemgetter(*f)
+            for g, pick in plus_g:
+                if pick(f) != through_f(add[f[g]]):
+                    raise SpecError(error)
+    if any(mul[mul[x][y]][z] != mul[x][mul[y][z]] for x in gens for y in gens for z in gens):
+        raise SpecError("multiplication is not associative")
+    return FiniteRing(n, add, mul, zero, neg, table_identity(mul), element_names(names, n))
 
 
 # ---------------------------------------------------------------------------
@@ -224,33 +204,15 @@ def zmod(n: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     return make_ring(add, mul, caps=caps)
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
 def _poly_mod(a, m, p):
-    # m is monic
+    """The remainder of a modulo the monic m, as len(m) - 1 coefficients."""
     a = list(a)
     dm = len(m) - 1
-    while a and len(a) - 1 >= dm:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i in range(dm + 1):
-                a[shift + i] = (a[shift + i] - lead * m[i]) % p
-        a.pop()
-        _poly_trim(a)
+    while len(a) > dm:
+        lead = a.pop()
+        shift = len(a) - dm
+        for i in range(dm):
+            a[shift + i] = (a[shift + i] - lead * m[i]) % p
     return a
 
 
@@ -260,7 +222,7 @@ def _is_irreducible(m, p):
         for coeffs in itertools.product(range(p), repeat=d):
             div = list(coeffs) + [1]
             # trial division: remainder of m by div
-            if not _poly_mod(m, div, p):
+            if not any(_poly_mod(m, div, p)):
                 return False
     return True
 
@@ -285,55 +247,38 @@ def gf(q: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
         raise SpecError("field order must be a prime power between 2 and 256")
     p, k = _factor_prime_power(q)
     if k == 1:
-        ring = zmod(p, caps=caps)
-        return ring
-    modpoly = None
-    for coeffs in itertools.product(range(p), repeat=k):
-        cand = list(coeffs) + [1]
-        if _is_irreducible(cand, p):
-            modpoly = cand
-            break
-    assert modpoly is not None
+        return zmod(p, caps=caps)
+    monic = ([*coeffs, 1] for coeffs in itertools.product(range(p), repeat=k))
+    modpoly = next(m for m in monic if _is_irreducible(m, p))
     if q > caps.max_ring_order:
         raise CapError(f"ring order {q} exceeds cap {caps.max_ring_order}")
 
-    def digits(i):
-        out = []
-        for _ in range(k):
-            out.append(i % p)
-            i //= p
-        return out
+    def name(i):
+        digits = [(j, i // p**j % p) for j in range(k - 1, -1, -1)]
+        terms = [
+            str(c) if j == 0 else ("" if c == 1 else str(c)) + ("a" if j == 1 else f"a^{j}")
+            for j, c in digits
+            if c
+        ]
+        return "+".join(terms) or "0"
 
-    def encode(poly):
-        return sum(c * p**j for j, c in enumerate(poly))
-
-    def poly_name(poly):
-        terms = []
-        for j in range(len(poly) - 1, -1, -1):
-            c = poly[j]
-            if not c:
-                continue
-            if j == 0:
-                terms.append(str(c))
-            else:
-                var = "a" if j == 1 else f"a^{j}"
-                terms.append(var if c == 1 else f"{c}{var}")
-        return "+".join(terms) if terms else "0"
-
+    # Element i is the polynomial (i % p) + a * (element i // p), so both
+    # tables follow from bilinearity, each entry from entries built before it.
     add = [[0] * q for _ in range(q)]
     mul = [[0] * q for _ in range(q)]
-    polys = [_poly_trim(digits(i)) for i in range(q)]
     for i in range(q):
         for j in range(q):
-            s = [0] * k
-            for t, c in enumerate(polys[i]):
-                s[t] = (s[t] + c) % p
-            for t, c in enumerate(polys[j]):
-                s[t] = (s[t] + c) % p
-            add[i][j] = encode(s)
-            mul[i][j] = encode(_poly_mod(_poly_mul(polys[i], polys[j], p), modpoly, p))
-    names = [poly_name(polys[i]) for i in range(q)]
-    return make_ring(add, mul, names, caps=caps)
+            add[i][j] = (i % p + j % p) % p + p * add[i // p][j // p]
+    for c in range(p):  # the scalars multiply digit by digit
+        for j in range(q):
+            mul[c][j] = c * (j % p) % p + p * mul[c][j // p]
+    top = q // p
+    a_to_k = sum((-m) % p * p**j for j, m in enumerate(modpoly[:k]))  # a^k, reduced
+    times_a = [add[y % top * p][mul[y // top][a_to_k]] for y in range(q)]
+    for i in range(p, q):
+        for j in range(q):
+            mul[i][j] = add[mul[i % p][j]][times_a[mul[i // p][j]]]
+    return make_ring(add, mul, [name(i) for i in range(q)], caps=caps)
 
 
 def _tuple_ring(factors, members, mul_vec, name_vec, caps: Caps):

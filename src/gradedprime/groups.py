@@ -2,13 +2,16 @@
 
 Finite group elements are indices 0..order-1.  The infinite cyclic group is
 represented by the ``Z`` singleton whose elements are plain Python ints.
+check_group_table is the one validator of group tables, also of the additive
+group of every ring.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from operator import itemgetter
+from typing import ClassVar, Optional, Sequence
 
 from .errors import SpecError
 
@@ -61,41 +64,93 @@ class IntegerGroup:
 Z = IntegerGroup()
 
 
+Table = tuple[tuple[int, ...], ...]
+
+
+def square_table(rows: Sequence[Sequence[int]]) -> Optional[Table]:
+    """rows as a tuple table if square with entries in 0..len(rows)-1, else None."""
+    n = len(rows)
+    table = tuple(tuple(map(int, row)) for row in rows)
+    if all(len(row) == n and min(row) >= 0 and max(row) < n for row in table):
+        return table
+    return None
+
+
+def table_identity(table: Table) -> Optional[int]:
+    """The two-sided identity of an operation table (at most one: e = ef = f), or None."""
+    line = tuple(range(len(table)))
+    for e, row in enumerate(table):
+        if row == line and all(r[e] == x for x, r in enumerate(table)):
+            return e
+    return None
+
+
+def check_group_table(table: Table, errors: tuple[str, str, str]) -> tuple[int, tuple[int, ...], list[int]]:
+    """Verify exactly that a square table over 0..n-1 is a group; returns
+    (identity, inverses, generators).  errors are the texts raised for a
+    nonassociative table, no identity and no unique inverse of {}.
+
+    Associativity is Light's test on generators only: the a with
+    (xa)y = x(ay) for all x, y are closed under the operation (Clifford &
+    Preston, Algebraic Theory of Semigroups I, 1961, 1.2), so it suffices
+    that they include a generating set.  Each generator is the least element
+    outside the closure of {identity} under x -> xa for the generators a so
+    far, and is tested before it is used.  While the tests pass that closure
+    is a subgroup, which each new generator at least doubles: there are at
+    most log2(n) generators and the check costs O(n^2 log n).
+    """
+    not_associative, no_identity, no_inverse = errors
+    e = table_identity(table)
+    if e is None:
+        raise SpecError(no_identity)
+    inverses = []
+    for x, row in enumerate(table):
+        if row.count(e) != 1:
+            raise SpecError(no_inverse.format(x))
+        inverses.append(row.index(e))
+    generators: list[int] = []
+    members = [e]
+    reached = {e}
+    for g in range(len(table)):
+        if g in reached:
+            continue
+        through_g = itemgetter(*table[g])  # n >= 2 here, so it returns tuples
+        if any(table[row[g]] != through_g(row) for row in table):
+            raise SpecError(not_associative)
+        generators.append(g)
+        for x in members:  # also visits the members appended below
+            row = table[x]
+            for a in generators:
+                if row[a] not in reached:
+                    reached.add(row[a])
+                    members.append(row[a])
+    return e, tuple(inverses), generators
+
+
+def element_names(names: Optional[Sequence[str]], n: int) -> tuple[str, ...]:
+    """The n given element names, or "0".."n-1" if none are given."""
+    if names is None:
+        return tuple(str(i) for i in range(n))
+    names = tuple(names)
+    if len(names) != n:
+        raise SpecError("wrong number of element names")
+    return names
+
+
 def group_from_table(op_rows: Sequence[Sequence[int]], names=None) -> FiniteGroup:
-    """Build a finite group from its operation table, validating the axioms."""
+    """Build a finite group from its operation table, validating the axioms
+    with check_group_table, which every table goes through."""
     n = len(op_rows)
     if n == 0:
         raise SpecError("group must be nonempty")
-    table = tuple(tuple(int(v) for v in row) for row in op_rows)
-    for row in table:
-        if len(row) != n or any(v < 0 or v >= n for v in row):
-            raise SpecError("group table is not square over 0..order-1")
-    for a in range(n):
-        for b in range(n):
-            ab = table[a][b]
-            for c in range(n):
-                if table[ab][c] != table[a][table[b][c]]:
-                    raise SpecError("group operation is not associative")
-    identity = None
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            identity = e
-            break
-    if identity is None:
-        raise SpecError("group has no identity element")
-    inv = []
-    for x in range(n):
-        ys = [y for y in range(n) if table[x][y] == identity]
-        if len(ys) != 1:
-            raise SpecError(f"element {x} has no unique inverse")
-        inv.append(ys[0])
-    if names is None:
-        names = tuple(str(i) for i in range(n))
-    else:
-        names = tuple(names)
-        if len(names) != n:
-            raise SpecError("wrong number of element names")
-    return FiniteGroup(n, table, identity, tuple(inv), names)
+    table = square_table(op_rows)
+    if table is None:
+        raise SpecError("group table is not square over 0..order-1")
+    identity, inverses, _ = check_group_table(
+        table,
+        ("group operation is not associative", "group has no identity element", "element {} has no unique inverse"),
+    )
+    return FiniteGroup(n, table, identity, inverses, element_names(names, n))
 
 
 def cyclic(n: int) -> FiniteGroup:

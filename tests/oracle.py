@@ -1,19 +1,28 @@
-"""The additive-subgroup kernel of gradedprime before it moved to additive
-generators, kept as the reference the differential tests compare against.
+"""Earlier versions of gradedprime's kernels, kept as the references the
+differential tests compare against.
 
-The function bodies are unchanged from that version: closure by pairwise
-sums, the subgroup test over all pairs, absorption over every member and
-every acting element, ideal generation iterated to a fixpoint and the
-lattice as the join-closure of all principal ideals.  Only the unbounded
-cache on ``all_ideals`` is left off.
+The additive-subgroup kernel from before it moved to additive generators:
+closure by pairwise sums, the subgroup test over all pairs, absorption over
+every member and every acting element, ideal generation iterated to a
+fixpoint and the lattice as the join-closure of all principal ideals.  Only
+the unbounded cache on ``all_ideals`` is left off.
+
+The table validators from before they became one generator-based check:
+``make_ring`` tests every ring axiom on all pairs and triples with numpy,
+and ``group_from_table`` tests associativity on all triples in Python.
+
+The function bodies are unchanged from those versions.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from gradedprime.errors import CapError, SpecError
 from gradedprime.finring import DEFAULT_CAPS, Caps, FiniteRing, Ideal, bits, mask_of
+from gradedprime.groups import FiniteGroup
 
 
 def subgroup_closure(ring: FiniteRing, mask: int) -> int:
@@ -118,3 +127,107 @@ def all_ideals(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]
                         )
         frontier = fresh
     return tuple(Ideal(ring, m) for m in sorted(lattice))
+
+
+def make_ring(
+    add_rows: Sequence[Sequence[int]],
+    mul_rows: Sequence[Sequence[int]],
+    names: Optional[Sequence[str]] = None,
+    caps: Caps = DEFAULT_CAPS,
+) -> FiniteRing:
+    """Build a ring from raw tables, verifying every axiom exhaustively.
+
+    The additive identity, negation table and (optional) two-sided unit are
+    derived from the tables rather than taken on trust.
+    """
+    n = len(add_rows)
+    if n == 0:
+        raise SpecError("ring must contain at least a zero element")
+    if n > caps.max_ring_order:
+        raise CapError(f"ring order {n} exceeds cap {caps.max_ring_order}")
+    rows = (*add_rows, *mul_rows)
+    if len(mul_rows) != n or any(len(row) != n for row in rows):
+        raise SpecError("tables must be square and of equal size")
+    # range-checked before the int16 cast, which overflows on large entries
+    if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
+        raise SpecError("table entries must be element indices")
+    add = np.asarray(add_rows, dtype=np.int16)
+    mul = np.asarray(mul_rows, dtype=np.int16)
+    if not (add == add.T).all():
+        raise SpecError("addition is not commutative")
+    if not (add[add, :] == add[:, add]).all():
+        raise SpecError("addition is not associative")
+    rng = np.arange(n, dtype=np.int16)
+    zeros = np.nonzero((add == rng).all(axis=1))[0]
+    if len(zeros) != 1:
+        raise SpecError("addition has no identity element")
+    zero = int(zeros[0])
+    neg = []
+    for x in range(n):
+        ys = np.nonzero(add[x] == zero)[0]
+        if len(ys) != 1:
+            raise SpecError(f"element {x} has no unique additive inverse")
+        neg.append(int(ys[0]))
+    if not (mul[mul, :] == mul[:, mul]).all():
+        raise SpecError("multiplication is not associative")
+    if not (mul[:, add] == add[mul[:, :, None], mul[:, None, :]]).all():
+        raise SpecError("left distributivity fails")
+    if not (mul[add, :] == add[mul[:, None, :], mul[None, :, :]]).all():
+        raise SpecError("right distributivity fails")
+    unit = None
+    for u in range(n):
+        if (mul[u] == rng).all() and (mul[:, u] == rng).all():
+            unit = u
+            break
+    if names is None:
+        names = tuple(str(i) for i in range(n))
+    else:
+        names = tuple(names)
+        if len(names) != n:
+            raise SpecError("wrong number of element names")
+    return FiniteRing(
+        order=n,
+        add_table=tuple(tuple(int(v) for v in row) for row in add),
+        mul_table=tuple(tuple(int(v) for v in row) for row in mul),
+        zero=zero,
+        neg_table=tuple(neg),
+        unit=unit,
+        names=names,
+    )
+
+
+def group_from_table(op_rows: Sequence[Sequence[int]], names=None) -> FiniteGroup:
+    """Build a finite group from its operation table, validating the axioms."""
+    n = len(op_rows)
+    if n == 0:
+        raise SpecError("group must be nonempty")
+    table = tuple(tuple(int(v) for v in row) for row in op_rows)
+    for row in table:
+        if len(row) != n or any(v < 0 or v >= n for v in row):
+            raise SpecError("group table is not square over 0..order-1")
+    for a in range(n):
+        for b in range(n):
+            ab = table[a][b]
+            for c in range(n):
+                if table[ab][c] != table[a][table[b][c]]:
+                    raise SpecError("group operation is not associative")
+    identity = None
+    for e in range(n):
+        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
+            identity = e
+            break
+    if identity is None:
+        raise SpecError("group has no identity element")
+    inv = []
+    for x in range(n):
+        ys = [y for y in range(n) if table[x][y] == identity]
+        if len(ys) != 1:
+            raise SpecError(f"element {x} has no unique inverse")
+        inv.append(ys[0])
+    if names is None:
+        names = tuple(str(i) for i in range(n))
+    else:
+        names = tuple(names)
+        if len(names) != n:
+            raise SpecError("wrong number of element names")
+    return FiniteGroup(n, table, identity, tuple(inv), names)

@@ -1,20 +1,49 @@
 """Command-line surface: golden outputs, porcelain mode, error paths."""
 
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from gradedprime.cli import main
+from gradedprime.groups import check_group_table, square_table
 
 DATA = Path(__file__).parent / "data"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
     status = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def z16sq_one_wrong_product() -> str:
+    """A tables{} spec of Z/16 x Z/16 under a random relabelling, with the
+    product of two nonzero elements outside the validator's additive
+    generating set changed."""
+    n = 256
+    perm = list(range(n))
+    random.Random(16).shuffle(perm)
+    add = [[0] * n for _ in range(n)]
+    mul = [[0] * n for _ in range(n)]
+    for c in range(n):
+        a1, b1 = divmod(c, 16)
+        for d in range(n):
+            a2, b2 = divmod(d, 16)
+            add[perm[c]][perm[d]] = perm[16 * ((a1 + a2) % 16) + (b1 + b2) % 16]
+            mul[perm[c]][perm[d]] = perm[16 * (a1 * a2 % 16) + b1 * b2 % 16]
+    zero, _, gens = check_group_table(square_table(add), ("", "", ""))
+    x, y = [v for v in range(n) if v != zero and v not in gens][:2]
+    mul[x][y] = add[mul[x][y]][x]
+
+    def rows(table):
+        return "[" + ",".join("[" + ",".join(map(str, r)) + "]" for r in table) + "]"
+
+    return f"tables{{order={n}; add={rows(add)}; mul={rows(mul)}}}"
 
 
 class TestVerdicts:
@@ -183,13 +212,16 @@ class TestErrors:
             ("prime", "tables{order=2; add=[[0,1],[1,99999]]; mul=[[0,0],[0,0]]}"),
             ("classify", "ring: gf(3)\nring: gf(2)\ngroup: Z\ncomponent 0: [0, 1]"),
             ("filter", "ring: gf(2)\ngroup: cyclic(2)\nI 1 = [1]\nI 1 = [0]"),
+            ("prime", z16sq_one_wrong_product()),
         ],
-        ids=["group_order_list", "entry_out_of_range", "repeated_ring", "repeated_I"],
+        ids=["group_order_list", "entry_out_of_range", "repeated_ring", "repeated_I", "z16sq_one_wrong_product"],
     )
     def test_bad_input_is_a_one_line_error(self, capsys, tmp_path, command, text):
         spec = tmp_path / "spec"
         spec.write_text(text)
+        start = time.perf_counter()
         status, out, err = run_cli(capsys, command, spec)
+        assert time.perf_counter() - start < 1.0
         assert status == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
@@ -245,6 +277,23 @@ class TestDeterminism:
             first = run_cli(capsys, *argv)
             second = run_cli(capsys, *argv)
             assert first == second and first[0] == 0, command
+
+    def test_runs_with_numpy_unimportable(self):
+        guard = (
+            "import runpy, sys; sys.modules['numpy'] = None; "
+            "runpy.run_module('gradedprime', run_name='__main__', alter_sys=True)"
+        )
+        for command, spec, golden in (
+            ("prime", "gf2.ring", "02_prime_gf2.out"),
+            ("classify", "tri2_std.graded", "05_classify_tri2_std.out"),
+        ):
+            result = subprocess.run(
+                [sys.executable, "-c", guard, command, str(DATA / spec)],
+                capture_output=True,
+                timeout=60,
+            )
+            assert result.returncode == 0, result.stderr
+            assert result.stdout == (GOLDEN / golden).read_bytes()
 
     def test_subprocess_entry_point(self):
         result = subprocess.run(

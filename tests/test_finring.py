@@ -84,9 +84,33 @@ def table_digest(*parts):
     return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
 
 
+# gf(q) tables and names for every prime power q <= 256, as computed by
+# polynomial arithmetic per pair before the bilinearity recurrence replaced it
+GF_DIGESTS = {
+    2: "c59788681f6e3f01", 3: "383832522074606d", 4: "f35311903f5d5b86", 5: "9c784ee1782bb557",
+    7: "656d3cf1db254054", 8: "82528d43bfd6ba71", 9: "14deb087241d109d", 11: "1a82d61b8091b6e1",
+    13: "a250e320bc2868b7", 16: "51b0db3fdc2cb1f5", 17: "405875a09af83579", 19: "e90408413e231b4f",
+    23: "d4d89588f918098e", 25: "99135f2543a1a032", 27: "d43388c20ad67c23", 29: "c554955b45e20e3b",
+    31: "1f997960a7efb392", 32: "066e6d6cc704d5cc", 37: "d1e680526f950be7", 41: "14d321a737c7f77c",
+    43: "164cb2eb2654e4fc", 47: "ae833422c4de61f8", 49: "8e398497cdae88bc", 53: "755f692f3353fa6b",
+    59: "224a677f10247158", 61: "4c470407d1564c81", 64: "5876976436194e08", 67: "3a90f37519726524",
+    71: "b1a3a86e1a59e5a6", 73: "ab13743c513fe99e", 79: "5633e76f5511ec34", 81: "a9a0a3776b005beb",
+    83: "d88c997a293f8b59", 89: "bba3a1e487fc559b", 97: "8657739381eb29a5", 101: "7da06cbe27126bfe",
+    103: "7e2ee6d9ecac944c", 107: "c92ddbbcdf3ca953", 109: "f30741df9e69c766", 113: "962ecdf6d41e690b",
+    121: "17326d33b116c91a", 125: "f9b55303876c84c1", 127: "311b6482f2e93477", 128: "9d77361c9621f4e9",
+    131: "4dbf22bf2b789edb", 137: "8687d506006cacb1", 139: "1809424f8379c7bb", 149: "216bcb1c508089ef",
+    151: "f9b1613df12a4950", 157: "1de16cb866e47f6a", 163: "ec9cb5b205d211d5", 167: "a26af62f47c6bc65",
+    169: "90216d2a0e82480e", 173: "da4774b399ebf5f2", 179: "684c7534f417ba1b", 181: "49d2d6c00410ecb9",
+    191: "9c31e2c9a1367462", 193: "54ac176d3f77c81d", 197: "0628d18cae82ecae", 199: "f6e1137e0d030781",
+    211: "2ab9bd29bc431b5a", 223: "ce3f58af61170ff6", 227: "b7aa306d8f40a24a", 229: "852777b7126d6f06",
+    233: "90d29d5fab0dbe75", 239: "bbe7bc1be82bd398", 241: "cea098d19d6c417d", 243: "fac44a1baf875fbc",
+    251: "10483fab32fcdb83", 256: "8e471202f9f09c11",
+}
+
+
 class TestConstructorTables:
     """The element order, tables and names of the tuple-ring constructors
-    are a public contract; these digests pin them exactly."""
+    and of gf are a public contract; these digests pin them exactly."""
 
     @pytest.mark.parametrize(
         "build,expected",
@@ -98,7 +122,8 @@ class TestConstructorTables:
             (lambda: fr.tri(fr.gf(2), 3), "a15b2fc9b9e5a6ec"),
             (lambda: fr.grpalg(fr.gf(2), symmetric_group(3)), "d80e6bf1a50f1c39"),
             (lambda: fr.grpalg(fr.gf(3), cyclic(2)), "eb392ac7ea16d3b7"),
-        ],
+        ]
+        + [(lambda q=q: fr.gf(q), digest) for q, digest in GF_DIGESTS.items()],
         ids=[
             "product_gf2_gf3",
             "product_gf2_x8",
@@ -107,7 +132,8 @@ class TestConstructorTables:
             "tri_gf2_3",
             "grpalg_gf2_sym3",
             "grpalg_gf3_cyclic2",
-        ],
+        ]
+        + [f"gf{q}" for q in GF_DIGESTS],
     )
     def test_table_digest(self, build, expected):
         r = build()
