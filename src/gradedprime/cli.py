@@ -39,7 +39,11 @@ def _porc(flag) -> str:
 
 
 def _caps(args) -> fr.Caps:
-    return fr.Caps(max_ring_order=args.max_ring_order, max_ideals=args.max_ideals)
+    return fr.Caps(
+        max_ring_order=args.max_ring_order,
+        max_ideals=args.max_ideals,
+        max_group_order=args.max_group_order,
+    )
 
 
 def _read(path: str) -> str:
@@ -245,6 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--max-ideals", type=int, default=fr.DEFAULT_CAPS.max_ideals, metavar="N"
+    )
+    common.add_argument(
+        "--max-group-order", type=int, default=fr.DEFAULT_CAPS.max_group_order, metavar="N"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -21,7 +21,11 @@ contract, since spec files refer to elements by index):
   coordinate varying fastest, like ``itertools.product``.  All of them, and
   the filter subrings of group rings, come from one tuple-ring builder;
   ``grpalg`` is the filter subring whose every coefficient set is the whole
-  base ring.
+  base ring.  The builder fills its tables from monomial products (tuples
+  with one nonzero coordinate) by biadditivity: addition is a Kronecker
+  sum of per-coordinate tables, each other product is a sum of two entries
+  built before it, and closure under multiplication, checked on monomial
+  products only, is still exact because the monomials span the tuples.
 * ``subring``: elements are the chosen base-ring indices in ascending order.
 
 Additive subgroups (ideals, graded components, filter values) all go through
@@ -54,6 +58,7 @@ class Caps:
 
     max_ring_order: int = 256
     max_ideals: int = 65536
+    max_group_order: int = 256
 
 
 DEFAULT_CAPS = Caps()
@@ -199,6 +204,8 @@ def zmod(n: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     """The ring of integers modulo n."""
     if n < 1:
         raise SpecError("modulus must be positive")
+    if n > caps.max_ring_order:  # before the n x n tables are built
+        raise CapError(f"ring order {n} exceeds cap {caps.max_ring_order}")
     add = [[(i + j) % n for j in range(n)] for i in range(n)]
     mul = [[(i * j) % n for j in range(n)] for i in range(n)]
     return make_ring(add, mul, caps=caps)
@@ -283,34 +290,78 @@ def gf(q: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
 
 def _tuple_ring(factors, members, mul_vec, name_vec, caps: Caps):
     """The ring of tuples whose coordinate t is drawn from members[t], a
-    list of elements of the ring factors[t], added componentwise and
-    multiplied by mul_vec.
+    list of distinct elements of the ring factors[t], added componentwise
+    and multiplied by mul_vec, which must be biadditive.
 
     Returns (ring, index) with index mapping each tuple to its element.
     Nothing is validated up front: a sum or product leaving the tuples
     raises SpecError.
+
+    The add table is the Kronecker sum of the per-coordinate tables of
+    positions in members[t]; a coordinate's table is where addition is
+    checked for closure.  Once it passes, every members[t] is an additive
+    subgroup, so each tuple x other than zero is head(x) + tail(x): tail(x)
+    is the monomial (one nonzero coordinate) holding x's last nonzero
+    coordinate and head(x) is x with that coordinate set to zero.  mul_vec
+    is called on pairs of monomials only.  By biadditivity the other
+    entries of a monomial's row are row[head(j)] + row[tail(j)], and the
+    other rows are mul[head(x)] + mul[tail(x)] entrywise.  The tuples form
+    an additive group spanned by the monomials, so they are closed under
+    multiplication exactly when the monomial products stay inside: the
+    closure error is raised exactly when some product of tuples leaves.
     """
     order = 1
     for m in members:
         order *= len(m)
     if order > caps.max_ring_order:
         raise CapError(f"ring order {order} exceeds cap {caps.max_ring_order}")
+    if order == 0:  # an empty coefficient set, such as an empty filter value
+        raise SpecError("ring must contain at least a zero element")
     vectors = list(itertools.product(*members))
     index = {v: i for i, v in enumerate(vectors)}
-    adds = [f.add_table for f in factors]
-    coords = range(len(factors))
 
-    def element(v, what):
-        i = index.get(v)
-        if i is None:
-            raise SpecError(f"coefficient sets are not closed under {what}")
-        return i
+    add = [[0]]  # the add table over the coordinates done so far, the last first
+    for factor, coeffs in zip(reversed(factors), reversed(members)):
+        pos = {c: p for p, c in enumerate(coeffs)}
+        table = [[pos.get(factor.add_table[a][b]) for b in coeffs] for a in coeffs]
+        if any(None in row for row in table):
+            raise SpecError("coefficient sets are not closed under addition")
+        stride = len(add)
+        add = [
+            [c + v for c in crow for v in row]
+            for crow in ([c * stride for c in crow] for crow in table)
+            for row in add
+        ]
 
-    add = [
-        [element(tuple(adds[t][x[t]][y[t]] for t in coords), "addition") for y in vectors]
-        for x in vectors
-    ]
-    mul = [[element(mul_vec(x, y), "multiplication") for y in vectors] for x in vectors]
+    zeros = tuple(f.zero for f in factors)
+    z = index[zeros]
+    monomials = []
+    steps = []  # (t, x, head, tail) for x with two or more nonzero coordinates
+    for x, v in enumerate(vectors):
+        support = [t for t, (c, zero) in enumerate(zip(v, zeros)) if c != zero]
+        if len(support) == 1:
+            monomials.append(x)
+        elif support:
+            t = support[-1]
+            head = index[v[:t] + zeros[t : t + 1] + v[t + 1 :]]
+            tail = index[zeros[:t] + v[t : t + 1] + zeros[t + 1 :]]
+            steps.append((t, x, head, tail))
+    steps.sort()  # head(x) has its last nonzero coordinate before x's
+
+    mul = [None] * order
+    mul[z] = [z] * order
+    for a in monomials:
+        row = [z] * order
+        for b in monomials:
+            c = index.get(mul_vec(vectors[a], vectors[b]))
+            if c is None:
+                raise SpecError("coefficient sets are not closed under multiplication")
+            row[b] = c
+        for _, x, head, tail in steps:
+            row[x] = add[row[head]][row[tail]]
+        mul[a] = row
+    for _, x, head, tail in steps:
+        mul[x] = [add[u][v] for u, v in zip(mul[head], mul[tail])]
     names = [name_vec(v) for v in vectors]
     return make_ring(add, mul, names, caps=caps), index
 
@@ -792,12 +843,14 @@ def is_fully_idempotent(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> bool:
     """Whether every ideal I satisfies I*I = I.
 
     Also evaluates the pairwise criterion IJ = (I intersect J) and insists
-    the two agree; disagreement would be an implementation bug.
+    the two agree; disagreement would be an implementation bug.  Products
+    are compared as masks, spanned by the ideals' cached generators, so the
+    loop neither builds an Ideal per pair nor fills the ideal_product cache.
     """
     lattice = all_ideals(ring, caps)
-    squares = all(ideal_product(i, i) == i for i in lattice)
+    squares = all(_product_span(ring, i._generators, i._generators) == i.members for i in lattice)
     pairwise = all(
-        ideal_product(i, j).members == i.members & j.members
+        _product_span(ring, i._generators, j._generators) == i.members & j.members
         for i in lattice
         for j in lattice
     )

@@ -38,32 +38,38 @@ from __future__ import annotations
 import re
 
 from . import finring as fr
-from .errors import SpecError
+from .errors import CapError, SpecError
 from .finring import Caps, DEFAULT_CAPS, FiniteRing, generate_ideal
 from .grading import GradedRing, attach_grading
 from .grfilter import GFilter, ZRule, make_finite_filter, make_z_filter
 from .groups import Z, cyclic, group_from_table, symmetric_group
 from .leavitt import DirectedGraph, Edge
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>-?\d+)|(?P<punct>->|[(){}\[\],;=:])|(?P<bad>\S))")
+# The token kinds.  No two of them match at the same position, and findall
+# steps over whitespace; \S catches a character that starts no token.
+_KINDS = {
+    "int": re.compile(r"-?\d+"),
+    "punct": re.compile(r"->|[(){}\[\],;=:]"),
+    "name": re.compile(r"[A-Za-z_][A-Za-z0-9_]*"),
+}
+_VALID = re.compile("|".join(kind.pattern for kind in _KINDS.values()))
+_TOKEN = re.compile(_VALID.pattern + r"|\S")
 
 
 def _strip_comments(text: str) -> str:
     return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
 
 
-def tokenize(text: str) -> list[tuple[str, str]]:
-    out = []
-    for m in _TOKEN.finditer(_strip_comments(text)):
-        if m.group("bad"):
-            raise SpecError(f"unexpected character {m.group('bad')!r}")
-        if m.group("name"):
-            out.append(("name", m.group("name")))
-        elif m.group("int"):
-            out.append(("int", m.group("int")))
-        else:
-            out.append(("punct", m.group("punct")))
-    return out
+def tokenize(text: str) -> list[str]:
+    """The tokens of text with comments removed: names, integers and
+    punctuation, one string each.  A character that starts no token is an
+    error, reported at its first occurrence."""
+    tokens = _TOKEN.findall(_strip_comments(text))
+    bad = {tok for tok in set(tokens) if not _VALID.fullmatch(tok)}
+    if bad:
+        first = next(tok for tok in tokens if tok in bad)
+        raise SpecError(f"unexpected character {first!r}")
+    return tokens
 
 
 class _Tokens:
@@ -72,21 +78,21 @@ class _Tokens:
         self.pos = 0
 
     def peek(self):
-        return self.items[self.pos] if self.pos < len(self.items) else (None, None)
+        return self.items[self.pos] if self.pos < len(self.items) else None
 
     def next(self):
         tok = self.peek()
-        if tok[0] is None:
+        if tok is None:
             raise SpecError("unexpected end of input")
         self.pos += 1
         return tok
 
     def expect(self, kind, value=None):
         tok = self.next()
-        if tok[0] != kind or (value is not None and tok[1] != value):
+        if not _KINDS[kind].fullmatch(tok) or (value is not None and tok != value):
             want = value if value is not None else kind
-            raise SpecError(f"expected {want!r}, found {tok[1]!r}")
-        return tok[1]
+            raise SpecError(f"expected {want!r}, found {tok!r}")
+        return tok
 
     def at_end(self) -> bool:
         return self.pos >= len(self.items)
@@ -97,40 +103,49 @@ def _parse_int(ts: _Tokens) -> int:
 
 
 def _parse_list(ts: _Tokens):
-    """A possibly nested [..] list of ints."""
+    """A possibly nested [..] list of ints; a comma may follow each item.
+
+    Walks the token list directly, with the enclosing lists on a stack.
+    """
     ts.expect("punct", "[")
-    out = []
-    while True:
-        kind, value = ts.peek()
-        if kind == "punct" and value == "]":
-            ts.next()
-            return out
-        if kind == "punct" and value == "[":
-            out.append(_parse_list(ts))
-        else:
-            out.append(_parse_int(ts))
-        kind, value = ts.peek()
-        if kind == "punct" and value == ",":
-            ts.next()
+    items, i = ts.items, ts.pos
+    out, enclosing = [], []
+    try:
+        while True:
+            tok = items[i]
+            i += 1
+            if tok == "[":
+                enclosing.append(out)
+                out = []
+                continue
+            if tok == "]":
+                if not enclosing:
+                    ts.pos = i
+                    return out
+                enclosing[-1].append(out)
+                out = enclosing.pop()
+            else:
+                try:
+                    out.append(int(tok))
+                except ValueError:
+                    raise SpecError(f"expected 'int', found {tok!r}") from None
+            if items[i] == ",":
+                i += 1
+    except IndexError:
+        raise SpecError("unexpected end of input") from None
 
 
 def _parse_table_block(ts: _Tokens) -> dict:
     ts.expect("punct", "{")
     fields = {}
     while True:
-        kind, value = ts.peek()
-        if kind == "punct" and value == "}":
+        if ts.peek() == "}":
             ts.next()
             return fields
         key = ts.expect("name")
         ts.expect("punct", "=")
-        kind, value = ts.peek()
-        if kind == "punct" and value == "[":
-            fields[key] = _parse_list(ts)
-        else:
-            fields[key] = _parse_int(ts)
-        kind, value = ts.peek()
-        if kind == "punct" and value == ";":
+        fields[key] = _parse_list(ts) if ts.peek() == "[" else _parse_int(ts)
+        if ts.peek() == ";":
             ts.next()
 
 
@@ -166,7 +181,7 @@ def _parse_ring_expr(ts: _Tokens, caps: Caps) -> FiniteRing:
     if head == "product":
         ts.expect("punct", "(")
         factors = [_parse_ring_expr(ts, caps)]
-        while ts.peek() == ("punct", ","):
+        while ts.peek() == ",":
             ts.next()
             factors.append(_parse_ring_expr(ts, caps))
         ts.expect("punct", ")")
@@ -183,7 +198,7 @@ def _parse_ring_expr(ts: _Tokens, caps: Caps) -> FiniteRing:
         ts.expect("punct", "(")
         base = _parse_ring_expr(ts, caps)
         ts.expect("punct", ",")
-        group = _parse_group_expr(ts, allow_z=False)
+        group = _parse_group_expr(ts, False, caps)
         ts.expect("punct", ")")
         return fr.grpalg(base, group, caps=caps)
     if head == "subring":
@@ -206,7 +221,14 @@ def _parse_ring_expr(ts: _Tokens, caps: Caps) -> FiniteRing:
     raise SpecError(f"unknown ring constructor {head!r}")
 
 
-def _parse_group_expr(ts: _Tokens, allow_z: bool):
+def _check_group_order(order: int, shown, caps: Caps) -> None:
+    if order > caps.max_group_order:
+        raise CapError(f"group order {shown} exceeds cap {caps.max_group_order}")
+
+
+def _parse_group_expr(ts: _Tokens, allow_z: bool, caps: Caps):
+    """A group expression; its order is checked against the cap before any
+    table is built."""
     head = ts.expect("name")
     if head == "Z":
         if not allow_z:
@@ -216,17 +238,26 @@ def _parse_group_expr(ts: _Tokens, allow_z: bool):
         ts.expect("punct", "(")
         n = _parse_int(ts)
         ts.expect("punct", ")")
+        _check_group_order(n, n, caps)
         return cyclic(n)
     if head == "sym":
         ts.expect("punct", "(")
         n = _parse_int(ts)
         ts.expect("punct", ")")
+        order = 1  # n!, computed only until it passes the cap
+        for k in range(2, n + 1):
+            if order > caps.max_group_order:
+                break
+            order *= k
+        _check_group_order(order, f"{n}!", caps)
         return symmetric_group(n)
     if head == "tables":
         fields = _parse_table_block(ts)
         if "order" not in fields or "op" not in fields:
             raise SpecError("group tables need order and op")
         n = fields["order"]
+        if isinstance(n, int):
+            _check_group_order(n, n, caps)
         return group_from_table(_as_rows(fields["op"], n, "op"))
     raise SpecError(f"unknown group constructor {head!r}")
 
@@ -239,9 +270,9 @@ def parse_ring_spec(text: str, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     return ring
 
 
-def parse_group_spec(text: str, allow_z: bool = True):
+def parse_group_spec(text: str, allow_z: bool = True, caps: Caps = DEFAULT_CAPS):
     ts = _Tokens(tokenize(text))
-    group = _parse_group_expr(ts, allow_z)
+    group = _parse_group_expr(ts, allow_z, caps)
     if not ts.at_end():
         raise SpecError("trailing input after group expression")
     return group
@@ -249,13 +280,13 @@ def parse_group_spec(text: str, allow_z: bool = True):
 
 def parse_element_list(text: str) -> list[int]:
     ts = _Tokens(tokenize(text))
-    if ts.peek() == ("punct", "["):
+    if ts.peek() == "[":
         out = _parse_list(ts)
     else:
         out = []
         while not ts.at_end():
             out.append(_parse_int(ts))
-            if ts.peek() == ("punct", ","):
+            if ts.peek() == ",":
                 ts.next()
     if not ts.at_end():
         raise SpecError("trailing input after element list")
@@ -276,7 +307,10 @@ def _headed_lines(text: str, caps: Caps, kind: str):
 
     Each of ``ring:`` and ``group:`` must appear exactly once.
     """
-    parsers = {"ring": lambda spec: parse_ring_spec(spec, caps), "group": parse_group_spec}
+    parsers = {
+        "ring": lambda spec: parse_ring_spec(spec, caps),
+        "group": lambda spec: parse_group_spec(spec, caps=caps),
+    }
     headers = {}
     rest = []
     for line in _meaningful_lines(text):
@@ -340,7 +374,7 @@ def parse_filter_file(text: str, caps: Caps = DEFAULT_CAPS) -> GFilter:
                 rest = (parts[2] if len(parts) > 2 else "").strip()
                 ts = _Tokens(tokenize(rest))
                 n = _parse_int(ts)
-                gens = _parse_list(ts) if ts.peek() == ("punct", "[") else []
+                gens = _parse_list(ts) if ts.peek() == "[" else []
                 if not ts.at_end():
                     raise SpecError(f"trailing input on pattern line: {line!r}")
                 rule = ("subgroup", n, gens)

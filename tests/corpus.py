@@ -45,6 +45,20 @@ def zero_mult_ring() -> fr.FiniteRing:
     return fr.make_ring([[0, 1], [1, 0]], [[0, 0], [0, 0]])
 
 
+def relabelled(ring: fr.FiniteRing, perm) -> fr.FiniteRing:
+    """The same ring with element x renamed perm[x] (names move with it)."""
+    n = ring.order
+    add = [[0] * n for _ in range(n)]
+    mul = [[0] * n for _ in range(n)]
+    names = [""] * n
+    for x in range(n):
+        names[perm[x]] = ring.name(x)
+        for y in range(n):
+            add[perm[x]][perm[y]] = perm[ring.add(x, y)]
+            mul[perm[x]][perm[y]] = perm[ring.mul(x, y)]
+    return fr.make_ring(add, mul, names)
+
+
 # ---------------------------------------------------------------------------
 # gradings
 

@@ -11,11 +11,18 @@ The table validators from before they became one generator-based check:
 ``make_ring`` tests every ring axiom on all pairs and triples with numpy,
 and ``group_from_table`` tests associativity on all triples in Python.
 
+The tuple-ring builder from before it filled its tables from monomial
+products: ``_tuple_ring`` sums every pair of tuples coordinate by
+coordinate and calls ``mul_vec`` on every pair.  Its tables go through this
+module's ``make_ring``, which accepts the same tables as the library's and
+builds an equal ring from them.
+
 The function bodies are unchanged from those versions.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -231,3 +238,37 @@ def group_from_table(op_rows: Sequence[Sequence[int]], names=None) -> FiniteGrou
         if len(names) != n:
             raise SpecError("wrong number of element names")
     return FiniteGroup(n, table, identity, tuple(inv), names)
+
+
+def _tuple_ring(factors, members, mul_vec, name_vec, caps: Caps):
+    """The ring of tuples whose coordinate t is drawn from members[t], a
+    list of elements of the ring factors[t], added componentwise and
+    multiplied by mul_vec.
+
+    Returns (ring, index) with index mapping each tuple to its element.
+    Nothing is validated up front: a sum or product leaving the tuples
+    raises SpecError.
+    """
+    order = 1
+    for m in members:
+        order *= len(m)
+    if order > caps.max_ring_order:
+        raise CapError(f"ring order {order} exceeds cap {caps.max_ring_order}")
+    vectors = list(itertools.product(*members))
+    index = {v: i for i, v in enumerate(vectors)}
+    adds = [f.add_table for f in factors]
+    coords = range(len(factors))
+
+    def element(v, what):
+        i = index.get(v)
+        if i is None:
+            raise SpecError(f"coefficient sets are not closed under {what}")
+        return i
+
+    add = [
+        [element(tuple(adds[t][x[t]][y[t]] for t in coords), "addition") for y in vectors]
+        for x in vectors
+    ]
+    mul = [[element(mul_vec(x, y), "multiplication") for y in vectors] for x in vectors]
+    names = [name_vec(v) for v in vectors]
+    return make_ring(add, mul, names, caps=caps), index

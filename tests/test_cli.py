@@ -213,8 +213,16 @@ class TestErrors:
             ("classify", "ring: gf(3)\nring: gf(2)\ngroup: Z\ncomponent 0: [0, 1]"),
             ("filter", "ring: gf(2)\ngroup: cyclic(2)\nI 1 = [1]\nI 1 = [0]"),
             ("prime", z16sq_one_wrong_product()),
+            ("classify", "ring: gf(2)\ngroup: sym(8)\ncomponent 0: [0, 1]\n"),
         ],
-        ids=["group_order_list", "entry_out_of_range", "repeated_ring", "repeated_I", "z16sq_one_wrong_product"],
+        ids=[
+            "group_order_list",
+            "entry_out_of_range",
+            "repeated_ring",
+            "repeated_I",
+            "z16sq_one_wrong_product",
+            "sym8_over_the_group_cap",
+        ],
     )
     def test_bad_input_is_a_one_line_error(self, capsys, tmp_path, command, text):
         spec = tmp_path / "spec"
@@ -243,6 +251,14 @@ class TestErrors:
         status, _, err = run_cli(capsys, "ideals", DATA / "tri2.ring", "--max-ring-order", "4")
         assert status == 2
         assert "cap" in err
+
+    def test_group_cap_flag_is_honoured(self, capsys):
+        status, out, err = run_cli(capsys, "classify", DATA / "grpalg_c2.graded", "--max-group-order", "1")
+        assert status == 2
+        assert out == ""
+        assert err == "error: group order 2 exceeds cap 1\n"
+        status, _, _ = run_cli(capsys, "classify", DATA / "grpalg_c2.graded", "--max-group-order", "2")
+        assert status == 0
 
     def test_ideal_cap_below_the_lattice_is_a_one_line_error(self, capsys, tmp_path):
         spec = tmp_path / "prod2x5.ring"

@@ -66,6 +66,10 @@ class TestConstruction:
         with pytest.raises(CapError):
             fr.zmod(8, caps=fr.Caps(max_ring_order=7))
 
+    def test_zmod_checks_the_cap_before_building_its_tables(self):
+        with pytest.raises(CapError, match="ring order 1000000000 exceeds cap 256"):
+            fr.zmod(10**9)
+
     def test_not_a_prime_power(self):
         with pytest.raises(SpecError):
             fr.gf(6)

@@ -1,10 +1,12 @@
 """Spec file parsing: ring expressions, groups, graded/filter/graph files."""
 
+import re
+
 import pytest
 
 from gradedprime import finring as fr
 from gradedprime import specio
-from gradedprime.errors import SpecError
+from gradedprime.errors import CapError, SpecError
 from gradedprime.groups import Z
 
 
@@ -60,6 +62,48 @@ class TestRingExpressions:
             specio.parse_ring_spec("grpalg(gf(2), Z)")
 
 
+class TestTokensAndLists:
+    """Token and list forms and their error texts, the same as before the
+    tokenizer returned plain strings."""
+
+    @pytest.mark.parametrize(
+        "parse,text,expected",
+        [
+            (specio.parse_element_list, "[1 2, 3,]", [1, 2, 3]),
+            (specio.parse_element_list, "4, -5 6", [4, -5, 6]),
+            (specio.parse_element_list, "[]", []),
+            (lambda t: specio.parse_ring_spec(t).unit, "tables{order=2 add=[[0,1] [1,0]]; mul=[0 0 0 1];}", 1),
+            (lambda t: specio.parse_ring_spec(t).order, "gf(\u0663)", 3),
+            (lambda t: len(specio.tokenize(t)), "a->b, -1 x_2 # c ,,,\n)", 7),
+        ],
+    )
+    def test_accepted_forms(self, parse, text, expected):
+        assert parse(text) == expected
+
+    @pytest.mark.parametrize(
+        "parse,text,error",
+        [
+            (specio.parse_ring_spec, "gf(2) @", "unexpected character '@'"),
+            (specio.parse_ring_spec, "gf(2) - 3 @", "unexpected character '-'"),
+            (specio.parse_ring_spec, "gf(2) a-> >", "unexpected character '>'"),
+            (specio.parse_ring_spec, "gf(x)", "expected 'int', found 'x'"),
+            (specio.parse_ring_spec, "gf 2", "expected '(', found '2'"),
+            (specio.parse_ring_spec, "(gf)", "expected 'name', found '('"),
+            (specio.parse_ring_spec, "subring(zmod(4), [0, 2", "unexpected end of input"),
+            (specio.parse_ring_spec, "tables{order=2; add=[[0,1],[1,0]]; mul=", "unexpected end of input"),
+            (specio.parse_element_list, "[1,,2]", "expected 'int', found ','"),
+            (specio.parse_element_list, "[1, 2", "unexpected end of input"),
+            (specio.parse_element_list, "[[1], 2]", "expected a flat list of element indices"),
+            (specio.parse_element_list, "[1] 2", "trailing input after element list"),
+            (specio.parse_group_spec, "cyclic(2) ->", "trailing input after group expression"),
+        ],
+    )
+    def test_error_texts(self, parse, text, error):
+        with pytest.raises(SpecError) as info:
+            parse(text)
+        assert str(info.value) == error
+
+
 class TestGroupExpressions:
     def test_integers(self):
         assert specio.parse_group_spec("Z") is Z
@@ -83,6 +127,33 @@ class TestGroupExpressions:
     def test_order_must_be_an_integer(self):
         with pytest.raises(SpecError, match="order"):
             specio.parse_group_spec("tables{order=[1]; op=[[0]]}")
+
+    @pytest.mark.parametrize(
+        "text,error",
+        [
+            ("cyclic(257)", "group order 257 exceeds cap 256"),
+            ("sym(6)", "group order 6! exceeds cap 256"),
+            ("sym(100000)", "group order 100000! exceeds cap 256"),
+            ("tables{order=300; op=[0]}", "group order 300 exceeds cap 256"),
+        ],
+    )
+    def test_group_order_cap_is_checked_before_building(self, text, error):
+        with pytest.raises(CapError, match=re.escape(error)):
+            specio.parse_group_spec(text)
+
+    def test_the_default_group_cap_admits_order_256(self):
+        assert specio.parse_group_spec("cyclic(256)").order == 256
+        assert specio.parse_group_spec("sym(5)").order == 120
+
+    def test_the_group_cap_reaches_every_group_expression(self):
+        caps = fr.Caps(max_group_order=5)
+        assert specio.parse_group_spec("cyclic(5)", caps=caps).order == 5
+        with pytest.raises(CapError):
+            specio.parse_group_spec("sym(3)", caps=caps)
+        with pytest.raises(CapError):
+            specio.parse_ring_spec("grpalg(gf(2), cyclic(6))", caps=caps)
+        with pytest.raises(CapError):
+            specio.parse_graded_file("ring: gf(2)\ngroup: cyclic(6)\ncomponent 0: [0, 1]\n", caps=caps)
 
 
 class TestGradedFiles:

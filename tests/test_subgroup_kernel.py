@@ -178,3 +178,13 @@ def test_product_cache_is_bounded():
     assert len(fr.all_ideals(ring)) ** 2 > cap
     assert fr.is_fully_idempotent(ring)
     assert fr.ideal_product.cache_info().currsize <= cap
+
+
+def test_full_idempotency_leaves_the_product_cache_alone():
+    ring = fr.product(*[fr.gf(2)] * 4)
+    fr.all_ideals(ring)
+    fr.ideal_product.cache_clear()
+    assert fr.is_fully_idempotent(ring)
+    info = fr.ideal_product.cache_info()
+    assert info.currsize == 0
+    assert info.hits + info.misses == 0
