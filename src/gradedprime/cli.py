@@ -296,7 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--classify", action="store_true", help="classification (the default)")
     mode.add_argument("--witness", action="store_true", help="seeded random witness trials")
     p.add_argument("--trials", type=int, default=20, metavar="K")
-    p.add_argument("--bound", type=int, default=8, metavar="N")
+    p.add_argument(
+        "--bound",
+        type=int,
+        default=8,
+        metavar="N",
+        help="accepted for compatibility: a witness, if any, lies in degree 0",
+    )
     p.add_argument(
         "--seed", type=int, default=DEFAULT_SEED, metavar="S", help="trial seed (default 0)"
     )

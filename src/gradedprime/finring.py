@@ -43,6 +43,8 @@ an absorption or "aSb in P" test needs s to range over G only.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import itemgetter
@@ -288,6 +290,33 @@ def gf(q: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     return make_ring(add, mul, [name(i) for i in range(q)], caps=caps)
 
 
+# An order of at least 2**_SHOWN_BITS has more than 4,300 decimal digits,
+# which Python will not convert to text by default.
+_SHOWN_BITS = 14_300
+
+
+def _checked_order(sizes: dict[int, int], caps: Caps) -> int:
+    """The product of size**k over the counts sizes, once it is known to be
+    within the ring-order cap; otherwise CapError.
+
+    The cap is decided by bit length before any big product is formed, so
+    an order with millions of bits costs nothing.  An order over the cap is
+    shown in decimal when Python will print it, else as powers (2^40000).
+    """
+    cap = caps.max_ring_order
+    low_bits = sum(k * (size.bit_length() - 1) for size, k in sizes.items())  # 2**low_bits <= order
+    shown = "*".join(f"{size}^{k}" if k > 1 else str(size) for size, k in sorted(sizes.items()))
+    if low_bits < max(cap.bit_length(), _SHOWN_BITS):
+        order = math.prod(size**k for size, k in sizes.items())
+        if order <= cap:
+            return order
+        try:
+            shown = str(order)
+        except ValueError:  # more digits than Python converts
+            pass
+    raise CapError(f"ring order {shown} exceeds cap {cap}")
+
+
 def _tuple_ring(factors, members, mul_vec, name_vec, caps: Caps):
     """The ring of tuples whose coordinate t is drawn from members[t], a
     list of distinct elements of the ring factors[t], added componentwise
@@ -310,13 +339,9 @@ def _tuple_ring(factors, members, mul_vec, name_vec, caps: Caps):
     multiplication exactly when the monomial products stay inside: the
     closure error is raised exactly when some product of tuples leaves.
     """
-    order = 1
-    for m in members:
-        order *= len(m)
-    if order > caps.max_ring_order:
-        raise CapError(f"ring order {order} exceeds cap {caps.max_ring_order}")
-    if order == 0:  # an empty coefficient set, such as an empty filter value
+    if not all(members):  # an empty coefficient set, such as an empty filter value
         raise SpecError("ring must contain at least a zero element")
+    order = _checked_order(Counter(len(m) for m in members), caps)
     vectors = list(itertools.product(*members))
     index = {v: i for i, v in enumerate(vectors)}
 
@@ -420,6 +445,7 @@ def mat(base: FiniteRing, n: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     """Full n-by-n matrix ring over a base ring; entries row-major."""
     if n < 1:
         raise SpecError("matrix size must be positive")
+    _checked_order({base.order: n * n}, caps)
     return _matrix_ring(base, n, mat_positions(n), caps)
 
 
@@ -427,6 +453,7 @@ def tri(base: FiniteRing, n: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     """Upper-triangular n-by-n matrix ring; entries row-major above diagonal."""
     if n < 1:
         raise SpecError("matrix size must be positive")
+    _checked_order({base.order: n * (n + 1) // 2}, caps)
     return _matrix_ring(base, n, tri_positions(n), caps)
 
 
@@ -690,6 +717,38 @@ def generate_ideal(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
     return Ideal(ring, _ideal_span(ring, mask)[0])
 
 
+def _ideal_count_floor(ring: FiniteRing) -> int:
+    """A lower bound on the number of ideals of the ring S.
+
+    For a prime p dividing |S|, every additive subgroup H containing
+    M = S^2 + pS is an ideal, since SH + HS lies in S^2.  Those H are the
+    subspaces of the F_p-space S/M; for S/M of dimension r there are
+    sum_k [r choose k]_p of them, the Galois number G_r, with G_0 = 1,
+    G_1 = 2 and G_{n+1} = 2 G_n + (p^n - 1) G_{n-1}.
+    """
+    gens = ring.additive_generators
+    square = _product_span(ring, gens, gens)
+    floor, rest, p = 1, ring.order, 1
+    while rest > 1:
+        p += 1
+        if rest % p:
+            continue
+        while rest % p == 0:
+            rest //= p
+        multiples = 0
+        for g in gens:
+            x = ring.zero
+            for _ in range(p):
+                x = ring.add_table[x][g]
+            multiples |= 1 << x
+        r = round(math.log(ring.order // _span(ring, square | multiples)[0].bit_count(), p))
+        count, last = 1, 1  # G_0, and G_{-1} taken as 1 so the step gives G_1 = 2
+        for n in range(r):
+            count, last = 2 * count + (p**n - 1) * last, count
+        floor = max(floor, count)
+    return floor
+
+
 # Both caches are keyed by ring, so they are bounded: a long-lived process
 # would otherwise keep every lattice and product it ever computed.
 @lru_cache(maxsize=16)
@@ -700,7 +759,12 @@ def all_ideals(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]
     principal ideals, which is correct for any finite ring: every ideal is
     the join of the principal ideals of its elements.  A join extends the
     current ideal by the principal ideal's additive generators only.
+
+    A lattice over the cap is refused before it is enumerated when
+    _ideal_count_floor already exceeds the cap.
     """
+    if _ideal_count_floor(ring) > caps.max_ideals:
+        raise CapError(f"ideal lattice exceeds cap {caps.max_ideals}")
     principal = {}
     for a in ring.elements():
         mask, gens = _ideal_span(ring, 1 << a)

@@ -464,13 +464,6 @@ class Witness:
         return f"degree={self.degree} coeff={ring.name(self.coeff)}"
 
 
-def _degree_order(bound: int):
-    yield 0
-    for k in range(1, bound + 1):
-        yield k
-        yield -k
-
-
 def witness_search(
     handle: FilterRing,
     a: FilterElement,
@@ -479,12 +472,17 @@ def witness_search(
 ) -> Optional[Witness]:
     """First homogeneous s with a*s*b nonzero, after trying a*b directly.
 
-    Candidate degrees are scanned in the order 0, 1, -1, 2, -2, ... and
-    coefficients in element-index order, so the returned witness is
-    deterministic.  For each candidate the product of the two top
-    components is probed first: top degrees add uniquely, so a nonzero top
-    triple already certifies the product without the full convolution.
-    Absence within the bound is reported as None, never as a disproof.
+    Shift invariance: for s = c x^d the coefficient of a*s*b in degree
+    k + d is the sum of a_i c b_j over i + j = k, so a*s*b is nonzero
+    exactly when a*c*b is, with c placed in degree 0.  As I_0 is the whole
+    ring, a witness exists exactly when one exists in degree 0, and the
+    first one in the scan order 0, 1, -1, 2, -2, ... of degrees, with
+    coefficients in element-index order, is the first live c in degree 0.
+    So only degree 0 is searched, and degree_bound cannot change the
+    answer.  For each c the product of the two top components is probed
+    first: top degrees add uniquely, so a nonzero top triple already
+    certifies the product without the full convolution.  None means that
+    a*s*b is zero for every homogeneous s.
     """
     if not a or not b:
         raise ValueError("elements must be nonzero")
@@ -493,13 +491,7 @@ def witness_search(
         return Witness(None, None)
     _, ra = a.top()
     _, rb = b.top()
-    for x in _degree_order(degree_bound):
-        for c in handle.members_of_degree(x):
-            if c == ring.zero:
-                continue
-            if ring.mul3(ra, c, rb) != ring.zero:
-                return Witness(x, c)
-            s = handle.term(x, c)
-            if (a * s) * b:
-                return Witness(x, c)
+    for c in handle.members_of_degree(0):
+        if c != ring.zero and (ring.mul3(ra, c, rb) != ring.zero or a * handle.term(0, c) * b):
+            return Witness(0, c)
     return None

@@ -31,6 +31,14 @@ Graph file:
 
     vertex <name>
     edge <name>: <src> -> <dst>
+
+Reading a spec: the text, with comments removed, is first searched once for
+a character that starts no token; the first one is the error.  The parsers
+then read the checked text through a cursor that matches one token at a
+time, and ``_parse_list`` reads a flat row of integers with one match
+wherever it starts, so the rows of a ``tables{}`` spec are never split into
+token strings.  ``tokenize`` still lists all tokens, for callers that want
+them.
 """
 
 from __future__ import annotations
@@ -45,47 +53,64 @@ from .grfilter import GFilter, ZRule, make_finite_filter, make_z_filter
 from .groups import Z, cyclic, group_from_table, symmetric_group
 from .leavitt import DirectedGraph, Edge
 
-# The token kinds.  No two of them match at the same position, and findall
-# steps over whitespace; \S catches a character that starts no token.
+# The token kinds.  No two of them match at the same position.
 _KINDS = {
     "int": re.compile(r"-?\d+"),
     "punct": re.compile(r"->|[(){}\[\],;=:]"),
     "name": re.compile(r"[A-Za-z_][A-Za-z0-9_]*"),
 }
 _VALID = re.compile("|".join(kind.pattern for kind in _KINDS.values()))
-_TOKEN = re.compile(_VALID.pattern + r"|\S")
+# A character that starts no token: one in no token's alphabet, a "-" that
+# starts neither an integer nor "->", or a ">" that does not end "->".  No
+# character inside a token is one of these, so the first match is the first
+# character that a left-to-right tokenizer cannot read.
+_BAD = re.compile(r"[^\s\dA-Za-z_(){}\[\],;=:>-]|-(?![\d>])|(?<!-)>")
+_NEXT = re.compile(r"\s*(" + _VALID.pattern + ")")
+# A flat row of integers, each optionally followed by one comma.  Every
+# text it matches can be split in one way only, so a near miss fails in
+# time linear in its length.
+_ROW = re.compile(r"\s*\[\s*((?:-?\d+(?!\d)\s*(?:,\s*)?)*)\]")
 
 
 def _strip_comments(text: str) -> str:
     return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
 
 
+def _checked(text: str) -> str:
+    """text with comments removed, once it is known to hold whitespace and
+    tokens only; otherwise the first character that starts no token is
+    reported."""
+    text = _strip_comments(text)
+    bad = _BAD.search(text)
+    if bad:
+        raise SpecError(f"unexpected character {bad[0]!r}")
+    return text
+
+
 def tokenize(text: str) -> list[str]:
     """The tokens of text with comments removed: names, integers and
     punctuation, one string each.  A character that starts no token is an
     error, reported at its first occurrence."""
-    tokens = _TOKEN.findall(_strip_comments(text))
-    bad = {tok for tok in set(tokens) if not _VALID.fullmatch(tok)}
-    if bad:
-        first = next(tok for tok in tokens if tok in bad)
-        raise SpecError(f"unexpected character {first!r}")
-    return tokens
+    return _VALID.findall(_checked(text))
 
 
 class _Tokens:
-    def __init__(self, items):
-        self.items = items
+    """A cursor over a checked text, reading one token at a time."""
+
+    def __init__(self, text: str):
+        self.text = _checked(text)
         self.pos = 0
 
     def peek(self):
-        return self.items[self.pos] if self.pos < len(self.items) else None
+        m = _NEXT.match(self.text, self.pos)
+        return m[1] if m else None
 
     def next(self):
-        tok = self.peek()
-        if tok is None:
+        m = _NEXT.match(self.text, self.pos)
+        if m is None:
             raise SpecError("unexpected end of input")
-        self.pos += 1
-        return tok
+        self.pos = m.end()
+        return m[1]
 
     def expect(self, kind, value=None):
         tok = self.next()
@@ -95,7 +120,7 @@ class _Tokens:
         return tok
 
     def at_end(self) -> bool:
-        return self.pos >= len(self.items)
+        return self.peek() is None
 
 
 def _parse_int(ts: _Tokens) -> int:
@@ -105,23 +130,28 @@ def _parse_int(ts: _Tokens) -> int:
 def _parse_list(ts: _Tokens):
     """A possibly nested [..] list of ints; a comma may follow each item.
 
-    Walks the token list directly, with the enclosing lists on a stack.
+    A flat row of integers is read with one regex match wherever it starts,
+    so the rows of a table cost one match each and no token strings but
+    their integers.  Anything else is read token by token, with the
+    enclosing lists on a stack; every error comes from that walk.
     """
-    ts.expect("punct", "[")
-    items, i = ts.items, ts.pos
+    if ts.peek() != "[":
+        ts.expect("punct", "[")  # raises
+    # out starts as a holder for the whole list, and enclosing is empty
+    # exactly when the list is complete
     out, enclosing = [], []
-    try:
-        while True:
-            tok = items[i]
-            i += 1
+    while True:
+        row = _ROW.match(ts.text, ts.pos)
+        if row:
+            ts.pos = row.end()
+            out.append(list(map(int, _KINDS["int"].findall(row[1]))))
+        else:
+            tok = ts.next()
             if tok == "[":
                 enclosing.append(out)
                 out = []
                 continue
             if tok == "]":
-                if not enclosing:
-                    ts.pos = i
-                    return out
                 enclosing[-1].append(out)
                 out = enclosing.pop()
             else:
@@ -129,10 +159,10 @@ def _parse_list(ts: _Tokens):
                     out.append(int(tok))
                 except ValueError:
                     raise SpecError(f"expected 'int', found {tok!r}") from None
-            if items[i] == ",":
-                i += 1
-    except IndexError:
-        raise SpecError("unexpected end of input") from None
+        if not enclosing:
+            return out[0]
+        if ts.peek() == ",":
+            ts.next()
 
 
 def _parse_table_block(ts: _Tokens) -> dict:
@@ -263,7 +293,7 @@ def _parse_group_expr(ts: _Tokens, allow_z: bool, caps: Caps):
 
 
 def parse_ring_spec(text: str, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
-    ts = _Tokens(tokenize(text))
+    ts = _Tokens(text)
     ring = _parse_ring_expr(ts, caps)
     if not ts.at_end():
         raise SpecError("trailing input after ring expression")
@@ -271,7 +301,7 @@ def parse_ring_spec(text: str, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
 
 
 def parse_group_spec(text: str, allow_z: bool = True, caps: Caps = DEFAULT_CAPS):
-    ts = _Tokens(tokenize(text))
+    ts = _Tokens(text)
     group = _parse_group_expr(ts, allow_z, caps)
     if not ts.at_end():
         raise SpecError("trailing input after group expression")
@@ -279,7 +309,7 @@ def parse_group_spec(text: str, allow_z: bool = True, caps: Caps = DEFAULT_CAPS)
 
 
 def parse_element_list(text: str) -> list[int]:
-    ts = _Tokens(tokenize(text))
+    ts = _Tokens(text)
     if ts.peek() == "[":
         out = _parse_list(ts)
     else:
@@ -333,7 +363,7 @@ def _degree_line(line: str, keyword: str, sep: str, seen) -> tuple[int, list[int
     if sep not in body:
         raise SpecError(f"malformed {keyword} line: {line!r}")
     deg_text, members_text = body.split(sep, 1)
-    ts = _Tokens(tokenize(deg_text))
+    ts = _Tokens(deg_text)
     x = _parse_int(ts)
     if not ts.at_end():
         raise SpecError(f"malformed {keyword} degree: {deg_text!r}")
@@ -372,7 +402,7 @@ def parse_filter_file(text: str, caps: Caps = DEFAULT_CAPS) -> GFilter:
             kind = parts[1]
             if kind == "subgroup":
                 rest = (parts[2] if len(parts) > 2 else "").strip()
-                ts = _Tokens(tokenize(rest))
+                ts = _Tokens(rest)
                 n = _parse_int(ts)
                 gens = _parse_list(ts) if ts.peek() == "[" else []
                 if not ts.at_end():

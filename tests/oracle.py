@@ -17,19 +17,36 @@ coordinate and calls ``mul_vec`` on every pair.  Its tables go through this
 module's ``make_ring``, which accepts the same tables as the library's and
 builds an equal ring from them.
 
-The function bodies are unchanged from those versions.
+The spec reader from before it became a cursor over the text: ``tokenize``
+lists every token of a spec, and ``_Tokens`` and ``_parse_list`` walk that
+list.  The ring, group and element-list parsers above it are the ones of
+that version, calling the library's constructors and table validators, so
+a differential test compares the readers alone.
+
+The witness search from before it searched degree 0 alone:
+``witness_search`` scans every degree up to the bound and forms a*s*b for
+every candidate s in turn.
+
+The function bodies are unchanged from those versions, except that the old
+group parser names the library's ``groups.group_from_table``, which this
+module's own ``group_from_table`` would otherwise shadow.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from gradedprime import finring as fr
+from gradedprime import groups
 from gradedprime.errors import CapError, SpecError
 from gradedprime.finring import DEFAULT_CAPS, Caps, FiniteRing, Ideal, bits, mask_of
-from gradedprime.groups import FiniteGroup
+from gradedprime.grfilter import Witness
+from gradedprime.groups import FiniteGroup, Z, cyclic, symmetric_group
+from gradedprime.specio import _as_rows, _check_group_order
 
 
 def subgroup_closure(ring: FiniteRing, mask: int) -> int:
@@ -272,3 +289,267 @@ def _tuple_ring(factors, members, mul_vec, name_vec, caps: Caps):
     mul = [[element(mul_vec(x, y), "multiplication") for y in vectors] for x in vectors]
     names = [name_vec(v) for v in vectors]
     return make_ring(add, mul, names, caps=caps), index
+
+
+# The token kinds.  No two of them match at the same position, and findall
+# steps over whitespace; \S catches a character that starts no token.
+_KINDS = {
+    "int": re.compile(r"-?\d+"),
+    "punct": re.compile(r"->|[(){}\[\],;=:]"),
+    "name": re.compile(r"[A-Za-z_][A-Za-z0-9_]*"),
+}
+_VALID = re.compile("|".join(kind.pattern for kind in _KINDS.values()))
+_TOKEN = re.compile(_VALID.pattern + r"|\S")
+
+
+def _strip_comments(text: str) -> str:
+    return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+
+
+def tokenize(text: str) -> list[str]:
+    """The tokens of text with comments removed: names, integers and
+    punctuation, one string each.  A character that starts no token is an
+    error, reported at its first occurrence."""
+    tokens = _TOKEN.findall(_strip_comments(text))
+    bad = {tok for tok in set(tokens) if not _VALID.fullmatch(tok)}
+    if bad:
+        first = next(tok for tok in tokens if tok in bad)
+        raise SpecError(f"unexpected character {first!r}")
+    return tokens
+
+
+class _Tokens:
+    def __init__(self, items):
+        self.items = items
+        self.pos = 0
+
+    def peek(self):
+        return self.items[self.pos] if self.pos < len(self.items) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            raise SpecError("unexpected end of input")
+        self.pos += 1
+        return tok
+
+    def expect(self, kind, value=None):
+        tok = self.next()
+        if not _KINDS[kind].fullmatch(tok) or (value is not None and tok != value):
+            want = value if value is not None else kind
+            raise SpecError(f"expected {want!r}, found {tok!r}")
+        return tok
+
+    def at_end(self) -> bool:
+        return self.pos >= len(self.items)
+
+
+def _parse_int(ts: _Tokens) -> int:
+    return int(ts.expect("int"))
+
+
+def _parse_list(ts: _Tokens):
+    """A possibly nested [..] list of ints; a comma may follow each item.
+
+    Walks the token list directly, with the enclosing lists on a stack.
+    """
+    ts.expect("punct", "[")
+    items, i = ts.items, ts.pos
+    out, enclosing = [], []
+    try:
+        while True:
+            tok = items[i]
+            i += 1
+            if tok == "[":
+                enclosing.append(out)
+                out = []
+                continue
+            if tok == "]":
+                if not enclosing:
+                    ts.pos = i
+                    return out
+                enclosing[-1].append(out)
+                out = enclosing.pop()
+            else:
+                try:
+                    out.append(int(tok))
+                except ValueError:
+                    raise SpecError(f"expected 'int', found {tok!r}") from None
+            if items[i] == ",":
+                i += 1
+    except IndexError:
+        raise SpecError("unexpected end of input") from None
+
+
+def _parse_table_block(ts: _Tokens) -> dict:
+    ts.expect("punct", "{")
+    fields = {}
+    while True:
+        if ts.peek() == "}":
+            ts.next()
+            return fields
+        key = ts.expect("name")
+        ts.expect("punct", "=")
+        fields[key] = _parse_list(ts) if ts.peek() == "[" else _parse_int(ts)
+        if ts.peek() == ";":
+            ts.next()
+
+
+def _parse_ring_expr(ts: _Tokens, caps: Caps) -> FiniteRing:
+    head = ts.expect("name")
+    if head == "gf":
+        ts.expect("punct", "(")
+        q = _parse_int(ts)
+        ts.expect("punct", ")")
+        return fr.gf(q, caps=caps)
+    if head == "zmod":
+        ts.expect("punct", "(")
+        n = _parse_int(ts)
+        ts.expect("punct", ")")
+        return fr.zmod(n, caps=caps)
+    if head == "product":
+        ts.expect("punct", "(")
+        factors = [_parse_ring_expr(ts, caps)]
+        while ts.peek() == ",":
+            ts.next()
+            factors.append(_parse_ring_expr(ts, caps))
+        ts.expect("punct", ")")
+        return fr.product(*factors, caps=caps)
+    if head in ("mat", "tri"):
+        ts.expect("punct", "(")
+        base = _parse_ring_expr(ts, caps)
+        ts.expect("punct", ",")
+        n = _parse_int(ts)
+        ts.expect("punct", ")")
+        builder = fr.mat if head == "mat" else fr.tri
+        return builder(base, n, caps=caps)
+    if head == "grpalg":
+        ts.expect("punct", "(")
+        base = _parse_ring_expr(ts, caps)
+        ts.expect("punct", ",")
+        group = _parse_group_expr(ts, False, caps)
+        ts.expect("punct", ")")
+        return fr.grpalg(base, group, caps=caps)
+    if head == "subring":
+        ts.expect("punct", "(")
+        base = _parse_ring_expr(ts, caps)
+        ts.expect("punct", ",")
+        elems = _parse_list(ts)
+        ts.expect("punct", ")")
+        if not all(isinstance(e, int) for e in elems):
+            raise SpecError("subring selection must be a flat index list")
+        return fr.subring(base, elems, caps=caps)
+    if head == "tables":
+        fields = _parse_table_block(ts)
+        if "order" not in fields or "add" not in fields or "mul" not in fields:
+            raise SpecError("tables need order, add and mul")
+        n = fields["order"]
+        add = _as_rows(fields["add"], n, "add")
+        mul = _as_rows(fields["mul"], n, "mul")
+        return fr.make_ring(add, mul, caps=caps)
+    raise SpecError(f"unknown ring constructor {head!r}")
+
+
+def _parse_group_expr(ts: _Tokens, allow_z: bool, caps: Caps):
+    """A group expression; its order is checked against the cap before any
+    table is built."""
+    head = ts.expect("name")
+    if head == "Z":
+        if not allow_z:
+            raise SpecError("the integers are not allowed here")
+        return Z
+    if head == "cyclic":
+        ts.expect("punct", "(")
+        n = _parse_int(ts)
+        ts.expect("punct", ")")
+        _check_group_order(n, n, caps)
+        return cyclic(n)
+    if head == "sym":
+        ts.expect("punct", "(")
+        n = _parse_int(ts)
+        ts.expect("punct", ")")
+        order = 1  # n!, computed only until it passes the cap
+        for k in range(2, n + 1):
+            if order > caps.max_group_order:
+                break
+            order *= k
+        _check_group_order(order, f"{n}!", caps)
+        return symmetric_group(n)
+    if head == "tables":
+        fields = _parse_table_block(ts)
+        if "order" not in fields or "op" not in fields:
+            raise SpecError("group tables need order and op")
+        n = fields["order"]
+        if isinstance(n, int):
+            _check_group_order(n, n, caps)
+        return groups.group_from_table(_as_rows(fields["op"], n, "op"))
+    raise SpecError(f"unknown group constructor {head!r}")
+
+
+def parse_ring_spec(text: str, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
+    ts = _Tokens(tokenize(text))
+    ring = _parse_ring_expr(ts, caps)
+    if not ts.at_end():
+        raise SpecError("trailing input after ring expression")
+    return ring
+
+
+def parse_group_spec(text: str, allow_z: bool = True, caps: Caps = DEFAULT_CAPS):
+    ts = _Tokens(tokenize(text))
+    group = _parse_group_expr(ts, allow_z, caps)
+    if not ts.at_end():
+        raise SpecError("trailing input after group expression")
+    return group
+
+
+def parse_element_list(text: str) -> list[int]:
+    ts = _Tokens(tokenize(text))
+    if ts.peek() == "[":
+        out = _parse_list(ts)
+    else:
+        out = []
+        while not ts.at_end():
+            out.append(_parse_int(ts))
+            if ts.peek() == ",":
+                ts.next()
+    if not ts.at_end():
+        raise SpecError("trailing input after element list")
+    if not all(isinstance(v, int) for v in out):
+        raise SpecError("expected a flat list of element indices")
+    return out
+
+
+def _degree_order(bound: int):
+    yield 0
+    for k in range(1, bound + 1):
+        yield k
+        yield -k
+
+
+def witness_search(handle, a, b, degree_bound: int):
+    """First homogeneous s with a*s*b nonzero, after trying a*b directly.
+
+    Candidate degrees are scanned in the order 0, 1, -1, 2, -2, ... and
+    coefficients in element-index order, so the returned witness is
+    deterministic.  For each candidate the product of the two top
+    components is probed first: top degrees add uniquely, so a nonzero top
+    triple already certifies the product without the full convolution.
+    Absence within the bound is reported as None, never as a disproof.
+    """
+    if not a or not b:
+        raise ValueError("elements must be nonzero")
+    ring = handle.coeff
+    if a * b:
+        return Witness(None, None)
+    _, ra = a.top()
+    _, rb = b.top()
+    for x in _degree_order(degree_bound):
+        for c in handle.members_of_degree(x):
+            if c == ring.zero:
+                continue
+            if ring.mul3(ra, c, rb) != ring.zero:
+                return Witness(x, c)
+            s = handle.term(x, c)
+            if (a * s) * b:
+                return Witness(x, c)
+    return None

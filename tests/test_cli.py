@@ -21,6 +21,17 @@ def run_cli(capsys, *argv):
     return status, captured.out, captured.err
 
 
+def f2_8_zero_multiplication() -> str:
+    """A tables{} spec of F_2^8 with zero multiplication: every one of its
+    417,199 additive subgroups is an ideal."""
+    n = 256
+
+    def rows(op):
+        return "[" + ",".join("[" + ",".join(str(op(a, b)) for b in range(n)) + "]" for a in range(n)) + "]"
+
+    return f"tables{{order={n}; add={rows(lambda a, b: a ^ b)}; mul={rows(lambda a, b: 0)}}}"
+
+
 def z16sq_one_wrong_product() -> str:
     """A tables{} spec of Z/16 x Z/16 under a random relabelling, with the
     product of two nonzero elements outside the validator's additive
@@ -214,6 +225,10 @@ class TestErrors:
             ("filter", "ring: gf(2)\ngroup: cyclic(2)\nI 1 = [1]\nI 1 = [0]"),
             ("prime", z16sq_one_wrong_product()),
             ("classify", "ring: gf(2)\ngroup: sym(8)\ncomponent 0: [0, 1]\n"),
+            ("prime", "mat(gf(2), 200)"),
+            ("prime", "mat(gf(2), 1000)"),
+            ("prime", "tri(gf(2), 300)"),
+            ("ideals", f2_8_zero_multiplication()),
         ],
         ids=[
             "group_order_list",
@@ -222,6 +237,10 @@ class TestErrors:
             "repeated_I",
             "z16sq_one_wrong_product",
             "sym8_over_the_group_cap",
+            "mat200_order_too_long_to_print",
+            "mat1000",
+            "tri300",
+            "f2_8_zero_mult_over_the_ideal_cap",
         ],
     )
     def test_bad_input_is_a_one_line_error(self, capsys, tmp_path, command, text):

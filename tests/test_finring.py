@@ -1,6 +1,7 @@
 """Finite ring kernel: construction, ideals, primeness."""
 
 import hashlib
+from unittest import mock
 
 import pytest
 
@@ -65,6 +66,25 @@ class TestConstruction:
         fr.zmod(7, caps=fr.Caps(max_ring_order=7))
         with pytest.raises(CapError):
             fr.zmod(8, caps=fr.Caps(max_ring_order=7))
+
+    @pytest.mark.parametrize(
+        "build,shown",
+        [
+            (lambda: fr.mat(fr.gf(2), 4), "65536"),
+            (lambda: fr.tri(fr.zmod(3), 3), "729"),
+            (lambda: fr.mat(fr.gf(2), 84), str(2**7056)),
+            (lambda: fr.mat(fr.gf(2), 200), "2^40000"),
+            (lambda: fr.tri(fr.gf(2), 300), "2^45150"),
+            (lambda: fr.mat(fr.gf(4), 10**6), "4^1000000000000"),
+            (lambda: fr.product(*[fr.gf(2)] * 20000, fr.gf(3)), "2^20000*3"),
+        ],
+        ids=["mat4", "tri3", "mat84", "mat200", "tri300", "mat1e6", "product"],
+    )
+    def test_order_cap_is_checked_before_the_tables(self, build, shown):
+        # orders Python prints keep their decimal text; longer ones are powers
+        with pytest.raises(CapError) as info:
+            build()
+        assert str(info.value) == f"ring order {shown} exceeds cap 256"
 
     def test_zmod_checks_the_cap_before_building_its_tables(self):
         with pytest.raises(CapError, match="ring order 1000000000 exceeds cap 256"):
@@ -201,6 +221,22 @@ class TestIdealLattice:
         assert len(fr.all_ideals(ring, fr.Caps(max_ideals=32))) == 32
         with pytest.raises(CapError):
             fr.all_ideals(ring, fr.Caps(max_ideals=31))
+
+    @pytest.mark.parametrize("p,k,count", [(2, 3, 16), (2, 5, 374), (3, 3, 28)])
+    def test_count_floor_is_exact_with_zero_multiplication(self, p, k, count):
+        # every additive subgroup of F_p^k is an ideal when all products are 0
+        line = fr.make_ring(
+            [[(a + b) % p for b in range(p)] for a in range(p)], [[0] * p for _ in range(p)]
+        )
+        ring = fr.product(*[line] * k)
+        assert fr._ideal_count_floor(ring) == len(fr.all_ideals(ring)) == count
+        with mock.patch.object(fr, "_ideal_span", side_effect=AssertionError("enumerated")):
+            with pytest.raises(CapError, match=f"^ideal lattice exceeds cap {count - 1}$"):
+                fr.all_ideals(ring, fr.Caps(max_ideals=count - 1))
+
+    @pytest.mark.parametrize("name,ring", corpus_rings())
+    def test_count_floor_is_a_lower_bound(self, name, ring):
+        assert fr._ideal_count_floor(ring) <= len(fr.all_ideals(ring))
 
     @pytest.mark.parametrize(
         "name", ["gf2", "gf3", "gf4", "zmod4", "zmod6", "prod22", "tri2", "grpalg2", "even8", "mat2"]

@@ -14,6 +14,7 @@ from gradedprime import specio
 from gradedprime.errors import SpecError
 from gradedprime.groups import cyclic, symmetric_group
 
+import oracle
 from corpus import (
     all_candidate_filters,
     corpus_rings,
@@ -334,6 +335,16 @@ class TestWitnessSearch:
         s = handle.term(witness.degree, witness.coeff)
         assert (a * s) * b
 
+    def test_a_witness_below_the_top_terms(self):
+        # over T_2(F_2), a = E11 + E12 x and b = E22 + E12 x have ab = 0 and
+        # E12 c E12 = 0 for every c, yet a E22 b = E12 x
+        tri2 = fr.tri(GF2, 2)
+        handle = gfl.FilterRing(gfl.make_z_filter(tri2, gfl.ZRule("subgroup", 1)))
+        a = handle.element({0: 4, 1: 2})
+        b = handle.element({0: 1, 1: 2})
+        assert gfl.witness_search(handle, a, b, 2) == gfl.Witness(0, 1)
+        assert oracle.witness_search(handle, a, b, 2) == gfl.Witness(0, 1)
+
     def test_zero_inputs_rejected(self):
         handle = gfl.FilterRing(gfl.make_z_filter(GF2, gfl.ZRule("subgroup", 1)))
         with pytest.raises(ValueError):
@@ -356,3 +367,23 @@ class TestWitnessSearch:
         second = [gfl.witness_search(handle, a, b, 5) for a, b in pairs]
         assert first == second
         assert all(w is not None for w in first)
+
+    def test_search_matches_the_candidate_by_candidate_search(self):
+        tri2 = fr.tri(GF2, 2)
+        corner = fr.generate_ideal(tri2, [2]).members  # nilpotent, so many searches fail
+        filters = [
+            specio.parse_filter_file((DATA / f"{name}.filter").read_text())
+            for name in ("z_full_gf2", "z_full_mat2", "z_half_tri2")
+        ] + [gfl.make_z_filter(tri2, gfl.ZRule("constant", off=corner))]
+        rng = random.Random(5)
+        kinds = set()
+        for filt in filters:
+            handle = gfl.FilterRing(filt)
+            for _ in range(400):
+                a = handle.random_element(rng, rng.randint(1, 4), rng.randint(0, 5))
+                b = handle.random_element(rng, rng.randint(1, 4), rng.randint(0, 5))
+                bound = rng.randint(0, 6)
+                witness = gfl.witness_search(handle, a, b, bound)
+                assert witness == oracle.witness_search(handle, a, b, bound)
+                kinds.add(None if witness is None else witness.degree is None)
+        assert kinds == {None, True, False}

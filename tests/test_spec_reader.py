@@ -1,0 +1,236 @@
+"""The spec reader, a cursor over the text with a one-match path for flat
+integer rows, against the token-list reader in oracle.py: random and mutated
+spec strings through tokenize and the ring, group and element-list parsers,
+and the memory an order-256 tables{} spec takes to read."""
+
+import importlib
+import pkgutil
+import random
+import re
+import time
+import tracemalloc
+
+import pytest
+
+import gradedprime
+from gradedprime import finring as fr
+from gradedprime import specio
+from gradedprime.errors import CapError, SpecError
+
+import oracle
+
+# Small caps, the same on both sides, keep every drawn ring cheap to build.
+CAPS = fr.Caps(max_ring_order=16, max_ideals=64, max_group_order=8)
+
+DIGITS = ["0", "1", "2", "3", "4", "7", "12", "٣", "۷", "١٠", "\U0001d7d9"]
+SPACES = [" ", "", "", "\n", "\t", "  ", "\r\n", "\x0b", " ", " ", "\x1c"]
+SEPARATORS = [",", ",", ", ", "", " ", ",,", " ,", ", ,", ";"]
+STRAY = list("@-><)(][}{,;=:#x_Z²½.+ \n") + ["->", "- 1", "-1", "[]", "#c\n"]
+
+
+def _int(rng):
+    text = rng.choice(DIGITS)
+    return "-" + text if rng.random() < 0.1 else text
+
+
+def _list(rng, depth=0):
+    """A list literal: nested, flat or ragged, with every comma form."""
+    items = []
+    for _ in range(rng.randint(0, 5)):
+        nested = depth < 2 and rng.random() < 0.3
+        items.append(_list(rng, depth + 1) if nested else _int(rng))
+    text = "[" + rng.choice(SPACES)
+    for item in items:
+        text += item + rng.choice(SEPARATORS) + rng.choice(SPACES)
+    return text + "]"
+
+
+def _table(rng, n):
+    """An n x n table over 0..n-1, nested or flat, sometimes not a ring's."""
+    rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.5:  # the table of Z/n, which is valid for add and mul
+        op = rng.choice((lambda a, b: (a + b) % n, lambda a, b: a * b % n))
+        rows = [[op(a, b) for b in range(n)] for a in range(n)]
+    sep = rng.choice((",", ", ", " ", ",\n"))
+    trail = rng.choice(("", ",", ""))
+    if rng.random() < 0.3:
+        return "[" + sep.join(str(v) for row in rows for v in row) + trail + "]"
+    return "[" + sep.join("[" + sep.join(map(str, row)) + trail + "]" for row in rows) + "]"
+
+
+def _group(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return "Z"
+    if kind == 1:
+        return f"cyclic({_int(rng)})"
+    if kind == 2:
+        return f"sym({rng.choice(('1', '2', '3', '4'))})"
+    n = rng.randint(1, 3)
+    return f"tables{{order={n}; op={_table(rng, n)}}}"
+
+
+def _ring(rng, depth=0):
+    kind = rng.randrange(8 if depth < 2 else 3)
+    if kind == 0:
+        return f"gf({rng.choice(('2', '3', '4', '٣', '6'))})"
+    if kind == 1:
+        return f"zmod({rng.choice(('1', '2', '3', '4', '8'))})"
+    if kind == 2:
+        n = rng.randint(1, 4)
+        fields = [f"order={n}", f"add={_table(rng, n)}", f"mul={_table(rng, n)}"]
+        rng.shuffle(fields)
+        return "tables{" + rng.choice(("; ", ";", " ")).join(fields) + rng.choice(("", ";")) + "}"
+    if kind == 3:
+        return f"product({_ring(rng, depth + 1)}, {_ring(rng, depth + 1)})"
+    if kind == 4:
+        return f"subring({_ring(rng, depth + 1)}, {_list(rng)})"
+    if kind == 5:
+        return f"{rng.choice(('mat', 'tri'))}({_ring(rng, depth + 1)}, {rng.choice(('1', '2'))})"
+    if kind == 6:
+        return f"grpalg(gf(2), {_group(rng)})"
+    return _list(rng)
+
+
+def _mutate(rng, text):
+    """text with a few random deletions, insertions and duplicated slices."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(1, 4))
+        edit = rng.randrange(3)
+        if edit == 0:
+            text = text[:i] + text[j:]
+        elif edit == 1:
+            text = text[:i] + rng.choice(STRAY + DIGITS + SPACES) + text[i:]
+        else:
+            text = text[:j] + text[i:j] + text[j:]
+    return text
+
+
+def _spec(rng):
+    draw = rng.choice((_ring, _ring, _group, _list))(rng)
+    if rng.random() < 0.2:
+        draw = f"# a comment {rng.choice(STRAY)}\n" + draw + " # trailing"
+    return _mutate(rng, draw) if rng.random() < 0.6 else draw
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except (SpecError, CapError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+ENTRY_POINTS = [
+    ("tokenize", specio.tokenize, oracle.tokenize),
+    ("ring", lambda t: specio.parse_ring_spec(t, CAPS), lambda t: oracle.parse_ring_spec(t, CAPS)),
+    (
+        "group",
+        lambda t: specio.parse_group_spec(t, caps=CAPS),
+        lambda t: oracle.parse_group_spec(t, caps=CAPS),
+    ),
+    ("element list", specio.parse_element_list, oracle.parse_element_list),
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reader_matches_the_token_list_reader(seed):
+    rng = random.Random(f"spec-reader-{seed}")
+    accepted = 0
+    for _ in range(5000):
+        text = _spec(rng)
+        for what, new, old in ENTRY_POINTS:
+            got, want = _outcome(new, text), _outcome(old, text)
+            assert got == want, (what, text)
+            accepted += got[0] == "ok" and what != "tokenize"
+    assert accepted > 500  # the draws reach the parsers' success paths too
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2,]",
+        "[1 2 3]",
+        "[1,,2]",
+        "[[1, 2], [3 4,], []]",
+        "[[1,[2]],3]",
+        "[٣, ۷]",
+        "[1, 2",
+        "[[1, 2]",
+        "[1 x]",
+        "[ ] ,",
+        "[-1,-٣]",
+        "[1 - 2]",
+    ],
+)
+def test_list_forms_match_the_token_list_reader(text):
+    for _, new, old in ENTRY_POINTS:
+        assert _outcome(new, text) == _outcome(old, text)
+
+
+def test_a_tables_spec_of_order_256_reads_in_little_memory():
+    """The cursor keeps no token list: the rows of Z/16 x Z/16's tables are
+    read one match each, so the traced peak is the text and the tables."""
+    n = 256
+    add = [[16 * ((a // 16 + b // 16) % 16) + (a + b) % 16 for b in range(n)] for a in range(n)]
+    mul = [[16 * (a // 16 * (b // 16) % 16) + a % 16 * (b % 16) % 16 for b in range(n)] for a in range(n)]
+
+    def rows(table):
+        return "[" + ",\n ".join("[" + ",".join(map(str, row)) + "]" for row in table) + "]"
+
+    text = f"tables{{order={n};\nadd={rows(add)};\nmul={rows(mul)}}}\n"
+    tracemalloc.start()
+    try:
+        ring = specio.parse_ring_spec(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ring.order == n and ring.unit == 17
+    assert peak <= 4_000_000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" + " 12345" * 3000 + " x]",
+        "[" + "1 ,  " * 3000 + ",]",
+        "[" + "-7  " * 3000,
+        "[[" + "1, " * 3000 + "]",
+    ],
+)
+def test_a_long_near_miss_row_fails_fast(text):
+    """A row that almost matches the one-match path falls back to the token
+    walk without the regex trying the exponentially many ways to split it."""
+    start = time.perf_counter()
+    got = _outcome(specio.parse_element_list, text)
+    assert time.perf_counter() - start < 1.0
+    assert got[0] == "SpecError" and got == _outcome(oracle.parse_element_list, text)
+
+
+def _opcodes(node, parser):
+    if isinstance(node, parser.SubPattern):
+        for op, av in node:
+            yield str(op)
+            yield from _opcodes(av, parser)
+    elif isinstance(node, (tuple, list)):
+        for item in node:
+            yield from _opcodes(item, parser)
+
+
+def test_patterns_compile_before_python_3_11():
+    """No module pattern uses possessive repeats or atomic groups, which
+    Python's re accepts from 3.11 only; the package supports 3.10."""
+    parser = getattr(re, "_parser", None)
+    if parser is None:  # before 3.11, where such a pattern would not import
+        pytest.skip("re._parser is new in Python 3.11")
+    patterns = []
+    for info in pkgutil.iter_modules(gradedprime.__path__, "gradedprime."):
+        if info.name.endswith("__main__"):  # importing it runs the CLI
+            continue
+        for value in vars(importlib.import_module(info.name)).values():
+            values = value.values() if isinstance(value, dict) else [value]
+            patterns += [v for v in values if isinstance(v, re.Pattern)]
+    assert specio._BAD in patterns and specio._ROW in patterns
+    for pattern in patterns:
+        ops = set(_opcodes(parser.parse(pattern.pattern, pattern.flags), parser))
+        assert not ops & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}, pattern.pattern
