@@ -1,9 +1,9 @@
 """The identity-component correspondence for graded rings.
 
 Ideals of the identity component S_e are handled as bitmasks over the
-ambient ring, confined to S_e.  Their lattice is enumerated by reusing the
-finite-ring lattice engine on the induced subring, then mapping indices
-back, so one enumeration kernel serves both ambient rings.
+ambient ring, confined to S_e.  Their lattice is ``finring.all_ideals`` of
+the induced subring; its G-invariant members are cached here per graded
+ring, as ideals of that subring whose generators the pair test reads.
 
 The two ``verify_*`` operations return structured reports rather than
 booleans: each check carries a name, a verdict and counts, and serializes to
@@ -13,6 +13,8 @@ stable ``check <name>: PASS|FAIL (<details>)`` lines for CI logs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from .finring import (
     Caps,
@@ -84,23 +86,29 @@ def is_g_invariant(graded: GradedRing, jmask: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=16)
+def _invariant_ideals(graded: GradedRing, caps: Caps) -> MappingProxyType[int, Ideal]:
+    """The G-invariant ideals of S_e as ideals of the subring graded.base, by
+    ambient mask; the index map is increasing, so the masks come sorted."""
+    sub, old, _ = graded.base
+    ideals = {mask_of(old[k] for k in i.elements()): i for i in all_ideals(sub, caps)}
+    return MappingProxyType({m: i for m, i in ideals.items() if is_g_invariant(graded, m)})
+
+
 def invariant_base_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
-    return tuple(j for j in base_ideals(graded, caps) if is_g_invariant(graded, j))
+    return tuple(_invariant_ideals(graded, caps))
 
 
 def is_g_prime_ideal(graded: GradedRing, qmask: int, caps: Caps = DEFAULT_CAPS) -> bool:
     """Primeness quantified over invariant ideals of the identity component."""
-    if qmask != graded.e_mask and not is_g_invariant(graded, qmask):
-        raise ValueError("subset is not an invariant ideal")
-    if qmask == graded.e_mask:
-        raise ValueError("ideal must be proper in the identity component")
-    return is_prime_among(graded.ring, qmask, invariant_base_ideals(graded, caps))
+    invariant = _invariant_ideals(graded, caps)
+    if qmask == graded.e_mask or qmask not in invariant:
+        raise ValueError("subset is not a proper invariant ideal of the identity component")
+    return is_prime_among(graded.base[0], invariant[qmask].members, invariant.values())
 
 
 def is_g_prime_base(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> bool:
     """Whether the zero ideal of the identity component is invariant-prime."""
-    if graded.e_mask == graded.ring.zero_mask:
-        raise ValueError("identity component is the zero ring")
     return is_g_prime_ideal(graded, graded.ring.zero_mask, caps)
 
 
@@ -144,9 +152,9 @@ class Report:
         return "\n".join(self.lines())
 
 
-def _monotone(masks, image) -> bool:
-    """Whether a inside b implies image(a) inside image(b) among the masks."""
-    return all(image(a) | image(b) == image(b) for a in masks for b in masks if a | b == b)
+def _monotone(masks, image: dict) -> bool:
+    """Whether a inside b implies image[a] inside image[b] among the masks."""
+    return all(image[a] | image[b] == image[b] for a in masks for b in masks if a | b == b)
 
 
 def verify_bijection_identity_generated(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> Report:
@@ -176,21 +184,13 @@ def verify_bijection_identity_generated(graded: GradedRing, caps: Caps = DEFAULT
         if e_component(graded, lifted.members) != j:
             restrict_ok = False
 
-    expand_ok = True
-    projection_invariant = True
-    for i in graded_ideals:
-        proj = e_component(graded, i.members)
-        if not is_g_invariant(graded, proj):
-            projection_invariant = False
-        if i.members in idgen_masks:
-            if generate_ideal(ring, bits(proj)).members != i.members:
-                expand_ok = False
+    projections = {i.members: e_component(graded, i.members) for i in graded_ideals}
+    expand_ok = all(generated.get(projections[m]) == m for m in idgen_masks)
+    projection_invariant = all(is_g_invariant(graded, proj) for proj in projections.values())
 
     image_ok = set(generated.values()) == idgen_masks and len(generated) == len(idgen_masks)
 
-    inclusion_ok = _monotone(invariant, generated.__getitem__) and _monotone(
-        [i.members for i in idgen], lambda m: e_component(graded, m)
-    )
+    inclusion_ok = _monotone(invariant, generated) and _monotone(idgen_masks, projections)
 
     n_inv, n_idgen = len(invariant), len(idgen)
     checks = (
@@ -218,41 +218,38 @@ def verify_bijection_ideally_symmetric(graded: GradedRing, caps: Caps = DEFAULT_
     invariant = invariant_base_ideals(graded, caps)
     graded_ideals = all_graded_ideals(graded, caps)
 
+    generated = {j: generate_ideal(ring, bits(j)).members for j in invariant}
     recovery_ok = True
     for i in graded_ideals:
         proj = e_component(graded, i.members)
         left = closed_product(ring, ring.full_mask, proj)
         right = closed_product(ring, proj, ring.full_mask)
-        lifted = generate_ideal(ring, bits(proj)).members
-        if not (left == right == lifted == i.members):
+        if not (left == right == generated.get(proj) == i.members):
             recovery_ok = False
 
-    generated = {j: generate_ideal(ring, bits(j)).members for j in invariant}
     onto_ok = set(generated.values()) == {i.members for i in graded_ideals}
     inverse_ok = all(e_component(graded, generated[j]) == j for j in invariant)
 
-    inclusion_ok = _monotone(invariant, generated.__getitem__)
+    inclusion_ok = _monotone(invariant, generated)
 
+    graded_prime = {
+        i.members: is_graded_prime_ideal(graded, i, caps) for i in graded_ideals if i.is_proper
+    }
     prime_match = True
     gprime = []
     for q in invariant:
         if q == graded.e_mask:
             continue
         lifted = generated[q]
-        if lifted == ring.full_mask:
+        if lifted not in graded_prime:  # the whole ring, or not a graded ideal
             prime_match = False
             continue
         q_prime = is_g_prime_ideal(graded, q, caps)
-        lifted_prime = is_graded_prime_ideal(graded, Ideal(ring, lifted), caps)
-        if q_prime != lifted_prime:
+        if q_prime != graded_prime[lifted]:
             prime_match = False
         if q_prime:
             gprime.append(lifted)
-    graded_primes = [
-        i.members
-        for i in graded_ideals
-        if i.is_proper and is_graded_prime_ideal(graded, i, caps)
-    ]
+    graded_primes = [m for m, prime in graded_prime.items() if prime]
     prime_sets_ok = sorted(gprime) == sorted(graded_primes)
 
     checks = (

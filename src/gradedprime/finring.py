@@ -37,7 +37,9 @@ Multiplication is biadditive, so a product of spans is the span of the
 products of their generators.  Hence the ideal generated by X is the span of
 X, GX, XG and GXG for G the ring's additive generators (one pass, no
 fixpoint), ideal products and triple products multiply generators only, and
-an absorption or "aSb in P" test needs s to range over G only.
+an absorption or "aSb in P" test needs s to range over G only.  One
+join-closure kernel gives the ideal lattice, cached per ring in
+``all_ideals``, and the graded one, cached in ``grading.all_graded_ideals``.
 """
 
 from __future__ import annotations
@@ -302,6 +304,7 @@ def _checked_order(sizes: dict[int, int], caps: Caps) -> int:
     The cap is decided by bit length before any big product is formed, so
     an order with millions of bits costs nothing.  An order over the cap is
     shown in decimal when Python will print it, else as powers (2^40000).
+    The coordinates, sum(k), are capped alike, for factors of order 1.
     """
     cap = caps.max_ring_order
     low_bits = sum(k * (size.bit_length() - 1) for size, k in sizes.items())  # 2**low_bits <= order
@@ -309,6 +312,8 @@ def _checked_order(sizes: dict[int, int], caps: Caps) -> int:
     if low_bits < max(cap.bit_length(), _SHOWN_BITS):
         order = math.prod(size**k for size, k in sizes.items())
         if order <= cap:
+            if sum(sizes.values()) > cap:
+                raise CapError(f"tuple ring of {sum(sizes.values())} coordinates exceeds cap {cap}")
             return order
         try:
             shown = str(order)
@@ -717,14 +722,15 @@ def generate_ideal(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
     return Ideal(ring, _ideal_span(ring, mask)[0])
 
 
-def _ideal_count_floor(ring: FiniteRing) -> int:
-    """A lower bound on the number of ideals of the ring S.
+def _ideal_count_floor(ring: FiniteRing, components: Sequence[int]) -> int:
+    """A lower bound on the number of graded ideals of the ring S, for
+    components S_x whose direct sum is S (one component: all ideals).
 
-    For a prime p dividing |S|, every additive subgroup H containing
-    M = S^2 + pS is an ideal, since SH + HS lies in S^2.  Those H are the
-    subspaces of the F_p-space S/M; for S/M of dimension r there are
-    sum_k [r choose k]_p of them, the Galois number G_r, with G_0 = 1,
-    G_1 = 2 and G_{n+1} = 2 G_n + (p^n - 1) G_{n-1}.
+    For a prime p dividing |S|, every additive subgroup H containing the
+    graded M = S^2 + pS is an ideal, since SH + HS lies in S^2.  The graded
+    H are the sums of H_x/M_x, subspaces of the F_p-spaces S_x/M_x; for one
+    of dimension r there are sum_k [r choose k]_p of them, the Galois number
+    G_r, with G_0 = 1, G_1 = 2 and G_{n+1} = 2 G_n + (p^n - 1) G_{n-1}.
     """
     gens = ring.additive_generators
     square = _product_span(ring, gens, gens)
@@ -741,34 +747,30 @@ def _ideal_count_floor(ring: FiniteRing) -> int:
             for _ in range(p):
                 x = ring.add_table[x][g]
             multiples |= 1 << x
-        r = round(math.log(ring.order // _span(ring, square | multiples)[0].bit_count(), p))
-        count, last = 1, 1  # G_0, and G_{-1} taken as 1 so the step gives G_1 = 2
-        for n in range(r):
-            count, last = 2 * count + (p**n - 1) * last, count
+        m = _span(ring, square | multiples)[0]
+        count = 1
+        for comp in components:
+            galois, last = 1, 1  # G_0, and G_{-1} taken as 1 so the step gives G_1 = 2
+            for n in range(round(math.log(comp.bit_count() // (comp & m).bit_count(), p))):
+                galois, last = 2 * galois + (p**n - 1) * last, galois
+            count *= galois
         floor = max(floor, count)
     return floor
 
 
-# Both caches are keyed by ring, so they are bounded: a long-lived process
-# would otherwise keep every lattice and product it ever computed.
-@lru_cache(maxsize=16)
-def all_ideals(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]:
-    """The complete ideal lattice, canonically ordered by bitmask.
-
-    Computed as the closure of the zero ideal under joins with the distinct
-    principal ideals, which is correct for any finite ring: every ideal is
-    the join of the principal ideals of its elements.  A join extends the
-    current ideal by the principal ideal's additive generators only.
-
-    A lattice over the cap is refused before it is enumerated when
-    _ideal_count_floor already exceeds the cap.
+def _join_closure(ring: FiniteRing, components: Sequence[int], caps: Caps) -> tuple[Ideal, ...]:
+    """The sums of the principal ideals of the elements of the components,
+    ordered by bitmask: the closure of the zero ideal under joins with them,
+    each extending an ideal by a principal ideal's additive generators.  It
+    is refused before it is enumerated when _ideal_count_floor exceeds the cap.
     """
-    if _ideal_count_floor(ring) > caps.max_ideals:
+    if _ideal_count_floor(ring, components) > caps.max_ideals:
         raise CapError(f"ideal lattice exceeds cap {caps.max_ideals}")
     principal = {}
-    for a in ring.elements():
-        mask, gens = _ideal_span(ring, 1 << a)
-        principal.setdefault(mask, mask_of(gens))
+    for comp in components:
+        for a in bits(comp):
+            mask, gens = _ideal_span(ring, 1 << a)
+            principal.setdefault(mask, mask_of(gens))
     lattice = {ring.zero_mask: ()}
     for pmask, pgens in principal.items():
         for mask, gens in list(lattice.items()):
@@ -779,6 +781,14 @@ def all_ideals(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]
                     if len(lattice) > caps.max_ideals:
                         raise CapError(f"ideal lattice exceeds cap {caps.max_ideals}")
     return tuple(Ideal(ring, m) for m in sorted(lattice))
+
+
+# Lattice and product caches are keyed by (graded) ring, so they are bounded:
+# a long-lived process would otherwise keep every lattice it ever computed.
+@lru_cache(maxsize=16)
+def all_ideals(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]:
+    """The ideal lattice: every ideal joins the principal ideals of its elements."""
+    return _join_closure(ring, (ring.full_mask,), caps)
 
 
 @lru_cache(maxsize=1024)
@@ -873,16 +883,16 @@ def prime_element_criterion(ring: FiniteRing, p: Ideal, candidates: Optional[int
     return True
 
 
-def is_prime_among(ring: FiniteRing, pmask: int, ideals: Iterable[int]) -> bool:
+def is_prime_among(ring: FiniteRing, pmask: int, ideals: Iterable[Ideal]) -> bool:
     """Whether AB inside P forces A or B inside P, for A and B ranging over
-    the given ideal masks.
+    the given ideals of the ring.
 
     P must be an additive subgroup (every caller passes an ideal); then AB
-    lies in P exactly when the products of additive generators of A and B
-    do.
+    lies in P exactly when the products of the cached additive generators
+    of A and B do.
     """
     mul = ring.mul_table
-    outside = [_gens(ring, a) for a in ideals if a | pmask != pmask]
+    outside = [a._generators for a in ideals if a.members | pmask != pmask]
     for ga in outside:
         for gb in outside:
             if all(pmask >> mul[x][y] & 1 for x in ga for y in gb):
@@ -893,7 +903,7 @@ def is_prime_among(ring: FiniteRing, pmask: int, ideals: Iterable[int]) -> bool:
 def is_prime_ideal_by_pairs(ring: FiniteRing, p: Ideal, caps: Caps = DEFAULT_CAPS) -> bool:
     """Primeness via the defining quantification over all ideal pairs."""
     _check_proper_ideal(ring, p)
-    return is_prime_among(ring, p.members, (i.members for i in all_ideals(ring, caps)))
+    return is_prime_among(ring, p.members, all_ideals(ring, caps))
 
 
 def is_prime_ring(ring: FiniteRing) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Union
 
 from .errors import SpecError
@@ -23,7 +23,7 @@ from .finring import (
     FiniteRing,
     Ideal,
     _check_proper_ideal,
-    all_ideals,
+    _join_closure,
     bits,
     closed_product,
     generate_ideal,
@@ -172,9 +172,10 @@ def is_graded_ideal(graded: GradedRing, ideal: Ideal) -> bool:
     return True
 
 
+@lru_cache(maxsize=16)
 def all_graded_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]:
-    """The graded members of the ideal lattice, canonically ordered."""
-    return tuple(i for i in all_ideals(graded.ring, caps) if is_graded_ideal(graded, i))
+    """The graded ideals, sorted: the sums of ideals of homogeneous elements."""
+    return _join_closure(graded.ring, [graded.components[x] for x in graded.support], caps)
 
 
 def generate_graded_ideal(graded: GradedRing, gens: Iterable[int]) -> Ideal:
@@ -204,8 +205,7 @@ def _check_proper_graded(graded: GradedRing, p: Ideal) -> None:
 
 def graded_prime_pair_test(graded: GradedRing, p: Ideal, caps: Caps = DEFAULT_CAPS) -> bool:
     """Quantification over pairs of graded ideals."""
-    lattice = all_graded_ideals(graded, caps)
-    return is_prime_among(graded.ring, p.members, (i.members for i in lattice))
+    return is_prime_among(graded.ring, p.members, all_graded_ideals(graded, caps))
 
 
 def graded_prime_element_criterion(graded: GradedRing, p: Ideal) -> bool:

@@ -37,8 +37,7 @@ a character that starts no token; the first one is the error.  The parsers
 then read the checked text through a cursor that matches one token at a
 time, and ``_parse_list`` reads a flat row of integers with one match
 wherever it starts, so the rows of a ``tables{}`` spec are never split into
-token strings.  ``tokenize`` still lists all tokens, for callers that want
-them.
+token strings.
 """
 
 from __future__ import annotations
@@ -85,13 +84,6 @@ def _checked(text: str) -> str:
     if bad:
         raise SpecError(f"unexpected character {bad[0]!r}")
     return text
-
-
-def tokenize(text: str) -> list[str]:
-    """The tokens of text with comments removed: names, integers and
-    punctuation, one string each.  A character that starts no token is an
-    error, reported at its first occurrence."""
-    return _VALID.findall(_checked(text))
 
 
 class _Tokens:

@@ -7,6 +7,13 @@ every member and every acting element, ideal generation iterated to a
 fixpoint and the lattice as the join-closure of all principal ideals.  Only
 the unbounded cache on ``all_ideals`` is left off.
 
+The lattices of a graded ring from before they came from one join-closure
+kernel: ``all_graded_ideals`` filters the lattice of the whole ring by
+``is_graded_ideal``, ``invariant_base_ideals`` filters the lattice of the
+identity component by ``is_g_invariant``, and ``_ideal_count_floor`` bounds
+the lattice of the whole ring only.  The lattices they filter come from this
+module's ``all_ideals``.
+
 The table validators from before they became one generator-based check:
 ``make_ring`` tests every ring axiom on all pairs and triples with numpy,
 and ``group_from_table`` tests associativity on all triples in Python.
@@ -35,6 +42,7 @@ module's own ``group_from_table`` would otherwise shadow.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from typing import Iterable, Optional, Sequence
 
@@ -43,7 +51,11 @@ import numpy as np
 from gradedprime import finring as fr
 from gradedprime import groups
 from gradedprime.errors import CapError, SpecError
-from gradedprime.finring import DEFAULT_CAPS, Caps, FiniteRing, Ideal, bits, mask_of
+from gradedprime.correspondence import is_g_invariant
+from gradedprime.finring import (
+    DEFAULT_CAPS, Caps, FiniteRing, Ideal, _product_span, _span, bits, mask_of,
+)
+from gradedprime.grading import GradedRing, is_graded_ideal
 from gradedprime.grfilter import Witness
 from gradedprime.groups import FiniteGroup, Z, cyclic, symmetric_group
 from gradedprime.specio import _as_rows, _check_group_order
@@ -151,6 +163,56 @@ def all_ideals(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]
                         )
         frontier = fresh
     return tuple(Ideal(ring, m) for m in sorted(lattice))
+
+
+def all_graded_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]:
+    """The graded members of the ideal lattice, canonically ordered."""
+    return tuple(i for i in all_ideals(graded.ring, caps) if is_graded_ideal(graded, i))
+
+
+def base_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
+    """All ideals of the identity component, as ambient masks, sorted."""
+    sub, old, _ = graded.base
+    out = []
+    for ideal in all_ideals(sub, caps):
+        out.append(mask_of(old[i] for i in bits(ideal.members)))
+    return tuple(sorted(out))
+
+
+def invariant_base_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
+    return tuple(j for j in base_ideals(graded, caps) if is_g_invariant(graded, j))
+
+
+def _ideal_count_floor(ring: FiniteRing) -> int:
+    """A lower bound on the number of ideals of the ring S.
+
+    For a prime p dividing |S|, every additive subgroup H containing
+    M = S^2 + pS is an ideal, since SH + HS lies in S^2.  Those H are the
+    subspaces of the F_p-space S/M; for S/M of dimension r there are
+    sum_k [r choose k]_p of them, the Galois number G_r, with G_0 = 1,
+    G_1 = 2 and G_{n+1} = 2 G_n + (p^n - 1) G_{n-1}.
+    """
+    gens = ring.additive_generators
+    square = _product_span(ring, gens, gens)
+    floor, rest, p = 1, ring.order, 1
+    while rest > 1:
+        p += 1
+        if rest % p:
+            continue
+        while rest % p == 0:
+            rest //= p
+        multiples = 0
+        for g in gens:
+            x = ring.zero
+            for _ in range(p):
+                x = ring.add_table[x][g]
+            multiples |= 1 << x
+        r = round(math.log(ring.order // _span(ring, square | multiples)[0].bit_count(), p))
+        count, last = 1, 1  # G_0, and G_{-1} taken as 1 so the step gives G_1 = 2
+        for n in range(r):
+            count, last = 2 * count + (p**n - 1) * last, count
+        floor = max(floor, count)
+    return floor
 
 
 def make_ring(

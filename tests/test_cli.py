@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from gradedprime import grading as gr
+from gradedprime import specio
 from gradedprime.cli import main
 from gradedprime.groups import check_group_table, square_table
 
@@ -30,6 +32,13 @@ def f2_8_zero_multiplication() -> str:
         return "[" + ",".join("[" + ",".join(str(op(a, b)) for b in range(n)) + "]" for a in range(n)) + "]"
 
     return f"tables{{order={n}; add={rows(lambda a, b: a ^ b)}; mul={rows(lambda a, b: 0)}}}"
+
+
+def f2_8_zero_multiplication_graded(group: str, components: dict) -> str:
+    """The ring of f2_8_zero_multiplication() with a grading by group."""
+    lines = [f"ring: {f2_8_zero_multiplication()}", f"group: {group}"]
+    lines += [f"component {x}: {list(members)}" for x, members in components.items()]
+    return "\n".join(lines) + "\n"
 
 
 def z16sq_one_wrong_product() -> str:
@@ -229,6 +238,9 @@ class TestErrors:
             ("prime", "mat(gf(2), 1000)"),
             ("prime", "tri(gf(2), 300)"),
             ("ideals", f2_8_zero_multiplication()),
+            ("prime", "mat(zmod(1), 600)"),
+            ("prime", "tri(zmod(1), 800)"),
+            ("prime", "mat(zmod(1), 1000000000)"),
         ],
         ids=[
             "group_order_list",
@@ -241,6 +253,9 @@ class TestErrors:
             "mat1000",
             "tri300",
             "f2_8_zero_mult_over_the_ideal_cap",
+            "mat600_over_order_1",
+            "tri800_over_order_1",
+            "mat1e9_over_order_1",
         ],
     )
     def test_bad_input_is_a_one_line_error(self, capsys, tmp_path, command, text):
@@ -252,6 +267,27 @@ class TestErrors:
         assert status == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_graded_lattice_within_the_cap_gets_a_verdict(self, capsys, tmp_path):
+        # 417,199 ideals, but only the 2^8 sums of the unit vectors' lines are graded
+        spec = tmp_path / "f2_8_z.graded"
+        spec.write_text(f2_8_zero_multiplication_graded("Z", {k + 1: [0, 1 << k] for k in range(8)}))
+        assert run_cli(capsys, "graded-prime", spec) == (0, "graded prime: NO\n", "")
+        assert len(gr.all_graded_ideals(specio.parse_graded_file(spec.read_text()))) == 256
+
+    def test_graded_lattice_over_the_cap_is_refused_early(self, capsys, tmp_path):
+        spec = tmp_path / "f2_8_trivial.graded"
+        spec.write_text(f2_8_zero_multiplication_graded("cyclic(2)", {0: range(256)}))
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, "graded-prime", spec)
+        assert time.perf_counter() - start < 1.0
+        assert (status, out, err) == (2, "", "error: ideal lattice exceeds cap 65536\n")
+
+    def test_order_1_matrix_ring_within_the_cap(self, capsys, tmp_path):
+        spec = tmp_path / "mat_z1_2.ring"
+        spec.write_text("mat(zmod(1), 2)")
+        status, out, _ = run_cli(capsys, "ideals", spec)
+        assert (status, out) == (0, "ring order: 1\nideals: 1\nideal 0: [[[0,0],[0,0]]]\n")
 
     def test_zero_ring_witness_fails_fast(self, tmp_path):
         spec = tmp_path / "zero.filter"
@@ -290,6 +326,20 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestGolden:
+    """Graded commands on the zero-multiplication F_2^7, Z-graded by unit
+    vectors: 128 graded ideals among 29,212 ideals."""
+
+    @pytest.mark.parametrize("command", ["graded-prime", "correspondence"])
+    @pytest.mark.parametrize("porcelain", [False, True], ids=["human", "porcelain"])
+    def test_zero_mult_f2_7_z(self, capsys, command, porcelain):
+        flags = ["--porcelain"] if porcelain else []
+        status, out, err = run_cli(capsys, command, DATA / "zero_mult_f2_7_z.graded", *flags)
+        golden = GOLDEN / f"{command}_zero_mult_f2_7_z{'.porcelain' if porcelain else ''}.out"
+        assert (status, err) == (0, "")
+        assert out.encode() == golden.read_bytes()
 
 
 class TestDeterminism:

@@ -1,0 +1,177 @@
+"""The graded and invariant lattices of the join-closure kernel against the
+filters of whole lattices in oracle.py, the per-component count floor, and
+the caches that hold each lattice once per graded ring."""
+
+import itertools
+from functools import reduce
+from operator import or_
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gradedprime import correspondence as co
+from gradedprime import finring as fr
+from gradedprime import grading as gr
+from gradedprime import grfilter as gfl
+from gradedprime import specio
+from gradedprime.errors import SpecError
+from gradedprime.groups import Z, cyclic, symmetric_group
+
+import oracle
+from corpus import all_candidate_filters, corpus_rings, graded_corpus, group_algebra_grading
+
+DATA = Path(__file__).parent / "data"
+# Its whole ring has 29,212 ideals, too many for the oracle's filter; its
+# graded lattice is checked against the exact floor instead.
+BIG = "zero_mult_f2_7_z.graded"
+
+
+def floor_of(graded):
+    return fr._ideal_count_floor(graded.ring, [graded.component(x) for x in graded.support])
+
+
+def assert_lattices_agree(graded):
+    lattice = gr.all_graded_ideals(graded)
+    assert lattice == oracle.all_graded_ideals(graded)
+    assert co.invariant_base_ideals(graded) == oracle.invariant_base_ideals(graded)
+    floor = floor_of(graded)
+    assert floor <= len(lattice)
+    assert floor <= oracle._ideal_count_floor(graded.ring)
+    if graded.support == (graded.e,) and graded.e_mask == graded.ring.full_mask:
+        assert floor == oracle._ideal_count_floor(graded.ring)
+
+
+@pytest.mark.parametrize("name,graded", graded_corpus())
+def test_graded_corpus(name, graded):
+    assert_lattices_agree(graded)
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in DATA.glob("*.graded") if p.name != BIG))
+def test_graded_data_files(path):
+    assert_lattices_agree(specio.parse_graded_file((DATA / path).read_text()))
+
+
+def test_zero_multiplication_f2_7_lattice_is_every_sum_of_components():
+    graded = specio.parse_graded_file((DATA / BIG).read_text())
+    lattice = gr.all_graded_ideals(graded)
+    comps = [graded.component(x) for x in graded.support]
+    sums = sorted(
+        fr.subgroup_closure(graded.ring, reduce(or_, itertools.compress(comps, pick), 0))
+        for pick in itertools.product((0, 1), repeat=len(comps))
+    )
+    assert [i.members for i in lattice] == sums
+    assert floor_of(graded) == len(lattice) == 2**7
+
+
+@pytest.mark.parametrize("group", [cyclic(2), Z], ids=["cyclic2", "Z"])
+@pytest.mark.parametrize("name,ring", corpus_rings())
+def test_trivial_gradings_of_the_corpus(name, ring, group):
+    assert_lattices_agree(gr.trivial_grading(ring, group))
+
+
+def assembled_filter_rings():
+    r2 = fr.gf(2)
+    p22 = fr.product(r2, r2)
+    t2 = fr.tri(r2, 2)
+    out = []
+    for ring, group in ((p22, cyclic(2)), (p22, cyclic(3)), (r2, cyclic(2)), (t2, cyclic(2))):
+        for filt in all_candidate_filters(ring, group):
+            try:
+                out.append(gfl.assemble_filter_ring(filt))
+            except SpecError:  # not a filter
+                pass
+    return out
+
+
+def test_assembled_filter_rings():
+    rings = assembled_filter_rings()
+    assert len(rings) > 10
+    for graded in rings:
+        assert_lattices_agree(graded)
+
+
+# ---------------------------------------------------------------------------
+# hypothesis-drawn gradings
+
+
+def zero_mult_line(p):
+    add = [[(a + b) % p for b in range(p)] for a in range(p)]
+    return fr.make_ring(add, [[0] * p for _ in range(p)])
+
+
+@st.composite
+def zero_mult_gradings(draw):
+    """F_p^k with all products zero, each basis vector in a drawn degree;
+    returns the graded ring and whether the degrees are distinct."""
+    p = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(1, 4 if p == 2 else 3))
+    if draw(st.booleans()):
+        group = cyclic(draw(st.integers(1, 4)))
+        degrees = draw(st.lists(st.integers(0, group.order - 1), min_size=k, max_size=k))
+    else:
+        group = Z
+        degrees = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    ring = fr.product(*[zero_mult_line(p)] * k)
+    comps = {}
+    for t, d in enumerate(degrees):  # basis vector t is element p^(k-1-t)
+        comps[d] = comps.get(d, 0) | 1 << p ** (k - 1 - t)
+    comps = {d: fr.subgroup_closure(ring, m) for d, m in comps.items()}
+    return gr.attach_grading(ring, group, comps), len(set(degrees)) == k
+
+
+SETTINGS = settings(
+    max_examples=60,
+    deadline=10000,
+    database=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@SETTINGS
+@given(drawn=zero_mult_gradings())
+def test_drawn_zero_multiplication_gradings(drawn):
+    graded, distinct = drawn
+    assert_lattices_agree(graded)
+    # every graded subgroup is an ideal here, so the floor is exact
+    assert floor_of(graded) == len(gr.all_graded_ideals(graded))
+    if distinct:
+        assert floor_of(graded) == 2 ** len(graded.support)
+
+
+@SETTINGS
+@given(
+    base=st.sampled_from([fr.gf(2), fr.gf(3), fr.zmod(4)]),
+    group=st.sampled_from([cyclic(1), cyclic(2), cyclic(3), symmetric_group(3)]),
+)
+def test_drawn_group_algebras(base, group):
+    if base.order**group.order > 64:
+        return
+    assert_lattices_agree(group_algebra_grading(base, group))
+
+
+# ---------------------------------------------------------------------------
+# caches
+
+
+def test_graded_and_invariant_caches_are_bounded():
+    caps = (gr.all_graded_ideals.cache_info().maxsize, co._invariant_ideals.cache_info().maxsize)
+    assert None not in caps
+    for _ in range(max(caps) + 5):
+        graded = gr.trivial_grading(fr.gf(2), cyclic(2))  # a new key each time
+        gr.all_graded_ideals(graded)
+        co.invariant_base_ideals(graded)
+    assert gr.all_graded_ideals.cache_info().currsize <= caps[0]
+    assert co._invariant_ideals.cache_info().currsize <= caps[1]
+
+
+def test_invariance_is_decided_once_per_ideal():
+    graded = gr.trivial_grading(fr.product(*[fr.gf(2)] * 4), cyclic(2))
+    n_base, n_graded = len(co.base_ideals(graded)), len(gr.all_graded_ideals(graded))
+    with mock.patch.object(co, "is_g_invariant", wraps=co.is_g_invariant) as calls:
+        report = co.verify_bijection_ideally_symmetric(graded)
+    assert report.all_pass
+    assert 0 < calls.call_count <= n_base + n_graded

@@ -74,7 +74,11 @@ class TestTokensAndLists:
             (specio.parse_element_list, "[]", []),
             (lambda t: specio.parse_ring_spec(t).unit, "tables{order=2 add=[[0,1] [1,0]]; mul=[0 0 0 1];}", 1),
             (lambda t: specio.parse_ring_spec(t).order, "gf(\u0663)", 3),
-            (lambda t: len(specio.tokenize(t)), "a->b, -1 x_2 # c ,,,\n)", 7),
+            (
+                lambda t: specio.parse_graded_file(t).support,
+                "ring: subring(zmod(4), [0, 2]) # c ,,,\ngroup: Z\ncomponent -1: [0, 1,]\n",
+                (-1,),
+            ),
         ],
     )
     def test_accepted_forms(self, parse, text, expected):
@@ -96,6 +100,7 @@ class TestTokensAndLists:
             (specio.parse_element_list, "[[1], 2]", "expected a flat list of element indices"),
             (specio.parse_element_list, "[1] 2", "trailing input after element list"),
             (specio.parse_group_spec, "cyclic(2) ->", "trailing input after group expression"),
+            (specio.parse_ring_spec, "gf(2) a->b, -1 x_2 # c ,,,\n)", "trailing input after ring expression"),
         ],
     )
     def test_error_texts(self, parse, text, error):
