@@ -93,7 +93,7 @@ def _cmd_prime(args) -> int:
 
 def _cmd_classify(args) -> int:
     graded = specio.parse_graded_file(_read(args.graded), caps=_caps(args))
-    c = gr.classify_grading(graded, _caps(args))
+    c = gr.classify_grading(graded)
     if args.porcelain:
         print(f"strongly={_porc(c.strongly)}")
         print(f"symmetrically={_porc(c.symmetrically)}")
@@ -133,7 +133,7 @@ def _cmd_correspondence(args) -> int:
     _print_report(
         co.verify_bijection_identity_generated(graded, caps), "identity-generated", args.porcelain
     )
-    if gr.classify_grading(graded, caps).ideally_symmetrically:
+    if gr.classify_grading(graded).ideally_symmetrically:
         _print_report(
             co.verify_bijection_ideally_symmetric(graded, caps),
             "ideally-symmetric",

@@ -212,7 +212,7 @@ def verify_bijection_ideally_symmetric(graded: GradedRing, caps: Caps = DEFAULT_
     Raises if the grading is not ideally symmetric, since the statements
     quantify over that class only.
     """
-    if not classify_grading(graded, caps).ideally_symmetrically:
+    if not classify_grading(graded).ideally_symmetrically:
         raise ValueError("grading is not ideally symmetric")
     ring = graded.ring
     invariant = invariant_base_ideals(graded, caps)

@@ -758,6 +758,11 @@ def _ideal_count_floor(ring: FiniteRing, components: Sequence[int]) -> int:
     return floor
 
 
+def _principal_ideals(ring: FiniteRing, components: Sequence[int]) -> dict[int, list[int]]:
+    """The principal ideals of the components' elements: mask -> generators."""
+    return dict(_ideal_span(ring, 1 << a) for comp in components for a in bits(comp))
+
+
 def _join_closure(ring: FiniteRing, components: Sequence[int], caps: Caps) -> tuple[Ideal, ...]:
     """The sums of the principal ideals of the elements of the components,
     ordered by bitmask: the closure of the zero ideal under joins with them,
@@ -766,16 +771,12 @@ def _join_closure(ring: FiniteRing, components: Sequence[int], caps: Caps) -> tu
     """
     if _ideal_count_floor(ring, components) > caps.max_ideals:
         raise CapError(f"ideal lattice exceeds cap {caps.max_ideals}")
-    principal = {}
-    for comp in components:
-        for a in bits(comp):
-            mask, gens = _ideal_span(ring, 1 << a)
-            principal.setdefault(mask, mask_of(gens))
     lattice = {ring.zero_mask: ()}
-    for pmask, pgens in principal.items():
+    for pmask, pgens in _principal_ideals(ring, components).items():
+        xmask = mask_of(pgens)
         for mask, gens in list(lattice.items()):
             if pmask & ~mask:
-                join, join_gens = _extend(ring, mask, gens, pgens)
+                join, join_gens = _extend(ring, mask, gens, xmask)
                 if join not in lattice:
                     lattice[join] = join_gens
                     if len(lattice) > caps.max_ideals:

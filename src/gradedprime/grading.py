@@ -24,6 +24,8 @@ from .finring import (
     Ideal,
     _check_proper_ideal,
     _join_closure,
+    _principal_ideals,
+    all_ideals,
     bits,
     closed_product,
     generate_ideal,
@@ -172,9 +174,16 @@ def is_graded_ideal(graded: GradedRing, ideal: Ideal) -> bool:
     return True
 
 
-@lru_cache(maxsize=16)
 def all_graded_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]:
     """The graded ideals, sorted: the sums of ideals of homogeneous elements."""
+    return _graded_ideals(graded, caps)
+
+
+# Called positionally, so that omitting caps and passing DEFAULT_CAPS share a key.
+@lru_cache(maxsize=16)
+def _graded_ideals(graded: GradedRing, caps: Caps) -> tuple[Ideal, ...]:
+    if len(graded.support) == 1:  # every ideal is graded
+        return all_ideals(graded.ring, caps)
     return _join_closure(graded.ring, [graded.components[x] for x in graded.support], caps)
 
 
@@ -271,17 +280,19 @@ def _is_symmetrically_graded(graded: GradedRing) -> bool:
     return True
 
 
-def _is_ideally_symmetrically_graded(graded: GradedRing, caps: Caps) -> bool:
+def _is_ideally_symmetrically_graded(graded: GradedRing) -> bool:
+    """Whether S_x S_{x^-1} K_x = K_x = K_x S_{x^-1} S_x for every graded
+    ideal K and x in the support.  At x it holds for all K when it does for
+    each K = <h>, h in S_x: <h> is graded (Nastasescu & Van Oystaeyen, LNM
+    1836, section 2), K_x is the sum of the <h>_x over its elements h, and
+    both sides are additive in K_x."""
     ring = graded.ring
     group = graded.group
-    for ideal in all_graded_ideals(graded, caps):
-        for x in graded.support:
-            ix = ideal.members & graded.component(x)
-            sx = graded.component(x)
-            sxi = graded.component(group.inverse(x))
-            if triple_product(ring, sx, sxi, ix) != ix:
-                return False
-            if triple_product(ring, ix, sxi, sx) != ix:
+    for x in graded.support:
+        sx = graded.component(x)
+        sxi = graded.component(group.inverse(x))
+        for kx in (principal & sx for principal in _principal_ideals(ring, (sx,))):
+            if not triple_product(ring, sx, sxi, kx) == kx == triple_product(ring, kx, sxi, sx):
                 return False
     return True
 
@@ -302,7 +313,7 @@ def _is_nearly_epsilon_strongly_graded(graded: GradedRing) -> bool:
     return True
 
 
-def classify_grading(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> GradingClassification:
+def classify_grading(graded: GradedRing) -> GradingClassification:
     """Compute the four grading classes by exhaustive check.
 
     The implication chain nearly-epsilon-strong => ideally symmetric =>
@@ -311,7 +322,7 @@ def classify_grading(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> GradingCl
     """
     strongly = _is_strongly_graded(graded)
     symmetrically = _is_symmetrically_graded(graded)
-    ideally = _is_ideally_symmetrically_graded(graded, caps)
+    ideally = _is_ideally_symmetrically_graded(graded)
     nearly = _is_nearly_epsilon_strongly_graded(graded)
     if nearly and not ideally:
         raise RuntimeError("nearly-epsilon-strong grading not ideally symmetric; internal bug")

@@ -34,9 +34,16 @@ The witness search from before it searched degree 0 alone:
 ``witness_search`` scans every degree up to the bound and forms a*s*b for
 every candidate s in turn.
 
+The ideal-symmetry checks from before they ran over principal graded
+ideals: ``_is_ideally_symmetrically_graded`` walks the whole graded lattice,
+and ``_ideally_symmetric_finite`` enumerates every family of ideals K_x
+inside I_x, keeps the graded ideals among them and tests each.
+
 The function bodies are unchanged from those versions, except that the old
-group parser names the library's ``groups.group_from_table``, which this
-module's own ``group_from_table`` would otherwise shadow.
+group parser names the library's ``groups.group_from_table``, and the old
+ideal-symmetry checks the library's ``grading.all_graded_ideals`` and
+``finring.all_ideals``, which this module's own functions of those names
+would otherwise shadow.
 """
 
 from __future__ import annotations
@@ -49,14 +56,16 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from gradedprime import finring as fr
+from gradedprime import grading as gr
 from gradedprime import groups
 from gradedprime.errors import CapError, SpecError
 from gradedprime.correspondence import is_g_invariant
 from gradedprime.finring import (
-    DEFAULT_CAPS, Caps, FiniteRing, Ideal, _product_span, _span, bits, mask_of,
+    DEFAULT_CAPS, Caps, FiniteRing, Ideal, _product_span, _span, bits, closed_product, mask_of,
+    triple_product,
 )
 from gradedprime.grading import GradedRing, is_graded_ideal
-from gradedprime.grfilter import Witness
+from gradedprime.grfilter import GFilter, Witness
 from gradedprime.groups import FiniteGroup, Z, cyclic, symmetric_group
 from gradedprime.specio import _as_rows, _check_group_order
 
@@ -615,3 +624,57 @@ def witness_search(handle, a, b, degree_bound: int):
             if (a * s) * b:
                 return Witness(x, c)
     return None
+
+
+def _is_ideally_symmetrically_graded(graded: GradedRing, caps: Caps) -> bool:
+    ring = graded.ring
+    group = graded.group
+    for ideal in gr.all_graded_ideals(graded, caps):
+        for x in graded.support:
+            ix = ideal.members & graded.component(x)
+            sx = graded.component(x)
+            sxi = graded.component(group.inverse(x))
+            if triple_product(ring, sx, sxi, ix) != ix:
+                return False
+            if triple_product(ring, ix, sxi, sx) != ix:
+                return False
+    return True
+
+
+def _ideally_symmetric_finite(f: GFilter, caps: Caps) -> bool:
+    """Decide ideal symmetry from the filter data alone for finite groups.
+
+    Graded ideals of the subring correspond to families K_x of ideals of R
+    with K_x inside I_x and I_y K_x, K_x I_y inside K at the shifted index;
+    the absorption equalities are then checked per family.
+    """
+    ring = f.ring
+    group = f.group
+    lattice = [i.members for i in fr.all_ideals(ring, caps)]
+    choices = []
+    for x in group.elements():
+        ix = f.ideal_at(x)
+        choices.append([k for k in lattice if k | ix == ix])
+    for family in itertools.product(*choices):
+        ok = True
+        for x in group.elements():
+            for y in group.elements():
+                left = closed_product(ring, f.ideal_at(y), family[x])
+                if left | family[group.op(y, x)] != family[group.op(y, x)]:
+                    ok = False
+                    break
+                right = closed_product(ring, family[x], f.ideal_at(y))
+                if right | family[group.op(x, y)] != family[group.op(x, y)]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        for x in group.elements():
+            ix = f.ideal_at(x)
+            ixi = f.ideal_at(group.inverse(x))
+            kx = family[x]
+            if triple_product(ring, ix, ixi, kx) != kx or triple_product(ring, kx, ixi, ix) != kx:
+                return False
+    return True

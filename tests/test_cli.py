@@ -23,10 +23,10 @@ def run_cli(capsys, *argv):
     return status, captured.out, captured.err
 
 
-def f2_8_zero_multiplication() -> str:
-    """A tables{} spec of F_2^8 with zero multiplication: every one of its
-    417,199 additive subgroups is an ideal."""
-    n = 256
+def f2_zero_multiplication(k: int = 8) -> str:
+    """A tables{} spec of F_2^k with zero multiplication: every additive
+    subgroup is an ideal, 29,212 of them for k = 7 and 417,199 for k = 8."""
+    n = 2**k
 
     def rows(op):
         return "[" + ",".join("[" + ",".join(str(op(a, b)) for b in range(n)) + "]" for a in range(n)) + "]"
@@ -34,9 +34,9 @@ def f2_8_zero_multiplication() -> str:
     return f"tables{{order={n}; add={rows(lambda a, b: a ^ b)}; mul={rows(lambda a, b: 0)}}}"
 
 
-def f2_8_zero_multiplication_graded(group: str, components: dict) -> str:
-    """The ring of f2_8_zero_multiplication() with a grading by group."""
-    lines = [f"ring: {f2_8_zero_multiplication()}", f"group: {group}"]
+def f2_zero_multiplication_graded(group: str, components: dict, k: int = 8) -> str:
+    """The ring of f2_zero_multiplication(k) with a grading by group."""
+    lines = [f"ring: {f2_zero_multiplication(k)}", f"group: {group}"]
     lines += [f"component {x}: {list(members)}" for x, members in components.items()]
     return "\n".join(lines) + "\n"
 
@@ -237,7 +237,7 @@ class TestErrors:
             ("prime", "mat(gf(2), 200)"),
             ("prime", "mat(gf(2), 1000)"),
             ("prime", "tri(gf(2), 300)"),
-            ("ideals", f2_8_zero_multiplication()),
+            ("ideals", f2_zero_multiplication()),
             ("prime", "mat(zmod(1), 600)"),
             ("prime", "tri(zmod(1), 800)"),
             ("prime", "mat(zmod(1), 1000000000)"),
@@ -271,17 +271,45 @@ class TestErrors:
     def test_graded_lattice_within_the_cap_gets_a_verdict(self, capsys, tmp_path):
         # 417,199 ideals, but only the 2^8 sums of the unit vectors' lines are graded
         spec = tmp_path / "f2_8_z.graded"
-        spec.write_text(f2_8_zero_multiplication_graded("Z", {k + 1: [0, 1 << k] for k in range(8)}))
+        spec.write_text(f2_zero_multiplication_graded("Z", {k + 1: [0, 1 << k] for k in range(8)}))
         assert run_cli(capsys, "graded-prime", spec) == (0, "graded prime: NO\n", "")
         assert len(gr.all_graded_ideals(specio.parse_graded_file(spec.read_text()))) == 256
 
     def test_graded_lattice_over_the_cap_is_refused_early(self, capsys, tmp_path):
         spec = tmp_path / "f2_8_trivial.graded"
-        spec.write_text(f2_8_zero_multiplication_graded("cyclic(2)", {0: range(256)}))
+        spec.write_text(f2_zero_multiplication_graded("cyclic(2)", {0: range(256)}))
         start = time.perf_counter()
         status, out, err = run_cli(capsys, "graded-prime", spec)
         assert time.perf_counter() - start < 1.0
         assert (status, out, err) == (2, "", "error: ideal lattice exceeds cap 65536\n")
+
+    @pytest.mark.parametrize("k", [7, 8])
+    def test_classify_enumerates_no_lattice(self, capsys, tmp_path, k):
+        # F_2^8 has more ideals than the cap, all of them graded
+        spec = tmp_path / f"f2_{k}_trivial.graded"
+        spec.write_text(f2_zero_multiplication_graded("cyclic(2)", {0: range(2**k)}, k))
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, "classify", spec)
+        assert time.perf_counter() - start < 1.0
+        assert (status, out, err) == (0, "strongly: NO, symmetrically: NO, ideally: NO, nearly-eps: NO\n", "")
+
+    def test_filter_over_a_large_group_enumerates_no_families(self, capsys, tmp_path):
+        # the canonical grading of a unital group algebra is strong
+        spec = tmp_path / "gf2_c20.filter"
+        spec.write_text("ring: gf(2)\ngroup: cyclic(20)\n" + "".join(f"I {x} = [1]\n" for x in range(1, 20)))
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, "filter", spec)
+        assert time.perf_counter() - start < 2.0
+        assert (status, err) == (0, "")
+        assert out.splitlines() == [
+            "valid filter: YES",
+            "symmetric: YES",
+            "inverse-equal: YES",
+            "ideally-symmetric: YES",
+            "nearly-eps: YES",
+            "coeff idempotent: YES",
+            "coeff fully idempotent: YES",
+        ]
 
     def test_order_1_matrix_ring_within_the_cap(self, capsys, tmp_path):
         spec = tmp_path / "mat_z1_2.ring"

@@ -18,6 +18,7 @@ from gradedprime import grading as gr
 from gradedprime import grfilter as gfl
 from gradedprime import specio
 from gradedprime.errors import SpecError
+from gradedprime.finring import DEFAULT_CAPS
 from gradedprime.groups import Z, cyclic, symmetric_group
 
 import oracle
@@ -158,13 +159,13 @@ def test_drawn_group_algebras(base, group):
 
 
 def test_graded_and_invariant_caches_are_bounded():
-    caps = (gr.all_graded_ideals.cache_info().maxsize, co._invariant_ideals.cache_info().maxsize)
+    caps = (gr._graded_ideals.cache_info().maxsize, co._invariant_ideals.cache_info().maxsize)
     assert None not in caps
     for _ in range(max(caps) + 5):
         graded = gr.trivial_grading(fr.gf(2), cyclic(2))  # a new key each time
         gr.all_graded_ideals(graded)
         co.invariant_base_ideals(graded)
-    assert gr.all_graded_ideals.cache_info().currsize <= caps[0]
+    assert gr._graded_ideals.cache_info().currsize <= caps[0]
     assert co._invariant_ideals.cache_info().currsize <= caps[1]
 
 
@@ -175,3 +176,23 @@ def test_invariance_is_decided_once_per_ideal():
         report = co.verify_bijection_ideally_symmetric(graded)
     assert report.all_pass
     assert 0 < calls.call_count <= n_base + n_graded
+
+
+def test_a_call_without_caps_shares_the_entry_of_default_caps():
+    graded = group_algebra_grading(fr.gf(3), cyclic(2))
+    gr._graded_ideals.cache_clear()
+    with mock.patch.object(gr, "_join_closure", wraps=gr._join_closure) as calls:
+        assert gr.all_graded_ideals(graded) is gr.all_graded_ideals(graded, DEFAULT_CAPS)
+    assert calls.call_count == 1
+
+
+def test_a_trivial_grading_enumerates_one_lattice():
+    # every ideal is graded, and the identity component is the whole ring
+    graded = gr.trivial_grading(fr.product(*[fr.gf(2)] * 5), cyclic(2))
+    for cached in (fr.all_ideals, gr._graded_ideals, co._invariant_ideals):
+        cached.cache_clear()
+    with mock.patch.object(fr, "_join_closure", wraps=fr._join_closure) as calls:
+        with mock.patch.object(gr, "_join_closure", calls):
+            assert co.verify_bijection_identity_generated(graded).all_pass
+            assert co.verify_bijection_ideally_symmetric(graded).all_pass
+    assert calls.call_count == 1
