@@ -109,7 +109,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_graded_prime(args) -> int:
     graded = specio.parse_graded_file(_read(args.graded), caps=_caps(args))
-    verdict = gr.is_graded_prime_ring(graded, _caps(args))
+    verdict = gr.is_graded_prime_ring(graded)
     if args.porcelain:
         print(f"graded_prime={_porc(verdict)}")
     else:

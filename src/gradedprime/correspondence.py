@@ -2,8 +2,9 @@
 
 Ideals of the identity component S_e are handled as bitmasks over the
 ambient ring, confined to S_e.  Their lattice is ``finring.all_ideals`` of
-the induced subring; its G-invariant members are cached here per graded
-ring, as ideals of that subring whose generators the pair test reads.
+the induced subring; its G-invariant members, and the invariant closures of
+the principal ideals that G-primeness quantifies over, are cached here per
+graded ring.
 
 The two ``verify_*`` operations return structured reports rather than
 booleans: each check carries a name, a verdict and counts, and serializes to
@@ -14,12 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 
 from .finring import (
     Caps,
     DEFAULT_CAPS,
     Ideal,
+    _principal_ideals,
+    _span,
     all_ideals,
     bits,
     closed_product,
@@ -43,19 +45,13 @@ def e_component(graded: GradedRing, xmask: int) -> int:
 
     For a graded ideal this coincides with intersecting with S_e.
     """
-    out = 0
-    for m in bits(xmask):
-        out |= 1 << graded.e_part(m)
-    return out
+    return mask_of(graded.e_part(m) for m in bits(xmask))
 
 
 def base_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
     """All ideals of the identity component, as ambient masks, sorted."""
     sub, old, _ = graded.base
-    out = []
-    for ideal in all_ideals(sub, caps):
-        out.append(mask_of(old[i] for i in bits(ideal.members)))
-    return tuple(sorted(out))
+    return tuple(sorted(mask_of(old[i] for i in ideal.elements()) for ideal in all_ideals(sub, caps)))
 
 
 def is_base_ideal(graded: GradedRing, jmask: int) -> bool:
@@ -64,52 +60,56 @@ def is_base_ideal(graded: GradedRing, jmask: int) -> bool:
     return not jmask & ~emask and is_ideal_mask(graded.ring, jmask, acting=emask)
 
 
-def _invariance_sites(graded: GradedRing):
-    group = graded.group
-    if group.is_finite:
-        return list(group.elements())
-    return [x for x in graded.support if graded.component(group.inverse(x)).bit_count() > 1]
+def _invariance_sites(graded: GradedRing) -> list:
+    """The x in the support with S_{x^-1} nonzero: elsewhere S_{x^-1} J S_x = 0."""
+    zero = graded.ring.zero_mask
+    return [x for x in graded.support if graded.component(graded.group.inverse(x)) != zero]
+
+
+def _invariant_closure(graded: GradedRing, jmask: int):
+    """(mask, generators) of J + sum_x S_{x^-1} J S_x, the least invariant ideal
+    of S_e over an ideal J of S_e, since S_{y^-1} S_{x^-1} lies in S_{(xy)^-1}."""
+    inverse, out = graded.group.inverse, jmask
+    for x in _invariance_sites(graded):
+        out |= triple_product(graded.ring, graded.component(inverse(x)), jmask, graded.component(x))
+    return _span(graded.ring, out)
 
 
 def is_g_invariant(graded: GradedRing, jmask: int) -> bool:
     """Whether conjugating J by every component pair lands back inside J."""
     if not is_base_ideal(graded, jmask):
         raise ValueError("subset is not an ideal of the identity component")
-    ring = graded.ring
-    group = graded.group
-    for x in _invariance_sites(graded):
-        sxi = graded.component(group.inverse(x))
-        sx = graded.component(x)
-        conj = triple_product(ring, sxi, jmask, sx)
-        if conj | jmask != jmask:
-            return False
-    return True
+    return _invariant_closure(graded, jmask)[0] == jmask
 
 
 @lru_cache(maxsize=16)
-def _invariant_ideals(graded: GradedRing, caps: Caps) -> MappingProxyType[int, Ideal]:
-    """The G-invariant ideals of S_e as ideals of the subring graded.base, by
-    ambient mask; the index map is increasing, so the masks come sorted."""
-    sub, old, _ = graded.base
-    ideals = {mask_of(old[k] for k in i.elements()): i for i in all_ideals(sub, caps)}
-    return MappingProxyType({m: i for m, i in ideals.items() if is_g_invariant(graded, m)})
+def _invariant_ideals(graded: GradedRing, caps: Caps) -> tuple[int, ...]:
+    return tuple(j for j in base_ideals(graded, caps) if is_g_invariant(graded, j))
 
 
 def invariant_base_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
-    return tuple(_invariant_ideals(graded, caps))
+    return _invariant_ideals(graded, caps)
 
 
-def is_g_prime_ideal(graded: GradedRing, qmask: int, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Primeness quantified over invariant ideals of the identity component."""
-    invariant = _invariant_ideals(graded, caps)
-    if qmask == graded.e_mask or qmask not in invariant:
+@lru_cache(maxsize=16)
+def _invariant_principals(graded: GradedRing) -> dict[int, list[int]]:
+    """The invariant closures of the principal ideals of S_e: mask -> generators."""
+    sub, old, _ = graded.base
+    principals = _principal_ideals(sub, (sub.full_mask,))
+    return dict(_invariant_closure(graded, mask_of(old[i] for i in bits(m))) for m in principals)
+
+
+def is_g_prime_ideal(graded: GradedRing, qmask: int) -> bool:
+    """Primeness quantified over invariant ideals of the identity component,
+    made over the invariant closures of its principal ideals (is_prime_among)."""
+    if qmask == graded.e_mask or not is_base_ideal(graded, qmask) or not is_g_invariant(graded, qmask):
         raise ValueError("subset is not a proper invariant ideal of the identity component")
-    return is_prime_among(graded.base[0], invariant[qmask].members, invariant.values())
+    return is_prime_among(graded.ring, qmask, _invariant_principals(graded))
 
 
-def is_g_prime_base(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> bool:
+def is_g_prime_base(graded: GradedRing) -> bool:
     """Whether the zero ideal of the identity component is invariant-prime."""
-    return is_g_prime_ideal(graded, graded.ring.zero_mask, caps)
+    return is_g_prime_ideal(graded, graded.ring.zero_mask)
 
 
 def is_identity_generated(graded: GradedRing, ideal: Ideal) -> bool:
@@ -192,13 +192,13 @@ def verify_bijection_identity_generated(graded: GradedRing, caps: Caps = DEFAULT
 
     inclusion_ok = _monotone(invariant, generated) and _monotone(idgen_masks, projections)
 
-    n_inv, n_idgen = len(invariant), len(idgen)
+    n_inv, n_idgen, n_graded = len(invariant), len(idgen), len(graded_ideals)
     checks = (
         CheckResult("lift_is_graded", gen_graded, f"{n_inv} invariant ideals"),
         CheckResult("lift_is_identity_generated", gen_idgen, f"{n_inv} invariant ideals"),
         CheckResult("lift_then_restrict_is_identity", restrict_ok, f"{n_inv} invariant ideals"),
         CheckResult("restrict_then_lift_is_identity", expand_ok, f"{n_idgen} identity-generated ideals"),
-        CheckResult("projection_is_invariant", projection_invariant, f"{len(graded_ideals)} graded ideals"),
+        CheckResult("projection_is_invariant", projection_invariant, f"{n_graded} graded ideals"),
         CheckResult("lift_image_matches", image_ok, f"{n_inv} invariant vs {n_idgen} identity-generated"),
         CheckResult("inclusion_preserved", inclusion_ok, "both directions"),
     )
@@ -233,7 +233,7 @@ def verify_bijection_ideally_symmetric(graded: GradedRing, caps: Caps = DEFAULT_
     inclusion_ok = _monotone(invariant, generated)
 
     graded_prime = {
-        i.members: is_graded_prime_ideal(graded, i, caps) for i in graded_ideals if i.is_proper
+        i.members: is_graded_prime_ideal(graded, i) for i in graded_ideals if i.is_proper
     }
     prime_match = True
     gprime = []
@@ -244,7 +244,7 @@ def verify_bijection_ideally_symmetric(graded: GradedRing, caps: Caps = DEFAULT_
         if lifted not in graded_prime:  # the whole ring, or not a graded ideal
             prime_match = False
             continue
-        q_prime = is_g_prime_ideal(graded, q, caps)
+        q_prime = is_g_prime_ideal(graded, q)
         if q_prime != graded_prime[lifted]:
             prime_match = False
         if q_prime:
@@ -252,29 +252,15 @@ def verify_bijection_ideally_symmetric(graded: GradedRing, caps: Caps = DEFAULT_
     graded_primes = [m for m, prime in graded_prime.items() if prime]
     prime_sets_ok = sorted(gprime) == sorted(graded_primes)
 
+    n_inv, n_graded = len(invariant), len(graded_ideals)
+    n_proper = sum(q != graded.e_mask for q in invariant)
     checks = (
         CheckResult("hypothesis_ideally_symmetric", True, ""),
-        CheckResult(
-            "graded_ideal_recovered_from_base",
-            recovery_ok,
-            f"{len(graded_ideals)} graded ideals",
-        ),
-        CheckResult(
-            "lift_onto_all_graded_ideals",
-            onto_ok,
-            f"{len(invariant)} invariant vs {len(graded_ideals)} graded",
-        ),
+        CheckResult("graded_ideal_recovered_from_base", recovery_ok, f"{n_graded} graded ideals"),
+        CheckResult("lift_onto_all_graded_ideals", onto_ok, f"{n_inv} invariant vs {n_graded} graded"),
         CheckResult("maps_mutually_inverse", inverse_ok, ""),
         CheckResult("inclusion_preserved", inclusion_ok, ""),
-        CheckResult(
-            "prime_verdicts_match",
-            prime_match,
-            f"{sum(1 for q in invariant if q != graded.e_mask)} proper invariant ideals",
-        ),
-        CheckResult(
-            "prime_sets_correspond",
-            prime_sets_ok,
-            f"{len(graded_primes)} graded prime ideals",
-        ),
+        CheckResult("prime_verdicts_match", prime_match, f"{n_proper} proper invariant ideals"),
+        CheckResult("prime_sets_correspond", prime_sets_ok, f"{len(graded_primes)} graded prime ideals"),
     )
     return Report("ideally symmetric correspondence", checks)

@@ -50,7 +50,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import CapError, SpecError
 from .groups import FiniteGroup, check_group_table, element_names, square_table, table_identity
@@ -884,16 +884,20 @@ def prime_element_criterion(ring: FiniteRing, p: Ideal, candidates: Optional[int
     return True
 
 
-def is_prime_among(ring: FiniteRing, pmask: int, ideals: Iterable[Ideal]) -> bool:
+def is_prime_among(ring: FiniteRing, pmask: int, ideals: Mapping[int, Sequence[int]]) -> bool:
     """Whether AB inside P forces A or B inside P, for A and B ranging over
-    the given ideals of the ring.
-
-    P must be an additive subgroup (every caller passes an ideal); then AB
-    lies in P exactly when the products of the cached additive generators
-    of A and B do.
+    the given ideals, a map from each ideal's mask to its additive
+    generators; P must be an additive subgroup.  This is the primeness
+    tests' one loop over pairs of ideals.  Ideals F drawn from a class give
+    the class's verdict when every ideal of the class is a sum of members
+    of F: if AB lies in P while A and B do not, some members A' inside A
+    and B' inside B are not in P either, and A'B' lies in AB, so in P.  The
+    principal ideals of homogeneous elements are such a family for the
+    graded ideals, and the invariant closures of the principal ideals of
+    S_e for the invariant ideals of S_e.
     """
     mul = ring.mul_table
-    outside = [a._generators for a in ideals if a.members | pmask != pmask]
+    outside = [gens for mask, gens in ideals.items() if mask | pmask != pmask]
     for ga in outside:
         for gb in outside:
             if all(pmask >> mul[x][y] & 1 for x in ga for y in gb):
@@ -904,7 +908,7 @@ def is_prime_among(ring: FiniteRing, pmask: int, ideals: Iterable[Ideal]) -> boo
 def is_prime_ideal_by_pairs(ring: FiniteRing, p: Ideal, caps: Caps = DEFAULT_CAPS) -> bool:
     """Primeness via the defining quantification over all ideal pairs."""
     _check_proper_ideal(ring, p)
-    return is_prime_among(ring, p.members, all_ideals(ring, caps))
+    return is_prime_among(ring, p.members, {i.members: i._generators for i in all_ideals(ring, caps)})
 
 
 def is_prime_ring(ring: FiniteRing) -> bool:

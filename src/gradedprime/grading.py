@@ -96,7 +96,11 @@ class GradedRing:
 
     @cached_property
     def base(self):
-        """The identity component as a ring: (subring, old indices, index map)."""
+        """The identity component as a ring: (subring, old indices, index map),
+        the ring itself when S_e = S."""
+        if self.e_mask == self.ring.full_mask:
+            old = tuple(self.ring.elements())
+            return self.ring, old, dict(zip(old, old))
         sub, old = induced_subring(self.ring, bits(self.e_mask))
         return sub, old, {o: i for i, o in enumerate(old)}
 
@@ -212,9 +216,16 @@ def _check_proper_graded(graded: GradedRing, p: Ideal) -> None:
         raise ValueError("ideal is not graded")
 
 
-def graded_prime_pair_test(graded: GradedRing, p: Ideal, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Quantification over pairs of graded ideals."""
-    return is_prime_among(graded.ring, p.members, all_graded_ideals(graded, caps))
+@lru_cache(maxsize=16)
+def _homogeneous_principals(graded: GradedRing) -> dict[int, list[int]]:
+    return _principal_ideals(graded.ring, [graded.components[x] for x in graded.support])
+
+
+def graded_prime_pair_test(graded: GradedRing, p: Ideal) -> bool:
+    """Quantification over pairs of graded ideals, made over the principal
+    ideals of homogeneous elements (is_prime_among): these are graded, and
+    they span every graded ideal (Nastasescu & Van Oystaeyen, LNM 1836, 2)."""
+    return is_prime_among(graded.ring, p.members, _homogeneous_principals(graded))
 
 
 def graded_prime_element_criterion(graded: GradedRing, p: Ideal) -> bool:
@@ -226,7 +237,7 @@ def graded_prime_element_criterion(graded: GradedRing, p: Ideal) -> bool:
     return prime_element_criterion(graded.ring, p, candidates=graded.homogeneous_mask)
 
 
-def is_graded_prime_ideal(graded: GradedRing, p: Ideal, caps: Caps = DEFAULT_CAPS) -> bool:
+def is_graded_prime_ideal(graded: GradedRing, p: Ideal) -> bool:
     """Graded primeness of a proper graded ideal.
 
     Evaluates the pair quantification, the homogeneous element criterion and
@@ -234,7 +245,7 @@ def is_graded_prime_ideal(graded: GradedRing, p: Ideal, caps: Caps = DEFAULT_CAP
     agree before returning the shared verdict.
     """
     _check_proper_graded(graded, p)
-    by_pairs = graded_prime_pair_test(graded, p, caps)
+    by_pairs = graded_prime_pair_test(graded, p)
     by_elements = graded_prime_element_criterion(graded, p)
     by_msystem = is_graded_m_system(graded, graded.ring.full_mask & ~p.members)
     if not by_pairs == by_elements == by_msystem:
@@ -242,11 +253,11 @@ def is_graded_prime_ideal(graded: GradedRing, p: Ideal, caps: Caps = DEFAULT_CAP
     return by_pairs
 
 
-def is_graded_prime_ring(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> bool:
+def is_graded_prime_ring(graded: GradedRing) -> bool:
     """Whether the zero ideal is graded prime."""
     if graded.ring.order == 1:
         raise ValueError("the zero ring is neither prime nor not prime")
-    return is_graded_prime_ideal(graded, zero_ideal(graded.ring), caps)
+    return is_graded_prime_ideal(graded, zero_ideal(graded.ring))
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +324,7 @@ def _is_nearly_epsilon_strongly_graded(graded: GradedRing) -> bool:
     return True
 
 
+@lru_cache(maxsize=16)
 def classify_grading(graded: GradedRing) -> GradingClassification:
     """Compute the four grading classes by exhaustive check.
 

@@ -17,7 +17,7 @@ rules can produce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from typing import Mapping, Optional, Union
 
 from .errors import SpecError
@@ -32,7 +32,6 @@ from .finring import (
     is_fully_idempotent,
     is_ideal_mask,
     mask_of,
-    triple_product,
 )
 from .grading import GradedRing, attach_grading, classify_grading
 from .groups import FiniteGroup, IntegerGroup
@@ -80,6 +79,12 @@ class GFilter:
         object.__setattr__(self, "_table", table)
         if self.ideal_at(self.group.identity) != self.ring.full_mask:
             raise SpecError("the identity component must be the whole ring")
+
+    @cached_property
+    def product(self):
+        """closed_product on the ring, memoised: the filter laws meet few
+        distinct masks, however large the group."""
+        return cache(partial(closed_product, self.ring))
 
     def ideal_at(self, x: int) -> int:
         if self.group.is_finite:
@@ -131,18 +136,22 @@ def filter_sites(f: GFilter) -> list[int]:
 
 def validate_filter(f: GFilter) -> bool:
     """Whether every component is an ideal and products respect the filter law."""
-    ring = f.ring
-    sites = filter_sites(f)
+    sites, at, op, product = filter_sites(f), f.ideal_at, f.group.op, f.product
+    if not all(is_ideal_mask(f.ring, ix) for ix in {at(x) for x in sites}):
+        return False
     for x in sites:
-        if not is_ideal_mask(ring, f.ideal_at(x)):
-            return False
-    for x in sites:
-        ix = f.ideal_at(x)
+        ix = at(x)
         for y in sites:
-            target = f.ideal_at(f.group.op(x, y))
-            if closed_product(ring, ix, f.ideal_at(y)) | target != target:
+            target = at(op(x, y))
+            if product(ix, at(y)) | target != target:
                 return False
     return True
+
+
+def _inverse_pairs(f: GFilter) -> set[tuple[int, int]]:
+    """The distinct (I_x, I_{x^-1}) over the filter's sites."""
+    inverse = f.group.inverse
+    return {(f.ideal_at(x), f.ideal_at(inverse(x))) for x in filter_sites(f)}
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +343,14 @@ def _ideally_symmetric_finite(f: GFilter) -> bool:
     J I_b in J, I_x I_{x^-1} C = I_x I_{x^-1} J and C I_{x^-1} I_x =
     J I_{x^-1} I_x; and C is an ideal of R inside I_x, a sum of principal
     ones.  So the identities hold on every such C exactly when
-    I_x I_{x^-1} J = J = J I_{x^-1} I_x for every principal J inside I_x.
+    I_x I_{x^-1} J = J = J I_{x^-1} I_x for every principal J inside I_x,
+    which depends on the pair (I_x, I_{x^-1}) only.
     """
-    ring = f.ring
-    group = f.group
-    principals = cache(partial(_principal_ideals, ring))  # one call meets few distinct masks
-    triple = cache(partial(triple_product, ring))
-    for x in group.elements():
-        ix, ixi = f.ideal_at(x), f.ideal_at(group.inverse(x))
+    product = f.product
+    principals = cache(partial(_principal_ideals, f.ring))  # I_x meets few distinct masks
+    for ix, ixi in _inverse_pairs(f):
         for j in principals((ix,)):
-            if not triple(ix, ixi, j) == j == triple(j, ixi, ix):
+            if not product(product(ix, ixi), j) == j == product(j, product(ixi, ix)):
                 return False
     return True
 
@@ -362,31 +369,18 @@ def classify_filter(f: GFilter, caps: Caps = DEFAULT_CAPS) -> FilterClassificati
     """
     if not validate_filter(f):
         raise SpecError("not a valid filter")
-    ring = f.ring
-    group = f.group
-    sites = filter_sites(f)
+    ring, group, product = f.ring, f.group, f.product
+    pairs = _inverse_pairs(f)
 
-    symmetric = all(
-        triple_product(ring, f.ideal_at(x), f.ideal_at(group.inverse(x)), f.ideal_at(x))
-        == f.ideal_at(x)
-        for x in sites
-    )
-    inverse_equal = all(f.ideal_at(x) == f.ideal_at(group.inverse(x)) for x in sites)
-    r_idem = closed_product(ring, ring.full_mask, ring.full_mask) == ring.full_mask
+    symmetric = all(product(product(ix, ixi), ix) == ix for ix, ixi in pairs)
+    inverse_equal = all(ix == ixi for ix, ixi in pairs)
+    r_idem = product(ring.full_mask, ring.full_mask) == ring.full_mask
     r_fully = is_fully_idempotent(ring, caps)
-
-    nearly = True
-    for x in sites:
-        ix = f.ideal_at(x)
-        ixi = f.ideal_at(group.inverse(x))
-        left = closed_product(ring, ix, ixi)
-        right = closed_product(ring, ixi, ix)
-        if not is_s_unital_module(ring, left, ix, "left"):
-            nearly = False
-            break
-        if not is_s_unital_module(ring, right, ix, "right"):
-            nearly = False
-            break
+    nearly = all(
+        is_s_unital_module(ring, product(ix, ixi), ix, "left")
+        and is_s_unital_module(ring, product(ixi, ix), ix, "right")
+        for ix, ixi in pairs
+    )
 
     if group.is_finite:
         ideally: Optional[bool] = _ideally_symmetric_finite(f)

@@ -39,11 +39,26 @@ ideals: ``_is_ideally_symmetrically_graded`` walks the whole graded lattice,
 and ``_ideally_symmetric_finite`` enumerates every family of ideals K_x
 inside I_x, keeps the graded ideals among them and tests each.
 
+The pair tests from before they ran over principal ideals:
+``graded_prime_pair_test`` quantifies over the whole graded lattice and
+``is_g_prime_ideal`` over the whole invariant lattice of the identity
+component, ``_invariant_ideals``, each through the ``is_prime_among`` of
+that version, which takes ``Ideal``s.  ``is_g_invariant`` is the invariance
+test of that version, with its ``_invariance_sites`` (every element of a
+finite group); ``invariant_base_ideals`` above filters by it.
+
+The filter checks from before they ran once per distinct value:
+``validate_filter`` tests every degree's ideal and every pair of degrees'
+product, and ``classify_filter`` forms the symmetric, inverse-equality and
+local-unit flags degree by degree, each product spanned afresh; its ideal
+test is this module's exhaustive ``is_ideal_mask``.
+
 The function bodies are unchanged from those versions, except that the old
-group parser names the library's ``groups.group_from_table``, and the old
-ideal-symmetry checks the library's ``grading.all_graded_ideals`` and
-``finring.all_ideals``, which this module's own functions of those names
-would otherwise shadow.
+group parser names the library's ``groups.group_from_table``, the old
+ideal-symmetry checks and pair tests the library's
+``grading.all_graded_ideals`` and ``finring.all_ideals``, and the old
+``classify_filter`` the library's ``grfilter._ideally_symmetric_finite``,
+which this module's own functions of those names would otherwise shadow.
 """
 
 from __future__ import annotations
@@ -51,6 +66,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -59,13 +76,16 @@ from gradedprime import finring as fr
 from gradedprime import grading as gr
 from gradedprime import groups
 from gradedprime.errors import CapError, SpecError
-from gradedprime.correspondence import is_g_invariant
+from gradedprime.correspondence import is_base_ideal
 from gradedprime.finring import (
-    DEFAULT_CAPS, Caps, FiniteRing, Ideal, _product_span, _span, bits, closed_product, mask_of,
-    triple_product,
+    DEFAULT_CAPS, Caps, FiniteRing, Ideal, _product_span, _span, bits, closed_product, is_fully_idempotent,
+    mask_of, triple_product,
 )
-from gradedprime.grading import GradedRing, is_graded_ideal
-from gradedprime.grfilter import GFilter, Witness
+from gradedprime.grading import GradedRing, classify_grading, is_graded_ideal
+from gradedprime import grfilter as gfl
+from gradedprime.grfilter import (
+    FilterClassification, GFilter, Witness, assemble_filter_ring, filter_sites, is_s_unital_module,
+)
 from gradedprime.groups import FiniteGroup, Z, cyclic, symmetric_group
 from gradedprime.specio import _as_rows, _check_group_order
 
@@ -678,3 +698,160 @@ def _ideally_symmetric_finite(f: GFilter, caps: Caps) -> bool:
             if triple_product(ring, ix, ixi, kx) != kx or triple_product(ring, kx, ixi, ix) != kx:
                 return False
     return True
+
+
+def _invariance_sites(graded: GradedRing):
+    group = graded.group
+    if group.is_finite:
+        return list(group.elements())
+    return [x for x in graded.support if graded.component(group.inverse(x)).bit_count() > 1]
+
+
+def is_g_invariant(graded: GradedRing, jmask: int) -> bool:
+    """Whether conjugating J by every component pair lands back inside J."""
+    if not is_base_ideal(graded, jmask):
+        raise ValueError("subset is not an ideal of the identity component")
+    ring = graded.ring
+    group = graded.group
+    for x in _invariance_sites(graded):
+        sxi = graded.component(group.inverse(x))
+        sx = graded.component(x)
+        conj = triple_product(ring, sxi, jmask, sx)
+        if conj | jmask != jmask:
+            return False
+    return True
+
+
+def is_prime_among(ring: FiniteRing, pmask: int, ideals: Iterable[Ideal]) -> bool:
+    """Whether AB inside P forces A or B inside P, for A and B ranging over
+    the given ideals of the ring.
+
+    P must be an additive subgroup (every caller passes an ideal); then AB
+    lies in P exactly when the products of the cached additive generators
+    of A and B do.
+    """
+    mul = ring.mul_table
+    outside = [a._generators for a in ideals if a.members | pmask != pmask]
+    for ga in outside:
+        for gb in outside:
+            if all(pmask >> mul[x][y] & 1 for x in ga for y in gb):
+                return False
+    return True
+
+
+def graded_prime_pair_test(graded: GradedRing, p: Ideal, caps: Caps = DEFAULT_CAPS) -> bool:
+    """Quantification over pairs of graded ideals."""
+    return is_prime_among(graded.ring, p.members, gr.all_graded_ideals(graded, caps))
+
+
+@lru_cache(maxsize=16)
+def _invariant_ideals(graded: GradedRing, caps: Caps) -> MappingProxyType[int, Ideal]:
+    """The G-invariant ideals of S_e as ideals of the subring graded.base, by
+    ambient mask; the index map is increasing, so the masks come sorted."""
+    sub, old, _ = graded.base
+    ideals = {mask_of(old[k] for k in i.elements()): i for i in fr.all_ideals(sub, caps)}
+    return MappingProxyType({m: i for m, i in ideals.items() if is_g_invariant(graded, m)})
+
+
+def is_g_prime_ideal(graded: GradedRing, qmask: int, caps: Caps = DEFAULT_CAPS) -> bool:
+    """Primeness quantified over invariant ideals of the identity component."""
+    invariant = _invariant_ideals(graded, caps)
+    if qmask == graded.e_mask or qmask not in invariant:
+        raise ValueError("subset is not a proper invariant ideal of the identity component")
+    return is_prime_among(graded.base[0], invariant[qmask].members, invariant.values())
+
+
+def validate_filter(f: GFilter) -> bool:
+    """Whether every component is an ideal and products respect the filter law."""
+    ring = f.ring
+    sites = filter_sites(f)
+    for x in sites:
+        if not is_ideal_mask(ring, f.ideal_at(x)):
+            return False
+    for x in sites:
+        ix = f.ideal_at(x)
+        for y in sites:
+            target = f.ideal_at(f.group.op(x, y))
+            if closed_product(ring, ix, f.ideal_at(y)) | target != target:
+                return False
+    return True
+
+
+def classify_filter(f: GFilter, caps: Caps = DEFAULT_CAPS) -> FilterClassification:
+    """Classify the grading of the filter subring from the filter data.
+
+    The symmetric, inverse-equality and local-unit flags come straight from
+    the component ideals.  Ideal symmetry is decided on principal ideals
+    for finite groups; over the integers it follows from the other flags
+    when the coefficient ring is fully idempotent or the filter is not even
+    symmetric, and is reported as None otherwise.
+
+    For finite groups the flags are re-derived from the built ring's grading
+    classifier and any disagreement raises, since agreement is a theorem.
+    """
+    if not validate_filter(f):
+        raise SpecError("not a valid filter")
+    ring = f.ring
+    group = f.group
+    sites = filter_sites(f)
+
+    symmetric = all(
+        triple_product(ring, f.ideal_at(x), f.ideal_at(group.inverse(x)), f.ideal_at(x))
+        == f.ideal_at(x)
+        for x in sites
+    )
+    inverse_equal = all(f.ideal_at(x) == f.ideal_at(group.inverse(x)) for x in sites)
+    r_idem = closed_product(ring, ring.full_mask, ring.full_mask) == ring.full_mask
+    r_fully = is_fully_idempotent(ring, caps)
+
+    nearly = True
+    for x in sites:
+        ix = f.ideal_at(x)
+        ixi = f.ideal_at(group.inverse(x))
+        left = closed_product(ring, ix, ixi)
+        right = closed_product(ring, ixi, ix)
+        if not is_s_unital_module(ring, left, ix, "left"):
+            nearly = False
+            break
+        if not is_s_unital_module(ring, right, ix, "right"):
+            nearly = False
+            break
+
+    if group.is_finite:
+        ideally: Optional[bool] = gfl._ideally_symmetric_finite(f)
+    elif not symmetric:
+        ideally = False
+    elif r_fully:
+        ideally = symmetric
+    elif nearly:
+        ideally = True
+    else:
+        ideally = None  # no finite criterion is available in this case
+
+    if r_fully:
+        if symmetric != inverse_equal:
+            raise RuntimeError(
+                "symmetry and inverse-equality disagree over a fully idempotent ring; internal bug"
+            )
+        if ideally is not None and symmetric != ideally:
+            raise RuntimeError(
+                "symmetry and ideal symmetry disagree over a fully idempotent ring; internal bug"
+            )
+
+    if group.is_finite:
+        order = 1
+        for x in group.elements():
+            order *= f.ideal_at(x).bit_count()
+        if order <= caps.max_ring_order:
+            built = assemble_filter_ring(f, caps)
+            cg = classify_grading(built)
+            if (symmetric, ideally, nearly) != (
+                cg.symmetrically,
+                cg.ideally_symmetrically,
+                cg.nearly_epsilon_strongly,
+            ):
+                raise RuntimeError(
+                    "filter-level and ring-level classifications disagree; internal bug"
+                )
+
+    return FilterClassification(symmetric, inverse_equal, ideally, nearly, r_idem, r_fully)

@@ -276,12 +276,22 @@ class TestErrors:
         assert len(gr.all_graded_ideals(specio.parse_graded_file(spec.read_text()))) == 256
 
     def test_graded_lattice_over_the_cap_is_refused_early(self, capsys, tmp_path):
+        # correspondence lists the 417,199 ideals of the identity component
+        spec = tmp_path / "f2_8_trivial.graded"
+        spec.write_text(f2_zero_multiplication_graded("cyclic(2)", {0: range(256)}))
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, "correspondence", spec)
+        assert time.perf_counter() - start < 1.0
+        assert (status, out, err) == (2, "", "error: ideal lattice exceeds cap 65536\n")
+
+    def test_graded_prime_enumerates_no_lattice(self, capsys, tmp_path):
+        # graded primeness is decided on the principal ideals of homogeneous elements
         spec = tmp_path / "f2_8_trivial.graded"
         spec.write_text(f2_zero_multiplication_graded("cyclic(2)", {0: range(256)}))
         start = time.perf_counter()
         status, out, err = run_cli(capsys, "graded-prime", spec)
         assert time.perf_counter() - start < 1.0
-        assert (status, out, err) == (2, "", "error: ideal lattice exceeds cap 65536\n")
+        assert (status, out, err) == (0, "graded prime: NO\n", "")
 
     @pytest.mark.parametrize("k", [7, 8])
     def test_classify_enumerates_no_lattice(self, capsys, tmp_path, k):
@@ -297,6 +307,24 @@ class TestErrors:
         # the canonical grading of a unital group algebra is strong
         spec = tmp_path / "gf2_c20.filter"
         spec.write_text("ring: gf(2)\ngroup: cyclic(20)\n" + "".join(f"I {x} = [1]\n" for x in range(1, 20)))
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, "filter", spec)
+        assert time.perf_counter() - start < 2.0
+        assert (status, err) == (0, "")
+        assert out.splitlines() == [
+            "valid filter: YES",
+            "symmetric: YES",
+            "inverse-equal: YES",
+            "ideally-symmetric: YES",
+            "nearly-eps: YES",
+            "coeff idempotent: YES",
+            "coeff fully idempotent: YES",
+        ]
+
+    def test_filter_checks_each_distinct_value_once(self, capsys, tmp_path):
+        # 256 group elements, one distinct ideal value and one product of values
+        spec = tmp_path / "gf256_c256.filter"
+        spec.write_text("ring: gf(256)\ngroup: cyclic(256)\n" + "".join(f"I {x} = [1]\n" for x in range(1, 256)))
         start = time.perf_counter()
         status, out, err = run_cli(capsys, "filter", spec)
         assert time.perf_counter() - start < 2.0

@@ -387,3 +387,44 @@ class TestWitnessSearch:
                 assert witness == oracle.witness_search(handle, a, b, bound)
                 kinds.add(None if witness is None else witness.degree is None)
         assert kinds == {None, True, False}
+
+
+# ---------------------------------------------------------------------------
+# each distinct value checked once, against the degree-by-degree checks
+
+
+def z_filters(ring):
+    """Integer filters over the ring, valid or not: every rule with every off
+    ideal, alone and with one override at degree 1, which can make I_1 and
+    I_{-1} differ."""
+    lattice = [i.members for i in fr.all_ideals(ring)]
+    rules = [gfl.ZRule("subgroup", n, off) for n in (1, 2, 3) for off in lattice]
+    rules += [gfl.ZRule("constant", 1, off) for off in lattice]
+    return [gfl.make_z_filter(ring, rule, over) for rule in rules for over in [{}] + [{1: k} for k in lattice]]
+
+
+def zero_mult_z4():
+    return fr.make_ring([[(a + b) % 4 for b in range(4)] for a in range(4)], [[0] * 4] * 4)
+
+
+@pytest.mark.parametrize("name", ["gf2", "prod22", "tri2", "zmod4", "even8", "zero_mult_z4"])
+def test_filter_checks_agree_with_the_degree_by_degree_checks(name):
+    ring = zero_mult_z4() if name == "zero_mult_z4" else dict(corpus_rings())[name]
+    n_ideals = len(fr.all_ideals(ring))
+    filters = z_filters(ring)
+    for group in (cyclic(2), cyclic(3), cyclic(4)):
+        if n_ideals ** (group.order - 1) <= 100:
+            filters += all_candidate_filters(ring, group)
+    # every subset holding zero at degree 1, ideal or not
+    filters += [
+        gfl.make_finite_filter(ring, cyclic(2), {0: ring.full_mask, 1: m})
+        for m in range(1 << ring.order)
+        if m & ring.zero_mask
+    ]
+    valid = 0
+    for f in filters:
+        assert gfl.validate_filter(f) == oracle.validate_filter(f)
+        if gfl.validate_filter(f):
+            valid += 1
+            assert gfl.classify_filter(f) == oracle.classify_filter(f)
+    assert 0 < valid < len(filters)
