@@ -1,89 +1,46 @@
 """Primeness of finite graded rings, Leavitt path rings and group-ring
-filter subrings, decided exhaustively at desk scale."""
+filter subrings, decided exhaustively at desk scale.
 
-from .errors import CapError, SpecError
-from .finring import (
-    Caps,
-    DEFAULT_CAPS,
-    FiniteRing,
-    Ideal,
-    all_ideals,
-    center,
-    generate_ideal,
-    gf,
-    grpalg,
-    ideal_intersection,
-    ideal_product,
-    ideal_sum,
-    is_fully_idempotent,
-    is_prime_ideal,
-    is_prime_ring,
-    is_von_neumann_regular,
-    make_ring,
-    mat,
-    product,
-    subring,
-    tri,
-    zmod,
-)
-from .grading import (
-    GradedRing,
-    GradingClassification,
-    all_graded_ideals,
-    attach_grading,
-    classify_grading,
-    generate_graded_ideal,
-    homogeneous_components,
-    is_graded_ideal,
-    is_graded_m_system,
-    is_graded_prime_ideal,
-    is_graded_prime_ring,
-    trivial_grading,
-)
-from .correspondence import (
-    Report,
-    e_component,
-    is_g_invariant,
-    is_g_prime_base,
-    is_g_prime_ideal,
-    is_identity_generated,
-    verify_bijection_ideally_symmetric,
-    verify_bijection_identity_generated,
-)
-from .groups import FiniteGroup, IntegerGroup, Z, cyclic, symmetric_group
-from .leavitt import (
-    DirectedGraph,
-    LeavittContext,
-    LpaElement,
-    corner_reduce,
-    graph,
-    is_leavitt_prime,
-    lpa_degree,
-    lpa_mul,
-    reachability,
-    satisfies_mt3,
-    verify_corner_orthogonality,
-)
-from .grfilter import (
-    FilterRing,
-    GFilter,
-    Witness,
-    ZRule,
-    build_filter_subring,
-    classify_filter,
-    is_s_unital_module,
-    make_finite_filter,
-    make_z_filter,
-    validate_filter,
-    witness_search,
-)
-from .specio import (
-    parse_filter_file,
-    parse_graded_file,
-    parse_graph_file,
-    parse_group_spec,
-    parse_ring_spec,
-)
+The public names below are loaded lazily (PEP 562): ``gradedprime.X``
+imports the module that defines X on first use, so importing the package,
+or one layer of it, does not load the others.
+"""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+import importlib
+
+_EXPORTS = {
+    "errors": "CapError SpecError",
+    "finring": """Caps DEFAULT_CAPS FiniteRing Ideal all_ideals center generate_ideal gf grpalg
+        ideal_intersection ideal_product ideal_sum is_fully_idempotent is_prime_ideal
+        is_prime_ring is_von_neumann_regular make_ring mat product subring tri zmod""",
+    "grading": """GradedRing GradingClassification all_graded_ideals attach_grading
+        classify_grading generate_graded_ideal homogeneous_components is_graded_ideal
+        is_graded_m_system is_graded_prime_ideal is_graded_prime_ring trivial_grading""",
+    "correspondence": """Report e_component is_g_invariant is_g_prime_base is_g_prime_ideal
+        is_identity_generated verify_bijection_ideally_symmetric
+        verify_bijection_identity_generated""",
+    "groups": "FiniteGroup IntegerGroup Z cyclic symmetric_group",
+    "leavitt": """DirectedGraph LeavittContext LpaElement corner_reduce graph is_leavitt_prime
+        lpa_degree lpa_mul reachability satisfies_mt3 verify_corner_orthogonality""",
+    "grfilter": """FilterRing GFilter Witness ZRule build_filter_subring classify_filter
+        is_s_unital_module make_finite_filter make_z_filter validate_filter witness_search""",
+    "specio": "parse_filter_file parse_graded_file parse_graph_file parse_group_spec parse_ring_spec",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted([*_EXPORTS, *_HOME])  # the layer modules and their public names
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

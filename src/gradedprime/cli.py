@@ -8,6 +8,10 @@ every subcommand to machine-readable ``key=value`` lines.
 All output is deterministic: listings are canonically ordered and the only
 randomized mode (witness trials) takes a seed flag whose default is the
 documented constant 0.
+
+Each subcommand imports the layers it uses when it runs (``prime`` and
+``ideals`` need ``finring`` and ``specio`` only), so a call pays start-up
+for its own code.
 """
 
 from __future__ import annotations
@@ -17,11 +21,7 @@ import random
 import sys
 from pathlib import Path
 
-from . import correspondence as co
 from . import finring as fr
-from . import grading as gr
-from . import grfilter as gfl
-from . import leavitt as lv
 from . import specio
 from .errors import CapError, SpecError
 
@@ -92,6 +92,8 @@ def _cmd_prime(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import grading as gr
+
     graded = specio.parse_graded_file(_read(args.graded), caps=_caps(args))
     c = gr.classify_grading(graded)
     if args.porcelain:
@@ -108,6 +110,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_graded_prime(args) -> int:
+    from . import grading as gr
+
     graded = specio.parse_graded_file(_read(args.graded), caps=_caps(args))
     verdict = gr.is_graded_prime_ring(graded)
     if args.porcelain:
@@ -117,7 +121,7 @@ def _cmd_graded_prime(args) -> int:
     return 0
 
 
-def _print_report(report: co.Report, prefix: str, porcelain: bool) -> None:
+def _print_report(report, prefix: str, porcelain: bool) -> None:
     if porcelain:
         for c in report.checks:
             print(f"check.{prefix}.{c.name}={'pass' if c.passed else 'fail'}")
@@ -128,6 +132,9 @@ def _print_report(report: co.Report, prefix: str, porcelain: bool) -> None:
 
 
 def _cmd_correspondence(args) -> int:
+    from . import correspondence as co
+    from . import grading as gr
+
     caps = _caps(args)
     graded = specio.parse_graded_file(_read(args.graded), caps=caps)
     _print_report(
@@ -148,6 +155,8 @@ def _cmd_correspondence(args) -> int:
 
 
 def _cmd_leavitt(args) -> int:
+    from . import leavitt as lv
+
     graph = specio.parse_graph_file(_read(args.graph))
     coeff = specio.parse_ring_spec(_read(args.coeff), caps=_caps(args))
     mt3 = lv.satisfies_mt3(graph)
@@ -185,6 +194,8 @@ def _cmd_leavitt(args) -> int:
 
 
 def _cmd_filter(args) -> int:
+    from . import grfilter as gfl
+
     caps = _caps(args)
     filt = specio.parse_filter_file(_read(args.filter), caps=caps)
     valid = gfl.validate_filter(filt)

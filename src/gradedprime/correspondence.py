@@ -13,8 +13,8 @@ stable ``check <name>: PASS|FAIL (<details>)`` lines for CI logs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .finring import (
     Caps,
@@ -124,15 +124,13 @@ def is_identity_generated(graded: GradedRing, ideal: Ideal) -> bool:
 # reports
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     details: str = ""
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     title: str
     checks: tuple[CheckResult, ...]
 

@@ -47,17 +47,16 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import CapError, SpecError
+from .frozen import Frozen
 from .groups import FiniteGroup, check_group_table, element_names, square_table, table_identity
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     """Resource limits; exceeding one raises CapError, never truncates."""
 
     max_ring_order: int = 256
@@ -91,20 +90,25 @@ def mask_of(indices: Iterable[int]) -> int:
 # the ring type
 
 
-@dataclass(frozen=True)
-class FiniteRing:
-    order: int
-    add_table: tuple[tuple[int, ...], ...]
-    mul_table: tuple[tuple[int, ...], ...]
-    zero: int
-    neg_table: tuple[int, ...]
-    unit: Optional[int]
-    names: tuple[str, ...]
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
+class FiniteRing(Frozen):
+    _fields = ("order", "add_table", "mul_table", "zero", "neg_table", "unit", "names")
 
-    def __post_init__(self):
-        h = hash((self.order, self.zero, self.unit, self.add_table, self.mul_table))
-        object.__setattr__(self, "_hash", h)
+    def __init__(
+        self,
+        order: int,
+        add_table: tuple[tuple[int, ...], ...],
+        mul_table: tuple[tuple[int, ...], ...],
+        zero: int,
+        neg_table: tuple[int, ...],
+        unit: Optional[int],
+        names: tuple[str, ...],
+    ):
+        # every lru_cache is keyed by a ring, so its hash is computed once
+        vars(self).update(
+            order=order, add_table=add_table, mul_table=mul_table, zero=zero, neg_table=neg_table,
+            unit=unit, names=names, full_mask=(1 << order) - 1, zero_mask=1 << zero,
+            _hash=hash((order, zero, unit, add_table, mul_table)),
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -132,14 +136,6 @@ class FiniteRing:
 
     def elements(self) -> range:
         return range(self.order)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.order) - 1
-
-    @property
-    def zero_mask(self) -> int:
-        return 1 << self.zero
 
     def name(self, i: int) -> str:
         return self.names[i]
@@ -644,16 +640,15 @@ def is_ideal_mask(ring: FiniteRing, mask: int, acting: Optional[int] = None) -> 
     return True
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(Frozen):
     """A two-sided ideal, validated on construction."""
 
-    ring: FiniteRing
-    members: int
+    _fields = ("ring", "members")
 
-    def __post_init__(self):
-        if not is_ideal_mask(self.ring, self.members):
+    def __init__(self, ring: FiniteRing, members: int):
+        if not is_ideal_mask(ring, members):
             raise SpecError("subset is not a two-sided ideal")
+        vars(self).update(ring=ring, members=members)
 
     def __contains__(self, i: int) -> bool:
         return bool(self.members >> i & 1)

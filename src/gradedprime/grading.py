@@ -12,9 +12,8 @@ zero component.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .errors import SpecError
 from .finring import (
@@ -44,8 +43,7 @@ from .groups import FiniteGroup, IntegerGroup, Z
 GradingGroup = Union[FiniteGroup, IntegerGroup]
 
 
-@dataclass(frozen=True)
-class GradingClassification:
+class GradingClassification(NamedTuple):
     strongly: bool
     symmetrically: bool
     ideally_symmetrically: bool

@@ -16,9 +16,8 @@ rules can produce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .errors import SpecError
 from .finring import (
@@ -33,51 +32,53 @@ from .finring import (
     is_ideal_mask,
     mask_of,
 )
+from .frozen import Frozen
 from .grading import GradedRing, attach_grading, classify_grading
 from .groups import FiniteGroup, IntegerGroup
 
 
-@dataclass(frozen=True)
-class ZRule:
+class ZRule(Frozen):
     """Degree-to-ideal rule over the integers.
 
     kind "subgroup": R on multiples of n, the off ideal elsewhere.
     kind "constant": R at zero, the constant ideal elsewhere (n is unused).
+    off is the ideal mask used away from the distinguished degrees.
     """
 
-    kind: str
-    n: int = 1
-    off: int = 0  # ideal mask used away from the distinguished degrees
+    _fields = ("kind", "n", "off")
 
-    def __post_init__(self):
-        if self.kind not in ("subgroup", "constant"):
-            raise SpecError(f"unknown integer filter rule {self.kind!r}")
-        if self.kind == "subgroup" and self.n < 1:
+    def __init__(self, kind: str, n: int = 1, off: int = 0):
+        if kind not in ("subgroup", "constant"):
+            raise SpecError(f"unknown integer filter rule {kind!r}")
+        if kind == "subgroup" and n < 1:
             raise SpecError("subgroup index must be positive")
+        vars(self).update(kind=kind, n=n, off=off)
 
 
-@dataclass(frozen=True)
-class GFilter:
-    ring: FiniteRing
-    group: Union[FiniteGroup, IntegerGroup]
-    assignment: Optional[tuple[tuple[int, int], ...]] = None  # finite groups
-    zrule: Optional[ZRule] = None
-    overrides: tuple[tuple[int, int], ...] = ()
-    _table: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+class GFilter(Frozen):
+    _fields = ("ring", "group", "assignment", "zrule", "overrides")
 
-    def __post_init__(self):
-        if self.group.is_finite:
-            if self.assignment is None:
+    def __init__(
+        self,
+        ring: FiniteRing,
+        group: Union[FiniteGroup, IntegerGroup],
+        assignment: Optional[tuple[tuple[int, int], ...]] = None,  # finite groups
+        zrule: Optional[ZRule] = None,
+        overrides: tuple[tuple[int, int], ...] = (),
+    ):
+        if group.is_finite:
+            if assignment is None:
                 raise SpecError("finite group filter needs a total assignment")
-            table = dict(self.assignment)
-            if set(table) != set(self.group.elements()):
+            table = dict(assignment)
+            if set(table) != set(group.elements()):
                 raise SpecError("assignment must cover every group element")
         else:
-            if self.zrule is None:
+            if zrule is None:
                 raise SpecError("integer filter needs a rule")
-            table = dict(self.overrides)
-        object.__setattr__(self, "_table", table)
-        if self.ideal_at(self.group.identity) != self.ring.full_mask:
+            table = dict(overrides)
+        vars(self).update(ring=ring, group=group, assignment=assignment, zrule=zrule,
+                          overrides=overrides, _table=table)
+        if self.ideal_at(group.identity) != ring.full_mask:
             raise SpecError("the identity component must be the whole ring")
 
     @cached_property
@@ -86,15 +87,27 @@ class GFilter:
         distinct masks, however large the group."""
         return cache(partial(closed_product, self.ring))
 
+    @cached_property
+    def valid(self) -> bool:
+        """validate_filter's verdict, kept like the products: a filter is
+        validated once however many checks ask."""
+        sites, at, op, product = filter_sites(self), self.ideal_at, self.group.op, self.product
+        if not all(is_ideal_mask(self.ring, ix) for ix in {at(x) for x in sites}):
+            return False
+        for x in sites:
+            ix = at(x)
+            for y in sites:
+                target = at(op(x, y))
+                if product(ix, at(y)) | target != target:
+                    return False
+        return True
+
     def ideal_at(self, x: int) -> int:
-        if self.group.is_finite:
-            return self._table[x]
-        if x in self._table:
+        if x in self._table or self.group.is_finite:
             return self._table[x]
         rule = self.zrule
-        if rule.kind == "subgroup":
-            return self.ring.full_mask if x % rule.n == 0 else rule.off
-        return self.ring.full_mask if x == 0 else rule.off
+        distinguished = x % rule.n == 0 if rule.kind == "subgroup" else x == 0
+        return self.ring.full_mask if distinguished else rule.off
 
 
 def make_finite_filter(ring: FiniteRing, group: FiniteGroup, assignment: Mapping[int, int]) -> GFilter:
@@ -106,12 +119,10 @@ def make_z_filter(
     rule: ZRule,
     overrides: Optional[Mapping[int, int]] = None,
 ) -> GFilter:
-    from dataclasses import replace
-
     from .groups import Z
 
     if rule.off == 0:  # an empty mask means the zero ideal
-        rule = replace(rule, off=ring.zero_mask)
+        rule = ZRule(rule.kind, rule.n, ring.zero_mask)
     items = tuple(sorted((overrides or {}).items()))
     return GFilter(ring, Z, zrule=rule, overrides=items)
 
@@ -135,17 +146,9 @@ def filter_sites(f: GFilter) -> list[int]:
 
 
 def validate_filter(f: GFilter) -> bool:
-    """Whether every component is an ideal and products respect the filter law."""
-    sites, at, op, product = filter_sites(f), f.ideal_at, f.group.op, f.product
-    if not all(is_ideal_mask(f.ring, ix) for ix in {at(x) for x in sites}):
-        return False
-    for x in sites:
-        ix = at(x)
-        for y in sites:
-            target = at(op(x, y))
-            if product(ix, at(y)) | target != target:
-                return False
-    return True
+    """Whether every component is an ideal and products respect the filter
+    law, decided on the first call for a filter (GFilter.valid)."""
+    return f.valid
 
 
 def _inverse_pairs(f: GFilter) -> set[tuple[int, int]]:
@@ -196,17 +199,19 @@ class FilterRing:
             raise SpecError("not a valid filter")
         self.filter = f
         self.coeff = f.ring
+        self._members = cache(lambda mask: tuple(bits(mask)))  # few distinct masks
 
-    def members_of_degree(self, x: int) -> list[int]:
-        return sorted(bits(self.filter.ideal_at(x)))
+    def members_of_degree(self, x: int) -> tuple[int, ...]:
+        """The elements of the degree-x component, ascending."""
+        return self._members(self.filter.ideal_at(x))
 
     def element(self, coeffs: Mapping[int, int]) -> "FilterElement":
-        ring = self.coeff
+        ring, at = self.coeff, self.filter.ideal_at
         items = []
         for x, c in sorted(coeffs.items()):
             if c == ring.zero:
                 continue
-            if not self.filter.ideal_at(x) >> c & 1:
+            if not at(x) >> c & 1:
                 raise SpecError(
                     f"coefficient {ring.name(c)} is outside the degree-{x} component"
                 )
@@ -238,10 +243,13 @@ class FilterRing:
                 return elem
 
 
-@dataclass(frozen=True)
-class FilterElement:
-    handle: FilterRing
-    coeffs: tuple[tuple[int, int], ...]  # (degree, coefficient), ascending
+class FilterElement(Frozen):
+    """An element of a FilterRing: its (degree, coefficient) terms, degrees ascending."""
+
+    _fields = ("handle", "coeffs")
+
+    def __init__(self, handle: FilterRing, coeffs: tuple[tuple[int, int], ...]):
+        vars(self).update(handle=handle, coeffs=coeffs)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -283,11 +291,13 @@ class FilterElement:
         if other.handle is not self.handle:
             raise ValueError("elements belong to different filter rings")
         ring = self.handle.coeff
+        add, zero = ring.add_table, ring.zero
         acc: dict = {}
         for d1, c1 in self.coeffs:
+            row = ring.mul_table[c1]
             for d2, c2 in other.coeffs:
                 d = d1 + d2
-                acc[d] = ring.add(acc.get(d, ring.zero), ring.mul(c1, c2))
+                acc[d] = add[acc.get(d, zero)][row[c2]]
         return self.handle.element(acc)
 
     def __repr__(self) -> str:
@@ -323,8 +333,7 @@ def is_s_unital_module(ring: FiniteRing, acting: int, acted: int, side: str) -> 
     return True
 
 
-@dataclass(frozen=True)
-class FilterClassification:
+class FilterClassification(NamedTuple):
     symmetric: bool
     inverse_equal: bool
     ideally_symmetric: Optional[bool]
@@ -426,8 +435,7 @@ def classify_filter(f: GFilter, caps: Caps = DEFAULT_CAPS) -> FilterClassificati
 # witness search over the integers
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """How a nonzero product a*s*b was exhibited.
 
     degree None means a*b itself was nonzero and no middle factor was

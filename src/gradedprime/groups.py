@@ -9,22 +9,28 @@ group of every ring.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import ClassVar, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import SpecError
+from .frozen import Frozen
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    order: int
-    op_table: tuple[tuple[int, ...], ...]
-    identity: int
-    inv_table: tuple[int, ...]
-    names: tuple[str, ...]
+class FiniteGroup(Frozen):
+    _fields = ("order", "op_table", "identity", "inv_table", "names")
+    is_finite = True
 
-    is_finite: ClassVar[bool] = True
+    def __init__(
+        self,
+        order: int,
+        op_table: tuple[tuple[int, ...], ...],
+        identity: int,
+        inv_table: tuple[int, ...],
+        names: tuple[str, ...],
+    ):
+        vars(self).update(
+            order=order, op_table=op_table, identity=identity, inv_table=inv_table, names=names
+        )
 
     def op(self, x: int, y: int) -> int:
         return self.op_table[x][y]

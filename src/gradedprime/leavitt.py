@@ -18,12 +18,12 @@ range vertex) and then reduces the surviving monomial to normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import SpecError
 from .finring import FiniteRing, is_prime_ring
+from .frozen import Frozen
 
 
 class Edge(NamedTuple):
@@ -32,23 +32,22 @@ class Edge(NamedTuple):
     dst: str
 
 
-@dataclass(frozen=True)
-class DirectedGraph:
-    vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
+class DirectedGraph(Frozen):
+    _fields = ("vertices", "edges")
 
-    def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[Edge, ...]):
+        if len(set(vertices)) != len(vertices):
             raise SpecError("duplicate vertex names")
-        enames = [e.name for e in self.edges]
+        enames = [e.name for e in edges]
         if len(set(enames)) != len(enames):
             raise SpecError("duplicate edge names")
-        if set(enames) & set(self.vertices):
+        if set(enames) & set(vertices):
             raise SpecError("an edge shares its name with a vertex")
-        vset = set(self.vertices)
-        for e in self.edges:
+        vset = set(vertices)
+        for e in edges:
             if e.src not in vset or e.dst not in vset:
                 raise SpecError(f"edge {e.name} has an unknown endpoint")
+        vars(self).update(vertices=vertices, edges=edges)
 
     @cached_property
     def vertex_index(self) -> dict:
@@ -119,8 +118,7 @@ def reachability(g: DirectedGraph) -> frozenset[tuple[str, str]]:
     return frozenset(pairs)
 
 
-@dataclass(frozen=True)
-class MT3Result:
+class MT3Result(NamedTuple):
     holds: bool
     sinks: Optional[dict]
     violation: Optional[tuple[str, str]]
@@ -449,8 +447,7 @@ def normal_form_monomials(ctx: LeavittContext, max_len: int) -> list:
 # corner reduction and orthogonality
 
 
-@dataclass(frozen=True)
-class CornerWitness:
+class CornerWitness(NamedTuple):
     alpha: Path
     beta: Path
     scalar: int
@@ -493,7 +490,12 @@ def verify_corner_orthogonality(
 
     Requires that (v, w) has no common reachable vertex; the scan then
     certifies that the corner ideals at v and w annihilate each other up to
-    the length bound.
+    the length bound.  The product factors through the engine as
+    (v*alpha)*(beta-star*w), and s(alpha) alpha = alpha gives v*alpha =
+    (v*s(alpha))*alpha, nonzero exactly when v*s(alpha) is; likewise
+    beta-star*w = beta-star*(s(beta)*w).  So one product per vertex gates
+    every path by its source, only paths from a passing source are listed,
+    and only pairs of them with a common range get the full check.
     """
     reach = reachability(g)
     down_v = {y for (x, y) in reach if x == v}
@@ -504,19 +506,19 @@ def verify_corner_orthogonality(
     unit = ctx.coeff.unit
     vel = ctx.vertex(v)
     wel = ctx.vertex(w)
-    by_range: dict = {}
-    for p in paths_up_to(g, max_len):
-        by_range.setdefault(p.dst, []).append(p)
-    for dst, group in by_range.items():
-        # v*(alpha beta-star)*w factors through the engine as
-        # (v*alpha)*(beta-star*w), so each path is gated by one product and
-        # only surviving combinations need the full monomial check
-        reals = [p for p in group if vel * ctx.monomial(unit, p.edges, (), vertex=dst)]
-        if not reals:
-            continue
-        ghosts = [p for p in group if ctx.monomial(unit, (), p.edges, vertex=dst) * wel]
+
+    def by_range(gate) -> dict:
+        out: dict = {}
+        for u in g.vertices:
+            if gate(ctx.vertex(u)):
+                for p in paths_up_to(g, max_len, source=u):
+                    out.setdefault(p.dst, []).append(p)
+        return out
+
+    ghosts = by_range(lambda x: x * wel)
+    for dst, reals in by_range(lambda x: vel * x).items():
         for pa in reals:
-            for pb in ghosts:
+            for pb in ghosts.get(dst, ()):
                 m = ctx.monomial(unit, pa.edges, pb.edges, vertex=dst)
                 if (vel * m) * wel:
                     return False

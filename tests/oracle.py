@@ -53,6 +53,15 @@ product, and ``classify_filter`` forms the symmetric, inverse-equality and
 local-unit flags degree by degree, each product spanned afresh; its ideal
 test is this module's exhaustive ``is_ideal_mask``.
 
+The corner-orthogonality scan from before it gated paths by their source
+vertex: ``verify_corner_orthogonality`` lists every path up to the length
+bound and gates each one by its own engine product with v or w.
+
+The random elements of the witness trials from before the members of a
+degree were memoised: ``members_of_degree`` sorts the bits of the degree's
+ideal on every draw, and ``random_element`` draws through it.  Both take
+the ``FilterRing`` handle as their first argument.
+
 The function bodies are unchanged from those versions, except that the old
 group parser names the library's ``groups.group_from_table``, the old
 ideal-symmetry checks and pair tests the library's
@@ -87,6 +96,7 @@ from gradedprime.grfilter import (
     FilterClassification, GFilter, Witness, assemble_filter_ring, filter_sites, is_s_unital_module,
 )
 from gradedprime.groups import FiniteGroup, Z, cyclic, symmetric_group
+from gradedprime.leavitt import DirectedGraph, LeavittContext, paths_up_to, reachability
 from gradedprime.specio import _as_rows, _check_group_order
 
 
@@ -855,3 +865,67 @@ def classify_filter(f: GFilter, caps: Caps = DEFAULT_CAPS) -> FilterClassificati
                 )
 
     return FilterClassification(symmetric, inverse_equal, ideally, nearly, r_idem, r_fully)
+
+
+def verify_corner_orthogonality(
+    g: DirectedGraph,
+    coeff: FiniteRing,
+    v: str,
+    w: str,
+    max_len: int = 4,
+) -> bool:
+    """Check v * (alpha beta-star) * w = 0 for every bounded monomial.
+
+    Requires that (v, w) has no common reachable vertex; the scan then
+    certifies that the corner ideals at v and w annihilate each other up to
+    the length bound.
+    """
+    reach = reachability(g)
+    down_v = {y for (x, y) in reach if x == v}
+    down_w = {y for (x, y) in reach if x == w}
+    if down_v & down_w:
+        raise ValueError(f"({v},{w}) has a common reachable vertex")
+    ctx = LeavittContext(g, coeff)
+    unit = ctx.coeff.unit
+    vel = ctx.vertex(v)
+    wel = ctx.vertex(w)
+    by_range: dict = {}
+    for p in paths_up_to(g, max_len):
+        by_range.setdefault(p.dst, []).append(p)
+    for dst, group in by_range.items():
+        # v*(alpha beta-star)*w factors through the engine as
+        # (v*alpha)*(beta-star*w), so each path is gated by one product and
+        # only surviving combinations need the full monomial check
+        reals = [p for p in group if vel * ctx.monomial(unit, p.edges, (), vertex=dst)]
+        if not reals:
+            continue
+        ghosts = [p for p in group if ctx.monomial(unit, (), p.edges, vertex=dst) * wel]
+        for pa in reals:
+            for pb in ghosts:
+                m = ctx.monomial(unit, pa.edges, pb.edges, vertex=dst)
+                if (vel * m) * wel:
+                    return False
+    return True
+
+
+def members_of_degree(handle, x: int) -> list[int]:
+    return sorted(bits(handle.filter.ideal_at(x)))
+
+
+def random_element(handle, rng, max_width: int = 3, max_shift: int = 3):
+    """A random nonzero element with support width <= max_width.
+
+    Deterministic for a given random.Random instance.
+    """
+    if handle.coeff.order == 1:
+        raise SpecError("the zero ring has no nonzero elements")
+    while True:
+        base = rng.randint(-max_shift, max_shift)
+        width = rng.randint(1, max_width)
+        coeffs = {}
+        for d in range(base, base + width):
+            choices = members_of_degree(handle, d)
+            coeffs[d] = rng.choice(choices)
+        elem = handle.element(coeffs)
+        if elem:
+            return elem

@@ -398,6 +398,34 @@ class TestGolden:
         assert out.encode() == golden.read_bytes()
 
 
+class TestPinnedBytes:
+    """The help of the program and of each subcommand (at 80 columns) and
+    witness transcripts, whose human form also pins FilterElement's repr."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [None, "ideals", "prime", "classify", "graded-prime", "correspondence", "leavitt", "filter"],
+    )
+    def test_help(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"] if command else ["--help"])
+        assert stop.value.code == 0
+        golden = GOLDEN / ("help.out" if command is None else f"help_{command}.out")
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+    @pytest.mark.parametrize("spec", ["z_half_tri2", "z_full_mat2"])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("porcelain", [False, True], ids=["human", "porcelain"])
+    def test_witness_transcript(self, capsys, spec, seed, porcelain):
+        flags = ["--porcelain"] if porcelain else []
+        argv = ["filter", DATA / f"{spec}.filter", "--witness", "--trials", "300", "--seed", seed]
+        status, out, err = run_cli(capsys, *argv, *flags)
+        golden = GOLDEN / f"witness_{spec}_seed{seed}{'.porcelain' if porcelain else ''}.out"
+        assert (status, err) == (0, "")
+        assert out.encode() == golden.read_bytes()
+
+
 class TestDeterminism:
     COMMANDS = (
         ("ideals", "tri2.ring"),

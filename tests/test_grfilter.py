@@ -11,6 +11,7 @@ from gradedprime import finring as fr
 from gradedprime import grading as gr
 from gradedprime import grfilter as gfl
 from gradedprime import specio
+from gradedprime.cli import main
 from gradedprime.errors import SpecError
 from gradedprime.groups import cyclic, symmetric_group
 
@@ -387,6 +388,59 @@ class TestWitnessSearch:
                 assert witness == oracle.witness_search(handle, a, b, bound)
                 kinds.add(None if witness is None else witness.degree is None)
         assert kinds == {None, True, False}
+
+    def test_draws_match_the_draws_that_sorted_every_degree(self):
+        """members_of_degree reads a memo keyed by the ideal mask: the
+        elements drawn, and the generator's state after them, are those of
+        the version that sorted the degree's members on every draw."""
+        tri2 = fr.tri(GF2, 2)
+        corner = fr.generate_ideal(tri2, [2]).members
+        filters = [
+            specio.parse_filter_file((DATA / f"{name}.filter").read_text())
+            for name in ("z_full_gf2", "z_full_mat2", "z_half_tri2")
+        ] + [gfl.make_z_filter(tri2, gfl.ZRule("constant", off=corner))]
+        for filt in filters:
+            handle = gfl.FilterRing(filt)
+            for d in range(-9, 10):
+                assert list(handle.members_of_degree(d)) == oracle.members_of_degree(handle, d)
+            for seed in range(200):
+                new, old = random.Random(seed), random.Random(seed)
+                for width, shift in ((3, 3), (1, 0), (4, 5)):
+                    assert handle.random_element(new, width, shift) == oracle.random_element(
+                        handle, old, width, shift)
+                assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["c3_prod.filter"],
+        ["z_half_tri2.filter", "--porcelain"],
+        ["z_half_tri2.filter", "--witness", "--trials", "5"],
+        ["z_full_mat2.filter", "--witness", "--trials", "5", "--porcelain"],
+    ],
+    ids=["finite-classify", "integer-classify", "witness", "witness-porcelain"],
+)
+def test_a_cli_call_validates_its_filter_once(monkeypatch, capsys, argv):
+    """Each validation walks the filter's sites once, and so does each
+    _inverse_pairs call; the walks less the inverse-pair calls are the
+    validations."""
+    calls = []
+    sites, pairs = gfl.filter_sites, gfl._inverse_pairs
+
+    def counted_sites(f):
+        calls.append("sites")
+        return sites(f)
+
+    def counted_pairs(f):
+        calls.append("pairs")
+        return pairs(f)
+
+    monkeypatch.setattr(gfl, "filter_sites", counted_sites)
+    monkeypatch.setattr(gfl, "_inverse_pairs", counted_pairs)
+    assert main(["filter", str(DATA / argv[0]), *argv[1:]]) == 0
+    assert "valid" in capsys.readouterr().out
+    assert calls.count("sites") - calls.count("pairs") == 1
 
 
 # ---------------------------------------------------------------------------

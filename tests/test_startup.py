@@ -1,0 +1,101 @@
+"""What a CLI call loads: each subcommand imports the layers it uses and no
+others, nothing imports dataclasses (which pulls in inspect, ast, dis and
+tokenize), and the package's public names resolve lazily."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gradedprime
+
+DATA = Path(__file__).parent / "data"
+SRC = str(Path(gradedprime.__file__).resolve().parent.parent)
+
+# Run in a fresh interpreter; the last stdout line lists the modules loaded
+# by cli.main beyond those the bare interpreter had already loaded.
+PROBE = """
+import json, sys
+before = set(sys.modules)
+from gradedprime import cli
+status = cli.main(sys.argv[1:])
+print(json.dumps([status, sorted(set(sys.modules) - before)]))
+"""
+
+BASE = {"gradedprime", "gradedprime.cli", "gradedprime.errors", "gradedprime.frozen",
+        "gradedprime.groups", "gradedprime.finring", "gradedprime.specio"}
+CALLS = {
+    "ideals": (["ideals", "tri2.ring"], set()),
+    "prime": (["prime", "zmod4.ring", "--ideal", "[2]"], set()),
+    "classify": (["classify", "tri2_std.graded"], {"grading"}),
+    "graded-prime": (["graded-prime", "mat2_z.graded"], {"grading"}),
+    "correspondence": (["correspondence", "grpalg_c2.graded"], {"grading", "correspondence"}),
+    "leavitt": (["leavitt", "two_isolated.graph", "--coeff", "gf2.ring", "--orthogonality-depth", "3"],
+                {"leavitt"}),
+    "filter": (["filter", "z_half_tri2.filter", "--witness", "--trials", "3"], {"grfilter", "grading"}),
+}
+
+
+def loaded_by(argv):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    argv = [str(DATA / a) if (DATA / a).is_file() else a for a in argv]
+    result = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    status, modules = json.loads(result.stdout.splitlines()[-1])
+    assert status == 0
+    return set(modules)
+
+
+@pytest.mark.parametrize("command", sorted(CALLS))
+def test_a_subcommand_loads_its_own_layers(command):
+    argv, layers = CALLS[command]
+    loaded = loaded_by(argv)
+    assert not {"dataclasses", "inspect"} & loaded
+    ours = {m for m in loaded if m.split(".")[0] == "gradedprime"}
+    assert ours == BASE | {f"gradedprime.{layer}" for layer in layers}
+
+
+# The public names of the eagerly importing package this one replaced.
+PUBLIC = """
+    CapError Caps DEFAULT_CAPS DirectedGraph FilterRing FiniteGroup FiniteRing GFilter GradedRing
+    GradingClassification Ideal IntegerGroup LeavittContext LpaElement Report SpecError Witness Z
+    ZRule all_graded_ideals all_ideals attach_grading build_filter_subring center classify_filter
+    classify_grading corner_reduce correspondence cyclic e_component errors finring
+    generate_graded_ideal generate_ideal gf grading graph grfilter groups grpalg
+    homogeneous_components ideal_intersection ideal_product ideal_sum is_fully_idempotent
+    is_g_invariant is_g_prime_base is_g_prime_ideal is_graded_ideal is_graded_m_system
+    is_graded_prime_ideal is_graded_prime_ring is_identity_generated is_leavitt_prime
+    is_prime_ideal is_prime_ring is_s_unital_module is_von_neumann_regular leavitt lpa_degree
+    lpa_mul make_finite_filter make_ring make_z_filter mat parse_filter_file parse_graded_file
+    parse_graph_file parse_group_spec parse_ring_spec product reachability satisfies_mt3 specio
+    subring symmetric_group tri trivial_grading validate_filter verify_bijection_ideally_symmetric
+    verify_bijection_identity_generated verify_corner_orthogonality witness_search zmod
+""".split()
+
+
+def test_public_names_are_unchanged_and_resolve():
+    assert sorted(gradedprime.__all__) == sorted(PUBLIC)
+    for name in gradedprime.__all__:
+        value = getattr(gradedprime, name)
+        module = getattr(value, "__module__", None) or value.__name__
+        assert module.startswith("gradedprime"), name
+    with pytest.raises(AttributeError):
+        gradedprime.no_such_name  # noqa: B018
+
+
+def test_star_import_and_a_bare_import():
+    code = (
+        "import sys\n"
+        "import gradedprime\n"
+        "bare = sorted(m for m in sys.modules if m.startswith('gradedprime'))\n"
+        "from gradedprime import *\n"
+        "print(bare, callable(verify_corner_orthogonality), Caps().max_ring_order, Z)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['gradedprime'] True 256 Z\n"
