@@ -20,6 +20,7 @@ from .finring import (
     Caps,
     DEFAULT_CAPS,
     Ideal,
+    _gens,
     _principal_ideals,
     _span,
     all_ideals,
@@ -29,7 +30,6 @@ from .finring import (
     is_ideal_mask,
     is_prime_among,
     mask_of,
-    triple_product,
 )
 from .grading import (
     GradedRing,
@@ -66,20 +66,21 @@ def _invariance_sites(graded: GradedRing) -> list:
     return [x for x in graded.support if graded.component(graded.group.inverse(x)) != zero]
 
 
-def _invariant_closure(graded: GradedRing, jmask: int):
+def _invariant_closure(graded: GradedRing, jmask: int, jgens) -> tuple[int, list[int]]:
     """(mask, generators) of J + sum_x S_{x^-1} J S_x, the least invariant ideal
-    of S_e over an ideal J of S_e, since S_{y^-1} S_{x^-1} lies in S_{(xy)^-1}."""
-    inverse, out = graded.group.inverse, jmask
-    for x in _invariance_sites(graded):
-        out |= triple_product(graded.ring, graded.component(inverse(x)), jmask, graded.component(x))
-    return _span(graded.ring, out)
+    of S_e over an ideal J of S_e spanned by jgens, since S_{y^-1} S_{x^-1}
+    lies in S_{(xy)^-1}: one span of J and the products of generators."""
+    mul, inverse, gens = graded.ring.mul_table, graded.group.inverse, graded.component_generators
+    sites = _invariance_sites(graded)
+    products = (mul[mul[a][j]][b] for x in sites for a in gens[inverse(x)] for j in jgens for b in gens[x])
+    return _span(graded.ring, jmask | mask_of(products))
 
 
 def is_g_invariant(graded: GradedRing, jmask: int) -> bool:
     """Whether conjugating J by every component pair lands back inside J."""
     if not is_base_ideal(graded, jmask):
         raise ValueError("subset is not an ideal of the identity component")
-    return _invariant_closure(graded, jmask)[0] == jmask
+    return _invariant_closure(graded, jmask, _gens(graded.ring, jmask))[0] == jmask
 
 
 @lru_cache(maxsize=16)
@@ -96,7 +97,10 @@ def _invariant_principals(graded: GradedRing) -> dict[int, list[int]]:
     """The invariant closures of the principal ideals of S_e: mask -> generators."""
     sub, old, _ = graded.base
     principals = _principal_ideals(sub, (sub.full_mask,))
-    return dict(_invariant_closure(graded, mask_of(old[i] for i in bits(m))) for m in principals)
+    return dict(
+        _invariant_closure(graded, mask_of(old[i] for i in bits(m)), [old[i] for i in gens])
+        for m, gens in principals.items()
+    )
 
 
 def is_g_prime_ideal(graded: GradedRing, qmask: int) -> bool:

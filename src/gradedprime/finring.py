@@ -5,8 +5,9 @@ are int bitmasks (bit i set means element i is in the subset).  Every ring
 axiom is checked exactly at construction time, so any FiniteRing in
 circulation is known-good: commutativity of addition on all pairs, the rest
 on additive generators only, which is exact by Light's associativity test
-and by biadditivity (see groups.check_group_table and make_ring).  All values
-are immutable and all operations are pure functions, safe for concurrent use.
+and by biadditivity (see groups.check_group_table and make_ring), on rows
+composed in C (groups.read_table).  All values are immutable and all
+operations are pure functions, safe for concurrent use.
 
 Element index conventions of the built-in constructors (these are a public
 contract, since spec files refer to elements by index):
@@ -53,7 +54,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import CapError, SpecError
 from .frozen import Frozen
-from .groups import FiniteGroup, check_group_table, element_names, square_table, table_identity
+from .groups import FiniteGroup, check_group_table, element_names, read_table, table_identity
 
 
 class Caps(NamedTuple):
@@ -164,7 +165,8 @@ def make_ring(
     other axioms then need G only.  A map f with f(b+g) = f(b) + f(g) for
     every b and every g in G is additive, because the g with this property
     are closed under addition; so distributivity is checked that way for
-    x -> ax and x -> xa for every a.  Both sides of (xy)z = x(yz) are then
+    x -> ax and x -> xa for every a, comparing the composed maps
+    b -> f(b+g) and b -> f(b) + f(g).  Both sides of (xy)z = x(yz) are then
     additive in each variable, so associativity is checked on G x G x G.
     The unit, if any, is found by search like the zero.
     """
@@ -175,21 +177,22 @@ def make_ring(
         raise CapError(f"ring order {n} exceeds cap {caps.max_ring_order}")
     if len(mul_rows) != n or any(len(row) != n for row in (*add_rows, *mul_rows)):
         raise SpecError("tables must be square and of equal size")
-    add, mul = square_table(add_rows), square_table(mul_rows)
-    if add is None or mul is None:
+    read = read_table(add_rows), read_table(mul_rows)
+    if None in read:
         raise SpecError("table entries must be element indices")
-    if add != tuple(zip(*add)):
+    (add, add_maps, after, add_columns), (mul, mul_maps, _, mul_columns) = read
+    if add_maps != add_columns():
         raise SpecError("addition is not commutative")
     zero, neg, gens = check_group_table(
-        add,
+        read[0],
         ("addition is not associative", "addition has no identity element", "element {} has no unique additive inverse"),
     )
-    plus_g = [(g, itemgetter(*add[g])) for g in gens]  # b -> b+g, for every b
-    for lines, error in ((mul, "left distributivity fails"), (tuple(zip(*mul)), "right distributivity fails")):
+    plus_g = [(g, after(add_maps[g])) for g in gens]  # f -> (b -> f(b+g)), for every b
+    for lines, error in ((mul_maps, "left distributivity fails"), (mul_columns(), "right distributivity fails")):
         for f in lines:  # f is x -> ax (a row) or x -> xa (a column)
-            through_f = itemgetter(*f)
+            through_f = after(f)
             for g, pick in plus_g:
-                if pick(f) != through_f(add[f[g]]):
+                if pick(f) != through_f(add_maps[f[g]]):
                     raise SpecError(error)
     if any(mul[mul[x][y]][z] != mul[x][mul[y][z]] for x in gens for y in gens for z in gens):
         raise SpecError("multiplication is not associative")
@@ -206,8 +209,11 @@ def zmod(n: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
         raise SpecError("modulus must be positive")
     if n > caps.max_ring_order:  # before the n x n tables are built
         raise CapError(f"ring order {n} exceeds cap {caps.max_ring_order}")
-    add = [[(i + j) % n for j in range(n)] for i in range(n)]
-    mul = [[(i * j) % n for j in range(n)] for i in range(n)]
+    residues = list(range(n))
+    add = [residues[i:] + residues[:i] for i in residues]
+    mul = [[0] * n]
+    for _ in residues[1:]:  # row i is row i - 1 plus row 1, read off the add rows
+        mul.append([row[u] for row, u in zip(add, mul[-1])])
     return make_ring(add, mul, caps=caps)
 
 
@@ -270,21 +276,17 @@ def gf(q: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
         return "+".join(terms) or "0"
 
     # Element i is the polynomial (i % p) + a * (element i // p), so both
-    # tables follow from bilinearity, each entry from entries built before it.
-    add = [[0] * q for _ in range(q)]
-    mul = [[0] * q for _ in range(q)]
-    for i in range(q):
-        for j in range(q):
-            add[i][j] = (i % p + j % p) % p + p * add[i // p][j // p]
-    for c in range(p):  # the scalars multiply digit by digit
-        for j in range(q):
-            mul[c][j] = c * (j % p) % p + p * mul[c][j // p]
+    # tables follow from bilinearity, each row from rows built before it.
+    digits = list(range(p))
+    add = _kronecker_sum([[digits[i:] + digits[:i] for i in digits]] * k)
+    mul = [[0] * q, list(range(q))]
+    for _ in range(2, p):  # the scalars: row c is row c - 1 plus row 1
+        mul.append([row[u] for row, u in zip(add, mul[-1])])
     top = q // p
     a_to_k = sum((-m) % p * p**j for j, m in enumerate(modpoly[:k]))  # a^k, reduced
     times_a = [add[y % top * p][mul[y // top][a_to_k]] for y in range(q)]
     for i in range(p, q):
-        for j in range(q):
-            mul[i][j] = add[mul[i % p][j]][times_a[mul[i // p][j]]]
+        mul.append([add[u][times_a[v]] for u, v in zip(mul[i % p], mul[i // p])])
     return make_ring(add, mul, [name(i) for i in range(q)], caps=caps)
 
 
@@ -318,6 +320,20 @@ def _checked_order(sizes: dict[int, int], caps: Caps) -> int:
     raise CapError(f"ring order {shown} exceeds cap {cap}")
 
 
+def _kronecker_sum(tables):
+    """The add table of tuples added coordinatewise by tables, indexed in
+    mixed radix with the last coordinate varying fastest."""
+    add = [[0]]  # the add table over the coordinates done so far, the last first
+    for table in reversed(tables):
+        stride = len(add)
+        add = [
+            [c + v for c in crow for v in row]
+            for crow in ([c * stride for c in crow] for crow in table)
+            for row in add
+        ]
+    return add
+
+
 def _tuple_ring(factors, members, mul_vec, name_vec, caps: Caps):
     """The ring of tuples whose coordinate t is drawn from members[t], a
     list of distinct elements of the ring factors[t], added componentwise
@@ -346,18 +362,14 @@ def _tuple_ring(factors, members, mul_vec, name_vec, caps: Caps):
     vectors = list(itertools.product(*members))
     index = {v: i for i, v in enumerate(vectors)}
 
-    add = [[0]]  # the add table over the coordinates done so far, the last first
-    for factor, coeffs in zip(reversed(factors), reversed(members)):
+    tables = []
+    for factor, coeffs in zip(factors, members):
         pos = {c: p for p, c in enumerate(coeffs)}
         table = [[pos.get(factor.add_table[a][b]) for b in coeffs] for a in coeffs]
         if any(None in row for row in table):
             raise SpecError("coefficient sets are not closed under addition")
-        stride = len(add)
-        add = [
-            [c + v for c in crow for v in row]
-            for crow in ([c * stride for c in crow] for crow in table)
-            for row in add
-        ]
+        tables.append(table)
+    add = _kronecker_sum(tables)
 
     zeros = tuple(f.zero for f in factors)
     z = index[zeros]
@@ -829,13 +841,20 @@ def is_m_system(
     """Whether T is an m-system: a,b in T admit ab in T or asb in T.
 
     Only a, b in the candidates mask and s in the middles mask are
-    considered; both default to the whole ring.
+    considered; both default to the whole ring.  The middles are searched
+    only for the a whose products ab do not all lie in T, a test in C.
     """
     mul = ring.mul_table
     members = _restrict(tmask, candidates)
+    if not members:
+        return True
     mids = _restrict(ring.full_mask, middles)
+    inside = set(bits(tmask))
+    products = itemgetter(*members, members[0])  # a tuple, also for one member
     for a in members:
         arow = mul[a]
+        if inside.issuperset(products(arow)):
+            continue
         for b in members:
             if tmask >> arow[b] & 1:
                 continue

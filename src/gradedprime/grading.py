@@ -23,6 +23,7 @@ from .finring import (
     Ideal,
     _check_proper_ideal,
     _join_closure,
+    _gens,
     _principal_ideals,
     all_ideals,
     bits,
@@ -91,6 +92,11 @@ class GradedRing:
 
     def is_homogeneous(self, s: int) -> bool:
         return len(self.decomp[s]) <= 1
+
+    @cached_property
+    def component_generators(self) -> dict:
+        """Additive generators of each component in the support."""
+        return {x: _gens(self.ring, self.components[x]) for x in self.support}
 
     @cached_property
     def base(self):

@@ -3,13 +3,14 @@
 Finite group elements are indices 0..order-1.  The infinite cyclic group is
 represented by the ``Z`` singleton whose elements are plain Python ints.
 check_group_table is the one validator of group tables, also of the additive
-group of every ring.
+group of every ring.  Up to order 256, all the default caps allow, its rows
+are bytes composed by bytes.translate (read_table).
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
+from operator import attrgetter, index, itemgetter
 from typing import Optional, Sequence
 
 from .errors import SpecError
@@ -72,14 +73,47 @@ Z = IntegerGroup()
 
 Table = tuple[tuple[int, ...], ...]
 
+# Tables up to this order are validated on rows of bytes.
+_BYTE_ROWS = 256
 
-def square_table(rows: Sequence[Sequence[int]]) -> Optional[Table]:
-    """rows as a tuple table if square with entries in 0..len(rows)-1, else None."""
+
+def read_table(rows: Sequence[Sequence[int]]):
+    """A square table over 0..n-1 as (table, maps, after, columns), or None.
+    table holds the rows as tuples and maps as maps y -> row[y] that compose
+    in C: after(f) takes h to y -> h[f[y]], and columns() gives the columns.
+    A non-integer entry (operator.index) raises SpecError.
+
+    Up to order 256 a map is the row as bytes padded with n..255, a
+    translation table that fixes the padding: after(f) is f.translate, a
+    column is a slice of the joined maps, and bytes() reads and
+    range-checks the entries.  A row it refuses, and every row of a larger
+    table, is read by operator.index into tuples composed by itemgetter,
+    which tells a non-integer from an integer out of range.
+    """
     n = len(rows)
-    table = tuple(tuple(map(int, row)) for row in rows)
-    if all(len(row) == n and min(row) >= 0 and max(row) < n for row in table):
-        return table
-    return None
+    if any(len(row) != n for row in rows):
+        return None
+    if n <= _BYTE_ROWS:
+        try:
+            byte_rows = [bytes(iter(row)) for row in rows]  # by items, also from a buffer
+        except (TypeError, ValueError):
+            pass
+        else:
+            if b"".join(byte_rows).translate(None, bytes(range(n))):  # an entry of n or more
+                return None
+            tail = bytes(range(n, 256))
+            maps = [row + tail for row in byte_rows]
+            def columns():
+                flat = b"".join(maps)
+                return [flat[j::256] + tail for j in range(n)]
+            return tuple(map(tuple, byte_rows)), maps, attrgetter("translate"), columns
+    try:
+        table = tuple(tuple(map(index, row)) for row in rows)
+    except TypeError:
+        raise SpecError("table entries must be element indices") from None
+    if not all(min(row) >= 0 and max(row) < n for row in table):
+        return None
+    return table, table, lambda f: itemgetter(*f), lambda: tuple(zip(*table))
 
 
 def table_identity(table: Table) -> Optional[int]:
@@ -91,8 +125,8 @@ def table_identity(table: Table) -> Optional[int]:
     return None
 
 
-def check_group_table(table: Table, errors: tuple[str, str, str]) -> tuple[int, tuple[int, ...], list[int]]:
-    """Verify exactly that a square table over 0..n-1 is a group; returns
+def check_group_table(rows, errors: tuple[str, str, str]) -> tuple[int, tuple[int, ...], list[int]]:
+    """Verify exactly that a table read by read_table is a group; returns
     (identity, inverses, generators).  errors are the texts raised for a
     nonassociative table, no identity and no unique inverse of {}.
 
@@ -103,14 +137,16 @@ def check_group_table(table: Table, errors: tuple[str, str, str]) -> tuple[int, 
     outside the closure of {identity} under x -> xa for the generators a so
     far, and is tested before it is used.  While the tests pass that closure
     is a subgroup, which each new generator at least doubles: there are at
-    most log2(n) generators and the check costs O(n^2 log n).
+    most log2(n) generators and the check costs O(n^2 log n).  Row xa is
+    row a followed by row x, one composition of maps per x.
     """
     not_associative, no_identity, no_inverse = errors
+    table, maps, after, _ = rows
     e = table_identity(table)
     if e is None:
         raise SpecError(no_identity)
     inverses = []
-    for x, row in enumerate(table):
+    for x, row in enumerate(maps):
         if row.count(e) != 1:
             raise SpecError(no_inverse.format(x))
         inverses.append(row.index(e))
@@ -120,12 +156,12 @@ def check_group_table(table: Table, errors: tuple[str, str, str]) -> tuple[int, 
     for g in range(len(table)):
         if g in reached:
             continue
-        through_g = itemgetter(*table[g])  # n >= 2 here, so it returns tuples
-        if any(table[row[g]] != through_g(row) for row in table):
+        through_g = after(maps[g])
+        if any(maps[row[g]] != through_g(row) for row in maps):
             raise SpecError(not_associative)
         generators.append(g)
         for x in members:  # also visits the members appended below
-            row = table[x]
+            row = maps[x]
             for a in generators:
                 if row[a] not in reached:
                     reached.add(row[a])
@@ -149,14 +185,14 @@ def group_from_table(op_rows: Sequence[Sequence[int]], names=None) -> FiniteGrou
     n = len(op_rows)
     if n == 0:
         raise SpecError("group must be nonempty")
-    table = square_table(op_rows)
-    if table is None:
+    rows = read_table(op_rows)
+    if rows is None:
         raise SpecError("group table is not square over 0..order-1")
     identity, inverses, _ = check_group_table(
-        table,
+        rows,
         ("group operation is not associative", "group has no identity element", "element {} has no unique inverse"),
     )
-    return FiniteGroup(n, table, identity, inverses, element_names(names, n))
+    return FiniteGroup(n, rows[0], identity, inverses, element_names(names, n))
 
 
 def cyclic(n: int) -> FiniteGroup:

@@ -33,11 +33,11 @@ Graph file:
     edge <name>: <src> -> <dst>
 
 Reading a spec: the text, with comments removed, is first searched once for
-a character that starts no token; the first one is the error.  The parsers
-then read the checked text through a cursor that matches one token at a
-time, and ``_parse_list`` reads a flat row of integers with one match
-wherever it starts, so the rows of a ``tables{}`` spec are never split into
-token strings.
+a character that starts no token (unless a pass in C finds only safe ASCII
+characters); the first one is the error.  The parsers then read the checked
+text through a cursor that matches one token at a time, and ``_parse_list``
+reads a flat row of integers with one match wherever it starts and a split,
+so the rows of a ``tables{}`` spec cost no token-by-token walk.
 """
 
 from __future__ import annotations
@@ -67,6 +67,8 @@ _VALID = re.compile("|".join(kind.pattern for kind in _KINDS.values()))
 # character inside a token is one of these, so the first match is the first
 # character that a left-to-right tokenizer cannot read.
 _BAD = re.compile(r"[^\s\dA-Za-z_(){}\[\],;=:>-]|-(?![\d>])|(?<!-)>")
+# The ASCII characters _BAD matches in no context: the token alphabet but - and >.
+_SAFE = bytes(c for c in range(128) if not _BAD.search(chr(c)))
 _NEXT = re.compile(r"\s*(" + _VALID.pattern + ")")
 # A flat row of integers, each optionally followed by one comma.  Every
 # text it matches can be split in one way only, so a near miss fails in
@@ -83,6 +85,8 @@ def _checked(text: str) -> str:
     tokens only; otherwise the first character that starts no token is
     reported."""
     text = _strip_comments(text)
+    if text.isascii() and not text.encode().translate(None, _SAFE):
+        return text
     bad = _BAD.search(text)
     if bad:
         raise SpecError(f"unexpected character {bad[0]!r}")
@@ -139,7 +143,8 @@ def _parse_list(ts: _Tokens):
         row = _ROW.match(ts.text, ts.pos)
         if row:
             ts.pos = row.end()
-            out.append(list(map(int, _KINDS["int"].findall(row[1]))))
+            # a sign may follow a digit directly: "1-2" is 1, -2
+            out.append(list(map(int, row[1].replace(",", " ").replace("-", " -").split())))
         else:
             tok = ts.next()
             if tok == "[":

@@ -62,12 +62,21 @@ degree were memoised: ``members_of_degree`` sorts the bits of the degree's
 ideal on every draw, and ``random_element`` draws through it.  Both take
 the ``FilterRing`` handle as their first argument.
 
+The field and residue-ring builders from before they built their tables
+row by row: ``gf`` and ``zmod`` fill every entry in a double loop, and hand
+the tables to the library's ``make_ring``.
+
+The m-system test from before it screened each row: ``is_m_system``
+searches the middle factors for every pair a, b with ab outside T.
+
 The function bodies are unchanged from those versions, except that the old
 group parser names the library's ``groups.group_from_table``, the old
 ideal-symmetry checks and pair tests the library's
-``grading.all_graded_ideals`` and ``finring.all_ideals``, and the old
+``grading.all_graded_ideals`` and ``finring.all_ideals``, the old
 ``classify_filter`` the library's ``grfilter._ideally_symmetric_finite``,
-which this module's own functions of those names would otherwise shadow.
+and the old ``gf`` and ``zmod`` the library's ``finring.make_ring``, which
+this module's own functions of those names would otherwise shadow; ``gf``
+also reaches the library's prime-power helpers through ``finring``.
 """
 
 from __future__ import annotations
@@ -929,3 +938,82 @@ def random_element(handle, rng, max_width: int = 3, max_shift: int = 3):
         elem = handle.element(coeffs)
         if elem:
             return elem
+
+
+def zmod(n: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
+    """The ring of integers modulo n."""
+    if n < 1:
+        raise SpecError("modulus must be positive")
+    if n > caps.max_ring_order:  # before the n x n tables are built
+        raise CapError(f"ring order {n} exceeds cap {caps.max_ring_order}")
+    add = [[(i + j) % n for j in range(n)] for i in range(n)]
+    mul = [[(i * j) % n for j in range(n)] for i in range(n)]
+    return fr.make_ring(add, mul, caps=caps)
+
+
+def gf(q: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
+    """The finite field with q elements, q a prime power."""
+    if q < 2 or q > 256:
+        raise SpecError("field order must be a prime power between 2 and 256")
+    p, k = fr._factor_prime_power(q)
+    if k == 1:
+        return zmod(p, caps=caps)
+    monic = ([*coeffs, 1] for coeffs in itertools.product(range(p), repeat=k))
+    modpoly = next(m for m in monic if fr._is_irreducible(m, p))
+    if q > caps.max_ring_order:
+        raise CapError(f"ring order {q} exceeds cap {caps.max_ring_order}")
+
+    def name(i):
+        digits = [(j, i // p**j % p) for j in range(k - 1, -1, -1)]
+        terms = [
+            str(c) if j == 0 else ("" if c == 1 else str(c)) + ("a" if j == 1 else f"a^{j}")
+            for j, c in digits
+            if c
+        ]
+        return "+".join(terms) or "0"
+
+    # Element i is the polynomial (i % p) + a * (element i // p), so both
+    # tables follow from bilinearity, each entry from entries built before it.
+    add = [[0] * q for _ in range(q)]
+    mul = [[0] * q for _ in range(q)]
+    for i in range(q):
+        for j in range(q):
+            add[i][j] = (i % p + j % p) % p + p * add[i // p][j // p]
+    for c in range(p):  # the scalars multiply digit by digit
+        for j in range(q):
+            mul[c][j] = c * (j % p) % p + p * mul[c][j // p]
+    top = q // p
+    a_to_k = sum((-m) % p * p**j for j, m in enumerate(modpoly[:k]))  # a^k, reduced
+    times_a = [add[y % top * p][mul[y // top][a_to_k]] for y in range(q)]
+    for i in range(p, q):
+        for j in range(q):
+            mul[i][j] = add[mul[i % p][j]][times_a[mul[i // p][j]]]
+    return fr.make_ring(add, mul, [name(i) for i in range(q)], caps=caps)
+
+
+def _restrict(mask: int, subset: Optional[int]) -> list[int]:
+    return list(bits(mask if subset is None else mask & subset))
+
+
+def is_m_system(
+    ring: FiniteRing,
+    tmask: int,
+    candidates: Optional[int] = None,
+    middles: Optional[int] = None,
+) -> bool:
+    """Whether T is an m-system: a,b in T admit ab in T or asb in T.
+
+    Only a, b in the candidates mask and s in the middles mask are
+    considered; both default to the whole ring.
+    """
+    mul = ring.mul_table
+    members = _restrict(tmask, candidates)
+    mids = _restrict(ring.full_mask, middles)
+    for a in members:
+        arow = mul[a]
+        for b in members:
+            if tmask >> arow[b] & 1:
+                continue
+            if not any(tmask >> mul[arow[s]][b] & 1 for s in mids):
+                return False
+    return True

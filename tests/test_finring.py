@@ -8,6 +8,7 @@ import pytest
 from gradedprime import finring as fr
 from gradedprime.errors import CapError, SpecError
 
+import oracle
 from corpus import corpus_rings, ring_by_name, zero_mult_ring
 from gradedprime.groups import cyclic, symmetric_group
 
@@ -93,6 +94,21 @@ class TestConstruction:
     def test_not_a_prime_power(self):
         with pytest.raises(SpecError):
             fr.gf(6)
+
+    def test_fields_equal_the_entrywise_builder(self):
+        built = 0
+        for q in range(2, 257):
+            try:
+                new = fr.gf(q)
+            except SpecError:  # not a prime power
+                continue
+            assert new == oracle.gf(q), q
+            built += 1
+        assert built == 70  # the prime powers up to 256
+
+    def test_residue_rings_equal_the_entrywise_builder(self):
+        for n in range(1, 65):
+            assert fr.zmod(n) == oracle.zmod(n), n
 
     @pytest.mark.parametrize("name,ring", corpus_rings())
     def test_corpus_units_are_genuine(self, name, ring):

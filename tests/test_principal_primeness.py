@@ -105,17 +105,31 @@ def test_the_corpus_covers_both_verdicts():
     ids=["tri2_std", "mat2_z", "gf2_trivial_c200", "grpalg2_canonical", "zero_mult_f2_7_z"],
 )
 def test_invariance_is_checked_where_both_components_are_nonzero(graded, sites):
+    """The closure reads the generators of S_{x^-1} once per site x and
+    spans its products once."""
     assert co._invariance_sites(graded) == sites
-    with mock.patch.object(co, "triple_product", wraps=co.triple_product) as calls:
-        co.is_g_invariant(graded, graded.ring.zero_mask)
-    assert calls.call_count == len(sites)
+    read = []
+
+    class Recording(dict):
+        def __getitem__(self, x):
+            read.append(x)
+            return super().__getitem__(x)
+
+    graded.__dict__["component_generators"] = Recording(graded.component_generators)
+    try:
+        with mock.patch.object(co, "_span", wraps=co._span) as spans:
+            co.is_g_invariant(graded, graded.ring.zero_mask)
+    finally:
+        del graded.__dict__["component_generators"]
+    assert read == [graded.group.inverse(x) for x in sites]
+    assert spans.call_count == 1
 
 
 @pytest.mark.parametrize("name,graded", graded_corpus())
 def test_invariant_closures_are_the_least_invariant_ideals_over_them(name, graded):
     invariant = oracle.invariant_base_ideals(graded)
     for j in co.base_ideals(graded):
-        closure = co._invariant_closure(graded, j)[0]
+        closure = co._invariant_closure(graded, j, fr._gens(graded.ring, j))[0]
         assert closure == min((k for k in invariant if k | j == k), key=int.bit_count)
         assert oracle.is_g_invariant(graded, j) == (closure == j) == co.is_g_invariant(graded, j)
 
@@ -159,3 +173,24 @@ def test_a_correspondence_run_classifies_once():
         assert gr.classify_grading(graded).ideally_symmetrically
         assert co.verify_bijection_ideally_symmetric(graded).all_pass
     assert calls.call_count == 1
+
+
+# ---------------------------------------------------------------------------
+# m-systems
+
+
+@pytest.mark.parametrize(
+    "name,graded",
+    [(f"trivial_{name}", gr.trivial_grading(ring)) for name, ring in corpus_rings()]
+    + list(graded_corpus())
+    + [("trivial_gf256", gr.trivial_grading(fr.gf(256))), ("trivial_mat_gf4_2", gr.trivial_grading(fr.mat(fr.gf(4), 2)))],
+)
+def test_screened_m_system_test_agrees_with_the_pair_loop(name, graded):
+    """The complement of every proper ideal, with the masks that the prime
+    and graded-prime tests pass: none, and the homogeneous elements."""
+    ring, hom = graded.ring, graded.homogeneous_mask
+    for p in fr.all_ideals(ring):
+        if p.is_proper:
+            tmask = ring.full_mask & ~p.members
+            assert fr.is_m_system(ring, tmask) == oracle.is_m_system(ring, tmask), p
+            assert fr.is_m_system(ring, tmask, hom, hom) == oracle.is_m_system(ring, tmask, hom, hom), p

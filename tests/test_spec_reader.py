@@ -160,6 +160,7 @@ def test_reader_matches_the_token_list_reader(seed):
         "[ ] ,",
         "[-1,-٣]",
         "[1 - 2]",
+        "[1-2, 3-٣]",
     ],
 )
 def test_list_forms_match_the_token_list_reader(text):

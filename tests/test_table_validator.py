@@ -1,39 +1,62 @@
 """The generator-based table validator against the exhaustive validators in
 oracle.py: every single-entry mutation of small corpus ring and group
-tables, and hypothesis-drawn tables, must be accepted or rejected alike,
-and an accepted table must give the same ring or group."""
+tables, seeded samples of those of order 256 and above, and
+hypothesis-drawn tables, must be accepted or rejected alike, and an
+accepted table must give the same ring or group.
+
+The validator reads tables of order up to 256 as rows of bytes and larger
+ones as rows of tuples.  Every comparison runs it both ways, the tuple rows
+forced by lowering that bound, and the two must build the same value or
+raise the same error text."""
 
 import itertools
 import math
+import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedprime import finring as fr
+from gradedprime import groups
 from gradedprime.errors import SpecError
-from gradedprime.groups import check_group_table, cyclic, group_from_table, square_table, symmetric_group
+from gradedprime.groups import check_group_table, cyclic, group_from_table, read_table, symmetric_group
 
 import oracle
 from corpus import corpus_rings
 
 
-def outcome(build, *tables):
+def outcome(build, *tables, **kwargs):
     """What a validator makes of the tables: the value built, or None."""
     try:
-        return build(*tables)
+        return build(*tables, **kwargs)
     except SpecError:
         return None
 
 
-def assert_same_ring(add, mul):
-    new, old = outcome(fr.make_ring, add, mul), outcome(oracle.make_ring, add, mul)
-    assert new == old  # on accept: same zero, negation table and unit
+def on_both_row_paths(build, *tables, **kwargs):
+    """What the library's validator makes of the tables, the same on rows of
+    bytes and on rows of tuples: the value built, or None."""
+    results = []
+    for byte_rows in (256, 0):
+        with mock.patch.object(groups, "_BYTE_ROWS", byte_rows):
+            try:
+                results.append(build(*tables, **kwargs))
+            except SpecError as e:
+                results.append(str(e))
+    assert results[0] == results[1]  # the same value, or the same error text
+    return None if isinstance(results[0], str) else results[0]
+
+
+def assert_same_ring(add, mul, caps=fr.DEFAULT_CAPS):
+    new = on_both_row_paths(fr.make_ring, add, mul, caps=caps)
+    assert new == outcome(oracle.make_ring, add, mul, caps=caps)  # on accept: same zero, negation table and unit
     return new is not None
 
 
 def assert_same_group(op):
-    new, old = outcome(group_from_table, op), outcome(oracle.group_from_table, op)
+    new, old = on_both_row_paths(group_from_table, op), outcome(oracle.group_from_table, op)
     assert new == old  # on accept: same identity and inverses
     return new is not None
 
@@ -213,5 +236,86 @@ def test_drawn_group_tables_agree_with_the_reference(op):
     ids=["gf2_x8_additive", "zmod256_additive", "sym5", "cyclic200"],
 )
 def test_at_most_log2_order_generators(table):
-    _, _, gens = check_group_table(square_table(table), ("", "", ""))
+    _, _, gens = check_group_table(read_table(table), ("", "", ""))
     assert 1 <= len(gens) <= math.log2(len(table))
+
+
+def sampled_mutations(table, count, seed, diagonal=False):
+    """count seeded single-entry mutations of table, on its diagonal if asked."""
+    rng = random.Random(seed)
+    n = len(table)
+    for _ in range(count):
+        i = rng.randrange(n)
+        j = i if diagonal else rng.randrange(n)
+        rows = [list(row) for row in table]
+        rows[i][j] = (rows[i][j] + rng.randrange(1, n)) % n
+        yield rows
+
+
+@pytest.mark.parametrize("build", [lambda: fr.gf(256), lambda: fr.zmod(256)], ids=["gf256", "zmod256"])
+def test_sampled_mutations_of_order_256_rings(build):
+    """A sum changed off the diagonal fails commutativity alone, so the add
+    table is changed on the diagonal, where the inverses or Light's test
+    see it."""
+    ring = build()
+    for add in sampled_mutations(ring.add_table, 2, 256, diagonal=True):
+        assert not assert_same_ring(add, ring.mul_table)
+    for mul in sampled_mutations(ring.mul_table, 2, 257):
+        assert not assert_same_ring(ring.add_table, mul)
+
+
+def test_additive_rows_over_columns_that_are_not_at_order_256():
+    """xy = y for x = 1 and 0 otherwise: every row is additive, no column
+    but the zero column is, so right distributivity is the check that fails."""
+    ring = fr.gf(256)
+    mul = [list(range(256)) if x == 1 else [0] * 256 for x in range(256)]
+    assert not assert_same_ring(ring.add_table, mul)
+    with pytest.raises(SpecError, match="right distributivity fails"):
+        fr.make_ring(ring.add_table, mul)
+
+
+def test_sampled_mutations_above_order_256_on_tuple_rows():
+    caps = fr.Caps(max_ring_order=300)
+    ring = fr.zmod(257, caps=caps)
+    assert ring == oracle.zmod(257, caps=caps)
+    for add in sampled_mutations(ring.add_table, 1, 300, diagonal=True):
+        assert not assert_same_ring(add, ring.mul_table, caps)
+    for mul in sampled_mutations(ring.mul_table, 2, 301):
+        assert not assert_same_ring(ring.add_table, mul, caps)
+    group = cyclic(300)
+    for op in sampled_mutations(group.op_table, 6, 302):
+        assert not assert_same_group(op)
+
+
+@pytest.mark.parametrize("byte_rows", [256, 0], ids=["bytes", "tuples"])
+@pytest.mark.parametrize(
+    "entry,error",
+    [
+        (1.0, "table entries must be element indices"),
+        ("1", "table entries must be element indices"),
+        (2, None),
+        (-1, None),
+    ],
+    ids=["float", "numeric_string", "too_large", "negative"],
+)
+def test_an_entry_must_be_an_element_index(byte_rows, entry, error):
+    """A float or a numeric string is refused, not converted; an integer
+    out of range is refused with the text of a table that is not square
+    over 0..n-1."""
+    add, mul = [[0, 1], [1, entry]], [[0, 0], [0, 1]]
+    with mock.patch.object(groups, "_BYTE_ROWS", byte_rows):
+        with pytest.raises(SpecError) as ring_error:
+            fr.make_ring(add, mul)
+        with pytest.raises(SpecError) as mul_error:
+            fr.make_ring(mul, add)
+        with pytest.raises(SpecError) as group_error:
+            group_from_table(add)
+    assert str(ring_error.value) == str(mul_error.value) == "table entries must be element indices"
+    assert str(group_error.value) == (error or "group table is not square over 0..order-1")
+
+
+def test_a_table_of_non_integers_that_int_would_read_is_refused():
+    with pytest.raises(SpecError, match="table entries must be element indices"):
+        fr.make_ring([[0, 1.7], [1.2, 0]], [[0, 0], [0, "1"]])
+    with pytest.raises(SpecError, match="table entries must be element indices"):
+        group_from_table([[0.0, 1.0], [1.0, 0.0]])
