@@ -1,14 +1,17 @@
 """The identity-component correspondence for graded rings.
 
 Ideals of the identity component S_e are handled as bitmasks over the
-ambient ring, confined to S_e.  Their lattice is ``finring.all_ideals`` of
-the induced subring; its G-invariant members, and the invariant closures of
-the principal ideals that G-primeness quantifies over, are cached here per
-graded ring.
+ambient ring, confined to S_e.  The G-invariant ones are a join closure,
+not a filter of the lattice of S_e: an invariant ideal is the sum of the
+invariant closures J + sum_x S_{x^-1} J S_x of the members J of S_e's
+generating family of principal ideals inside it, and sums of invariant
+ideals are invariant.  Those closures, over which G-primeness quantifies,
+and the lattice are cached here per graded ring.
 
 The two ``verify_*`` operations return structured reports rather than
 booleans: each check carries a name, a verdict and counts, and serializes to
-stable ``check <name>: PASS|FAIL (<details>)`` lines for CI logs.
+stable ``check <name>: PASS|FAIL (<details>)`` lines for CI logs.  Both read
+one lift map J -> <J> and one projection map I -> I_e per graded ring.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from .finring import (
     DEFAULT_CAPS,
     Ideal,
     _gens,
+    _ideal_span,
+    _join_closure,
     _principal_ideals,
     _span,
     all_ideals,
@@ -33,6 +38,7 @@ from .finring import (
 )
 from .grading import (
     GradedRing,
+    _homogeneous_principals,
     all_graded_ideals,
     classify_grading,
     is_graded_ideal,
@@ -46,12 +52,6 @@ def e_component(graded: GradedRing, xmask: int) -> int:
     For a graded ideal this coincides with intersecting with S_e.
     """
     return mask_of(graded.e_part(m) for m in bits(xmask))
-
-
-def base_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
-    """All ideals of the identity component, as ambient masks, sorted."""
-    sub, old, _ = graded.base
-    return tuple(sorted(mask_of(old[i] for i in ideal.elements()) for ideal in all_ideals(sub, caps)))
 
 
 def is_base_ideal(graded: GradedRing, jmask: int) -> bool:
@@ -85,16 +85,20 @@ def is_g_invariant(graded: GradedRing, jmask: int) -> bool:
 
 @lru_cache(maxsize=16)
 def _invariant_ideals(graded: GradedRing, caps: Caps) -> tuple[int, ...]:
-    return tuple(j for j in base_ideals(graded, caps) if is_g_invariant(graded, j))
+    if graded.support == (graded.e,):  # every closure is the identity, and S_e = S
+        return tuple(i.members for i in all_ideals(graded.ring, caps))
+    return tuple(_join_closure(graded.ring, _invariant_principals(graded), caps))
 
 
 def invariant_base_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
+    """The G-invariant ideals of the identity component, as ambient masks, sorted."""
     return _invariant_ideals(graded, caps)
 
 
 @lru_cache(maxsize=16)
 def _invariant_principals(graded: GradedRing) -> dict[int, list[int]]:
-    """The invariant closures of the principal ideals of S_e: mask -> generators."""
+    """The invariant closures of the generating family of principal ideals
+    of S_e: mask -> generators."""
     sub, old, _ = graded.base
     principals = _principal_ideals(sub, (sub.full_mask,))
     return dict(
@@ -105,7 +109,8 @@ def _invariant_principals(graded: GradedRing) -> dict[int, list[int]]:
 
 def is_g_prime_ideal(graded: GradedRing, qmask: int) -> bool:
     """Primeness quantified over invariant ideals of the identity component,
-    made over the invariant closures of its principal ideals (is_prime_among)."""
+    made over the invariant closures of its generating family of principal
+    ideals (is_prime_among)."""
     if qmask == graded.e_mask or not is_base_ideal(graded, qmask) or not is_g_invariant(graded, qmask):
         raise ValueError("subset is not a proper invariant ideal of the identity component")
     return is_prime_among(graded.ring, qmask, _invariant_principals(graded))
@@ -154,9 +159,34 @@ class Report(NamedTuple):
         return "\n".join(self.lines())
 
 
-def _monotone(masks, image: dict) -> bool:
-    """Whether a inside b implies image[a] inside image[b] among the masks."""
-    return all(image[a] | image[b] == image[b] for a in masks for b in masks if a | b == b)
+@lru_cache(maxsize=16)
+def _maps(graded: GradedRing, caps: Caps):
+    """What both reports read: the invariant and graded lattices, the lift
+    J -> <J> on the first, the projection I -> I_e on the second, and
+    whether <J>_e = J for every J, read off the projection unless <J> is not
+    graded.  The graded lattice goes first: the invariant one is no larger,
+    and the floor refuses a lattice over the cap before enumerating it."""
+    graded_ideals = all_graded_ideals(graded, caps)
+    invariant = invariant_base_ideals(graded, caps)
+    lift = {j: _ideal_span(graded.ring, j)[0] for j in invariant}
+    projection = {i.members: e_component(graded, i.members) for i in graded_ideals}
+    back = all((projection[m] if m in projection else e_component(graded, m)) == j for j, m in lift.items())
+    return invariant, graded_ideals, lift, projection, back
+
+
+def _preserves_inclusion(ring, masks, image: dict, family) -> bool:
+    """Whether image(A), for each A among the masks, is the span of the
+    image(p) of the members p of the family inside A, so that A inside B
+    gives image(A) inside image(B).  Maps that preserve sums, as the lift
+    and the projection do, pass on sums of family members."""
+    for a in masks:
+        below = 0
+        for p in family:
+            if p | a == a:
+                below |= image[p]
+        if _span(ring, below)[0] != image[a]:
+            return False
+    return True
 
 
 def verify_bijection_identity_generated(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> Report:
@@ -164,35 +194,26 @@ def verify_bijection_identity_generated(graded: GradedRing, caps: Caps = DEFAULT
     identity component and identity-generated graded ideals.
 
     Every check here is a theorem for any grading; a FAIL line indicates an
-    implementation defect, not a property of the input.
+    implementation defect, not a property of the input.  The checks read
+    the lift and projection maps, and generate an ideal afresh only from a
+    projection that is not invariant, where projection_is_invariant fails.
     """
     ring = graded.ring
-    invariant = invariant_base_ideals(graded, caps)
-    graded_ideals = all_graded_ideals(graded, caps)
-    idgen = [i for i in graded_ideals if is_identity_generated(graded, i)]
-    idgen_masks = {i.members for i in idgen}
+    invariant, graded_ideals, lift, projection, restrict_ok = _maps(graded, caps)
 
-    generated = {}
-    gen_graded = True
-    gen_idgen = True
-    restrict_ok = True
-    for j in invariant:
-        lifted = generate_ideal(ring, bits(j))
-        generated[j] = lifted.members
-        if not is_graded_ideal(graded, lifted):
-            gen_graded = False
-        elif not is_identity_generated(graded, lifted):
-            gen_idgen = False
-        if e_component(graded, lifted.members) != j:
-            restrict_ok = False
+    def regenerated(m: int) -> int:  # <I_e> for the graded I with mask m
+        proj = projection[m]
+        return lift[proj] if proj in lift else _ideal_span(ring, proj)[0]
 
-    projections = {i.members: e_component(graded, i.members) for i in graded_ideals}
-    expand_ok = all(generated.get(projections[m]) == m for m in idgen_masks)
-    projection_invariant = all(is_g_invariant(graded, proj) for proj in projections.values())
-
-    image_ok = set(generated.values()) == idgen_masks and len(generated) == len(idgen_masks)
-
-    inclusion_ok = _monotone(invariant, generated) and _monotone(idgen_masks, projections)
+    idgen = {m for m in projection if regenerated(m) == m}
+    gen_graded = all(lifted in projection for lifted in lift.values())
+    gen_idgen = all(regenerated(lifted) == lifted for lifted in lift.values() if lifted in projection)
+    expand_ok = all(lift.get(projection[m]) == m for m in idgen)
+    projection_invariant = all(proj in lift for proj in projection.values())
+    image_ok = set(lift.values()) == idgen and len(lift) == len(idgen)
+    inclusion_ok = _preserves_inclusion(ring, invariant, lift, _invariant_principals(graded)) and (
+        _preserves_inclusion(ring, idgen, projection, _homogeneous_principals(graded))
+    )
 
     n_inv, n_idgen, n_graded = len(invariant), len(idgen), len(graded_ideals)
     checks = (
@@ -217,22 +238,15 @@ def verify_bijection_ideally_symmetric(graded: GradedRing, caps: Caps = DEFAULT_
     if not classify_grading(graded).ideally_symmetrically:
         raise ValueError("grading is not ideally symmetric")
     ring = graded.ring
-    invariant = invariant_base_ideals(graded, caps)
-    graded_ideals = all_graded_ideals(graded, caps)
+    invariant, graded_ideals, lift, projection, inverse_ok = _maps(graded, caps)
 
-    generated = {j: generate_ideal(ring, bits(j)).members for j in invariant}
-    recovery_ok = True
-    for i in graded_ideals:
-        proj = e_component(graded, i.members)
-        left = closed_product(ring, ring.full_mask, proj)
-        right = closed_product(ring, proj, ring.full_mask)
-        if not (left == right == generated.get(proj) == i.members):
-            recovery_ok = False
+    recovery_ok = all(
+        closed_product(ring, ring.full_mask, p) == closed_product(ring, p, ring.full_mask) == lift.get(p) == m
+        for m, p in projection.items()
+    )
 
-    onto_ok = set(generated.values()) == {i.members for i in graded_ideals}
-    inverse_ok = all(e_component(graded, generated[j]) == j for j in invariant)
-
-    inclusion_ok = _monotone(invariant, generated)
+    onto_ok = set(lift.values()) == set(projection)
+    inclusion_ok = _preserves_inclusion(ring, invariant, lift, _invariant_principals(graded))
 
     graded_prime = {
         i.members: is_graded_prime_ideal(graded, i) for i in graded_ideals if i.is_proper
@@ -242,7 +256,7 @@ def verify_bijection_ideally_symmetric(graded: GradedRing, caps: Caps = DEFAULT_
     for q in invariant:
         if q == graded.e_mask:
             continue
-        lifted = generated[q]
+        lifted = lift[q]
         if lifted not in graded_prime:  # the whole ring, or not a graded ideal
             prime_match = False
             continue

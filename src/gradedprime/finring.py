@@ -38,9 +38,18 @@ Multiplication is biadditive, so a product of spans is the span of the
 products of their generators.  Hence the ideal generated by X is the span of
 X, GX, XG and GXG for G the ring's additive generators (one pass, no
 fixpoint), ideal products and triple products multiply generators only, and
-an absorption or "aSb in P" test needs s to range over G only.  One
-join-closure kernel gives the ideal lattice, cached per ring in
-``all_ideals``, and the graded one, cached in ``grading.all_graded_ideals``.
+an absorption or "aSb in P" test needs s to range over G only.
+
+Quantifiers over ideals run over a generating family of principal ideals
+(``_principal_ideals``): those that are not the sum of the principal ideals
+strictly inside them.  Every principal ideal is the sum of the members
+inside it, so the family is exact for any statement that is additive in the
+ideal or closed under sums.  One join-closure kernel, over a map from ideal
+masks to generators, closes such a family into each of three lattices: the
+ideals (cached per ring in ``all_ideals``), the graded ideals
+(``grading.all_graded_ideals``) and the invariant ideals of an identity
+component (``correspondence.invariant_base_ideals``).  The pair tests of
+primeness, ideal symmetry and full idempotency read the family itself.
 """
 
 from __future__ import annotations
@@ -48,13 +57,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from functools import cached_property, lru_cache
-from operator import itemgetter
+from functools import cached_property, lru_cache, reduce
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import CapError, SpecError
 from .frozen import Frozen
-from .groups import FiniteGroup, check_group_table, element_names, read_table, table_identity
+from .groups import FiniteGroup, check_group_table, element_names, read_table, rows_of_length, table_identity
 
 
 class Caps(NamedTuple):
@@ -175,7 +184,7 @@ def make_ring(
         raise SpecError("ring must contain at least a zero element")
     if n > caps.max_ring_order:
         raise CapError(f"ring order {n} exceeds cap {caps.max_ring_order}")
-    if len(mul_rows) != n or any(len(row) != n for row in (*add_rows, *mul_rows)):
+    if len(mul_rows) != n or not rows_of_length((*add_rows, *mul_rows), n):
         raise SpecError("tables must be square and of equal size")
     read = read_table(add_rows), read_table(mul_rows)
     if None in read:
@@ -766,20 +775,36 @@ def _ideal_count_floor(ring: FiniteRing, components: Sequence[int]) -> int:
 
 
 def _principal_ideals(ring: FiniteRing, components: Sequence[int]) -> dict[int, list[int]]:
-    """The principal ideals of the components' elements: mask -> generators."""
-    return dict(_ideal_span(ring, 1 << a) for comp in components for a in bits(comp))
-
-
-def _join_closure(ring: FiniteRing, components: Sequence[int], caps: Caps) -> tuple[Ideal, ...]:
-    """The sums of the principal ideals of the elements of the components,
-    ordered by bitmask: the closure of the zero ideal under joins with them,
-    each extending an ideal by a principal ideal's additive generators.  It
-    is refused before it is enumerated when _ideal_count_floor exceeds the cap.
+    """A generating family of the principal ideals of the components'
+    elements, mask -> generators: those that are not the sum of the
+    principal ideals strictly inside them (so not the zero ideal).  By
+    induction on size, each principal ideal is the sum of the members inside
+    it, so every sum of principal ideals is a sum of members.  Hence the
+    family stands exactly for those sums: in their join closure, in the pair
+    tests of is_prime_among, in the ideal-symmetry identities, whose sides
+    are additive in the ideal, and in is_fully_idempotent.
     """
+    spans = {a: _ideal_span(ring, 1 << a) for comp in components for a in bits(comp)}
+    of = {a: span[0] for a, span in spans.items()}
+    elements = reduce(or_, components, 0)
+
+    def below(p: int) -> int:  # the sum of the principal ideals strictly inside p
+        return _span(ring, reduce(or_, (of[a] for a in bits(p & elements) if of[a] != p), 0))[0]
+
+    return {p: gens for p, gens in dict(spans.values()).items() if below(p) != p}
+
+
+def _check_floor(ring: FiniteRing, components: Sequence[int], caps: Caps) -> None:
+    """Refuse a lattice whose _ideal_count_floor exceeds the cap, before enumerating it."""
     if _ideal_count_floor(ring, components) > caps.max_ideals:
         raise CapError(f"ideal lattice exceeds cap {caps.max_ideals}")
+
+
+def _join_closure(ring: FiniteRing, principals: Mapping[int, Sequence[int]], caps: Caps) -> list[int]:
+    """The sums of the ideals of a map mask -> additive generators, as sorted
+    masks: the closure of the zero ideal under joins with those ideals."""
     lattice = {ring.zero_mask: ()}
-    for pmask, pgens in _principal_ideals(ring, components).items():
+    for pmask, pgens in principals.items():
         xmask = mask_of(pgens)
         for mask, gens in list(lattice.items()):
             if pmask & ~mask:
@@ -788,7 +813,7 @@ def _join_closure(ring: FiniteRing, components: Sequence[int], caps: Caps) -> tu
                     lattice[join] = join_gens
                     if len(lattice) > caps.max_ideals:
                         raise CapError(f"ideal lattice exceeds cap {caps.max_ideals}")
-    return tuple(Ideal(ring, m) for m in sorted(lattice))
+    return sorted(lattice)
 
 
 # Lattice and product caches are keyed by (graded) ring, so they are bounded:
@@ -796,7 +821,9 @@ def _join_closure(ring: FiniteRing, components: Sequence[int], caps: Caps) -> tu
 @lru_cache(maxsize=16)
 def all_ideals(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]:
     """The ideal lattice: every ideal joins the principal ideals of its elements."""
-    return _join_closure(ring, (ring.full_mask,), caps)
+    whole = (ring.full_mask,)
+    _check_floor(ring, whole, caps)
+    return tuple(Ideal(ring, m) for m in _join_closure(ring, _principal_ideals(ring, whole), caps))
 
 
 @lru_cache(maxsize=1024)
@@ -932,21 +959,19 @@ def is_prime_ring(ring: FiniteRing) -> bool:
     return is_prime_ideal(ring, zero_ideal(ring))
 
 
-def is_fully_idempotent(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Whether every ideal I satisfies I*I = I.
+def is_fully_idempotent(ring: FiniteRing) -> bool:
+    """Whether every ideal I satisfies I*I = I, decided on the generating
+    family of _principal_ideals: I is the sum of the members F inside it,
+    so I*I contains the sum of the F*F, which is I when each F*F = F.
 
-    Also evaluates the pairwise criterion IJ = (I intersect J) and insists
-    the two agree; disagreement would be an implementation bug.  Products
-    are compared as masks, spanned by the ideals' cached generators, so the
-    loop neither builds an Ideal per pair nor fills the ideal_product cache.
+    Also evaluates the pairwise criterion FG = (F intersect G) on pairs of
+    members, which full idempotency implies and which takes in the squares
+    as F = G, and insists the two agree; disagreement would be an
+    implementation bug.
     """
-    lattice = all_ideals(ring, caps)
-    squares = all(_product_span(ring, i._generators, i._generators) == i.members for i in lattice)
-    pairwise = all(
-        _product_span(ring, i._generators, j._generators) == i.members & j.members
-        for i in lattice
-        for j in lattice
-    )
+    family = _principal_ideals(ring, (ring.full_mask,)).items()
+    squares = all(_product_span(ring, gens, gens) == mask for mask, gens in family)
+    pairwise = all(_product_span(ring, ag, bg) == a & b for a, ag in family for b, bg in family)
     if squares != pairwise:
         raise RuntimeError("idempotent-ideal criteria disagree; internal bug")
     return squares

@@ -21,6 +21,7 @@ from .finring import (
     DEFAULT_CAPS,
     FiniteRing,
     Ideal,
+    _check_floor,
     _check_proper_ideal,
     _join_closure,
     _gens,
@@ -35,7 +36,6 @@ from .finring import (
     is_prime_among,
     mask_of,
     prime_element_criterion,
-    set_product,
     triple_product,
     zero_ideal,
 )
@@ -151,15 +151,18 @@ def attach_grading(
             raise SpecError("components do not form a direct sum (sum collision)")
         decomp[s] = {x: part for x, part in zip(support, combo) if part != ring.zero}
     assert all(d is not None for d in decomp)
+    graded = GradedRing(ring, group, comps, tuple(decomp), support)
+    # S_x S_y lies in the subgroup S_xy when the products of generators do,
+    # by biadditivity
+    mul, gens = ring.mul_table, graded.component_generators
     for x in support:
         for y in support:
             target = comps.get(group.op(x, y), ring.zero_mask)
-            prod = set_product(ring, comps[x], comps[y])
-            if prod | target != target:
+            if not all(target >> mul[a][b] & 1 for a in gens[x] for b in gens[y]):
                 raise SpecError(
                     f"components at {x} and {y} do not multiply into their product component"
                 )
-    return GradedRing(ring, group, comps, tuple(decomp), support)
+    return graded
 
 
 def trivial_grading(ring: FiniteRing, group: GradingGroup = Z) -> GradedRing:
@@ -192,7 +195,9 @@ def all_graded_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[Id
 def _graded_ideals(graded: GradedRing, caps: Caps) -> tuple[Ideal, ...]:
     if len(graded.support) == 1:  # every ideal is graded
         return all_ideals(graded.ring, caps)
-    return _join_closure(graded.ring, [graded.components[x] for x in graded.support], caps)
+    ring = graded.ring
+    _check_floor(ring, [graded.components[x] for x in graded.support], caps)
+    return tuple(Ideal(ring, m) for m in _join_closure(ring, _homogeneous_principals(graded), caps))
 
 
 def generate_graded_ideal(graded: GradedRing, gens: Iterable[int]) -> Ideal:
@@ -222,13 +227,15 @@ def _check_proper_graded(graded: GradedRing, p: Ideal) -> None:
 
 @lru_cache(maxsize=16)
 def _homogeneous_principals(graded: GradedRing) -> dict[int, list[int]]:
+    """The generating family of the principal ideals of homogeneous elements,
+    which are graded (Nastasescu & Van Oystaeyen, LNM 1836, 2)."""
     return _principal_ideals(graded.ring, [graded.components[x] for x in graded.support])
 
 
 def graded_prime_pair_test(graded: GradedRing, p: Ideal) -> bool:
-    """Quantification over pairs of graded ideals, made over the principal
-    ideals of homogeneous elements (is_prime_among): these are graded, and
-    they span every graded ideal (Nastasescu & Van Oystaeyen, LNM 1836, 2)."""
+    """Quantification over pairs of graded ideals, made over the generating
+    family of principal ideals of homogeneous elements (is_prime_among):
+    these are graded, and their sums are every graded ideal."""
     return is_prime_among(graded.ring, p.members, _homogeneous_principals(graded))
 
 
@@ -298,9 +305,10 @@ def _is_symmetrically_graded(graded: GradedRing) -> bool:
 def _is_ideally_symmetrically_graded(graded: GradedRing) -> bool:
     """Whether S_x S_{x^-1} K_x = K_x = K_x S_{x^-1} S_x for every graded
     ideal K and x in the support.  At x it holds for all K when it does for
-    each K = <h>, h in S_x: <h> is graded (Nastasescu & Van Oystaeyen, LNM
-    1836, section 2), K_x is the sum of the <h>_x over its elements h, and
-    both sides are additive in K_x."""
+    each K = <h> of the generating family of principal ideals of h in S_x:
+    every <h> is graded (Nastasescu & Van Oystaeyen, LNM 1836, section 2),
+    K_x is the sum of the <h>_x over its elements h, each <h> is a sum of
+    members, and both sides are additive in K_x."""
     ring = graded.ring
     group = graded.group
     for x in graded.support:

@@ -353,7 +353,8 @@ def _ideally_symmetric_finite(f: GFilter) -> bool:
     J I_{x^-1} I_x; and C is an ideal of R inside I_x, a sum of principal
     ones.  So the identities hold on every such C exactly when
     I_x I_{x^-1} J = J = J I_{x^-1} I_x for every principal J inside I_x,
-    which depends on the pair (I_x, I_{x^-1}) only.
+    which depends on the pair (I_x, I_{x^-1}) only; both sides are additive
+    in J, so J ranges over the generating family of those principal ideals.
     """
     product = f.product
     principals = cache(partial(_principal_ideals, f.ring))  # I_x meets few distinct masks
@@ -384,7 +385,7 @@ def classify_filter(f: GFilter, caps: Caps = DEFAULT_CAPS) -> FilterClassificati
     symmetric = all(product(product(ix, ixi), ix) == ix for ix, ixi in pairs)
     inverse_equal = all(ix == ixi for ix, ixi in pairs)
     r_idem = product(ring.full_mask, ring.full_mask) == ring.full_mask
-    r_fully = is_fully_idempotent(ring, caps)
+    r_fully = is_fully_idempotent(ring)
     nearly = all(
         is_s_unital_module(ring, product(ix, ixi), ix, "left")
         and is_s_unital_module(ring, product(ixi, ix), ix, "right")

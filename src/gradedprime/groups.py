@@ -77,6 +77,14 @@ Table = tuple[tuple[int, ...], ...]
 _BYTE_ROWS = 256
 
 
+def rows_of_length(rows, n: int) -> bool:
+    """Whether every row has length n; a row without a length has none."""
+    try:
+        return all(len(row) == n for row in rows)
+    except TypeError:
+        return False
+
+
 def read_table(rows: Sequence[Sequence[int]]):
     """A square table over 0..n-1 as (table, maps, after, columns), or None.
     table holds the rows as tuples and maps as maps y -> row[y] that compose
@@ -91,7 +99,7 @@ def read_table(rows: Sequence[Sequence[int]]):
     which tells a non-integer from an integer out of range.
     """
     n = len(rows)
-    if any(len(row) != n for row in rows):
+    if not rows_of_length(rows, n):
         return None
     if n <= _BYTE_ROWS:
         try:

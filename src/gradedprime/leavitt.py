@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import SpecError
-from .finring import FiniteRing, is_prime_ring
+from .finring import FiniteRing, bits, is_prime_ring
 from .frozen import Frozen
 
 
@@ -100,22 +100,13 @@ def reachability(g: DirectedGraph) -> frozenset[tuple[str, str]]:
         changed = False
         for i in range(n):
             acc = reach[i]
-            m = succ[i]
-            while m:
-                low = m & -m
-                acc |= reach[low.bit_length() - 1]
-                m ^= low
+            for j in bits(succ[i]):
+                acc |= reach[j]
             if acc != reach[i]:
                 reach[i] = acc
                 changed = True
-    pairs = set()
-    for i, u in enumerate(g.vertices):
-        m = reach[i]
-        while m:
-            low = m & -m
-            pairs.add((u, g.vertices[low.bit_length() - 1]))
-            m ^= low
-    return frozenset(pairs)
+    vertices = g.vertices
+    return frozenset((u, vertices[j]) for i, u in enumerate(vertices) for j in bits(reach[i]))
 
 
 class MT3Result(NamedTuple):

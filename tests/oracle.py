@@ -69,11 +69,28 @@ the tables to the library's ``make_ring``.
 The m-system test from before it screened each row: ``is_m_system``
 searches the middle factors for every pair a, b with ab outside T.
 
+The ideal families and the correspondence reports from before every
+quantifier over ideals ran over a generating family of principal ideals:
+``_principal_ideals`` keeps every principal ideal, ``_join_closure`` closes
+the principal ideals of the components' elements, its floor check inside;
+``is_fully_idempotent`` walks the whole lattice and every pair in it;
+``filtered_invariant_ideals`` filters the lattice of the identity component
+by invariance; ``_monotone`` tests inclusion on every pair of ideals; and
+the two report functions regenerate an ideal for each check that needs one.
+
+The grading validator from before multiplicativity was checked on
+additive generators: ``attach_grading`` multiplies every pair of elements
+of two components.
+
 The function bodies are unchanged from those versions, except that the old
 group parser names the library's ``groups.group_from_table``, the old
 ideal-symmetry checks and pair tests the library's
 ``grading.all_graded_ideals`` and ``finring.all_ideals``, the old
-``classify_filter`` the library's ``grfilter._ideally_symmetric_finite``,
+``classify_filter`` the library's ``grfilter._ideally_symmetric_finite``
+and this module's ``is_fully_idempotent``, and the old reports,
+invariant filter and ``is_fully_idempotent`` the library's lattices and
+``correspondence`` helpers (this module's ``all_ideals`` is too slow for
+the rings they are compared on),
 and the old ``gf`` and ``zmod`` the library's ``finring.make_ring``, which
 this module's own functions of those names would otherwise shadow; ``gf``
 also reaches the library's prime-power helpers through ``finring``.
@@ -90,14 +107,15 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from gradedprime import correspondence as co
 from gradedprime import finring as fr
 from gradedprime import grading as gr
 from gradedprime import groups
 from gradedprime.errors import CapError, SpecError
 from gradedprime.correspondence import is_base_ideal
 from gradedprime.finring import (
-    DEFAULT_CAPS, Caps, FiniteRing, Ideal, _product_span, _span, bits, closed_product, is_fully_idempotent,
-    mask_of, triple_product,
+    DEFAULT_CAPS, Caps, FiniteRing, Ideal, _product_span, _span, bits, closed_product, mask_of,
+    triple_product,
 )
 from gradedprime.grading import GradedRing, classify_grading, is_graded_ideal
 from gradedprime import grfilter as gfl
@@ -1017,3 +1035,216 @@ def is_m_system(
             if not any(tmask >> mul[arow[s]][b] & 1 for s in mids):
                 return False
     return True
+
+
+def _principal_ideals(ring: FiniteRing, components: Sequence[int]) -> dict[int, list[int]]:
+    """The principal ideals of the components' elements: mask -> generators."""
+    return dict(fr._ideal_span(ring, 1 << a) for comp in components for a in bits(comp))
+
+
+def _join_closure(ring: FiniteRing, components: Sequence[int], caps: Caps) -> tuple[Ideal, ...]:
+    """The sums of the principal ideals of the elements of the components,
+    ordered by bitmask: the closure of the zero ideal under joins with them,
+    each extending an ideal by a principal ideal's additive generators.  It
+    is refused before it is enumerated when _ideal_count_floor exceeds the cap.
+    """
+    if fr._ideal_count_floor(ring, components) > caps.max_ideals:
+        raise CapError(f"ideal lattice exceeds cap {caps.max_ideals}")
+    lattice = {ring.zero_mask: ()}
+    for pmask, pgens in _principal_ideals(ring, components).items():
+        xmask = mask_of(pgens)
+        for mask, gens in list(lattice.items()):
+            if pmask & ~mask:
+                join, join_gens = fr._extend(ring, mask, gens, xmask)
+                if join not in lattice:
+                    lattice[join] = join_gens
+                    if len(lattice) > caps.max_ideals:
+                        raise CapError(f"ideal lattice exceeds cap {caps.max_ideals}")
+    return tuple(Ideal(ring, m) for m in sorted(lattice))
+
+
+def is_fully_idempotent(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> bool:
+    """Whether every ideal I satisfies I*I = I.
+
+    Also evaluates the pairwise criterion IJ = (I intersect J) and insists
+    the two agree; disagreement would be an implementation bug.  Products
+    are compared as masks, spanned by the ideals' cached generators, so the
+    loop neither builds an Ideal per pair nor fills the ideal_product cache.
+    """
+    lattice = fr.all_ideals(ring, caps)
+    squares = all(_product_span(ring, i._generators, i._generators) == i.members for i in lattice)
+    pairwise = all(
+        _product_span(ring, i._generators, j._generators) == i.members & j.members
+        for i in lattice
+        for j in lattice
+    )
+    if squares != pairwise:
+        raise RuntimeError("idempotent-ideal criteria disagree; internal bug")
+    return squares
+
+
+def filtered_invariant_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
+    """The G-invariant ideals of S_e as a filter of the library's lattice of
+    the induced subring, by the library's is_g_invariant."""
+    sub, old, _ = graded.base
+    base = sorted(mask_of(old[i] for i in ideal.elements()) for ideal in fr.all_ideals(sub, caps))
+    return tuple(j for j in base if co.is_g_invariant(graded, j))
+
+
+def _monotone(masks, image: dict) -> bool:
+    """Whether a inside b implies image[a] inside image[b] among the masks."""
+    return all(image[a] | image[b] == image[b] for a in masks for b in masks if a | b == b)
+
+
+def verify_bijection_identity_generated(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> co.Report:
+    """Exhaustively check the correspondence between invariant ideals of the
+    identity component and identity-generated graded ideals.
+
+    Every check here is a theorem for any grading; a FAIL line indicates an
+    implementation defect, not a property of the input.
+    """
+    ring = graded.ring
+    invariant = filtered_invariant_ideals(graded, caps)
+    graded_ideals = gr.all_graded_ideals(graded, caps)
+    idgen = [i for i in graded_ideals if co.is_identity_generated(graded, i)]
+    idgen_masks = {i.members for i in idgen}
+
+    generated = {}
+    gen_graded = True
+    gen_idgen = True
+    restrict_ok = True
+    for j in invariant:
+        lifted = fr.generate_ideal(ring, bits(j))
+        generated[j] = lifted.members
+        if not is_graded_ideal(graded, lifted):
+            gen_graded = False
+        elif not co.is_identity_generated(graded, lifted):
+            gen_idgen = False
+        if co.e_component(graded, lifted.members) != j:
+            restrict_ok = False
+
+    projections = {i.members: co.e_component(graded, i.members) for i in graded_ideals}
+    expand_ok = all(generated.get(projections[m]) == m for m in idgen_masks)
+    projection_invariant = all(co.is_g_invariant(graded, proj) for proj in projections.values())
+
+    image_ok = set(generated.values()) == idgen_masks and len(generated) == len(idgen_masks)
+
+    inclusion_ok = _monotone(invariant, generated) and _monotone(idgen_masks, projections)
+
+    n_inv, n_idgen, n_graded = len(invariant), len(idgen), len(graded_ideals)
+    checks = (
+        co.CheckResult("lift_is_graded", gen_graded, f"{n_inv} invariant ideals"),
+        co.CheckResult("lift_is_identity_generated", gen_idgen, f"{n_inv} invariant ideals"),
+        co.CheckResult("lift_then_restrict_is_identity", restrict_ok, f"{n_inv} invariant ideals"),
+        co.CheckResult("restrict_then_lift_is_identity", expand_ok, f"{n_idgen} identity-generated ideals"),
+        co.CheckResult("projection_is_invariant", projection_invariant, f"{n_graded} graded ideals"),
+        co.CheckResult("lift_image_matches", image_ok, f"{n_inv} invariant vs {n_idgen} identity-generated"),
+        co.CheckResult("inclusion_preserved", inclusion_ok, "both directions"),
+    )
+    return co.Report("identity-generated correspondence", checks)
+
+
+def verify_bijection_ideally_symmetric(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> co.Report:
+    """For ideally symmetric gradings: the lift/restrict pair is a mutually
+    inverse bijection onto *all* graded ideals and matches primeness.
+
+    Raises if the grading is not ideally symmetric, since the statements
+    quantify over that class only.
+    """
+    if not classify_grading(graded).ideally_symmetrically:
+        raise ValueError("grading is not ideally symmetric")
+    ring = graded.ring
+    invariant = filtered_invariant_ideals(graded, caps)
+    graded_ideals = gr.all_graded_ideals(graded, caps)
+
+    generated = {j: fr.generate_ideal(ring, bits(j)).members for j in invariant}
+    recovery_ok = True
+    for i in graded_ideals:
+        proj = co.e_component(graded, i.members)
+        left = closed_product(ring, ring.full_mask, proj)
+        right = closed_product(ring, proj, ring.full_mask)
+        if not (left == right == generated.get(proj) == i.members):
+            recovery_ok = False
+
+    onto_ok = set(generated.values()) == {i.members for i in graded_ideals}
+    inverse_ok = all(co.e_component(graded, generated[j]) == j for j in invariant)
+
+    inclusion_ok = _monotone(invariant, generated)
+
+    graded_prime = {
+        i.members: gr.is_graded_prime_ideal(graded, i) for i in graded_ideals if i.is_proper
+    }
+    prime_match = True
+    gprime = []
+    for q in invariant:
+        if q == graded.e_mask:
+            continue
+        lifted = generated[q]
+        if lifted not in graded_prime:  # the whole ring, or not a graded ideal
+            prime_match = False
+            continue
+        q_prime = co.is_g_prime_ideal(graded, q)
+        if q_prime != graded_prime[lifted]:
+            prime_match = False
+        if q_prime:
+            gprime.append(lifted)
+    graded_primes = [m for m, prime in graded_prime.items() if prime]
+    prime_sets_ok = sorted(gprime) == sorted(graded_primes)
+
+    n_inv, n_graded = len(invariant), len(graded_ideals)
+    n_proper = sum(q != graded.e_mask for q in invariant)
+    checks = (
+        co.CheckResult("hypothesis_ideally_symmetric", True, ""),
+        co.CheckResult("graded_ideal_recovered_from_base", recovery_ok, f"{n_graded} graded ideals"),
+        co.CheckResult("lift_onto_all_graded_ideals", onto_ok, f"{n_inv} invariant vs {n_graded} graded"),
+        co.CheckResult("maps_mutually_inverse", inverse_ok, ""),
+        co.CheckResult("inclusion_preserved", inclusion_ok, ""),
+        co.CheckResult("prime_verdicts_match", prime_match, f"{n_proper} proper invariant ideals"),
+        co.CheckResult("prime_sets_correspond", prime_sets_ok, f"{len(graded_primes)} graded prime ideals"),
+    )
+    return co.Report("ideally symmetric correspondence", checks)
+
+
+def attach_grading(ring: FiniteRing, group, components, caps: Caps = DEFAULT_CAPS) -> GradedRing:
+    """Validate a decomposition and return the graded ring.
+
+    Rejects component families that are not additive subgroups, do not give
+    an internal direct sum, or fail multiplicativity.
+    """
+    comps = {}
+    for x, val in components.items():
+        if group.is_finite:
+            if not isinstance(x, int) or not 0 <= x < group.order:
+                raise SpecError(f"{x!r} is not a group element index")
+        elif not isinstance(x, int):
+            raise SpecError("integer grading requires int degrees")
+        mask = val if isinstance(val, int) else mask_of(val)
+        if mask >> ring.order:
+            raise SpecError("component contains out-of-range elements")
+        if not fr.is_additive_subgroup(ring, mask):
+            raise SpecError(f"component at {x} is not an additive subgroup")
+        comps[x] = mask
+    e = group.identity
+    comps.setdefault(e, ring.zero_mask)
+    support = tuple(sorted(x for x, m in comps.items() if m != ring.zero_mask))
+    sizes = 1
+    for x in support:
+        sizes *= comps[x].bit_count()
+    if sizes != ring.order:
+        raise SpecError("components do not form a direct sum (size mismatch)")
+    decomp: list = [None] * ring.order
+    for combo in itertools.product(*[list(bits(comps[x])) for x in support]):
+        s = ring.sum(combo)
+        if decomp[s] is not None:
+            raise SpecError("components do not form a direct sum (sum collision)")
+        decomp[s] = {x: part for x, part in zip(support, combo) if part != ring.zero}
+    assert all(d is not None for d in decomp)
+    for x in support:
+        for y in support:
+            target = comps.get(group.op(x, y), ring.zero_mask)
+            prod = fr.set_product(ring, comps[x], comps[y])
+            if prod | target != target:
+                raise SpecError(
+                    f"components at {x} and {y} do not multiply into their product component"
+                )
+    return GradedRing(ring, group, comps, tuple(decomp), support)

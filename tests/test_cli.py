@@ -371,6 +371,17 @@ class TestErrors:
         status, _, _ = run_cli(capsys, "classify", DATA / "grpalg_c2.graded", "--max-group-order", "2")
         assert status == 0
 
+    def test_the_ideal_cap_bounds_the_invariant_lattice_not_the_identity_component(self, capsys):
+        # M_2(F_2) graded by diagonal offset: S_e = F_2 x F_2 has 4 ideals, 2 of
+        # them invariant, and there are 2 graded ideals
+        spec = DATA / "mat2_z.graded"
+        status, full, _ = run_cli(capsys, "correspondence", spec)
+        assert status == 0 and full.count(": PASS") == 14
+        assert run_cli(capsys, "correspondence", spec, "--max-ideals", "2") == (0, full, "")
+        assert run_cli(capsys, "correspondence", spec, "--max-ideals", "1") == (
+            2, "", "error: ideal lattice exceeds cap 1\n"
+        )
+
     def test_ideal_cap_below_the_lattice_is_a_one_line_error(self, capsys, tmp_path):
         spec = tmp_path / "prod2x5.ring"
         spec.write_text("product(" + ", ".join(["gf(2)"] * 5) + ")\n")
@@ -382,6 +393,54 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+PROD2X8 = "product(" + ", ".join(["gf(2)"] * 8) + ")"
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty the library's per-ring caches, so that a timed call pays for
+    every lattice and family it reads."""
+    from gradedprime import correspondence, finring
+
+    for module in (finring, gr, correspondence):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)) and value.__module__ == module.__name__:
+                value.cache_clear()
+
+
+class TestWallTime:
+    """Commands whose work is bounded by the generating family of principal
+    ideals, not by the whole lattice or by its pairs; the bytes are pinned."""
+
+    @pytest.mark.parametrize(
+        "command,text,golden,budget",
+        [
+            ("filter", f"ring: {PROD2X8}\ngroup: cyclic(2)\nI 1 = [1]\n", "filter_prod2x8_c2.out", 0.8),
+            (
+                "correspondence",
+                f"ring: {PROD2X8}\ngroup: cyclic(2)\ncomponent 0: {list(range(256))}\n",
+                "correspondence_prod2x8_trivial.out",
+                1.2,
+            ),
+            (
+                "correspondence",
+                f2_zero_multiplication_graded("cyclic(2)", {0: range(64)}, 6),
+                "correspondence_zero_mult_f2_6_trivial.out",
+                1.5,
+            ),
+        ],
+        ids=["filter_prod2x8_c2", "correspondence_prod2x8_trivial", "correspondence_f2_6_trivial"],
+    )
+    def test_within_budget(self, capsys, tmp_path, cold_caches, command, text, golden, budget):
+        spec = tmp_path / "spec"
+        spec.write_text(text)
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, command, spec)
+        assert time.perf_counter() - start < budget
+        assert (status, err) == (0, "")
+        assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
 class TestGolden:

@@ -7,6 +7,7 @@ from gradedprime import finring as fr
 from gradedprime import grading as gr
 from gradedprime.groups import cyclic
 
+import oracle
 from corpus import (
     corpus_rings,
     graded_corpus,
@@ -56,7 +57,7 @@ class TestInvariance:
 
     @pytest.mark.parametrize("name,graded", graded_corpus())
     def test_invariance_matches_lift_and_restrict(self, name, graded):
-        for j in co.base_ideals(graded):
+        for j in oracle.base_ideals(graded):
             lifted = fr.generate_ideal(graded.ring, fr.bits(j))
             assert co.is_g_invariant(graded, j) == (
                 co.e_component(graded, lifted.members) == j

@@ -159,23 +159,29 @@ def test_drawn_group_algebras(base, group):
 
 
 def test_graded_and_invariant_caches_are_bounded():
-    caps = (gr._graded_ideals.cache_info().maxsize, co._invariant_ideals.cache_info().maxsize)
+    caches = (gr._graded_ideals, co._invariant_ideals, co._maps)
+    caps = [c.cache_info().maxsize for c in caches]
     assert None not in caps
     for _ in range(max(caps) + 5):
         graded = gr.trivial_grading(fr.gf(2), cyclic(2))  # a new key each time
         gr.all_graded_ideals(graded)
         co.invariant_base_ideals(graded)
-    assert gr._graded_ideals.cache_info().currsize <= caps[0]
-    assert co._invariant_ideals.cache_info().currsize <= caps[1]
+        co.verify_bijection_identity_generated(graded)
+    for cache, cap in zip(caches, caps):
+        assert cache.cache_info().currsize <= cap
 
 
-def test_invariance_is_decided_once_per_ideal():
-    graded = gr.trivial_grading(fr.product(*[fr.gf(2)] * 4), cyclic(2))
-    n_base, n_graded = len(co.base_ideals(graded)), len(gr.all_graded_ideals(graded))
+@pytest.mark.parametrize("graded", [gr.trivial_grading(fr.product(*[fr.gf(2)] * 4), cyclic(2)),
+                                    group_algebra_grading(fr.gf(3), cyclic(2))], ids=["prod2x4", "grpalg3"])
+def test_invariance_is_decided_once_per_ideal(graded):
+    # the reports read invariance from the lattice; only the G-prime
+    # verdicts decide it, once for each proper invariant ideal
+    n_proper = len(co.invariant_base_ideals(graded)) - 1
     with mock.patch.object(co, "is_g_invariant", wraps=co.is_g_invariant) as calls:
-        report = co.verify_bijection_ideally_symmetric(graded)
-    assert report.all_pass
-    assert 0 < calls.call_count <= n_base + n_graded
+        assert co.verify_bijection_identity_generated(graded).all_pass
+        assert calls.call_count == 0
+        assert co.verify_bijection_ideally_symmetric(graded).all_pass
+    assert 0 < calls.call_count <= n_proper
 
 
 def test_a_call_without_caps_shares_the_entry_of_default_caps():
@@ -189,10 +195,10 @@ def test_a_call_without_caps_shares_the_entry_of_default_caps():
 def test_a_trivial_grading_enumerates_one_lattice():
     # every ideal is graded, and the identity component is the whole ring
     graded = gr.trivial_grading(fr.product(*[fr.gf(2)] * 5), cyclic(2))
-    for cached in (fr.all_ideals, gr._graded_ideals, co._invariant_ideals):
+    for cached in (fr.all_ideals, gr._graded_ideals, co._invariant_ideals, co._maps):
         cached.cache_clear()
     with mock.patch.object(fr, "_join_closure", wraps=fr._join_closure) as calls:
-        with mock.patch.object(gr, "_join_closure", calls):
+        with mock.patch.object(gr, "_join_closure", calls), mock.patch.object(co, "_join_closure", calls):
             assert co.verify_bijection_identity_generated(graded).all_pass
             assert co.verify_bijection_ideally_symmetric(graded).all_pass
     assert calls.call_count == 1

@@ -9,7 +9,7 @@ from gradedprime import finring as fr
 from gradedprime import leavitt as lv
 from gradedprime.errors import SpecError
 
-from corpus import named_graphs
+from corpus import named_graphs, small_graph_classes
 
 
 GF2 = fr.gf(2)
@@ -51,6 +51,20 @@ class TestReachability:
             ("w", "v"),
             ("w", "w"),
         }
+
+    def test_closure_matches_a_search_from_each_vertex(self):
+        for g in (*(g for _, g in named_graphs()), *small_graph_classes(3, 4)):
+            pairs = set()
+            for u in g.vertices:
+                seen, todo = {u}, [u]
+                while todo:
+                    x = todo.pop()
+                    for e in g.edges:
+                        if e.src == x and e.dst not in seen:
+                            seen.add(e.dst)
+                            todo.append(e.dst)
+                pairs |= {(u, w) for w in seen}
+            assert lv.reachability(g) == pairs
 
 
 class TestMT3:

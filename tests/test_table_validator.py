@@ -319,3 +319,16 @@ def test_a_table_of_non_integers_that_int_would_read_is_refused():
         fr.make_ring([[0, 1.7], [1.2, 0]], [[0, 0], [0, "1"]])
     with pytest.raises(SpecError, match="table entries must be element indices"):
         group_from_table([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("row", [5, None, 1.5], ids=["int", "none", "float"])
+def test_a_row_without_a_length_is_not_square(row):
+    """A row that has no length, in either table, gets the text of a table
+    that is not square, not a TypeError."""
+    with pytest.raises(SpecError, match="^tables must be square and of equal size$"):
+        fr.make_ring([[0, 1], row], [[0, 0], [0, 0]])
+    with pytest.raises(SpecError, match="^tables must be square and of equal size$"):
+        fr.make_ring([[0, 1], [1, 0]], [[0, 0], row])
+    with pytest.raises(SpecError, match="^group table is not square over 0..order-1$"):
+        group_from_table([[0, 1], row])
+    assert read_table([[0, 1], row]) is None
