@@ -125,8 +125,7 @@ def is_identity_generated(graded: GradedRing, ideal: Ideal) -> bool:
     """Whether the graded ideal is generated by its identity component."""
     if not is_graded_ideal(graded, ideal):
         raise ValueError("ideal is not graded")
-    regenerated = generate_ideal(graded.ring, bits(e_component(graded, ideal.members)))
-    return regenerated.members == ideal.members
+    return generate_ideal(graded.ring, bits(ideal.members & graded.e_mask)).members == ideal.members
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +168,7 @@ def _maps(graded: GradedRing, caps: Caps):
     graded_ideals = all_graded_ideals(graded, caps)
     invariant = invariant_base_ideals(graded, caps)
     lift = {j: _ideal_span(graded.ring, j)[0] for j in invariant}
-    projection = {i.members: e_component(graded, i.members) for i in graded_ideals}
+    projection = {i.members: i.members & graded.e_mask for i in graded_ideals}
     back = all((projection[m] if m in projection else e_component(graded, m)) == j for j, m in lift.items())
     return invariant, graded_ideals, lift, projection, back
 

@@ -816,14 +816,23 @@ def _join_closure(ring: FiniteRing, principals: Mapping[int, Sequence[int]], cap
     return sorted(lattice)
 
 
-# Lattice and product caches are keyed by (graded) ring, so they are bounded:
-# a long-lived process would otherwise keep every lattice it ever computed.
-@lru_cache(maxsize=16)
 def all_ideals(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]:
     """The ideal lattice: every ideal joins the principal ideals of its elements."""
+    return _all_ideals(ring, caps)
+
+
+# Lattice and product caches are keyed by (graded) ring, so they are bounded:
+# a long-lived process would otherwise keep every lattice it ever computed.
+# Called positionally, so that omitting caps and passing DEFAULT_CAPS share a key.
+@lru_cache(maxsize=16)
+def _all_ideals(ring: FiniteRing, caps: Caps) -> tuple[Ideal, ...]:
     whole = (ring.full_mask,)
     _check_floor(ring, whole, caps)
     return tuple(Ideal(ring, m) for m in _join_closure(ring, _principal_ideals(ring, whole), caps))
+
+
+# The cache's counters and its reset, read and called through the public name.
+all_ideals.cache_info, all_ideals.cache_clear = _all_ideals.cache_info, _all_ideals.cache_clear
 
 
 @lru_cache(maxsize=1024)

@@ -220,10 +220,8 @@ def symmetric_group(n: int) -> FiniteGroup:
     if n < 1:
         raise SpecError("symmetric group degree must be positive")
     perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    rows = [
-        [index[tuple(p[q[i]] for i in range(n))] for q in perms]
-        for p in perms
-    ]
+    getters = [itemgetter(*q) for q in perms]  # itemgetter(*q)(p) is p*q; a scalar when n = 1
+    index = {getters[0](p): i for i, p in enumerate(perms)}
+    rows = [[index[get(p)] for get in getters] for p in perms]
     names = tuple("".join(map(str, p)) for p in perms)
     return group_from_table(rows, names)

@@ -58,6 +58,11 @@ class DirectedGraph(Frozen):
         return {e.name: i for i, e in enumerate(self.edges)}
 
     @cached_property
+    def successor_masks(self) -> list[int]:
+        idx = self.vertex_index
+        return [sum(1 << i for i in {idx[self.target(f)] for f in self.out_edges[v]}) for v in self.vertices]
+
+    @cached_property
     def edge_map(self) -> dict:
         return {e.name: e for e in self.edges}
 
@@ -87,26 +92,25 @@ def graph(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> Dir
 # reachability and condition MT-3
 
 
+def _reach(g: DirectedGraph, sources: int, max_len: Optional[int] = None) -> int:
+    """The vertices that paths of length at most max_len (any length when
+    None) lead to from a mask of sources, as a mask: a sweep of frontiers."""
+    succ = g.successor_masks
+    seen = frontier = sources
+    for _ in range(len(succ) if max_len is None else max_len):
+        step = 0
+        for i in bits(frontier):
+            step |= succ[i]
+        frontier = step & ~seen
+        if not frontier:
+            break
+        seen |= frontier
+    return seen
+
+
 def reachability(g: DirectedGraph) -> frozenset[tuple[str, str]]:
     """Reflexive-transitive closure of the edge relation, as vertex pairs."""
-    idx = g.vertex_index
-    n = len(g.vertices)
-    reach = [1 << i for i in range(n)]
-    succ = [0] * n
-    for e in g.edges:
-        succ[idx[e.src]] |= 1 << idx[e.dst]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = reach[i]
-            for j in bits(succ[i]):
-                acc |= reach[j]
-            if acc != reach[i]:
-                reach[i] = acc
-                changed = True
-    vertices = g.vertices
-    return frozenset((u, vertices[j]) for i, u in enumerate(vertices) for j in bits(reach[i]))
+    return frozenset((u, g.vertices[j]) for i, u in enumerate(g.vertices) for j in bits(_reach(g, 1 << i)))
 
 
 class MT3Result(NamedTuple):
@@ -126,16 +130,15 @@ def satisfies_mt3(g: DirectedGraph) -> MT3Result:
     """
     if not g.vertices:
         raise SpecError("empty graph")
-    reach = reachability(g)
-    down = {v: [w for w in g.vertices if (v, w) in reach] for v in g.vertices}
+    vertices = g.vertices
+    reach = [_reach(g, 1 << i) for i in range(len(vertices))]
     sinks = {}
-    for u in g.vertices:
-        du = set(down[u])
-        for v in g.vertices:
-            common = [w for w in down[v] if w in du]
+    for u, ru in zip(vertices, reach):
+        for v, rv in zip(vertices, reach):
+            common = ru & rv
             if not common:
                 return MT3Result(False, None, (u, v))
-            sinks[(u, v)] = common[0]
+            sinks[(u, v)] = vertices[(common & -common).bit_length() - 1]
     return MT3Result(True, sinks, None)
 
 
@@ -147,9 +150,6 @@ class Path(NamedTuple):
     edges: tuple[str, ...]
     src: str
     dst: str
-
-    def label(self) -> str:
-        return ".".join(self.edges) if self.edges else self.src
 
 
 def paths_up_to(g: DirectedGraph, max_len: int, source: Optional[str] = None) -> list[Path]:
@@ -485,34 +485,28 @@ def verify_corner_orthogonality(
     (v*alpha)*(beta-star*w), and s(alpha) alpha = alpha gives v*alpha =
     (v*s(alpha))*alpha, nonzero exactly when v*s(alpha) is; likewise
     beta-star*w = beta-star*(s(beta)*w).  So one product per vertex gates
-    every path by its source, only paths from a passing source are listed,
-    and only pairs of them with a common range get the full check.
+    every path by its source, and only pairs of passing paths into a range
+    that both sides reach within max_len get the full check; under the
+    requirement there are none, and no path is listed.
     """
-    reach = reachability(g)
-    down_v = {y for (x, y) in reach if x == v}
-    down_w = {y for (x, y) in reach if x == w}
-    if down_v & down_w:
+    idx = g.vertex_index
+    if _reach(g, 1 << idx[v] if v in idx else 0) & _reach(g, 1 << idx[w] if w in idx else 0):
         raise ValueError(f"({v},{w}) has a common reachable vertex")
     ctx = LeavittContext(g, coeff)
-    unit = ctx.coeff.unit
-    vel = ctx.vertex(v)
-    wel = ctx.vertex(w)
+    vel, wel = ctx.vertex(v), ctx.vertex(w)
+    real_src = sum(1 << i for i, u in enumerate(g.vertices) if vel * ctx.vertex(u))
+    ghost_src = sum(1 << i for i, u in enumerate(g.vertices) if ctx.vertex(u) * wel)
+    common = _reach(g, real_src, max_len) & _reach(g, ghost_src, max_len)
 
-    def by_range(gate) -> dict:
-        out: dict = {}
-        for u in g.vertices:
-            if gate(ctx.vertex(u)):
-                for p in paths_up_to(g, max_len, source=u):
-                    out.setdefault(p.dst, []).append(p)
-        return out
+    def into_common(sources: int) -> list[Path]:
+        return [p for i in bits(sources) if _reach(g, 1 << i, max_len) & common
+                for p in paths_up_to(g, max_len, source=g.vertices[i]) if common >> idx[p.dst] & 1]
 
-    ghosts = by_range(lambda x: x * wel)
-    for dst, reals in by_range(lambda x: vel * x).items():
-        for pa in reals:
-            for pb in ghosts.get(dst, ()):
-                m = ctx.monomial(unit, pa.edges, pb.edges, vertex=dst)
-                if (vel * m) * wel:
-                    return False
+    ghosts = into_common(ghost_src)
+    for pa in into_common(real_src):
+        for pb in ghosts:
+            if pb.dst == pa.dst and vel * ctx.monomial(coeff.unit, pa.edges, pb.edges, vertex=pa.dst) * wel:
+                return False
     return True
 
 

@@ -55,7 +55,19 @@ test is this module's exhaustive ``is_ideal_mask``.
 
 The corner-orthogonality scan from before it gated paths by their source
 vertex: ``verify_corner_orthogonality`` lists every path up to the length
-bound and gates each one by its own engine product with v or w.
+bound and gates each one by its own engine product with v or w, and tests
+its requirement on the pairs of this module's ``reachability``.
+
+Reachability and condition MT-3 from before one depth-bounded sweep over
+vertex masks served both and the orthogonality scan: ``reachability``
+iterates every vertex's successor masks to a fixpoint, and
+``satisfies_mt3`` lists the vertices below each vertex and scans them for
+each pair.
+
+The symmetric-group builder from before it composed permutations with
+``operator.itemgetter``: ``symmetric_group`` forms every product
+coordinate by coordinate and hands the table to the library's
+``groups.group_from_table``.
 
 The random elements of the witness trials from before the members of a
 degree were memoised: ``members_of_degree`` sorts the bits of the degree's
@@ -83,7 +95,9 @@ additive generators: ``attach_grading`` multiplies every pair of elements
 of two components.
 
 The function bodies are unchanged from those versions, except that the old
-group parser names the library's ``groups.group_from_table``, the old
+group parser names the library's ``groups.group_from_table`` and
+``groups.symmetric_group``, the old symmetric-group builder the library's
+``groups.group_from_table``, the old
 ideal-symmetry checks and pair tests the library's
 ``grading.all_graded_ideals`` and ``finring.all_ideals``, the old
 ``classify_filter`` the library's ``grfilter._ideally_symmetric_finite``
@@ -122,8 +136,8 @@ from gradedprime import grfilter as gfl
 from gradedprime.grfilter import (
     FilterClassification, GFilter, Witness, assemble_filter_ring, filter_sites, is_s_unital_module,
 )
-from gradedprime.groups import FiniteGroup, Z, cyclic, symmetric_group
-from gradedprime.leavitt import DirectedGraph, LeavittContext, paths_up_to, reachability
+from gradedprime.groups import FiniteGroup, Z, cyclic
+from gradedprime.leavitt import DirectedGraph, LeavittContext, MT3Result, paths_up_to
 from gradedprime.specio import _as_rows, _check_group_order
 
 
@@ -602,7 +616,7 @@ def _parse_group_expr(ts: _Tokens, allow_z: bool, caps: Caps):
                 break
             order *= k
         _check_group_order(order, f"{n}!", caps)
-        return symmetric_group(n)
+        return groups.symmetric_group(n)
     if head == "tables":
         fields = _parse_table_block(ts)
         if "order" not in fields or "op" not in fields:
@@ -892,6 +906,49 @@ def classify_filter(f: GFilter, caps: Caps = DEFAULT_CAPS) -> FilterClassificati
                 )
 
     return FilterClassification(symmetric, inverse_equal, ideally, nearly, r_idem, r_fully)
+
+
+def reachability(g: DirectedGraph) -> frozenset[tuple[str, str]]:
+    """Reflexive-transitive closure of the edge relation, as vertex pairs."""
+    idx = g.vertex_index
+    n = len(g.vertices)
+    reach = [1 << i for i in range(n)]
+    succ = [0] * n
+    for e in g.edges:
+        succ[idx[e.src]] |= 1 << idx[e.dst]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            acc = reach[i]
+            for j in bits(succ[i]):
+                acc |= reach[j]
+            if acc != reach[i]:
+                reach[i] = acc
+                changed = True
+    vertices = g.vertices
+    return frozenset((u, vertices[j]) for i, u in enumerate(vertices) for j in bits(reach[i]))
+
+
+def satisfies_mt3(g: DirectedGraph) -> MT3Result:
+    """Whether every vertex pair flows to a common vertex.
+
+    On success returns the first common vertex (in declared order) for every
+    ordered pair; on failure returns the first violating pair.
+    """
+    if not g.vertices:
+        raise SpecError("empty graph")
+    reach = reachability(g)
+    down = {v: [w for w in g.vertices if (v, w) in reach] for v in g.vertices}
+    sinks = {}
+    for u in g.vertices:
+        du = set(down[u])
+        for v in g.vertices:
+            common = [w for w in down[v] if w in du]
+            if not common:
+                return MT3Result(False, None, (u, v))
+            sinks[(u, v)] = common[0]
+    return MT3Result(True, sinks, None)
 
 
 def verify_corner_orthogonality(
@@ -1248,3 +1305,20 @@ def attach_grading(ring: FiniteRing, group, components, caps: Caps = DEFAULT_CAP
                     f"components at {x} and {y} do not multiply into their product component"
                 )
     return GradedRing(ring, group, comps, tuple(decomp), support)
+
+
+def symmetric_group(n: int) -> FiniteGroup:
+    """Symmetric group on n letters; elements are permutations in lex order.
+
+    The product sigma*tau maps i to sigma[tau[i]] (tau applied first).
+    """
+    if n < 1:
+        raise SpecError("symmetric group degree must be positive")
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    rows = [
+        [index[tuple(p[q[i]] for i in range(n))] for q in perms]
+        for p in perms
+    ]
+    names = tuple("".join(map(str, p)) for p in perms)
+    return groups.group_from_table(rows, names)

@@ -1,6 +1,7 @@
 """Command-line surface: golden outputs, porcelain mode, error paths."""
 
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -441,6 +442,34 @@ class TestWallTime:
         assert time.perf_counter() - start < budget
         assert (status, err) == (0, "")
         assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+class TestOrthogonalityMemory:
+    """Two 4-petal roses have (4^(d+1) - 1) / 3 paths from each vertex up to
+    depth d (22 M at depth 12); the scan lists none of them."""
+
+    @pytest.mark.parametrize("depth", [12, 40])
+    def test_roses_within_a_gigabyte_and_a_second(self, tmp_path, depth):
+        roses = tmp_path / "roses.graph"
+        roses.write_text("vertex v\nvertex w\n" + "".join(
+            f"edge {x}{k}: {y} -> {y}\n" for x, y in (("a", "v"), ("b", "w")) for k in range(1, 5)))
+        argv = ["leavitt", str(roses), "--coeff", str(DATA / "gf2.ring"), "--orthogonality-depth", str(depth)]
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "gradedprime", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=limit_address_space,
+        )
+        elapsed = time.perf_counter() - start
+        assert (result.returncode, result.stderr) == (0, "")
+        assert f"orthogonality depth {depth} (v,w): PASS" in result.stdout.splitlines()
+        assert elapsed < 1.0
 
 
 class TestGolden:

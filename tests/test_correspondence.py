@@ -1,10 +1,13 @@
 """Identity-component correspondence: invariant ideals, lifts, reports."""
 
+from pathlib import Path
+
 import pytest
 
 from gradedprime import correspondence as co
 from gradedprime import finring as fr
 from gradedprime import grading as gr
+from gradedprime import specio
 from gradedprime.groups import cyclic
 
 import oracle
@@ -19,6 +22,10 @@ from corpus import (
 )
 
 E11, E12, E22 = 4, 2, 1
+DATA = Path(__file__).parent / "data"
+GRADED = list(graded_corpus()) + [
+    (p.name, specio.parse_graded_file(p.read_text())) for p in sorted(DATA.glob("*.graded"))
+]
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +43,12 @@ class TestProjection:
     def test_mixed_element_projects_to_its_diagonal(self, tri2_std):
         got = co.e_component(tri2_std, fr.mask_of([E11 + E12]))
         assert got == fr.mask_of([E11])
+
+    @pytest.mark.parametrize("name,graded", GRADED, ids=[name for name, _ in GRADED])
+    def test_a_graded_ideal_projects_onto_its_meet_with_the_identity_component(self, name, graded):
+        """The reports project graded ideals by masking with S_e."""
+        for ideal in gr.all_graded_ideals(graded):
+            assert co.e_component(graded, ideal.members) == ideal.members & graded.e_mask
 
 
 class TestInvariance:

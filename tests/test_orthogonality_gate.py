@@ -1,7 +1,8 @@
-"""The corner-orthogonality scan, gated by source vertex, against the
-per-path scan it replaced (``oracle.verify_corner_orthogonality``): the same
-verdict or the same error on every vertex pair and every depth, and exactly
-the paths that the per-path gate lets through."""
+"""The reachability sweep and the corner-orthogonality scan against the
+versions they replaced, kept in ``oracle``: the same reachability pairs, the
+same MT-3 sinks or violation, and the same orthogonality verdict or error
+on every vertex pair and every depth.  Under its requirement the scan lists
+no path at all."""
 
 from pathlib import Path
 
@@ -53,9 +54,34 @@ GRAPHS = (
 )
 
 
+def assert_reach_agrees(g):
+    assert lv.reachability(g) == oracle.reachability(g)
+    assert lv.satisfies_mt3(g) == oracle.satisfies_mt3(g)
+    for v in g.vertices:
+        for depth in DEPTHS:
+            ranges = {p.dst for p in lv.paths_up_to(g, depth, source=v)}
+            assert lv._reach(g, 1 << g.vertex_index[v], depth) == fr.mask_of(
+                g.vertex_index[u] for u in ranges), (v, depth)
+
+
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[n for n, _ in GRAPHS])
 def test_agrees_with_the_per_path_scan(name, g):
     assert_agree(g)
+
+
+@pytest.mark.parametrize("name,g", GRAPHS, ids=[n for n, _ in GRAPHS])
+def test_reachability_and_mt3_agree_with_the_fixpoint(name, g):
+    """Also: the sweep within a depth reaches the ranges of the paths of at
+    most that length."""
+    assert_reach_agrees(g)
+
+
+def test_the_empty_graph():
+    g = lv.graph([], [])
+    assert lv.reachability(g) == oracle.reachability(g) == frozenset()
+    for mt3 in (lv.satisfies_mt3, oracle.satisfies_mt3):
+        with pytest.raises(SpecError, match="^empty graph$"):
+            mt3(g)
 
 
 def test_agrees_over_other_coefficients_and_on_errors():
@@ -90,39 +116,37 @@ def test_agrees_on_drawn_multigraphs(g, depth):
     assert_agree(g, depths=(depth,))
 
 
-def per_path_gate(g, v, w, depth):
-    """The paths the per-path scan lets through: v*alpha != 0 or
-    beta-star*w != 0, each decided by its own engine product."""
-    ctx = lv.LeavittContext(g, GF2)
-    vel, wel = ctx.vertex(v), ctx.vertex(w)
-    paths = lv.paths_up_to(g, depth)
-    reals = [p for p in paths if vel * ctx.monomial(GF2.unit, p.edges, (), vertex=p.dst)]
-    ghosts = [p for p in paths if ctx.monomial(GF2.unit, (), p.edges, vertex=p.dst) * wel]
-    return sorted(reals + ghosts)
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(multigraphs())
+def test_reachability_and_mt3_agree_on_drawn_multigraphs(g):
+    assert_reach_agrees(g)
 
 
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[n for n, _ in GRAPHS])
-def test_lists_exactly_the_paths_the_per_path_gate_passes(monkeypatch, name, g):
-    reach = lv.reachability(g)
+def test_lists_no_path_when_the_precondition_holds(monkeypatch, name, g):
+    """Every pair with no common reachable vertex: no call to paths_up_to,
+    and two engine products per vertex, at every depth."""
+    reach = oracle.reachability(g)
     pairs = [
         (v, w)
         for v in g.vertices
         for w in g.vertices
         if not {y for x, y in reach if x == v} & {y for x, y in reach if x == w}
     ]
-    expected = {pair: per_path_gate(g, *pair, 4) for pair in pairs}
-    paths_up_to, listed = lv.paths_up_to, []
+    listed, products = [], []
+    mul = lv.LpaElement.__mul__
 
-    def spy(*args, **kwargs):
-        out = paths_up_to(*args, **kwargs)
-        listed.extend(out)
-        return out
+    def counting(a, b):
+        products.append(1)
+        return mul(a, b)
 
-    monkeypatch.setattr(lv, "paths_up_to", spy)
+    monkeypatch.setattr(lv, "paths_up_to", lambda *args, **kwargs: listed.append(args))
+    monkeypatch.setattr(lv.LpaElement, "__mul__", counting)
     for pair in pairs:
-        listed.clear()
-        assert lv.verify_corner_orthogonality(g, GF2, *pair, 4)
-        assert sorted(listed) == expected[pair], pair
+        for depth in DEPTHS:
+            products.clear()
+            assert lv.verify_corner_orthogonality(g, GF2, *pair, depth)
+            assert listed == [] and len(products) == 2 * len(g.vertices), (pair, depth)
 
 
 def test_one_engine_product_per_vertex_gates_the_roses(monkeypatch):

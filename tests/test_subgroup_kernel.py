@@ -171,6 +171,16 @@ def test_lattice_cache_is_bounded():
     assert fr.all_ideals.cache_info().currsize <= cap
 
 
+def test_omitting_the_caps_and_passing_the_defaults_share_one_lattice():
+    ring = fr.product(fr.gf(2), fr.gf(3), fr.gf(2))
+    fr.all_ideals.cache_clear()
+    lattice = fr.all_ideals(ring)
+    assert fr.all_ideals(ring, fr.DEFAULT_CAPS) is lattice
+    assert fr.all_ideals(ring, caps=fr.Caps()) is lattice
+    info = fr.all_ideals.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+
+
 def test_product_cache_is_bounded():
     cap = fr.ideal_product.cache_info().maxsize
     assert cap is not None

@@ -332,3 +332,16 @@ def test_a_row_without_a_length_is_not_square(row):
     with pytest.raises(SpecError, match="^group table is not square over 0..order-1$"):
         group_from_table([[0, 1], row])
     assert read_table([[0, 1], row]) is None
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symmetric_group_table_matches_the_coordinatewise_builder(n):
+    """Rows built with one itemgetter per permutation, n = 1 included, where
+    itemgetter(0) returns a scalar rather than a tuple."""
+    assert symmetric_group(n) == oracle.symmetric_group(n)
+
+
+def test_symmetric_group_of_degree_zero_is_refused():
+    for build in (symmetric_group, oracle.symmetric_group):
+        with pytest.raises(SpecError, match="symmetric group degree must be positive"):
+            build(0)
