@@ -161,6 +161,8 @@ def _cmd_leavitt(args) -> int:
     coeff = specio.parse_ring_spec(_read(args.coeff), caps=_caps(args))
     mt3 = lv.satisfies_mt3(graph)
     coeff_prime = fr.is_prime_ring(coeff)
+    if coeff.unit is None:  # before any verdict is printed
+        raise SpecError("coefficient ring must be unital")
     prime = coeff_prime and mt3.holds
     if args.porcelain:
         print(f"coeff_prime={_porc(coeff_prime)}")

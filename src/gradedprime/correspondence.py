@@ -98,13 +98,10 @@ def invariant_base_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tupl
 @lru_cache(maxsize=16)
 def _invariant_principals(graded: GradedRing) -> dict[int, list[int]]:
     """The invariant closures of the generating family of principal ideals
-    of S_e: mask -> generators."""
-    sub, old, _ = graded.base
-    principals = _principal_ideals(sub, (sub.full_mask,))
-    return dict(
-        _invariant_closure(graded, mask_of(old[i] for i in bits(m)), [old[i] for i in gens])
-        for m, gens in principals.items()
-    )
+    of S_e, taken in S_e: mask -> generators."""
+    emask = graded.e_mask
+    principals = _principal_ideals(graded.ring, (emask,), _gens(graded.ring, emask))
+    return dict(_invariant_closure(graded, m, gens) for m, gens in principals.items())
 
 
 def is_g_prime_ideal(graded: GradedRing, qmask: int) -> bool:

@@ -661,6 +661,20 @@ def is_ideal_mask(ring: FiniteRing, mask: int, acting: Optional[int] = None) -> 
     return True
 
 
+def is_s_unital_module(ring: FiniteRing, acting: int, acted: int, side: str) -> bool:
+    """Whether every m in acted lies in (sums of) acting*m ("left") or
+    m*acting ("right").  Those sums are e*m or m*e for e in the span of
+    acting, as multiplication by m is additive, so the span is listed once
+    and scanned for each m up to the first e that fixes it."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    mul, units = ring.mul_table, list(bits(subgroup_closure(ring, acting)))
+    if side == "left":
+        rows = [mul[e] for e in units]
+        return all(m in map(itemgetter(m), rows) for m in bits(acted))
+    return all(m in map(mul[m].__getitem__, units) for m in bits(acted))
+
+
 class Ideal(Frozen):
     """A two-sided ideal, validated on construction."""
 
@@ -708,31 +722,32 @@ def full_ideal(ring: FiniteRing) -> Ideal:
     return Ideal(ring, ring.full_mask)
 
 
-def _ideal_span(ring: FiniteRing, xmask: int):
-    """(mask, generators) of the ideal generated by xmask.
+def _ideal_span(ring: FiniteRing, xmask: int, actors: Optional[Sequence[int]] = None):
+    """(mask, generators) of the ideal generated by xmask in the subring R
+    whose additive generators are the actors (default: the ring's own).
 
     That ideal is ZX + RX + XR + RXR, and by biadditivity it is the additive
     span of X u GX u XG u GXG for X the additive generators of xmask's span
-    and G those of the ring, so one pass suffices and no unit is assumed.
+    and G the actors, so one pass suffices and no unit is assumed.
     """
     mul = ring.mul_table
-    ring_gens = ring.additive_generators
+    actors = ring.additive_generators if actors is None else actors
     out = 0
     for x in _gens(ring, xmask):
         out |= 1 << x
         xrow = mul[x]
-        for s in ring_gens:
+        for s in actors:
             sx = mul[s][x]
             out |= 1 << sx | 1 << xrow[s]
             sxrow = mul[sx]
-            for t in ring_gens:
+            for t in actors:
                 out |= 1 << sxrow[t]
     return _span(ring, out)
 
 
 def generate_ideal(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
     """Smallest two-sided ideal containing the generators."""
-    mask = mask_of(gens)
+    mask = mask_of(g if g >= 0 else ring.order for g in gens)  # a negative index is out of range too
     if mask >> ring.order:
         raise SpecError("generator index out of range")
     return Ideal(ring, _ideal_span(ring, mask)[0])
@@ -774,17 +789,20 @@ def _ideal_count_floor(ring: FiniteRing, components: Sequence[int]) -> int:
     return floor
 
 
-def _principal_ideals(ring: FiniteRing, components: Sequence[int]) -> dict[int, list[int]]:
+def _principal_ideals(
+    ring: FiniteRing, components: Sequence[int], actors: Optional[Sequence[int]] = None
+) -> dict[int, list[int]]:
     """A generating family of the principal ideals of the components'
-    elements, mask -> generators: those that are not the sum of the
-    principal ideals strictly inside them (so not the zero ideal).  By
-    induction on size, each principal ideal is the sum of the members inside
-    it, so every sum of principal ideals is a sum of members.  Hence the
-    family stands exactly for those sums: in their join closure, in the pair
-    tests of is_prime_among, in the ideal-symmetry identities, whose sides
-    are additive in the ideal, and in is_fully_idempotent.
+    elements, in the subring spanned by the actors (_ideal_span), mask ->
+    generators: those that are not the sum of the principal ideals strictly
+    inside them (so not the zero ideal).  By induction on size, each
+    principal ideal is the sum of the members inside it, so every sum of
+    principal ideals is a sum of members.  Hence the family stands exactly
+    for those sums: in their join closure, in the pair tests of
+    is_prime_among, in the ideal-symmetry identities, whose sides are
+    additive in the ideal, and in is_fully_idempotent.
     """
-    spans = {a: _ideal_span(ring, 1 << a) for comp in components for a in bits(comp)}
+    spans = {a: _ideal_span(ring, 1 << a, actors) for comp in components for a in bits(comp)}
     of = {a: span[0] for a, span in spans.items()}
     elements = reduce(or_, components, 0)
 
@@ -916,22 +934,12 @@ def prime_element_criterion(ring: FiniteRing, p: Ideal, candidates: Optional[int
     """Elementwise criterion: aSb in P and ab in P force a in P or b in P.
 
     Only a, b in the candidates mask (default: the whole ring) are tested.
-    The middle factor ranges over the ring's additive generators, which is
-    the same test: P is additive, so aSb lies in P when agb does for each
-    generator g.
+    This is the m-system test on the complement of P with the ring's
+    additive generators as middle factors: P is additive, so aSb lies in P
+    when agb does for each generator g.
     """
     _check_proper_ideal(ring, p)
-    pm = p.members
-    mul = ring.mul_table
-    outside = _restrict(ring.full_mask & ~pm, candidates)
-    for a in outside:
-        arow = mul[a]
-        for b in outside:
-            if not pm >> arow[b] & 1:
-                continue
-            if all(pm >> mul[arow[s]][b] & 1 for s in ring.additive_generators):
-                return False
-    return True
+    return is_m_system(ring, ring.full_mask & ~p.members, candidates, mask_of(ring.additive_generators))
 
 
 def is_prime_among(ring: FiniteRing, pmask: int, ideals: Mapping[int, Sequence[int]]) -> bool:

@@ -30,10 +30,10 @@ from .finring import (
     bits,
     closed_product,
     generate_ideal,
-    induced_subring,
     is_additive_subgroup,
     is_m_system,
     is_prime_among,
+    is_s_unital_module,
     mask_of,
     prime_element_criterion,
     triple_product,
@@ -98,16 +98,6 @@ class GradedRing:
         """Additive generators of each component in the support."""
         return {x: _gens(self.ring, self.components[x]) for x in self.support}
 
-    @cached_property
-    def base(self):
-        """The identity component as a ring: (subring, old indices, index map),
-        the ring itself when S_e = S."""
-        if self.e_mask == self.ring.full_mask:
-            old = tuple(self.ring.elements())
-            return self.ring, old, dict(zip(old, old))
-        sub, old = induced_subring(self.ring, bits(self.e_mask))
-        return sub, old, {o: i for i, o in enumerate(old)}
-
     def __repr__(self):
         return f"GradedRing(order={self.ring.order}, group={self.group!r}, support={list(self.support)})"
 
@@ -130,8 +120,9 @@ def attach_grading(
                 raise SpecError(f"{x!r} is not a group element index")
         elif not isinstance(x, int):
             raise SpecError("integer grading requires int degrees")
-        mask = val if isinstance(val, int) else mask_of(val)
-        if mask >> ring.order:
+        # a negative index is out of range, so it is read as the index ring.order
+        mask = val if isinstance(val, int) else mask_of(i if i >= 0 else ring.order for i in val)
+        if mask >> ring.order:  # as is a negative mask
             raise SpecError("component contains out-of-range elements")
         if not is_additive_subgroup(ring, mask):
             raise SpecError(f"component at {x} is not an additive subgroup")
@@ -321,19 +312,14 @@ def _is_ideally_symmetrically_graded(graded: GradedRing) -> bool:
 
 
 def _is_nearly_epsilon_strongly_graded(graded: GradedRing) -> bool:
-    ring = graded.ring
-    group = graded.group
-    for x in graded.support:
-        sx = graded.component(x)
-        sxi = graded.component(group.inverse(x))
-        left_units = closed_product(ring, sx, sxi)
-        right_units = closed_product(ring, sxi, sx)
-        for s in bits(sx):
-            if not any(ring.mul(eps, s) == s for eps in bits(left_units)):
-                return False
-            if not any(ring.mul(s, eps) == s for eps in bits(right_units)):
-                return False
-    return True
+    """Whether each S_x is s-unital as a left S_x S_{x^-1}-module and as a
+    right S_{x^-1} S_x-module."""
+    ring, at, inverse = graded.ring, graded.component, graded.group.inverse
+    return all(
+        is_s_unital_module(ring, closed_product(ring, at(x), at(inverse(x))), at(x), "left")
+        and is_s_unital_module(ring, closed_product(ring, at(inverse(x)), at(x)), at(x), "right")
+        for x in graded.support
+    )
 
 
 @lru_cache(maxsize=16)

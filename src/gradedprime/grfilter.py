@@ -30,6 +30,7 @@ from .finring import (
     closed_product,
     is_fully_idempotent,
     is_ideal_mask,
+    is_s_unital_module,
     mask_of,
 )
 from .frozen import Frozen
@@ -319,18 +320,6 @@ def build_filter_subring(f: GFilter, caps: Caps = DEFAULT_CAPS):
 
 # ---------------------------------------------------------------------------
 # classification
-
-
-def is_s_unital_module(ring: FiniteRing, acting: int, acted: int, side: str) -> bool:
-    """Whether every m in the acted ideal lies in (sums of) acting*m or
-    m*acting, per side."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    for m in bits(acted):
-        factors = (acting, 1 << m) if side == "left" else (1 << m, acting)
-        if not closed_product(ring, *factors) >> m & 1:
-            return False
-    return True
 
 
 class FilterClassification(NamedTuple):

@@ -43,6 +43,7 @@ so the rows of a ``tables{}`` spec cost no token-by-token walk.
 from __future__ import annotations
 
 import re
+from functools import partial
 from typing import TYPE_CHECKING
 
 from . import finring as fr
@@ -196,47 +197,39 @@ def _as_rows(value, n, what: str):
     return rows
 
 
+def _args(ts: _Tokens, *readers) -> list:
+    """The values of a parenthesised, comma-separated argument list, each
+    argument read by the reader in its place."""
+    ts.expect("punct", "(")
+    values = []
+    for k, read in enumerate(readers):
+        if k:
+            ts.expect("punct", ",")
+        values.append(read(ts))
+    ts.expect("punct", ")")
+    return values
+
+
 def _parse_ring_expr(ts: _Tokens, caps: Caps) -> FiniteRing:
     head = ts.expect("name")
-    if head == "gf":
-        ts.expect("punct", "(")
-        q = _parse_int(ts)
-        ts.expect("punct", ")")
-        return fr.gf(q, caps=caps)
-    if head == "zmod":
-        ts.expect("punct", "(")
-        n = _parse_int(ts)
-        ts.expect("punct", ")")
-        return fr.zmod(n, caps=caps)
+    ring = partial(_parse_ring_expr, caps=caps)
+    if head in ("gf", "zmod"):
+        return getattr(fr, head)(*_args(ts, _parse_int), caps=caps)
     if head == "product":
         ts.expect("punct", "(")
-        factors = [_parse_ring_expr(ts, caps)]
+        factors = [ring(ts)]
         while ts.peek() == ",":
             ts.next()
-            factors.append(_parse_ring_expr(ts, caps))
+            factors.append(ring(ts))
         ts.expect("punct", ")")
         return fr.product(*factors, caps=caps)
     if head in ("mat", "tri"):
-        ts.expect("punct", "(")
-        base = _parse_ring_expr(ts, caps)
-        ts.expect("punct", ",")
-        n = _parse_int(ts)
-        ts.expect("punct", ")")
-        builder = fr.mat if head == "mat" else fr.tri
-        return builder(base, n, caps=caps)
+        return getattr(fr, head)(*_args(ts, ring, _parse_int), caps=caps)
     if head == "grpalg":
-        ts.expect("punct", "(")
-        base = _parse_ring_expr(ts, caps)
-        ts.expect("punct", ",")
-        group = _parse_group_expr(ts, False, caps)
-        ts.expect("punct", ")")
-        return fr.grpalg(base, group, caps=caps)
+        group = partial(_parse_group_expr, allow_z=False, caps=caps)
+        return fr.grpalg(*_args(ts, ring, group), caps=caps)
     if head == "subring":
-        ts.expect("punct", "(")
-        base = _parse_ring_expr(ts, caps)
-        ts.expect("punct", ",")
-        elems = _parse_list(ts)
-        ts.expect("punct", ")")
+        base, elems = _args(ts, ring, _parse_list)
         if not all(isinstance(e, int) for e in elems):
             raise SpecError("subring selection must be a flat index list")
         return fr.subring(base, elems, caps=caps)
@@ -265,15 +258,11 @@ def _parse_group_expr(ts: _Tokens, allow_z: bool, caps: Caps):
             raise SpecError("the integers are not allowed here")
         return Z
     if head == "cyclic":
-        ts.expect("punct", "(")
-        n = _parse_int(ts)
-        ts.expect("punct", ")")
+        (n,) = _args(ts, _parse_int)
         _check_group_order(n, n, caps)
         return cyclic(n)
     if head == "sym":
-        ts.expect("punct", "(")
-        n = _parse_int(ts)
-        ts.expect("punct", ")")
+        (n,) = _args(ts, _parse_int)
         order = 1  # n!, computed only until it passes the cap
         for k in range(2, n + 1):
             if order > caps.max_group_order:

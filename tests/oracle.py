@@ -94,6 +94,18 @@ The grading validator from before multiplicativity was checked on
 additive generators: ``attach_grading`` multiplies every pair of elements
 of two components.
 
+The copies from before each became a call into the kernel it copied:
+``prime_element_criterion`` loops over the pairs outside P itself, where
+the library's is the m-system test on the complement; ``is_s_unital_module``
+spans one product per element, where the library's scans the span of the
+acting set once (this module's ``classify_filter`` reads this one);
+``_is_nearly_epsilon_strongly_graded`` scans each component element by
+element; and ``_base`` builds the identity component as a subring, with its
+index maps, on which ``_invariant_principals`` takes S_e's generating
+family and maps it back, where the library takes the family in the ambient
+ring.  ``base_ideals``, ``_invariant_ideals`` and
+``filtered_invariant_ideals`` read ``_base``.
+
 The function bodies are unchanged from those versions, except that the old
 group parser names the library's ``groups.group_from_table`` and
 ``groups.symmetric_group``, the old symmetric-group builder the library's
@@ -108,6 +120,9 @@ the rings they are compared on),
 and the old ``gf`` and ``zmod`` the library's ``finring.make_ring``, which
 this module's own functions of those names would otherwise shadow; ``gf``
 also reaches the library's prime-power helpers through ``finring``.
+``_base`` is the ``GradedRing.base`` property of its version, made a
+function of the graded ring and cached per graded ring like the property,
+and the old ``_invariant_principals`` reads it instead of the property.
 """
 
 from __future__ import annotations
@@ -134,7 +149,7 @@ from gradedprime.finring import (
 from gradedprime.grading import GradedRing, classify_grading, is_graded_ideal
 from gradedprime import grfilter as gfl
 from gradedprime.grfilter import (
-    FilterClassification, GFilter, Witness, assemble_filter_ring, filter_sites, is_s_unital_module,
+    FilterClassification, GFilter, Witness, assemble_filter_ring, filter_sites,
 )
 from gradedprime.groups import FiniteGroup, Z, cyclic
 from gradedprime.leavitt import DirectedGraph, LeavittContext, MT3Result, paths_up_to
@@ -252,7 +267,7 @@ def all_graded_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[Id
 
 def base_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
     """All ideals of the identity component, as ambient masks, sorted."""
-    sub, old, _ = graded.base
+    sub, old, _ = _base(graded)
     out = []
     for ideal in all_ideals(sub, caps):
         out.append(mask_of(old[i] for i in bits(ideal.members)))
@@ -797,9 +812,9 @@ def graded_prime_pair_test(graded: GradedRing, p: Ideal, caps: Caps = DEFAULT_CA
 
 @lru_cache(maxsize=16)
 def _invariant_ideals(graded: GradedRing, caps: Caps) -> MappingProxyType[int, Ideal]:
-    """The G-invariant ideals of S_e as ideals of the subring graded.base, by
+    """The G-invariant ideals of S_e as ideals of the subring _base(graded), by
     ambient mask; the index map is increasing, so the masks come sorted."""
-    sub, old, _ = graded.base
+    sub, old, _ = _base(graded)
     ideals = {mask_of(old[k] for k in i.elements()): i for i in fr.all_ideals(sub, caps)}
     return MappingProxyType({m: i for m, i in ideals.items() if is_g_invariant(graded, m)})
 
@@ -809,7 +824,7 @@ def is_g_prime_ideal(graded: GradedRing, qmask: int, caps: Caps = DEFAULT_CAPS) 
     invariant = _invariant_ideals(graded, caps)
     if qmask == graded.e_mask or qmask not in invariant:
         raise ValueError("subset is not a proper invariant ideal of the identity component")
-    return is_prime_among(graded.base[0], invariant[qmask].members, invariant.values())
+    return is_prime_among(_base(graded)[0], invariant[qmask].members, invariant.values())
 
 
 def validate_filter(f: GFilter) -> bool:
@@ -1143,7 +1158,7 @@ def is_fully_idempotent(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> bool:
 def filtered_invariant_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
     """The G-invariant ideals of S_e as a filter of the library's lattice of
     the induced subring, by the library's is_g_invariant."""
-    sub, old, _ = graded.base
+    sub, old, _ = _base(graded)
     base = sorted(mask_of(old[i] for i in ideal.elements()) for ideal in fr.all_ideals(sub, caps))
     return tuple(j for j in base if co.is_g_invariant(graded, j))
 
@@ -1322,3 +1337,75 @@ def symmetric_group(n: int) -> FiniteGroup:
     ]
     names = tuple("".join(map(str, p)) for p in perms)
     return groups.group_from_table(rows, names)
+
+
+def prime_element_criterion(ring: FiniteRing, p: Ideal, candidates: Optional[int] = None) -> bool:
+    """Elementwise criterion: aSb in P and ab in P force a in P or b in P.
+
+    Only a, b in the candidates mask (default: the whole ring) are tested.
+    The middle factor ranges over the ring's additive generators, which is
+    the same test: P is additive, so aSb lies in P when agb does for each
+    generator g.
+    """
+    fr._check_proper_ideal(ring, p)
+    pm = p.members
+    mul = ring.mul_table
+    outside = _restrict(ring.full_mask & ~pm, candidates)
+    for a in outside:
+        arow = mul[a]
+        for b in outside:
+            if not pm >> arow[b] & 1:
+                continue
+            if all(pm >> mul[arow[s]][b] & 1 for s in ring.additive_generators):
+                return False
+    return True
+
+
+def is_s_unital_module(ring: FiniteRing, acting: int, acted: int, side: str) -> bool:
+    """Whether every m in the acted ideal lies in (sums of) acting*m or
+    m*acting, per side."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    for m in bits(acted):
+        factors = (acting, 1 << m) if side == "left" else (1 << m, acting)
+        if not closed_product(ring, *factors) >> m & 1:
+            return False
+    return True
+
+
+def _is_nearly_epsilon_strongly_graded(graded: GradedRing) -> bool:
+    ring = graded.ring
+    group = graded.group
+    for x in graded.support:
+        sx = graded.component(x)
+        sxi = graded.component(group.inverse(x))
+        left_units = closed_product(ring, sx, sxi)
+        right_units = closed_product(ring, sxi, sx)
+        for s in bits(sx):
+            if not any(ring.mul(eps, s) == s for eps in bits(left_units)):
+                return False
+            if not any(ring.mul(s, eps) == s for eps in bits(right_units)):
+                return False
+    return True
+
+
+@lru_cache(maxsize=16)
+def _base(graded: GradedRing):
+    """The identity component as a ring: (subring, old indices, index map),
+    the ring itself when S_e = S."""
+    if graded.e_mask == graded.ring.full_mask:
+        old = tuple(graded.ring.elements())
+        return graded.ring, old, dict(zip(old, old))
+    sub, old = fr.induced_subring(graded.ring, bits(graded.e_mask))
+    return sub, old, {o: i for i, o in enumerate(old)}
+
+
+def _invariant_principals(graded: GradedRing) -> dict[int, list[int]]:
+    """The invariant closures of the generating family of principal ideals
+    of S_e: mask -> generators."""
+    sub, old, _ = _base(graded)
+    principals = fr._principal_ideals(sub, (sub.full_mask,))
+    return dict(
+        co._invariant_closure(graded, mask_of(old[i] for i in bits(m)), [old[i] for i in gens])
+        for m, gens in principals.items()
+    )

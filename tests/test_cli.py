@@ -14,6 +14,8 @@ from gradedprime import specio
 from gradedprime.cli import main
 from gradedprime.groups import check_group_table, read_table
 
+from test_acceptance import CLI_COMMANDS
+
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -472,6 +474,49 @@ class TestOrthogonalityMemory:
         assert elapsed < 1.0
 
 
+class TestRefusals:
+    """Inputs refused with one line on stderr and nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "command,text,flags,message",
+        [
+            ("prime", "zmod(4)", ["--ideal", "[-1]"], "generator index out of range"),
+            (
+                "graded-prime",
+                "ring: tri(gf(2), 2)\ngroup: Z\ncomponent 0: [0, 1, 4, 5]\ncomponent 1: [-1]\n",
+                [],
+                "component contains out-of-range elements",
+            ),
+            ("filter", "ring: product(gf(2), gf(2))\ngroup: cyclic(2)\nI 1 = [-1]\n", [], "generator index out of range"),
+            ("filter", "ring: gf(2)\ngroup: Z\npattern constant [-2]\n", [], "generator index out of range"),
+        ],
+        ids=["prime_ideal", "graded_component", "filter_I", "filter_pattern_constant"],
+    )
+    def test_a_negative_element_index_is_out_of_range(self, capsys, tmp_path, command, text, flags, message):
+        spec = tmp_path / "spec"
+        spec.write_text(text)
+        assert run_cli(capsys, command, spec, *flags) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("graph", ["two_isolated", "two_cycles", "loop", "converge"])
+    @pytest.mark.parametrize("depth", [[], ["--orthogonality-depth", "3"]], ids=["plain", "depth3"])
+    @pytest.mark.parametrize("porcelain", [[], ["--porcelain"]], ids=["human", "porcelain"])
+    def test_leavitt_refuses_a_nonunital_coefficient_ring_before_any_verdict(
+        self, capsys, graph, depth, porcelain
+    ):
+        argv = ["leavitt", DATA / f"{graph}.graph", "--coeff", DATA / "zero_mult.ring", *depth, *porcelain]
+        assert run_cli(capsys, *argv) == (2, "", "error: coefficient ring must be unital\n")
+
+    def test_leavitt_errors_keep_their_order(self, capsys, tmp_path):
+        empty, zero = tmp_path / "empty.graph", tmp_path / "zero.ring"
+        empty.write_text("")
+        zero.write_text("zmod(1)")
+        nonunital = DATA / "zero_mult.ring"
+        assert run_cli(capsys, "leavitt", empty, "--coeff", nonunital) == (2, "", "error: empty graph\n")
+        assert run_cli(capsys, "leavitt", DATA / "loop.graph", "--coeff", zero) == (
+            2, "", "error: the zero ring is neither prime nor not prime\n"
+        )
+
+
 class TestGolden:
     """Graded commands on the zero-multiplication F_2^7, Z-graded by unit
     vectors: 128 graded ideals among 29,212 ideals."""
@@ -510,6 +555,19 @@ class TestPinnedBytes:
         argv = ["filter", DATA / f"{spec}.filter", "--witness", "--trials", "300", "--seed", seed]
         status, out, err = run_cli(capsys, *argv, *flags)
         golden = GOLDEN / f"witness_{spec}_seed{seed}{'.porcelain' if porcelain else ''}.out"
+        assert (status, err) == (0, "")
+        assert out.encode() == golden.read_bytes()
+
+
+    @pytest.mark.parametrize("k", range(len(CLI_COMMANDS)))
+    def test_the_other_mode_of_the_acceptance_commands(self, capsys, k):
+        """The acceptance commands' golden files pin one mode each; these
+        pin the other: porcelain for a human command and the reverse."""
+        argv = CLI_COMMANDS[k]
+        porcelain = "--porcelain" in argv
+        other = [a for a in argv if a != "--porcelain"] if porcelain else [*argv, "--porcelain"]
+        status, out, err = run_cli(capsys, *other)
+        golden = GOLDEN / f"{k:02d}_{argv[0]}_{Path(argv[1]).stem}.{'human' if porcelain else 'porcelain'}.out"
         assert (status, err) == (0, "")
         assert out.encode() == golden.read_bytes()
 

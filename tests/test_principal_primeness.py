@@ -147,15 +147,6 @@ def test_g_primeness_refuses_anything_but_a_proper_invariant_ideal():
 # caches
 
 
-def test_a_whole_identity_component_is_the_ring_itself():
-    graded = gr.trivial_grading(fr.product(fr.gf(2), fr.gf(2)), cyclic(2))
-    sub, old, index = graded.base
-    assert sub is graded.ring
-    assert old == tuple(range(4)) and index == {i: i for i in range(4)}
-    sub, old, _ = tri_standard(2, 2).base
-    assert sub.order == 4 and old == (0, 1, 4, 5)
-
-
 def test_per_graded_ring_caches_are_bounded():
     caches = (gr._homogeneous_principals, co._invariant_principals, gr.classify_grading)
     assert None not in [c.cache_info().maxsize for c in caches]
