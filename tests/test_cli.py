@@ -558,6 +558,26 @@ class TestPinnedBytes:
         assert (status, err) == (0, "")
         assert out.encode() == golden.read_bytes()
 
+    @pytest.mark.parametrize("graph", ["loop", "converge"])
+    @pytest.mark.parametrize("porcelain", [False, True], ids=["human", "porcelain"])
+    def test_leavitt_mt3_pass(self, capsys, graph, porcelain):
+        """MT-3 PASS, with its sink lines."""
+        flags = ["--porcelain"] if porcelain else []
+        status, out, err = run_cli(capsys, "leavitt", DATA / f"{graph}.graph", "--coeff", DATA / "gf2.ring", *flags)
+        golden = GOLDEN / f"leavitt_{graph}{'.porcelain' if porcelain else ''}.out"
+        assert (status, err) == (0, "")
+        assert out.encode() == golden.read_bytes()
+
+    @pytest.mark.parametrize("porcelain", [False, True], ids=["human", "porcelain"])
+    def test_invalid_filter(self, capsys, tmp_path, porcelain):
+        """A filter that is not valid: I_1 I_1 = I_1 lies outside I_2."""
+        spec = tmp_path / "c3_invalid.filter"
+        spec.write_text("ring: gf(2)\ngroup: cyclic(3)\nI 1 = [1]\nI 2 = []\n")
+        status, out, err = run_cli(capsys, "filter", spec, *(["--porcelain"] if porcelain else []))
+        golden = GOLDEN / f"filter_c3_invalid{'.porcelain' if porcelain else ''}.out"
+        assert (status, err) == (0, "")
+        assert out.encode() == golden.read_bytes()
+
 
     @pytest.mark.parametrize("k", range(len(CLI_COMMANDS)))
     def test_the_other_mode_of_the_acceptance_commands(self, capsys, k):
