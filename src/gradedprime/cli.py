@@ -1,9 +1,13 @@
 """Command-line surface.
 
-Verdicts go to standard output in a stable, line-oriented form; diagnostics
-go to standard error.  Exit status is 0 for any computed verdict (whatever
-it is) and 2 for input or validation problems.  ``--porcelain`` switches
-every subcommand to machine-readable ``key=value`` lines.
+Each subcommand is a generator of records ``(key, value, text)``.
+``key=value`` is the record's line under ``--porcelain`` (none when key is
+None) and ``text`` its human line (none when text is None); a field given
+as a zero-argument callable is built only when its line is printed.
+``main`` keeps the lines of the chosen mode and writes them once the
+subcommand has finished.  So standard output holds a verdict or nothing:
+exit status is 0 for any computed verdict (whatever it is), and an input or
+validation problem is one line on standard error with exit status 2.
 
 All output is deterministic: listings are canonically ordered and the only
 randomized mode (witness trials) takes a seed flag whose default is the
@@ -19,6 +23,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import finring as fr
@@ -26,48 +31,45 @@ from . import specio
 from .errors import CapError, SpecError
 
 DEFAULT_SEED = 0
+MAX_TRIALS = 100_000  # about 35 us a trial: a few seconds at the cap
 
 
-def _yn(flag: bool) -> str:
-    return "YES" if flag else "NO"
+def _verdict(key: str, label: str, flag) -> tuple:
+    """A yes/no/undecided record; its human form is the word in upper case."""
+    word = "undecided" if flag is None else "yes" if flag else "no"
+    return key, word, f"{label}: {word.upper()}"
 
 
-def _porc(flag) -> str:
-    if flag is None:
-        return "undecided"
-    return "yes" if flag else "no"
+def _passed(flag: bool) -> str:
+    return "pass" if flag else "fail"
 
 
 def _caps(args) -> fr.Caps:
-    return fr.Caps(
-        max_ring_order=args.max_ring_order,
-        max_ideals=args.max_ideals,
-        max_group_order=args.max_group_order,
-    )
+    return fr.Caps(*(getattr(args, name) for name in fr.Caps._fields))
 
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _cmd_ideals(args) -> int:
+def _listing(label: str, names) -> str:
+    return f"{label}: [{', '.join(names)}]"
+
+
+def _cmd_ideals(args):
     ring = specio.parse_ring_spec(_read(args.ring), caps=_caps(args))
     lattice = fr.all_ideals(ring, _caps(args))
-    if args.porcelain:
-        print(f"order={ring.order}")
-        print(f"ideals={len(lattice)}")
-        for k, ideal in enumerate(lattice):
-            print(f"ideal.{k}=" + ",".join(str(i) for i in ideal.elements()))
-    else:
-        print(f"ring order: {ring.order}")
-        print(f"ideals: {len(lattice)}")
-        for k, ideal in enumerate(lattice):
-            members = ", ".join(ring.name(i) for i in ideal.elements())
-            print(f"ideal {k}: [{members}]")
-    return 0
+    yield "order", ring.order, f"ring order: {ring.order}"
+    yield "ideals", len(lattice), f"ideals: {len(lattice)}"
+    for k, ideal in enumerate(lattice):
+        yield (
+            f"ideal.{k}",
+            partial(",".join, map(str, ideal.elements())),
+            partial(_listing, f"ideal {k}", map(ring.name, ideal.elements())),
+        )
 
 
-def _cmd_prime(args) -> int:
+def _cmd_prime(args):
     ring = specio.parse_ring_spec(_read(args.ring), caps=_caps(args))
     if args.ideal is not None:
         gens = specio.parse_element_list(args.ideal)
@@ -75,143 +77,104 @@ def _cmd_prime(args) -> int:
         if not ideal.is_proper:
             raise SpecError("the generated ideal is the whole ring")
         verdict = fr.is_prime_ideal(ring, ideal)
-        if args.porcelain:
-            print("ideal=" + ",".join(str(i) for i in ideal.elements()))
-            print(f"prime={_porc(verdict)}")
-        else:
-            members = ", ".join(ring.name(i) for i in ideal.elements())
-            print(f"ideal members: [{members}]")
-            print(f"prime: {_yn(verdict)}")
+        yield (
+            "ideal",
+            ",".join(map(str, ideal.elements())),
+            _listing("ideal members", map(ring.name, ideal.elements())),
+        )
     else:
         verdict = fr.is_prime_ring(ring)
-        if args.porcelain:
-            print(f"prime={_porc(verdict)}")
-        else:
-            print(f"prime: {_yn(verdict)}")
-    return 0
+    yield _verdict("prime", "prime", verdict)
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     from . import grading as gr
 
     graded = specio.parse_graded_file(_read(args.graded), caps=_caps(args))
     c = gr.classify_grading(graded)
-    if args.porcelain:
-        print(f"strongly={_porc(c.strongly)}")
-        print(f"symmetrically={_porc(c.symmetrically)}")
-        print(f"ideally={_porc(c.ideally_symmetrically)}")
-        print(f"nearly_eps={_porc(c.nearly_epsilon_strongly)}")
-    else:
-        print(
-            f"strongly: {_yn(c.strongly)}, symmetrically: {_yn(c.symmetrically)}, "
-            f"ideally: {_yn(c.ideally_symmetrically)}, nearly-eps: {_yn(c.nearly_epsilon_strongly)}"
-        )
-    return 0
+    records = [
+        _verdict("strongly", "strongly", c.strongly),
+        _verdict("symmetrically", "symmetrically", c.symmetrically),
+        _verdict("ideally", "ideally", c.ideally_symmetrically),
+        _verdict("nearly_eps", "nearly-eps", c.nearly_epsilon_strongly),
+    ]
+    yield from ((key, word, None) for key, word, _ in records)
+    yield None, None, ", ".join(text for _, _, text in records)
 
 
-def _cmd_graded_prime(args) -> int:
+def _cmd_graded_prime(args):
     from . import grading as gr
 
     graded = specio.parse_graded_file(_read(args.graded), caps=_caps(args))
-    verdict = gr.is_graded_prime_ring(graded)
-    if args.porcelain:
-        print(f"graded_prime={_porc(verdict)}")
-    else:
-        print(f"graded prime: {_yn(verdict)}")
-    return 0
+    yield _verdict("graded_prime", "graded prime", gr.is_graded_prime_ring(graded))
 
 
-def _print_report(report, prefix: str, porcelain: bool) -> None:
-    if porcelain:
-        for c in report.checks:
-            print(f"check.{prefix}.{c.name}={'pass' if c.passed else 'fail'}")
-    else:
-        print(f"report {prefix}:")
-        for line in report.lines():
-            print(f"  {line}")
+def _report(report, prefix: str):
+    yield None, None, f"report {prefix}:"
+    for c, line in zip(report.checks, report.lines()):
+        yield f"check.{prefix}.{c.name}", _passed(c.passed), f"  {line}"
 
 
-def _cmd_correspondence(args) -> int:
+def _cmd_correspondence(args):
     from . import correspondence as co
     from . import grading as gr
 
     caps = _caps(args)
     graded = specio.parse_graded_file(_read(args.graded), caps=caps)
-    _print_report(
-        co.verify_bijection_identity_generated(graded, caps), "identity-generated", args.porcelain
-    )
+    yield from _report(co.verify_bijection_identity_generated(graded, caps), "identity-generated")
     if gr.classify_grading(graded).ideally_symmetrically:
-        _print_report(
-            co.verify_bijection_ideally_symmetric(graded, caps),
-            "ideally-symmetric",
-            args.porcelain,
-        )
+        yield from _report(co.verify_bijection_ideally_symmetric(graded, caps), "ideally-symmetric")
     else:
-        if args.porcelain:
-            print("check.ideally-symmetric.skipped=1")
-        else:
-            print("report ideally-symmetric: SKIPPED (grading is not ideally symmetric)")
-    return 0
+        yield (
+            "check.ideally-symmetric.skipped",
+            1,
+            "report ideally-symmetric: SKIPPED (grading is not ideally symmetric)",
+        )
 
 
-def _cmd_leavitt(args) -> int:
+def _cmd_leavitt(args):
     from . import leavitt as lv
 
+    depth = args.orthogonality_depth
+    if depth is not None and depth < 0:
+        raise SpecError("--orthogonality-depth must not be negative")
     graph = specio.parse_graph_file(_read(args.graph))
     coeff = specio.parse_ring_spec(_read(args.coeff), caps=_caps(args))
     mt3 = lv.satisfies_mt3(graph)
     coeff_prime = fr.is_prime_ring(coeff)
-    if coeff.unit is None:  # before any verdict is printed
+    if coeff.unit is None:
         raise SpecError("coefficient ring must be unital")
-    prime = coeff_prime and mt3.holds
-    if args.porcelain:
-        print(f"coeff_prime={_porc(coeff_prime)}")
-        print(f"mt3={'pass' if mt3.holds else 'fail'}")
-        if not mt3.holds:
-            print(f"mt3_pair={mt3.violation[0]},{mt3.violation[1]}")
-        print(f"prime={_porc(prime)}")
-        if mt3.holds:
-            for (u, v), w in sorted(mt3.sinks.items()):
-                print(f"sink.{u},{v}={w}")
-    else:
-        print(f"coeff prime: {_yn(coeff_prime)}")
-        if mt3.holds:
-            print(f"MT-3: PASS; prime: {_yn(prime)}")
-            for (u, v), w in sorted(mt3.sinks.items()):
-                print(f"sink {u},{v}: {w}")
-        else:
-            u, v = mt3.violation
-            print(f"MT-3: FAIL ({u},{v}); prime: {_yn(prime)}")
-    if args.orthogonality_depth is not None and not mt3.holds:
-        u, v = mt3.violation
-        ok = lv.verify_corner_orthogonality(graph, coeff, u, v, args.orthogonality_depth)
-        if args.porcelain:
-            print(f"orthogonality={'pass' if ok else 'fail'}")
-        else:
-            print(
-                f"orthogonality depth {args.orthogonality_depth} ({u},{v}): "
-                f"{'PASS' if ok else 'FAIL'}"
-            )
-    return 0
+    yield _verdict("coeff_prime", "coeff prime", coeff_prime)
+    yield "mt3", _passed(mt3.holds), None
+    pair = None if mt3.holds else "{},{}".format(*mt3.violation)
+    if pair:
+        yield "mt3_pair", pair, None
+    key, word, text = _verdict("prime", "prime", coeff_prime and mt3.holds)
+    yield key, word, f"MT-3: {f'FAIL ({pair})' if pair else 'PASS'}; {text}"
+    for (u, v), w in sorted((mt3.sinks or {}).items()):
+        yield f"sink.{u},{v}", w, f"sink {u},{v}: {w}"
+    if pair and depth is not None:
+        ok = _passed(lv.verify_corner_orthogonality(graph, coeff, *mt3.violation, depth))
+        yield "orthogonality", ok, f"orthogonality depth {depth} ({pair}): {ok.upper()}"
 
 
-def _cmd_filter(args) -> int:
+def _cmd_filter(args):
     from . import grfilter as gfl
 
+    if not 0 <= args.trials <= MAX_TRIALS:
+        raise SpecError(f"--trials must be between 0 and {MAX_TRIALS}")
     caps = _caps(args)
     filt = specio.parse_filter_file(_read(args.filter), caps=caps)
     valid = gfl.validate_filter(filt)
-    if args.porcelain:
-        print(f"valid={_porc(valid)}")
-    else:
-        print(f"valid filter: {_yn(valid)}")
+    yield _verdict("valid", "valid filter", valid)
     if not valid:
-        return 0
+        return
     if args.witness:
         if filt.group.is_finite:
             raise SpecError("witness trials need an integer-graded filter")
         handle = gfl.FilterRing(filt)
         rng = random.Random(args.seed)
+        line = "trial {}: a={!r} b={!r} witness: {}".format
         failures = 0
         for t in range(args.trials):
             a = handle.random_element(rng)
@@ -222,32 +185,16 @@ def _cmd_filter(args) -> int:
                 text = "absent"
             else:
                 text = witness.describe(filt.ring)
-            if args.porcelain:
-                print(f"trial.{t}={text}")
-            else:
-                print(f"trial {t}: a={a!r} b={b!r} witness: {text}")
-        if args.porcelain:
-            print(f"witness_failures={failures}")
-        else:
-            print(f"witness failures: {failures}")
-        return 0
+            yield f"trial.{t}", text, partial(line, t, a, b, text)
+        yield "witness_failures", failures, f"witness failures: {failures}"
+        return
     c = gfl.classify_filter(filt, caps)
-    if args.porcelain:
-        print(f"symmetric={_porc(c.symmetric)}")
-        print(f"inverse_equal={_porc(c.inverse_equal)}")
-        print(f"ideally_symmetric={_porc(c.ideally_symmetric)}")
-        print(f"nearly_eps={_porc(c.nearly_eps)}")
-        print(f"coeff_idempotent={_porc(c.R_idempotent)}")
-        print(f"coeff_fully_idempotent={_porc(c.R_fully_idempotent)}")
-    else:
-        ideally = "UNDECIDED" if c.ideally_symmetric is None else _yn(c.ideally_symmetric)
-        print(f"symmetric: {_yn(c.symmetric)}")
-        print(f"inverse-equal: {_yn(c.inverse_equal)}")
-        print(f"ideally-symmetric: {ideally}")
-        print(f"nearly-eps: {_yn(c.nearly_eps)}")
-        print(f"coeff idempotent: {_yn(c.R_idempotent)}")
-        print(f"coeff fully idempotent: {_yn(c.R_fully_idempotent)}")
-    return 0
+    yield _verdict("symmetric", "symmetric", c.symmetric)
+    yield _verdict("inverse_equal", "inverse-equal", c.inverse_equal)
+    yield _verdict("ideally_symmetric", "ideally-symmetric", c.ideally_symmetric)
+    yield _verdict("nearly_eps", "nearly-eps", c.nearly_eps)
+    yield _verdict("coeff_idempotent", "coeff idempotent", c.R_idempotent)
+    yield _verdict("coeff_fully_idempotent", "coeff fully idempotent", c.R_fully_idempotent)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,15 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--porcelain", action="store_true", help="stable key=value output")
-    common.add_argument(
-        "--max-ring-order", type=int, default=fr.DEFAULT_CAPS.max_ring_order, metavar="N"
-    )
-    common.add_argument(
-        "--max-ideals", type=int, default=fr.DEFAULT_CAPS.max_ideals, metavar="N"
-    )
-    common.add_argument(
-        "--max-group-order", type=int, default=fr.DEFAULT_CAPS.max_group_order, metavar="N"
-    )
+    for name, default in fr.DEFAULT_CAPS._asdict().items():
+        common.add_argument("--" + name.replace("_", "-"), type=int, default=default, metavar="N")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ideals", parents=[common], help="list the ideal lattice of a ring")
@@ -323,14 +263,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _text(field):
+    """A record field, built now when it was deferred as a callable."""
+    return field() if callable(field) else field
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.porcelain:
+            out = "".join(f"{key}={_text(value)}\n" for key, value, _ in args.func(args) if key is not None)
+        else:
+            out = "".join(f"{_text(text)}\n" for _, _, text in args.func(args) if text is not None)
     except (SpecError, CapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(out)
+    return 0
 
 
 if __name__ == "__main__":

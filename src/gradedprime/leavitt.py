@@ -479,34 +479,21 @@ def verify_corner_orthogonality(
 ) -> bool:
     """Check v * (alpha beta-star) * w = 0 for every bounded monomial.
 
-    Requires that (v, w) has no common reachable vertex; the scan then
-    certifies that the corner ideals at v and w annihilate each other up to
-    the length bound.  The product factors through the engine as
-    (v*alpha)*(beta-star*w), and s(alpha) alpha = alpha gives v*alpha =
-    (v*s(alpha))*alpha, nonzero exactly when v*s(alpha) is; likewise
-    beta-star*w = beta-star*(s(beta)*w).  So one product per vertex gates
-    every path by its source, and only pairs of passing paths into a range
-    that both sides reach within max_len get the full check; under the
-    requirement there are none, and no path is listed.
+    Requires that (v, w) has no common reachable vertex, and then holds at
+    every length bound max_len without a product: the product factors as
+    (v*alpha)*(beta-star*w), and v*alpha = (v*s(alpha))*alpha is nonzero
+    only when s(alpha) = v, since distinct vertices are orthogonal
+    idempotents; likewise beta-star*w only when s(beta) = w.  A nonzero
+    product then needs alpha and beta to share their range, a vertex that
+    both v and w reach, and under the requirement there is none.  The
+    engine's errors (empty graph, nonunital coefficients, unknown vertex)
+    are raised as it raises them.
     """
     idx = g.vertex_index
     if _reach(g, 1 << idx[v] if v in idx else 0) & _reach(g, 1 << idx[w] if w in idx else 0):
         raise ValueError(f"({v},{w}) has a common reachable vertex")
     ctx = LeavittContext(g, coeff)
-    vel, wel = ctx.vertex(v), ctx.vertex(w)
-    real_src = sum(1 << i for i, u in enumerate(g.vertices) if vel * ctx.vertex(u))
-    ghost_src = sum(1 << i for i, u in enumerate(g.vertices) if ctx.vertex(u) * wel)
-    common = _reach(g, real_src, max_len) & _reach(g, ghost_src, max_len)
-
-    def into_common(sources: int) -> list[Path]:
-        return [p for i in bits(sources) if _reach(g, 1 << i, max_len) & common
-                for p in paths_up_to(g, max_len, source=g.vertices[i]) if common >> idx[p.dst] & 1]
-
-    ghosts = into_common(ghost_src)
-    for pa in into_common(real_src):
-        for pb in ghosts:
-            if pb.dst == pa.dst and vel * ctx.monomial(coeff.unit, pa.edges, pb.edges, vertex=pa.dst) * wel:
-                return False
+    ctx.vertex(v), ctx.vertex(w)
     return True
 
 

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from gradedprime import grading as gr
+from gradedprime import grfilter as gfl
 from gradedprime import specio
-from gradedprime.cli import main
+from gradedprime.cli import MAX_TRIALS, main
 from gradedprime.groups import check_group_table, read_table
 
 from test_acceptance import CLI_COMMANDS
@@ -348,9 +349,15 @@ class TestErrors:
         status, out, _ = run_cli(capsys, "ideals", spec)
         assert (status, out) == (0, "ring order: 1\nideals: 1\nideal 0: [[[0,0],[0,0]]]\n")
 
-    def test_zero_ring_witness_fails_fast(self, tmp_path):
-        spec = tmp_path / "zero.filter"
-        spec.write_text("ring: zmod(1)\ngroup: Z\npattern subgroup 1\n")
+    @pytest.mark.parametrize(
+        "text",
+        [(DATA / "c3_prod.filter").read_text(), "ring: zmod(1)\ngroup: Z\npattern subgroup 1\n"],
+        ids=["finite_group", "zero_ring"],
+    )
+    def test_zero_ring_witness_fails_fast(self, tmp_path, text):
+        """Both filters are valid; the error after that verdict leaves stdout empty."""
+        spec = tmp_path / "witness.filter"
+        spec.write_text(text)
         result = subprocess.run(
             [sys.executable, "-m", "gradedprime", "filter", str(spec), "--witness"],
             capture_output=True,
@@ -358,7 +365,7 @@ class TestErrors:
             timeout=5,
         )
         assert result.returncode == 2
-        assert result.stdout == "valid filter: YES\n"
+        assert result.stdout == ""
         assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
 
     def test_cap_flags_are_honoured(self, capsys):
@@ -515,6 +522,27 @@ class TestRefusals:
         assert run_cli(capsys, "leavitt", DATA / "loop.graph", "--coeff", zero) == (
             2, "", "error: the zero ring is neither prime nor not prime\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["leavitt", DATA / "two_isolated.graph", "--coeff", DATA / "gf2.ring", "--orthogonality-depth", "-1"],
+             "--orthogonality-depth must not be negative"),
+            (["filter", DATA / "z_full_gf2.filter", "--witness", "--trials", "-3"],
+             f"--trials must be between 0 and {MAX_TRIALS}"),
+            (["filter", DATA / "z_full_gf2.filter", "--witness", "--trials", MAX_TRIALS + 1],
+             f"--trials must be between 0 and {MAX_TRIALS}"),
+        ],
+        ids=["negative_depth", "negative_trials", "trials_over_the_cap"],
+    )
+    def test_an_out_of_range_count(self, capsys, monkeypatch, argv, message):
+        """Refused before any trial runs."""
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a witness trial ran")
+
+        monkeypatch.setattr(gfl.FilterRing, "random_element", no_trial)
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 class TestGolden:

@@ -1,8 +1,8 @@
-"""The reachability sweep and the corner-orthogonality scan against the
+"""The reachability sweep and the corner-orthogonality check against the
 versions they replaced, kept in ``oracle``: the same reachability pairs, the
 same MT-3 sinks or violation, and the same orthogonality verdict or error
-on every vertex pair and every depth.  Under its requirement the scan lists
-no path at all."""
+on every vertex pair and every depth.  Under its requirement the check lists
+no path and makes no engine product."""
 
 from pathlib import Path
 
@@ -122,10 +122,22 @@ def test_reachability_and_mt3_agree_on_drawn_multigraphs(g):
     assert_reach_agrees(g)
 
 
+def counting_products(monkeypatch) -> list:
+    products = []
+    mul = lv.LpaElement.__mul__
+
+    def counting(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(lv.LpaElement, "__mul__", counting)
+    return products
+
+
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[n for n, _ in GRAPHS])
 def test_lists_no_path_when_the_precondition_holds(monkeypatch, name, g):
-    """Every pair with no common reachable vertex: no call to paths_up_to,
-    and two engine products per vertex, at every depth."""
+    """Every pair with no common reachable vertex: no call to paths_up_to
+    and no engine product, at every depth."""
     reach = oracle.reachability(g)
     pairs = [
         (v, w)
@@ -133,33 +145,18 @@ def test_lists_no_path_when_the_precondition_holds(monkeypatch, name, g):
         for w in g.vertices
         if not {y for x, y in reach if x == v} & {y for x, y in reach if x == w}
     ]
-    listed, products = [], []
-    mul = lv.LpaElement.__mul__
-
-    def counting(a, b):
-        products.append(1)
-        return mul(a, b)
-
+    listed = []
+    products = counting_products(monkeypatch)
     monkeypatch.setattr(lv, "paths_up_to", lambda *args, **kwargs: listed.append(args))
-    monkeypatch.setattr(lv.LpaElement, "__mul__", counting)
     for pair in pairs:
         for depth in DEPTHS:
-            products.clear()
             assert lv.verify_corner_orthogonality(g, GF2, *pair, depth)
-            assert listed == [] and len(products) == 2 * len(g.vertices), (pair, depth)
+    assert listed == [] and products == []
 
 
-def test_one_engine_product_per_vertex_gates_the_roses(monkeypatch):
+def test_no_engine_product_for_the_roses(monkeypatch):
     """At depth 12 the roses have 16,382 paths; the per-path scan made
-    24,573 engine products to gate them, the source gate makes 2 per vertex."""
-    calls = []
-    mul = lv.LpaElement.__mul__
-
-    def counting(a, b):
-        calls.append(1)
-        return mul(a, b)
-
-    monkeypatch.setattr(lv.LpaElement, "__mul__", counting)
-    g = rose_pair(2)
-    assert lv.verify_corner_orthogonality(g, GF2, "v", "w", 12)
-    assert len(calls) == 2 * len(g.vertices)
+    24,573 engine products to gate them, and none is needed."""
+    products = counting_products(monkeypatch)
+    assert lv.verify_corner_orthogonality(rose_pair(2), GF2, "v", "w", 12)
+    assert products == []
