@@ -140,10 +140,7 @@ def _cmd_leavitt(args):
         raise SpecError("--orthogonality-depth must not be negative")
     graph = specio.parse_graph_file(_read(args.graph))
     coeff = specio.parse_ring_spec(_read(args.coeff), caps=_caps(args))
-    mt3 = lv.satisfies_mt3(graph)
-    coeff_prime = fr.is_prime_ring(coeff)
-    if coeff.unit is None:
-        raise SpecError("coefficient ring must be unital")
+    coeff_prime, mt3 = lv._primeness_parts(graph, coeff)
     yield _verdict("coeff_prime", "coeff prime", coeff_prime)
     yield "mt3", _passed(mt3.holds), None
     pair = None if mt3.holds else "{},{}".format(*mt3.violation)

@@ -38,7 +38,6 @@ from .finring import (
 )
 from .grading import (
     GradedRing,
-    _homogeneous_principals,
     all_graded_ideals,
     classify_grading,
     is_graded_ideal,
@@ -100,7 +99,7 @@ def _invariant_principals(graded: GradedRing) -> dict[int, list[int]]:
     """The invariant closures of the generating family of principal ideals
     of S_e, taken in S_e: mask -> generators."""
     emask = graded.e_mask
-    principals = _principal_ideals(graded.ring, (emask,), _gens(graded.ring, emask))
+    principals = _principal_ideals(graded.ring, (emask,), tuple(_gens(graded.ring, emask)))
     return dict(_invariant_closure(graded, m, gens) for m, gens in principals.items())
 
 
@@ -208,7 +207,7 @@ def verify_bijection_identity_generated(graded: GradedRing, caps: Caps = DEFAULT
     projection_invariant = all(proj in lift for proj in projection.values())
     image_ok = set(lift.values()) == idgen and len(lift) == len(idgen)
     inclusion_ok = _preserves_inclusion(ring, invariant, lift, _invariant_principals(graded)) and (
-        _preserves_inclusion(ring, idgen, projection, _homogeneous_principals(graded))
+        _preserves_inclusion(ring, idgen, projection, _principal_ideals(ring, graded.component_masks))
     )
 
     n_inv, n_idgen, n_graded = len(invariant), len(idgen), len(graded_ideals)

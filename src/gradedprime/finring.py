@@ -44,10 +44,13 @@ Quantifiers over ideals run over a generating family of principal ideals
 (``_principal_ideals``): those that are not the sum of the principal ideals
 strictly inside them.  Every principal ideal is the sum of the members
 inside it, so the family is exact for any statement that is additive in the
-ideal or closed under sums.  One join-closure kernel, over a map from ideal
-masks to generators, closes such a family into each of three lattices: the
-ideals (cached per ring in ``all_ideals``), the graded ideals
-(``grading.all_graded_ideals``) and the invariant ideals of an identity
+ideal or closed under sums.  The graded ideals of a grading are the sums of
+the principal ideals of homogeneous elements, and the ideals are the case of
+one component, the whole ring, so one cached lattice, keyed by ring and
+components, serves both ``all_ideals`` and ``grading.all_graded_ideals``;
+a trivial grading and two parses of one graded ring share its entries.  One
+join-closure kernel, over a map from ideal masks to generators, closes that
+family, and also the invariant closures of the family of an identity
 component (``correspondence.invariant_base_ideals``).  The pair tests of
 primeness, ideal symmetry and full idempotency read the family itself.
 """
@@ -789,8 +792,11 @@ def _ideal_count_floor(ring: FiniteRing, components: Sequence[int]) -> int:
     return floor
 
 
+# Family, lattice and product caches are keyed by ring, so they are bounded:
+# a long-lived process would otherwise keep every lattice it ever computed.
+@lru_cache(maxsize=16)
 def _principal_ideals(
-    ring: FiniteRing, components: Sequence[int], actors: Optional[Sequence[int]] = None
+    ring: FiniteRing, components: tuple[int, ...], actors: Optional[tuple[int, ...]] = None
 ) -> dict[int, list[int]]:
     """A generating family of the principal ideals of the components'
     elements, in the subring spanned by the actors (_ideal_span), mask ->
@@ -800,7 +806,8 @@ def _principal_ideals(
     principal ideals is a sum of members.  Hence the family stands exactly
     for those sums: in their join closure, in the pair tests of
     is_prime_among, in the ideal-symmetry identities, whose sides are
-    additive in the ideal, and in is_fully_idempotent.
+    additive in the ideal, and in is_fully_idempotent.  The dict is shared
+    by every caller with the same key, so none may change it.
     """
     spans = {a: _ideal_span(ring, 1 << a, actors) for comp in components for a in bits(comp)}
     of = {a: span[0] for a, span in spans.items()}
@@ -810,12 +817,6 @@ def _principal_ideals(
         return _span(ring, reduce(or_, (of[a] for a in bits(p & elements) if of[a] != p), 0))[0]
 
     return {p: gens for p, gens in dict(spans.values()).items() if below(p) != p}
-
-
-def _check_floor(ring: FiniteRing, components: Sequence[int], caps: Caps) -> None:
-    """Refuse a lattice whose _ideal_count_floor exceeds the cap, before enumerating it."""
-    if _ideal_count_floor(ring, components) > caps.max_ideals:
-        raise CapError(f"ideal lattice exceeds cap {caps.max_ideals}")
 
 
 def _join_closure(ring: FiniteRing, principals: Mapping[int, Sequence[int]], caps: Caps) -> list[int]:
@@ -834,23 +835,23 @@ def _join_closure(ring: FiniteRing, principals: Mapping[int, Sequence[int]], cap
     return sorted(lattice)
 
 
-def all_ideals(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]:
-    """The ideal lattice: every ideal joins the principal ideals of its elements."""
-    return _all_ideals(ring, caps)
-
-
-# Lattice and product caches are keyed by (graded) ring, so they are bounded:
-# a long-lived process would otherwise keep every lattice it ever computed.
 # Called positionally, so that omitting caps and passing DEFAULT_CAPS share a key.
 @lru_cache(maxsize=16)
-def _all_ideals(ring: FiniteRing, caps: Caps) -> tuple[Ideal, ...]:
-    whole = (ring.full_mask,)
-    _check_floor(ring, whole, caps)
-    return tuple(Ideal(ring, m) for m in _join_closure(ring, _principal_ideals(ring, whole), caps))
+def _lattice(ring: FiniteRing, components: tuple[int, ...], caps: Caps) -> tuple[Ideal, ...]:
+    """The sums of the principal ideals of the components' elements, sorted,
+    refused before enumeration when its _ideal_count_floor exceeds the cap."""
+    if _ideal_count_floor(ring, components) > caps.max_ideals:
+        raise CapError(f"ideal lattice exceeds cap {caps.max_ideals}")
+    return tuple(Ideal(ring, m) for m in _join_closure(ring, _principal_ideals(ring, components), caps))
+
+
+def all_ideals(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]:
+    """The ideal lattice: every ideal joins the principal ideals of its elements."""
+    return _lattice(ring, (ring.full_mask,), caps)
 
 
 # The cache's counters and its reset, read and called through the public name.
-all_ideals.cache_info, all_ideals.cache_clear = _all_ideals.cache_info, _all_ideals.cache_clear
+all_ideals.cache_info, all_ideals.cache_clear = _lattice.cache_info, _lattice.cache_clear
 
 
 @lru_cache(maxsize=1024)

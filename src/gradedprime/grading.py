@@ -21,12 +21,10 @@ from .finring import (
     DEFAULT_CAPS,
     FiniteRing,
     Ideal,
-    _check_floor,
     _check_proper_ideal,
-    _join_closure,
     _gens,
+    _lattice,
     _principal_ideals,
-    all_ideals,
     bits,
     closed_product,
     generate_ideal,
@@ -92,6 +90,11 @@ class GradedRing:
 
     def is_homogeneous(self, s: int) -> bool:
         return len(self.decomp[s]) <= 1
+
+    @cached_property
+    def component_masks(self) -> tuple:
+        """The masks of the components in the support, in support order."""
+        return tuple(self.components[x] for x in self.support)
 
     @cached_property
     def component_generators(self) -> dict:
@@ -178,17 +181,7 @@ def is_graded_ideal(graded: GradedRing, ideal: Ideal) -> bool:
 
 def all_graded_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]:
     """The graded ideals, sorted: the sums of ideals of homogeneous elements."""
-    return _graded_ideals(graded, caps)
-
-
-# Called positionally, so that omitting caps and passing DEFAULT_CAPS share a key.
-@lru_cache(maxsize=16)
-def _graded_ideals(graded: GradedRing, caps: Caps) -> tuple[Ideal, ...]:
-    if len(graded.support) == 1:  # every ideal is graded
-        return all_ideals(graded.ring, caps)
-    ring = graded.ring
-    _check_floor(ring, [graded.components[x] for x in graded.support], caps)
-    return tuple(Ideal(ring, m) for m in _join_closure(ring, _homogeneous_principals(graded), caps))
+    return _lattice(graded.ring, graded.component_masks, caps)
 
 
 def generate_graded_ideal(graded: GradedRing, gens: Iterable[int]) -> Ideal:
@@ -216,18 +209,12 @@ def _check_proper_graded(graded: GradedRing, p: Ideal) -> None:
         raise ValueError("ideal is not graded")
 
 
-@lru_cache(maxsize=16)
-def _homogeneous_principals(graded: GradedRing) -> dict[int, list[int]]:
-    """The generating family of the principal ideals of homogeneous elements,
-    which are graded (Nastasescu & Van Oystaeyen, LNM 1836, 2)."""
-    return _principal_ideals(graded.ring, [graded.components[x] for x in graded.support])
-
-
 def graded_prime_pair_test(graded: GradedRing, p: Ideal) -> bool:
     """Quantification over pairs of graded ideals, made over the generating
     family of principal ideals of homogeneous elements (is_prime_among):
-    these are graded, and their sums are every graded ideal."""
-    return is_prime_among(graded.ring, p.members, _homogeneous_principals(graded))
+    these are graded (Nastasescu & Van Oystaeyen, LNM 1836, 2), and their
+    sums are every graded ideal."""
+    return is_prime_among(graded.ring, p.members, _principal_ideals(graded.ring, graded.component_masks))
 
 
 def graded_prime_element_criterion(graded: GradedRing, p: Ideal) -> bool:

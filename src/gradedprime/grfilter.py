@@ -346,9 +346,8 @@ def _ideally_symmetric_finite(f: GFilter) -> bool:
     in J, so J ranges over the generating family of those principal ideals.
     """
     product = f.product
-    principals = cache(partial(_principal_ideals, f.ring))  # I_x meets few distinct masks
     for ix, ixi in _inverse_pairs(f):
-        for j in principals((ix,)):
+        for j in _principal_ideals(f.ring, (ix,)):
             if not product(product(ix, ixi), j) == j == product(j, product(ixi, ix)):
                 return False
     return True

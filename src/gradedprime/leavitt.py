@@ -497,12 +497,19 @@ def verify_corner_orthogonality(
     return True
 
 
-def is_leavitt_prime(g: DirectedGraph, coeff: FiniteRing) -> bool:
-    """Primeness of the Leavitt path ring: prime coefficients plus MT-3."""
+def _primeness_parts(g: DirectedGraph, coeff: FiniteRing) -> tuple[bool, MT3Result]:
+    """(coefficients prime, MT-3), once the graph is nonempty and the
+    coefficient ring nonzero and unital, refused in that order."""
     if not g.vertices:
         raise SpecError("empty graph")
     if coeff.order == 1:
         raise SpecError("coefficient ring must be nonzero")
     if coeff.unit is None:
         raise SpecError("coefficient ring must be unital")
-    return is_prime_ring(coeff) and satisfies_mt3(g).holds
+    return is_prime_ring(coeff), satisfies_mt3(g)
+
+
+def is_leavitt_prime(g: DirectedGraph, coeff: FiniteRing) -> bool:
+    """Primeness of the Leavitt path ring: prime coefficients plus MT-3."""
+    coeff_prime, mt3 = _primeness_parts(g, coeff)
+    return coeff_prime and mt3.holds

@@ -315,8 +315,8 @@ def parse_element_list(text: str) -> list[int]:
 
 
 def _meaningful_lines(text: str):
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
+    for raw in _strip_comments(text).splitlines():
+        line = raw.strip()
         if line:
             yield line
 

@@ -520,7 +520,7 @@ class TestRefusals:
         nonunital = DATA / "zero_mult.ring"
         assert run_cli(capsys, "leavitt", empty, "--coeff", nonunital) == (2, "", "error: empty graph\n")
         assert run_cli(capsys, "leavitt", DATA / "loop.graph", "--coeff", zero) == (
-            2, "", "error: the zero ring is neither prime nor not prime\n"
+            2, "", "error: coefficient ring must be nonzero\n"
         )
 
     @pytest.mark.parametrize(
@@ -579,12 +579,14 @@ class TestPinnedBytes:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("porcelain", [False, True], ids=["human", "porcelain"])
     def test_witness_transcript(self, capsys, spec, seed, porcelain):
+        """--bound is read at no value: -4 gives the default's bytes."""
         flags = ["--porcelain"] if porcelain else []
         argv = ["filter", DATA / f"{spec}.filter", "--witness", "--trials", "300", "--seed", seed]
-        status, out, err = run_cli(capsys, *argv, *flags)
         golden = GOLDEN / f"witness_{spec}_seed{seed}{'.porcelain' if porcelain else ''}.out"
-        assert (status, err) == (0, "")
-        assert out.encode() == golden.read_bytes()
+        for bound in ([], ["--bound", "-4"]):
+            status, out, err = run_cli(capsys, *argv, *bound, *flags)
+            assert (status, err) == (0, "")
+            assert out.encode() == golden.read_bytes()
 
     @pytest.mark.parametrize("graph", ["loop", "converge"])
     @pytest.mark.parametrize("porcelain", [False, True], ids=["human", "porcelain"])

@@ -46,7 +46,7 @@ GRADED = list(graded_corpus()) + data_graded() + trivially_graded()
 
 
 def components(graded):
-    return [graded.component(x) for x in graded.support]
+    return tuple(graded.component(x) for x in graded.support)
 
 
 def assert_family_generates(ring, comps):

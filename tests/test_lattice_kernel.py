@@ -1,6 +1,6 @@
 """The graded and invariant lattices of the join-closure kernel against the
 filters of whole lattices in oracle.py, the per-component count floor, and
-the caches that hold each lattice once per graded ring."""
+the caches that hold each lattice once per ring and components."""
 
 import itertools
 from functools import reduce
@@ -159,11 +159,11 @@ def test_drawn_group_algebras(base, group):
 
 
 def test_graded_and_invariant_caches_are_bounded():
-    caches = (gr._graded_ideals, co._invariant_ideals, co._maps)
+    caches = (fr._lattice, co._invariant_ideals, co._maps)
     caps = [c.cache_info().maxsize for c in caches]
     assert None not in caps
-    for _ in range(max(caps) + 5):
-        graded = gr.trivial_grading(fr.gf(2), cyclic(2))  # a new key each time
+    for n in range(2, max(caps) + 7):
+        graded = gr.trivial_grading(fr.zmod(n), cyclic(2))  # a new key each time, a new ring too
         gr.all_graded_ideals(graded)
         co.invariant_base_ideals(graded)
         co.verify_bijection_identity_generated(graded)
@@ -186,19 +186,29 @@ def test_invariance_is_decided_once_per_ideal(graded):
 
 def test_a_call_without_caps_shares_the_entry_of_default_caps():
     graded = group_algebra_grading(fr.gf(3), cyclic(2))
-    gr._graded_ideals.cache_clear()
-    with mock.patch.object(gr, "_join_closure", wraps=gr._join_closure) as calls:
+    fr._lattice.cache_clear()
+    with mock.patch.object(fr, "_join_closure", wraps=fr._join_closure) as calls:
         assert gr.all_graded_ideals(graded) is gr.all_graded_ideals(graded, DEFAULT_CAPS)
+    assert calls.call_count == 1
+
+
+def test_two_parses_of_one_graded_ring_share_one_lattice():
+    text = (DATA / "tri3_std.graded").read_text()
+    first, second = specio.parse_graded_file(text), specio.parse_graded_file(text)
+    assert first is not second
+    fr._lattice.cache_clear()
+    with mock.patch.object(fr, "_join_closure", wraps=fr._join_closure) as calls:
+        assert gr.all_graded_ideals(first) is gr.all_graded_ideals(second)
     assert calls.call_count == 1
 
 
 def test_a_trivial_grading_enumerates_one_lattice():
     # every ideal is graded, and the identity component is the whole ring
     graded = gr.trivial_grading(fr.product(*[fr.gf(2)] * 5), cyclic(2))
-    for cached in (fr.all_ideals, gr._graded_ideals, co._invariant_ideals, co._maps):
+    for cached in (fr._lattice, co._invariant_ideals, co._maps):
         cached.cache_clear()
     with mock.patch.object(fr, "_join_closure", wraps=fr._join_closure) as calls:
-        with mock.patch.object(gr, "_join_closure", calls), mock.patch.object(co, "_join_closure", calls):
+        with mock.patch.object(co, "_join_closure", calls):
             assert co.verify_bijection_identity_generated(graded).all_pass
             assert co.verify_bijection_ideally_symmetric(graded).all_pass
     assert calls.call_count == 1

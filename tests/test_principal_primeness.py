@@ -148,10 +148,10 @@ def test_g_primeness_refuses_anything_but_a_proper_invariant_ideal():
 
 
 def test_per_graded_ring_caches_are_bounded():
-    caches = (gr._homogeneous_principals, co._invariant_principals, gr.classify_grading)
+    caches = (fr._principal_ideals, co._invariant_principals, gr.classify_grading)
     assert None not in [c.cache_info().maxsize for c in caches]
-    for _ in range(max(c.cache_info().maxsize for c in caches) + 5):
-        graded = gr.trivial_grading(fr.gf(2), cyclic(2))  # a new key each time
+    for n in range(2, max(c.cache_info().maxsize for c in caches) + 7):
+        graded = gr.trivial_grading(fr.zmod(n), cyclic(2))  # a new key each time, a new ring too
         gr.is_graded_prime_ring(graded)
         co.is_g_prime_base(graded)
         gr.classify_grading(graded)
