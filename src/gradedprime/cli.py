@@ -151,7 +151,7 @@ def _cmd_leavitt(args):
     for (u, v), w in sorted((mt3.sinks or {}).items()):
         yield f"sink.{u},{v}", w, f"sink {u},{v}: {w}"
     if pair and depth is not None:
-        ok = _passed(lv.verify_corner_orthogonality(graph, coeff, *mt3.violation, depth))
+        ok = _passed(lv.verify_corner_orthogonality(graph, coeff, *mt3.violation))
         yield "orthogonality", ok, f"orthogonality depth {depth} ({pair}): {ok.upper()}"
 
 
@@ -176,7 +176,7 @@ def _cmd_filter(args):
         for t in range(args.trials):
             a = handle.random_element(rng)
             b = handle.random_element(rng)
-            witness = gfl.witness_search(handle, a, b, args.bound)
+            witness = gfl.witness_search(handle, a, b)
             if witness is None:
                 failures += 1
                 text = "absent"

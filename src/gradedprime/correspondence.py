@@ -5,8 +5,11 @@ ambient ring, confined to S_e.  The G-invariant ones are a join closure,
 not a filter of the lattice of S_e: an invariant ideal is the sum of the
 invariant closures J + sum_x S_{x^-1} J S_x of the members J of S_e's
 generating family of principal ideals inside it, and sums of invariant
-ideals are invariant.  Those closures, over which G-primeness quantifies,
-and the lattice are cached here per graded ring.
+ideals are invariant.  finring builds and caches those closures, over which
+G-primeness quantifies, and their lattice, keyed by value (_invariant_key):
+the family of S_e's elements acted on by S_e, closed under the conjugators.
+Under a trivial grading that is the key of the ideals of S, so the whole
+correspondence enumerates one lattice.
 
 The two ``verify_*`` operations return structured reports rather than
 booleans: each check carries a name, a verdict and counts, and serializes to
@@ -25,10 +28,10 @@ from .finring import (
     Ideal,
     _gens,
     _ideal_span,
-    _join_closure,
+    _invariant_span,
+    _lattice,
     _principal_ideals,
     _span,
-    all_ideals,
     bits,
     closed_product,
     generate_ideal,
@@ -59,48 +62,36 @@ def is_base_ideal(graded: GradedRing, jmask: int) -> bool:
     return not jmask & ~emask and is_ideal_mask(graded.ring, jmask, acting=emask)
 
 
-def _invariance_sites(graded: GradedRing) -> list:
-    """The x in the support with S_{x^-1} nonzero: elsewhere S_{x^-1} J S_x = 0."""
-    zero = graded.ring.zero_mask
-    return [x for x in graded.support if graded.component(graded.group.inverse(x)) != zero]
-
-
-def _invariant_closure(graded: GradedRing, jmask: int, jgens) -> tuple[int, list[int]]:
-    """(mask, generators) of J + sum_x S_{x^-1} J S_x, the least invariant ideal
-    of S_e over an ideal J of S_e spanned by jgens, since S_{y^-1} S_{x^-1}
-    lies in S_{(xy)^-1}: one span of J and the products of generators."""
-    mul, inverse, gens = graded.ring.mul_table, graded.group.inverse, graded.component_generators
-    sites = _invariance_sites(graded)
-    products = (mul[mul[a][j]][b] for x in sites for a in gens[inverse(x)] for j in jgens for b in gens[x])
-    return _span(graded.ring, jmask | mask_of(products))
+def _invariant_key(graded: GradedRing) -> tuple:
+    """The arguments of finring's family and lattice of the invariant ideals
+    of S_e: S_e's elements, acted on by S_e's additive generators, and the
+    conjugators (generators of S_{x^-1}, generators of S_x) for x != e in
+    the support with S_{x^-1} nonzero.  Under a trivial grading they are
+    those of the ideals of S = S_e, so the two lattices share one entry."""
+    ring, gens, inverse = graded.ring, graded.component_generators, graded.group.inverse
+    conjugators = tuple(
+        (tuple(gens[inverse(x)]), tuple(gens[x])) for x in graded.support if x != graded.e and inverse(x) in gens
+    )
+    return ring, (graded.e_mask,), tuple(_gens(ring, graded.e_mask)), conjugators
 
 
 def is_g_invariant(graded: GradedRing, jmask: int) -> bool:
     """Whether conjugating J by every component pair lands back inside J."""
     if not is_base_ideal(graded, jmask):
         raise ValueError("subset is not an ideal of the identity component")
-    return _invariant_closure(graded, jmask, _gens(graded.ring, jmask))[0] == jmask
-
-
-@lru_cache(maxsize=16)
-def _invariant_ideals(graded: GradedRing, caps: Caps) -> tuple[int, ...]:
-    if graded.support == (graded.e,):  # every closure is the identity, and S_e = S
-        return tuple(i.members for i in all_ideals(graded.ring, caps))
-    return tuple(_join_closure(graded.ring, _invariant_principals(graded), caps))
+    ring = graded.ring
+    return _invariant_span(ring, jmask, _gens(ring, jmask), _invariant_key(graded)[3])[0] == jmask
 
 
 def invariant_base_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
     """The G-invariant ideals of the identity component, as ambient masks, sorted."""
-    return _invariant_ideals(graded, caps)
+    return _lattice(*_invariant_key(graded), caps)
 
 
-@lru_cache(maxsize=16)
 def _invariant_principals(graded: GradedRing) -> dict[int, list[int]]:
     """The invariant closures of the generating family of principal ideals
     of S_e, taken in S_e: mask -> generators."""
-    emask = graded.e_mask
-    principals = _principal_ideals(graded.ring, (emask,), tuple(_gens(graded.ring, emask)))
-    return dict(_invariant_closure(graded, m, gens) for m, gens in principals.items())
+    return _principal_ideals(*_invariant_key(graded))
 
 
 def is_g_prime_ideal(graded: GradedRing, qmask: int) -> bool:
@@ -159,8 +150,7 @@ def _maps(graded: GradedRing, caps: Caps):
     """What both reports read: the invariant and graded lattices, the lift
     J -> <J> on the first, the projection I -> I_e on the second, and
     whether <J>_e = J for every J, read off the projection unless <J> is not
-    graded.  The graded lattice goes first: the invariant one is no larger,
-    and the floor refuses a lattice over the cap before enumerating it."""
+    graded.  Each lattice is refused by its floor before it is enumerated."""
     graded_ideals = all_graded_ideals(graded, caps)
     invariant = invariant_base_ideals(graded, caps)
     lift = {j: _ideal_span(graded.ring, j)[0] for j in invariant}
@@ -207,7 +197,9 @@ def verify_bijection_identity_generated(graded: GradedRing, caps: Caps = DEFAULT
     projection_invariant = all(proj in lift for proj in projection.values())
     image_ok = set(lift.values()) == idgen and len(lift) == len(idgen)
     inclusion_ok = _preserves_inclusion(ring, invariant, lift, _invariant_principals(graded)) and (
-        _preserves_inclusion(ring, idgen, projection, _principal_ideals(ring, graded.component_masks))
+        _preserves_inclusion(
+            ring, idgen, projection, _principal_ideals(ring, graded.component_masks, ring.additive_generators, ())
+        )
     )
 
     n_inv, n_idgen, n_graded = len(invariant), len(idgen), len(graded_ideals)

@@ -14,7 +14,8 @@ contract, since spec files refer to elements by index):
 
 * ``gf(q)`` with q = p^k: element i has polynomial coefficients equal to the
   base-p digits of i, least significant digit first; for k > 1 arithmetic is
-  modulo the first irreducible monic polynomial in coefficient order.
+  modulo the first irreducible monic polynomial in coefficient order, and
+  the ring is the tuple ring below of the digits, most significant first.
 * ``zmod(n)``: element i is the residue i.
 * ``product``, ``mat``, ``tri``, ``grpalg``: elements are coefficient tuples
   (factors, matrix entries row-major, upper-triangular entries row-major,
@@ -45,14 +46,16 @@ Quantifiers over ideals run over a generating family of principal ideals
 strictly inside them.  Every principal ideal is the sum of the members
 inside it, so the family is exact for any statement that is additive in the
 ideal or closed under sums.  The graded ideals of a grading are the sums of
-the principal ideals of homogeneous elements, and the ideals are the case of
-one component, the whole ring, so one cached lattice, keyed by ring and
-components, serves both ``all_ideals`` and ``grading.all_graded_ideals``;
-a trivial grading and two parses of one graded ring share its entries.  One
-join-closure kernel, over a map from ideal masks to generators, closes that
-family, and also the invariant closures of the family of an identity
-component (``correspondence.invariant_base_ideals``).  The pair tests of
-primeness, ideal symmetry and full idempotency read the family itself.
+the principal ideals of homogeneous elements, the ideals are the case of one
+component, the whole ring, and the invariant ideals of an identity
+component S_e are the sums of the invariant closures of the members of
+S_e's family.  So one builder makes all three families, keyed by ring,
+components, actors and conjugators, and one cache (``_lattice``), under the
+same key, holds the lattices that one join-closure kernel closes from them,
+for ``all_ideals``, ``grading.all_graded_ideals`` and
+``correspondence.invariant_base_ideals``; a trivial grading and two parses
+of one graded ring share its entries.  The pair tests of primeness, ideal
+symmetry and full idempotency read the family itself.
 """
 
 from __future__ import annotations
@@ -275,31 +278,25 @@ def gf(q: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
         return zmod(p, caps=caps)
     monic = ([*coeffs, 1] for coeffs in itertools.product(range(p), repeat=k))
     modpoly = next(m for m in monic if _is_irreducible(m, p))
-    if q > caps.max_ring_order:
-        raise CapError(f"ring order {q} exceeds cap {caps.max_ring_order}")
+    degrees = range(k - 1, -1, -1)  # coordinate t holds the coefficient of a^(k-1-t)
 
-    def name(i):
-        digits = [(j, i // p**j % p) for j in range(k - 1, -1, -1)]
+    def mul_vec(x, y):
+        prod = [0] * (2 * k - 1)
+        for i, c in zip(degrees, x):
+            for j, d in zip(degrees, y):
+                prod[i + j] += c * d
+        return tuple(reversed(_poly_mod(prod, modpoly, p)))
+
+    def name_vec(v):
         terms = [
             str(c) if j == 0 else ("" if c == 1 else str(c)) + ("a" if j == 1 else f"a^{j}")
-            for j, c in digits
+            for j, c in zip(degrees, v)
             if c
         ]
         return "+".join(terms) or "0"
 
-    # Element i is the polynomial (i % p) + a * (element i // p), so both
-    # tables follow from bilinearity, each row from rows built before it.
-    digits = list(range(p))
-    add = _kronecker_sum([[digits[i:] + digits[:i] for i in digits]] * k)
-    mul = [[0] * q, list(range(q))]
-    for _ in range(2, p):  # the scalars: row c is row c - 1 plus row 1
-        mul.append([row[u] for row, u in zip(add, mul[-1])])
-    top = q // p
-    a_to_k = sum((-m) % p * p**j for j, m in enumerate(modpoly[:k]))  # a^k, reduced
-    times_a = [add[y % top * p][mul[y // top][a_to_k]] for y in range(q)]
-    for i in range(p, q):
-        mul.append([add[u][times_a[v]] for u, v in zip(mul[i % p], mul[i // p])])
-    return make_ring(add, mul, [name(i) for i in range(q)], caps=caps)
+    # the coordinates' own ring keeps its default caps, so that a cap error names q
+    return _tuple_ring([zmod(p)] * k, [range(p)] * k, mul_vec, name_vec, caps)[0]
 
 
 # An order of at least 2**_SHOWN_BITS has more than 4,300 decimal digits,
@@ -758,13 +755,16 @@ def generate_ideal(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
 
 def _ideal_count_floor(ring: FiniteRing, components: Sequence[int]) -> int:
     """A lower bound on the number of graded ideals of the ring S, for
-    components S_x whose direct sum is S (one component: all ideals).
+    components S_x whose direct sum is S (one component: all ideals), and
+    on the number of invariant ideals of S_e, for the one component S_e.
 
     For a prime p dividing |S|, every additive subgroup H containing the
     graded M = S^2 + pS is an ideal, since SH + HS lies in S^2.  The graded
     H are the sums of H_x/M_x, subspaces of the F_p-spaces S_x/M_x; for one
     of dimension r there are sum_k [r choose k]_p of them, the Galois number
     G_r, with G_0 = 1, G_1 = 2 and G_{n+1} = 2 G_n + (p^n - 1) G_{n-1}.
+    Every subgroup H with M_e inside H inside S_e is an invariant ideal of
+    S_e, since S_e H, H S_e and S_{x^-1} H S_x all lie in (S^2)_e.
     """
     gens = ring.additive_generators
     square = _product_span(ring, gens, gens)
@@ -794,9 +794,11 @@ def _ideal_count_floor(ring: FiniteRing, components: Sequence[int]) -> int:
 
 # Family, lattice and product caches are keyed by ring, so they are bounded:
 # a long-lived process would otherwise keep every lattice it ever computed.
+# Every caller passes every argument positionally, so one family or lattice
+# has one key.
 @lru_cache(maxsize=16)
 def _principal_ideals(
-    ring: FiniteRing, components: tuple[int, ...], actors: Optional[tuple[int, ...]] = None
+    ring: FiniteRing, components: tuple[int, ...], actors: tuple[int, ...], conjugators: tuple
 ) -> dict[int, list[int]]:
     """A generating family of the principal ideals of the components'
     elements, in the subring spanned by the actors (_ideal_span), mask ->
@@ -806,8 +808,10 @@ def _principal_ideals(
     principal ideals is a sum of members.  Hence the family stands exactly
     for those sums: in their join closure, in the pair tests of
     is_prime_among, in the ideal-symmetry identities, whose sides are
-    additive in the ideal, and in is_fully_idempotent.  The dict is shared
-    by every caller with the same key, so none may change it.
+    additive in the ideal, and in is_fully_idempotent.  With conjugators,
+    each member J is replaced by its _invariant_span, and sums of those are
+    the invariant ideals.  The dict is shared by every caller with the same
+    key, so none may change it.
     """
     spans = {a: _ideal_span(ring, 1 << a, actors) for comp in components for a in bits(comp)}
     of = {a: span[0] for a, span in spans.items()}
@@ -816,7 +820,23 @@ def _principal_ideals(
     def below(p: int) -> int:  # the sum of the principal ideals strictly inside p
         return _span(ring, reduce(or_, (of[a] for a in bits(p & elements) if of[a] != p), 0))[0]
 
-    return {p: gens for p, gens in dict(spans.values()).items() if below(p) != p}
+    family = {p: gens for p, gens in dict(spans.values()).items() if below(p) != p}
+    if conjugators:
+        family = dict(_invariant_span(ring, m, gens, conjugators) for m, gens in family.items())
+    return family
+
+
+def _invariant_span(ring: FiniteRing, jmask: int, jgens: Sequence[int], conjugators: tuple) -> tuple[int, list[int]]:
+    """(mask, generators) of J + sum_x S_{x^-1} J S_x for the ideal J of the
+    identity component S_e spanned by jgens, and conjugators the pairs
+    (generators of S_{x^-1}, generators of S_x) for x != e in the support
+    with S_{x^-1} nonzero; elsewhere S_{x^-1} J S_x = 0, and S_e J S_e lies
+    in J.  It is the least invariant ideal of S_e over J, since S_{y^-1}
+    S_{x^-1} lies in S_{(xy)^-1}: one span of J and the products of
+    generators."""
+    mul = ring.mul_table
+    products = (mul[mul[a][j]][b] for left, right in conjugators for a in left for j in jgens for b in right)
+    return _span(ring, jmask | mask_of(products))
 
 
 def _join_closure(ring: FiniteRing, principals: Mapping[int, Sequence[int]], caps: Caps) -> list[int]:
@@ -835,22 +855,24 @@ def _join_closure(ring: FiniteRing, principals: Mapping[int, Sequence[int]], cap
     return sorted(lattice)
 
 
-# Called positionally, so that omitting caps and passing DEFAULT_CAPS share a key.
 @lru_cache(maxsize=16)
-def _lattice(ring: FiniteRing, components: tuple[int, ...], caps: Caps) -> tuple[Ideal, ...]:
-    """The sums of the principal ideals of the components' elements, sorted,
-    refused before enumeration when its _ideal_count_floor exceeds the cap."""
+def _lattice(
+    ring: FiniteRing, components: tuple[int, ...], actors: tuple[int, ...], conjugators: tuple, caps: Caps
+) -> tuple[int, ...]:
+    """The sums of the members of _principal_ideals(ring, components,
+    actors, conjugators), as sorted masks, refused before enumeration when
+    the _ideal_count_floor of the components exceeds the cap."""
     if _ideal_count_floor(ring, components) > caps.max_ideals:
         raise CapError(f"ideal lattice exceeds cap {caps.max_ideals}")
-    return tuple(Ideal(ring, m) for m in _join_closure(ring, _principal_ideals(ring, components), caps))
+    return tuple(_join_closure(ring, _principal_ideals(ring, components, actors, conjugators), caps))
 
 
 def all_ideals(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]:
     """The ideal lattice: every ideal joins the principal ideals of its elements."""
-    return _lattice(ring, (ring.full_mask,), caps)
+    return tuple(Ideal(ring, m) for m in _lattice(ring, (ring.full_mask,), ring.additive_generators, (), caps))
 
 
-# The cache's counters and its reset, read and called through the public name.
+# The lattice cache's counters and its reset, read and called through the public name.
 all_ideals.cache_info, all_ideals.cache_clear = _lattice.cache_info, _lattice.cache_clear
 
 
@@ -987,7 +1009,7 @@ def is_fully_idempotent(ring: FiniteRing) -> bool:
     as F = G, and insists the two agree; disagreement would be an
     implementation bug.
     """
-    family = _principal_ideals(ring, (ring.full_mask,)).items()
+    family = _principal_ideals(ring, (ring.full_mask,), ring.additive_generators, ()).items()
     squares = all(_product_span(ring, gens, gens) == mask for mask, gens in family)
     pairwise = all(_product_span(ring, ag, bg) == a & b for a, ag in family for b, bg in family)
     if squares != pairwise:

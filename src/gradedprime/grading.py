@@ -105,12 +105,7 @@ class GradedRing:
         return f"GradedRing(order={self.ring.order}, group={self.group!r}, support={list(self.support)})"
 
 
-def attach_grading(
-    ring: FiniteRing,
-    group: GradingGroup,
-    components: Mapping,
-    caps: Caps = DEFAULT_CAPS,
-) -> GradedRing:
+def attach_grading(ring: FiniteRing, group: GradingGroup, components: Mapping) -> GradedRing:
     """Validate a decomposition and return the graded ring.
 
     Rejects component families that are not additive subgroups, do not give
@@ -181,7 +176,8 @@ def is_graded_ideal(graded: GradedRing, ideal: Ideal) -> bool:
 
 def all_graded_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]:
     """The graded ideals, sorted: the sums of ideals of homogeneous elements."""
-    return _lattice(graded.ring, graded.component_masks, caps)
+    ring = graded.ring
+    return tuple(Ideal(ring, m) for m in _lattice(ring, graded.component_masks, ring.additive_generators, (), caps))
 
 
 def generate_graded_ideal(graded: GradedRing, gens: Iterable[int]) -> Ideal:
@@ -214,7 +210,8 @@ def graded_prime_pair_test(graded: GradedRing, p: Ideal) -> bool:
     family of principal ideals of homogeneous elements (is_prime_among):
     these are graded (Nastasescu & Van Oystaeyen, LNM 1836, 2), and their
     sums are every graded ideal."""
-    return is_prime_among(graded.ring, p.members, _principal_ideals(graded.ring, graded.component_masks))
+    ring = graded.ring
+    return is_prime_among(ring, p.members, _principal_ideals(ring, graded.component_masks, ring.additive_generators, ()))
 
 
 def graded_prime_element_criterion(graded: GradedRing, p: Ideal) -> bool:
@@ -292,7 +289,7 @@ def _is_ideally_symmetrically_graded(graded: GradedRing) -> bool:
     for x in graded.support:
         sx = graded.component(x)
         sxi = graded.component(group.inverse(x))
-        for kx in (principal & sx for principal in _principal_ideals(ring, (sx,))):
+        for kx in (principal & sx for principal in _principal_ideals(ring, (sx,), ring.additive_generators, ())):
             if not triple_product(ring, sx, sxi, kx) == kx == triple_product(ring, kx, sxi, sx):
                 return False
     return True

@@ -183,7 +183,7 @@ def assemble_filter_ring(f: GFilter, caps: Caps = DEFAULT_CAPS) -> GradedRing:
             for c in members[x]
         ]
         components[x] = mask_of(comp)
-    return attach_grading(built, group, components, caps=caps)
+    return attach_grading(built, group, components)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +347,7 @@ def _ideally_symmetric_finite(f: GFilter) -> bool:
     """
     product = f.product
     for ix, ixi in _inverse_pairs(f):
-        for j in _principal_ideals(f.ring, (ix,)):
+        for j in _principal_ideals(f.ring, (ix,), f.ring.additive_generators, ()):
             if not product(product(ix, ixi), j) == j == product(j, product(ixi, ix)):
                 return False
     return True
@@ -440,12 +440,7 @@ class Witness(NamedTuple):
         return f"degree={self.degree} coeff={ring.name(self.coeff)}"
 
 
-def witness_search(
-    handle: FilterRing,
-    a: FilterElement,
-    b: FilterElement,
-    degree_bound: int,
-) -> Optional[Witness]:
+def witness_search(handle: FilterRing, a: FilterElement, b: FilterElement) -> Optional[Witness]:
     """First homogeneous s with a*s*b nonzero, after trying a*b directly.
 
     Shift invariance: for s = c x^d the coefficient of a*s*b in degree
@@ -454,7 +449,7 @@ def witness_search(
     ring, a witness exists exactly when one exists in degree 0, and the
     first one in the scan order 0, 1, -1, 2, -2, ... of degrees, with
     coefficients in element-index order, is the first live c in degree 0.
-    So only degree 0 is searched, and degree_bound cannot change the
+    So only degree 0 is searched, and no degree bound could change the
     answer.  For each c the product of the two top components is probed
     first: top degrees add uniquely, so a nonzero top triple already
     certifies the product without the full convolution.  None means that

@@ -193,21 +193,13 @@ class LeavittContext:
         return LpaElement(self, {})
 
     def vertex(self, v: str) -> "LpaElement":
-        if v not in self.graph.vertex_index:
-            raise SpecError(f"unknown vertex {v}")
-        return LpaElement(self, {((), (), v): self.coeff.unit})
+        return self.monomial(self.coeff.unit, vertex=v)
 
     def edge(self, f: str) -> "LpaElement":
-        e = self.graph.edge_map.get(f)
-        if e is None:
-            raise SpecError(f"unknown edge {f}")
-        return LpaElement(self, {((f,), (), e.dst): self.coeff.unit})
+        return self.monomial(self.coeff.unit, (f,))
 
     def ghost(self, f: str) -> "LpaElement":
-        e = self.graph.edge_map.get(f)
-        if e is None:
-            raise SpecError(f"unknown edge {f}")
-        return LpaElement(self, {((), (f,), e.dst): self.coeff.unit})
+        return self.monomial(self.coeff.unit, (), (f,))
 
     def _path_range(self, edges: tuple[str, ...]) -> str:
         g = self.graph
@@ -256,13 +248,18 @@ class LeavittContext:
 
     # -- rewriting core ----------------------------------------------------
 
+    def _reducible(self, a: tuple, b: tuple) -> bool:
+        """Whether a b-star is not in normal form: both paths end in the
+        special edge of its source."""
+        return bool(a and b and a[-1] == b[-1] and self.special.get(self.graph.source(a[-1])) == a[-1])
+
     def _reduce_into(self, acc: dict, alpha, beta, v, coeff) -> None:
         g = self.graph
         coeff_ring = self.coeff
         stack = [(alpha, beta, v, coeff)]
         while stack:
             a, b, vv, c = stack.pop()
-            if a and b and a[-1] == b[-1] and self.special.get(g.source(a[-1])) == a[-1]:
+            if self._reducible(a, b):
                 u = g.source(a[-1])
                 a0, b0 = a[:-1], b[:-1]
                 stack.append((a0, b0, u, c))
@@ -423,14 +420,8 @@ def normal_form_monomials(ctx: LeavittContext, max_len: int) -> list:
         group = by_range.get(v, [])
         for pa in group:
             for pb in group:
-                if (
-                    pa.edges
-                    and pb.edges
-                    and pa.edges[-1] == pb.edges[-1]
-                    and ctx.special.get(ctx.graph.source(pa.edges[-1])) == pa.edges[-1]
-                ):
-                    continue
-                out.append((pa.edges, pb.edges, v))
+                if not ctx._reducible(pa.edges, pb.edges):
+                    out.append((pa.edges, pb.edges, v))
     return out
 
 
@@ -470,17 +461,11 @@ def corner_reduce(ctx: LeavittContext, a: LpaElement, max_len: int = 6) -> Optio
     return None
 
 
-def verify_corner_orthogonality(
-    g: DirectedGraph,
-    coeff: FiniteRing,
-    v: str,
-    w: str,
-    max_len: int = 4,
-) -> bool:
-    """Check v * (alpha beta-star) * w = 0 for every bounded monomial.
+def verify_corner_orthogonality(g: DirectedGraph, coeff: FiniteRing, v: str, w: str) -> bool:
+    """Check v * (alpha beta-star) * w = 0 for every monomial.
 
     Requires that (v, w) has no common reachable vertex, and then holds at
-    every length bound max_len without a product: the product factors as
+    every path length without a product: the product factors as
     (v*alpha)*(beta-star*w), and v*alpha = (v*s(alpha))*alpha is nonzero
     only when s(alpha) = v, since distinct vertices are orthogonal
     idempotents; likewise beta-star*w only when s(beta) = w.  A nonzero

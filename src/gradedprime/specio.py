@@ -372,7 +372,7 @@ def parse_graded_file(text: str, caps: Caps = DEFAULT_CAPS) -> GradedRing:
             components[x] = members
         else:
             raise SpecError(f"unrecognized line: {line!r}")
-    return attach_grading(ring, group, components, caps=caps)
+    return attach_grading(ring, group, components)
 
 
 def parse_filter_file(text: str, caps: Caps = DEFAULT_CAPS) -> GFilter:

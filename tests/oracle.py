@@ -75,8 +75,9 @@ ideal on every draw, and ``random_element`` draws through it.  Both take
 the ``FilterRing`` handle as their first argument.
 
 The field and residue-ring builders from before they built their tables
-row by row: ``gf`` and ``zmod`` fill every entry in a double loop, and hand
-the tables to the library's ``make_ring``.
+row by row, and ``gf`` from before it went through the tuple-ring builder:
+``gf`` and ``zmod`` fill every entry in a double loop, and hand the tables
+to the library's ``make_ring``.
 
 The m-system test from before it screened each row: ``is_m_system``
 searches the middle factors for every pair a, b with ab outside T.
@@ -122,7 +123,9 @@ this module's own functions of those names would otherwise shadow; ``gf``
 also reaches the library's prime-power helpers through ``finring``.
 ``_base`` is the ``GradedRing.base`` property of its version, made a
 function of the graded ring and cached per graded ring like the property,
-and the old ``_invariant_principals`` reads it instead of the property.
+and the old ``_invariant_principals`` reads it instead of the property,
+passes the library's ``_principal_ideals`` every argument, and closes each
+member by ``finring._invariant_span``, where the closure now lives.
 """
 
 from __future__ import annotations
@@ -1404,8 +1407,9 @@ def _invariant_principals(graded: GradedRing) -> dict[int, list[int]]:
     """The invariant closures of the generating family of principal ideals
     of S_e: mask -> generators."""
     sub, old, _ = _base(graded)
-    principals = fr._principal_ideals(sub, (sub.full_mask,))
+    principals = fr._principal_ideals(sub, (sub.full_mask,), sub.additive_generators, ())
+    conjugators = co._invariant_key(graded)[3]
     return dict(
-        co._invariant_closure(graded, mask_of(old[i] for i in bits(m)), [old[i] for i in gens])
+        fr._invariant_span(graded.ring, mask_of(old[i] for i in bits(m)), [old[i] for i in gens], conjugators)
         for m, gens in principals.items()
     )

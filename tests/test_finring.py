@@ -106,6 +106,19 @@ class TestConstruction:
             built += 1
         assert built == 70  # the prime powers up to 256
 
+    def test_field_cap_errors_equal_the_entrywise_builder(self):
+        caps = fr.Caps(max_ring_order=8)
+        capped = 0
+        for q in range(9, 257):  # every field of order at most 8 is within the cap
+            errors = []
+            for build in (fr.gf, oracle.gf):
+                with pytest.raises((CapError, SpecError)) as info:
+                    build(q, caps)
+                errors.append((info.type, str(info.value)))
+            assert errors[0] == errors[1], q
+            capped += errors[0] == (CapError, f"ring order {q} exceeds cap 8")
+        assert capped == 70 - 6  # the prime powers from 9 to 256
+
     def test_residue_rings_equal_the_entrywise_builder(self):
         for n in range(1, 65):
             assert fr.zmod(n) == oracle.zmod(n), n

@@ -323,7 +323,7 @@ class TestWitnessSearch:
         handle = gfl.FilterRing(gfl.make_z_filter(GF2, gfl.ZRule("subgroup", 1)))
         a = handle.element({0: 1, 1: 1})
         b = handle.element({-1: 1})
-        witness = gfl.witness_search(handle, a, b, 3)
+        witness = gfl.witness_search(handle, a, b)
         assert witness == gfl.Witness(None, None)
 
     def test_matrix_corners_need_a_connecting_unit(self):
@@ -331,7 +331,7 @@ class TestWitnessSearch:
         handle = gfl.FilterRing(gfl.make_z_filter(m2, gfl.ZRule("subgroup", 1)))
         a = handle.element({0: 8})   # E11
         b = handle.element({0: 1})   # E22
-        witness = gfl.witness_search(handle, a, b, 3)
+        witness = gfl.witness_search(handle, a, b)
         assert witness == gfl.Witness(0, 4)  # E12 at degree zero
         s = handle.term(witness.degree, witness.coeff)
         assert (a * s) * b
@@ -343,29 +343,29 @@ class TestWitnessSearch:
         handle = gfl.FilterRing(gfl.make_z_filter(tri2, gfl.ZRule("subgroup", 1)))
         a = handle.element({0: 4, 1: 2})
         b = handle.element({0: 1, 1: 2})
-        assert gfl.witness_search(handle, a, b, 2) == gfl.Witness(0, 1)
+        assert gfl.witness_search(handle, a, b) == gfl.Witness(0, 1)
         assert oracle.witness_search(handle, a, b, 2) == gfl.Witness(0, 1)
 
     def test_zero_inputs_rejected(self):
         handle = gfl.FilterRing(gfl.make_z_filter(GF2, gfl.ZRule("subgroup", 1)))
         with pytest.raises(ValueError):
-            gfl.witness_search(handle, handle.zero(), handle.element({0: 1}), 3)
+            gfl.witness_search(handle, handle.zero(), handle.element({0: 1}))
 
     def test_search_respects_the_bound(self):
         # away from the distinguished degrees everything is zero, so only
-        # middle factors on the even subgroup can connect; bound 0 sees them
+        # middle factors on the even subgroup can connect; degree 0 sees them
         handle = gfl.FilterRing(gfl.make_z_filter(GF2, gfl.ZRule("subgroup", 2)))
         a = handle.element({0: 1})
         b = handle.element({0: 1})
-        assert gfl.witness_search(handle, a, b, 0) == gfl.Witness(None, None)
+        assert gfl.witness_search(handle, a, b) == gfl.Witness(None, None)
 
     def test_witnesses_are_deterministic(self):
         m2 = fr.mat(GF2, 2)
         handle = gfl.FilterRing(gfl.make_z_filter(m2, gfl.ZRule("subgroup", 1)))
         rng = random.Random(11)
         pairs = [(handle.random_element(rng), handle.random_element(rng)) for _ in range(25)]
-        first = [gfl.witness_search(handle, a, b, 5) for a, b in pairs]
-        second = [gfl.witness_search(handle, a, b, 5) for a, b in pairs]
+        first = [gfl.witness_search(handle, a, b) for a, b in pairs]
+        second = [gfl.witness_search(handle, a, b) for a, b in pairs]
         assert first == second
         assert all(w is not None for w in first)
 
@@ -384,7 +384,7 @@ class TestWitnessSearch:
                 a = handle.random_element(rng, rng.randint(1, 4), rng.randint(0, 5))
                 b = handle.random_element(rng, rng.randint(1, 4), rng.randint(0, 5))
                 bound = rng.randint(0, 6)
-                witness = gfl.witness_search(handle, a, b, bound)
+                witness = gfl.witness_search(handle, a, b)
                 assert witness == oracle.witness_search(handle, a, b, bound)
                 kinds.add(None if witness is None else witness.degree is None)
         assert kinds == {None, True, False}

@@ -17,7 +17,7 @@ from gradedprime import finring as fr
 from gradedprime import grading as gr
 from gradedprime import grfilter as gfl
 from gradedprime import specio
-from gradedprime.errors import SpecError
+from gradedprime.errors import CapError, SpecError
 from gradedprime.finring import DEFAULT_CAPS
 from gradedprime.groups import Z, cyclic, symmetric_group
 
@@ -37,7 +37,9 @@ def floor_of(graded):
 def assert_lattices_agree(graded):
     lattice = gr.all_graded_ideals(graded)
     assert lattice == oracle.all_graded_ideals(graded)
-    assert co.invariant_base_ideals(graded) == oracle.invariant_base_ideals(graded)
+    invariant = co.invariant_base_ideals(graded)
+    assert invariant == oracle.invariant_base_ideals(graded)
+    assert fr._ideal_count_floor(graded.ring, (graded.e_mask,)) <= len(invariant)
     floor = floor_of(graded)
     assert floor <= len(lattice)
     assert floor <= oracle._ideal_count_floor(graded.ring)
@@ -159,7 +161,7 @@ def test_drawn_group_algebras(base, group):
 
 
 def test_graded_and_invariant_caches_are_bounded():
-    caches = (fr._lattice, co._invariant_ideals, co._maps)
+    caches = (fr._lattice, co._maps)
     caps = [c.cache_info().maxsize for c in caches]
     assert None not in caps
     for n in range(2, max(caps) + 7):
@@ -188,7 +190,7 @@ def test_a_call_without_caps_shares_the_entry_of_default_caps():
     graded = group_algebra_grading(fr.gf(3), cyclic(2))
     fr._lattice.cache_clear()
     with mock.patch.object(fr, "_join_closure", wraps=fr._join_closure) as calls:
-        assert gr.all_graded_ideals(graded) is gr.all_graded_ideals(graded, DEFAULT_CAPS)
+        assert gr.all_graded_ideals(graded) == gr.all_graded_ideals(graded, DEFAULT_CAPS)
     assert calls.call_count == 1
 
 
@@ -198,17 +200,43 @@ def test_two_parses_of_one_graded_ring_share_one_lattice():
     assert first is not second
     fr._lattice.cache_clear()
     with mock.patch.object(fr, "_join_closure", wraps=fr._join_closure) as calls:
-        assert gr.all_graded_ideals(first) is gr.all_graded_ideals(second)
+        assert gr.all_graded_ideals(first) == gr.all_graded_ideals(second)
     assert calls.call_count == 1
+
+
+def test_two_parses_of_one_graded_ring_share_one_invariant_lattice():
+    text = (DATA / "tri3_std.graded").read_text()
+    first, second = specio.parse_graded_file(text), specio.parse_graded_file(text)
+    fr._lattice.cache_clear()
+    with mock.patch.object(fr, "_join_closure", wraps=fr._join_closure) as calls:
+        assert co.invariant_base_ideals(first) == co.invariant_base_ideals(second)
+    assert calls.call_count == 1
+
+
+def test_the_floor_refuses_an_invariant_lattice_before_enumerating_it():
+    # BIG has S_e = 0, one invariant ideal, over a cap of 0.  Regraded by
+    # cyclic(4) with four basis vectors in degree 0 and one in each other
+    # degree, S_1 and S_3 conjugate S_e, all 67 subgroups of S_e = F_2^4 are
+    # invariant ideals, and the floor counts every one of them.
+    big = specio.parse_graded_file((DATA / BIG).read_text())
+    ring = big.ring
+    comps = {0: fr.subgroup_closure(ring, fr.mask_of([1, 2, 4, 8])), 1: 1 | 1 << 16, 2: 1 | 1 << 32, 3: 1 | 1 << 64}
+    regraded = gr.attach_grading(ring, cyclic(4), comps)
+    assert len(co.invariant_base_ideals(regraded)) == fr._ideal_count_floor(ring, (regraded.e_mask,)) == 67
+    refuse = mock.Mock(side_effect=AssertionError("the lattice was enumerated"))
+    with mock.patch.object(fr, "_join_closure", refuse):
+        for graded, cap in ((big, 0), (regraded, 66)):
+            with pytest.raises(CapError, match=f"^ideal lattice exceeds cap {cap}$"):
+                co.invariant_base_ideals(graded, fr.Caps(max_ideals=cap))
+    assert not refuse.called
 
 
 def test_a_trivial_grading_enumerates_one_lattice():
     # every ideal is graded, and the identity component is the whole ring
     graded = gr.trivial_grading(fr.product(*[fr.gf(2)] * 5), cyclic(2))
-    for cached in (fr._lattice, co._invariant_ideals, co._maps):
+    for cached in (fr._lattice, co._maps):
         cached.cache_clear()
     with mock.patch.object(fr, "_join_closure", wraps=fr._join_closure) as calls:
-        with mock.patch.object(co, "_join_closure", calls):
-            assert co.verify_bijection_identity_generated(graded).all_pass
-            assert co.verify_bijection_ideally_symmetric(graded).all_pass
+        assert co.verify_bijection_identity_generated(graded).all_pass
+        assert co.verify_bijection_ideally_symmetric(graded).all_pass
     assert calls.call_count == 1

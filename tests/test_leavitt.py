@@ -138,6 +138,19 @@ class TestRelations:
                 acc = acc + ctx.edge(f) * ctx.ghost(f)
             assert acc == ctx.vertex(v)
 
+    def test_over_the_zero_ring_every_element_is_zero(self):
+        ctx = lv.LeavittContext(graph_by_name("one_edge"), fr.zmod(1))
+        v, w, e = ctx.vertex("v"), ctx.vertex("w"), ctx.edge("e")
+        for x in (v, w, e, ctx.ghost("e")):
+            assert not x and x.terms == {} and x == ctx.zero()
+        assert v * v == v
+        assert e * w == e
+        with pytest.raises(SpecError, match="^unknown vertex u$"):
+            ctx.vertex("u")
+        for make in (ctx.edge, ctx.ghost):
+            with pytest.raises(SpecError, match="^unknown edge f$"):
+                make("f")
+
     def test_nonunital_coefficients_rejected(self):
         even = fr.subring(fr.zmod(8), [0, 2, 4, 6])
         with pytest.raises(SpecError):
@@ -330,16 +343,16 @@ class TestCornerReduce:
 class TestOrthogonality:
     def test_isolated_vertices_are_orthogonal(self):
         g = graph_by_name("two_isolated")
-        assert lv.verify_corner_orthogonality(g, GF2, "v", "w", 4)
+        assert lv.verify_corner_orthogonality(g, GF2, "v", "w")
 
     def test_precondition_requires_a_violating_pair(self):
         g = graph_by_name("converging")
         with pytest.raises(ValueError):
-            lv.verify_corner_orthogonality(g, GF2, "v", "w", 4)
+            lv.verify_corner_orthogonality(g, GF2, "v", "w")
 
     def test_disjoint_cycles_are_orthogonal(self):
         g = graph_by_name("disjoint_cycles")
-        assert lv.verify_corner_orthogonality(g, GF2, "a", "c", 4)
+        assert lv.verify_corner_orthogonality(g, GF2, "a", "c")
 
 
 class TestPrimeness:

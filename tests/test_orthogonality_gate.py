@@ -31,9 +31,9 @@ def rose_pair(petals: int) -> lv.DirectedGraph:
     )
 
 
-def outcome(scan, g, coeff, v, w, depth):
+def outcome(scan, *args):
     try:
-        return scan(g, coeff, v, w, depth)
+        return scan(*args)
     except (ValueError, SpecError) as exc:
         return type(exc), str(exc)
 
@@ -42,7 +42,7 @@ def assert_agree(g, coeff=GF2, depths=DEPTHS):
     for v in g.vertices:
         for w in g.vertices:
             for depth in depths:
-                new = outcome(lv.verify_corner_orthogonality, g, coeff, v, w, depth)
+                new = outcome(lv.verify_corner_orthogonality, g, coeff, v, w)
                 assert new == outcome(oracle.verify_corner_orthogonality, g, coeff, v, w, depth), (
                     v, w, depth)
 
@@ -91,13 +91,13 @@ def test_agrees_over_other_coefficients_and_on_errors():
     even8 = fr.subring(fr.zmod(8), [0, 2, 4, 6])  # no unit: the same SpecError
     assert_agree(g, even8, range(2))
     for v, w in (("a", "zz"), ("zz", "a")):  # an unknown vertex: the same SpecError
-        assert outcome(lv.verify_corner_orthogonality, g, GF2, v, w, 2) == outcome(
+        assert outcome(lv.verify_corner_orthogonality, g, GF2, v, w) == outcome(
             oracle.verify_corner_orthogonality, g, GF2, v, w, 2)
 
 
 def test_the_error_texts():
     g = dict(GRAPHS)["converging"]
-    assert outcome(lv.verify_corner_orthogonality, g, GF2, "v", "w", 3) == (
+    assert outcome(lv.verify_corner_orthogonality, g, GF2, "v", "w") == (
         ValueError, "(v,w) has a common reachable vertex")
 
 
@@ -137,7 +137,7 @@ def counting_products(monkeypatch) -> list:
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[n for n, _ in GRAPHS])
 def test_lists_no_path_when_the_precondition_holds(monkeypatch, name, g):
     """Every pair with no common reachable vertex: no call to paths_up_to
-    and no engine product, at every depth."""
+    and no engine product; the scan takes no depth."""
     reach = oracle.reachability(g)
     pairs = [
         (v, w)
@@ -149,14 +149,13 @@ def test_lists_no_path_when_the_precondition_holds(monkeypatch, name, g):
     products = counting_products(monkeypatch)
     monkeypatch.setattr(lv, "paths_up_to", lambda *args, **kwargs: listed.append(args))
     for pair in pairs:
-        for depth in DEPTHS:
-            assert lv.verify_corner_orthogonality(g, GF2, *pair, depth)
+        assert lv.verify_corner_orthogonality(g, GF2, *pair)
     assert listed == [] and products == []
 
 
 def test_no_engine_product_for_the_roses(monkeypatch):
     """At depth 12 the roses have 16,382 paths; the per-path scan made
-    24,573 engine products to gate them, and none is needed."""
+    24,573 engine products to gate them, and none is needed at any depth."""
     products = counting_products(monkeypatch)
-    assert lv.verify_corner_orthogonality(rose_pair(2), GF2, "v", "w", 12)
+    assert lv.verify_corner_orthogonality(rose_pair(2), GF2, "v", "w")
     assert products == []

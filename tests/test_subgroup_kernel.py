@@ -4,6 +4,7 @@ lattice and the generator-only products, on the corpus and on
 hypothesis-drawn rings; and the bounded caches."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -174,9 +175,11 @@ def test_lattice_cache_is_bounded():
 def test_omitting_the_caps_and_passing_the_defaults_share_one_lattice():
     ring = fr.product(fr.gf(2), fr.gf(3), fr.gf(2))
     fr.all_ideals.cache_clear()
-    lattice = fr.all_ideals(ring)
-    assert fr.all_ideals(ring, fr.DEFAULT_CAPS) is lattice
-    assert fr.all_ideals(ring, caps=fr.Caps()) is lattice
+    with mock.patch.object(fr, "_join_closure", wraps=fr._join_closure) as calls:
+        lattice = fr.all_ideals(ring)
+        assert fr.all_ideals(ring, fr.DEFAULT_CAPS) == lattice
+        assert fr.all_ideals(ring, caps=fr.Caps()) == lattice
+    assert calls.call_count == 1
     info = fr.all_ideals.cache_info()
     assert (info.hits, info.misses) == (2, 1)
 
