@@ -6,9 +6,8 @@ not a filter of the lattice of S_e: an invariant ideal is the sum of the
 invariant closures J + sum_x S_{x^-1} J S_x of the members J of S_e's
 generating family of principal ideals inside it, and sums of invariant
 ideals are invariant.  finring builds and caches those closures, over which
-G-primeness quantifies, and their lattice, keyed by value (_invariant_key):
-the family of S_e's elements acted on by S_e, closed under the conjugators.
-Under a trivial grading that is the key of the ideals of S, so the whole
+G-primeness quantifies, and their lattice, keyed by value (_invariant_key);
+under a trivial grading that lattice is the ideals of S, so the whole
 correspondence enumerates one lattice.
 
 The two ``verify_*`` operations return structured reports rather than
@@ -26,12 +25,13 @@ from .finring import (
     Caps,
     DEFAULT_CAPS,
     Ideal,
+    _family,
     _gens,
     _ideal_span,
     _invariant_span,
-    _lattice,
     _principal_ideals,
     _span,
+    _sums,
     bits,
     closed_product,
     generate_ideal,
@@ -62,30 +62,31 @@ def is_base_ideal(graded: GradedRing, jmask: int) -> bool:
     return not jmask & ~emask and is_ideal_mask(graded.ring, jmask, acting=emask)
 
 
+def _conjugators(graded: GradedRing) -> tuple:
+    """The pairs (generators of S_{x^-1}, generators of S_x) for x != e in
+    the support with S_{x^-1} nonzero, by which _invariant_span closes."""
+    gens, inverse = graded.component_generators, graded.group.inverse
+    sites = (x for x in graded.support if x != graded.e and inverse(x) in gens)
+    return tuple((tuple(gens[inverse(x)]), tuple(gens[x])) for x in sites)
+
+
 def _invariant_key(graded: GradedRing) -> tuple:
-    """The arguments of finring's family and lattice of the invariant ideals
-    of S_e: S_e's elements, acted on by S_e's additive generators, and the
-    conjugators (generators of S_{x^-1}, generators of S_x) for x != e in
-    the support with S_{x^-1} nonzero.  Under a trivial grading they are
-    those of the ideals of S = S_e, so the two lattices share one entry."""
-    ring, gens, inverse = graded.ring, graded.component_generators, graded.group.inverse
-    conjugators = tuple(
-        (tuple(gens[inverse(x)]), tuple(gens[x])) for x in graded.support if x != graded.e and inverse(x) in gens
-    )
-    return ring, (graded.e_mask,), tuple(_gens(ring, graded.e_mask)), conjugators
+    """finring's family arguments for the invariant ideals of S_e: S_e's
+    elements, acted on by S_e's additive generators, and the conjugators."""
+    return graded.ring, (graded.e_mask,), tuple(graded.component_generators.get(graded.e, ())), _conjugators(graded)
 
 
 def is_g_invariant(graded: GradedRing, jmask: int) -> bool:
     """Whether conjugating J by every component pair lands back inside J."""
     if not is_base_ideal(graded, jmask):
         raise ValueError("subset is not an ideal of the identity component")
-    ring = graded.ring
-    return _invariant_span(ring, jmask, _gens(ring, jmask), _invariant_key(graded)[3])[0] == jmask
+    return _invariant_span(graded.ring, jmask, _gens(graded.ring, jmask), _conjugators(graded))[0] == jmask
 
 
 def invariant_base_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
     """The G-invariant ideals of the identity component, as ambient masks, sorted."""
-    return _lattice(*_invariant_key(graded), caps)
+    ring, components, actors, conjugators = _invariant_key(graded)
+    return tuple(_sums(ring, components, caps, actors, conjugators))
 
 
 def _invariant_principals(graded: GradedRing) -> dict[int, list[int]]:
@@ -197,9 +198,7 @@ def verify_bijection_identity_generated(graded: GradedRing, caps: Caps = DEFAULT
     projection_invariant = all(proj in lift for proj in projection.values())
     image_ok = set(lift.values()) == idgen and len(lift) == len(idgen)
     inclusion_ok = _preserves_inclusion(ring, invariant, lift, _invariant_principals(graded)) and (
-        _preserves_inclusion(
-            ring, idgen, projection, _principal_ideals(ring, graded.component_masks, ring.additive_generators, ())
-        )
+        _preserves_inclusion(ring, idgen, projection, _family(ring, graded.component_masks))
     )
 
     n_inv, n_idgen, n_graded = len(invariant), len(idgen), len(graded_ideals)

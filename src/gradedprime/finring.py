@@ -295,8 +295,8 @@ def gf(q: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
         ]
         return "+".join(terms) or "0"
 
-    # the coordinates' own ring keeps its default caps, so that a cap error names q
-    return _tuple_ring([zmod(p)] * k, [range(p)] * k, mul_vec, name_vec, caps)[0]
+    # the coordinates' ring is capped at its own order, so only q meets the caller's cap
+    return _tuple_ring([zmod(p, Caps(max_ring_order=p))] * k, [range(p)] * k, mul_vec, name_vec, caps)[0]
 
 
 # An order of at least 2**_SHOWN_BITS has more than 4,300 decimal digits,
@@ -794,12 +794,10 @@ def _ideal_count_floor(ring: FiniteRing, components: Sequence[int]) -> int:
 
 # Family, lattice and product caches are keyed by ring, so they are bounded:
 # a long-lived process would otherwise keep every lattice it ever computed.
-# Every caller passes every argument positionally, so one family or lattice
-# has one key.
+# Callers reach S's families through _family and every lattice through
+# _sums, which give each family and each lattice one key.
 @lru_cache(maxsize=16)
-def _principal_ideals(
-    ring: FiniteRing, components: tuple[int, ...], actors: tuple[int, ...], conjugators: tuple
-) -> dict[int, list[int]]:
+def _principal_ideals(ring: FiniteRing, components: tuple, actors: tuple, conjugators: Optional[tuple]) -> dict:
     """A generating family of the principal ideals of the components'
     elements, in the subring spanned by the actors (_ideal_span), mask ->
     generators: those that are not the sum of the principal ideals strictly
@@ -808,11 +806,14 @@ def _principal_ideals(
     principal ideals is a sum of members.  Hence the family stands exactly
     for those sums: in their join closure, in the pair tests of
     is_prime_among, in the ideal-symmetry identities, whose sides are
-    additive in the ideal, and in is_fully_idempotent.  With conjugators,
-    each member J is replaced by its _invariant_span, and sums of those are
-    the invariant ideals.  The dict is shared by every caller with the same
-    key, so none may change it.
+    additive in the ideal, and in is_fully_idempotent.  Given a tuple of
+    conjugators, even (), each member J is replaced by its _invariant_span,
+    and sums of those are the invariant ideals.  The dict is shared by
+    every caller with the same key, so none may change it.
     """
+    if conjugators is not None:
+        family = _principal_ideals(ring, components, actors, None)
+        return dict(_invariant_span(ring, m, gens, conjugators) for m, gens in family.items())
     spans = {a: _ideal_span(ring, 1 << a, actors) for comp in components for a in bits(comp)}
     of = {a: span[0] for a, span in spans.items()}
     elements = reduce(or_, components, 0)
@@ -820,10 +821,12 @@ def _principal_ideals(
     def below(p: int) -> int:  # the sum of the principal ideals strictly inside p
         return _span(ring, reduce(or_, (of[a] for a in bits(p & elements) if of[a] != p), 0))[0]
 
-    family = {p: gens for p, gens in dict(spans.values()).items() if below(p) != p}
-    if conjugators:
-        family = dict(_invariant_span(ring, m, gens, conjugators) for m, gens in family.items())
-    return family
+    return {p: gens for p, gens in dict(spans.values()).items() if below(p) != p}
+
+
+def _family(ring: FiniteRing, components: tuple) -> dict[int, list[int]]:
+    """S's generating family of principal ideals of the components' elements."""
+    return _principal_ideals(ring, components, ring.additive_generators, None)
 
 
 def _invariant_span(ring: FiniteRing, jmask: int, jgens: Sequence[int], conjugators: tuple) -> tuple[int, list[int]]:
@@ -839,10 +842,10 @@ def _invariant_span(ring: FiniteRing, jmask: int, jgens: Sequence[int], conjugat
     return _span(ring, jmask | mask_of(products))
 
 
-def _join_closure(ring: FiniteRing, principals: Mapping[int, Sequence[int]], caps: Caps) -> list[int]:
-    """The sums of the ideals of a map mask -> additive generators, as sorted
-    masks: the closure of the zero ideal under joins with those ideals."""
-    lattice = {ring.zero_mask: ()}
+def _join_closure(ring: FiniteRing, principals: Mapping[int, Sequence[int]], caps: Caps) -> dict[int, list[int]]:
+    """The sums of the ideals of a map mask -> additive generators, as such a
+    map sorted by mask: the closure of the zero ideal under joins with them."""
+    lattice = {ring.zero_mask: []}
     for pmask, pgens in principals.items():
         xmask = mask_of(pgens)
         for mask, gens in list(lattice.items()):
@@ -852,24 +855,31 @@ def _join_closure(ring: FiniteRing, principals: Mapping[int, Sequence[int]], cap
                     lattice[join] = join_gens
                     if len(lattice) > caps.max_ideals:
                         raise CapError(f"ideal lattice exceeds cap {caps.max_ideals}")
-    return sorted(lattice)
+    return dict(sorted(lattice.items()))
 
 
 @lru_cache(maxsize=16)
-def _lattice(
-    ring: FiniteRing, components: tuple[int, ...], actors: tuple[int, ...], conjugators: tuple, caps: Caps
-) -> tuple[int, ...]:
-    """The sums of the members of _principal_ideals(ring, components,
-    actors, conjugators), as sorted masks, refused before enumeration when
-    the _ideal_count_floor of the components exceeds the cap."""
+def _lattice(ring: FiniteRing, components: tuple, actors: tuple, conjugators: Optional[tuple], caps: Caps) -> dict:
+    """The sums of the members of _principal_ideals under the same key, mask
+    -> generators sorted by mask, refused before enumeration when the
+    components' _ideal_count_floor exceeds the cap.  Shared, so read-only."""
     if _ideal_count_floor(ring, components) > caps.max_ideals:
         raise CapError(f"ideal lattice exceeds cap {caps.max_ideals}")
-    return tuple(_join_closure(ring, _principal_ideals(ring, components, actors, conjugators), caps))
+    return _join_closure(ring, _principal_ideals(ring, components, actors, conjugators), caps)
+
+
+def _sums(ring: FiniteRing, components: tuple, caps: Caps, actors: Optional[tuple] = None, conjugators=()) -> dict:
+    """_lattice under one key per lattice.  The actors default to S's
+    additive generators.  An empty tuple of conjugators closes nothing, so
+    its sums are those of the family without them (None): under a trivial
+    grading the invariant ideals of S_e = S are then all_ideals' entry."""
+    actors = ring.additive_generators if actors is None else actors
+    return _lattice(ring, components, actors, conjugators or None, caps)
 
 
 def all_ideals(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]:
     """The ideal lattice: every ideal joins the principal ideals of its elements."""
-    return tuple(Ideal(ring, m) for m in _lattice(ring, (ring.full_mask,), ring.additive_generators, (), caps))
+    return tuple(Ideal(ring, m) for m in _sums(ring, (ring.full_mask,), caps))
 
 
 # The lattice cache's counters and its reset, read and called through the public name.
@@ -989,7 +999,7 @@ def is_prime_among(ring: FiniteRing, pmask: int, ideals: Mapping[int, Sequence[i
 def is_prime_ideal_by_pairs(ring: FiniteRing, p: Ideal, caps: Caps = DEFAULT_CAPS) -> bool:
     """Primeness via the defining quantification over all ideal pairs."""
     _check_proper_ideal(ring, p)
-    return is_prime_among(ring, p.members, {i.members: i._generators for i in all_ideals(ring, caps)})
+    return is_prime_among(ring, p.members, _sums(ring, (ring.full_mask,), caps))
 
 
 def is_prime_ring(ring: FiniteRing) -> bool:
@@ -1009,7 +1019,7 @@ def is_fully_idempotent(ring: FiniteRing) -> bool:
     as F = G, and insists the two agree; disagreement would be an
     implementation bug.
     """
-    family = _principal_ideals(ring, (ring.full_mask,), ring.additive_generators, ()).items()
+    family = _family(ring, (ring.full_mask,)).items()
     squares = all(_product_span(ring, gens, gens) == mask for mask, gens in family)
     pairwise = all(_product_span(ring, ag, bg) == a & b for a, ag in family for b, bg in family)
     if squares != pairwise:

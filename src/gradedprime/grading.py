@@ -22,9 +22,9 @@ from .finring import (
     FiniteRing,
     Ideal,
     _check_proper_ideal,
+    _family,
     _gens,
-    _lattice,
-    _principal_ideals,
+    _sums,
     bits,
     closed_product,
     generate_ideal,
@@ -176,8 +176,7 @@ def is_graded_ideal(graded: GradedRing, ideal: Ideal) -> bool:
 
 def all_graded_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]:
     """The graded ideals, sorted: the sums of ideals of homogeneous elements."""
-    ring = graded.ring
-    return tuple(Ideal(ring, m) for m in _lattice(ring, graded.component_masks, ring.additive_generators, (), caps))
+    return tuple(Ideal(graded.ring, m) for m in _sums(graded.ring, graded.component_masks, caps))
 
 
 def generate_graded_ideal(graded: GradedRing, gens: Iterable[int]) -> Ideal:
@@ -210,8 +209,7 @@ def graded_prime_pair_test(graded: GradedRing, p: Ideal) -> bool:
     family of principal ideals of homogeneous elements (is_prime_among):
     these are graded (Nastasescu & Van Oystaeyen, LNM 1836, 2), and their
     sums are every graded ideal."""
-    ring = graded.ring
-    return is_prime_among(ring, p.members, _principal_ideals(ring, graded.component_masks, ring.additive_generators, ()))
+    return is_prime_among(graded.ring, p.members, _family(graded.ring, graded.component_masks))
 
 
 def graded_prime_element_criterion(graded: GradedRing, p: Ideal) -> bool:
@@ -289,7 +287,7 @@ def _is_ideally_symmetrically_graded(graded: GradedRing) -> bool:
     for x in graded.support:
         sx = graded.component(x)
         sxi = graded.component(group.inverse(x))
-        for kx in (principal & sx for principal in _principal_ideals(ring, (sx,), ring.additive_generators, ())):
+        for kx in (principal & sx for principal in _family(ring, (sx,))):
             if not triple_product(ring, sx, sxi, kx) == kx == triple_product(ring, kx, sxi, sx):
                 return False
     return True

@@ -24,8 +24,8 @@ from .finring import (
     Caps,
     DEFAULT_CAPS,
     FiniteRing,
+    _family,
     _group_ring,
-    _principal_ideals,
     bits,
     closed_product,
     is_fully_idempotent,
@@ -347,7 +347,7 @@ def _ideally_symmetric_finite(f: GFilter) -> bool:
     """
     product = f.product
     for ix, ixi in _inverse_pairs(f):
-        for j in _principal_ideals(f.ring, (ix,), f.ring.additive_generators, ()):
+        for j in _family(f.ring, (ix,)):
             if not product(product(ix, ixi), j) == j == product(j, product(ixi, ix)):
                 return False
     return True

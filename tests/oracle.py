@@ -124,7 +124,7 @@ also reaches the library's prime-power helpers through ``finring``.
 ``_base`` is the ``GradedRing.base`` property of its version, made a
 function of the graded ring and cached per graded ring like the property,
 and the old ``_invariant_principals`` reads it instead of the property,
-passes the library's ``_principal_ideals`` every argument, and closes each
+takes the subring's family from the library's ``_family``, and closes each
 member by ``finring._invariant_span``, where the closure now lives.
 """
 
@@ -1407,8 +1407,8 @@ def _invariant_principals(graded: GradedRing) -> dict[int, list[int]]:
     """The invariant closures of the generating family of principal ideals
     of S_e: mask -> generators."""
     sub, old, _ = _base(graded)
-    principals = fr._principal_ideals(sub, (sub.full_mask,), sub.additive_generators, ())
-    conjugators = co._invariant_key(graded)[3]
+    principals = fr._family(sub, (sub.full_mask,))
+    conjugators = co._conjugators(graded)
     return dict(
         fr._invariant_span(graded.ring, mask_of(old[i] for i in bits(m)), [old[i] for i in gens], conjugators)
         for m, gens in principals.items()

@@ -158,26 +158,18 @@ def test_nearly_epsilon_scan_on_drawn_trivial_gradings(ring, group):
 # the generating family of S_e, taken in the ambient ring
 
 
-def assert_same_identity_family(graded):
-    """The same masks in the same order, and the same generator lists
-    wherever there is a conjugator.  With none, the closure step is skipped,
-    and each member keeps the generators of its principal span."""
-    family, expected = co._invariant_principals(graded), oracle._invariant_principals(graded)
-    assert list(family) == list(expected)
-    if co._invariant_key(graded)[3]:
-        assert list(family.values()) == list(expected.values())
-    assert all(fr.subgroup_closure(graded.ring, fr.mask_of(gens)) == m for m, gens in family.items())
-
-
 @pytest.mark.parametrize("name,graded", GRADED, ids=IDS)
 def test_identity_family_matches_the_subring_path(name, graded):
-    assert_same_identity_family(graded)
+    """The same masks and generator lists, in the same order."""
+    family = list(co._invariant_principals(graded).items())
+    assert family == list(oracle._invariant_principals(graded).items())
 
 
 @SETTINGS
 @given(drawn=zero_mult_gradings())
 def test_identity_family_matches_the_subring_path_on_drawn_gradings(drawn):
-    assert_same_identity_family(drawn[0])
+    graded, _ = drawn
+    assert list(co._invariant_principals(graded).items()) == list(oracle._invariant_principals(graded).items())
 
 
 PROPER_E = [(name, g) for name, g in GRADED if g.e_mask != g.ring.full_mask]

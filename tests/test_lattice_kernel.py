@@ -186,6 +186,19 @@ def test_invariance_is_decided_once_per_ideal(graded):
     assert 0 < calls.call_count <= n_proper
 
 
+def test_a_scan_of_pair_primeness_spans_no_ideal_again():
+    # the pair test reads the cached lattice with its generators, so testing
+    # every ideal spans nothing once the lattice is built
+    ring = fr.product(*[fr.gf(2)] * 4)
+    ideals = [p for p in fr.all_ideals(ring) if p.is_proper]
+    fr.is_prime_ideal_by_pairs(ring, ideals[0])
+    with mock.patch.object(fr, "_span", wraps=fr._span) as spans:
+        verdicts = [fr.is_prime_ideal_by_pairs(ring, p) for p in ideals]
+    assert spans.call_count == 0
+    assert verdicts == [fr.is_prime_ideal(ring, p) for p in ideals]
+    assert sum(verdicts) == 4
+
+
 def test_a_call_without_caps_shares_the_entry_of_default_caps():
     graded = group_algebra_grading(fr.gf(3), cyclic(2))
     fr._lattice.cache_clear()

@@ -105,21 +105,36 @@ def test_the_corpus_covers_both_verdicts():
     ids=["tri2_std", "mat2_z", "gf2_trivial_c200", "grpalg2_canonical", "zero_mult_f2_7_z"],
 )
 def test_invariance_is_checked_where_both_components_are_nonzero(graded, sites):
-    """The closure conjugates by the generators of S_{x^-1} and S_x at each
-    site x other than e, where S_e J S_e lies in J already, and spans its
-    products once."""
-    gens, inverse = graded.component_generators, graded.group.inverse
-    conjugators = co._invariant_key(graded)[3]
-    assert conjugators == tuple((tuple(gens[inverse(x)]), tuple(gens[x])) for x in sites)
-    with mock.patch.object(fr, "_span", wraps=fr._span) as spans:
-        fr._invariant_span(graded.ring, graded.ring.zero_mask, [], conjugators)
-    assert spans.call_count == 1
+    """The closure reads the generators of S_{x^-1} and S_x once per site x
+    other than e, where S_e J S_e lies in J already, and spans its products
+    once."""
+    read, spans = [], []
+
+    class Recording(dict):
+        def __getitem__(self, x):
+            read.append(x)
+            return super().__getitem__(x)
+
+    def closure(*args):
+        with mock.patch.object(fr, "_span", wraps=fr._span) as span:
+            result = fr._invariant_span(*args)
+        spans.append(span.call_count)
+        return result
+
+    graded.__dict__["component_generators"] = Recording(graded.component_generators)
+    try:
+        with mock.patch.object(co, "_invariant_span", closure):
+            co.is_g_invariant(graded, graded.ring.zero_mask)
+    finally:
+        del graded.__dict__["component_generators"]
+    assert read == [y for x in sites for y in (graded.group.inverse(x), x)]
+    assert spans == [1]
 
 
 @pytest.mark.parametrize("name,graded", graded_corpus())
 def test_invariant_closures_are_the_least_invariant_ideals_over_them(name, graded):
     invariant = oracle.invariant_base_ideals(graded)
-    conjugators = co._invariant_key(graded)[3]
+    conjugators = co._conjugators(graded)
     for j in oracle.base_ideals(graded):
         closure = fr._invariant_span(graded.ring, j, fr._gens(graded.ring, j), conjugators)[0]
         assert closure == min((k for k in invariant if k | j == k), key=int.bit_count)
