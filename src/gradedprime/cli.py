@@ -45,7 +45,12 @@ def _passed(flag: bool) -> str:
 
 
 def _caps(args) -> fr.Caps:
-    return fr.Caps(*(getattr(args, name) for name in fr.Caps._fields))
+    """The caps of the command line, each of them at least 1."""
+    caps = fr.Caps(*(getattr(args, name) for name in fr.Caps._fields))
+    for name, value in caps._asdict().items():
+        if value < 1:
+            raise SpecError(f"--{name.replace('_', '-')} must be at least 1")
+    return caps
 
 
 def _read(path: str) -> str:
@@ -269,6 +274,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _caps(args)  # refuses a cap below 1 before any file is read
         if args.porcelain:
             out = "".join(f"{key}={_text(value)}\n" for key, value, _ in args.func(args) if key is not None)
         else:

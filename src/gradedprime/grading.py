@@ -7,6 +7,10 @@ attach time, so component access is a table lookup everywhere downstream.
 
 Integer gradings store only their finite support; a missing index means the
 zero component.
+
+The grading classes are statements about the pairs (S_x, S_{x^-1}): one kernel,
+_pair_classes and _is_ideally_symmetric, decides them on a set of distinct
+pairs, here and for a filter's pairs (I_x, I_{x^-1}) in grfilter.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .finring import (
     _check_proper_ideal,
     _family,
     _gens,
+    _product_span,
     _sums,
     bits,
     closed_product,
@@ -34,7 +39,6 @@ from .finring import (
     is_s_unital_module,
     mask_of,
     prime_element_criterion,
-    triple_product,
     zero_ideal,
 )
 from .groups import FiniteGroup, IntegerGroup, Z
@@ -249,59 +253,53 @@ def is_graded_prime_ring(graded: GradedRing) -> bool:
 
 
 def _is_strongly_graded(graded: GradedRing) -> bool:
-    ring = graded.ring
-    group = graded.group
-    if not group.is_finite:
-        # Over the integers a nonzero ring with finite support always has
-        # S_x = 0 somewhere while S_{x+y} != 0 is still reachable, so only
-        # the zero ring is strongly graded.
+    """Whether S_x S_y = S_xy for all x, y.  If some S_z = 0, then every
+    S_w = S_z S_{z^-1 w} = 0, so when the support misses an element of G,
+    as it always does for an infinite G, only the zero ring is strongly
+    graded."""
+    ring, group, at, support = graded.ring, graded.group, graded.component, graded.support
+    if not group.is_finite or len(support) < group.order:
         return ring.order == 1
-    for x in group.elements():
-        for y in group.elements():
-            target = graded.component(group.op(x, y))
-            if closed_product(ring, graded.component(x), graded.component(y)) != target:
+    return all(closed_product(ring, at(x), at(y)) == at(group.op(x, y)) for x in support for y in support)
+
+
+def _component_pairs(graded: GradedRing) -> set[tuple[int, int]]:
+    """The distinct (S_x, S_{x^-1}) over the support."""
+    at, inverse = graded.component, graded.group.inverse
+    return {(at(x), at(inverse(x))) for x in graded.support}
+
+
+def _pair_classes(ring: FiniteRing, pairs: Iterable[tuple[int, int]]) -> tuple[bool, bool]:
+    """(symmetric, nearly epsilon-strong) over pairs (A, B) = (S_x, S_{x^-1}):
+    whether each ABA = A, and whether each A is s-unital as a left AB-module
+    and a right BA-module.  A left s-unital A lies in ABA, so the first pair
+    with ABA != A answers both."""
+    nearly = True
+    for a, b in pairs:
+        ga, gb = _gens(ring, a), _gens(ring, b)
+        if _product_span(ring, ga, gb, ga) != a:
+            return False, False
+        if nearly:
+            ab, ba = _product_span(ring, ga, gb), _product_span(ring, gb, ga)
+            nearly = is_s_unital_module(ring, ab, a, "left") and is_s_unital_module(ring, ba, a, "right")
+    return True, nearly
+
+
+def _is_ideally_symmetric(ring: FiniteRing, pairs: Iterable[tuple[int, int]]) -> bool:
+    """Whether ABK = K = KBA for each pair (A, B) = (S_x, S_{x^-1}) and each
+    K = K'_x, K' a graded ideal.  It is enough to test K = P & A for P = <h>
+    in the generating family of principal ideals of h in A: every <h> is
+    graded (Nastasescu & Van Oystaeyen, LNM 1836, section 2), K'_x is the
+    sum of the <h>_x over its elements h, each <h> is a sum of members, and
+    both sides are additive in K."""
+    for a, b in pairs:
+        ga, gb = _gens(ring, a), _gens(ring, b)
+        gab, gba = _gens(ring, _product_span(ring, ga, gb)), _gens(ring, _product_span(ring, gb, ga))
+        for k in (p & a for p in _family(ring, (a,))):
+            gk = _gens(ring, k)
+            if not _product_span(ring, gab, gk) == k == _product_span(ring, gk, gba):
                 return False
     return True
-
-
-def _is_symmetrically_graded(graded: GradedRing) -> bool:
-    ring = graded.ring
-    group = graded.group
-    for x in graded.support:
-        sx = graded.component(x)
-        sxi = graded.component(group.inverse(x))
-        if triple_product(ring, sx, sxi, sx) != sx:
-            return False
-    return True
-
-
-def _is_ideally_symmetrically_graded(graded: GradedRing) -> bool:
-    """Whether S_x S_{x^-1} K_x = K_x = K_x S_{x^-1} S_x for every graded
-    ideal K and x in the support.  At x it holds for all K when it does for
-    each K = <h> of the generating family of principal ideals of h in S_x:
-    every <h> is graded (Nastasescu & Van Oystaeyen, LNM 1836, section 2),
-    K_x is the sum of the <h>_x over its elements h, each <h> is a sum of
-    members, and both sides are additive in K_x."""
-    ring = graded.ring
-    group = graded.group
-    for x in graded.support:
-        sx = graded.component(x)
-        sxi = graded.component(group.inverse(x))
-        for kx in (principal & sx for principal in _family(ring, (sx,))):
-            if not triple_product(ring, sx, sxi, kx) == kx == triple_product(ring, kx, sxi, sx):
-                return False
-    return True
-
-
-def _is_nearly_epsilon_strongly_graded(graded: GradedRing) -> bool:
-    """Whether each S_x is s-unital as a left S_x S_{x^-1}-module and as a
-    right S_{x^-1} S_x-module."""
-    ring, at, inverse = graded.ring, graded.component, graded.group.inverse
-    return all(
-        is_s_unital_module(ring, closed_product(ring, at(x), at(inverse(x))), at(x), "left")
-        and is_s_unital_module(ring, closed_product(ring, at(inverse(x)), at(x)), at(x), "right")
-        for x in graded.support
-    )
 
 
 @lru_cache(maxsize=16)
@@ -312,10 +310,10 @@ def classify_grading(graded: GradedRing) -> GradingClassification:
     symmetric, and strong + unital => nearly-epsilon-strong, are theorems;
     a violation raises instead of returning.
     """
+    pairs = _component_pairs(graded)
     strongly = _is_strongly_graded(graded)
-    symmetrically = _is_symmetrically_graded(graded)
-    ideally = _is_ideally_symmetrically_graded(graded)
-    nearly = _is_nearly_epsilon_strongly_graded(graded)
+    symmetrically, nearly = _pair_classes(graded.ring, pairs)
+    ideally = _is_ideally_symmetric(graded.ring, pairs)
     if nearly and not ideally:
         raise RuntimeError("nearly-epsilon-strong grading not ideally symmetric; internal bug")
     if ideally and not symmetrically:

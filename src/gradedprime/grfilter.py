@@ -11,12 +11,14 @@ the filter law decidable, integer filters are restricted to two rule
 classes (R on a subgroup with a fixed ideal elsewhere, or a constant ideal
 away from zero) plus a finite override table, and all laws are checked on a
 window of degrees wide enough to realize every combination of values the
-rules can produce.
+rules can produce.  The grading classes of the subring are read from the
+pairs (I_x, I_{x^-1}) by grading's kernels.
 """
 
 from __future__ import annotations
 
 from functools import cache, cached_property, partial
+from math import prod
 from typing import Mapping, NamedTuple, Optional, Union
 
 from .errors import SpecError
@@ -24,17 +26,15 @@ from .finring import (
     Caps,
     DEFAULT_CAPS,
     FiniteRing,
-    _family,
     _group_ring,
     bits,
     closed_product,
     is_fully_idempotent,
     is_ideal_mask,
-    is_s_unital_module,
     mask_of,
 )
 from .frozen import Frozen
-from .grading import GradedRing, attach_grading, classify_grading
+from .grading import GradedRing, _is_ideally_symmetric, _pair_classes, attach_grading, classify_grading
 from .groups import FiniteGroup, IntegerGroup
 
 
@@ -331,57 +331,40 @@ class FilterClassification(NamedTuple):
     R_fully_idempotent: bool
 
 
-def _ideally_symmetric_finite(f: GFilter) -> bool:
-    """Decide ideal symmetry from the filter data alone for finite groups.
-
-    By the lemma of grading._is_ideally_symmetrically_graded it is decided
-    at degree x on the principal ideals <c x>, c in I_x.  As I_e = R, the
-    component of <c x> at x is C = J + sum I_a J I_b (a x b = x) for J = <c>
-    in R.  As I_{x^-1} I_a and I_b I_{x^-1} lie in I_{x^-1}, and I_a J and
-    J I_b in J, I_x I_{x^-1} C = I_x I_{x^-1} J and C I_{x^-1} I_x =
-    J I_{x^-1} I_x; and C is an ideal of R inside I_x, a sum of principal
-    ones.  So the identities hold on every such C exactly when
-    I_x I_{x^-1} J = J = J I_{x^-1} I_x for every principal J inside I_x,
-    which depends on the pair (I_x, I_{x^-1}) only; both sides are additive
-    in J, so J ranges over the generating family of those principal ideals.
-    """
-    product = f.product
-    for ix, ixi in _inverse_pairs(f):
-        for j in _family(f.ring, (ix,)):
-            if not product(product(ix, ixi), j) == j == product(j, product(ixi, ix)):
-                return False
-    return True
-
-
 def classify_filter(f: GFilter, caps: Caps = DEFAULT_CAPS) -> FilterClassification:
     """Classify the grading of the filter subring from the filter data.
 
-    The symmetric, inverse-equality and local-unit flags come straight from
-    the component ideals.  Ideal symmetry is decided on principal ideals
-    for finite groups; over the integers it follows from the other flags
-    when the coefficient ring is fully idempotent or the filter is not even
-    symmetric, and is reported as None otherwise.
+    The symmetric, ideally symmetric and local-unit flags are grading's
+    kernels run in R on the distinct pairs (I_x, I_{x^-1}) in place of S's
+    pairs (S_x, S_{x^-1}).  Symmetry and local units read the pair alone.
+    Ideal symmetry is decided at degree x on the principal ideals <c x>,
+    c in I_x (grading._is_ideally_symmetric).  As I_e = R, the component of
+    <c x> at x is C = J + sum I_a J I_b (a x b = x) for J = <c> in R.  As
+    I_{x^-1} I_a and I_b I_{x^-1} lie in I_{x^-1}, and I_a J and J I_b in J,
+    I_x I_{x^-1} C = I_x I_{x^-1} J and C I_{x^-1} I_x = J I_{x^-1} I_x; and
+    C is an ideal of R inside I_x, a sum of principal ones.  So the
+    identities hold on every such C exactly when I_x I_{x^-1} J = J =
+    J I_{x^-1} I_x for every principal J of R inside I_x: the kernel's test
+    on the pair (I_x, I_{x^-1}) in R.  It is run for finite groups; over
+    the integers ideal symmetry follows from the other flags when R is
+    fully idempotent or the filter is not even symmetric, and is None
+    otherwise.
 
     For finite groups the flags are re-derived from the built ring's grading
-    classifier and any disagreement raises, since agreement is a theorem.
+    classifier and any disagreement raises: both sides run the same
+    kernels, so agreement tests the reduction above from S's pairs to R's.
     """
     if not validate_filter(f):
         raise SpecError("not a valid filter")
-    ring, group, product = f.ring, f.group, f.product
-    pairs = _inverse_pairs(f)
+    ring, group, pairs = f.ring, f.group, _inverse_pairs(f)
 
-    symmetric = all(product(product(ix, ixi), ix) == ix for ix, ixi in pairs)
+    symmetric, nearly = _pair_classes(ring, pairs)
     inverse_equal = all(ix == ixi for ix, ixi in pairs)
-    r_idem = product(ring.full_mask, ring.full_mask) == ring.full_mask
+    r_idem = f.product(ring.full_mask, ring.full_mask) == ring.full_mask
     r_fully = is_fully_idempotent(ring)
-    nearly = all(
-        is_s_unital_module(ring, product(ix, ixi), ix, "left")
-        and is_s_unital_module(ring, product(ixi, ix), ix, "right")
-        for ix, ixi in pairs
-    )
 
     if group.is_finite:
-        ideally: Optional[bool] = _ideally_symmetric_finite(f)
+        ideally: Optional[bool] = _is_ideally_symmetric(ring, pairs)
     elif not symmetric:
         ideally = False
     elif r_fully:
@@ -401,21 +384,10 @@ def classify_filter(f: GFilter, caps: Caps = DEFAULT_CAPS) -> FilterClassificati
                 "symmetry and ideal symmetry disagree over a fully idempotent ring; internal bug"
             )
 
-    if group.is_finite:
-        order = 1
-        for x in group.elements():
-            order *= f.ideal_at(x).bit_count()
-        if order <= caps.max_ring_order:
-            built = assemble_filter_ring(f, caps)
-            cg = classify_grading(built)
-            if (symmetric, ideally, nearly) != (
-                cg.symmetrically,
-                cg.ideally_symmetrically,
-                cg.nearly_epsilon_strongly,
-            ):
-                raise RuntimeError(
-                    "filter-level and ring-level classifications disagree; internal bug"
-                )
+    if group.is_finite and prod(f.ideal_at(x).bit_count() for x in group.elements()) <= caps.max_ring_order:
+        cg = classify_grading(assemble_filter_ring(f, caps))
+        if (symmetric, ideally, nearly) != (cg.symmetrically, cg.ideally_symmetrically, cg.nearly_epsilon_strongly):
+            raise RuntimeError("filter-level and ring-level classifications disagree; internal bug")
 
     return FilterClassification(symmetric, inverse_equal, ideally, nearly, r_idem, r_fully)
 

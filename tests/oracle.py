@@ -37,7 +37,9 @@ every candidate s in turn.
 The ideal-symmetry checks from before they ran over principal graded
 ideals: ``_is_ideally_symmetrically_graded`` walks the whole graded lattice,
 and ``_ideally_symmetric_finite`` enumerates every family of ideals K_x
-inside I_x, keeps the graded ideals among them and tests each.
+inside I_x, keeps the graded ideals among them and tests each.  Both stand
+against the library's one kernel, ``grading._is_ideally_symmetric``, on the
+pairs of ``grading._component_pairs`` and of ``grfilter._inverse_pairs``.
 
 The pair tests from before they ran over principal ideals:
 ``graded_prime_pair_test`` quantifies over the whole graded lattice and
@@ -101,7 +103,8 @@ the library's is the m-system test on the complement; ``is_s_unital_module``
 spans one product per element, where the library's scans the span of the
 acting set once (this module's ``classify_filter`` reads this one);
 ``_is_nearly_epsilon_strongly_graded`` scans each component element by
-element; and ``_base`` builds the identity component as a subring, with its
+element, where the library's ``grading._pair_classes`` runs the s-unital
+kernel once per distinct pair (S_x, S_{x^-1}); and ``_base`` builds the identity component as a subring, with its
 index maps, on which ``_invariant_principals`` takes S_e's generating
 family and maps it back, where the library takes the family in the ambient
 ring.  ``base_ideals``, ``_invariant_ideals`` and
@@ -113,8 +116,8 @@ group parser names the library's ``groups.group_from_table`` and
 ``groups.group_from_table``, the old
 ideal-symmetry checks and pair tests the library's
 ``grading.all_graded_ideals`` and ``finring.all_ideals``, the old
-``classify_filter`` the library's ``grfilter._ideally_symmetric_finite``
-and this module's ``is_fully_idempotent``, and the old reports,
+``classify_filter`` the library's ``grading._is_ideally_symmetric`` on
+``grfilter._inverse_pairs`` and this module's ``is_fully_idempotent``, and the old reports,
 invariant filter and ``is_fully_idempotent`` the library's lattices and
 ``correspondence`` helpers (this module's ``all_ideals`` is too slow for
 the rings they are compared on),
@@ -887,7 +890,7 @@ def classify_filter(f: GFilter, caps: Caps = DEFAULT_CAPS) -> FilterClassificati
             break
 
     if group.is_finite:
-        ideally: Optional[bool] = gfl._ideally_symmetric_finite(f)
+        ideally: Optional[bool] = gr._is_ideally_symmetric(ring, gfl._inverse_pairs(f))
     elif not symmetric:
         ideally = False
     elif r_fully:

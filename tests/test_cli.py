@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from gradedprime import cli
 from gradedprime import grading as gr
 from gradedprime import grfilter as gfl
 from gradedprime import specio
@@ -543,6 +544,17 @@ class TestRefusals:
 
         monkeypatch.setattr(gfl.FilterRing, "random_element", no_trial)
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("flag", ["--max-ring-order", "--max-ideals", "--max-group-order"])
+    def test_a_cap_below_one(self, capsys, monkeypatch, flag, value):
+        """Refused by name before any file is read."""
+
+        def no_read(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(cli, "_read", no_read)
+        assert run_cli(capsys, "prime", DATA / "gf2.ring", flag, value) == (2, "", f"error: {flag} must be at least 1\n")
 
 
 class TestGolden:

@@ -1,10 +1,15 @@
-"""Every parameter of every function in the package is read by its body.
+"""Every parameter of every function in the package is read by its body,
+and every name a module imports is read by that module.
 
 A parameter that no body reads is an argument that every caller passes for
 nothing.  Dunder protocol methods are exempt, since the protocol fixes their
 signatures, and so are ``self`` and ``cls``: a method such as
 ``IntegerGroup.op`` shares its signature with the finite groups' own.  A
 read inside a nested function or lambda counts.
+
+An import that its module never reads is a dependency kept only as a
+re-export.  ``__init__.py``, whose imports are the package's public names,
+and ``from __future__`` imports are exempt.
 """
 
 import ast
@@ -45,5 +50,36 @@ def test_every_parameter_in_the_package_is_read():
         f"{path.name}:{line} {function}({param})"
         for path in sorted(SRC.glob("*.py"))
         for line, function, param in unread_parameters(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert unread == []
+
+
+def unread_imports(tree: ast.AST):
+    """(line, name) for each name an import binds that the module never loads."""
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in loaded:
+                    yield node.lineno, name
+
+
+def test_the_import_scan_names_what_no_line_reads():
+    tree = ast.parse(
+        "from __future__ import annotations\nimport os.path, re\nfrom .finring import _family, bits as b\n"
+        "def f():\n    import sys\n    return os.sep, b\n"
+    )
+    assert sorted(unread_imports(tree)) == [(2, "re"), (3, "_family"), (5, "sys")]
+
+
+def test_every_import_in_the_package_is_read():
+    unread = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in unread_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert unread == []

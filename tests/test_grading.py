@@ -1,9 +1,13 @@
 """Gradings: attachment, graded ideals, graded primeness, classification."""
 
+from pathlib import Path
+from unittest import mock
+
 import pytest
 
 from gradedprime import finring as fr
 from gradedprime import grading as gr
+from gradedprime import specio
 from gradedprime.errors import SpecError
 from gradedprime.groups import Z, cyclic
 
@@ -16,6 +20,7 @@ from corpus import (
     zero_mult_graded,
 )
 
+DATA = Path(__file__).parent / "data"
 E11, E12, E22 = 4, 2, 1  # tri(gf(2),2) element indices
 
 
@@ -210,6 +215,21 @@ class TestClassification:
         c = gr.classify_grading(mat_standard(2, 2))
         assert not c.strongly  # finite support over the integers
         assert c.symmetrically and c.ideally_symmetrically and c.nearly_epsilon_strongly
+
+    @pytest.mark.parametrize(
+        "graded",
+        [gr.trivial_grading(fr.gf(2), cyclic(200)), specio.parse_graded_file((DATA / "gf2_trivial.graded").read_text())],
+        ids=["cyclic200", "gf2_trivial_file"],
+    )
+    def test_a_missing_component_decides_strength_without_a_product(self, graded):
+        # some S_z = 0 forces every S_w = S_z S_{z^-1 w} = 0
+        with mock.patch.object(gr, "closed_product", wraps=gr.closed_product) as products:
+            assert gr._is_strongly_graded(graded) is False
+        assert products.call_count == 0
+
+    @pytest.mark.parametrize("group", [cyclic(3), Z], ids=["cyclic3", "Z"])
+    def test_the_zero_ring_is_strongly_graded(self, group):
+        assert gr._is_strongly_graded(gr.trivial_grading(fr.zmod(1), group)) is True
 
     def test_trivial_grading_on_a_nonidempotent_ring(self):
         from corpus import ring_by_name

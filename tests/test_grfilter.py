@@ -234,24 +234,24 @@ class TestClassification:
 class TestSUnital:
     def test_unital_ring_acts_unitally(self):
         r = fr.zmod(6)
-        assert gfl.is_s_unital_module(r, r.full_mask, r.full_mask, "left")
+        assert fr.is_s_unital_module(r, r.full_mask, r.full_mask, "left")
 
     def test_nilpotents_do_not(self):
         z4 = fr.zmod(4)
         j = fr.generate_ideal(z4, [2]).members
-        assert not gfl.is_s_unital_module(z4, j, j, "left")
+        assert not fr.is_s_unital_module(z4, j, j, "left")
 
     def test_idempotent_corner_acts_as_local_unit(self):
         p22 = fr.product(GF2, GF2)
         f20 = fr.generate_ideal(p22, [2]).members
-        assert gfl.is_s_unital_module(p22, f20, f20, "left")
-        assert gfl.is_s_unital_module(p22, f20, f20, "right")
+        assert fr.is_s_unital_module(p22, f20, f20, "left")
+        assert fr.is_s_unital_module(p22, f20, f20, "right")
 
     def test_row_ideal_fails_on_the_right_only(self):
         t2 = fr.tri(GF2, 2)
         row = row_ideal_tri2()
-        assert gfl.is_s_unital_module(t2, row, row, "left")
-        assert not gfl.is_s_unital_module(t2, row, row, "right")
+        assert fr.is_s_unital_module(t2, row, row, "left")
+        assert not fr.is_s_unital_module(t2, row, row, "right")
 
 
 class TestSubgroupPatternAnalogue:
@@ -315,7 +315,7 @@ class TestSUnitalityFailureBlocksLocalUnitsFiniteAnalogue:
         j = fr.generate_ideal(z4, [2]).members
         filt = gfl.make_finite_filter(z4, cyclic(2), {0: z4.full_mask, 1: j})
         assert not gfl.classify_filter(filt).nearly_eps
-        assert not gfl.is_s_unital_module(z4, fr.closed_product(z4, j, j), j, "left")
+        assert not fr.is_s_unital_module(z4, fr.closed_product(z4, j, j), j, "left")
 
 
 class TestWitnessSearch:
