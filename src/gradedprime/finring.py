@@ -894,11 +894,6 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
     return Ideal(a.ring, _product_span(a.ring, a._generators, b._generators))
 
 
-def triple_product(ring: FiniteRing, amask: int, bmask: int, cmask: int) -> int:
-    """All finite sums of products abc, as a mask."""
-    return _product_span(ring, _gens(ring, amask), _gens(ring, bmask), _gens(ring, cmask))
-
-
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     if a.ring != b.ring:
         raise ValueError("ideals live in different rings")

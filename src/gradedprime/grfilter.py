@@ -200,24 +200,39 @@ class FilterRing:
             raise SpecError("not a valid filter")
         self.filter = f
         self.coeff = f.ring
-        self._members = cache(lambda mask: tuple(bits(mask)))  # few distinct masks
+        at = f.ideal_at
+        self._component = cache(lambda x: (at(x), tuple(bits(at(x)))))  # degree -> mask, members
 
     def members_of_degree(self, x: int) -> tuple[int, ...]:
         """The elements of the degree-x component, ascending."""
-        return self._members(self.filter.ideal_at(x))
+        return self._component(x)[1]
 
-    def element(self, coeffs: Mapping[int, int]) -> "FilterElement":
-        ring, at = self.coeff, self.filter.ideal_at
+    def _terms(self, acc: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
+        """acc's nonzero (degree, coefficient) terms, degrees ascending, each
+        checked against its degree's component."""
+        ring, component = self.coeff, self._component
         items = []
-        for x, c in sorted(coeffs.items()):
+        for x, c in sorted(acc.items()):
             if c == ring.zero:
                 continue
-            if not at(x) >> c & 1:
-                raise SpecError(
-                    f"coefficient {ring.name(c)} is outside the degree-{x} component"
-                )
+            if not component(x)[0] >> c & 1:
+                raise SpecError(f"coefficient {ring.name(c)} is outside the degree-{x} component")
             items.append((int(x), int(c)))
-        return FilterElement(self, tuple(items))
+        return tuple(items)
+
+    def _product(self, left, right) -> tuple[tuple[int, int], ...]:
+        """The terms of the product of two term lists."""
+        add, mul, zero = self.coeff.add_table, self.coeff.mul_table, self.coeff.zero
+        acc: dict = {}
+        for d1, c1 in left:
+            row = mul[c1]
+            for d2, c2 in right:
+                d = d1 + d2
+                acc[d] = add[acc.get(d, zero)][row[c2]]
+        return self._terms(acc)
+
+    def element(self, coeffs: Mapping[int, int]) -> "FilterElement":
+        return FilterElement(self, self._terms(coeffs))
 
     def zero(self) -> "FilterElement":
         return FilterElement(self, ())
@@ -230,18 +245,19 @@ class FilterRing:
 
         Deterministic for a given random.Random instance.
         """
+        zero, component = self.coeff.zero, self._component
         if self.coeff.order == 1:
             raise SpecError("the zero ring has no nonzero elements")
         while True:
             base = rng.randint(-max_shift, max_shift)
             width = rng.randint(1, max_width)
-            coeffs = {}
+            terms = []
             for d in range(base, base + width):
-                choices = self.members_of_degree(d)
-                coeffs[d] = rng.choice(choices)
-            elem = self.element(coeffs)
-            if elem:
-                return elem
+                c = rng.choice(component(d)[1])
+                if c != zero:
+                    terms.append((d, c))
+            if terms:
+                return FilterElement(self, tuple(terms))
 
 
 class FilterElement(Frozen):
@@ -269,37 +285,27 @@ class FilterElement(Frozen):
         return self.coeffs[-1]
 
     def __add__(self, other: "FilterElement") -> "FilterElement":
-        if other.handle is not self.handle:
+        handle = self.handle
+        if other.handle is not handle:
             raise ValueError("elements belong to different filter rings")
-        ring = self.handle.coeff
+        add, zero = handle.coeff.add_table, handle.coeff.zero
         acc = dict(self.coeffs)
         for d, c in other.coeffs:
-            s = ring.add(acc.get(d, ring.zero), c)
-            if s == ring.zero:
-                acc.pop(d, None)
-            else:
-                acc[d] = s
-        return self.handle.element(acc)
+            acc[d] = add[acc.get(d, zero)][c]
+        return handle.element(acc)
 
     def __neg__(self) -> "FilterElement":
-        ring = self.handle.coeff
-        return self.handle.element({d: ring.neg(c) for d, c in self.coeffs})
+        neg = self.handle.coeff.neg_table
+        return self.handle.element({d: neg[c] for d, c in self.coeffs})
 
     def __sub__(self, other) -> "FilterElement":
         return self + (-other)
 
     def __mul__(self, other: "FilterElement") -> "FilterElement":
-        if other.handle is not self.handle:
+        handle = self.handle
+        if other.handle is not handle:
             raise ValueError("elements belong to different filter rings")
-        ring = self.handle.coeff
-        add, zero = ring.add_table, ring.zero
-        acc: dict = {}
-        for d1, c1 in self.coeffs:
-            row = ring.mul_table[c1]
-            for d2, c2 in other.coeffs:
-                d = d1 + d2
-                acc[d] = add[acc.get(d, zero)][row[c2]]
-        return self.handle.element(acc)
+        return FilterElement(handle, handle._product(self.coeffs, other.coeffs))
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -422,19 +428,21 @@ def witness_search(handle: FilterRing, a: FilterElement, b: FilterElement) -> Op
     first one in the scan order 0, 1, -1, 2, -2, ... of degrees, with
     coefficients in element-index order, is the first live c in degree 0.
     So only degree 0 is searched, and no degree bound could change the
-    answer.  For each c the product of the two top components is probed
-    first: top degrees add uniquely, so a nonzero top triple already
-    certifies the product without the full convolution.  None means that
-    a*s*b is zero for every homogeneous s.
+    answer.  Top degrees add uniquely, so a nonzero product of the top
+    coefficients certifies a*b, or a*c*b, without the convolution on term
+    lists, which builds no element.  None means that a*s*b is zero for
+    every homogeneous s.
     """
     if not a or not b:
         raise ValueError("elements must be nonzero")
-    ring = handle.coeff
-    if a * b:
-        return Witness(None, None)
+    ring, product = handle.coeff, handle._product
     _, ra = a.top()
     _, rb = b.top()
+    if ring.mul_table[ra][rb] != ring.zero or product(a.coeffs, b.coeffs):
+        return Witness(None, None)
     for c in handle.members_of_degree(0):
-        if c != ring.zero and (ring.mul3(ra, c, rb) != ring.zero or a * handle.term(0, c) * b):
+        if c != ring.zero and (
+            ring.mul3(ra, c, rb) != ring.zero or product(product(a.coeffs, ((0, c),)), b.coeffs)
+        ):
             return Witness(0, c)
     return None

@@ -76,6 +76,10 @@ degree were memoised: ``members_of_degree`` sorts the bits of the degree's
 ideal on every draw, and ``random_element`` draws through it.  Both take
 the ``FilterRing`` handle as their first argument.
 
+The triple product that left the library once no caller there was left:
+``triple_product`` spans the products abc from the additive generators of
+three masks.  The grading and filter references here call it.
+
 The field and residue-ring builders from before they built their tables
 row by row, and ``gf`` from before it went through the tuple-ring builder:
 ``gf`` and ``zmod`` fill every entry in a double loop, and hand the tables
@@ -149,8 +153,8 @@ from gradedprime import groups
 from gradedprime.errors import CapError, SpecError
 from gradedprime.correspondence import is_base_ideal
 from gradedprime.finring import (
-    DEFAULT_CAPS, Caps, FiniteRing, Ideal, _product_span, _span, bits, closed_product, mask_of,
-    triple_product,
+    DEFAULT_CAPS, Caps, FiniteRing, Ideal, _gens, _product_span, _span, bits, closed_product,
+    mask_of,
 )
 from gradedprime.grading import GradedRing, classify_grading, is_graded_ideal
 from gradedprime import grfilter as gfl
@@ -211,6 +215,11 @@ def is_ideal_mask(ring: FiniteRing, mask: int, acting: Optional[int] = None) -> 
             if not mask >> mul[m][s] & 1:
                 return False
     return True
+
+
+def triple_product(ring: FiniteRing, amask: int, bmask: int, cmask: int) -> int:
+    """All finite sums of products abc, as a mask."""
+    return _product_span(ring, _gens(ring, amask), _gens(ring, bmask), _gens(ring, cmask))
 
 
 def generate_ideal(ring: FiniteRing, gens: Iterable[int]) -> Ideal:

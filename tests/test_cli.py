@@ -1,5 +1,6 @@
 """Command-line surface: golden outputs, porcelain mode, error paths."""
 
+import os
 import random
 import resource
 import subprocess
@@ -680,3 +681,62 @@ class TestDeterminism:
         )
         assert result.returncode == 0
         assert result.stdout == "prime: YES\n"
+
+
+class TestProcessExit:
+    """``python -m gradedprime`` ends with ``os._exit`` once ``main`` has
+    written and flushed its output: the bytes a child writes are the bytes
+    ``main`` writes in-process, and a failed write is a one-line error."""
+
+    @staticmethod
+    def f2_power(tmp_path) -> Path:
+        """F_2^8 as a product: ``ideals`` prints 127,649 bytes for it, more
+        than a 64 KiB pipe buffer."""
+        spec = tmp_path / "f2_8.ring"
+        spec.write_text(f"product({', '.join(['gf(2)'] * 8)})")
+        return spec
+
+    @staticmethod
+    def child(*argv, env=(), **kwargs) -> subprocess.CompletedProcess:
+        """A child with buffered standard streams, so that output left
+        unflushed at ``os._exit`` would be lost."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | dict(env)
+        return subprocess.run(
+            [sys.executable, "-m", "gradedprime", *map(str, argv)], env=env, timeout=60, **kwargs
+        )
+
+    @pytest.mark.parametrize("large", [False, True], ids=["small", "large"])
+    def test_output_is_complete(self, capsys, tmp_path, large):
+        """A small output sits in the stream's buffer until the flush; a
+        large one also fills the pipe before the reader drains it."""
+        spec = self.f2_power(tmp_path) if large else DATA / "gf2.ring"
+        status, out, err = run_cli(capsys, "ideals", spec)
+        assert (status, err, len(out) > 65_536) == (0, "", large)
+        result = self.child("ideals", spec, capture_output=True)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == out.encode()
+
+    def test_error_is_one_stderr_line(self, tmp_path):
+        result = self.child("ideals", tmp_path / "missing.ring", capture_output=True)
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr.startswith(b"error:") and result.stderr.count(b"\n") == 1
+
+    def test_help_leaves_the_normal_way(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        result = self.child("--help", capture_output=True, env={"COLUMNS": "80"})
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == capsys.readouterr().out.encode()
+
+    @pytest.mark.parametrize("large", [False, True], ids=["small", "large"])
+    def test_closed_stdout_is_a_one_line_error(self, tmp_path, large):
+        spec = self.f2_power(tmp_path) if large else DATA / "gf2.ring"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = self.child("ideals", spec, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (2, b"error: [Errno 32] Broken pipe\n")

