@@ -17,16 +17,19 @@ documented constant 0.
 
 Each subcommand imports the layers it uses when it runs (``prime`` and
 ``ideals`` need ``finring`` and ``specio`` only), so a call pays start-up
-for its own code.
+for its own code.  The grammar is one table, read by ``_plain_args`` for a
+plain argv and by ``build_parser``, which builds argparse, for any other
+(help, usage errors): a plain call imports no argparse, whose import and
+parsers (with gettext and locale) cost about 7 ms.
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import sys
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import finring as fr
 from . import specio
@@ -201,70 +204,103 @@ def _cmd_filter(args):
     yield _verdict("coeff_fully_idempotent", "coeff fully idempotent", c.R_fully_idempotent)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The command-line grammar: the options every command takes, then each
+# command's handler, help, positional and its help, and option groups.  An
+# option is its flag and the keywords of its add_argument call; a group of
+# two or more options is mutually exclusive.
+_N = {"type": int, "metavar": "N"}
+_SWITCH = {"action": "store_true"}
+_COMMON = [
+    ("--porcelain", {**_SWITCH, "help": "stable key=value output"}),
+    *(("--" + name.replace("_", "-"), {**_N, "default": value}) for name, value in fr.DEFAULT_CAPS._asdict().items()),
+]
+_COMMANDS = {
+    "ideals": (_cmd_ideals, "list the ideal lattice of a ring", "ring", "ring spec file"),
+    "prime": (_cmd_prime, "decide primeness of a ring or ideal", "ring", "ring spec file",
+              [("--ideal", {"help": "generators of the ideal to test, e.g. '[2]'"})]),
+    "classify": (_cmd_classify, "classify a grading", "graded", "graded ring file"),
+    "graded-prime": (_cmd_graded_prime, "decide graded primeness", "graded", "graded ring file"),
+    "correspondence": (_cmd_correspondence, "run the base-component correspondence reports", "graded",
+                       "graded ring file"),
+    "leavitt": (_cmd_leavitt, "decide Leavitt path ring primeness", "graph", "graph file",
+                [("--coeff", {"required": True, "help": "coefficient ring spec file"})],
+                [("--orthogonality-depth",
+                  {**_N, "default": None, "help": "also check corner orthogonality for the violating pair"})]),
+    "filter": (_cmd_filter, "classify or probe a filter subring", "filter", "filter spec file",
+               [("--classify", {**_SWITCH, "help": "classification (the default)"}),
+                ("--witness", {**_SWITCH, "help": "seeded random witness trials"})],
+               [("--trials", {"type": int, "default": 20, "metavar": "K"})],
+               [("--bound", {**_N, "default": 8,
+                             "help": "accepted for compatibility: a witness, if any, lies in degree 0"})],
+               [("--seed", {**_N, "default": DEFAULT_SEED, "metavar": "S", "help": "trial seed (default 0)"})]),
+}
+
+
+def build_parser():
+    """The argparse parser of the grammar table, which main builds for an
+    argv that _plain_args leaves (an abbreviation, ``--opt=value``, a value
+    that starts with ``-``, help or a usage error)."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="gradedprime",
         description="Primeness of finite graded rings, Leavitt path rings and group-ring filter subrings.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--porcelain", action="store_true", help="stable key=value output")
-    for name, default in fr.DEFAULT_CAPS._asdict().items():
-        common.add_argument("--" + name.replace("_", "-"), type=int, default=default, metavar="N")
+    for flag, kwargs in _COMMON:
+        common.add_argument(flag, **kwargs)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ideals", parents=[common], help="list the ideal lattice of a ring")
-    p.add_argument("ring", help="ring spec file")
-    p.set_defaults(func=_cmd_ideals)
-
-    p = sub.add_parser("prime", parents=[common], help="decide primeness of a ring or ideal")
-    p.add_argument("ring", help="ring spec file")
-    p.add_argument("--ideal", help="generators of the ideal to test, e.g. '[2]'")
-    p.set_defaults(func=_cmd_prime)
-
-    p = sub.add_parser("classify", parents=[common], help="classify a grading")
-    p.add_argument("graded", help="graded ring file")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("graded-prime", parents=[common], help="decide graded primeness")
-    p.add_argument("graded", help="graded ring file")
-    p.set_defaults(func=_cmd_graded_prime)
-
-    p = sub.add_parser(
-        "correspondence", parents=[common], help="run the base-component correspondence reports"
-    )
-    p.add_argument("graded", help="graded ring file")
-    p.set_defaults(func=_cmd_correspondence)
-
-    p = sub.add_parser("leavitt", parents=[common], help="decide Leavitt path ring primeness")
-    p.add_argument("graph", help="graph file")
-    p.add_argument("--coeff", required=True, help="coefficient ring spec file")
-    p.add_argument(
-        "--orthogonality-depth",
-        type=int,
-        default=None,
-        metavar="N",
-        help="also check corner orthogonality for the violating pair",
-    )
-    p.set_defaults(func=_cmd_leavitt)
-
-    p = sub.add_parser("filter", parents=[common], help="classify or probe a filter subring")
-    p.add_argument("filter", help="filter spec file")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--classify", action="store_true", help="classification (the default)")
-    mode.add_argument("--witness", action="store_true", help="seeded random witness trials")
-    p.add_argument("--trials", type=int, default=20, metavar="K")
-    p.add_argument(
-        "--bound",
-        type=int,
-        default=8,
-        metavar="N",
-        help="accepted for compatibility: a witness, if any, lies in degree 0",
-    )
-    p.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, metavar="S", help="trial seed (default 0)"
-    )
-    p.set_defaults(func=_cmd_filter)
+    for name, (func, text, dest, dest_text, *groups) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.add_argument(dest, help=dest_text)
+        for group in groups:
+            holder = p.add_mutually_exclusive_group() if len(group) > 1 else p
+            for flag, kwargs in group:
+                holder.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
+
+
+def _plain_args(argv):
+    """The namespace of build_parser().parse_args(argv), read without
+    argparse when each word is one argparse reads the same way: an exact
+    command name first, then exact option flags, each value option followed
+    by a value, and one positional, no value or positional starting with
+    "-".  Any other argv, or one argparse refuses (a missing positional or
+    required option, two options of one exclusive group, a value its type
+    refuses), gives None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, dest, _, *groups = _COMMANDS[argv[0]]
+    flags = dict(_COMMON)
+    for group in groups:
+        flags.update(group)
+    given, positionals = {}, []
+    words = iter(argv[1:])
+    for word in words:
+        kwargs = flags.get(word)
+        if not word.startswith("-"):
+            positionals.append(word)
+        elif kwargs is None:
+            return None
+        elif "action" in kwargs:  # store_true
+            given[word] = True
+        else:
+            value = next(words, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                given[word] = kwargs.get("type", str)(value)
+            except ValueError:
+                return None
+    required = {flag for flag, kwargs in flags.items() if kwargs.get("required")}
+    if len(positionals) != 1 or not required <= given.keys() or any(len(given.keys() & dict(g)) > 1 for g in groups):
+        return None
+    values = {
+        flag[2:].replace("-", "_"): given.get(flag, kwargs.get("default", False if "action" in kwargs else None))
+        for flag, kwargs in flags.items()
+    }
+    return SimpleNamespace(command=argv[0], func=func, **{dest: positionals[0]}, **values)
 
 
 def _text(field):
@@ -273,8 +309,10 @@ def _text(field):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         _caps(args)  # refuses a cap below 1 before any file is read
         if args.porcelain:

@@ -181,7 +181,12 @@ def make_ring(
     every b and every g in G is additive, because the g with this property
     are closed under addition; so distributivity is checked that way for
     x -> ax and x -> xa for every a, comparing the composed maps
-    b -> f(b+g) and b -> f(b) + f(g).  Both sides of (xy)z = x(yz) are then
+    b -> f(b+g) and b -> f(b) + f(g).  The columns x -> xa come first; once
+    every column is additive, a row x -> ax needs checking for a in G only,
+    since a = g_1 + ... + g_k gives a(x+y) = g_1(x+y) + ... + g_k(x+y) =
+    ax + ay.  A failing column is followed by the scan of every row, so a
+    table whose rows fail too is refused for left distributivity, as it is
+    when the rows are scanned first.  Both sides of (xy)z = x(yz) are then
     additive in each variable, so associativity is checked on G x G x G.
     The unit, if any, is found by search like the zero.
     """
@@ -203,12 +208,15 @@ def make_ring(
         ("addition is not associative", "addition has no identity element", "element {} has no unique additive inverse"),
     )
     plus_g = [(g, after(add_maps[g])) for g in gens]  # f -> (b -> f(b+g)), for every b
-    for lines, error in ((mul_maps, "left distributivity fails"), (mul_columns(), "right distributivity fails")):
-        for f in lines:  # f is x -> ax (a row) or x -> xa (a column)
-            through_f = after(f)
-            for g, pick in plus_g:
-                if pick(f) != through_f(add_maps[f[g]]):
-                    raise SpecError(error)
+
+    def additive(f) -> bool:  # f is x -> ax (a row) or x -> xa (a column)
+        through_f = after(f)
+        return all(pick(f) == through_f(add_maps[f[g]]) for g, pick in plus_g)
+
+    if not all(map(additive, mul_columns())):
+        raise SpecError(f"{'right' if all(map(additive, mul_maps)) else 'left'} distributivity fails")
+    if not all(additive(mul_maps[g]) for g in gens):
+        raise SpecError("left distributivity fails")
     if any(mul[mul[x][y]][z] != mul[x][mul[y][z]] for x in gens for y in gens for z in gens):
         raise SpecError("multiplication is not associative")
     return FiniteRing(n, add, mul, zero, neg, table_identity(mul), element_names(names, n))

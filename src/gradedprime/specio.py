@@ -166,6 +166,30 @@ def _parse_list(ts: _Tokens):
             ts.next()
 
 
+# The characters of a JSON list that _parse_list reads as the same value.
+_JSON_LIST = b"0123456789[], \t\n\r"
+
+
+def _table_list(ts: _Tokens):
+    """A list of a tables{} block, through the C JSON decoder when the text
+    it decodes holds only _JSON_LIST's characters (so it is a nested list
+    of non-negative ints).  Any other text, one the decoder refuses (a
+    leading zero, a trailing comma, an int over the digit limit) and one
+    nested past its recursion limit are read by _parse_list, so every value
+    and error text is the one _parse_list gives."""
+    import json
+
+    start = ts.text.index("[", ts.pos)  # after whitespace only
+    try:
+        value, end = json.JSONDecoder().raw_decode(ts.text, start)
+    except (ValueError, RecursionError):
+        return _parse_list(ts)
+    if ts.text[start:end].encode().translate(None, _JSON_LIST):
+        return _parse_list(ts)
+    ts.pos = end
+    return value
+
+
 def _parse_table_block(ts: _Tokens) -> dict:
     ts.expect("punct", "{")
     fields = {}
@@ -175,7 +199,7 @@ def _parse_table_block(ts: _Tokens) -> dict:
             return fields
         key = ts.expect("name")
         ts.expect("punct", "=")
-        fields[key] = _parse_list(ts) if ts.peek() == "[" else _parse_int(ts)
+        fields[key] = _table_list(ts) if ts.peek() == "[" else _parse_int(ts)
         if ts.peek() == ";":
             ts.next()
 

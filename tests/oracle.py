@@ -18,6 +18,11 @@ The table validators from before they became one generator-based check:
 ``make_ring`` tests every ring axiom on all pairs and triples with numpy,
 and ``group_from_table`` tests associativity on all triples in Python.
 
+The distributivity scan from before it checked the rows of the additive
+generators alone: ``distributivity_error`` tests every row x -> ax, then
+every column x -> xa, for additivity along the additive generators, and
+gives the text the library's ``make_ring`` raised at the first failure.
+
 The tuple-ring builder from before it filled its tables from monomial
 products: ``_tuple_ring`` sums every pair of tuples coordinate by
 coordinate and calls ``mul_vec`` on every pair.  Its tables go through this
@@ -390,6 +395,25 @@ def make_ring(
         unit=unit,
         names=names,
     )
+
+
+def distributivity_error(add_rows, mul_rows) -> Optional[str]:
+    """The text make_ring raised when every row, then every column, of the
+    multiplication table was scanned for additivity; None when all pass.
+    The tables are square over one order, and addition is a commutative
+    group."""
+    read = groups.read_table(add_rows)
+    _, add_maps, after, _ = read
+    _, _, gens = groups.check_group_table(read, ("", "", ""))
+    _, mul_maps, _, mul_columns = groups.read_table(mul_rows)
+    plus_g = [(g, after(add_maps[g])) for g in gens]
+    for lines, error in ((mul_maps, "left distributivity fails"), (mul_columns(), "right distributivity fails")):
+        for f in lines:
+            through_f = after(f)
+            for g, pick in plus_g:
+                if pick(f) != through_f(add_maps[f[g]]):
+                    return error
+    return None
 
 
 def group_from_table(op_rows: Sequence[Sequence[int]], names=None) -> FiniteGroup:

@@ -1,5 +1,7 @@
 """Command-line surface: golden outputs, porcelain mode, error paths."""
 
+import contextlib
+import io
 import os
 import random
 import resource
@@ -9,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedprime import cli
 from gradedprime import grading as gr
@@ -740,3 +744,111 @@ class TestProcessExit:
         finally:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.parametrize("large", [False, True], ids=["small", "large"])
+    def test_the_console_script_ends_like_python_m(self, tmp_path, large):
+        """The entry point that pyproject.toml names, called the way an
+        installed console script calls it, gives the same one-line error on
+        a closed stdout as ``python -m``: the interpreter's shutdown flush
+        never gets to fail again."""
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).parent.parent / "pyproject.toml", "rb") as f:
+            entry = tomllib.load(f)["project"]["scripts"]["gradedprime"]
+        module, func = entry.split(":")
+        spec = self.f2_power(tmp_path) if large else DATA / "gf2.ring"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())",
+                 "ideals", str(spec)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+
+
+def argparse_reads(argv):
+    """vars() of what argparse makes of argv, or None when it refuses argv
+    or answers with help."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def assert_read_as_argparse_reads(argv):
+    """The plain reader gives None or argparse's namespace; it gives None
+    wherever argparse refuses argv or answers with help."""
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == argparse_reads(argv), argv
+    return plain
+
+
+class TestPlainArgv:
+    """The reader of the grammar table that main uses before argparse."""
+
+    @pytest.mark.parametrize("argv", [list(command) for command in CLI_COMMANDS] + [
+        ["prime", "r", "--porcelain", "--max-ring-order", "9", "--max-ideals", "8", "--max-group-order", "7"],
+        ["prime", "--ideal", "[2]", "r"],
+        ["prime", "r", "--ideal", "[1]", "--ideal", "[2]"],
+        ["filter", "f", "--witness", "--witness", "--trials", "0", "--bound", "3", "--seed", "12"],
+        ["filter", "f", "--classify"],
+        ["leavitt", "g", "--orthogonality-depth", "2", "--coeff", "c"],
+        ["prime", "prime"],
+        ["prime", "a b"],
+        ["prime", ""],
+        ["filter", "f", "--trials", "\u0663"],  # a non-ASCII digit: int() reads it, as argparse does
+        ["filter", "f", "--seed", " 5"],
+    ])
+    def test_reads_a_plain_argv(self, argv):
+        assert assert_read_as_argparse_reads([str(a) for a in argv]) is not None
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"],
+        ["prime", "r", "-h"],
+        ["filter", "f", "--help"],
+        ["prime", "--", "r"],
+        ["prime", "r", "--porc"],
+        ["filter", "f", "--trials=5"],
+        ["filter", "f", "--seed", "-3"],
+        ["filter", "f", "--bound", "-4"],
+        ["prime", "r", "--ideal"],
+        ["prime", "r", "--ideal", "--porcelain"],
+        ["filter", "f", "--classify", "--witness"],
+        ["prime", "r", "s"],
+        ["--porcelain", "prime", "r"],
+        ["ideals", "r", "--max_ideals", "3"],
+        ["prime", "-x y"],
+        ["prime", "-3"],
+        ["prime", "-"],
+        ["prime"],
+        [""],
+        [],
+        ["primes", "r"],
+        ["leavitt", "g"],
+        ["filter", "f", "--trials", "x"],
+        ["filter", "f", "--trials", "1" * 5000],
+        ["prime", "r", "--trials", "5"],
+    ])
+    def test_leaves_argparse_the_rest(self, argv):
+        assert assert_read_as_argparse_reads(argv) is None
+
+    WORDS = [
+        *cli._COMMANDS, "r", "", "3", "-3", "0", "\u0663", "x y", "-x y", "[2]", "-", "--", "-h",
+        "--help", "--porc", "--trials=5", "--max_ideals", "--coeff", "--ideal", "--porcelain",
+        "--max-ring-order", "--max-ideals", "--max-group-order", "--orthogonality-depth",
+        "--classify", "--witness", "--trials", "--bound", "--seed",
+    ]
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(list(cli._COMMANDS)) | st.sampled_from(WORDS),
+        st.lists(st.sampled_from(WORDS) | st.text(max_size=3), max_size=7),
+    )
+    def test_agrees_with_argparse(self, first, rest):
+        assert_read_as_argparse_reads([first, *rest])

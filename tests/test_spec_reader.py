@@ -1,16 +1,22 @@
 """The spec reader, a cursor over the text with a one-match path for flat
 integer rows, against the token-list reader in oracle.py: random and mutated
 spec strings through the ring, group and element-list parsers,
-and the memory an order-256 tables{} spec takes to read."""
+and the memory an order-256 tables{} spec takes to read.  The JSON path of
+a tables{} block's lists against _parse_list, which reads them otherwise."""
 
 import importlib
+import json
 import pkgutil
 import random
 import re
 import time
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gradedprime
 from gradedprime import finring as fr
@@ -225,8 +231,6 @@ def test_patterns_compile_before_python_3_11():
         pytest.skip("re._parser is new in Python 3.11")
     patterns = []
     for info in pkgutil.iter_modules(gradedprime.__path__, "gradedprime."):
-        if info.name.endswith("__main__"):  # importing it runs the CLI
-            continue
         for value in vars(importlib.import_module(info.name)).values():
             values = value.values() if isinstance(value, dict) else [value]
             patterns += [v for v in values if isinstance(v, re.Pattern)]
@@ -234,3 +238,96 @@ def test_patterns_compile_before_python_3_11():
     for pattern in patterns:
         ops = set(_opcodes(parser.parse(pattern.pattern, pattern.flags), parser))
         assert not ops & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}, pattern.pattern
+
+
+def _read_list(read, text):
+    """What a list reader makes of text, a list at the start of a table
+    field: the value and the position after it, or the error text."""
+    try:
+        ts = specio._Tokens(text)
+        return read(ts), ts.pos
+    except (SpecError, ValueError) as exc:  # int() refuses a number over its digit limit
+        return type(exc).__name__, str(exc)
+
+
+def assert_json_path_agrees(text):
+    got = _read_list(specio._table_list, text)
+    assert got == _read_list(specio._parse_list, text), text
+    return got
+
+
+JSON_TEXTS = st.recursive(
+    st.integers(0, 300).map(str) | st.sampled_from(["01", "-1", "1-2", "\u0663", "1e2", "null", "2 3"]),
+    lambda items: st.lists(items, max_size=4).map(lambda xs: "[" + ",".join(xs) + "]"),
+    max_leaves=12,
+).filter(lambda text: text.startswith("["))
+JSON_SPACES = st.sampled_from(["", " ", "\n", "\t", "\r", "\x0b", "\x0c", ",", ", "])
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(JSON_TEXTS, st.lists(JSON_SPACES, max_size=6), st.randoms(use_true_random=False))
+def test_the_json_path_agrees_with_parse_list(text, spaces, rnd):
+    """Drawn list texts, with whitespace or commas inserted after some of
+    their characters."""
+    chars = list(text)
+    for space in spaces:
+        k = rnd.randrange(len(chars))
+        chars[k] += space
+    assert_json_path_agrees("".join(chars) + " ; rest")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[01]", "[1,]", "[1 2]", "[1-2]", "[1,\x0b2]", "[\x0c1]", "[]", "[[0, 1],\r\n [1, 0]]", "[-1]",
+     "[1.5]", "[1e2]", "[true]", "[\u0663]", "[" + "7" * 5000 + "]", "[" + "7" * 4300 + "]", "[[1], [2]"],
+)
+def test_the_json_path_on_fixed_texts(text):
+    assert_json_path_agrees(text)
+
+
+def test_the_json_path_keeps_only_json_it_reads_as_parse_list_does():
+    assert assert_json_path_agrees("[[0,1],\n [1,0]]") == ([[0, 1], [1, 0]], 15)
+    with mock.patch.object(specio, "_parse_list", side_effect=AssertionError("fell back")):
+        specio._table_list(specio._Tokens("[[0,1],\n [1,0]]"))
+
+
+def _depth(value) -> int:
+    """The depth of a list nested one item per level, found without recursion."""
+    depth = 0
+    while isinstance(value, list):
+        assert len(value) <= 1
+        value = value[0] if value else None
+        depth += 1
+    return depth
+
+
+def test_a_list_nested_past_the_recursion_limit():
+    """The decoder refuses it with RecursionError; _parse_list reads it with
+    a stack of its own, and the table check then refuses it by its shape."""
+    deep = "[" * 50_000 + "]" * 50_000
+    ts = specio._Tokens(deep)
+    assert (_depth(specio._table_list(ts)), ts.pos) == (50_000, len(deep))
+    text = f"tables{{order=1; add={deep}; mul=[[0]]}}"
+    with pytest.raises(SpecError, match="^add must be 1x1$"):
+        specio.parse_ring_spec(text)
+
+
+TABLE_SPECS = [
+    match[0]
+    for path in sorted((Path(__file__).parent / "data").iterdir())
+    for match in re.finditer(r"tables\{[^}]*\}", path.read_text(encoding="utf-8"))
+]
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS + [
+    "tables{order=256; add=%s; mul=%s}" % (json.dumps(r.add_table), json.dumps(r.mul_table).replace("], ", "],\n "))
+    for r in [fr.zmod(256)]
+])
+def test_every_tables_block_reads_the_same_through_both_paths(spec):
+    ts = specio._Tokens(spec)
+    ts.expect("name", "tables")
+    got = specio._parse_table_block(ts)
+    with mock.patch.object(specio, "_table_list", specio._parse_list):
+        ts = specio._Tokens(spec)
+        ts.expect("name", "tables")
+        assert specio._parse_table_block(ts) == got

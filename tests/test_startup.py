@@ -1,6 +1,8 @@
 """What a CLI call loads: each subcommand imports the layers it uses and no
 others, nothing imports dataclasses (which pulls in inspect, ast, dis and
-tokenize), and the package's public names resolve lazily."""
+tokenize), a plain argv loads no argparse (nor gettext and locale with
+it), json is loaded for a tables{} spec only, and the package's public
+names resolve lazily."""
 
 import json
 import os
@@ -16,14 +18,21 @@ DATA = Path(__file__).parent / "data"
 SRC = str(Path(gradedprime.__file__).resolve().parent.parent)
 
 # Run in a fresh interpreter; the last stdout line lists the modules loaded
-# by cli.main beyond those the bare interpreter had already loaded.
+# by cli.main beyond those the bare interpreter had already loaded.  json,
+# which prints that line, is imported after the snapshot.
 PROBE = """
-import json, sys
+import sys
 before = set(sys.modules)
 from gradedprime import cli
-status = cli.main(sys.argv[1:])
-print(json.dumps([status, sorted(set(sys.modules) - before)]))
+try:
+    status = cli.main(sys.argv[1:])
+except SystemExit as stop:
+    status = stop.code
+loaded = sorted(set(sys.modules) - before)
+import json
+print(json.dumps([status, loaded]))
 """
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 BASE = {"gradedprime", "gradedprime.cli", "gradedprime.errors", "gradedprime.frozen",
         "gradedprime.groups", "gradedprime.finring", "gradedprime.specio"}
@@ -54,9 +63,21 @@ def loaded_by(argv):
 def test_a_subcommand_loads_its_own_layers(command):
     argv, layers = CALLS[command]
     loaded = loaded_by(argv)
-    assert not {"dataclasses", "inspect"} & loaded
+    assert not {"dataclasses", "inspect", "json"} & loaded
+    assert not ARGPARSE & loaded
     ours = {m for m in loaded if m.split(".")[0] == "gradedprime"}
     assert ours == BASE | {f"gradedprime.{layer}" for layer in layers}
+
+
+@pytest.mark.parametrize("argv", [["prime", "zero_mult.ring"], ["classify", "col2_trivial.graded", "--porcelain"]])
+def test_a_tables_spec_loads_json(argv):
+    loaded = loaded_by(argv)
+    assert "json" in loaded and not ARGPARSE & loaded
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["filter", "--help"], ["prime", "gf2.ring", "--porc"]])
+def test_an_argv_the_plain_reader_leaves_loads_argparse(argv):
+    assert ARGPARSE <= loaded_by(argv)
 
 
 # The public names of the eagerly importing package this one replaced.
