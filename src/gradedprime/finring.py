@@ -20,13 +20,15 @@ contract, since spec files refer to elements by index):
 * ``product``, ``mat``, ``tri``, ``grpalg``: elements are coefficient tuples
   (factors, matrix entries row-major, upper-triangular entries row-major,
   group elements in index order) encoded in mixed radix with the *last*
-  coordinate varying fastest, like ``itertools.product``.  All of them, and
-  the filter subrings of group rings, come from one tuple-ring builder;
-  ``grpalg`` is the filter subring whose every coefficient set is the whole
-  base ring.  The builder fills its tables from monomial products (tuples
-  with one nonzero coordinate) by biadditivity: addition is a Kronecker
-  sum of per-coordinate tables, each other product is a sum of two entries
-  built before it, and closure under multiplication, checked on monomial
+  coordinate varying fastest, like ``itertools.product``.  All of them,
+  ``subring`` and the filter subrings of group rings come from one
+  tuple-ring builder; ``grpalg`` is the filter subring whose every
+  coefficient set is the whole base ring, and ``subring`` the tuple ring of
+  one coordinate whose coefficient set is the selection.  The builder
+  fills its tables from monomial products (tuples with one nonzero
+  coordinate) by biadditivity: addition is a Kronecker sum of
+  per-coordinate tables, each other product is a sum of two entries built
+  before it, and closure under multiplication, checked on monomial
   products only, is still exact because the monomials span the tuples.
 * ``subring``: elements are the chosen base-ring indices in ascending order.
 
@@ -524,7 +526,9 @@ def grpalg(base: FiniteRing, group: FiniteGroup, caps: Caps = DEFAULT_CAPS) -> F
 
 
 def induced_subring(ring: FiniteRing, elements: Iterable[int], caps: Caps = DEFAULT_CAPS):
-    """Subring on a subset closed under addition, negation and multiplication.
+    """Subring on a subset closed under addition and multiplication: the
+    tuple ring of one coordinate whose coefficient set is the selection.
+    A finite subset closed under addition is closed under negation too.
 
     Returns (subring, old_indices) where old_indices[i] is the base-ring
     index of subring element i.
@@ -534,20 +538,9 @@ def induced_subring(ring: FiniteRing, elements: Iterable[int], caps: Caps = DEFA
         raise SpecError("subring selection is empty")
     if elems[0] < 0 or elems[-1] >= ring.order:
         raise SpecError("subring selection is out of range")
-    inset = set(elems)
-    for x in elems:
-        if ring.neg(x) not in inset:
-            raise SpecError(f"selection is not closed under negation at {ring.name(x)}")
-        for y in elems:
-            if ring.add(x, y) not in inset:
-                raise SpecError("selection is not closed under addition")
-            if ring.mul(x, y) not in inset:
-                raise SpecError("selection is not closed under multiplication")
-    new_of = {old: i for i, old in enumerate(elems)}
-    add = [[new_of[ring.add(x, y)] for y in elems] for x in elems]
-    mul = [[new_of[ring.mul(x, y)] for y in elems] for x in elems]
-    names = [ring.name(x) for x in elems]
-    return make_ring(add, mul, names, caps=caps), tuple(elems)
+    mul = ring.mul_table
+    sub = _tuple_ring([ring], [elems], lambda x, y: (mul[x[0]][y[0]],), lambda v: ring.name(v[0]), caps)[0]
+    return sub, tuple(elems)
 
 
 def subring(ring: FiniteRing, elements: Iterable[int], caps: Caps = DEFAULT_CAPS) -> FiniteRing:

@@ -21,7 +21,7 @@ from functools import cache, cached_property, partial
 from math import prod
 from typing import Mapping, NamedTuple, Optional, Union
 
-from .errors import SpecError
+from .errors import CapError, SpecError
 from .finring import (
     Caps,
     DEFAULT_CAPS,
@@ -119,30 +119,41 @@ def make_z_filter(
     ring: FiniteRing,
     rule: ZRule,
     overrides: Optional[Mapping[int, int]] = None,
+    caps: Caps = DEFAULT_CAPS,
 ) -> GFilter:
+    """The integer filter of rule and overrides, refused with CapError before
+    any list is built when its window of sites (the finite stand-in for Z
+    whose pairs the laws scan) has more than caps.max_group_order degrees."""
     from .groups import Z
 
     if rule.off == 0:  # an empty mask means the zero ideal
         rule = ZRule(rule.kind, rule.n, ring.zero_mask)
     items = tuple(sorted((overrides or {}).items()))
+    degrees = 2 * _window(rule, items) + 1
+    if degrees > caps.max_group_order:
+        shown = degrees if degrees.bit_length() <= 14_000 else "over 2^14000"  # str() refuses 4,301+ digits
+        raise CapError(f"filter window of {shown} degrees exceeds cap {caps.max_group_order}")
     return GFilter(ring, Z, zrule=rule, overrides=items)
 
 
-def filter_sites(f: GFilter) -> list[int]:
-    """Degrees on which every law involving the filter must be checked.
+def _window(rule: ZRule, overrides) -> int:
+    """w for the integer sites -w..w: wide enough that every combination of
+    rule values occurs for some pair inside it.  Any configuration
+    elsewhere can be shifted into the window by multiples of the pattern
+    period, and the extra period per override leaves room to step around
+    collisions with the finitely many overridden degrees."""
+    bound = max((abs(k) for k, _ in overrides), default=0)
+    period = rule.n if rule.kind == "subgroup" else 1
+    return 2 * bound + (len(overrides) + 2) * period + 2
 
-    For a finite group this is every element.  Over the integers it is a
-    symmetric window wide enough that every combination of rule values
-    occurs for some pair inside it: any configuration elsewhere can be
-    shifted into the window by multiples of the pattern period, and the
-    extra period per override leaves room to step around collisions with
-    the finitely many overridden degrees.
-    """
+
+def filter_sites(f: GFilter) -> list[int]:
+    """Degrees on which every law involving the filter must be checked:
+    every element of a finite group, over the integers the window -w..w of
+    _window, which make_z_filter caps at caps.max_group_order degrees."""
     if f.group.is_finite:
         return list(f.group.elements())
-    bound = max((abs(k) for k, _ in f.overrides), default=0)
-    period = f.zrule.n if f.zrule.kind == "subgroup" else 1
-    w = 2 * bound + (len(f.overrides) + 2) * period + 2
+    w = _window(f.zrule, f.overrides)
     return list(range(-w, w + 1))
 
 

@@ -7,7 +7,8 @@ Ring spec (one expression, whitespace and ``#`` comments ignored):
     | tables{order=n; add=[[...],...]; mul=[[...],...]}
 
 Group spec:  Z | cyclic(n) | sym(n) | tables{order=n; op=[[...],...]}
-(Z is only accepted where an integer grading makes sense.)
+(Z is only accepted where an integer grading makes sense.)  A tables{}
+block holds exactly the fields shown, each once, in any order.
 
 Graded-ring file (line oriented):
 
@@ -35,9 +36,10 @@ Graph file:
 Reading a spec: the text, with comments removed, is first searched once for
 a character that starts no token (unless a pass in C finds only safe ASCII
 characters); the first one is the error.  The parsers then read the checked
-text through a cursor that matches one token at a time, and ``_parse_list``
-reads a flat row of integers with one match wherever it starts and a split,
-so the rows of a ``tables{}`` spec cost no token-by-token walk.
+text through a cursor that matches one token at a time.  The lists of a
+``tables{}`` block go through the C JSON decoder when their text is plain
+JSON (``_table_list``); every other list, and every list error, comes from
+``_parse_list``'s token walk.
 """
 
 from __future__ import annotations
@@ -71,10 +73,6 @@ _BAD = re.compile(r"[^\s\dA-Za-z_(){}\[\],;=:>-]|-(?![\d>])|(?<!-)>")
 # The ASCII characters _BAD matches in no context: the token alphabet but - and >.
 _SAFE = bytes(c for c in range(128) if not _BAD.search(chr(c)))
 _NEXT = re.compile(r"\s*(" + _VALID.pattern + ")")
-# A flat row of integers, each optionally followed by one comma.  Every
-# text it matches can be split in one way only, so a near miss fails in
-# time linear in its length.
-_ROW = re.compile(r"\s*\[\s*((?:-?\d+(?!\d)\s*(?:,\s*)?)*)\]")
 
 
 def _strip_comments(text: str) -> str:
@@ -130,38 +128,29 @@ def _parse_int(ts: _Tokens) -> int:
 def _parse_list(ts: _Tokens):
     """A possibly nested [..] list of ints; a comma may follow each item.
 
-    A flat row of integers is read with one regex match wherever it starts,
-    so the rows of a table cost one match each and no token strings but
-    their integers.  Anything else is read token by token, with the
-    enclosing lists on a stack; every error comes from that walk.
+    Read token by token, with the enclosing lists on a stack, so no depth
+    of nesting meets Python's recursion limit; every list error comes from
+    this walk.  _table_list sends a tables{} block's plain JSON lists to the
+    C decoder first and leaves any other text to this walk.
     """
-    if ts.peek() != "[":
-        ts.expect("punct", "[")  # raises
-    # out starts as a holder for the whole list, and enclosing is empty
-    # exactly when the list is complete
+    ts.expect("punct", "[")
     out, enclosing = [], []
     while True:
-        row = _ROW.match(ts.text, ts.pos)
-        if row:
-            ts.pos = row.end()
-            # a sign may follow a digit directly: "1-2" is 1, -2
-            out.append(list(map(int, row[1].replace(",", " ").replace("-", " -").split())))
+        tok = ts.next()
+        if tok == "[":
+            enclosing.append(out)
+            out = []
+            continue
+        if tok == "]":
+            if not enclosing:
+                return out
+            enclosing[-1].append(out)
+            out = enclosing.pop()
         else:
-            tok = ts.next()
-            if tok == "[":
-                enclosing.append(out)
-                out = []
-                continue
-            if tok == "]":
-                enclosing[-1].append(out)
-                out = enclosing.pop()
-            else:
-                try:
-                    out.append(int(tok))
-                except ValueError:
-                    raise SpecError(f"expected 'int', found {tok!r}") from None
-        if not enclosing:
-            return out[0]
+            try:
+                out.append(int(tok))
+            except ValueError:
+                raise SpecError(f"expected 'int', found {tok!r}") from None
         if ts.peek() == ",":
             ts.next()
 
@@ -198,6 +187,8 @@ def _parse_table_block(ts: _Tokens) -> dict:
             ts.next()
             return fields
         key = ts.expect("name")
+        if key in fields:
+            raise SpecError(f"tables field {key} given twice")
         ts.expect("punct", "=")
         fields[key] = _table_list(ts) if ts.peek() == "[" else _parse_int(ts)
         if ts.peek() == ";":
@@ -259,7 +250,7 @@ def _parse_ring_expr(ts: _Tokens, caps: Caps) -> FiniteRing:
         return fr.subring(base, elems, caps=caps)
     if head == "tables":
         fields = _parse_table_block(ts)
-        if "order" not in fields or "add" not in fields or "mul" not in fields:
+        if fields.keys() != {"order", "add", "mul"}:
             raise SpecError("tables need order, add and mul")
         n = fields["order"]
         add = _as_rows(fields["add"], n, "add")
@@ -296,7 +287,7 @@ def _parse_group_expr(ts: _Tokens, allow_z: bool, caps: Caps):
         return symmetric_group(n)
     if head == "tables":
         fields = _parse_table_block(ts)
-        if "order" not in fields or "op" not in fields:
+        if fields.keys() != {"order", "op"}:
             raise SpecError("group tables need order and op")
         n = fields["order"]
         if isinstance(n, int):
@@ -454,7 +445,7 @@ def parse_filter_file(text: str, caps: Caps = DEFAULT_CAPS) -> GFilter:
         raise SpecError("I lines are for finite groups; use overrides")
     kind, n, gens = rule
     zrule = ZRule(kind, n, ideal_mask(gens))
-    return make_z_filter(ring, zrule, {x: ideal_mask(g) for x, g in overrides.items()})
+    return make_z_filter(ring, zrule, {x: ideal_mask(g) for x, g in overrides.items()}, caps)
 
 
 _VERTEX_LINE = re.compile(r"^vertex\s+([A-Za-z_][A-Za-z0-9_]*)$")

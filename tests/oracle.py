@@ -29,11 +29,19 @@ coordinate and calls ``mul_vec`` on every pair.  Its tables go through this
 module's ``make_ring``, which accepts the same tables as the library's and
 builds an equal ring from them.
 
+The subring builder from before it went through the tuple-ring builder:
+``induced_subring`` checks the selection for closure under negation,
+addition and multiplication pair by pair, with error texts of its own,
+and fills its tables itself, through this module's ``make_ring`` too.
+
 The spec reader from before it became a cursor over the text: ``tokenize``
 lists every token of a spec, and ``_Tokens`` and ``_parse_list`` walk that
 list.  The ring, group and element-list parsers above it are the ones of
 that version, calling the library's constructors and table validators, so
-a differential test compares the readers alone.
+a differential test compares the readers alone.  Its ``tables{}`` reader
+has one change from that version, so that both readers keep one grammar:
+like the library's, it refuses a field given twice or one its block does
+not take.
 
 The witness search from before it searched degree 0 alone:
 ``witness_search`` scans every degree up to the bound and forms a*s*b for
@@ -487,6 +495,33 @@ def _tuple_ring(factors, members, mul_vec, name_vec, caps: Caps):
     return make_ring(add, mul, names, caps=caps), index
 
 
+def induced_subring(ring: FiniteRing, elements: Iterable[int], caps: Caps = DEFAULT_CAPS):
+    """Subring on a subset closed under addition, negation and multiplication.
+
+    Returns (subring, old_indices) where old_indices[i] is the base-ring
+    index of subring element i.
+    """
+    elems = sorted(set(elements))
+    if not elems:
+        raise SpecError("subring selection is empty")
+    if elems[0] < 0 or elems[-1] >= ring.order:
+        raise SpecError("subring selection is out of range")
+    inset = set(elems)
+    for x in elems:
+        if ring.neg(x) not in inset:
+            raise SpecError(f"selection is not closed under negation at {ring.name(x)}")
+        for y in elems:
+            if ring.add(x, y) not in inset:
+                raise SpecError("selection is not closed under addition")
+            if ring.mul(x, y) not in inset:
+                raise SpecError("selection is not closed under multiplication")
+    new_of = {old: i for i, old in enumerate(elems)}
+    add = [[new_of[ring.add(x, y)] for y in elems] for x in elems]
+    mul = [[new_of[ring.mul(x, y)] for y in elems] for x in elems]
+    names = [ring.name(x) for x in elems]
+    return make_ring(add, mul, names, caps=caps), tuple(elems)
+
+
 # The token kinds.  No two of them match at the same position, and findall
 # steps over whitespace; \S catches a character that starts no token.
 _KINDS = {
@@ -585,6 +620,8 @@ def _parse_table_block(ts: _Tokens) -> dict:
             ts.next()
             return fields
         key = ts.expect("name")
+        if key in fields:
+            raise SpecError(f"tables field {key} given twice")
         ts.expect("punct", "=")
         fields[key] = _parse_list(ts) if ts.peek() == "[" else _parse_int(ts)
         if ts.peek() == ";":
@@ -637,7 +674,7 @@ def _parse_ring_expr(ts: _Tokens, caps: Caps) -> FiniteRing:
         return fr.subring(base, elems, caps=caps)
     if head == "tables":
         fields = _parse_table_block(ts)
-        if "order" not in fields or "add" not in fields or "mul" not in fields:
+        if fields.keys() != {"order", "add", "mul"}:
             raise SpecError("tables need order, add and mul")
         n = fields["order"]
         add = _as_rows(fields["add"], n, "add")
@@ -673,7 +710,7 @@ def _parse_group_expr(ts: _Tokens, allow_z: bool, caps: Caps):
         return groups.symmetric_group(n)
     if head == "tables":
         fields = _parse_table_block(ts)
-        if "order" not in fields or "op" not in fields:
+        if fields.keys() != {"order", "op"}:
             raise SpecError("group tables need order and op")
         n = fields["order"]
         if isinstance(n, int):

@@ -562,6 +562,82 @@ class TestRefusals:
         assert run_cli(capsys, "prime", DATA / "gf2.ring", flag, value) == (2, "", f"error: {flag} must be at least 1\n")
 
 
+    @pytest.mark.parametrize(
+        "lines,degrees",
+        [
+            ("pattern subgroup 3000", 12005),
+            ("pattern subgroup 1\noverride 3000 = [1]", 12011),
+            ("pattern subgroup 99999999999999999999", 400000000000000000001),
+            ("pattern subgroup 1\noverride 999999999999999999999 = [1]", 4000000000000000000007),
+            ("pattern subgroup " + "9" * 4300, "over 2^14000"),
+        ],
+        ids=["period_3000", "override_at_3000", "period_1e20", "override_at_1e21", "period_of_4300_digits"],
+    )
+    def test_an_integer_filter_window_over_the_group_cap(self, capsys, tmp_path, lines, degrees):
+        """The window of degrees the filter laws scan is refused before any
+        list is built."""
+        spec = tmp_path / "spec"
+        spec.write_text(f"ring: gf(2)\ngroup: Z\n{lines}\n")
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, "filter", spec)
+        assert time.perf_counter() - start < 2.0
+        assert (status, out, err) == (2, "", f"error: filter window of {degrees} degrees exceeds cap 256\n")
+
+    def test_the_filter_window_cap_is_the_group_cap(self, capsys, tmp_path):
+        """Period n gives a window of 4n + 5 degrees: 62 is the largest
+        period within the default cap of 256."""
+        spec = tmp_path / "spec"
+        spec.write_text("ring: gf(2)\ngroup: Z\npattern subgroup 62\n")
+        assert run_cli(capsys, "filter", spec, "--porcelain")[:2] == (0, "".join(
+            f"{key}=yes\n" for key in ("valid", "symmetric", "inverse_equal", "ideally_symmetric",
+                                       "nearly_eps", "coeff_idempotent", "coeff_fully_idempotent")))
+        spec.write_text("ring: gf(2)\ngroup: Z\npattern subgroup 63\n")
+        assert run_cli(capsys, "filter", spec) == (2, "", "error: filter window of 257 degrees exceeds cap 256\n")
+        assert run_cli(capsys, "filter", spec, "--max-group-order", "257")[0] == 0
+
+
+FILTER_RINGS = {"gf(2)": 2, "tri(gf(2), 2)": 8, "zmod(4)": 4}
+HUGE = 10**30
+
+
+@st.composite
+def integer_filter_files(draw):
+    """A filter file over Z: a pattern with a period up to 10^30 and up to
+    three overrides at degrees up to 10^30 in absolute value."""
+    ring = draw(st.sampled_from(sorted(FILTER_RINGS)))
+    gens = st.lists(st.integers(0, FILTER_RINGS[ring] - 1), max_size=3).map(str)
+    lines = [f"ring: {ring}", "group: Z"]
+    if draw(st.booleans()):
+        n = draw(st.integers(-1, 12) | st.integers(13, 80) | st.integers(1, HUGE))
+        lines.append(f"pattern subgroup {n} {draw(gens) if draw(st.booleans()) else ''}")
+    else:
+        lines.append(f"pattern constant {draw(gens)}")
+    for x in draw(st.lists(st.integers(-8, 8) | st.integers(-HUGE, HUGE), max_size=3, unique=True)):
+        lines.append(f"override {x} = {draw(gens)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestIntegerFilterFuzz:
+    """Drawn integer filter files through cli.main: each call gives a
+    verdict, or one error line and no stdout, within 2 s."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(integer_filter_files())
+    def test_a_drawn_filter_ends_in_a_verdict_or_one_error_line(self, tmp_path_factory, text):
+        spec = tmp_path_factory.getbasetemp() / "drawn.filter"
+        spec.write_text(text)
+        for flags in ([], ["--witness", "--trials", "3"]):
+            out, err = io.StringIO(), io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = main(["filter", str(spec), *flags])
+            assert time.perf_counter() - start < 2.0, (text, flags)
+            if status != 0:
+                assert status == 2, (text, flags)
+                assert out.getvalue() == "", (text, flags)
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (text, flags)
+
+
 class TestGolden:
     """Graded commands on the zero-multiplication F_2^7, Z-graded by unit
     vectors: 128 graded ideals among 29,212 ideals."""

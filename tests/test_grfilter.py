@@ -12,7 +12,7 @@ from gradedprime import grading as gr
 from gradedprime import grfilter as gfl
 from gradedprime import specio
 from gradedprime.cli import main
-from gradedprime.errors import SpecError
+from gradedprime.errors import CapError, SpecError
 from gradedprime.groups import cyclic, symmetric_group
 
 import oracle
@@ -81,6 +81,15 @@ class TestValidation:
         j = fr.generate_ideal(z4, [2]).members
         filt = gfl.make_z_filter(z4, gfl.ZRule("subgroup", 1), {5: j, -5: j})
         assert not gfl.validate_filter(filt)
+
+    def test_the_window_is_capped_by_the_group_cap(self):
+        """2w + 1 sites, w = 2 * 5 + 3 * 2 + 2 for period 2 and an override
+        at 5: 37 degrees."""
+        rule, over = gfl.ZRule("subgroup", 2), {5: GF2.zero_mask}
+        filt = gfl.make_z_filter(GF2, rule, over, fr.Caps(max_group_order=37))
+        assert gfl.filter_sites(filt) == list(range(-18, 19))
+        with pytest.raises(CapError, match="^filter window of 37 degrees exceeds cap 36$"):
+            gfl.make_z_filter(GF2, rule, over, fr.Caps(max_group_order=36))
 
 
 class TestBuild:

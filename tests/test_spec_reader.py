@@ -1,8 +1,8 @@
-"""The spec reader, a cursor over the text with a one-match path for flat
-integer rows, against the token-list reader in oracle.py: random and mutated
-spec strings through the ring, group and element-list parsers,
-and the memory an order-256 tables{} spec takes to read.  The JSON path of
-a tables{} block's lists against _parse_list, which reads them otherwise."""
+"""The spec reader, a cursor over the text, against the token-list reader
+in oracle.py: random and mutated spec strings through the ring, group and
+element-list parsers, and the memory and time an order-256 tables{} spec
+takes to read.  The JSON path of a tables{} block's lists against
+_parse_list, which reads them otherwise."""
 
 import importlib
 import json
@@ -24,6 +24,7 @@ from gradedprime import specio
 from gradedprime.errors import CapError, SpecError
 
 import oracle
+from corpus import relabelled
 
 # Small caps, the same on both sides, keep every drawn ring cheap to build.
 CAPS = fr.Caps(max_ring_order=16, max_ideals=64, max_group_order=8)
@@ -175,8 +176,8 @@ def test_list_forms_match_the_token_list_reader(text):
 
 
 def test_a_tables_spec_of_order_256_reads_in_little_memory():
-    """The cursor keeps no token list: the rows of Z/16 x Z/16's tables are
-    read one match each, so the traced peak is the text and the tables."""
+    """The cursor keeps no token list and the rows of Z/16 x Z/16's tables
+    are plain JSON, so the traced peak is the text and the tables."""
     n = 256
     add = [[16 * ((a // 16 + b // 16) % 16) + (a + b) % 16 for b in range(n)] for a in range(n)]
     mul = [[16 * (a // 16 * (b // 16) % 16) + a % 16 * (b % 16) % 16 for b in range(n)] for a in range(n)]
@@ -195,6 +196,20 @@ def test_a_tables_spec_of_order_256_reads_in_little_memory():
     assert peak <= 4_000_000
 
 
+def test_a_non_json_tables_spec_of_order_256_reads_like_its_json_form():
+    """The relabelled Z/16 x Z/16 with a comma before every ], which the
+    JSON decoder refuses, is read by the token walk alone."""
+    rng = random.Random("z16sq")
+    perm = list(range(256))
+    rng.shuffle(perm)
+    ring = relabelled(fr.product(fr.zmod(16), fr.zmod(16)), perm)
+    plain = f"tables{{order=256; add={json.dumps(ring.add_table)}; mul={json.dumps(ring.mul_table)}}}"
+    start = time.perf_counter()
+    got = specio.parse_ring_spec(plain.replace("]", ",]"))
+    assert time.perf_counter() - start < 2.0
+    assert got == specio.parse_ring_spec(plain)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -205,8 +220,8 @@ def test_a_tables_spec_of_order_256_reads_in_little_memory():
     ],
 )
 def test_a_long_near_miss_row_fails_fast(text):
-    """A row that almost matches the one-match path falls back to the token
-    walk without the regex trying the exponentially many ways to split it."""
+    """A long row with an error near its end is refused by the token walk
+    in time linear in its length."""
     start = time.perf_counter()
     got = _outcome(specio.parse_element_list, text)
     assert time.perf_counter() - start < 1.0
@@ -234,7 +249,7 @@ def test_patterns_compile_before_python_3_11():
         for value in vars(importlib.import_module(info.name)).values():
             values = value.values() if isinstance(value, dict) else [value]
             patterns += [v for v in values if isinstance(v, re.Pattern)]
-    assert specio._BAD in patterns and specio._ROW in patterns
+    assert specio._BAD in patterns
     for pattern in patterns:
         ops = set(_opcodes(parser.parse(pattern.pattern, pattern.flags), parser))
         assert not ops & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}, pattern.pattern

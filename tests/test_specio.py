@@ -109,6 +109,30 @@ class TestTokensAndLists:
         assert str(info.value) == error
 
 
+    @pytest.mark.parametrize(
+        "parse,text,error",
+        [
+            (
+                specio.parse_ring_spec,
+                "tables{order=2; add=[[0,1],[1,0]]; mul=[[0,0],[0,1]]; mul=[[0,0],[0,0]]}",
+                "tables field mul given twice",
+            ),
+            (specio.parse_ring_spec, "tables{order=1; order=1; add=[0]; mul=[0]}", "tables field order given twice"),
+            (
+                specio.parse_ring_spec,
+                "tables{order=2; add=[[0,1],[1,0]]; mul=[[0,0],[0,1]]; junk=[5]}",
+                "tables need order, add and mul",
+            ),
+            (specio.parse_ring_spec, "tables{order=1; add=[0]; mul=[0]; op=[0]}", "tables need order, add and mul"),
+            (specio.parse_group_spec, "tables{order=1; op=[0]; op=[0]}", "tables field op given twice"),
+            (specio.parse_group_spec, "tables{order=1; op=[0]; add=[0]}", "group tables need order and op"),
+        ],
+    )
+    def test_a_tables_field_is_given_once_and_known(self, parse, text, error):
+        with pytest.raises(SpecError, match=f"^{re.escape(error)}$"):
+            parse(text)
+
+
 class TestGroupExpressions:
     def test_integers(self):
         assert specio.parse_group_spec("Z") is Z

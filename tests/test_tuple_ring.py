@@ -3,7 +3,10 @@ against the pairwise builder in oracle.py: product, mat, tri and grpalg
 over the corpus rings and over factors whose zero is not element 0, the
 filter subrings of tests/data and of every candidate filter (some not
 closed under multiplication), coefficient sets not closed under addition,
-and hypothesis-drawn cases; and how often the builder calls mul_vec."""
+and hypothesis-drawn cases; and how often the builder calls mul_vec.
+Subrings, which the builder makes as tuple rings of one coordinate, against
+the pairwise subring builder in oracle.py on every subset of the small
+corpus rings."""
 
 from pathlib import Path
 from unittest import mock
@@ -261,3 +264,40 @@ def test_mul_vec_is_called_on_monomial_pairs_only(build):
     with mock.patch.object(fr, "_tuple_ring", counting):
         build()
     assert counts and all(calls <= bound for calls, bound in counts)
+
+
+def subring_outcome(build, ring, elems):
+    """What the subring builder build makes of elems: the tables, names and
+    old indices, or SpecError with either builder's text."""
+    try:
+        sub, old = build(ring, elems)
+    except SpecError:
+        return "SpecError"
+    return sub.add_table, sub.mul_table, sub.names, old
+
+
+@pytest.mark.parametrize(
+    "ring", [r for _, r in corpus_rings() if r.order <= 8], ids=[n for n, r in corpus_rings() if r.order <= 8]
+)
+def test_subrings_agree_with_the_pairwise_builder(ring):
+    """Every subset of the ring, whether or not it is a subring."""
+    outcomes = [
+        subring_outcome(fr.induced_subring, ring, list(fr.bits(m))) for m in range(1 << ring.order)
+    ]
+    assert outcomes == [
+        subring_outcome(oracle.induced_subring, ring, list(fr.bits(m))) for m in range(1 << ring.order)
+    ]
+    assert outcomes[0] == "SpecError" and outcomes[ring.zero_mask] != "SpecError"
+
+
+@pytest.mark.parametrize(
+    "spec,error",
+    [
+        ("subring(zmod(8), [0, 3])", "coefficient sets are not closed under addition"),
+        ("subring(zmod(8), [0, 2, 4])", "coefficient sets are not closed under addition"),
+        ("subring(mat(gf(2), 2), [0, 2, 4, 6])", "coefficient sets are not closed under multiplication"),
+    ],
+)
+def test_an_unclosed_selection_gets_the_builders_text(spec, error):
+    with pytest.raises(SpecError, match=f"^{error}$"):
+        specio.parse_ring_spec(spec)
