@@ -57,6 +57,11 @@ class ZRule(Frozen):
 
 
 class GFilter(Frozen):
+    """The ideal I_x of each degree x.  An integer filter is refused with
+    CapError, before any list is built, when its window of sites (the finite
+    stand-in for Z whose pairs the laws scan) has more than
+    caps.max_group_order degrees."""
+
     _fields = ("ring", "group", "assignment", "zrule", "overrides")
 
     def __init__(
@@ -66,6 +71,7 @@ class GFilter(Frozen):
         assignment: Optional[tuple[tuple[int, int], ...]] = None,  # finite groups
         zrule: Optional[ZRule] = None,
         overrides: tuple[tuple[int, int], ...] = (),
+        caps: Caps = DEFAULT_CAPS,
     ):
         if group.is_finite:
             if assignment is None:
@@ -76,6 +82,10 @@ class GFilter(Frozen):
         else:
             if zrule is None:
                 raise SpecError("integer filter needs a rule")
+            degrees = 2 * _window(zrule, overrides) + 1
+            if degrees > caps.max_group_order:
+                shown = degrees if degrees.bit_length() <= 14_000 else "over 2^14000"  # str() refuses 4,301+ digits
+                raise CapError(f"filter window of {shown} degrees exceeds cap {caps.max_group_order}")
             table = dict(overrides)
         vars(self).update(ring=ring, group=group, assignment=assignment, zrule=zrule,
                           overrides=overrides, _table=table)
@@ -121,19 +131,12 @@ def make_z_filter(
     overrides: Optional[Mapping[int, int]] = None,
     caps: Caps = DEFAULT_CAPS,
 ) -> GFilter:
-    """The integer filter of rule and overrides, refused with CapError before
-    any list is built when its window of sites (the finite stand-in for Z
-    whose pairs the laws scan) has more than caps.max_group_order degrees."""
+    """The integer filter of rule and overrides, its window capped by caps."""
     from .groups import Z
 
     if rule.off == 0:  # an empty mask means the zero ideal
         rule = ZRule(rule.kind, rule.n, ring.zero_mask)
-    items = tuple(sorted((overrides or {}).items()))
-    degrees = 2 * _window(rule, items) + 1
-    if degrees > caps.max_group_order:
-        shown = degrees if degrees.bit_length() <= 14_000 else "over 2^14000"  # str() refuses 4,301+ digits
-        raise CapError(f"filter window of {shown} degrees exceeds cap {caps.max_group_order}")
-    return GFilter(ring, Z, zrule=rule, overrides=items)
+    return GFilter(ring, Z, zrule=rule, overrides=tuple(sorted((overrides or {}).items())), caps=caps)
 
 
 def _window(rule: ZRule, overrides) -> int:
@@ -150,7 +153,7 @@ def _window(rule: ZRule, overrides) -> int:
 def filter_sites(f: GFilter) -> list[int]:
     """Degrees on which every law involving the filter must be checked:
     every element of a finite group, over the integers the window -w..w of
-    _window, which make_z_filter caps at caps.max_group_order degrees."""
+    _window, which GFilter caps at caps.max_group_order degrees."""
     if f.group.is_finite:
         return list(f.group.elements())
     w = _window(f.zrule, f.overrides)

@@ -10,36 +10,37 @@ Group spec:  Z | cyclic(n) | sym(n) | tables{order=n; op=[[...],...]}
 (Z is only accepted where an integer grading makes sense.)  A tables{}
 block holds exactly the fields shown, each once, in any order.
 
-Graded-ring file (line oriented):
+Line files hold one statement a line.  Each line is read on a cursor of its
+own: its first token is its keyword, the keyword's fields follow, and the
+line ends there.  A keyword is a whole token, so ``patterns`` is no
+``pattern``, and whitespace between tokens is free.  The fields of each
+line, by file (<elements> is an element list, [i, j, ...] or bare indices):
 
-    ring: <ring spec>
-    group: <group spec>
-    component <x>: [i, j, ...]        # element indices of S_x
+    graded ring:  ring : <ring spec>
+                  group : <group spec>
+                  component <x> : <elements>      # element indices of S_x
+    filter:       ring : <ring spec>
+                  group : <group spec>
+                  I <x> = <elements>              # finite groups: ideal generators
+                  pattern subgroup <n> [gens]?    # integers: R on nZ, <gens> ideal off
+                  pattern constant <elements>     # integers: R at 0, <elements> ideal off
+                  override <x> = <elements>       # integers: finitely many exceptions
+    graph:        vertex <name>
+                  edge <name> : <src> -> <dst>
 
-Filter file:
-
-    ring: <ring spec>
-    group: <group spec>
-    I <x> = [i, j, ...]               # finite groups: ideal generators
-    pattern subgroup <n> [gens]?      # integers: R on nZ, <gens> ideal off
-    pattern constant [gens]           # integers: R at 0, <gens> ideal off
-    override <x> = [gens]             # integers: finitely many exceptions
-
-In both files a repeated ``ring:``, ``group:`` or ``pattern`` line, or a
-repeated degree in ``component``, ``I`` or ``override`` lines, is an error.
-
-Graph file:
-
-    vertex <name>
-    edge <name>: <src> -> <dst>
+A line is keyed by its keyword and its first field when that is a degree or
+a name.  A key given twice, such as a second ``ring:`` or ``pattern`` line,
+a degree repeated among the ``component``, ``I`` or ``override`` lines or a
+vertex named twice, is an error.
 
 Reading a spec: the text, with comments removed, is first searched once for
 a character that starts no token (unless a pass in C finds only safe ASCII
 characters); the first one is the error.  The parsers then read the checked
-text through a cursor that matches one token at a time.  The lists of a
-``tables{}`` block go through the C JSON decoder when their text is plain
-JSON (``_table_list``); every other list, and every list error, comes from
-``_parse_list``'s token walk.
+text through a cursor that matches one token at a time.  Every integer token
+becomes an int in ``_int``, which refuses one over Python's digit limit.  The
+lists of a ``tables{}`` block go through the C JSON decoder when their text is
+plain JSON (``_table_list``); every other list, and every list error, comes
+from ``_parse_list``'s token walk.
 """
 
 from __future__ import annotations
@@ -121,8 +122,17 @@ class _Tokens:
         return self.peek() is None
 
 
+def _int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:  # a name or punctuation, or an int over the digit limit
+        if _KINDS["int"].fullmatch(tok):
+            raise SpecError(f"an integer of {len(tok.lstrip('-'))} digits is too long") from None
+        raise SpecError(f"expected 'int', found {tok!r}") from None
+
+
 def _parse_int(ts: _Tokens) -> int:
-    return int(ts.expect("int"))
+    return _int(ts.next())
 
 
 def _parse_list(ts: _Tokens):
@@ -147,10 +157,7 @@ def _parse_list(ts: _Tokens):
             enclosing[-1].append(out)
             out = enclosing.pop()
         else:
-            try:
-                out.append(int(tok))
-            except ValueError:
-                raise SpecError(f"expected 'int', found {tok!r}") from None
+            out.append(_int(tok))
         if ts.peek() == ",":
             ts.next()
 
@@ -312,8 +319,8 @@ def parse_group_spec(text: str, allow_z: bool = True, caps: Caps = DEFAULT_CAPS)
     return group
 
 
-def parse_element_list(text: str) -> list[int]:
-    ts = _Tokens(text)
+def _elements(ts: _Tokens) -> list[int]:
+    """An element list, [i, j, ...] or bare indices, that ends the text."""
     if ts.peek() == "[":
         out = _parse_list(ts)
     else:
@@ -329,109 +336,88 @@ def parse_element_list(text: str) -> list[int]:
     return out
 
 
-def _meaningful_lines(text: str):
-    for raw in _strip_comments(text).splitlines():
-        line = raw.strip()
-        if line:
-            yield line
+def parse_element_list(text: str) -> list[int]:
+    return _elements(_Tokens(text))
 
 
-def _headed_lines(text: str, caps: Caps, kind: str):
-    """The ring and group of a graded or filter file, and its other lines.
+def _name(ts: _Tokens) -> str:
+    return ts.expect("name")
 
-    Each of ``ring:`` and ``group:`` must appear exactly once.
+
+def _pattern(ts: _Tokens) -> tuple:
+    kind = ts.expect("name")
+    if kind == "subgroup":
+        return kind, _parse_int(ts), (_elements(ts) if ts.peek() == "[" else [])
+    if kind == "constant":
+        return kind, 1, _elements(ts)
+    raise SpecError(f"unknown pattern {kind!r}")
+
+
+def _read_lines(text: str, shapes: dict) -> dict:
+    """The lines of a line file: for each keyword of shapes, a map from each
+    key to the values of the line that it keys.
+
+    A shape is a key reader, or None, and then the readers of the line's
+    fields in order, a string standing for that punctuation token.
     """
-    parsers = {
-        "ring": lambda spec: parse_ring_spec(spec, caps),
-        "group": lambda spec: parse_group_spec(spec, caps=caps),
-    }
-    headers = {}
-    rest = []
-    for line in _meaningful_lines(text):
-        key, colon, spec = line.partition(":")
-        if not colon or key not in parsers:
-            rest.append(line)
-        elif key in headers:
-            raise SpecError(f"{key}: line given twice")
-        else:
-            headers[key] = parsers[key](spec)
-    if len(headers) != 2:
+    lines = {keyword: {} for keyword in shapes}
+    for line in _strip_comments(text).splitlines():
+        ts = _Tokens(line)
+        if ts.at_end():
+            continue
+        keyword = ts.next()
+        if keyword not in shapes:
+            raise SpecError(f"unrecognized line: {line.strip()!r}")
+        read_key, *fields = shapes[keyword]
+        key = read_key(ts) if read_key else None
+        values = []
+        for field in fields:
+            if isinstance(field, str):
+                ts.expect("punct", field)
+            else:
+                values.append(field(ts))
+        if not ts.at_end():
+            raise SpecError(f"trailing input on {keyword} line: {line.strip()!r}")
+        if key in lines[keyword]:
+            raise SpecError(f"{keyword} {'line' if key is None else key} given twice")
+        lines[keyword][key] = values
+    return lines
+
+
+def _ring_file(text: str, caps: Caps, kind: str, **shapes):
+    """The ring and the group of a graded or filter file, and its lines."""
+    lines = _read_lines(text, {
+        "ring": (None, ":", partial(_parse_ring_expr, caps=caps)),
+        "group": (None, ":", partial(_parse_group_expr, allow_z=True, caps=caps)),
+        **shapes,
+    })
+    if not (lines["ring"] and lines["group"]):
         raise SpecError(f"a {kind} file needs ring: and group: lines")
-    return headers["ring"], headers["group"], rest
-
-
-def _degree_line(line: str, keyword: str, sep: str, seen) -> tuple[int, list[int]]:
-    """Split '<keyword> <x> <sep> <element list>' into x and the list,
-    rejecting a degree already in seen."""
-    body = line[len(keyword) :]
-    if sep not in body:
-        raise SpecError(f"malformed {keyword} line: {line!r}")
-    deg_text, members_text = body.split(sep, 1)
-    ts = _Tokens(deg_text)
-    x = _parse_int(ts)
-    if not ts.at_end():
-        raise SpecError(f"malformed {keyword} degree: {deg_text!r}")
-    if x in seen:
-        raise SpecError(f"{keyword} {x} given twice")
-    return x, parse_element_list(members_text)
+    (ring,), (group,) = lines["ring"][None], lines["group"][None]
+    return ring, group, lines
 
 
 def parse_graded_file(text: str, caps: Caps = DEFAULT_CAPS) -> GradedRing:
     from .grading import attach_grading
 
-    ring, group, lines = _headed_lines(text, caps, "graded ring")
-    components = {}
-    for line in lines:
-        if line.startswith("component"):
-            x, members = _degree_line(line, "component", ":", components)
-            components[x] = members
-        else:
-            raise SpecError(f"unrecognized line: {line!r}")
-    return attach_grading(ring, group, components)
+    ring, group, lines = _ring_file(text, caps, "graded ring", component=(_parse_int, ":", _elements))
+    return attach_grading(ring, group, {x: members for x, (members,) in lines["component"].items()})
 
 
 def parse_filter_file(text: str, caps: Caps = DEFAULT_CAPS) -> GFilter:
     from .grfilter import ZRule, make_finite_filter, make_z_filter
 
-    ring, group, lines = _headed_lines(text, caps, "filter")
-    assignments = {}
-    rule = None
-    overrides = {}
-    for line in lines:
-        if line.startswith("I "):
-            x, gens = _degree_line(line, "I", "=", assignments)
-            assignments[x] = gens
-        elif line.startswith("pattern"):
-            if rule is not None:
-                raise SpecError("pattern line given twice")
-            parts = line.split(None, 2)
-            if len(parts) < 2:
-                raise SpecError(f"malformed pattern line: {line!r}")
-            kind = parts[1]
-            if kind == "subgroup":
-                rest = (parts[2] if len(parts) > 2 else "").strip()
-                ts = _Tokens(rest)
-                n = _parse_int(ts)
-                gens = _parse_list(ts) if ts.peek() == "[" else []
-                if not ts.at_end():
-                    raise SpecError(f"trailing input on pattern line: {line!r}")
-                rule = ("subgroup", n, gens)
-            elif kind == "constant":
-                gens = parse_element_list(parts[2] if len(parts) > 2 else "[]")
-                rule = ("constant", 1, gens)
-            else:
-                raise SpecError(f"unknown pattern {kind!r}")
-        elif line.startswith("override"):
-            x, gens = _degree_line(line, "override", "=", overrides)
-            overrides[x] = gens
-        else:
-            raise SpecError(f"unrecognized line: {line!r}")
+    degree_line = (_parse_int, "=", _elements)
+    ring, group, lines = _ring_file(text, caps, "filter", I=degree_line, pattern=(None, _pattern),
+                                    override=degree_line)
+    assignments = {x: gens for x, (gens,) in lines["I"].items()}
+    overrides = {x: gens for x, (gens,) in lines["override"].items()}
 
     def ideal_mask(gens):
         return generate_ideal(ring, gens).members
 
     if group.is_finite:
-        if rule is not None or overrides:
+        if lines["pattern"] or overrides:
             raise SpecError("patterns and overrides are for integer filters")
         table = {x: ideal_mask(g) for x, g in assignments.items()}
         table.setdefault(group.identity, ring.full_mask)
@@ -439,34 +425,18 @@ def parse_filter_file(text: str, caps: Caps = DEFAULT_CAPS) -> GFilter:
         if missing:
             raise SpecError(f"missing assignments for group elements {sorted(missing)}")
         return make_finite_filter(ring, group, table)
-    if rule is None:
+    if not lines["pattern"]:
         raise SpecError("an integer filter needs a pattern line")
     if assignments:
         raise SpecError("I lines are for finite groups; use overrides")
-    kind, n, gens = rule
+    ((kind, n, gens),) = lines["pattern"][None]
     zrule = ZRule(kind, n, ideal_mask(gens))
     return make_z_filter(ring, zrule, {x: ideal_mask(g) for x, g in overrides.items()}, caps)
-
-
-_VERTEX_LINE = re.compile(r"^vertex\s+([A-Za-z_][A-Za-z0-9_]*)$")
-_EDGE_LINE = re.compile(
-    r"^edge\s+([A-Za-z_][A-Za-z0-9_]*)\s*:\s*([A-Za-z_][A-Za-z0-9_]*)\s*->\s*([A-Za-z_][A-Za-z0-9_]*)$"
-)
 
 
 def parse_graph_file(text: str) -> DirectedGraph:
     from .leavitt import DirectedGraph, Edge
 
-    vertices = []
-    edges = []
-    for line in _meaningful_lines(text):
-        m = _VERTEX_LINE.match(line)
-        if m:
-            vertices.append(m.group(1))
-            continue
-        m = _EDGE_LINE.match(line)
-        if m:
-            edges.append(Edge(m.group(1), m.group(2), m.group(3)))
-            continue
-        raise SpecError(f"unrecognized graph line: {line!r}")
-    return DirectedGraph(tuple(vertices), tuple(edges))
+    lines = _read_lines(text, {"vertex": (_name,), "edge": (_name, ":", _name, "->", _name)})
+    edges = (Edge(name, *ends) for name, ends in lines["edge"].items())
+    return DirectedGraph(tuple(lines["vertex"]), tuple(edges))

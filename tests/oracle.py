@@ -43,6 +43,14 @@ has one change from that version, so that both readers keep one grammar:
 like the library's, it refuses a field given twice or one its block does
 not take.
 
+The line-file readers from before every line went through the spec cursor:
+``parse_graded_file``, ``parse_filter_file`` and ``parse_graph_file`` split
+each line by hand, ``ring:`` and ``group:`` lines with ``str.partition``,
+degree lines by a keyword prefix and a split at their separator,
+``pattern`` lines with ``str.split`` and graph lines with two regexes.  They
+read the fields through the library's spec, element-list and integer
+readers, so a differential test compares the line splitting alone.
+
 The witness search from before it searched degree 0 alone:
 ``witness_search`` scans every degree up to the bound and forms a*s*b for
 every candidate s in turn.
@@ -176,6 +184,7 @@ from gradedprime.grfilter import (
 )
 from gradedprime.groups import FiniteGroup, Z, cyclic
 from gradedprime.leavitt import DirectedGraph, LeavittContext, MT3Result, paths_up_to
+from gradedprime import specio
 from gradedprime.specio import _as_rows, _check_group_order
 
 
@@ -1486,3 +1495,142 @@ def _invariant_principals(graded: GradedRing) -> dict[int, list[int]]:
         fr._invariant_span(graded.ring, mask_of(old[i] for i in bits(m)), [old[i] for i in gens], conjugators)
         for m, gens in principals.items()
     )
+
+
+def _meaningful_lines(text: str):
+    for raw in specio._strip_comments(text).splitlines():
+        line = raw.strip()
+        if line:
+            yield line
+
+
+def _headed_lines(text: str, caps: Caps, kind: str):
+    """The ring and group of a graded or filter file, and its other lines.
+
+    Each of ``ring:`` and ``group:`` must appear exactly once.
+    """
+    parsers = {
+        "ring": lambda spec: specio.parse_ring_spec(spec, caps),
+        "group": lambda spec: specio.parse_group_spec(spec, caps=caps),
+    }
+    headers = {}
+    rest = []
+    for line in _meaningful_lines(text):
+        key, colon, spec = line.partition(":")
+        if not colon or key not in parsers:
+            rest.append(line)
+        elif key in headers:
+            raise SpecError(f"{key}: line given twice")
+        else:
+            headers[key] = parsers[key](spec)
+    if len(headers) != 2:
+        raise SpecError(f"a {kind} file needs ring: and group: lines")
+    return headers["ring"], headers["group"], rest
+
+
+def _degree_line(line: str, keyword: str, sep: str, seen) -> tuple[int, list[int]]:
+    """Split '<keyword> <x> <sep> <element list>' into x and the list,
+    rejecting a degree already in seen."""
+    body = line[len(keyword) :]
+    if sep not in body:
+        raise SpecError(f"malformed {keyword} line: {line!r}")
+    deg_text, members_text = body.split(sep, 1)
+    ts = specio._Tokens(deg_text)
+    x = specio._parse_int(ts)
+    if not ts.at_end():
+        raise SpecError(f"malformed {keyword} degree: {deg_text!r}")
+    if x in seen:
+        raise SpecError(f"{keyword} {x} given twice")
+    return x, specio.parse_element_list(members_text)
+
+
+def parse_graded_file(text: str, caps: Caps = DEFAULT_CAPS) -> GradedRing:
+    ring, group, lines = _headed_lines(text, caps, "graded ring")
+    components = {}
+    for line in lines:
+        if line.startswith("component"):
+            x, members = _degree_line(line, "component", ":", components)
+            components[x] = members
+        else:
+            raise SpecError(f"unrecognized line: {line!r}")
+    return gr.attach_grading(ring, group, components)
+
+
+def parse_filter_file(text: str, caps: Caps = DEFAULT_CAPS) -> GFilter:
+    ring, group, lines = _headed_lines(text, caps, "filter")
+    assignments = {}
+    rule = None
+    overrides = {}
+    for line in lines:
+        if line.startswith("I "):
+            x, gens = _degree_line(line, "I", "=", assignments)
+            assignments[x] = gens
+        elif line.startswith("pattern"):
+            if rule is not None:
+                raise SpecError("pattern line given twice")
+            parts = line.split(None, 2)
+            if len(parts) < 2:
+                raise SpecError(f"malformed pattern line: {line!r}")
+            kind = parts[1]
+            if kind == "subgroup":
+                rest = (parts[2] if len(parts) > 2 else "").strip()
+                ts = specio._Tokens(rest)
+                n = specio._parse_int(ts)
+                gens = specio._parse_list(ts) if ts.peek() == "[" else []
+                if not ts.at_end():
+                    raise SpecError(f"trailing input on pattern line: {line!r}")
+                rule = ("subgroup", n, gens)
+            elif kind == "constant":
+                gens = specio.parse_element_list(parts[2] if len(parts) > 2 else "[]")
+                rule = ("constant", 1, gens)
+            else:
+                raise SpecError(f"unknown pattern {kind!r}")
+        elif line.startswith("override"):
+            x, gens = _degree_line(line, "override", "=", overrides)
+            overrides[x] = gens
+        else:
+            raise SpecError(f"unrecognized line: {line!r}")
+
+    def ideal_mask(gens):
+        return fr.generate_ideal(ring, gens).members
+
+    if group.is_finite:
+        if rule is not None or overrides:
+            raise SpecError("patterns and overrides are for integer filters")
+        table = {x: ideal_mask(g) for x, g in assignments.items()}
+        table.setdefault(group.identity, ring.full_mask)
+        missing = set(group.elements()) - set(table)
+        if missing:
+            raise SpecError(f"missing assignments for group elements {sorted(missing)}")
+        return gfl.make_finite_filter(ring, group, table)
+    if rule is None:
+        raise SpecError("an integer filter needs a pattern line")
+    if assignments:
+        raise SpecError("I lines are for finite groups; use overrides")
+    kind, n, gens = rule
+    zrule = gfl.ZRule(kind, n, ideal_mask(gens))
+    return gfl.make_z_filter(ring, zrule, {x: ideal_mask(g) for x, g in overrides.items()}, caps)
+
+
+_VERTEX_LINE = re.compile(r"^vertex\s+([A-Za-z_][A-Za-z0-9_]*)$")
+_EDGE_LINE = re.compile(
+    r"^edge\s+([A-Za-z_][A-Za-z0-9_]*)\s*:\s*([A-Za-z_][A-Za-z0-9_]*)\s*->\s*([A-Za-z_][A-Za-z0-9_]*)$"
+)
+
+
+def parse_graph_file(text: str) -> DirectedGraph:
+    from gradedprime.leavitt import Edge
+
+    vertices = []
+    edges = []
+    for line in _meaningful_lines(text):
+        m = _VERTEX_LINE.match(line)
+        if m:
+            vertices.append(m.group(1))
+            continue
+        m = _EDGE_LINE.match(line)
+        if m:
+            edges.append(Edge(m.group(1), m.group(2), m.group(3)))
+            continue
+        raise SpecError(f"unrecognized graph line: {line!r}")
+    return DirectedGraph(tuple(vertices), tuple(edges))

@@ -22,6 +22,7 @@ from gradedprime.cli import MAX_TRIALS, main
 from gradedprime.groups import check_group_table, read_table
 
 from test_acceptance import CLI_COMMANDS
+from test_spec_reader import mutated_line_file
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -510,6 +511,24 @@ class TestRefusals:
         spec.write_text(text)
         assert run_cli(capsys, command, spec, *flags) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("prime", f"gf({'9' * 4301})"),
+            ("classify", f"ring: gf(2)\ngroup: Z\ncomponent {'9' * 4301}: [0, 1]\n"),
+            ("prime", f"subring(zmod(4), [0, {'9' * 4301}])"),
+            ("prime", f"tables{{order=1; add=[[{'9' * 4301}]]; mul=[[0]]}}"),
+        ],
+        ids=["ring_argument", "degree_line", "element_list", "tables_list"],
+    )
+    def test_an_integer_over_the_digit_limit(self, capsys, tmp_path, command, text):
+        """A spec error of one short line, not int()'s text or the literal."""
+        spec = tmp_path / "spec"
+        spec.write_text(text)
+        status, out, err = run_cli(capsys, command, spec)
+        assert (status, out) == (2, "")
+        assert err == "error: an integer of 4301 digits is too long\n" and len(err.encode()) < 200
+
     @pytest.mark.parametrize("graph", ["two_isolated", "two_cycles", "loop", "converge"])
     @pytest.mark.parametrize("depth", [[], ["--orthogonality-depth", "3"]], ids=["plain", "depth3"])
     @pytest.mark.parametrize("porcelain", [[], ["--porcelain"]], ids=["human", "porcelain"])
@@ -636,6 +655,36 @@ class TestIntegerFilterFuzz:
                 assert status == 2, (text, flags)
                 assert out.getvalue() == "", (text, flags)
                 assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (text, flags)
+
+
+LINE_COMMANDS = {
+    "graded": [["classify"], ["graded-prime"]],
+    "filter": [["filter"]],
+    "graph": [["leavitt", "--coeff", str(DATA / "gf2.ring")]],
+}
+
+
+class TestLineFileFuzz:
+    """Mutated tests/data graded, filter and graph files through cli.main:
+    each call gives a verdict, or one error line and no stdout, within 2 s."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.randoms(use_true_random=False))
+    def test_a_mutated_file_ends_in_a_verdict_or_one_error_line(self, tmp_path_factory, rnd):
+        kind, text = mutated_line_file(rnd)
+        spec = tmp_path_factory.getbasetemp() / f"mutated.{kind}"
+        spec.write_text(text, encoding="utf-8")
+        for command, *flags in LINE_COMMANDS[kind]:
+            out, err = io.StringIO(), io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = main([command, str(spec), *flags])
+            assert time.perf_counter() - start < 2.0, (text, command)
+            assert status in (0, 2), (text, command)
+            if status == 2:
+                assert out.getvalue() == "", (text, command)
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (text, command)
+            assert "Traceback" not in err.getvalue(), (text, command)
 
 
 class TestGolden:

@@ -10,6 +10,10 @@ read inside a nested function or lambda counts.
 An import that its module never reads is a dependency kept only as a
 re-export.  ``__init__.py``, whose imports are the package's public names,
 and ``from __future__`` imports are exempt.
+
+A private module-level name (a function, class or assignment whose name
+starts with one underscore) that no module of the package reads, as a name
+or as an attribute, is code that only its definition keeps alive.
 """
 
 import ast
@@ -82,4 +86,43 @@ def test_every_import_in_the_package_is_read():
         if path.name != "__init__.py"
         for line, name in unread_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
+    assert unread == []
+
+
+def unread_private_names(modules: dict):
+    """(module, line, name) for each private name that a module of modules
+    (name -> tree) binds at its top level and no module loads."""
+    loaded = set()
+    for tree in modules.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                loaded.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                loaded.add(n.attr)
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__") and name not in loaded:
+                    yield module, node.lineno, name
+
+
+def test_the_private_name_scan_names_what_no_module_reads():
+    modules = {
+        "a": ast.parse("_A = 1\n_B, c = 2, 3\ndef _f():\n    return _A\nclass _K:\n    pass\n__all__ = []\n"),
+        "b": ast.parse("from a import _g\nx = a._K\n_h: int = 0\ndef _g():\n    _B = 1\n"),
+    }
+    assert sorted(unread_private_names(modules)) == [("a", 2, "_B"), ("a", 3, "_f"), ("b", 3, "_h"), ("b", 4, "_g")]
+
+
+def test_every_private_name_in_the_package_is_read():
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    assert "specio.py" in modules
+    unread = [f"{module}:{line} {name}" for module, line, name in unread_private_names(modules)]
     assert unread == []

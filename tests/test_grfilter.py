@@ -3,6 +3,7 @@ witness search."""
 
 import hashlib
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from gradedprime import grfilter as gfl
 from gradedprime import specio
 from gradedprime.cli import main
 from gradedprime.errors import CapError, SpecError
-from gradedprime.groups import cyclic, symmetric_group
+from gradedprime.groups import Z, cyclic, symmetric_group
 
 import oracle
 from corpus import (
@@ -90,6 +91,22 @@ class TestValidation:
         assert gfl.filter_sites(filt) == list(range(-18, 19))
         with pytest.raises(CapError, match="^filter window of 37 degrees exceeds cap 36$"):
             gfl.make_z_filter(GF2, rule, over, fr.Caps(max_group_order=36))
+
+    @pytest.mark.parametrize(
+        "n,degrees", [(10**20, 400000000000000000005), (3000, 12005)], ids=["period_1e20", "period_3000"]
+    )
+    def test_a_filter_built_directly_is_capped(self, n, degrees):
+        """GFilter itself refuses the window, so no path reaches the laws'
+        scan of its pairs uncapped."""
+        start = time.perf_counter()
+        with pytest.raises(CapError, match=f"^filter window of {degrees} degrees exceeds cap 256$"):
+            gfl.validate_filter(gfl.GFilter(GF2, Z, zrule=gfl.ZRule("subgroup", n, 1)))
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_filter_built_directly_takes_the_group_cap(self):
+        rule = gfl.ZRule("subgroup", 3000, 1)
+        filt = gfl.GFilter(GF2, Z, zrule=rule, caps=fr.Caps(max_group_order=12005))
+        assert len(gfl.filter_sites(filt)) == 12005
 
 
 class TestBuild:

@@ -2,8 +2,10 @@
 in oracle.py: random and mutated spec strings through the ring, group and
 element-list parsers, and the memory and time an order-256 tables{} spec
 takes to read.  The JSON path of a tables{} block's lists against
-_parse_list, which reads them otherwise."""
+_parse_list, which reads them otherwise.  The line-file readers against the
+line splitting in oracle.py, on mutated tests/data files."""
 
+import collections
 import importlib
 import json
 import pkgutil
@@ -261,7 +263,7 @@ def _read_list(read, text):
     try:
         ts = specio._Tokens(text)
         return read(ts), ts.pos
-    except (SpecError, ValueError) as exc:  # int() refuses a number over its digit limit
+    except SpecError as exc:  # a literal over int()'s digit limit too
         return type(exc).__name__, str(exc)
 
 
@@ -346,3 +348,105 @@ def test_every_tables_block_reads_the_same_through_both_paths(spec):
         ts = specio._Tokens(spec)
         ts.expect("name", "tables")
         assert specio._parse_table_block(ts) == got
+
+
+LINE_READERS = {"graded": "parse_graded_file", "filter": "parse_filter_file", "graph": "parse_graph_file"}
+LINE_FILES = [
+    (path.suffix[1:], path.read_text(encoding="utf-8"))
+    for path in sorted((Path(__file__).parent / "data").iterdir())
+    if path.suffix[1:] in LINE_READERS
+]
+KEYWORDS = ["ring", "group", "component", "I", "pattern", "subgroup", "constant", "override", "vertex", "edge"]
+
+
+def _line_edit(rng, text):
+    """text with one line repeated, deleted, given a keyword with characters
+    glued on, or with the whitespace around a separator or after its first
+    word changed."""
+    lines = text.splitlines() or [""]
+    k = rng.randrange(len(lines))
+    edit = rng.randrange(5)
+    if edit == 0:
+        lines.insert(k, lines[k])
+    elif edit == 1:
+        del lines[k]
+    elif edit == 2:
+        kw = rng.choice(KEYWORDS)
+        glued = kw + rng.choice(["s", "x", "0", "_", "rn", "@", ":"])
+        lines[k] = re.sub(rf"\b{kw}\b", glued, lines[k], count=1)
+    elif edit == 3:
+        space = ["", " ", "\t"]
+        lines[k] = re.sub(r"\s*([:=]|->)\s*", lambda m: rng.choice(space) + m[1] + rng.choice(space), lines[k], count=1)
+    else:
+        lines[k] = re.sub(r"\s+", rng.choice(["", "\t", "  "]), lines[k], count=1)
+    return "\n".join(lines)
+
+
+def mutated_line_file(rng):
+    """(kind, text): a tests/data graded, filter or graph file after one to
+    three line edits or character edits."""
+    kind, text = rng.choice(LINE_FILES)
+    for _ in range(rng.randint(1, 3)):
+        text = _line_edit(rng, text) if rng.random() < 0.5 else _mutate(rng, text)
+    return kind, text
+
+
+def _value(parsed):
+    """What a line-file reader gave, in a form that compares by value."""
+    if hasattr(parsed, "decomp"):  # a GradedRing, which has no __eq__
+        return parsed.ring, parsed.group, parsed.components, parsed.decomp, parsed.support
+    return parsed
+
+
+def _line_outcome(read, text):
+    try:
+        return "ok", _value(read(text))
+    except (SpecError, CapError) as exc:
+        return "refused", str(exc)
+
+
+def _tokens(line):
+    ts, out = specio._Tokens(line), []
+    while not ts.at_end():
+        out.append(ts.next())
+    return out
+
+
+def _spaced(text):
+    """text with one space between the tokens of each line and none before
+    a colon, the spacing that the splitting of oracle.py reads."""
+    lines = specio._strip_comments(text).splitlines()
+    return "\n".join(" ".join(_tokens(line)).replace(" :", ":") for line in lines)
+
+
+def _unglued(text):
+    """text as the prefix match of oracle.py read its keywords: a component
+    or override keyword parted from the characters glued to it, which begin
+    the degree, and a pattern keyword cleared of them."""
+    text = re.sub(r"^(\s*)(component|override)(?=\S)", r"\1\2 ", text, flags=re.M)
+    return re.sub(r"^(\s*pattern)\S+", r"\1", text, flags=re.M)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_line_files_read_as_the_line_splitting_reader_read_them(seed):
+    """Both readers give an equal value or both refuse, except in two
+    classes.  A keyword with characters glued on (component0, patterns) is
+    now refused: read with the keyword parted from them, or cleared of them
+    for pattern, the text gives the old value.  Whitespace the old splitting
+    did not allow (before a colon, a tab after I, none before a list) is now
+    read: with the old spacing the old reader gives the new value."""
+    rng = random.Random(f"line-files-{seed}")
+    seen = collections.Counter()
+    for _ in range(2500):
+        kind, text = mutated_line_file(rng)
+        new, old = getattr(specio, LINE_READERS[kind]), getattr(oracle, LINE_READERS[kind])
+        got, want = _line_outcome(new, text), _line_outcome(old, text)
+        if got[0] == want[0] and (got[0] == "refused" or got == want):
+            seen[got[0]] += 1
+        elif want[0] == "ok":
+            assert _unglued(text) != text and _line_outcome(new, _unglued(text)) == want, text
+            seen["glued"] += 1
+        else:
+            assert _line_outcome(old, _spaced(text)) == got, text
+            seen["spaced"] += 1
+    assert seen["ok"] > 300 and seen["glued"] and seen["spaced"], seen

@@ -292,6 +292,62 @@ class TestFilterFiles:
             """)
 
 
+class TestKeywords:
+    """A line's keyword is its whole first token, and whitespace around
+    its separators is free."""
+
+    @pytest.mark.parametrize(
+        "parse,text",
+        [
+            (specio.parse_filter_file, "ring: gf(2)\ngroup: Z\npatterns subgroup 1"),
+            (specio.parse_graded_file, "ring: gf(2)\ngroup: Z\ncomponent0: [0, 1]"),
+            (specio.parse_filter_file, "ring: gf(2)\ngroup: Z\npattern: subgroup 1"),
+            (specio.parse_filter_file, "ring: gf(2)\ngroup: Z\npattern subgroup 1\noverride1 = [0]"),
+        ],
+        ids=["patterns", "component0", "pattern_colon", "override1"],
+    )
+    def test_a_keyword_with_characters_glued_on_is_refused(self, parse, text):
+        with pytest.raises(SpecError):
+            parse(text)
+
+    def test_whitespace_before_the_colon_is_read(self):
+        graded = specio.parse_graded_file("ring : gf(2)\ngroup :Z\ncomponent 0 : [0, 1]")
+        assert graded.ring == fr.gf(2) and graded.group is Z and graded.e_mask == 3
+
+    def test_separators_need_no_whitespace(self):
+        filt = specio.parse_filter_file("ring:gf(2)\ngroup:Z\npattern constant[]\noverride-1=[]")
+        assert filt.zrule.kind == "constant" and filt.overrides == ((-1, 1),)  # the mask of the zero ideal
+
+    def test_a_nested_generator_list_is_refused(self):
+        with pytest.raises(SpecError, match="^expected a flat list of element indices$"):
+            specio.parse_filter_file("ring: tri(gf(2), 2)\ngroup: Z\npattern subgroup 2 [[4]]")
+
+
+class TestLongIntegers:
+    """An integer literal over Python's digit limit for int() is a spec
+    error that gives its length, wherever it stands."""
+
+    NINES = "9" * 4301
+
+    @pytest.mark.parametrize(
+        "parse,text",
+        [
+            (specio.parse_ring_spec, f"gf({NINES})"),
+            (specio.parse_ring_spec, f"subring(zmod(4), [0, -{NINES}])"),
+            (specio.parse_ring_spec, f"tables{{order=1; add=[[{NINES}]]; mul=[[0]]}}"),
+            (specio.parse_element_list, f"1 {NINES}"),
+            (specio.parse_graded_file, f"ring: gf(2)\ngroup: Z\ncomponent {NINES}: [0, 1]"),
+        ],
+        ids=["ring_argument", "subring_list", "tables_list", "bare_list", "degree"],
+    )
+    def test_refused_by_its_length(self, parse, text):
+        with pytest.raises(SpecError, match="^an integer of 4301 digits is too long$"):
+            parse(text)
+
+    def test_the_limit_itself_is_read(self):
+        assert specio.parse_element_list("9" * 4300) == [int("9" * 4300)]
+
+
 class TestRepeatedLines:
     @pytest.mark.parametrize(
         "parse,text",
@@ -305,8 +361,9 @@ class TestRepeatedLines:
                 specio.parse_filter_file,
                 "ring: gf(2)\ngroup: Z\npattern subgroup 1\noverride 1 = [0]\noverride 1 = [1]",
             ),
+            (specio.parse_graph_file, "vertex v\nvertex w\nvertex v"),
         ],
-        ids=["ring", "group", "filter_ring", "I", "pattern", "override"],
+        ids=["ring", "group", "filter_ring", "I", "pattern", "override", "vertex"],
     )
     def test_repeated_line_rejected(self, parse, text):
         with pytest.raises(SpecError, match="given twice"):
