@@ -10,20 +10,19 @@ import importlib
 
 _EXPORTS = {
     "errors": "CapError SpecError",
-    "finring": """Caps DEFAULT_CAPS FiniteRing Ideal all_ideals center generate_ideal gf grpalg
-        ideal_intersection ideal_product ideal_sum is_fully_idempotent is_prime_ideal is_prime_ring
-        is_s_unital_module is_von_neumann_regular make_ring mat product subring tri zmod""",
-    "grading": """GradedRing GradingClassification all_graded_ideals attach_grading
-        classify_grading generate_graded_ideal homogeneous_components is_graded_ideal
-        is_graded_m_system is_graded_prime_ideal is_graded_prime_ring trivial_grading""",
+    "finring": """Caps DEFAULT_CAPS FiniteRing Ideal all_ideals generate_ideal gf grpalg ideal_product
+        is_fully_idempotent is_prime_ideal is_prime_ring is_s_unital_module make_ring mat product
+        subring tri zmod""",
+    "grading": """GradedRing GradingClassification all_graded_ideals attach_grading classify_grading
+        is_graded_ideal is_graded_m_system is_graded_prime_ideal is_graded_prime_ring trivial_grading""",
     "correspondence": """Report e_component is_g_invariant is_g_prime_base is_g_prime_ideal
         is_identity_generated verify_bijection_ideally_symmetric
         verify_bijection_identity_generated""",
     "groups": "FiniteGroup IntegerGroup Z cyclic symmetric_group",
-    "leavitt": """DirectedGraph LeavittContext LpaElement corner_reduce graph is_leavitt_prime
-        lpa_degree lpa_mul reachability satisfies_mt3 verify_corner_orthogonality""",
-    "grfilter": """FilterRing GFilter Witness ZRule build_filter_subring classify_filter
-        make_finite_filter make_z_filter validate_filter witness_search""",
+    "leavitt": """DirectedGraph LeavittContext LpaElement graph is_leavitt_prime lpa_degree
+        reachability satisfies_mt3 verify_corner_orthogonality""",
+    "grfilter": """FilterRing GFilter Witness ZRule classify_filter make_finite_filter make_z_filter
+        validate_filter witness_search""",
     "specio": "parse_filter_file parse_graded_file parse_graph_file parse_group_spec parse_ring_spec",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

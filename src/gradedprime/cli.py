@@ -322,7 +322,10 @@ def main(argv=None) -> int:
         sys.stdout.write(out)
         sys.stdout.flush()
     except (SpecError, CapError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if len(message) > 200:  # a message may echo the input, which can be megabytes long
+            message = message[:200] + "..."
+        print(f"error: {message}", file=sys.stderr)
         return 2
     return 0
 

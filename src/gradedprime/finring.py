@@ -895,18 +895,6 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
     return Ideal(a.ring, _product_span(a.ring, a._generators, b._generators))
 
 
-def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
-    if a.ring != b.ring:
-        raise ValueError("ideals live in different rings")
-    return Ideal(a.ring, subgroup_closure(a.ring, a.members | b.members))
-
-
-def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
-    if a.ring != b.ring:
-        raise ValueError("ideals live in different rings")
-    return Ideal(a.ring, a.members & b.members)
-
-
 # ---------------------------------------------------------------------------
 # primeness
 
@@ -1021,25 +1009,3 @@ def is_fully_idempotent(ring: FiniteRing) -> bool:
     if squares != pairwise:
         raise RuntimeError("idempotent-ideal criteria disagree; internal bug")
     return squares
-
-
-def center(ring: FiniteRing) -> tuple[int, ...]:
-    """Elements commuting with the whole ring, ascending."""
-    return tuple(
-        z
-        for z in ring.elements()
-        if all(ring.mul(z, r) == ring.mul(r, z) for r in ring.elements())
-    )
-
-
-def is_von_neumann_regular(ring: FiniteRing, elements: Optional[Iterable[int]] = None) -> bool:
-    """Whether every a in the given subset has x there with axa = a.
-
-    With no subset given, the whole ring is tested; witnesses x are drawn
-    from the same subset, so passing a subring tests that subring.
-    """
-    elems = list(ring.elements()) if elements is None else sorted(set(elements))
-    for a in elems:
-        if not any(ring.mul3(a, x, a) == a for x in elems):
-            return False
-    return True

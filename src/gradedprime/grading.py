@@ -32,7 +32,6 @@ from .finring import (
     _sums,
     bits,
     closed_product,
-    generate_ideal,
     is_additive_subgroup,
     is_m_system,
     is_prime_among,
@@ -163,11 +162,6 @@ def trivial_grading(ring: FiniteRing, group: GradingGroup = Z) -> GradedRing:
     return attach_grading(ring, group, {group.identity: ring.full_mask})
 
 
-def homogeneous_components(graded: GradedRing, s: int) -> dict:
-    """The unique decomposition of s; summing the values gives back s."""
-    return graded.components_of(s)
-
-
 def is_graded_ideal(graded: GradedRing, ideal: Ideal) -> bool:
     """Whether every member's homogeneous components all lie in the ideal."""
     mask = ideal.members
@@ -181,18 +175,6 @@ def is_graded_ideal(graded: GradedRing, ideal: Ideal) -> bool:
 def all_graded_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]:
     """The graded ideals, sorted: the sums of ideals of homogeneous elements."""
     return tuple(Ideal(graded.ring, m) for m in _sums(graded.ring, graded.component_masks, caps))
-
-
-def generate_graded_ideal(graded: GradedRing, gens: Iterable[int]) -> Ideal:
-    """Ideal generated by homogeneous elements; the result is always graded."""
-    gens = list(gens)
-    for g in gens:
-        if not graded.is_homogeneous(g):
-            raise ValueError(f"generator {graded.ring.name(g)} is not homogeneous")
-    ideal = generate_ideal(graded.ring, gens)
-    if not is_graded_ideal(graded, ideal):
-        raise RuntimeError("homogeneously generated ideal is not graded; internal bug")
-    return ideal
 
 
 def is_graded_m_system(graded: GradedRing, tmask: int) -> bool:

@@ -328,16 +328,6 @@ class FilterElement(Frozen):
         return " + ".join(f"{ring.name(c)}·x^{d}" for d, c in self.coeffs)
 
 
-def build_filter_subring(f: GFilter, caps: Caps = DEFAULT_CAPS):
-    """Validated construction: a GradedRing for finite groups, else a
-    FilterRing arithmetic handle."""
-    if not validate_filter(f):
-        raise SpecError("not a valid filter")
-    if f.group.is_finite:
-        return assemble_filter_ring(f, caps)
-    return FilterRing(f)
-
-
 # ---------------------------------------------------------------------------
 # classification
 

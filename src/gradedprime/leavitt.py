@@ -400,10 +400,6 @@ class LpaElement:
         return " + ".join(bits)
 
 
-def lpa_mul(a: LpaElement, b: LpaElement) -> LpaElement:
-    return a * b
-
-
 def lpa_degree(monomial) -> int:
     """Degree of a monomial key: real length minus ghost length."""
     alpha, beta, _ = monomial
@@ -426,39 +422,7 @@ def normal_form_monomials(ctx: LeavittContext, max_len: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# corner reduction and orthogonality
-
-
-class CornerWitness(NamedTuple):
-    alpha: Path
-    beta: Path
-    scalar: int
-    vertex: str
-
-
-def corner_reduce(ctx: LeavittContext, a: LpaElement, max_len: int = 6) -> Optional[CornerWitness]:
-    """Search ghost/real path pairs squeezing a into a scalar vertex multiple.
-
-    Scans pairs in canonical shortlex order and returns the first (alpha,
-    beta) with alpha-star * a * beta equal to a nonzero r*v, or None if no
-    witness exists within the length bound.  Absence at a bound is not a
-    disproof; the search is a semi-decision.
-    """
-    if not a:
-        raise ValueError("element must be nonzero")
-    paths = paths_up_to(ctx.graph, max_len)
-    for alpha in paths:
-        left = ctx.monomial(ctx.coeff.unit, (), alpha.edges, vertex=alpha.dst) * a
-        if not left:
-            continue
-        for beta in paths:
-            squeezed = left * ctx.monomial(ctx.coeff.unit, beta.edges, (), vertex=beta.dst)
-            if len(squeezed.terms) != 1:
-                continue
-            ((al, be, v),) = squeezed.terms.keys()
-            if not al and not be:
-                return CornerWitness(alpha, beta, squeezed.terms[(al, be, v)], v)
-    return None
+# corner orthogonality
 
 
 def verify_corner_orthogonality(g: DirectedGraph, coeff: FiniteRing, v: str, w: str) -> bool:

@@ -115,7 +115,8 @@ def graded_corpus() -> tuple:
     members.append(("grpalg2_canonical", group_algebra_grading(fr.gf(2), cyclic(2))))
     members.append(("grpalg3_canonical", group_algebra_grading(fr.gf(3), cyclic(2))))
     for name, filt in finite_filter_corpus():
-        members.append((f"filter_{name}", gfl.build_filter_subring(filt)))
+        assert gfl.validate_filter(filt), name
+        members.append((f"filter_{name}", gfl.assemble_filter_ring(filt)))
     return tuple(members)
 
 

@@ -90,7 +90,7 @@ def test_03_generation_and_invariance():
         hom = [s for s in ring.elements() if graded.is_homogeneous(s)]
         for a in hom:
             for b in hom:
-                ideal = gr.generate_graded_ideal(graded, [a, b])
+                ideal = fr.generate_ideal(ring, [a, b])
                 ok = ok and gr.is_graded_ideal(graded, ideal)
                 generated += 1
         for j in oracle.base_ideals(graded):

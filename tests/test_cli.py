@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -50,6 +51,18 @@ def f2_zero_multiplication_graded(group: str, components: dict, k: int = 8) -> s
     lines = [f"ring: {f2_zero_multiplication(k)}", f"group: {group}"]
     lines += [f"component {x}: {list(members)}" for x, members in components.items()]
     return "\n".join(lines) + "\n"
+
+
+LONG = "a" * 5000
+BIG = "9" * 4000
+
+
+def cyclic_tables(n: int) -> str:
+    """A tables{} spec of the order-n ring with the cyclic addition and
+    every product zero."""
+    add = ",".join("[" + ",".join(str((i + j) % n) for j in range(n)) + "]" for i in range(n))
+    mul = ",".join("[" + ",".join("0" * n) + "]" for _ in range(n))
+    return f"tables{{order={n}; add=[{add}]; mul=[{mul}]}}"
 
 
 def z16sq_one_wrong_product() -> str:
@@ -278,6 +291,38 @@ class TestErrors:
         assert status == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("prime", f"subring(zmod(4), [0, {LONG}])"),
+            ("classify", f"rign: {cyclic_tables(256)}\ngroup: Z\ncomponent 0: [0]\n"),
+            ("prime", f"{LONG}(2)"),
+            ("classify", f"ring: gf(2)\ngroup: {LONG}(2)\ncomponent 0: [0, 1]\n"),
+            ("filter", f"ring: gf(2)\ngroup: Z\npattern {LONG} 1\n"),
+            ("classify", f"ring: gf(2)\ngroup: Z\ncomponent {BIG}: [0, 1]\ncomponent {BIG}: [0, 1]\n"),
+            ("prime", f"tables{{order=1; {LONG}=[0]; {LONG}=[0]}}"),
+            ("classify", f"ring: gf(2)\ngroup: cyclic(2)\ncomponent {BIG}: [0, 1]\n"),
+        ],
+        ids=["subring_list", "misspelled_ring_key", "ring_constructor", "group_constructor", "pattern",
+             "component_twice", "table_field_twice", "degree_index"],
+    )
+    def test_an_echoed_input_is_cut_to_200_characters(self, capsys, tmp_path, command, text):
+        spec = tmp_path / "spec"
+        spec.write_text(text)
+        status, out, err = run_cli(capsys, command, spec)
+        assert (status, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith("...\n") and err.count("\n") == 1
+        assert len(err) == len("error: ") + 200 + len("...\n")
+
+    @pytest.mark.parametrize("length,err", [
+        (173, f"error: unknown ring constructor '{'a' * 173}'\n"),  # 200 characters: whole
+        (174, f"error: unknown ring constructor '{'a' * 174}...\n"),  # 201: cut before the quote
+    ])
+    def test_a_message_of_200_characters_is_whole(self, capsys, tmp_path, length, err):
+        spec = tmp_path / "spec"
+        spec.write_text(f"{'a' * length}(2)")
+        assert run_cli(capsys, "prime", spec) == (2, "", err)
 
     def test_graded_lattice_within_the_cap_gets_a_verdict(self, capsys, tmp_path):
         # 417,199 ideals, but only the 2^8 sums of the unit vectors' lines are graded
@@ -685,6 +730,72 @@ class TestLineFileFuzz:
                 assert out.getvalue() == "", (text, command)
                 assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (text, command)
             assert "Traceback" not in err.getvalue(), (text, command)
+
+
+SPEC_TOKEN = re.compile(r"\w+|\S")
+
+
+def _spec_sites() -> list:
+    """(command, head, spec text, tail): each tests/data ring file under
+    prime, and each ring: and group: line of a tests/data graded file under
+    classify, the file's other lines as they are."""
+    sites = []
+    for path in sorted(DATA.glob("*.ring")):
+        spec = " ".join(line for line in path.read_text().splitlines() if not line.startswith("#"))
+        sites.append(("prime", "", spec, ""))
+    for path in sorted(DATA.glob("*.graded")):
+        lines = path.read_text().splitlines(keepends=True)
+        for i, line in enumerate(lines):
+            key, _, spec = line.partition(":")
+            if key in ("ring", "group"):
+                head, tail = "".join(lines[:i]) + key + ": ", "\n" + "".join(lines[i + 1:])
+                sites.append(("classify", head, spec.strip(), tail))
+    return sites
+
+
+SPEC_SITES = _spec_sites()
+
+
+@st.composite
+def mutated_spec_files(draw):
+    """(command, text): a spec text of SPEC_SITES with one token dropped,
+    repeated, or replaced by a 300-character token."""
+    command, head, spec, tail = draw(st.sampled_from(SPEC_SITES))
+    tokens = SPEC_TOKEN.findall(spec)
+    i = draw(st.integers(0, len(tokens) - 1))
+    edit = draw(st.sampled_from(["drop", "repeat", "replace"]))
+    if edit == "drop":
+        del tokens[i]
+    elif edit == "repeat":
+        tokens.insert(i, tokens[i])
+    else:
+        tokens[i] = draw(st.sampled_from("aZ9_")) * 300
+    return command, head + " ".join(tokens) + tail
+
+
+class TestSpecTextFuzz:
+    """Mutated ring and group spec texts through cli.main: exit 0 or 2, an
+    empty stderr or one error line under 256 bytes, and the same stdout on a
+    rerun."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(mutated_spec_files())
+    def test_a_mutated_spec_ends_in_a_verdict_or_one_short_error_line(self, tmp_path_factory, drawn):
+        command, text = drawn
+        spec = tmp_path_factory.getbasetemp() / "mutated.spec"
+        spec.write_text(text, encoding="utf-8")
+        outs = []
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = main([command, str(spec), "--max-ring-order", "64"])
+            err = err.getvalue()
+            assert status in (0, 2), text
+            assert err == "" or (err.startswith("error: ") and err.count("\n") == 1
+                                 and len(err.encode()) < 256), (text, err)
+            assert "Traceback" not in err, text
+            outs.append(out.getvalue())
+        assert outs[0] == outs[1], text
 
 
 class TestGolden:

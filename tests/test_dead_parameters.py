@@ -14,12 +14,25 @@ and ``from __future__`` imports are exempt.
 A private module-level name (a function, class or assignment whose name
 starts with one underscore) that no module of the package reads, as a name
 or as an attribute, is code that only its definition keeps alive.
+
+A public name, one that ``__init__._EXPORTS`` lists, is read by a module of
+the package other than ``__init__`` (as a name, an attribute or a string
+constant, the way ``specio`` reaches its constructors through ``getattr``),
+or named by the README's library example, or kept by an entry of
+``SURFACE`` below that says why.  Any other public name is surface that only
+its own tests read.
 """
 
 import ast
+import contextlib
+import io
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "gradedprime"
+import gradedprime
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "gradedprime"
 
 
 def unread_parameters(tree: ast.AST):
@@ -126,3 +139,64 @@ def test_every_private_name_in_the_package_is_read():
     assert "specio.py" in modules
     unread = [f"{module}:{line} {name}" for module, line, name in unread_private_names(modules)]
     assert unread == []
+
+
+# The public names that neither the package nor the README's example reads.
+SURFACE = {
+    "is_g_prime_base": "the paper's G-primeness of S_e: ideally symmetric S is prime iff S_e is G-prime",
+    "is_identity_generated": "the paper's identity-generated graded ideals, what the S_e correspondence lifts to",
+    "is_leavitt_prime": "the paper's Leavitt criterion: prime coefficients plus MT-3",
+    "reachability": "the README documents it, and the orthogonality gate's tests compare it with the oracle",
+    "trivial_grading": "the grading under which graded prime is prime",
+    "ideal_product": "the bench's tracer reads its cache counters",
+}
+
+
+def readme_example() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.search(r"^## Library example\n\n```python\n(.*?)^```", readme, re.M | re.S).group(1)
+
+
+def unread_public_names(exports, modules: dict, example: ast.AST, allowed):
+    """Each name of exports that no module of modules (name -> tree) reads,
+    the example does not name and allowed does not list, sorted."""
+    read = set()
+    for tree in modules.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                read.add(n.value)
+    read |= {n.id for n in ast.walk(example) if isinstance(n, ast.Name)}
+    return sorted(set(exports) - read - set(allowed))
+
+
+def test_the_surface_scan_names_what_only_tests_read():
+    modules = {
+        "a": ast.parse("def f():\n    return g(b.h, getattr(b, 'k'))\nm = 1\n"),
+        "b": ast.parse("def h():\n    pass\ndef k():\n    pass\ndef n():\n    pass\n"),
+    }
+    example = ast.parse("from pkg import *\nprint(m)\n")
+    exports = "f g h k m n p q".split()
+    assert unread_public_names(exports, modules, example, {"q": "why"}) == ["f", "n", "p"]
+
+
+def test_every_public_name_is_read_or_kept_for_a_reason():
+    modules = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    example = ast.parse(readme_example())
+    assert "specio.py" in modules and len(SURFACE) <= 6
+    assert set(SURFACE) <= set(gradedprime._HOME)
+    assert unread_public_names(gradedprime._HOME, modules, example, SURFACE) == []
+
+
+def test_the_readme_example_runs():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(readme_example(), {})
+    assert out.getvalue().startswith("check lift_is_graded: PASS")

@@ -111,25 +111,31 @@ class TestValidation:
 
 class TestBuild:
     def test_full_filter_builds_the_group_algebra(self):
-        built = gfl.build_filter_subring(f2_c2_full())
+        filt = f2_c2_full()
+        assert gfl.validate_filter(filt)
+        built = gfl.assemble_filter_ring(filt)
         assert built.ring.order == 4
         assert gr.classify_grading(built).strongly
 
     def test_component_counting(self):
-        built = gfl.build_filter_subring(dict(finite_filter_corpus())["prod_c3"])
-        assert built.ring.order == 16
+        filt = dict(finite_filter_corpus())["prod_c3"]
+        assert gfl.validate_filter(filt)
+        assert gfl.assemble_filter_ring(filt).ring.order == 16
 
     def test_invalid_filters_do_not_build(self):
         p22 = fr.product(GF2, GF2)
         f20 = fr.generate_ideal(p22, [2]).members
         f02 = fr.generate_ideal(p22, [1]).members
         bad = gfl.make_finite_filter(p22, cyclic(3), {0: p22.full_mask, 1: f20, 2: f02})
+        assert not gfl.validate_filter(bad)
         with pytest.raises(SpecError):
-            gfl.build_filter_subring(bad)
+            gfl.assemble_filter_ring(bad)
 
     def test_z_filters_build_an_arithmetic_handle(self):
-        handle = gfl.build_filter_subring(gfl.make_z_filter(GF2, gfl.ZRule("subgroup", 1)))
-        assert isinstance(handle, gfl.FilterRing)
+        filt = gfl.make_z_filter(GF2, gfl.ZRule("subgroup", 1))
+        assert gfl.validate_filter(filt)
+        handle = gfl.FilterRing(filt)
+        assert handle.term(1, GF2.unit) * handle.term(2, GF2.unit) == handle.term(3, GF2.unit)
 
     def test_validation_agrees_with_organic_assembly(self):
         # the assembler has no validation of its own: it succeeds exactly
@@ -243,8 +249,8 @@ class TestClassification:
     @pytest.mark.parametrize("name,filt", finite_filter_corpus())
     def test_filter_flags_match_the_built_grading(self, name, filt):
         c = gfl.classify_filter(filt)
-        built = gfl.build_filter_subring(filt)
-        cg = gr.classify_grading(built)
+        assert gfl.validate_filter(filt)
+        cg = gr.classify_grading(gfl.assemble_filter_ring(filt))
         assert c.symmetric == cg.symmetrically
         assert c.ideally_symmetric == cg.ideally_symmetrically
         assert c.nearly_eps == cg.nearly_epsilon_strongly

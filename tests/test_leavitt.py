@@ -299,47 +299,6 @@ class TestIndependentModels:
             assert to_laurent(x + y) == xl + yl
 
 
-class TestCornerReduce:
-    def test_scalar_vertex_multiples_reduce_trivially(self):
-        ctx = lv.LeavittContext(graph_by_name("single_loop"), GF3)
-        a = ctx.vertex("v").scale(2)
-        witness = lv.corner_reduce(ctx, a, 2)
-        assert witness is not None
-        assert witness.alpha.edges == () and witness.beta.edges == ()
-        assert witness.scalar == 2 and witness.vertex == "v"
-
-    def test_an_edge_reduces_through_its_ghost(self):
-        g = graph_by_name("one_edge")
-        ctx = lv.LeavittContext(g, GF2)
-        witness = lv.corner_reduce(ctx, ctx.edge("e"), 2)
-        assert witness.alpha.edges == ("e",)
-        assert witness.beta.edges == ()
-        assert witness.beta.src == "w"  # the trivial path at the range
-
-    def test_zero_is_rejected(self):
-        ctx = lv.LeavittContext(graph_by_name("single_loop"), GF2)
-        with pytest.raises(ValueError):
-            lv.corner_reduce(ctx, ctx.zero(), 2)
-
-    @pytest.mark.parametrize("name,g", named_graphs())
-    def test_witnesses_verify_exactly(self, name, g):
-        ctx = lv.LeavittContext(g, GF2)
-        keys = lv.normal_form_monomials(ctx, 2)
-        rng = random.Random(7)
-        sample = keys if len(keys) <= 12 else rng.sample(keys, 12)
-        for a, b, v in sample:
-            elem = ctx.monomial(GF2.unit, a, b, vertex=v)
-            witness = lv.corner_reduce(ctx, elem, 3)
-            if witness is None:
-                continue
-            squeezed = (
-                ctx.monomial(GF2.unit, (), witness.alpha.edges, vertex=witness.alpha.dst)
-                * elem
-                * ctx.monomial(GF2.unit, witness.beta.edges, (), vertex=witness.beta.dst)
-            )
-            assert squeezed == ctx.vertex(witness.vertex).scale(witness.scalar)
-
-
 class TestOrthogonality:
     def test_isolated_vertices_are_orthogonal(self):
         g = graph_by_name("two_isolated")

@@ -80,21 +80,20 @@ def test_an_argv_the_plain_reader_leaves_loads_argparse(argv):
     assert ARGPARSE <= loaded_by(argv)
 
 
-# The public names of the eagerly importing package this one replaced.
+# The public surface, exactly: the layer modules and every name they export.
 PUBLIC = """
-    CapError Caps DEFAULT_CAPS DirectedGraph FilterRing FiniteGroup FiniteRing GFilter GradedRing
-    GradingClassification Ideal IntegerGroup LeavittContext LpaElement Report SpecError Witness Z
-    ZRule all_graded_ideals all_ideals attach_grading build_filter_subring center classify_filter
-    classify_grading corner_reduce correspondence cyclic e_component errors finring
-    generate_graded_ideal generate_ideal gf grading graph grfilter groups grpalg
-    homogeneous_components ideal_intersection ideal_product ideal_sum is_fully_idempotent
-    is_g_invariant is_g_prime_base is_g_prime_ideal is_graded_ideal is_graded_m_system
-    is_graded_prime_ideal is_graded_prime_ring is_identity_generated is_leavitt_prime
-    is_prime_ideal is_prime_ring is_s_unital_module is_von_neumann_regular leavitt lpa_degree
-    lpa_mul make_finite_filter make_ring make_z_filter mat parse_filter_file parse_graded_file
-    parse_graph_file parse_group_spec parse_ring_spec product reachability satisfies_mt3 specio
-    subring symmetric_group tri trivial_grading validate_filter verify_bijection_ideally_symmetric
-    verify_bijection_identity_generated verify_corner_orthogonality witness_search zmod
+    CapError Caps DEFAULT_CAPS DirectedGraph FilterRing FiniteGroup FiniteRing GFilter
+    GradedRing GradingClassification Ideal IntegerGroup LeavittContext LpaElement Report
+    SpecError Witness Z ZRule all_graded_ideals all_ideals attach_grading classify_filter
+    classify_grading correspondence cyclic e_component errors finring generate_ideal gf grading
+    graph grfilter groups grpalg ideal_product is_fully_idempotent is_g_invariant
+    is_g_prime_base is_g_prime_ideal is_graded_ideal is_graded_m_system is_graded_prime_ideal
+    is_graded_prime_ring is_identity_generated is_leavitt_prime is_prime_ideal is_prime_ring
+    is_s_unital_module leavitt lpa_degree make_finite_filter make_ring make_z_filter mat
+    parse_filter_file parse_graded_file parse_graph_file parse_group_spec parse_ring_spec
+    product reachability satisfies_mt3 specio subring symmetric_group tri trivial_grading
+    validate_filter verify_bijection_ideally_symmetric verify_bijection_identity_generated
+    verify_corner_orthogonality witness_search zmod
 """.split()
 
 
