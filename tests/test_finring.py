@@ -17,6 +17,21 @@ def members(ideal):
     return sorted(ideal.elements())
 
 
+def center(ring):
+    """Elements commuting with the whole ring, ascending."""
+    return tuple(
+        z
+        for z in ring.elements()
+        if all(ring.mul(z, r) == ring.mul(r, z) for r in ring.elements())
+    )
+
+
+def is_von_neumann_regular(ring, elements=None):
+    """Whether every a in the subset (default: the ring) has x there with axa = a."""
+    elems = list(ring.elements()) if elements is None else sorted(set(elements))
+    return all(any(ring.mul3(a, x, a) == a for x in elems) for a in elems)
+
+
 class TestConstruction:
     def test_gf2_is_the_prime_field(self):
         r = fr.gf(2)
@@ -378,7 +393,7 @@ class TestPrimeness:
             assert len(verdicts) == 1, f"criteria disagree on {ideal} of {name}"
 
 
-class TestFullyIdempotent:
+class TestFullyIdempotentAndRegularity:
     def test_products_of_fields_are_fully_idempotent(self):
         assert fr.is_fully_idempotent(fr.product(fr.gf(2), fr.gf(2)))
 
@@ -397,3 +412,18 @@ class TestFullyIdempotent:
             for b in lattice
         )
         assert fr.is_fully_idempotent(ring) == pairwise
+
+    def test_center_of_a_matrix_ring_is_scalar(self):
+        r = fr.mat(fr.gf(2), 2)
+        assert center(r) == (r.zero, r.unit)
+
+    def test_fields_are_von_neumann_regular(self):
+        assert is_von_neumann_regular(fr.gf(5))
+
+    def test_zmod4_is_not_von_neumann_regular(self):
+        assert not is_von_neumann_regular(fr.zmod(4))
+
+    @pytest.mark.parametrize("name,ring", corpus_rings())
+    def test_centers_of_fully_idempotent_rings_are_regular(self, name, ring):
+        if fr.is_fully_idempotent(ring):
+            assert is_von_neumann_regular(ring, center(ring))
