@@ -15,7 +15,7 @@ _EXPORTS = {
         subring tri zmod""",
     "grading": """GradedRing GradingClassification all_graded_ideals attach_grading classify_grading
         is_graded_ideal is_graded_m_system is_graded_prime_ideal is_graded_prime_ring trivial_grading""",
-    "correspondence": """Report e_component is_g_invariant is_g_prime_base is_g_prime_ideal
+    "correspondence": """Report is_g_invariant is_g_prime_base is_g_prime_ideal
         is_identity_generated verify_bijection_ideally_symmetric
         verify_bijection_identity_generated""",
     "groups": "FiniteGroup IntegerGroup Z cyclic symmetric_group",

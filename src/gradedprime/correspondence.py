@@ -37,7 +37,6 @@ from .finring import (
     generate_ideal,
     is_ideal_mask,
     is_prime_among,
-    mask_of,
 )
 from .grading import (
     GradedRing,
@@ -46,14 +45,6 @@ from .grading import (
     is_graded_ideal,
     is_graded_prime_ideal,
 )
-
-
-def e_component(graded: GradedRing, xmask: int) -> int:
-    """Image of a subset under the projection onto the identity component.
-
-    For a graded ideal this coincides with intersecting with S_e.
-    """
-    return mask_of(graded.e_part(m) for m in bits(xmask))
 
 
 def is_base_ideal(graded: GradedRing, jmask: int) -> bool:
@@ -149,15 +140,17 @@ class Report(NamedTuple):
 @lru_cache(maxsize=16)
 def _maps(graded: GradedRing, caps: Caps):
     """What both reports read: the invariant and graded lattices, the lift
-    J -> <J> on the first, the projection I -> I_e on the second, and
-    whether <J>_e = J for every J, read off the projection unless <J> is not
-    graded.  Each lattice is refused by its floor before it is enumerated."""
+    J -> <J> on the first, the projection I -> I_e on the second, whether
+    <J>_e = J for every J (<J> is generated by homogeneous elements, so it is
+    graded) and whether the lift preserves inclusion.  Each lattice is
+    refused by its floor before it is enumerated."""
     graded_ideals = all_graded_ideals(graded, caps)
     invariant = invariant_base_ideals(graded, caps)
     lift = {j: _ideal_span(graded.ring, j)[0] for j in invariant}
     projection = {i.members: i.members & graded.e_mask for i in graded_ideals}
-    back = all((projection[m] if m in projection else e_component(graded, m)) == j for j, m in lift.items())
-    return invariant, graded_ideals, lift, projection, back
+    back = all(projection.get(m) == j for j, m in lift.items())
+    lift_inclusion = _preserves_inclusion(graded.ring, invariant, lift, _invariant_principals(graded))
+    return invariant, graded_ideals, lift, projection, back, lift_inclusion
 
 
 def _preserves_inclusion(ring, masks, image: dict, family) -> bool:
@@ -185,7 +178,7 @@ def verify_bijection_identity_generated(graded: GradedRing, caps: Caps = DEFAULT
     projection that is not invariant, where projection_is_invariant fails.
     """
     ring = graded.ring
-    invariant, graded_ideals, lift, projection, restrict_ok = _maps(graded, caps)
+    invariant, graded_ideals, lift, projection, restrict_ok, lift_inclusion = _maps(graded, caps)
 
     def regenerated(m: int) -> int:  # <I_e> for the graded I with mask m
         proj = projection[m]
@@ -197,9 +190,8 @@ def verify_bijection_identity_generated(graded: GradedRing, caps: Caps = DEFAULT
     expand_ok = all(lift.get(projection[m]) == m for m in idgen)
     projection_invariant = all(proj in lift for proj in projection.values())
     image_ok = set(lift.values()) == idgen and len(lift) == len(idgen)
-    inclusion_ok = _preserves_inclusion(ring, invariant, lift, _invariant_principals(graded)) and (
-        _preserves_inclusion(ring, idgen, projection, _family(ring, graded.component_masks))
-    )
+    family = _family(ring, graded.component_masks)
+    inclusion_ok = lift_inclusion and _preserves_inclusion(ring, idgen, projection, family)
 
     n_inv, n_idgen, n_graded = len(invariant), len(idgen), len(graded_ideals)
     checks = (
@@ -224,7 +216,7 @@ def verify_bijection_ideally_symmetric(graded: GradedRing, caps: Caps = DEFAULT_
     if not classify_grading(graded).ideally_symmetrically:
         raise ValueError("grading is not ideally symmetric")
     ring = graded.ring
-    invariant, graded_ideals, lift, projection, inverse_ok = _maps(graded, caps)
+    invariant, graded_ideals, lift, projection, inverse_ok, inclusion_ok = _maps(graded, caps)
 
     recovery_ok = all(
         closed_product(ring, ring.full_mask, p) == closed_product(ring, p, ring.full_mask) == lift.get(p) == m
@@ -232,7 +224,6 @@ def verify_bijection_ideally_symmetric(graded: GradedRing, caps: Caps = DEFAULT_
     )
 
     onto_ok = set(lift.values()) == set(projection)
-    inclusion_ok = _preserves_inclusion(ring, invariant, lift, _invariant_principals(graded))
 
     graded_prime = {
         i.members: is_graded_prime_ideal(graded, i) for i in graded_ideals if i.is_proper

@@ -748,7 +748,7 @@ def _ideal_span(ring: FiniteRing, xmask: int, actors: Optional[Sequence[int]] = 
 
 def generate_ideal(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
     """Smallest two-sided ideal containing the generators."""
-    mask = mask_of(g if g >= 0 else ring.order for g in gens)  # a negative index is out of range too
+    mask = mask_of(g if 0 <= g < ring.order else ring.order for g in gens)  # any index out of range, negative too
     if mask >> ring.order:
         raise SpecError("generator index out of range")
     return Ideal(ring, _ideal_span(ring, mask)[0])

@@ -2,8 +2,8 @@
 
 A grading is an internal direct-sum decomposition into additive subgroups
 indexed by group elements, with components multiplying into the component of
-the product index.  The decomposition of every ring element is precomputed at
-attach time, so component access is a table lookup everywhere downstream.
+the product index.  A grading is kept as its component masks alone: a direct
+sum, of the components or of an ideal's meets with them, is decided by counting.
 
 Integer gradings store only their finite support; a missing index means the
 zero component.
@@ -15,7 +15,6 @@ pairs, here and for a filter's pairs (I_x, I_{x^-1}) in grfilter.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, NamedTuple, Union
 
@@ -29,8 +28,8 @@ from .finring import (
     _family,
     _gens,
     _product_span,
+    _span,
     _sums,
-    bits,
     closed_product,
     is_additive_subgroup,
     is_m_system,
@@ -58,11 +57,10 @@ class GradedRing:
     Instances are immutable; construct them through :func:`attach_grading`.
     """
 
-    def __init__(self, ring, group, components, decomp, support):
+    def __init__(self, ring, group, components, support):
         self.ring: FiniteRing = ring
         self.group: GradingGroup = group
         self.components: dict = components
-        self.decomp: tuple = decomp
         self.support: tuple = support
 
     def component(self, x) -> int:
@@ -83,16 +81,6 @@ class GradedRing:
         for m in self.components.values():
             out |= m
         return out
-
-    def components_of(self, s: int) -> dict:
-        """The decomposition of s as a map x -> nonzero part, sorted by x."""
-        return dict(sorted(self.decomp[s].items()))
-
-    def e_part(self, s: int) -> int:
-        return self.decomp[s].get(self.group.identity, self.ring.zero)
-
-    def is_homogeneous(self, s: int) -> bool:
-        return len(self.decomp[s]) <= 1
 
     @cached_property
     def component_masks(self) -> tuple:
@@ -121,8 +109,8 @@ def attach_grading(ring: FiniteRing, group: GradingGroup, components: Mapping) -
                 raise SpecError(f"{x!r} is not a group element index")
         elif not isinstance(x, int):
             raise SpecError("integer grading requires int degrees")
-        # a negative index is out of range, so it is read as the index ring.order
-        mask = val if isinstance(val, int) else mask_of(i if i >= 0 else ring.order for i in val)
+        # an index out of range, negative or past the end, is read as ring.order
+        mask = val if isinstance(val, int) else mask_of(i if 0 <= i < ring.order else ring.order for i in val)
         if mask >> ring.order:  # as is a negative mask
             raise SpecError("component contains out-of-range elements")
         if not is_additive_subgroup(ring, mask):
@@ -136,14 +124,11 @@ def attach_grading(ring: FiniteRing, group: GradingGroup, components: Mapping) -
         sizes *= comps[x].bit_count()
     if sizes != ring.order:
         raise SpecError("components do not form a direct sum (size mismatch)")
-    decomp: list = [None] * ring.order
-    for combo in itertools.product(*[list(bits(comps[x])) for x in support]):
-        s = ring.sum(combo)
-        if decomp[s] is not None:
-            raise SpecError("components do not form a direct sum (sum collision)")
-        decomp[s] = {x: part for x, part in zip(support, combo) if part != ring.zero}
-    assert all(d is not None for d in decomp)
-    graded = GradedRing(ring, group, comps, tuple(decomp), support)
+    graded = GradedRing(ring, group, comps, support)
+    # the sum map from the product of the components is additive between sets
+    # of one size, so it is one-to-one exactly when it is onto
+    if _span(ring, graded.homogeneous_mask)[0] != ring.full_mask:
+        raise SpecError("components do not form a direct sum (sum collision)")
     # S_x S_y lies in the subgroup S_xy when the products of generators do,
     # by biadditivity
     mul, gens = ring.mul_table, graded.component_generators
@@ -163,13 +148,14 @@ def trivial_grading(ring: FiniteRing, group: GradingGroup = Z) -> GradedRing:
 
 
 def is_graded_ideal(graded: GradedRing, ideal: Ideal) -> bool:
-    """Whether every member's homogeneous components all lie in the ideal."""
-    mask = ideal.members
-    for m in bits(mask):
-        for part in graded.decomp[m].values():
-            if not mask >> part & 1:
-                return False
-    return True
+    """Whether I is the sum of the I & S_x: that sum is direct and inside I,
+    so it is all of I exactly when their sizes multiply to |I|."""
+    if ideal.ring != graded.ring:
+        raise ValueError("ideal belongs to a different ring")
+    size = 1
+    for m in graded.component_masks:
+        size *= (ideal.members & m).bit_count()
+    return size == ideal.size
 
 
 def all_graded_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]:

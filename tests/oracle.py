@@ -122,6 +122,16 @@ The grading validator from before multiplicativity was checked on
 additive generators: ``attach_grading`` multiplies every pair of elements
 of two components.
 
+The per-element decomposition from before a grading was kept as its
+component masks alone: ``_decompose`` sums every tuple of the product of
+the components into the table s -> {x: nonzero part of s in S_x}, refusing
+a sum that comes twice, where the library counts; ``attach_grading`` builds
+it as its direct-sum check, and ``decomposition`` builds it for a graded
+ring.  ``is_graded_ideal`` tests that every member's parts lie in the ideal,
+where the library multiplies the sizes of the ideal's meets with the
+components, and ``e_component`` projects a subset onto the identity
+component part by part.  ``all_graded_ideals`` and the reports read them.
+
 The copies from before each became a call into the kernel it copied:
 ``prime_element_criterion`` loops over the pairs outside P itself, where
 the library's is the m-system test on the complement; ``is_s_unital_module``
@@ -177,7 +187,7 @@ from gradedprime.finring import (
     DEFAULT_CAPS, Caps, FiniteRing, Ideal, _gens, _product_span, _span, bits, closed_product,
     mask_of,
 )
-from gradedprime.grading import GradedRing, classify_grading, is_graded_ideal
+from gradedprime.grading import GradedRing, classify_grading
 from gradedprime import grfilter as gfl
 from gradedprime.grfilter import (
     FilterClassification, GFilter, Witness, assemble_filter_ring, filter_sites,
@@ -1277,10 +1287,10 @@ def verify_bijection_identity_generated(graded: GradedRing, caps: Caps = DEFAULT
             gen_graded = False
         elif not co.is_identity_generated(graded, lifted):
             gen_idgen = False
-        if co.e_component(graded, lifted.members) != j:
+        if e_component(graded, lifted.members) != j:
             restrict_ok = False
 
-    projections = {i.members: co.e_component(graded, i.members) for i in graded_ideals}
+    projections = {i.members: e_component(graded, i.members) for i in graded_ideals}
     expand_ok = all(generated.get(projections[m]) == m for m in idgen_masks)
     projection_invariant = all(co.is_g_invariant(graded, proj) for proj in projections.values())
 
@@ -1317,14 +1327,14 @@ def verify_bijection_ideally_symmetric(graded: GradedRing, caps: Caps = DEFAULT_
     generated = {j: fr.generate_ideal(ring, bits(j)).members for j in invariant}
     recovery_ok = True
     for i in graded_ideals:
-        proj = co.e_component(graded, i.members)
+        proj = e_component(graded, i.members)
         left = closed_product(ring, ring.full_mask, proj)
         right = closed_product(ring, proj, ring.full_mask)
         if not (left == right == generated.get(proj) == i.members):
             recovery_ok = False
 
     onto_ok = set(generated.values()) == {i.members for i in graded_ideals}
-    inverse_ok = all(co.e_component(graded, generated[j]) == j for j in invariant)
+    inverse_ok = all(e_component(graded, generated[j]) == j for j in invariant)
 
     inclusion_ok = _monotone(invariant, generated)
 
@@ -1389,13 +1399,7 @@ def attach_grading(ring: FiniteRing, group, components, caps: Caps = DEFAULT_CAP
         sizes *= comps[x].bit_count()
     if sizes != ring.order:
         raise SpecError("components do not form a direct sum (size mismatch)")
-    decomp: list = [None] * ring.order
-    for combo in itertools.product(*[list(bits(comps[x])) for x in support]):
-        s = ring.sum(combo)
-        if decomp[s] is not None:
-            raise SpecError("components do not form a direct sum (sum collision)")
-        decomp[s] = {x: part for x, part in zip(support, combo) if part != ring.zero}
-    assert all(d is not None for d in decomp)
+    _decompose(ring, comps, support)
     for x in support:
         for y in support:
             target = comps.get(group.op(x, y), ring.zero_mask)
@@ -1404,7 +1408,45 @@ def attach_grading(ring: FiniteRing, group, components, caps: Caps = DEFAULT_CAP
                 raise SpecError(
                     f"components at {x} and {y} do not multiply into their product component"
                 )
-    return GradedRing(ring, group, comps, tuple(decomp), support)
+    return GradedRing(ring, group, comps, support)
+
+
+def _decompose(ring: FiniteRing, comps: dict, support: tuple) -> tuple[dict, ...]:
+    """s -> {x: nonzero part of s in S_x}, from the sum of every tuple of the
+    product of the components; refuses a sum that comes twice."""
+    decomp: list = [None] * ring.order
+    for combo in itertools.product(*[list(bits(comps[x])) for x in support]):
+        s = ring.sum(combo)
+        if decomp[s] is not None:
+            raise SpecError("components do not form a direct sum (sum collision)")
+        decomp[s] = {x: part for x, part in zip(support, combo) if part != ring.zero}
+    assert all(d is not None for d in decomp)
+    return tuple(decomp)
+
+
+@lru_cache(maxsize=64)
+def decomposition(graded: GradedRing) -> tuple[dict, ...]:
+    """The decomposition of every element of the graded ring."""
+    return _decompose(graded.ring, graded.components, graded.support)
+
+
+def is_graded_ideal(graded: GradedRing, ideal: Ideal) -> bool:
+    """Whether every member's homogeneous components all lie in the ideal."""
+    mask, decomp = ideal.members, decomposition(graded)
+    for m in bits(mask):
+        for part in decomp[m].values():
+            if not mask >> part & 1:
+                return False
+    return True
+
+
+def e_component(graded: GradedRing, xmask: int) -> int:
+    """Image of a subset under the projection onto the identity component.
+
+    For a graded ideal this coincides with intersecting with S_e.
+    """
+    decomp, e = decomposition(graded), graded.group.identity
+    return mask_of(decomp[m].get(e, graded.ring.zero) for m in bits(xmask))
 
 
 def symmetric_group(n: int) -> FiniteGroup:

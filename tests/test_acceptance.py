@@ -87,7 +87,7 @@ def test_03_generation_and_invariance():
     ok = True
     for name, graded in graded_corpus():
         ring = graded.ring
-        hom = [s for s in ring.elements() if graded.is_homogeneous(s)]
+        hom = list(fr.bits(graded.homogeneous_mask))
         for a in hom:
             for b in hom:
                 ideal = fr.generate_ideal(ring, [a, b])
@@ -95,12 +95,10 @@ def test_03_generation_and_invariance():
                 generated += 1
         for j in oracle.base_ideals(graded):
             lift = fr.generate_ideal(ring, fr.bits(j))
-            ok = ok and co.is_g_invariant(graded, j) == (
-                co.e_component(graded, lift.members) == j
-            )
+            ok = ok and co.is_g_invariant(graded, j) == (lift.members & graded.e_mask == j)
             lifted += 1
         for ideal in gr.all_graded_ideals(graded):
-            ok = ok and co.is_g_invariant(graded, co.e_component(graded, ideal.members))
+            ok = ok and co.is_g_invariant(graded, ideal.members & graded.e_mask)
             projected += 1
     finish(
         3,

@@ -557,6 +557,28 @@ class TestRefusals:
         assert run_cli(capsys, command, spec, *flags) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
+        "command,text,flags,message",
+        [
+            ("prime", "zmod(4)", ["--ideal", f"[0, {'9' * 300}]"], "generator index out of range"),
+            (
+                "graded-prime",
+                f"ring: tri(gf(2), 2)\ngroup: Z\ncomponent 0: [0, 1, 4, 5]\ncomponent 1: [0, {'9' * 300}]\n",
+                [],
+                "component contains out-of-range elements",
+            ),
+            ("filter", f"ring: product(gf(2), gf(2))\ngroup: cyclic(2)\nI 1 = [{'9' * 300}]\n", [],
+             "generator index out of range"),
+            ("filter", f"ring: gf(2)\ngroup: Z\npattern constant [{'9' * 300}]\n", [], "generator index out of range"),
+        ],
+        ids=["prime_ideal", "graded_component", "filter_I", "filter_pattern_constant"],
+    )
+    def test_an_element_index_of_300_digits_is_out_of_range(self, capsys, tmp_path, command, text, flags, message):
+        """Not an OverflowError from shifting a bit that far."""
+        spec = tmp_path / "spec"
+        spec.write_text(text)
+        assert run_cli(capsys, command, spec, *flags) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "command,text",
         [
             ("prime", f"gf({'9' * 4301})"),
@@ -737,8 +759,8 @@ SPEC_TOKEN = re.compile(r"\w+|\S")
 
 def _spec_sites() -> list:
     """(command, head, spec text, tail): each tests/data ring file under
-    prime, and each ring: and group: line of a tests/data graded file under
-    classify, the file's other lines as they are."""
+    prime, and each ring:, group: and component line of a tests/data graded
+    file under classify, the file's other lines as they are."""
     sites = []
     for path in sorted(DATA.glob("*.ring")):
         spec = " ".join(line for line in path.read_text().splitlines() if not line.startswith("#"))
@@ -747,7 +769,7 @@ def _spec_sites() -> list:
         lines = path.read_text().splitlines(keepends=True)
         for i, line in enumerate(lines):
             key, _, spec = line.partition(":")
-            if key in ("ring", "group"):
+            if key in ("ring", "group") or key.startswith("component "):
                 head, tail = "".join(lines[:i]) + key + ": ", "\n" + "".join(lines[i + 1:])
                 sites.append(("classify", head, spec.strip(), tail))
     return sites
@@ -759,17 +781,19 @@ SPEC_SITES = _spec_sites()
 @st.composite
 def mutated_spec_files(draw):
     """(command, text): a spec text of SPEC_SITES with one token dropped,
-    repeated, or replaced by a 300-character token."""
+    repeated, or replaced by a 300-character token or by a number below 16."""
     command, head, spec, tail = draw(st.sampled_from(SPEC_SITES))
     tokens = SPEC_TOKEN.findall(spec)
     i = draw(st.integers(0, len(tokens) - 1))
-    edit = draw(st.sampled_from(["drop", "repeat", "replace"]))
+    edit = draw(st.sampled_from(["drop", "repeat", "replace", "renumber"]))
     if edit == "drop":
         del tokens[i]
     elif edit == "repeat":
         tokens.insert(i, tokens[i])
-    else:
+    elif edit == "replace":
         tokens[i] = draw(st.sampled_from("aZ9_")) * 300
+    else:
+        tokens[i] = str(draw(st.integers(0, 15)))
     return command, head + " ".join(tokens) + tail
 
 

@@ -1,13 +1,10 @@
 """Identity-component correspondence: invariant ideals, lifts, reports."""
 
-from pathlib import Path
-
 import pytest
 
 from gradedprime import correspondence as co
 from gradedprime import finring as fr
 from gradedprime import grading as gr
-from gradedprime import specio
 from gradedprime.groups import cyclic
 
 import oracle
@@ -22,33 +19,11 @@ from corpus import (
 )
 
 E11, E12, E22 = 4, 2, 1
-DATA = Path(__file__).parent / "data"
-GRADED = list(graded_corpus()) + [
-    (p.name, specio.parse_graded_file(p.read_text())) for p in sorted(DATA.glob("*.graded"))
-]
 
 
 @pytest.fixture(scope="module")
 def tri2_std():
     return tri_standard(2, 2)
-
-
-class TestProjection:
-    def test_zero_projects_to_zero(self, tri2_std):
-        assert co.e_component(tri2_std, tri2_std.ring.zero_mask) == tri2_std.ring.zero_mask
-
-    def test_projection_is_onto(self, tri2_std):
-        assert co.e_component(tri2_std, tri2_std.ring.full_mask) == tri2_std.e_mask
-
-    def test_mixed_element_projects_to_its_diagonal(self, tri2_std):
-        got = co.e_component(tri2_std, fr.mask_of([E11 + E12]))
-        assert got == fr.mask_of([E11])
-
-    @pytest.mark.parametrize("name,graded", GRADED, ids=[name for name, _ in GRADED])
-    def test_a_graded_ideal_projects_onto_its_meet_with_the_identity_component(self, name, graded):
-        """The reports project graded ideals by masking with S_e."""
-        for ideal in gr.all_graded_ideals(graded):
-            assert co.e_component(graded, ideal.members) == ideal.members & graded.e_mask
 
 
 class TestInvariance:
@@ -72,14 +47,12 @@ class TestInvariance:
     def test_invariance_matches_lift_and_restrict(self, name, graded):
         for j in oracle.base_ideals(graded):
             lifted = fr.generate_ideal(graded.ring, fr.bits(j))
-            assert co.is_g_invariant(graded, j) == (
-                co.e_component(graded, lifted.members) == j
-            )
+            assert co.is_g_invariant(graded, j) == (lifted.members & graded.e_mask == j)
 
     @pytest.mark.parametrize("name,graded", graded_corpus())
     def test_projections_of_graded_ideals_are_invariant(self, name, graded):
         for ideal in gr.all_graded_ideals(graded):
-            assert co.is_g_invariant(graded, co.e_component(graded, ideal.members))
+            assert co.is_g_invariant(graded, ideal.members & graded.e_mask)
 
 
 class TestGPrime:
@@ -129,6 +102,11 @@ class TestIdentityGenerated:
         g = group_algebra_grading(fr.gf(2), cyclic(2))
         with pytest.raises(ValueError):
             co.is_identity_generated(g, fr.generate_ideal(g.ring, [3]))
+
+    @pytest.mark.parametrize("ring", [fr.zmod(16), fr.zmod(8)], ids=["larger", "same_order"])
+    def test_another_rings_ideal_is_rejected(self, tri2_std, ring):
+        with pytest.raises(ValueError, match="^ideal belongs to a different ring$"):
+            co.is_identity_generated(tri2_std, fr.generate_ideal(ring, [ring.order // 2]))
 
 
 class TestReports:

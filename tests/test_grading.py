@@ -68,23 +68,6 @@ class TestAttach:
         assert g.support == (1,)
 
 
-class TestDecomposition:
-    def test_zero_decomposes_to_nothing(self, tri2_std):
-        assert tri2_std.components_of(tri2_std.ring.zero) == {}
-
-    def test_homogeneous_elements_have_one_part(self, tri2_std):
-        assert tri2_std.components_of(E12) == {1: E12}
-
-    def test_mixed_element_splits(self, tri2_std):
-        assert tri2_std.components_of(E11 + E12) == {0: E11, 1: E12}
-
-    @pytest.mark.parametrize("name,graded", graded_corpus())
-    def test_parts_sum_back(self, name, graded):
-        ring = graded.ring
-        for s in ring.elements():
-            assert ring.sum(graded.components_of(s).values()) == s
-
-
 class TestGradedIdeals:
     def test_zero_and_whole_are_graded(self, tri2_std):
         ring = tri2_std.ring
@@ -112,9 +95,15 @@ class TestGradedIdeals:
     def test_generate_by_nothing(self, tri2_std):
         assert fr.generate_ideal(tri2_std.ring, []).is_zero
 
+    @pytest.mark.parametrize("ring", [fr.zmod(16), fr.zmod(8)], ids=["larger", "same_order"])
+    def test_another_rings_ideal_is_rejected(self, tri2_std, ring):
+        """Z/16's <8> has a member outside tri(F_2, 2); Z/8's <4> does not."""
+        with pytest.raises(ValueError, match="^ideal belongs to a different ring$"):
+            gr.is_graded_ideal(tri2_std, fr.generate_ideal(ring, [ring.order // 2]))
+
     @pytest.mark.parametrize("name,graded", graded_corpus())
     def test_homogeneously_generated_ideals_are_graded(self, name, graded):
-        hom = [s for s in graded.ring.elements() if graded.is_homogeneous(s)]
+        hom = list(fr.bits(graded.homogeneous_mask))
         for a in hom:
             ideal = fr.generate_ideal(graded.ring, [a])
             assert gr.is_graded_ideal(graded, ideal)

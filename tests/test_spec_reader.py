@@ -393,8 +393,8 @@ def mutated_line_file(rng):
 
 def _value(parsed):
     """What a line-file reader gave, in a form that compares by value."""
-    if hasattr(parsed, "decomp"):  # a GradedRing, which has no __eq__
-        return parsed.ring, parsed.group, parsed.components, parsed.decomp, parsed.support
+    if hasattr(parsed, "components"):  # a GradedRing, which has no __eq__
+        return parsed.ring, parsed.group, parsed.components, parsed.support
     return parsed
 
 

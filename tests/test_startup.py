@@ -85,7 +85,7 @@ PUBLIC = """
     CapError Caps DEFAULT_CAPS DirectedGraph FilterRing FiniteGroup FiniteRing GFilter
     GradedRing GradingClassification Ideal IntegerGroup LeavittContext LpaElement Report
     SpecError Witness Z ZRule all_graded_ideals all_ideals attach_grading classify_filter
-    classify_grading correspondence cyclic e_component errors finring generate_ideal gf grading
+    classify_grading correspondence cyclic errors finring generate_ideal gf grading
     graph grfilter groups grpalg ideal_product is_fully_idempotent is_g_invariant
     is_g_prime_base is_g_prime_ideal is_graded_ideal is_graded_m_system is_graded_prime_ideal
     is_graded_prime_ring is_identity_generated is_leavitt_prime is_prime_ideal is_prime_ring
