@@ -1,10 +1,13 @@
 """Identity-component correspondence: invariant ideals, lifts, reports."""
 
+from pathlib import Path
+
 import pytest
 
 from gradedprime import correspondence as co
 from gradedprime import finring as fr
 from gradedprime import grading as gr
+from gradedprime import specio
 from gradedprime.groups import cyclic
 
 import oracle
@@ -19,11 +22,46 @@ from corpus import (
 )
 
 E11, E12, E22 = 4, 2, 1
+DATA = Path(__file__).parent / "data"
+GRADED = list(graded_corpus()) + [
+    (p.name, specio.parse_graded_file(p.read_text())) for p in sorted(DATA.glob("*.graded"))
+]
 
 
 @pytest.fixture(scope="module")
 def tri2_std():
     return tri_standard(2, 2)
+
+
+def projection(graded):
+    """The reports' map I -> I_e on the graded ideals, keyed by mask."""
+    return co._maps(graded, fr.DEFAULT_CAPS)[3]
+
+
+class TestProjection:
+    """The reports project a graded ideal by masking with S_e; the oracle
+    projects it part by part through the decomposition of each member."""
+
+    def test_zero_projects_to_zero(self, tri2_std):
+        zero = tri2_std.ring.zero_mask
+        assert projection(tri2_std)[zero] == zero == oracle.e_component(tri2_std, zero)
+
+    def test_projection_is_onto(self, tri2_std):
+        full = tri2_std.ring.full_mask
+        assert projection(tri2_std)[full] == tri2_std.e_mask == oracle.e_component(tri2_std, full)
+
+    def test_mixed_element_projects_to_its_diagonal(self, tri2_std):
+        assert oracle.e_component(tri2_std, fr.mask_of([E11 + E12])) == fr.mask_of([E11])
+        ideal = fr.generate_ideal(tri2_std.ring, [E11 + E12])
+        assert ideal.members == fr.mask_of([0, E11, E12, E11 + E12])
+        assert projection(tri2_std)[ideal.members] == fr.mask_of([0, E11])
+
+    @pytest.mark.parametrize("name,graded", GRADED, ids=[name for name, _ in GRADED])
+    def test_a_graded_ideal_projects_onto_its_meet_with_the_identity_component(self, name, graded):
+        proj = projection(graded)
+        assert set(proj) == {i.members for i in gr.all_graded_ideals(graded)}
+        for members, image in proj.items():
+            assert image == members & graded.e_mask == oracle.e_component(graded, members)
 
 
 class TestInvariance:

@@ -11,6 +11,7 @@ from gradedprime import specio
 from gradedprime.errors import SpecError
 from gradedprime.groups import Z, cyclic
 
+import oracle
 from corpus import (
     corpus_rings,
     graded_corpus,
@@ -66,6 +67,33 @@ class TestAttach:
         g = zero_mult_graded()
         assert g.e_mask == g.ring.zero_mask
         assert g.support == (1,)
+
+
+class TestDecomposition:
+    """The component masks form a direct sum: the oracle's decomposition of
+    every element, built from them, puts each part in its component."""
+
+    def test_zero_decomposes_to_nothing(self, tri2_std):
+        assert oracle.decomposition(tri2_std)[tri2_std.ring.zero] == {}
+
+    def test_homogeneous_elements_have_one_part(self, tri2_std):
+        assert oracle.decomposition(tri2_std)[E12] == {1: E12}
+        decomp = oracle.decomposition(tri2_std)
+        for s in fr.bits(tri2_std.homogeneous_mask & ~tri2_std.ring.zero_mask):
+            ((x, part),) = decomp[s].items()
+            assert part == s and tri2_std.component(x) >> s & 1
+
+    def test_mixed_element_splits(self, tri2_std):
+        assert oracle.decomposition(tri2_std)[E11 + E12] == {0: E11, 1: E12}
+        assert not tri2_std.homogeneous_mask >> (E11 + E12) & 1
+
+    @pytest.mark.parametrize("name,graded", graded_corpus())
+    def test_parts_sum_back(self, name, graded):
+        ring, decomp = graded.ring, oracle.decomposition(graded)
+        for s in ring.elements():
+            assert ring.sum(decomp[s].values()) == s
+            assert all(graded.component(x) >> part & 1 for x, part in decomp[s].items())
+            assert (len(decomp[s]) <= 1) == bool(graded.homogeneous_mask >> s & 1)
 
 
 class TestGradedIdeals:
