@@ -36,7 +36,7 @@ from . import specio
 from .errors import CapError, SpecError
 
 DEFAULT_SEED = 0
-MAX_TRIALS = 100_000  # about 20 us a trial: about 2 s at the cap
+MAX_TRIALS = 100_000  # about 15 us a trial: about 1.5 s at the cap
 
 
 def _verdict(key: str, label: str, flag) -> tuple:
@@ -181,7 +181,10 @@ def _cmd_filter(args):
             raise SpecError("witness trials need an integer-graded filter")
         handle = gfl.FilterRing(filt)
         rng = random.Random(args.seed)
-        line = "trial {}: a={!r} b={!r} witness: {}".format
+
+        def line(t, a, b, text):
+            return f"trial {t}: a={handle.show(a)} b={handle.show(b)} witness: {text}"
+
         failures = 0
         for t in range(args.trials):
             a = handle.random_element(rng)

@@ -599,17 +599,6 @@ def subgroup_closure(ring: FiniteRing, mask: int) -> int:
     return _span(ring, mask)[0]
 
 
-def set_product(ring: FiniteRing, amask: int, bmask: int) -> int:
-    """Raw pairwise products {ab}, no additive closure."""
-    out = 0
-    mul = ring.mul_table
-    for a in bits(amask):
-        row = mul[a]
-        for b in bits(bmask):
-            out |= 1 << row[b]
-    return out
-
-
 def _gens(ring: FiniteRing, mask: int) -> list[int]:
     """Additive generators of the span of mask."""
     return _span(ring, mask)[1]
@@ -717,10 +706,6 @@ class Ideal(Frozen):
 
 def zero_ideal(ring: FiniteRing) -> Ideal:
     return Ideal(ring, ring.zero_mask)
-
-
-def full_ideal(ring: FiniteRing) -> Ideal:
-    return Ideal(ring, ring.full_mask)
 
 
 def _ideal_span(ring: FiniteRing, xmask: int, actors: Optional[Sequence[int]] = None):
@@ -978,12 +963,6 @@ def is_prime_among(ring: FiniteRing, pmask: int, ideals: Mapping[int, Sequence[i
             if all(pmask >> mul[x][y] & 1 for x in ga for y in gb):
                 return False
     return True
-
-
-def is_prime_ideal_by_pairs(ring: FiniteRing, p: Ideal, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Primeness via the defining quantification over all ideal pairs."""
-    _check_proper_ideal(ring, p)
-    return is_prime_among(ring, p.members, _sums(ring, (ring.full_mask,), caps))
 
 
 def is_prime_ring(ring: FiniteRing) -> bool:

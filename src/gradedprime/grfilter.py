@@ -5,13 +5,14 @@ ring R, with I_e = R and I_x * I_y inside I_{xy}.  The subring it carves out
 of the group ring R[G] is graded by S_x = I_x x.
 
 Finite groups get a concrete graded ring consumable by the grading and
-correspondence machinery.  Over the integers the subring is infinite, so it
-is handled through finitely supported element arithmetic instead; to keep
-the filter law decidable, integer filters are restricted to two rule
-classes (R on a subgroup with a fixed ideal elsewhere, or a constant ideal
-away from zero) plus a finite override table, and all laws are checked on a
-window of degrees wide enough to realize every combination of values the
-rules can produce.  The grading classes of the subring are read from the
+correspondence machinery.  Over the integers the subring is infinite: its
+elements are finitely supported, kept as tuples of (degree, coefficient)
+terms, and only the witness trials multiply them.  To keep the filter law
+decidable, integer filters are restricted to two rule classes (R on a
+subgroup with a fixed ideal elsewhere, or a constant ideal away from zero)
+plus a finite override table, and all laws are checked on a window of
+degrees wide enough to realize every combination of values the rules can
+produce.  The grading classes of the subring are read from the
 pairs (I_x, I_{x^-1}) by grading's kernels.
 """
 
@@ -36,6 +37,8 @@ from .finring import (
 from .frozen import Frozen
 from .grading import GradedRing, _is_ideally_symmetric, _pair_classes, attach_grading, classify_grading
 from .groups import FiniteGroup, IntegerGroup
+
+Terms = tuple[tuple[int, int], ...]  # an element's nonzero (degree, coeff) terms, degrees ascending
 
 
 class ZRule(Frozen):
@@ -201,11 +204,16 @@ def assemble_filter_ring(f: GFilter, caps: Caps = DEFAULT_CAPS) -> GradedRing:
 
 
 # ---------------------------------------------------------------------------
-# the integers: finitely supported arithmetic
+# the integers: witness trials on finitely supported elements
 
 
 class FilterRing:
-    """Arithmetic handle for an integer-graded filter subring."""
+    """The witness trials' handle on an integer-graded filter subring.
+
+    An element is the tuple of its nonzero (degree, coefficient) terms,
+    degrees ascending; the handle draws elements, multiplies them and
+    shows them.
+    """
 
     def __init__(self, f: GFilter):
         if f.group.is_finite:
@@ -221,7 +229,7 @@ class FilterRing:
         """The elements of the degree-x component, ascending."""
         return self._component(x)[1]
 
-    def _terms(self, acc: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
+    def _terms(self, acc: Mapping[int, int]) -> Terms:
         """acc's nonzero (degree, coefficient) terms, degrees ascending, each
         checked against its degree's component."""
         ring, component = self.coeff, self._component
@@ -234,8 +242,8 @@ class FilterRing:
             items.append((int(x), int(c)))
         return tuple(items)
 
-    def _product(self, left, right) -> tuple[tuple[int, int], ...]:
-        """The terms of the product of two term lists."""
+    def _product(self, left: Terms, right: Terms) -> Terms:
+        """The terms of the product of two elements."""
         add, mul, zero = self.coeff.add_table, self.coeff.mul_table, self.coeff.zero
         acc: dict = {}
         for d1, c1 in left:
@@ -245,17 +253,8 @@ class FilterRing:
                 acc[d] = add[acc.get(d, zero)][row[c2]]
         return self._terms(acc)
 
-    def element(self, coeffs: Mapping[int, int]) -> "FilterElement":
-        return FilterElement(self, self._terms(coeffs))
-
-    def zero(self) -> "FilterElement":
-        return FilterElement(self, ())
-
-    def term(self, degree: int, coeff: int) -> "FilterElement":
-        return self.element({degree: coeff})
-
-    def random_element(self, rng, max_width: int = 3, max_shift: int = 3) -> "FilterElement":
-        """A random nonzero element with support width <= max_width.
+    def random_element(self, rng, max_width: int = 3, max_shift: int = 3) -> Terms:
+        """The terms of a random nonzero element with support width <= max_width.
 
         Deterministic for a given random.Random instance.
         """
@@ -271,61 +270,12 @@ class FilterRing:
                 if c != zero:
                     terms.append((d, c))
             if terms:
-                return FilterElement(self, tuple(terms))
+                return tuple(terms)
 
-
-class FilterElement(Frozen):
-    """An element of a FilterRing: its (degree, coefficient) terms, degrees ascending."""
-
-    _fields = ("handle", "coeffs")
-
-    def __init__(self, handle: FilterRing, coeffs: tuple[tuple[int, int], ...]):
-        vars(self).update(handle=handle, coeffs=coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def support(self) -> list[int]:
-        return [d for d, _ in self.coeffs]
-
-    def width(self) -> int:
-        if not self.coeffs:
-            return 0
-        return self.coeffs[-1][0] - self.coeffs[0][0] + 1
-
-    def top(self) -> tuple[int, int]:
-        if not self.coeffs:
-            raise ValueError("the zero element has no top term")
-        return self.coeffs[-1]
-
-    def __add__(self, other: "FilterElement") -> "FilterElement":
-        handle = self.handle
-        if other.handle is not handle:
-            raise ValueError("elements belong to different filter rings")
-        add, zero = handle.coeff.add_table, handle.coeff.zero
-        acc = dict(self.coeffs)
-        for d, c in other.coeffs:
-            acc[d] = add[acc.get(d, zero)][c]
-        return handle.element(acc)
-
-    def __neg__(self) -> "FilterElement":
-        neg = self.handle.coeff.neg_table
-        return self.handle.element({d: neg[c] for d, c in self.coeffs})
-
-    def __sub__(self, other) -> "FilterElement":
-        return self + (-other)
-
-    def __mul__(self, other: "FilterElement") -> "FilterElement":
-        handle = self.handle
-        if other.handle is not handle:
-            raise ValueError("elements belong to different filter rings")
-        return FilterElement(handle, handle._product(self.coeffs, other.coeffs))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        ring = self.handle.coeff
-        return " + ".join(f"{ring.name(c)}·x^{d}" for d, c in self.coeffs)
+    def show(self, terms: Terms) -> str:
+        """The text of an element given by its terms: c·x^d summands, or 0."""
+        name = self.coeff.name
+        return " + ".join(f"{name(c)}·x^{d}" for d, c in terms) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +372,9 @@ class Witness(NamedTuple):
         return f"degree={self.degree} coeff={ring.name(self.coeff)}"
 
 
-def witness_search(handle: FilterRing, a: FilterElement, b: FilterElement) -> Optional[Witness]:
-    """First homogeneous s with a*s*b nonzero, after trying a*b directly.
+def witness_search(handle: FilterRing, a: Terms, b: Terms) -> Optional[Witness]:
+    """First homogeneous s with a*s*b nonzero, after trying a*b directly;
+    a and b are the terms of nonzero elements, so a[-1] is a's top term.
 
     Shift invariance: for s = c x^d the coefficient of a*s*b in degree
     k + d is the sum of a_i c b_j over i + j = k, so a*s*b is nonzero
@@ -433,20 +384,17 @@ def witness_search(handle: FilterRing, a: FilterElement, b: FilterElement) -> Op
     coefficients in element-index order, is the first live c in degree 0.
     So only degree 0 is searched, and no degree bound could change the
     answer.  Top degrees add uniquely, so a nonzero product of the top
-    coefficients certifies a*b, or a*c*b, without the convolution on term
-    lists, which builds no element.  None means that a*s*b is zero for
-    every homogeneous s.
+    coefficients certifies a*b, or a*c*b, without the convolution of the
+    term tuples.  None means that a*s*b is zero for every homogeneous s.
     """
     if not a or not b:
         raise ValueError("elements must be nonzero")
     ring, product = handle.coeff, handle._product
-    _, ra = a.top()
-    _, rb = b.top()
-    if ring.mul_table[ra][rb] != ring.zero or product(a.coeffs, b.coeffs):
+    _, ra = a[-1]
+    _, rb = b[-1]
+    if ring.mul_table[ra][rb] != ring.zero or product(a, b):
         return Witness(None, None)
     for c in handle.members_of_degree(0):
-        if c != ring.zero and (
-            ring.mul3(ra, c, rb) != ring.zero or product(product(a.coeffs, ((0, c),)), b.coeffs)
-        ):
+        if c != ring.zero and (ring.mul3(ra, c, rb) != ring.zero or product(product(a, ((0, c),)), b)):
             return Witness(0, c)
     return None

@@ -436,13 +436,18 @@ def verify_corner_orthogonality(g: DirectedGraph, coeff: FiniteRing, v: str, w: 
     product then needs alpha and beta to share their range, a vertex that
     both v and w reach, and under the requirement there is none.  The
     engine's errors (empty graph, nonunital coefficients, unknown vertex)
-    are raised as it raises them.
+    are raised with its texts, in its order, without building an element.
     """
     idx = g.vertex_index
     if _reach(g, 1 << idx[v] if v in idx else 0) & _reach(g, 1 << idx[w] if w in idx else 0):
         raise ValueError(f"({v},{w}) has a common reachable vertex")
-    ctx = LeavittContext(g, coeff)
-    ctx.vertex(v), ctx.vertex(w)
+    if not g.vertices:
+        raise SpecError("empty graph")
+    if coeff.unit is None:
+        raise SpecError("coefficient ring must be unital")
+    for u in (v, w):
+        if u not in idx:
+            raise SpecError(f"unknown vertex {u}")
     return True
 
 

@@ -203,19 +203,21 @@ def _parse_table_block(ts: _Tokens) -> dict:
 
 
 def _as_rows(value, n, what: str):
+    """The n rows of a table given nested or flat.  Its entries, ints or
+    lists as _table_list reads them, are left to the table reader, which
+    refuses a list entry."""
     if not isinstance(n, int) or n < 1:
         raise SpecError("order must be a positive integer")
     if not isinstance(value, list):
         raise SpecError(f"{what} must be a list")
     if len(value) == n and all(isinstance(row, list) for row in value):
         rows = value
-    elif len(value) == n * n and all(isinstance(v, int) for v in value):
+    elif len(value) == n * n:
         rows = [value[i * n : (i + 1) * n] for i in range(n)]
     else:
         raise SpecError(f"{what} must be {n}x{n}, nested or flat row-major")
-    for row in rows:
-        if len(row) != n or not all(isinstance(v, int) for v in row):
-            raise SpecError(f"{what} must be {n}x{n}")
+    if not all(len(row) == n for row in rows):
+        raise SpecError(f"{what} must be {n}x{n}")
     return rows
 
 

@@ -53,7 +53,15 @@ readers, so a differential test compares the line splitting alone.
 
 The witness search from before it searched degree 0 alone:
 ``witness_search`` scans every degree up to the bound and forms a*s*b for
-every candidate s in turn.
+every candidate s in turn, as products of ``FilterElement``s below.
+
+The element arithmetic over the integers from before the witness trials ran
+on plain term tuples: ``FilterElement`` adds, negates, subtracts and
+multiplies elements given by their (degree, coefficient) terms, and shows
+them as the trial transcripts do; ``element``, ``zero`` and ``term`` build
+them through the library's ``FilterRing._terms``, its membership check.
+Its product sums each degree's products itself, not through
+``FilterRing._product``, the convolution that the witness search runs.
 
 The ideal-symmetry checks from before they ran over principal graded
 ideals: ``_is_ideally_symmetrically_graded`` walks the whole graded lattice,
@@ -95,11 +103,16 @@ coordinate by coordinate and hands the table to the library's
 The random elements of the witness trials from before the members of a
 degree were memoised: ``members_of_degree`` sorts the bits of the degree's
 ideal on every draw, and ``random_element`` draws through it.  Both take
-the ``FilterRing`` handle as their first argument.
+the ``FilterRing`` handle as their first argument, and ``random_element``
+gives the drawn element's terms.
 
 The triple product that left the library once no caller there was left:
 ``triple_product`` spans the products abc from the additive generators of
-three masks.  The grading and filter references here call it.
+three masks.  The grading and filter references here call it.  Likewise
+``set_product``, the raw pairwise products {ab} of two masks, which
+``attach_grading`` here reads, and ``is_prime_ideal_by_pairs``, primeness
+by the defining quantification over every pair of ideals, through the
+library's ``is_prime_among`` on its cached lattice.
 
 The field and residue-ring builders from before they built their tables
 row by row, and ``gf`` from before it went through the tuple-ring builder:
@@ -187,6 +200,7 @@ from gradedprime.finring import (
     DEFAULT_CAPS, Caps, FiniteRing, Ideal, _gens, _product_span, _span, bits, closed_product,
     mask_of,
 )
+from gradedprime.frozen import Frozen
 from gradedprime.grading import GradedRing, classify_grading
 from gradedprime import grfilter as gfl
 from gradedprime.grfilter import (
@@ -252,6 +266,17 @@ def is_ideal_mask(ring: FiniteRing, mask: int, acting: Optional[int] = None) -> 
 def triple_product(ring: FiniteRing, amask: int, bmask: int, cmask: int) -> int:
     """All finite sums of products abc, as a mask."""
     return _product_span(ring, _gens(ring, amask), _gens(ring, bmask), _gens(ring, cmask))
+
+
+def set_product(ring: FiniteRing, amask: int, bmask: int) -> int:
+    """Raw pairwise products {ab}, no additive closure."""
+    out = 0
+    mul = ring.mul_table
+    for a in bits(amask):
+        row = mul[a]
+        for b in bits(bmask):
+            out |= 1 << row[b]
+    return out
 
 
 def generate_ideal(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
@@ -778,8 +803,79 @@ def _degree_order(bound: int):
         yield -k
 
 
+class FilterElement(Frozen):
+    """An element of a FilterRing: its (degree, coefficient) terms, degrees ascending."""
+
+    _fields = ("handle", "coeffs")
+
+    def __init__(self, handle, coeffs: tuple[tuple[int, int], ...]):
+        vars(self).update(handle=handle, coeffs=coeffs)
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def support(self) -> list[int]:
+        return [d for d, _ in self.coeffs]
+
+    def width(self) -> int:
+        if not self.coeffs:
+            return 0
+        return self.coeffs[-1][0] - self.coeffs[0][0] + 1
+
+    def top(self) -> tuple[int, int]:
+        if not self.coeffs:
+            raise ValueError("the zero element has no top term")
+        return self.coeffs[-1]
+
+    def __add__(self, other: "FilterElement") -> "FilterElement":
+        handle = self.handle
+        if other.handle is not handle:
+            raise ValueError("elements belong to different filter rings")
+        add, zero = handle.coeff.add_table, handle.coeff.zero
+        acc = dict(self.coeffs)
+        for d, c in other.coeffs:
+            acc[d] = add[acc.get(d, zero)][c]
+        return element(handle, acc)
+
+    def __neg__(self) -> "FilterElement":
+        neg = self.handle.coeff.neg_table
+        return element(self.handle, {d: neg[c] for d, c in self.coeffs})
+
+    def __sub__(self, other) -> "FilterElement":
+        return self + (-other)
+
+    def __mul__(self, other: "FilterElement") -> "FilterElement":
+        """The convolution, each degree's coefficient summed from the pairs
+        of terms whose degrees add up to it."""
+        handle = self.handle
+        if other.handle is not handle:
+            raise ValueError("elements belong to different filter rings")
+        ring = handle.coeff
+        pairs = [(d1 + d2, ring.mul_table[c1][c2]) for d1, c1 in self.coeffs for d2, c2 in other.coeffs]
+        return element(handle, {k: ring.sum(c for d, c in pairs if d == k) for k, _ in pairs})
+
+    def __repr__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        ring = self.handle.coeff
+        return " + ".join(f"{ring.name(c)}·x^{d}" for d, c in self.coeffs)
+
+
+def element(handle, coeffs) -> FilterElement:
+    return FilterElement(handle, handle._terms(coeffs))
+
+
+def zero(handle) -> FilterElement:
+    return FilterElement(handle, ())
+
+
+def term(handle, degree: int, coeff: int) -> FilterElement:
+    return element(handle, {degree: coeff})
+
+
 def witness_search(handle, a, b, degree_bound: int):
-    """First homogeneous s with a*s*b nonzero, after trying a*b directly.
+    """First homogeneous s with a*s*b nonzero, after trying a*b directly;
+    a and b are term tuples, as the library's search takes them.
 
     Candidate degrees are scanned in the order 0, 1, -1, 2, -2, ... and
     coefficients in element-index order, so the returned witness is
@@ -791,6 +887,7 @@ def witness_search(handle, a, b, degree_bound: int):
     if not a or not b:
         raise ValueError("elements must be nonzero")
     ring = handle.coeff
+    a, b = FilterElement(handle, a), FilterElement(handle, b)
     if a * b:
         return Witness(None, None)
     _, ra = a.top()
@@ -801,7 +898,7 @@ def witness_search(handle, a, b, degree_bound: int):
                 continue
             if ring.mul3(ra, c, rb) != ring.zero:
                 return Witness(x, c)
-            s = handle.term(x, c)
+            s = term(handle, x, c)
             if (a * s) * b:
                 return Witness(x, c)
     return None
@@ -898,6 +995,12 @@ def is_prime_among(ring: FiniteRing, pmask: int, ideals: Iterable[Ideal]) -> boo
             if all(pmask >> mul[x][y] & 1 for x in ga for y in gb):
                 return False
     return True
+
+
+def is_prime_ideal_by_pairs(ring: FiniteRing, p: Ideal, caps: Caps = DEFAULT_CAPS) -> bool:
+    """Primeness via the defining quantification over all ideal pairs."""
+    fr._check_proper_ideal(ring, p)
+    return fr.is_prime_among(ring, p.members, fr._sums(ring, (ring.full_mask,), caps))
 
 
 def graded_prime_pair_test(graded: GradedRing, p: Ideal, caps: Caps = DEFAULT_CAPS) -> bool:
@@ -1107,7 +1210,7 @@ def members_of_degree(handle, x: int) -> list[int]:
 
 
 def random_element(handle, rng, max_width: int = 3, max_shift: int = 3):
-    """A random nonzero element with support width <= max_width.
+    """The terms of a random nonzero element with support width <= max_width.
 
     Deterministic for a given random.Random instance.
     """
@@ -1120,9 +1223,9 @@ def random_element(handle, rng, max_width: int = 3, max_shift: int = 3):
         for d in range(base, base + width):
             choices = members_of_degree(handle, d)
             coeffs[d] = rng.choice(choices)
-        elem = handle.element(coeffs)
+        elem = element(handle, coeffs)
         if elem:
-            return elem
+            return elem.coeffs
 
 
 def zmod(n: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
@@ -1403,7 +1506,7 @@ def attach_grading(ring: FiniteRing, group, components, caps: Caps = DEFAULT_CAP
     for x in support:
         for y in support:
             target = comps.get(group.op(x, y), ring.zero_mask)
-            prod = fr.set_product(ring, comps[x], comps[y])
+            prod = set_product(ring, comps[x], comps[y])
             if prod | target != target:
                 raise SpecError(
                     f"components at {x} and {y} do not multiply into their product component"

@@ -50,7 +50,7 @@ def test_01_prime_criteria_agree():
                 continue
             a = fr.is_prime_ideal(ring, ideal)
             b = fr.prime_element_criterion(ring, ideal)
-            c = fr.is_prime_ideal_by_pairs(ring, ideal)
+            c = oracle.is_prime_ideal_by_pairs(ring, ideal)
             ok = ok and a == b == c
             checked += 1
     finish(1, "prime criteria agreement", 30, started, ok, f"{checked} proper ideals")
@@ -324,8 +324,9 @@ def test_10_witness_search_over_group_rings():
             witness = gfl.witness_search(handle, a, b)
             ok = ok and witness is not None
             if witness is not None and witness.degree is not None:
-                s = handle.term(witness.degree, witness.coeff)
-                ok = ok and bool((a * s) * b)
+                s = oracle.term(handle, witness.degree, witness.coeff)
+                ea, eb = oracle.FilterElement(handle, a), oracle.FilterElement(handle, b)
+                ok = ok and bool((ea * s) * eb)
             found += 1
     finish(
         10,

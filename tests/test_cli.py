@@ -533,6 +533,25 @@ class TestOrthogonalityMemory:
         assert elapsed < 1.0
 
 
+class TestOrthogonalityWithoutTheEngine:
+    @pytest.mark.parametrize("graph", sorted(p.name for p in DATA.glob("*.graph")))
+    @pytest.mark.parametrize("porcelain", [[], ["--porcelain"]], ids=["human", "porcelain"])
+    def test_no_call_enters_the_leavitt_engine(self, capsys, monkeypatch, graph, porcelain):
+        """The same bytes with the engine's context and elements made to raise."""
+        from gradedprime import leavitt as lv
+
+        argv = ["leavitt", DATA / graph, "--coeff", DATA / "gf2.ring", "--orthogonality-depth", "4", *porcelain]
+        expected = run_cli(capsys, *argv)
+
+        def engine(*args, **kwargs):
+            raise AssertionError("the Leavitt engine was entered")
+
+        monkeypatch.setattr(lv, "LeavittContext", engine)
+        monkeypatch.setattr(lv, "LpaElement", engine)
+        assert run_cli(capsys, *argv) == expected
+        assert expected[0] == 0
+
+
 class TestRefusals:
     """Inputs refused with one line on stderr and nothing on stdout."""
 
@@ -635,6 +654,36 @@ class TestRefusals:
 
         monkeypatch.setattr(gfl.FilterRing, "random_element", no_trial)
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "tables{order=2; add=[[0,1],[1,[0]]]; mul=[[0,0],[0,0]]}",
+            "tables{order=2; add=[[0,1],[1,0]]; mul=[[0,0],[[0],0]]}",
+            "grpalg(gf(2), tables{order=2; op=[[0,1],[1,[0]]]})",
+            "tables{order=2; add=[0,1,1,[0]]; mul=[0,0,0,0]}",
+        ],
+        ids=["add", "mul", "op", "flat_add"],
+    )
+    def test_a_list_entry_in_a_table(self, capsys, tmp_path, spec):
+        """Refused by the table reader; the shape check reads no entry."""
+        ring = tmp_path / "list_entry.ring"
+        ring.write_text(spec)
+        assert run_cli(capsys, "prime", ring) == (2, "", "error: table entries must be element indices\n")
+
+    @pytest.mark.parametrize(
+        "spec,what",
+        [
+            ("tables{order=2; add=[[0,1],[1,0,0]]; mul=[[0,0],[0,0]]}", "add"),
+            ("tables{order=2; add=[[0,1],[1,0]]; mul=[[0],[0,0]]}", "mul"),
+            ("grpalg(gf(2), tables{order=2; op=[[0,1],[1]]})", "op"),
+        ],
+        ids=["add", "mul", "op"],
+    )
+    def test_a_row_of_the_wrong_length(self, capsys, tmp_path, spec, what):
+        ring = tmp_path / "short_row.ring"
+        ring.write_text(spec)
+        assert run_cli(capsys, "prime", ring) == (2, "", f"error: {what} must be 2x2\n")
 
     @pytest.mark.parametrize("value", [0, -3])
     @pytest.mark.parametrize("flag", ["--max-ring-order", "--max-ideals", "--max-group-order"])
@@ -838,7 +887,7 @@ class TestGolden:
 
 class TestPinnedBytes:
     """The help of the program and of each subcommand (at 80 columns) and
-    witness transcripts, whose human form also pins FilterElement's repr."""
+    witness transcripts, whose human form also pins FilterRing.show's text."""
 
     @pytest.mark.parametrize(
         "command",

@@ -15,8 +15,9 @@ A private module-level name (a function, class or assignment whose name
 starts with one underscore) that no module of the package reads, as a name
 or as an attribute, is code that only its definition keeps alive.
 
-A public name, one that ``__init__._EXPORTS`` lists, is read by a module of
-the package other than ``__init__`` (as a name, an attribute or a string
+A public name, one that ``__init__._EXPORTS`` lists or a module-level
+function or class whose name has no leading underscore, is read by a module
+of the package other than ``__init__`` (as a name, an attribute or a string
 constant, the way ``specio`` reaches its constructors through ``getattr``),
 or named by the README's library example, or kept by an entry of
 ``SURFACE`` below that says why.  Any other public name is surface that only
@@ -149,6 +150,7 @@ SURFACE = {
     "reachability": "the README documents it, and the orthogonality gate's tests compare it with the oracle",
     "trivial_grading": "the grading under which graded prime is prime",
     "ideal_product": "the bench's tracer reads its cache counters",
+    "normal_form_monomials": "the normal-form monomials of the Leavitt engine, which the bench's tracer pins",
 }
 
 
@@ -157,9 +159,21 @@ def readme_example() -> str:
     return re.search(r"^## Library example\n\n```python\n(.*?)^```", readme, re.M | re.S).group(1)
 
 
+def public_names(modules: dict) -> set:
+    """The module-level functions and classes of modules (name -> tree)
+    whose names have no leading underscore."""
+    return {
+        node.name
+        for tree in modules.values()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+
+
 def unread_public_names(exports, modules: dict, example: ast.AST, allowed):
-    """Each name of exports that no module of modules (name -> tree) reads,
-    the example does not name and allowed does not list, sorted."""
+    """Each name of exports or public_names(modules) that no module of
+    modules (name -> tree) reads, the example does not name and allowed
+    does not list, sorted."""
     read = set()
     for tree in modules.values():
         for n in ast.walk(tree):
@@ -170,17 +184,21 @@ def unread_public_names(exports, modules: dict, example: ast.AST, allowed):
             elif isinstance(n, ast.Constant) and isinstance(n.value, str):
                 read.add(n.value)
     read |= {n.id for n in ast.walk(example) if isinstance(n, ast.Name)}
-    return sorted(set(exports) - read - set(allowed))
+    return sorted((set(exports) | public_names(modules)) - read - set(allowed))
 
 
 def test_the_surface_scan_names_what_only_tests_read():
     modules = {
         "a": ast.parse("def f():\n    return g(b.h, getattr(b, 'k'))\nm = 1\n"),
-        "b": ast.parse("def h():\n    pass\ndef k():\n    pass\ndef n():\n    pass\n"),
+        "b": ast.parse(
+            "def h():\n    pass\ndef k():\n    pass\ndef n():\n    pass\nclass T:\n    pass\n"
+            "def _u():\n    pass\n"
+        ),
     }
     example = ast.parse("from pkg import *\nprint(m)\n")
     exports = "f g h k m n p q".split()
-    assert unread_public_names(exports, modules, example, {"q": "why"}) == ["f", "n", "p"]
+    # T is exported nowhere and only a test reads it; _u is private
+    assert unread_public_names(exports, modules, example, {"q": "why"}) == ["T", "f", "n", "p"]
 
 
 def test_every_public_name_is_read_or_kept_for_a_reason():
@@ -190,8 +208,8 @@ def test_every_public_name_is_read_or_kept_for_a_reason():
         if path.name != "__init__.py"
     }
     example = ast.parse(readme_example())
-    assert "specio.py" in modules and len(SURFACE) <= 6
-    assert set(SURFACE) <= set(gradedprime._HOME)
+    assert "specio.py" in modules and len(SURFACE) <= 7
+    assert set(SURFACE) <= set(gradedprime._HOME) | public_names(modules)
     assert unread_public_names(gradedprime._HOME, modules, example, SURFACE) == []
 
 

@@ -333,7 +333,7 @@ class TestIdealProduct:
 
     def test_unital_absorption(self):
         r = fr.zmod(6)
-        full = fr.full_ideal(r)
+        full = fr.Ideal(r, r.full_mask)
         for ideal in fr.all_ideals(r):
             assert fr.ideal_product(ideal, full) == ideal
 
@@ -374,7 +374,7 @@ class TestPrimeness:
     def test_improper_ideal_is_rejected(self):
         r = fr.gf(2)
         with pytest.raises(ValueError):
-            fr.is_prime_ideal(r, fr.full_ideal(r))
+            fr.is_prime_ideal(r, fr.Ideal(r, r.full_mask))
 
     def test_zero_ring_is_rejected(self):
         with pytest.raises(ValueError):
@@ -388,7 +388,7 @@ class TestPrimeness:
             verdicts = {
                 fr.is_prime_ideal(ring, ideal),
                 fr.prime_element_criterion(ring, ideal),
-                fr.is_prime_ideal_by_pairs(ring, ideal),
+                oracle.is_prime_ideal_by_pairs(ring, ideal),
             }
             assert len(verdicts) == 1, f"criteria disagree on {ideal} of {name}"
 

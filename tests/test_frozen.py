@@ -11,7 +11,6 @@ from gradedprime.groups import cyclic
 
 GF2 = fr.gf(2)
 TRI2 = fr.tri(GF2, 2)
-HANDLE = gfl.FilterRing(gfl.make_z_filter(TRI2, gfl.ZRule("subgroup", 2)))
 
 
 def values():
@@ -27,7 +26,6 @@ def values():
             gfl.make_z_filter(TRI2, gfl.ZRule("subgroup", 2, TRI2.zero_mask)),
             gfl.make_z_filter(TRI2, gfl.ZRule("constant")),
         ),
-        (HANDLE.element({0: 1}), HANDLE.term(0, 1), HANDLE.element({0: 2})),
     ]
 
 
@@ -35,7 +33,7 @@ def values():
 def test_values_are_frozen_and_compare_by_fields(value, same, other):
     assert value is not same and value == same and hash(value) == hash(same)
     assert value != other and value != object()
-    for name in ("order", "members", "edges", "kind", "ring", "coeffs", "anything_new"):
+    for name in ("order", "members", "edges", "kind", "ring", "anything_new"):
         with pytest.raises(AttributeError):
             setattr(value, name, 0)
         if hasattr(value, name):
@@ -52,7 +50,6 @@ def test_reprs_are_those_of_the_dataclasses():
         fr.Caps(),
         lv.satisfies_mt3(lv.graph(["v"], [])),
         gfl.Witness(0, 1),
-        HANDLE.element({0: 1, 2: 2}),
     ]
     assert [repr(v) for v in shown] == [
         "ZRule(kind='subgroup', n=2, off=5)",
@@ -64,5 +61,4 @@ def test_reprs_are_those_of_the_dataclasses():
         "Caps(max_ring_order=256, max_ideals=65536, max_group_order=256)",
         "MT3Result(holds=True, sinks={('v', 'v'): 'v'}, violation=None)",
         "Witness(degree=0, coeff=1)",
-        "[[0,0],[0,1]]·x^0 + [[0,1],[0,0]]·x^2",
     ]

@@ -100,7 +100,7 @@ class TestGradedIdeals:
     def test_zero_and_whole_are_graded(self, tri2_std):
         ring = tri2_std.ring
         assert gr.is_graded_ideal(tri2_std, fr.zero_ideal(ring))
-        assert gr.is_graded_ideal(tri2_std, fr.full_ideal(ring))
+        assert gr.is_graded_ideal(tri2_std, fr.Ideal(ring, ring.full_mask))
 
     def test_all_five_triangular_ideals_are_graded(self, tri2_std):
         assert len(gr.all_graded_ideals(tri2_std)) == 5

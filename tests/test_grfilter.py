@@ -135,7 +135,9 @@ class TestBuild:
         filt = gfl.make_z_filter(GF2, gfl.ZRule("subgroup", 1))
         assert gfl.validate_filter(filt)
         handle = gfl.FilterRing(filt)
-        assert handle.term(1, GF2.unit) * handle.term(2, GF2.unit) == handle.term(3, GF2.unit)
+        u = GF2.unit
+        assert handle._product(((1, u),), ((2, u),)) == ((3, u),)
+        assert oracle.term(handle, 1, u) * oracle.term(handle, 2, u) == oracle.term(handle, 3, u)
 
     def test_validation_agrees_with_organic_assembly(self):
         # the assembler has no validation of its own: it succeeds exactly
@@ -184,17 +186,17 @@ class TestElements:
     def test_membership_is_enforced(self):
         t2 = fr.tri(GF2, 2)
         handle = gfl.FilterRing(gfl.make_z_filter(t2, gfl.ZRule("subgroup", 2, off=row_ideal_tri2())))
-        handle.element({1: 4})  # E11 lies in the row ideal
+        oracle.element(handle, {1: 4})  # E11 lies in the row ideal
         with pytest.raises(SpecError):
-            handle.element({1: 1})  # E22 does not
+            oracle.element(handle, {1: 1})  # E22 does not
 
     def test_zero_coefficients_are_dropped(self, handle):
-        assert handle.element({0: 0, 2: 1}).support() == [2]
+        assert oracle.element(handle, {0: 0, 2: 1}).support() == [2]
 
     def test_arithmetic(self, handle):
-        a = handle.element({0: 1, 1: 2})
-        b = handle.element({-1: 3})
-        assert (a + (-a)) == handle.zero()
+        a = oracle.element(handle, {0: 1, 1: 2})
+        b = oracle.element(handle, {-1: 3})
+        assert (a + (-a)) == oracle.zero(handle)
         prod = a * b
         assert prod.support() == [-1, 0]
         assert dict(prod.coeffs) == {-1: 3, 0: 2}  # 1*3 and 2*3 mod 4
@@ -203,11 +205,23 @@ class TestElements:
     def test_convolution_is_associative(self, handle):
         rng = random.Random(5)
         for _ in range(40):
-            a = handle.random_element(rng)
-            b = handle.random_element(rng)
-            c = handle.random_element(rng)
+            a, b, c = (oracle.FilterElement(handle, handle.random_element(rng)) for _ in range(3))
             assert (a * b) * c == a * (b * c)
             assert (a + b) * c == a * c + b * c
+
+    def test_the_product_and_the_text_are_the_references(self):
+        """FilterRing._product, the witness search's convolution, and
+        FilterRing.show, the transcripts' text, against the reference
+        arithmetic's product and repr."""
+        for name in ("z_full_gf2", "z_full_mat2", "z_half_tri2"):
+            handle = gfl.FilterRing(specio.parse_filter_file((DATA / f"{name}.filter").read_text()))
+            rng = random.Random(3)
+            assert handle.show(()) == repr(oracle.zero(handle)) == "0"
+            for _ in range(200):
+                a, b = handle.random_element(rng, 4, 5), handle.random_element(rng, 4, 5)
+                ea, eb = oracle.FilterElement(handle, a), oracle.FilterElement(handle, b)
+                assert handle._product(a, b) == (ea * eb).coeffs
+                assert handle.show(a) == repr(ea)
 
 
 class TestClassification:
@@ -353,43 +367,39 @@ class TestSUnitalityFailureBlocksLocalUnitsFiniteAnalogue:
 class TestWitnessSearch:
     def test_direct_products_need_no_middle_factor(self):
         handle = gfl.FilterRing(gfl.make_z_filter(GF2, gfl.ZRule("subgroup", 1)))
-        a = handle.element({0: 1, 1: 1})
-        b = handle.element({-1: 1})
-        witness = gfl.witness_search(handle, a, b)
+        witness = gfl.witness_search(handle, ((0, 1), (1, 1)), ((-1, 1),))
         assert witness == gfl.Witness(None, None)
 
     def test_matrix_corners_need_a_connecting_unit(self):
         m2 = fr.mat(GF2, 2)
         handle = gfl.FilterRing(gfl.make_z_filter(m2, gfl.ZRule("subgroup", 1)))
-        a = handle.element({0: 8})   # E11
-        b = handle.element({0: 1})   # E22
+        a = ((0, 8),)   # E11
+        b = ((0, 1),)   # E22
         witness = gfl.witness_search(handle, a, b)
         assert witness == gfl.Witness(0, 4)  # E12 at degree zero
-        s = handle.term(witness.degree, witness.coeff)
-        assert (a * s) * b
+        s = oracle.term(handle, witness.degree, witness.coeff)
+        assert (oracle.FilterElement(handle, a) * s) * oracle.FilterElement(handle, b)
 
     def test_a_witness_below_the_top_terms(self):
         # over T_2(F_2), a = E11 + E12 x and b = E22 + E12 x have ab = 0 and
         # E12 c E12 = 0 for every c, yet a E22 b = E12 x
         tri2 = fr.tri(GF2, 2)
         handle = gfl.FilterRing(gfl.make_z_filter(tri2, gfl.ZRule("subgroup", 1)))
-        a = handle.element({0: 4, 1: 2})
-        b = handle.element({0: 1, 1: 2})
+        a = ((0, 4), (1, 2))
+        b = ((0, 1), (1, 2))
         assert gfl.witness_search(handle, a, b) == gfl.Witness(0, 1)
         assert oracle.witness_search(handle, a, b, 2) == gfl.Witness(0, 1)
 
     def test_zero_inputs_rejected(self):
         handle = gfl.FilterRing(gfl.make_z_filter(GF2, gfl.ZRule("subgroup", 1)))
         with pytest.raises(ValueError):
-            gfl.witness_search(handle, handle.zero(), handle.element({0: 1}))
+            gfl.witness_search(handle, (), ((0, 1),))
 
     def test_search_respects_the_bound(self):
         # away from the distinguished degrees everything is zero, so only
         # middle factors on the even subgroup can connect; degree 0 sees them
         handle = gfl.FilterRing(gfl.make_z_filter(GF2, gfl.ZRule("subgroup", 2)))
-        a = handle.element({0: 1})
-        b = handle.element({0: 1})
-        assert gfl.witness_search(handle, a, b) == gfl.Witness(None, None)
+        assert gfl.witness_search(handle, ((0, 1),), ((0, 1),)) == gfl.Witness(None, None)
 
     def test_witnesses_are_deterministic(self):
         m2 = fr.mat(GF2, 2)

@@ -264,9 +264,11 @@ class TestIndependentModels:
             assert to_mat(x * y) == matmul(to_mat(x), to_mat(y))
 
     def test_loop_ring_is_laurent_arithmetic(self):
-        # a single loop builds the Laurent ring that the group-ring filter
-        # engine implements by a completely different route
+        # a single loop builds the Laurent ring, which the element arithmetic
+        # over a filter's terms (the witness tests' reference) builds by a
+        # completely different route
         from gradedprime import grfilter as gfl
+        from oracle import element, term, zero
 
         base = fr.gf(3)
         g = graph_by_name("single_loop")
@@ -279,20 +281,18 @@ class TestIndependentModels:
             return ctx.monomial(base.unit, (), ("e",) * (-k), vertex="v")
 
         def to_laurent(elem):
-            return handle.element(
-                {len(a) - len(b): c for (a, b, v), c in elem.terms.items()}
-            )
+            return element(handle, {len(a) - len(b): c for (a, b, v), c in elem.terms.items()})
 
         rng = random.Random(31)
         for _ in range(40):
-            xl = handle.zero()
+            xl = zero(handle)
             x = ctx.zero()
             for _ in range(rng.randint(1, 3)):
                 k = rng.randint(-3, 3)
                 c = rng.randrange(1, base.order)
-                xl = xl + handle.term(k, c)
+                xl = xl + term(handle, k, c)
                 x = x + lpa_power(k).scale(c)
-            yl = handle.term(rng.randint(-3, 3), rng.randrange(1, base.order))
+            yl = term(handle, rng.randint(-3, 3), rng.randrange(1, base.order))
             y = lpa_power(yl.coeffs[0][0]).scale(yl.coeffs[0][1])
             assert to_laurent(x) == xl and to_laurent(y) == yl
             assert to_laurent(x * y) == xl * yl

@@ -101,6 +101,25 @@ def test_the_error_texts():
         ValueError, "(v,w) has a common reachable vertex")
 
 
+def test_the_engine_errors_keep_their_order_without_the_engine(monkeypatch):
+    """Empty graph, then nonunital coefficients, then each unknown vertex in
+    turn, as the engine raised them; a zero coefficient ring passes."""
+    g, empty = dict(GRAPHS)["data_two_isolated"], lv.graph([], [])
+    even8 = fr.subring(fr.zmod(8), [0, 2, 4, 6])
+    cases = [(empty, even8, "x", "y"), (g, even8, "x", "y"), (g, GF2, "x", "y"), (g, GF2, "v", "y"),
+             (g, fr.zmod(1), "v", "w")]
+    expected = [outcome(oracle.verify_corner_orthogonality, *case, 2) for case in cases]
+    assert expected == [(SpecError, "empty graph"), (SpecError, "coefficient ring must be unital"),
+                        (SpecError, "unknown vertex x"), (SpecError, "unknown vertex y"), True]
+
+    def engine(*args, **kwargs):
+        raise AssertionError("the Leavitt engine was entered")
+
+    monkeypatch.setattr(lv, "LeavittContext", engine)
+    monkeypatch.setattr(lv, "LpaElement", engine)
+    assert [outcome(lv.verify_corner_orthogonality, *case) for case in cases] == expected
+
+
 @st.composite
 def multigraphs(draw):
     n = draw(st.integers(1, 4))

@@ -320,12 +320,12 @@ def _depth(value) -> int:
 
 def test_a_list_nested_past_the_recursion_limit():
     """The decoder refuses it with RecursionError; _parse_list reads it with
-    a stack of its own, and the table check then refuses it by its shape."""
+    a stack of its own, and the table reader then refuses its list entry."""
     deep = "[" * 50_000 + "]" * 50_000
     ts = specio._Tokens(deep)
     assert (_depth(specio._table_list(ts)), ts.pos) == (50_000, len(deep))
     text = f"tables{{order=1; add={deep}; mul=[[0]]}}"
-    with pytest.raises(SpecError, match="^add must be 1x1$"):
+    with pytest.raises(SpecError, match="^table entries must be element indices$"):
         specio.parse_ring_spec(text)
 
 

@@ -48,7 +48,7 @@ def subgroup_masks(ring):
 def reference_product(ring, *masks):
     out = masks[0]
     for m in masks[1:]:
-        out = fr.set_product(ring, out, m)
+        out = oracle.set_product(ring, out, m)
     return oracle.subgroup_closure(ring, out)
 
 
