@@ -208,9 +208,8 @@ def _cmd_filter(args):
 
 
 # The command-line grammar: the options every command takes, then each
-# command's handler, help, positional and its help, and option groups.  An
-# option is its flag and the keywords of its add_argument call; a group of
-# two or more options is mutually exclusive.
+# command's handler, help, positional and its help, and options.  An option
+# is its flag and the keywords of its add_argument call.
 _N = {"type": int, "metavar": "N"}
 _SWITCH = {"action": "store_true"}
 _COMMON = [
@@ -220,22 +219,21 @@ _COMMON = [
 _COMMANDS = {
     "ideals": (_cmd_ideals, "list the ideal lattice of a ring", "ring", "ring spec file"),
     "prime": (_cmd_prime, "decide primeness of a ring or ideal", "ring", "ring spec file",
-              [("--ideal", {"help": "generators of the ideal to test, e.g. '[2]'"})]),
+              ("--ideal", {"help": "generators of the ideal to test, e.g. '[2]'"})),
     "classify": (_cmd_classify, "classify a grading", "graded", "graded ring file"),
     "graded-prime": (_cmd_graded_prime, "decide graded primeness", "graded", "graded ring file"),
     "correspondence": (_cmd_correspondence, "run the base-component correspondence reports", "graded",
                        "graded ring file"),
     "leavitt": (_cmd_leavitt, "decide Leavitt path ring primeness", "graph", "graph file",
-                [("--coeff", {"required": True, "help": "coefficient ring spec file"})],
-                [("--orthogonality-depth",
-                  {**_N, "default": None, "help": "also check corner orthogonality for the violating pair"})]),
+                ("--coeff", {"required": True, "help": "coefficient ring spec file"}),
+                ("--orthogonality-depth",
+                 {**_N, "default": None, "help": "also check corner orthogonality for the violating pair"})),
     "filter": (_cmd_filter, "classify or probe a filter subring", "filter", "filter spec file",
-               [("--classify", {**_SWITCH, "help": "classification (the default)"}),
-                ("--witness", {**_SWITCH, "help": "seeded random witness trials"})],
-               [("--trials", {"type": int, "default": 20, "metavar": "K"})],
-               [("--bound", {**_N, "default": 8,
-                             "help": "accepted for compatibility: a witness, if any, lies in degree 0"})],
-               [("--seed", {**_N, "default": DEFAULT_SEED, "metavar": "S", "help": "trial seed (default 0)"})]),
+               ("--witness", {**_SWITCH, "help": "seeded random witness trials"}),
+               ("--trials", {"type": int, "default": 20, "metavar": "K"}),
+               ("--bound", {**_N, "default": 8,
+                            "help": "accepted for compatibility: a witness, if any, lies in degree 0"}),
+               ("--seed", {**_N, "default": DEFAULT_SEED, "metavar": "S", "help": "trial seed (default 0)"})),
 }
 
 
@@ -253,13 +251,11 @@ def build_parser():
     for flag, kwargs in _COMMON:
         common.add_argument(flag, **kwargs)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, text, dest, dest_text, *groups) in _COMMANDS.items():
+    for name, (func, text, dest, dest_text, *options) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=text)
         p.add_argument(dest, help=dest_text)
-        for group in groups:
-            holder = p.add_mutually_exclusive_group() if len(group) > 1 else p
-            for flag, kwargs in group:
-                holder.add_argument(flag, **kwargs)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
     return parser
 
@@ -270,14 +266,11 @@ def _plain_args(argv):
     command name first, then exact option flags, each value option followed
     by a value, and one positional, no value or positional starting with
     "-".  Any other argv, or one argparse refuses (a missing positional or
-    required option, two options of one exclusive group, a value its type
-    refuses), gives None."""
+    required option, a value its type refuses), gives None."""
     if not argv or argv[0] not in _COMMANDS:
         return None
-    func, _, dest, _, *groups = _COMMANDS[argv[0]]
-    flags = dict(_COMMON)
-    for group in groups:
-        flags.update(group)
+    func, _, dest, _, *options = _COMMANDS[argv[0]]
+    flags = dict(_COMMON + options)
     given, positionals = {}, []
     words = iter(argv[1:])
     for word in words:
@@ -297,7 +290,7 @@ def _plain_args(argv):
             except ValueError:
                 return None
     required = {flag for flag, kwargs in flags.items() if kwargs.get("required")}
-    if len(positionals) != 1 or not required <= given.keys() or any(len(given.keys() & dict(g)) > 1 for g in groups):
+    if len(positionals) != 1 or not required <= given.keys():
         return None
     values = {
         flag[2:].replace("-", "_"): given.get(flag, kwargs.get("default", False if "action" in kwargs else None))

@@ -118,12 +118,7 @@ class CheckResult(NamedTuple):
 
 
 class Report(NamedTuple):
-    title: str
     checks: tuple[CheckResult, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
 
     def lines(self) -> list[str]:
         out = []
@@ -203,7 +198,7 @@ def verify_bijection_identity_generated(graded: GradedRing, caps: Caps = DEFAULT
         CheckResult("lift_image_matches", image_ok, f"{n_inv} invariant vs {n_idgen} identity-generated"),
         CheckResult("inclusion_preserved", inclusion_ok, "both directions"),
     )
-    return Report("identity-generated correspondence", checks)
+    return Report(checks)
 
 
 def verify_bijection_ideally_symmetric(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> Report:
@@ -256,4 +251,4 @@ def verify_bijection_ideally_symmetric(graded: GradedRing, caps: Caps = DEFAULT_
         CheckResult("prime_verdicts_match", prime_match, f"{n_proper} proper invariant ideals"),
         CheckResult("prime_sets_correspond", prime_sets_ok, f"{len(graded_primes)} graded prime ideals"),
     )
-    return Report("ideally symmetric correspondence", checks)
+    return Report(checks)

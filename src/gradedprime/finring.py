@@ -140,17 +140,8 @@ class FiniteRing(Frozen):
     def neg(self, x: int) -> int:
         return self.neg_table[x]
 
-    def sub(self, x: int, y: int) -> int:
-        return self.add_table[x][self.neg_table[y]]
-
     def mul3(self, a: int, s: int, b: int) -> int:
         return self.mul_table[self.mul_table[a][s]][b]
-
-    def sum(self, items: Iterable[int]) -> int:
-        acc = self.zero
-        for x in items:
-            acc = self.add_table[acc][x]
-        return acc
 
     def elements(self) -> range:
         return range(self.order)
@@ -688,10 +679,6 @@ class Ideal(Frozen):
     @property
     def is_proper(self) -> bool:
         return self.members != self.ring.full_mask
-
-    @property
-    def is_zero(self) -> bool:
-        return self.members == self.ring.zero_mask
 
     @cached_property
     def _generators(self) -> list[int]:

@@ -79,10 +79,6 @@ class DirectedGraph(Frozen):
     def target(self, edge_name: str) -> str:
         return self.edge_map[edge_name].dst
 
-    def is_regular(self, v: str) -> bool:
-        """Whether v emits at least one edge (always finitely many here)."""
-        return bool(self.out_edges[v])
-
 
 def graph(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> DirectedGraph:
     return DirectedGraph(tuple(vertices), tuple(Edge(*e) for e in edges))
@@ -379,10 +375,6 @@ class LpaElement:
             )
 
         return sorted(self.terms.items(), key=keyfn)
-
-    def is_homogeneous(self) -> bool:
-        degs = {lpa_degree(k) for k in self.terms}
-        return len(degs) <= 1
 
     def degree(self) -> Optional[int]:
         """The common degree of all monomials, None for zero or mixed."""

@@ -59,6 +59,10 @@ if TYPE_CHECKING:  # the file readers import their layers when called
     from .grfilter import GFilter
     from .leavitt import DirectedGraph
 
+# leavitt lists a common sink for each of the n² vertex pairs of a graph
+# that satisfies MT-3: 65,536 lines at the cap, the default ideal cap's count
+MAX_VERTICES = 256
+
 # The token kinds.  No two of them match at the same position.
 _KINDS = {
     "int": re.compile(r"-?\d+"),
@@ -440,5 +444,7 @@ def parse_graph_file(text: str) -> DirectedGraph:
     from .leavitt import DirectedGraph, Edge
 
     lines = _read_lines(text, {"vertex": (_name,), "edge": (_name, ":", _name, "->", _name)})
+    if len(lines["vertex"]) > MAX_VERTICES:
+        raise CapError(f"graph of {len(lines['vertex'])} vertices exceeds cap {MAX_VERTICES}")
     edges = (Edge(name, *ends) for name, ends in lines["edge"].items())
     return DirectedGraph(tuple(lines["vertex"]), tuple(edges))

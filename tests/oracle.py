@@ -184,7 +184,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
@@ -852,7 +852,7 @@ class FilterElement(Frozen):
             raise ValueError("elements belong to different filter rings")
         ring = handle.coeff
         pairs = [(d1 + d2, ring.mul_table[c1][c2]) for d1, c1 in self.coeffs for d2, c2 in other.coeffs]
-        return element(handle, {k: ring.sum(c for d, c in pairs if d == k) for k, _ in pairs})
+        return element(handle, {k: reduce(ring.add, (c for d, c in pairs if d == k), ring.zero) for k, _ in pairs})
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -1411,7 +1411,7 @@ def verify_bijection_identity_generated(graded: GradedRing, caps: Caps = DEFAULT
         co.CheckResult("lift_image_matches", image_ok, f"{n_inv} invariant vs {n_idgen} identity-generated"),
         co.CheckResult("inclusion_preserved", inclusion_ok, "both directions"),
     )
-    return co.Report("identity-generated correspondence", checks)
+    return co.Report(checks)
 
 
 def verify_bijection_ideally_symmetric(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> co.Report:
@@ -1472,7 +1472,7 @@ def verify_bijection_ideally_symmetric(graded: GradedRing, caps: Caps = DEFAULT_
         co.CheckResult("prime_verdicts_match", prime_match, f"{n_proper} proper invariant ideals"),
         co.CheckResult("prime_sets_correspond", prime_sets_ok, f"{len(graded_primes)} graded prime ideals"),
     )
-    return co.Report("ideally symmetric correspondence", checks)
+    return co.Report(checks)
 
 
 def attach_grading(ring: FiniteRing, group, components, caps: Caps = DEFAULT_CAPS) -> GradedRing:
@@ -1519,7 +1519,7 @@ def _decompose(ring: FiniteRing, comps: dict, support: tuple) -> tuple[dict, ...
     product of the components; refuses a sum that comes twice."""
     decomp: list = [None] * ring.order
     for combo in itertools.product(*[list(bits(comps[x])) for x in support]):
-        s = ring.sum(combo)
+        s = reduce(ring.add, combo, ring.zero)
         if decomp[s] is not None:
             raise SpecError("components do not form a direct sum (sum collision)")
         decomp[s] = {x: part for x, part in zip(support, combo) if part != ring.zero}

@@ -116,11 +116,11 @@ def test_04_correspondence_reports_all_pass():
     ok = True
     for name, graded in graded_corpus():
         report = co.verify_bijection_identity_generated(graded)
-        ok = ok and report.all_pass
+        ok = ok and all(c.passed for c in report.checks)
         unconditional += 1
         if gr.classify_grading(graded).ideally_symmetrically:
             report = co.verify_bijection_ideally_symmetric(graded)
-            ok = ok and report.all_pass
+            ok = ok and all(c.passed for c in report.checks)
             conditional += 1
     finish(
         4,
@@ -233,7 +233,7 @@ def test_08_path_algebra_engine():
                 ok = ok and got == expected
                 contractions += 1
         for v in g.vertices:
-            if g.is_regular(v):
+            if g.out_edges[v]:
                 acc = ctx.zero()
                 for f in g.out_edges[v]:
                     acc = acc + ctx.edge(f) * ctx.ghost(f)

@@ -552,6 +552,31 @@ class TestOrthogonalityWithoutTheEngine:
         assert expected[0] == 0
 
 
+def chain_graph(n: int) -> str:
+    """The graph v0 -> v1 -> ... -> v(n-1): every pair of vertices has a
+    common sink, so leavitt lists n² sink lines."""
+    return "".join(f"vertex v{k}\n" for k in range(n)) + "".join(f"edge e{k}: v{k} -> v{k + 1}\n" for k in range(n - 1))
+
+
+class TestGraphCap:
+    def test_a_graph_over_the_cap_is_refused_at_once(self, capsys, tmp_path):
+        graph = tmp_path / "chain.graph"
+        graph.write_text(chain_graph(specio.MAX_VERTICES + 1))
+        start = time.perf_counter()
+        result = run_cli(capsys, "leavitt", graph, "--coeff", DATA / "gf2.ring")
+        assert time.perf_counter() - start < 1.0
+        assert result == (2, "", "error: graph of 257 vertices exceeds cap 256\n")
+
+    def test_a_graph_at_the_cap_still_answers(self, capsys, tmp_path):
+        graph = tmp_path / "chain.graph"
+        graph.write_text(chain_graph(specio.MAX_VERTICES))
+        status, out, err = run_cli(capsys, "leavitt", graph, "--coeff", DATA / "gf2.ring")
+        assert (status, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[:2] == ["coeff prime: YES", "MT-3: PASS; prime: YES"]
+        assert len(lines) == 2 + 256**2 and "sink v0,v255: v255" in lines
+
+
 class TestRefusals:
     """Inputs refused with one line on stderr and nothing on stdout."""
 
@@ -1106,7 +1131,6 @@ class TestPlainArgv:
         ["prime", "--ideal", "[2]", "r"],
         ["prime", "r", "--ideal", "[1]", "--ideal", "[2]"],
         ["filter", "f", "--witness", "--witness", "--trials", "0", "--bound", "3", "--seed", "12"],
-        ["filter", "f", "--classify"],
         ["leavitt", "g", "--orthogonality-depth", "2", "--coeff", "c"],
         ["prime", "prime"],
         ["prime", "a b"],
@@ -1128,6 +1152,7 @@ class TestPlainArgv:
         ["filter", "f", "--bound", "-4"],
         ["prime", "r", "--ideal"],
         ["prime", "r", "--ideal", "--porcelain"],
+        ["filter", "f", "--classify"],
         ["filter", "f", "--classify", "--witness"],
         ["prime", "r", "s"],
         ["--porcelain", "prime", "r"],
@@ -1146,6 +1171,12 @@ class TestPlainArgv:
     ])
     def test_leaves_argparse_the_rest(self, argv):
         assert assert_read_as_argparse_reads(argv) is None
+
+    def test_filter_takes_no_classify_switch(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["filter", str(DATA / "c2_row.filter"), "--classify"])
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: --classify\n")
 
     WORDS = [
         *cli._COMMANDS, "r", "", "3", "-3", "0", "\u0663", "x y", "-x y", "[2]", "-", "--", "-h",

@@ -22,6 +22,13 @@ constant, the way ``specio`` reaches its constructors through ``getattr``),
 or named by the README's library example, or kept by an entry of
 ``SURFACE`` below that says why.  Any other public name is surface that only
 its own tests read.
+
+The same holds below the module level.  Every public method, property and
+``NamedTuple`` field of a class of the package is read by a module of the
+package as an attribute, and every option and positional of the command
+line's grammar (``cli._COMMON`` and ``cli._COMMANDS``) is read as
+``args.<dest>`` (the cap options through ``Caps._fields`` in ``cli._caps``),
+or ``SURFACE`` says why it is kept.  ``SURFACE`` lists nothing that is read.
 """
 
 import ast
@@ -29,8 +36,11 @@ import contextlib
 import io
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import gradedprime
+from gradedprime import cli
+from gradedprime import finring as fr
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gradedprime"
@@ -142,7 +152,9 @@ def test_every_private_name_in_the_package_is_read():
     assert unread == []
 
 
-# The public names that neither the package nor the README's example reads.
+# The surface that nothing in the package reads, each with the reason it is
+# kept: module-level names as they are, class members as "Class.member" and
+# command-line options as "command --flag".
 SURFACE = {
     "is_g_prime_base": "the paper's G-primeness of S_e: ideally symmetric S is prime iff S_e is G-prime",
     "is_identity_generated": "the paper's identity-generated graded ideals, what the S_e correspondence lifts to",
@@ -151,6 +163,12 @@ SURFACE = {
     "trivial_grading": "the grading under which graded prime is prime",
     "ideal_product": "the bench's tracer reads its cache counters",
     "normal_form_monomials": "the normal-form monomials of the Leavitt engine, which the bench's tracer pins",
+    "Report.render": "the README's library example prints a report with it",
+    "LeavittContext.vertex": "the Leavitt engine's generators, kept with the engine whose product the bench times",
+    "LeavittContext.edge": "the Leavitt engine's generators, kept with the engine whose product the bench times",
+    "LeavittContext.ghost": "the Leavitt engine's generators, kept with the engine whose product the bench times",
+    "LpaElement.scale": "the Leavitt engine's coefficient action, kept with the engine whose product the bench times",
+    "filter --bound": "the bench's cli_small job passes --bound 8",
 }
 
 
@@ -170,10 +188,9 @@ def public_names(modules: dict) -> set:
     }
 
 
-def unread_public_names(exports, modules: dict, example: ast.AST, allowed):
+def unread_public_names(exports, modules: dict, example: ast.AST):
     """Each name of exports or public_names(modules) that no module of
-    modules (name -> tree) reads, the example does not name and allowed
-    does not list, sorted."""
+    modules (name -> tree) reads and the example does not name, sorted."""
     read = set()
     for tree in modules.values():
         for n in ast.walk(tree):
@@ -184,7 +201,7 @@ def unread_public_names(exports, modules: dict, example: ast.AST, allowed):
             elif isinstance(n, ast.Constant) and isinstance(n.value, str):
                 read.add(n.value)
     read |= {n.id for n in ast.walk(example) if isinstance(n, ast.Name)}
-    return sorted((set(exports) | public_names(modules)) - read - set(allowed))
+    return sorted((set(exports) | public_names(modules)) - read)
 
 
 def test_the_surface_scan_names_what_only_tests_read():
@@ -196,21 +213,97 @@ def test_the_surface_scan_names_what_only_tests_read():
         ),
     }
     example = ast.parse("from pkg import *\nprint(m)\n")
-    exports = "f g h k m n p q".split()
+    exports = "f g h k m n p".split()
     # T is exported nowhere and only a test reads it; _u is private
-    assert unread_public_names(exports, modules, example, {"q": "why"}) == ["T", "f", "n", "p"]
+    assert unread_public_names(exports, modules, example) == ["T", "f", "n", "p"]
+
+
+def unread_members(modules: dict):
+    """The public methods, properties and NamedTuple fields of the classes
+    of modules (name -> tree) that no module reads as an attribute, each as
+    "Class.member", sorted."""
+    read = {n.attr for tree in modules.values() for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    unread = set()
+    for tree in modules.values():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            record = any(ast.unparse(base).endswith("NamedTuple") for base in cls.bases)
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = node.name
+                elif record and isinstance(node, ast.AnnAssign):
+                    name = node.target.id
+                else:
+                    continue
+                if not name.startswith("_") and name not in read:
+                    unread.add(f"{cls.name}.{name}")
+    return sorted(unread)
+
+
+def unread_options(common, commands: dict, modules: dict, through=()):
+    """The options and positionals of a grammar table laid out as cli's
+    (the options every command takes; each command's handler, help,
+    positional, its help, then its options) whose dest no module of modules
+    reads as ``args.<dest>`` and through does not list, each as "command
+    --flag" or "command positional", sorted."""
+    read = {
+        n.attr
+        for tree in modules.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "args"
+    }
+    read |= set(through)
+    unread = []
+    for command, (_, _, positional, _, *options) in commands.items():
+        flags = [flag for flag, _ in [*common, *options]]
+        for word in [positional, *flags]:
+            if word.lstrip("-").replace("-", "_") not in read:
+                unread.append(f"{command} {word}")
+    return sorted(unread)
+
+
+def test_the_member_and_option_scans_name_what_nothing_reads():
+    modules = {
+        "a": ast.parse(
+            "import typing\n"
+            "class R(typing.NamedTuple):\n    kept: int\n    planted_field: int = 0\n"
+            "    def read(self):\n        return self.kept\n    def planted_method(self):\n        pass\n"
+            "    def _private(self):\n        pass\n    def __len__(self):\n        return 0\n"
+            "class K:\n    field: int\n"
+        ),
+        "b": ast.parse("def main(args):\n    return a.R(1).read(), args.seed, args.ring, args.max_depth\n"),
+    }
+    # a plain class's annotations are no fields; private and dunder members are exempt
+    assert unread_members(modules) == ["R.planted_field", "R.planted_method"]
+    common = [("--porcelain", {}), ("--max-depth", {}), ("--max-width", {})]
+    commands = {"run": (None, "", "ring", "", ("--seed", {}), ("--planted-option", {}))}
+    assert unread_options(common, commands, modules, through=["porcelain"]) == [
+        "run --max-width", "run --planted-option"
+    ]
+
+
+def test_the_cap_options_are_read_through_the_caps_fields():
+    values = range(1, len(fr.Caps._fields) + 1)
+    assert cli._caps(SimpleNamespace(**dict(zip(fr.Caps._fields, values)))) == fr.Caps(*values)
 
 
 def test_every_public_name_is_read_or_kept_for_a_reason():
+    """Every public module-level name, class member and command-line option
+    is read by the package or named by the README's example, or SURFACE
+    says why it is kept; and SURFACE keeps nothing that is read."""
     modules = {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(SRC.glob("*.py"))
         if path.name != "__init__.py"
     }
-    example = ast.parse(readme_example())
-    assert "specio.py" in modules and len(SURFACE) <= 7
-    assert set(SURFACE) <= set(gradedprime._HOME) | public_names(modules)
-    assert unread_public_names(gradedprime._HOME, modules, example, SURFACE) == []
+    assert "specio.py" in modules and "cli.py" in modules and len(SURFACE) <= 13
+    unread = [
+        *unread_public_names(gradedprime._HOME, modules, ast.parse(readme_example())),
+        *unread_members(modules),
+        *unread_options(cli._COMMON, cli._COMMANDS, modules, through=fr.Caps._fields),
+    ]
+    assert sorted(unread) == sorted(SURFACE)
 
 
 def test_the_readme_example_runs():

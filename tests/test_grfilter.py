@@ -352,7 +352,7 @@ class TestSUnitalityFailureBlocksLocalUnitsFiniteAnalogue:
             if not fr.is_prime_ring(ring):
                 continue
             proper_nonzero = [
-                i for i in fr.all_ideals(ring) if i.is_proper and not i.is_zero
+                i for i in fr.all_ideals(ring) if i.is_proper and i.members != ring.zero_mask
             ]
             assert proper_nonzero == [], name
 

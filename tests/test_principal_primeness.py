@@ -169,7 +169,7 @@ def test_a_correspondence_run_classifies_once():
     graded = group_algebra_grading(fr.gf(2), cyclic(2))
     with mock.patch.object(gr, "_is_strongly_graded", wraps=gr._is_strongly_graded) as calls:
         assert gr.classify_grading(graded).ideally_symmetrically
-        assert co.verify_bijection_ideally_symmetric(graded).all_pass
+        assert all(c.passed for c in co.verify_bijection_ideally_symmetric(graded).checks)
     assert calls.call_count == 1
 
 
