@@ -56,8 +56,8 @@ components, actors and conjugators, and one cache (``_lattice``), under the
 same key, holds the lattices that one join-closure kernel closes from them,
 for ``all_ideals``, ``grading.all_graded_ideals`` and
 ``correspondence.invariant_base_ideals``; a trivial grading and two parses
-of one graded ring share its entries.  The pair tests of primeness, ideal
-symmetry and full idempotency read the family itself.
+of one graded ring share its entries.  The pair tests of G-primeness and
+ideal symmetry, and the test of full idempotency, read the family itself.
 """
 
 from __future__ import annotations
@@ -919,23 +919,11 @@ def is_prime_ideal(ring: FiniteRing, p: Ideal) -> bool:
     return is_m_system(ring, ring.full_mask & ~p.members)
 
 
-def prime_element_criterion(ring: FiniteRing, p: Ideal, candidates: Optional[int] = None) -> bool:
-    """Elementwise criterion: aSb in P and ab in P force a in P or b in P.
-
-    Only a, b in the candidates mask (default: the whole ring) are tested.
-    This is the m-system test on the complement of P with the ring's
-    additive generators as middle factors: P is additive, so aSb lies in P
-    when agb does for each generator g.
-    """
-    _check_proper_ideal(ring, p)
-    return is_m_system(ring, ring.full_mask & ~p.members, candidates, mask_of(ring.additive_generators))
-
-
 def is_prime_among(ring: FiniteRing, pmask: int, ideals: Mapping[int, Sequence[int]]) -> bool:
     """Whether AB inside P forces A or B inside P, for A and B ranging over
     the given ideals, a map from each ideal's mask to its additive
-    generators; P must be an additive subgroup.  This is the primeness
-    tests' one loop over pairs of ideals.  Ideals F drawn from a class give
+    generators; P must be an additive subgroup.  This is the G-primeness
+    test's loop over pairs of ideals.  Ideals F drawn from a class give
     the class's verdict when every ideal of the class is a sum of members
     of F: if AB lies in P while A and B do not, some members A' inside A
     and B' inside B are not in P either, and A'B' lies in AB, so in P.  The
@@ -962,16 +950,6 @@ def is_prime_ring(ring: FiniteRing) -> bool:
 def is_fully_idempotent(ring: FiniteRing) -> bool:
     """Whether every ideal I satisfies I*I = I, decided on the generating
     family of _principal_ideals: I is the sum of the members F inside it,
-    so I*I contains the sum of the F*F, which is I when each F*F = F.
-
-    Also evaluates the pairwise criterion FG = (F intersect G) on pairs of
-    members, which full idempotency implies and which takes in the squares
-    as F = G, and insists the two agree; disagreement would be an
-    implementation bug.
-    """
-    family = _family(ring, (ring.full_mask,)).items()
-    squares = all(_product_span(ring, gens, gens) == mask for mask, gens in family)
-    pairwise = all(_product_span(ring, ag, bg) == a & b for a, ag in family for b, bg in family)
-    if squares != pairwise:
-        raise RuntimeError("idempotent-ideal criteria disagree; internal bug")
-    return squares
+    so I*I contains the sum of the F*F, which is I when each F*F = F."""
+    family = _family(ring, (ring.full_mask,))
+    return all(_product_span(ring, gens, gens) == mask for mask, gens in family.items())

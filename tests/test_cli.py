@@ -577,6 +577,73 @@ class TestGraphCap:
         assert len(lines) == 2 + 256**2 and "sink v0,v255: v255" in lines
 
 
+CAP_REFUSAL = f"error: input file exceeds cap of {cli.MAX_INPUT} characters\n"
+
+
+@pytest.fixture(scope="module")
+def relabelled_z16sq(tmp_path_factory):
+    """The bench's seed-0 relabelled Z/16 x Z/16, written by perfbench/workloads.py."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    directory = tmp_path_factory.mktemp("bench_inputs")
+    workloads.write_inputs(directory, 0)
+    return directory / workloads.RELABELLED
+
+
+class TestInputCap:
+    """An input file is read up to cli.MAX_INPUT characters: a longer one is
+    refused before the rest is read, and one within the cap is judged on
+    its content alone."""
+
+    @pytest.mark.parametrize(
+        "kind,text",
+        [
+            ("comment_lines", "# a comment line\n" * 1_200_000 + "gf(2)\n"),
+            ("parallel_edges", "vertex v\nvertex w\n" + "".join(f"edge e{k}: v -> w\n" for k in range(300_000))),
+            ("vertices", "".join(f"vertex v{k}\n" for k in range(100_000))),
+        ],
+        ids=["comment_lines", "parallel_edges", "vertices"],
+    )
+    def test_an_oversized_file_is_refused_at_once(self, capsys, tmp_path, kind, text):
+        path = tmp_path / "big"
+        path.write_text(text)
+        assert len(text) > cli.MAX_INPUT
+        if kind == "comment_lines":
+            argvs = [("prime", path), ("leavitt", DATA / "loop.graph", "--coeff", path)]
+        else:
+            argvs = [("leavitt", path, "--coeff", DATA / "gf2.ring")]
+        for argv in argvs:
+            start = time.perf_counter()
+            result = run_cli(capsys, *argv)
+            assert time.perf_counter() - start < 1.0
+            assert result == (2, "", CAP_REFUSAL)
+
+    def test_a_file_of_exactly_the_cap_is_judged_on_its_content(self, capsys, tmp_path):
+        path = tmp_path / "padded.ring"
+        path.write_text("gf(2)\n#" + "x" * (cli.MAX_INPUT - 7))
+        assert path.stat().st_size == cli.MAX_INPUT
+        assert run_cli(capsys, "prime", path) == (0, "prime: YES\n", "")
+        path.write_text("gf(2)\n#" + "x" * (cli.MAX_INPUT - 6))
+        assert run_cli(capsys, "prime", path) == (2, "", CAP_REFUSAL)
+
+    def test_the_cap_counts_characters_not_bytes(self, capsys, tmp_path):
+        path = tmp_path / "wide.ring"
+        path.write_text("gf(2)\n#" + "\u00e9" * (cli.MAX_INPUT - 7), encoding="utf-8")
+        assert path.stat().st_size > cli.MAX_INPUT
+        assert run_cli(capsys, "prime", path) == (0, "prime: YES\n", "")
+
+    def test_the_largest_legitimate_inputs_still_answer(self, capsys, tmp_path, relabelled_z16sq):
+        assert 400_000 < relabelled_z16sq.stat().st_size < cli.MAX_INPUT
+        assert run_cli(capsys, "prime", relabelled_z16sq) == (0, "prime: NO\n", "")
+        f2_8 = tmp_path / "f2_8.ring"
+        f2_8.write_text(f2_zero_multiplication(8))
+        assert run_cli(capsys, "prime", f2_8) == (0, "prime: NO\n", "")
+
+
 class TestRefusals:
     """Inputs refused with one line on stderr and nothing on stdout."""
 

@@ -39,15 +39,24 @@ IDS = [name for name, _ in GRADED]
 # the elementwise criterion is the m-system test on the complement
 
 
+def m_system_criterion(ring, p, candidates=None):
+    """The element criterion as the m-system test on the complement of P,
+    with the ring's additive generators as middle factors."""
+    return fr.is_m_system(ring, ring.full_mask & ~p.members, candidates, fr.mask_of(ring.additive_generators))
+
+
 def element_verdicts(ring, ideals, candidates=(None,)):
-    """The criterion on every proper ideal and candidate mask, asserting that
-    it agrees with the pair loop kept in the oracle."""
+    """The pair loop kept in the oracle on every proper ideal and candidate
+    mask, asserting that the m-system test agrees with it, and with every
+    element a candidate, that primeness does."""
     verdicts = []
     for p in ideals:
         if p.is_proper:
             for hom in candidates:
-                verdict = fr.prime_element_criterion(ring, p, hom)
-                assert verdict == oracle.prime_element_criterion(ring, p, hom), (p, hom)
+                verdict = oracle.prime_element_criterion(ring, p, hom)
+                assert verdict == m_system_criterion(ring, p, hom), (p, hom)
+                if hom is None:
+                    assert verdict == fr.is_prime_ideal(ring, p), p
                 verdicts.append(verdict)
     return verdicts
 
@@ -62,19 +71,20 @@ def test_element_criterion_on_the_corpus_and_the_data_rings():
 @pytest.mark.parametrize("name,graded", GRADED, ids=IDS)
 def test_element_criterion_with_and_without_homogeneous_candidates(name, graded):
     """Over the graded ideals: every element as a candidate, and the
-    homogeneous ones, which is the graded criterion."""
+    homogeneous ones, which is the graded criterion: graded primeness, the
+    graded m-system test, gives its verdict."""
     hom = graded.homogeneous_mask
     element_verdicts(graded.ring, gr.all_graded_ideals(graded), (None, hom))
     for p in gr.all_graded_ideals(graded):
         if p.is_proper:
             expected = oracle.prime_element_criterion(graded.ring, p, hom)
-            assert gr.graded_prime_element_criterion(graded, p) == expected
+            assert gr.is_graded_prime_ideal(graded, p) == expected
 
 
 def test_element_criterion_refuses_what_the_loop_refused():
     ring = fr.gf(2)
     for p in (fr.Ideal(ring, ring.full_mask), fr.zero_ideal(fr.gf(3))):
-        for criterion in (fr.prime_element_criterion, oracle.prime_element_criterion):
+        for criterion in (fr.is_prime_ideal, oracle.prime_element_criterion):
             with pytest.raises(ValueError):
                 criterion(ring, p)
 

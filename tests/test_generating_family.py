@@ -22,6 +22,7 @@ from gradedprime.groups import Z, cyclic
 import oracle
 from corpus import corpus_rings, graded_corpus
 from test_lattice_kernel import BIG, SETTINGS, assembled_filter_rings, zero_mult_gradings
+from test_subgroup_kernel import small_rings
 
 DATA = Path(__file__).parent / "data"
 
@@ -70,6 +71,17 @@ def test_ring_family_and_lattice(name, ring):
     assert_family_generates(ring, (ring.full_mask,))
     assert fr.all_ideals(ring) == oracle._join_closure(ring, (ring.full_mask,), fr.DEFAULT_CAPS)
     assert fr.is_fully_idempotent(ring) == oracle.is_fully_idempotent(ring)
+
+
+@SETTINGS
+@given(ring=small_rings())
+def test_full_idempotency_is_the_pairwise_criterion_on_drawn_rings(ring):
+    """Full idempotency, decided on the squares of the family, against
+    IJ = I & J over every pair of ideals, which it implies and which takes
+    in the squares as I = J."""
+    lattice = fr.all_ideals(ring)
+    pairwise = all(fr.ideal_product(a, b).members == a.members & b.members for a in lattice for b in lattice)
+    assert fr.is_fully_idempotent(ring) == pairwise
 
 
 def assert_graded_agrees(graded):

@@ -9,6 +9,7 @@ import pytest
 from gradedprime import finring as fr
 from gradedprime import grading as gr
 from gradedprime import specio
+from gradedprime.cli import main
 from gradedprime.errors import SpecError
 from gradedprime.groups import Z, cyclic
 
@@ -17,13 +18,25 @@ from corpus import (
     corpus_rings,
     graded_corpus,
     group_algebra_grading,
+    relabelled,
     tri_standard,
     z_graded_corpus,
     zero_mult_graded,
 )
+from test_lattice_kernel import assembled_filter_rings
 
 DATA = Path(__file__).parent / "data"
 E11, E12, E22 = 4, 2, 1  # tri(gf(2),2) element indices
+
+# the graded corpus, every graded data file and the rings of the valid
+# candidate filters of four small rings: where the agreements of the
+# criteria and the implications between the grading classes are checked
+THEOREM_RINGS = [
+    *graded_corpus(),
+    *((p.name, specio.parse_graded_file(p.read_text())) for p in sorted(DATA.glob("*.graded"))),
+    *((f"assembled_{k}", graded) for k, graded in enumerate(assembled_filter_rings())),
+]
+THEOREM_IDS = [name for name, _ in THEOREM_RINGS]
 
 
 @pytest.fixture(scope="module")
@@ -182,17 +195,41 @@ class TestGradedPrimeness:
         with pytest.raises(ValueError):
             gr.is_graded_prime_ideal(g, ungraded)
 
-    @pytest.mark.parametrize("name,graded", graded_corpus())
+    @pytest.mark.parametrize("name,graded", THEOREM_RINGS, ids=THEOREM_IDS)
     def test_three_graded_prime_criteria_agree(self, name, graded):
+        """Graded primeness (the graded m-system test) against the pair test
+        over graded ideals and the homogeneous element criterion, kept in
+        the oracle, and the pair test over the principal ideals of
+        homogeneous elements."""
+        ring = graded.ring
+        family = fr._family(ring, graded.component_masks)
         for ideal in gr.all_graded_ideals(graded):
             if not ideal.is_proper:
                 continue
             verdicts = {
-                gr.graded_prime_pair_test(graded, ideal),
-                gr.graded_prime_element_criterion(graded, ideal),
-                gr.is_graded_m_system(graded, graded.ring.full_mask & ~ideal.members),
+                gr.is_graded_prime_ideal(graded, ideal),
+                oracle.graded_prime_pair_test(graded, ideal),
+                oracle.prime_element_criterion(ring, ideal, graded.homogeneous_mask),
+                fr.is_prime_among(ring, ideal.members, family),
             }
             assert len(verdicts) == 1, f"criteria disagree on {ideal} of {name}"
+
+    @pytest.mark.parametrize("name,graded", graded_corpus())
+    def test_graded_primeness_does_not_depend_on_the_labels(self, name, graded):
+        """Renaming the elements is an isomorphism.  Each element in turn
+        takes the top index, the last middle factor a scan reaches, so a
+        scan that stops one short misses it wherever it is the only one."""
+        ring, top = graded.ring, graded.ring.order - 1
+        proper = [p for p in gr.all_graded_ideals(graded) if p.is_proper]
+        verdicts = [(p.members, gr.is_graded_prime_ideal(graded, p)) for p in proper]
+        for x in ring.elements():
+            perm = list(range(ring.order))
+            perm[x], perm[top] = top, x
+            components = {g: [perm[i] for i in fr.bits(m)] for g, m in graded.components.items()}
+            moved = gr.attach_grading(relabelled(ring, perm), graded.group, components)
+            for members, verdict in verdicts:
+                p = fr.Ideal(moved.ring, fr.mask_of(perm[i] for i in fr.bits(members)))
+                assert gr.is_graded_prime_ideal(moved, p) == verdict, (x, members)
 
     @pytest.mark.parametrize("name,graded", z_graded_corpus())
     def test_ordered_gradings_transfer_primeness(self, name, graded):
@@ -204,6 +241,12 @@ class TestGradedPrimeness:
                 assert fr.is_prime_ideal(ring, ideal) == gr.is_graded_prime_ideal(
                     graded, ideal
                 ), f"{name}: {ideal}"
+
+
+def test_graded_primeness_runs_no_pair_test(capsys):
+    with mock.patch("gradedprime.grading.is_prime_among", side_effect=AssertionError("a pair test ran"), create=True):
+        assert main(["graded-prime", str(DATA / "grpalg_c2.graded")]) == 0
+    assert capsys.readouterr() == ("graded prime: YES\n", "")
 
 
 class TestClassification:
@@ -253,7 +296,7 @@ class TestClassification:
         c = gr.classify_grading(gr.trivial_grading(ring_by_name("even8")))
         assert c == gr.GradingClassification(False, False, False, False)
 
-    @pytest.mark.parametrize("name,graded", graded_corpus())
+    @pytest.mark.parametrize("name,graded", THEOREM_RINGS, ids=THEOREM_IDS)
     def test_implication_chain(self, name, graded):
         c = gr.classify_grading(graded)
         if c.nearly_epsilon_strongly:

@@ -5,6 +5,7 @@ import hashlib
 import random
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -224,6 +225,27 @@ class TestElements:
                 assert handle.show(a) == repr(ea)
 
 
+# tri(gf(2), 2) over cyclic(3) builds a ring of up to 8^3 elements
+BUILD_CAPS = fr.Caps(max_ring_order=512)
+
+
+def assert_flags_match_the_built_grading(filt):
+    """A finite filter's flags: symmetric, ideally symmetric and nearly
+    epsilon-strong are the built ring's grading classes, and over a fully
+    idempotent R symmetry is inverse-equality and ideal symmetry."""
+    c = gfl.classify_filter(filt)
+    cg = gr.classify_grading(gfl.assemble_filter_ring(filt, BUILD_CAPS))
+    assert (c.symmetric, c.ideally_symmetric, c.nearly_eps) == (
+        cg.symmetrically,
+        cg.ideally_symmetrically,
+        cg.nearly_epsilon_strongly,
+    ), filt
+    if c.R_fully_idempotent:
+        assert c.symmetric == c.inverse_equal, filt
+        assert c.symmetric == c.ideally_symmetric, filt
+    return c
+
+
 class TestClassification:
     def test_full_group_ring_over_a_unital_ring(self):
         c = gfl.classify_filter(f2_c2_full())
@@ -262,19 +284,24 @@ class TestClassification:
 
     @pytest.mark.parametrize("name,filt", finite_filter_corpus())
     def test_filter_flags_match_the_built_grading(self, name, filt):
-        c = gfl.classify_filter(filt)
         assert gfl.validate_filter(filt)
-        cg = gr.classify_grading(gfl.assemble_filter_ring(filt))
-        assert c.symmetric == cg.symmetrically
-        assert c.ideally_symmetric == cg.ideally_symmetrically
-        assert c.nearly_eps == cg.nearly_epsilon_strongly
+        assert_flags_match_the_built_grading(filt)
 
     def test_exhaustive_candidates_crosscheck(self):
-        ring = fr.product(GF2, GF2)
-        for group in (cyclic(2), cyclic(3)):
-            for filt in all_candidate_filters(ring, group):
-                if gfl.validate_filter(filt):
-                    gfl.classify_filter(filt)  # raises on any level mismatch
+        checked = fully = 0
+        for ring in (fr.product(GF2, GF2), fr.tri(GF2, 2), fr.zmod(4)):
+            for group in (cyclic(2), cyclic(3)):
+                for filt in all_candidate_filters(ring, group):
+                    if gfl.validate_filter(filt):
+                        fully += assert_flags_match_the_built_grading(filt).R_fully_idempotent
+                        checked += 1
+        assert 0 < fully < checked
+
+    def test_no_ring_is_built_to_classify_a_filter(self):
+        expected = {name: oracle.classify_filter(filt) for name, filt in finite_filter_corpus()}
+        with mock.patch.object(gfl, "_group_ring", side_effect=AssertionError("a ring was built")):
+            for name, filt in finite_filter_corpus():
+                assert gfl.classify_filter(filt) == expected[name], name
 
 
 class TestSUnital:
