@@ -185,22 +185,21 @@ def _cmd_filter(args):
     if args.witness:
         if filt.group.is_finite:
             raise SpecError("witness trials need an integer-graded filter")
-        handle = gfl.FilterRing(filt)
-        rng = random.Random(args.seed)
+        ring, rng = filt.ring, random.Random(args.seed)
 
         def line(t, a, b, text):
-            return f"trial {t}: a={handle.show(a)} b={handle.show(b)} witness: {text}"
+            return f"trial {t}: a={gfl.show(ring, a)} b={gfl.show(ring, b)} witness: {text}"
 
         failures = 0
         for t in range(args.trials):
-            a = handle.random_element(rng)
-            b = handle.random_element(rng)
-            witness = gfl.witness_search(handle, a, b)
+            a = gfl.random_element(filt, rng)
+            b = gfl.random_element(filt, rng)
+            witness = gfl.witness_search(ring, a, b)
             if witness is None:
                 failures += 1
                 text = "absent"
             else:
-                text = witness.describe(filt.ring)
+                text = witness.describe(ring)
             yield f"trial.{t}", text, partial(line, t, a, b, text)
         yield "witness_failures", failures, f"witness failures: {failures}"
         return

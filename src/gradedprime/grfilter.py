@@ -7,13 +7,16 @@ of the group ring R[G] is graded by S_x = I_x x.
 Finite groups get a concrete graded ring consumable by the grading and
 correspondence machinery.  Over the integers the subring is infinite: its
 elements are finitely supported, kept as tuples of (degree, coefficient)
-terms, and only the witness trials multiply them.  To keep the filter law
-decidable, integer filters are restricted to two rule classes (R on a
+terms, and only the witness trials multiply them, with no check of a
+coefficient against its component: the filter law keeps every product
+inside, and tests/oracle.py holds that check.  A filter memoises its
+products, its validity and its members of each degree.  To keep the filter
+law decidable, integer filters are restricted to two rule classes (R on a
 subgroup with a fixed ideal elsewhere, or a constant ideal away from zero)
 plus a finite override table, and all laws are checked on a window of
 degrees wide enough to realize every combination of values the rules can
-produce.  The grading classes of the subring are read from the
-pairs (I_x, I_{x^-1}) by grading's kernels.
+produce.  The grading classes of the subring are read from the pairs
+(I_x, I_{x^-1}) by grading's kernels.
 """
 
 from __future__ import annotations
@@ -99,6 +102,11 @@ class GFilter(Frozen):
         """closed_product on the ring, memoised: the filter laws meet few
         distinct masks, however large the group."""
         return cache(partial(closed_product, self.ring))
+
+    @cached_property
+    def members(self):
+        """Each degree's component as its elements, ascending, memoised like the products."""
+        return cache(lambda x: tuple(bits(self.ideal_at(x))))
 
     @cached_property
     def valid(self) -> bool:
@@ -189,7 +197,7 @@ def assemble_filter_ring(f: GFilter, caps: Caps = DEFAULT_CAPS) -> GradedRing:
         raise SpecError("a concrete ring needs a finite group")
     ring = f.ring
     group = f.group
-    members = [sorted(bits(f.ideal_at(x))) for x in group.elements()]
+    members = [f.members(x) for x in group.elements()]
     built, index = _group_ring(ring, group, members, caps)
     g = group.order
     components = {}
@@ -206,75 +214,41 @@ def assemble_filter_ring(f: GFilter, caps: Caps = DEFAULT_CAPS) -> GradedRing:
 # the integers: witness trials on finitely supported elements
 
 
-class FilterRing:
-    """The witness trials' handle on an integer-graded filter subring.
+def random_element(f: GFilter, rng) -> Terms:
+    """The terms of a random nonzero element of a valid integer filter's
+    subring: one to three consecutive degrees from a base in -3..3.
 
-    An element is the tuple of its nonzero (degree, coefficient) terms,
-    degrees ascending; the handle draws elements, multiplies them and
-    shows them.
+    Deterministic for a given random.Random instance.
     """
+    if f.group.is_finite:
+        raise SpecError("random elements are drawn for integer filters")
+    if not validate_filter(f):
+        raise SpecError("not a valid filter")
+    if f.ring.order == 1:
+        raise SpecError("the zero ring has no nonzero elements")
+    while True:
+        base = rng.randint(-3, 3)
+        draws = [(d, rng.choice(f.members(d))) for d in range(base, base + rng.randint(1, 3))]
+        terms = tuple((d, c) for d, c in draws if c != f.ring.zero)
+        if terms:
+            return terms
 
-    def __init__(self, f: GFilter):
-        if f.group.is_finite:
-            raise SpecError("FilterRing is for integer filters")
-        if not validate_filter(f):
-            raise SpecError("not a valid filter")
-        self.filter = f
-        self.coeff = f.ring
-        at = f.ideal_at
-        self._component = cache(lambda x: (at(x), tuple(bits(at(x)))))  # degree -> mask, members
 
-    def members_of_degree(self, x: int) -> tuple[int, ...]:
-        """The elements of the degree-x component, ascending."""
-        return self._component(x)[1]
+def _product(ring: FiniteRing, left: Terms, right: Terms) -> Terms:
+    """The terms of the product of two elements with coefficients in ring."""
+    add, mul, zero = ring.add_table, ring.mul_table, ring.zero
+    acc: dict = {}
+    for d1, c1 in left:
+        row = mul[c1]
+        for d2, c2 in right:
+            d = d1 + d2
+            acc[d] = add[acc.get(d, zero)][row[c2]]
+    return tuple((d, c) for d, c in sorted(acc.items()) if c != zero)
 
-    def _terms(self, acc: Mapping[int, int]) -> Terms:
-        """acc's nonzero (degree, coefficient) terms, degrees ascending, each
-        checked against its degree's component."""
-        ring, component = self.coeff, self._component
-        items = []
-        for x, c in sorted(acc.items()):
-            if c == ring.zero:
-                continue
-            if not component(x)[0] >> c & 1:
-                raise SpecError(f"coefficient {ring.name(c)} is outside the degree-{x} component")
-            items.append((int(x), int(c)))
-        return tuple(items)
 
-    def _product(self, left: Terms, right: Terms) -> Terms:
-        """The terms of the product of two elements."""
-        add, mul, zero = self.coeff.add_table, self.coeff.mul_table, self.coeff.zero
-        acc: dict = {}
-        for d1, c1 in left:
-            row = mul[c1]
-            for d2, c2 in right:
-                d = d1 + d2
-                acc[d] = add[acc.get(d, zero)][row[c2]]
-        return self._terms(acc)
-
-    def random_element(self, rng, max_width: int = 3, max_shift: int = 3) -> Terms:
-        """The terms of a random nonzero element with support width <= max_width.
-
-        Deterministic for a given random.Random instance.
-        """
-        zero, component = self.coeff.zero, self._component
-        if self.coeff.order == 1:
-            raise SpecError("the zero ring has no nonzero elements")
-        while True:
-            base = rng.randint(-max_shift, max_shift)
-            width = rng.randint(1, max_width)
-            terms = []
-            for d in range(base, base + width):
-                c = rng.choice(component(d)[1])
-                if c != zero:
-                    terms.append((d, c))
-            if terms:
-                return tuple(terms)
-
-    def show(self, terms: Terms) -> str:
-        """The text of an element given by its terms: c·x^d summands, or 0."""
-        name = self.coeff.name
-        return " + ".join(f"{name(c)}·x^{d}" for d, c in terms) or "0"
+def show(ring: FiniteRing, terms: Terms) -> str:
+    """The text of an element given by its terms: c·x^d summands, or 0."""
+    return " + ".join(f"{ring.name(c)}·x^{d}" for d, c in terms) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +327,7 @@ class Witness(NamedTuple):
         return f"degree={self.degree} coeff={ring.name(self.coeff)}"
 
 
-def witness_search(handle: FilterRing, a: Terms, b: Terms) -> Optional[Witness]:
+def witness_search(ring: FiniteRing, a: Terms, b: Terms) -> Optional[Witness]:
     """First homogeneous s with a*s*b nonzero, after trying a*b directly;
     a and b are the terms of nonzero elements, so a[-1] is a's top term.
 
@@ -370,12 +344,11 @@ def witness_search(handle: FilterRing, a: Terms, b: Terms) -> Optional[Witness]:
     """
     if not a or not b:
         raise ValueError("elements must be nonzero")
-    ring, product = handle.coeff, handle._product
     _, ra = a[-1]
     _, rb = b[-1]
-    if ring.mul_table[ra][rb] != ring.zero or product(a, b):
+    if ring.mul_table[ra][rb] != ring.zero or _product(ring, a, b):
         return Witness(None, None)
-    for c in handle.members_of_degree(0):
-        if c != ring.zero and (ring.mul3(ra, c, rb) != ring.zero or product(product(a, ((0, c),)), b)):
+    for c in ring.elements():
+        if c != ring.zero and (ring.mul3(ra, c, rb) != ring.zero or _product(ring, _product(ring, a, ((0, c),)), b)):
             return Witness(0, c)
     return None

@@ -88,18 +88,16 @@ def graph(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> Dir
 # reachability and condition MT-3
 
 
-def _reach(g: DirectedGraph, sources: int, max_len: Optional[int] = None) -> int:
-    """The vertices that paths of length at most max_len (any length when
-    None) lead to from a mask of sources, as a mask: a sweep of frontiers."""
+def _reach(g: DirectedGraph, sources: int) -> int:
+    """The vertices that paths lead to from a mask of sources, as a mask: a
+    sweep of frontiers."""
     succ = g.successor_masks
     seen = frontier = sources
-    for _ in range(len(succ) if max_len is None else max_len):
+    while frontier:
         step = 0
         for i in bits(frontier):
             step |= succ[i]
         frontier = step & ~seen
-        if not frontier:
-            break
         seen |= frontier
     return seen
 
@@ -148,12 +146,12 @@ class Path(NamedTuple):
     dst: str
 
 
-def paths_up_to(g: DirectedGraph, max_len: int, source: Optional[str] = None) -> list[Path]:
+def paths_up_to(g: DirectedGraph, max_len: int) -> list[Path]:
     """All paths of length <= max_len in shortlex order over declared edges.
 
     Length-zero paths are the vertices themselves, in declared order.
     """
-    layer = [Path((), v, v) for v in g.vertices if source in (None, v)]
+    layer = [Path((), v, v) for v in g.vertices]
     out = list(layer)
     for _ in range(max_len):
         nxt = []

@@ -317,9 +317,9 @@ def parse_ring_spec(text: str, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     return ring
 
 
-def parse_group_spec(text: str, allow_z: bool = True, caps: Caps = DEFAULT_CAPS):
+def parse_group_spec(text: str, caps: Caps = DEFAULT_CAPS):
     ts = _Tokens(text)
-    group = _parse_group_expr(ts, allow_z, caps)
+    group = _parse_group_expr(ts, True, caps)
     if not ts.at_end():
         raise SpecError("trailing input after group expression")
     return group
@@ -367,10 +367,11 @@ def _read_lines(text: str, shapes: dict) -> dict:
     fields in order, a string standing for that punctuation token.
     """
     lines = {keyword: {} for keyword in shapes}
-    for line in _strip_comments(text).splitlines():
-        ts = _Tokens(line)
+    for raw in text.splitlines():
+        ts = _Tokens(raw)  # strips the line's comment
         if ts.at_end():
             continue
+        line = ts.text
         keyword = ts.next()
         if keyword not in shapes:
             raise SpecError(f"unrecognized line: {line.strip()!r}")
@@ -443,8 +444,14 @@ def parse_filter_file(text: str, caps: Caps = DEFAULT_CAPS) -> GFilter:
 def parse_graph_file(text: str) -> DirectedGraph:
     from .leavitt import DirectedGraph, Edge
 
-    lines = _read_lines(text, {"vertex": (_name,), "edge": (_name, ":", _name, "->", _name)})
-    if len(lines["vertex"]) > MAX_VERTICES:
-        raise CapError(f"graph of {len(lines['vertex'])} vertices exceeds cap {MAX_VERTICES}")
+    names = set()
+
+    def vertex(ts: _Tokens) -> str:  # the cap is checked as each vertex line is read
+        names.add(name := _name(ts))
+        if len(names) > MAX_VERTICES:
+            raise CapError(f"graph of {len(names)} vertices exceeds cap {MAX_VERTICES}")
+        return name
+
+    lines = _read_lines(text, {"vertex": (vertex,), "edge": (_name, ":", _name, "->", _name)})
     edges = (Edge(name, *ends) for name, ends in lines["edge"].items())
     return DirectedGraph(tuple(lines["vertex"]), tuple(edges))

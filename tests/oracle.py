@@ -57,11 +57,14 @@ every candidate s in turn, as products of ``FilterElement``s below.
 
 The element arithmetic over the integers from before the witness trials ran
 on plain term tuples: ``FilterElement`` adds, negates, subtracts and
-multiplies elements given by their (degree, coefficient) terms, and shows
-them as the trial transcripts do; ``element``, ``zero`` and ``term`` build
-them through the library's ``FilterRing._terms``, its membership check.
-Its product sums each degree's products itself, not through
-``FilterRing._product``, the convolution that the witness search runs.
+multiplies elements of an integer filter's subring given by their (degree,
+coefficient) terms, and shows them as the trial transcripts do; ``element``,
+``zero`` and ``term`` build them.  ``element`` checks every coefficient
+against its degree's component: the membership check that the library's
+convolution ran on every product, until it was left to the filter law,
+which ``validate_filter`` decides once.  Its product sums each degree's
+products itself, not through ``grfilter._product``, the convolution that
+the witness search runs.
 
 The ideal-symmetry checks from before they ran over principal graded
 ideals: ``_is_ideally_symmetrically_graded`` walks the whole graded lattice,
@@ -103,8 +106,9 @@ coordinate by coordinate and hands the table to the library's
 The random elements of the witness trials from before the members of a
 degree were memoised: ``members_of_degree`` sorts the bits of the degree's
 ideal on every draw, and ``random_element`` draws through it.  Both take
-the ``FilterRing`` handle as their first argument, and ``random_element``
-gives the drawn element's terms.
+the integer filter as their first argument, and ``random_element`` gives
+the drawn element's terms.  It keeps the support width and base shift as
+parameters, which the library fixes at 3 and 3.
 
 The triple product that left the library once no caller there was left:
 ``triple_product`` spans the products abc from the additive generators of
@@ -804,12 +808,13 @@ def _degree_order(bound: int):
 
 
 class FilterElement(Frozen):
-    """An element of a FilterRing: its (degree, coefficient) terms, degrees ascending."""
+    """An element of an integer filter's subring: its (degree, coefficient)
+    terms, degrees ascending."""
 
-    _fields = ("handle", "coeffs")
+    _fields = ("filter", "coeffs")
 
-    def __init__(self, handle, coeffs: tuple[tuple[int, int], ...]):
-        vars(self).update(handle=handle, coeffs=coeffs)
+    def __init__(self, f, coeffs: tuple[tuple[int, int], ...]):
+        vars(self).update(filter=f, coeffs=coeffs)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -828,18 +833,18 @@ class FilterElement(Frozen):
         return self.coeffs[-1]
 
     def __add__(self, other: "FilterElement") -> "FilterElement":
-        handle = self.handle
-        if other.handle is not handle:
+        f = self.filter
+        if other.filter is not f:
             raise ValueError("elements belong to different filter rings")
-        add, zero = handle.coeff.add_table, handle.coeff.zero
+        add, zero = f.ring.add_table, f.ring.zero
         acc = dict(self.coeffs)
         for d, c in other.coeffs:
             acc[d] = add[acc.get(d, zero)][c]
-        return element(handle, acc)
+        return element(f, acc)
 
     def __neg__(self) -> "FilterElement":
-        neg = self.handle.coeff.neg_table
-        return element(self.handle, {d: neg[c] for d, c in self.coeffs})
+        neg = self.filter.ring.neg_table
+        return element(self.filter, {d: neg[c] for d, c in self.coeffs})
 
     def __sub__(self, other) -> "FilterElement":
         return self + (-other)
@@ -847,33 +852,43 @@ class FilterElement(Frozen):
     def __mul__(self, other: "FilterElement") -> "FilterElement":
         """The convolution, each degree's coefficient summed from the pairs
         of terms whose degrees add up to it."""
-        handle = self.handle
-        if other.handle is not handle:
+        f = self.filter
+        if other.filter is not f:
             raise ValueError("elements belong to different filter rings")
-        ring = handle.coeff
+        ring = f.ring
         pairs = [(d1 + d2, ring.mul_table[c1][c2]) for d1, c1 in self.coeffs for d2, c2 in other.coeffs]
-        return element(handle, {k: reduce(ring.add, (c for d, c in pairs if d == k), ring.zero) for k, _ in pairs})
+        return element(f, {k: reduce(ring.add, (c for d, c in pairs if d == k), ring.zero) for k, _ in pairs})
 
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"
-        ring = self.handle.coeff
+        ring = self.filter.ring
         return " + ".join(f"{ring.name(c)}·x^{d}" for d, c in self.coeffs)
 
 
-def element(handle, coeffs) -> FilterElement:
-    return FilterElement(handle, handle._terms(coeffs))
+def element(f, coeffs) -> FilterElement:
+    """The element of the integer filter f with the coefficients of coeffs
+    (degree -> coefficient), zeros dropped; SpecError if a coefficient lies
+    outside its degree's component."""
+    ring, items = f.ring, []
+    for x, c in sorted(coeffs.items()):
+        if c == ring.zero:
+            continue
+        if not f.ideal_at(x) >> c & 1:
+            raise SpecError(f"coefficient {ring.name(c)} is outside the degree-{x} component")
+        items.append((int(x), int(c)))
+    return FilterElement(f, tuple(items))
 
 
-def zero(handle) -> FilterElement:
-    return FilterElement(handle, ())
+def zero(f) -> FilterElement:
+    return FilterElement(f, ())
 
 
-def term(handle, degree: int, coeff: int) -> FilterElement:
-    return element(handle, {degree: coeff})
+def term(f, degree: int, coeff: int) -> FilterElement:
+    return element(f, {degree: coeff})
 
 
-def witness_search(handle, a, b, degree_bound: int):
+def witness_search(f, a, b, degree_bound: int):
     """First homogeneous s with a*s*b nonzero, after trying a*b directly;
     a and b are term tuples, as the library's search takes them.
 
@@ -886,19 +901,19 @@ def witness_search(handle, a, b, degree_bound: int):
     """
     if not a or not b:
         raise ValueError("elements must be nonzero")
-    ring = handle.coeff
-    a, b = FilterElement(handle, a), FilterElement(handle, b)
+    ring = f.ring
+    a, b = FilterElement(f, a), FilterElement(f, b)
     if a * b:
         return Witness(None, None)
     _, ra = a.top()
     _, rb = b.top()
     for x in _degree_order(degree_bound):
-        for c in handle.members_of_degree(x):
+        for c in members_of_degree(f, x):
             if c == ring.zero:
                 continue
             if ring.mul3(ra, c, rb) != ring.zero:
                 return Witness(x, c)
-            s = term(handle, x, c)
+            s = term(f, x, c)
             if (a * s) * b:
                 return Witness(x, c)
     return None
@@ -1205,25 +1220,25 @@ def verify_corner_orthogonality(
     return True
 
 
-def members_of_degree(handle, x: int) -> list[int]:
-    return sorted(bits(handle.filter.ideal_at(x)))
+def members_of_degree(f, x: int) -> list[int]:
+    return sorted(bits(f.ideal_at(x)))
 
 
-def random_element(handle, rng, max_width: int = 3, max_shift: int = 3):
+def random_element(f, rng, max_width: int = 3, max_shift: int = 3):
     """The terms of a random nonzero element with support width <= max_width.
 
     Deterministic for a given random.Random instance.
     """
-    if handle.coeff.order == 1:
+    if f.ring.order == 1:
         raise SpecError("the zero ring has no nonzero elements")
     while True:
         base = rng.randint(-max_shift, max_shift)
         width = rng.randint(1, max_width)
         coeffs = {}
         for d in range(base, base + width):
-            choices = members_of_degree(handle, d)
+            choices = members_of_degree(f, d)
             coeffs[d] = rng.choice(choices)
-        elem = element(handle, coeffs)
+        elem = element(f, coeffs)
         if elem:
             return elem.coeffs
 

@@ -316,16 +316,16 @@ def test_10_witness_search_over_group_rings():
     found = 0
     ok = True
     for ring in (fr.gf(2), fr.gf(4), fr.mat(fr.gf(2), 2)):
-        handle = gfl.FilterRing(gfl.make_z_filter(ring, gfl.ZRule("subgroup", 1)))
+        filt = gfl.make_z_filter(ring, gfl.ZRule("subgroup", 1))
         rng = random.Random(42)
         for _ in range(trials_per_ring):
-            a = handle.random_element(rng, max_width=3)
-            b = handle.random_element(rng, max_width=3)
-            witness = gfl.witness_search(handle, a, b)
+            a = gfl.random_element(filt, rng)
+            b = gfl.random_element(filt, rng)
+            witness = gfl.witness_search(ring, a, b)
             ok = ok and witness is not None
             if witness is not None and witness.degree is not None:
-                s = oracle.term(handle, witness.degree, witness.coeff)
-                ea, eb = oracle.FilterElement(handle, a), oracle.FilterElement(handle, b)
+                s = oracle.term(filt, witness.degree, witness.coeff)
+                ea, eb = oracle.FilterElement(filt, a), oracle.FilterElement(filt, b)
                 ok = ok and bool((ea * s) * eb)
             found += 1
     finish(

@@ -744,7 +744,7 @@ class TestRefusals:
         def no_trial(*args, **kwargs):
             raise AssertionError("a witness trial ran")
 
-        monkeypatch.setattr(gfl.FilterRing, "random_element", no_trial)
+        monkeypatch.setattr(gfl, "random_element", no_trial)
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
@@ -979,7 +979,7 @@ class TestGolden:
 
 class TestPinnedBytes:
     """The help of the program and of each subcommand (at 80 columns) and
-    witness transcripts, whose human form also pins FilterRing.show's text."""
+    witness transcripts, whose human form also pins grfilter.show's text."""
 
     @pytest.mark.parametrize(
         "command",

@@ -311,3 +311,109 @@ def test_the_readme_example_runs():
     with contextlib.redirect_stdout(out):
         exec(readme_example(), {})
     assert out.getvalue().startswith("check lift_is_graded: PASS")
+
+
+def defaulted_parameters(tree: ast.AST):
+    """{name: [(line, qualified name, {parameter: positional index or None})]}
+    for each function and method of tree with a defaulted parameter other
+    than caps (every layer takes the cap overrides), keyed by the name that
+    a call uses: a method's own name, a constructor's class name.  The
+    positional index counts from the first argument that a call writes, so
+    a method's self is not counted; a keyword-only parameter has None."""
+    out = {}
+
+    def visit(node, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = [*args.posonlyargs, *args.args]
+                bound = cls is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list
+                )
+                defaulted = {p.arg: i - bound for i, p in enumerate(positional) if i >= len(positional) - len(args.defaults)}
+                defaulted |= {p.arg: None for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None}
+                defaulted.pop("caps", None)
+                if child.name == "__init__" and cls is not None:
+                    key, shown = cls.name, f"{cls.name}.__init__"
+                elif child.name.startswith("__"):
+                    continue
+                else:
+                    key, shown = child.name, child.name if cls is None else f"{cls.name}.{child.name}"
+                if defaulted:
+                    out.setdefault(key, []).append((child.lineno, shown, defaulted))
+                visit(child)
+            else:
+                visit(child, cls)
+
+    visit(tree)
+    return out
+
+
+def calls_by_name(trees):
+    """(called name, positional argument count, keywords, open) for each call
+    in trees, a ``partial(f, ...)`` counted as a call of f; open is whether
+    the call unpacks *args or **kwargs, which may pass anything."""
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func, args = call.func, call.args
+            if isinstance(func, ast.Name) and func.id == "partial" and args:
+                func, args = args[0], args[1:]
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            keywords = {k.arg for k in call.keywords}
+            open_ = None in keywords or any(isinstance(a, ast.Starred) for a in args)
+            yield name, len(args), keywords, open_
+
+
+def unpassed_defaults(modules: dict, callers):
+    """"module:line function(parameter)" for each defaulted parameter of a
+    function of modules (name -> tree) that no call in callers (trees)
+    passes, by keyword or by position, sorted."""
+    passed = {}
+    for name, count, keywords, open_ in calls_by_name(callers):
+        passed.setdefault(name, []).append((count, keywords, open_))
+    unpassed = []
+    for module, tree in modules.items():
+        for key, definitions in defaulted_parameters(tree).items():
+            for line, shown, defaulted in definitions:
+                for param, index in defaulted.items():
+                    if not any(
+                        open_ or param in keywords or (index is not None and index < count)
+                        for count, keywords, open_ in passed.get(key, ())
+                    ):
+                        unpassed.append(f"{module}:{line} {shown}({param})")
+    return sorted(unpassed)
+
+
+def test_the_default_scan_names_what_no_call_passes():
+    modules = {
+        "a": ast.parse(
+            "def f(a, b=1, *, c=2, caps=None):\n    return a\n"
+            "class K:\n    def __init__(self, x, y=0, z=0):\n        pass\n"
+            "    def m(self, p, q=0, r=0):\n        return p\n"
+            "    @staticmethod\n    def s(u, v=0):\n        return u\n"
+        ),
+    }
+    callers = [
+        *modules.values(),
+        ast.parse("f(1, c=3)\nK(1, 2).m(0, 1)\nK.s(0)\npartial(K, 1, z=2)\ng(*rest)\nh(**opts)\n"),
+    ]
+    assert unpassed_defaults(modules, callers) == ["a:1 f(b)", "a:6 K.m(r)", "a:9 K.s(v)"]
+    callers.append(ast.parse("f(0, *more)\nK.s(**opts)\n"))
+    assert unpassed_defaults(modules, callers) == ["a:6 K.m(r)"]
+
+
+def test_every_default_is_passed_by_some_call():
+    """A defaulted parameter that no call in the package, the bench or the
+    README's example passes is a choice that only tests make.  A function
+    that SURFACE keeps is kept whole, its signature too."""
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    bench = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert "grfilter.py" in modules and bench
+    unpassed = unpassed_defaults(modules, [*modules.values(), *bench, ast.parse(readme_example())])
+    assert [u for u in unpassed if u.split()[1].split("(")[0] not in SURFACE] == []

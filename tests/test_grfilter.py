@@ -22,6 +22,7 @@ from corpus import (
     all_candidate_filters,
     corpus_rings,
     finite_filter_corpus,
+    ring_by_name,
     row_ideal_tri2,
 )
 
@@ -132,13 +133,12 @@ class TestBuild:
         with pytest.raises(SpecError):
             gfl.assemble_filter_ring(bad)
 
-    def test_z_filters_build_an_arithmetic_handle(self):
+    def test_z_filters_multiply_term_tuples(self):
         filt = gfl.make_z_filter(GF2, gfl.ZRule("subgroup", 1))
         assert gfl.validate_filter(filt)
-        handle = gfl.FilterRing(filt)
         u = GF2.unit
-        assert handle._product(((1, u),), ((2, u),)) == ((3, u),)
-        assert oracle.term(handle, 1, u) * oracle.term(handle, 2, u) == oracle.term(handle, 3, u)
+        assert gfl._product(GF2, ((1, u),), ((2, u),)) == ((3, u),)
+        assert oracle.term(filt, 1, u) * oracle.term(filt, 2, u) == oracle.term(filt, 3, u)
 
     def test_validation_agrees_with_organic_assembly(self):
         # the assembler has no validation of its own: it succeeds exactly
@@ -178,51 +178,113 @@ class TestBuild:
 
 
 @pytest.fixture(scope="module")
-def handle():
-    return gfl.FilterRing(gfl.make_z_filter(fr.zmod(4), gfl.ZRule("subgroup", 1)))
+def z4():
+    return gfl.make_z_filter(fr.zmod(4), gfl.ZRule("subgroup", 1))
 
 
 class TestElements:
 
     def test_membership_is_enforced(self):
         t2 = fr.tri(GF2, 2)
-        handle = gfl.FilterRing(gfl.make_z_filter(t2, gfl.ZRule("subgroup", 2, off=row_ideal_tri2())))
-        oracle.element(handle, {1: 4})  # E11 lies in the row ideal
-        with pytest.raises(SpecError):
-            oracle.element(handle, {1: 1})  # E22 does not
+        filt = gfl.make_z_filter(t2, gfl.ZRule("subgroup", 2, off=row_ideal_tri2()))
+        oracle.element(filt, {1: 4})  # E11 lies in the row ideal
+        with pytest.raises(SpecError, match="^coefficient .* is outside the degree-1 component$"):
+            oracle.element(filt, {1: 1})  # E22 does not
 
-    def test_zero_coefficients_are_dropped(self, handle):
-        assert oracle.element(handle, {0: 0, 2: 1}).support() == [2]
+    def test_zero_coefficients_are_dropped(self, z4):
+        assert oracle.element(z4, {0: 0, 2: 1}).support() == [2]
 
-    def test_arithmetic(self, handle):
-        a = oracle.element(handle, {0: 1, 1: 2})
-        b = oracle.element(handle, {-1: 3})
-        assert (a + (-a)) == oracle.zero(handle)
+    def test_arithmetic(self, z4):
+        a = oracle.element(z4, {0: 1, 1: 2})
+        b = oracle.element(z4, {-1: 3})
+        assert (a + (-a)) == oracle.zero(z4)
         prod = a * b
         assert prod.support() == [-1, 0]
         assert dict(prod.coeffs) == {-1: 3, 0: 2}  # 1*3 and 2*3 mod 4
         assert a.width() == 2 and b.width() == 1
 
-    def test_convolution_is_associative(self, handle):
+    def test_convolution_is_associative(self, z4):
         rng = random.Random(5)
         for _ in range(40):
-            a, b, c = (oracle.FilterElement(handle, handle.random_element(rng)) for _ in range(3))
+            a, b, c = (oracle.FilterElement(z4, gfl.random_element(z4, rng)) for _ in range(3))
             assert (a * b) * c == a * (b * c)
             assert (a + b) * c == a * c + b * c
 
     def test_the_product_and_the_text_are_the_references(self):
-        """FilterRing._product, the witness search's convolution, and
-        FilterRing.show, the transcripts' text, against the reference
-        arithmetic's product and repr."""
+        """grfilter._product, the witness search's convolution, and
+        grfilter.show, the transcripts' text, against the reference
+        arithmetic's product and repr, on elements wider than the trials
+        draw."""
         for name in ("z_full_gf2", "z_full_mat2", "z_half_tri2"):
-            handle = gfl.FilterRing(specio.parse_filter_file((DATA / f"{name}.filter").read_text()))
-            rng = random.Random(3)
-            assert handle.show(()) == repr(oracle.zero(handle)) == "0"
+            filt = specio.parse_filter_file((DATA / f"{name}.filter").read_text())
+            ring, rng = filt.ring, random.Random(3)
+            assert gfl.show(ring, ()) == repr(oracle.zero(filt)) == "0"
             for _ in range(200):
-                a, b = handle.random_element(rng, 4, 5), handle.random_element(rng, 4, 5)
-                ea, eb = oracle.FilterElement(handle, a), oracle.FilterElement(handle, b)
-                assert handle._product(a, b) == (ea * eb).coeffs
-                assert handle.show(a) == repr(ea)
+                a, b = oracle.random_element(filt, rng, 4, 5), oracle.random_element(filt, rng, 4, 5)
+                ea, eb = oracle.FilterElement(filt, a), oracle.FilterElement(filt, b)
+                assert gfl._product(ring, a, b) == (ea * eb).coeffs
+                assert gfl.show(ring, a) == repr(ea)
+
+
+def random_z_filters(count: int, seed: int = 0) -> list:
+    """count valid integer filters, drawn with both rule kinds and up to two
+    overrides over small corpus rings, whose ideals make many filters
+    invalid."""
+    rng = random.Random(seed)
+    rings = [ring_by_name(name) for name in ("zmod4", "tri2", "prod22", "even8", "zmod6")]
+    out = []
+    while len(out) < count:
+        ring = rng.choice(rings)
+        ideals = [i.members for i in fr.all_ideals(ring)]
+        kind = rng.choice(("subgroup", "constant"))
+        rule = gfl.ZRule(kind, rng.randint(1, 4) if kind == "subgroup" else 1, rng.choice(ideals))
+        overrides = {rng.randint(-6, 6): rng.choice(ideals) for _ in range(rng.randint(0, 2))}
+        try:
+            filt = gfl.make_z_filter(ring, rule, overrides)
+        except SpecError:  # an override of degree 0 that is not the whole ring
+            continue
+        if gfl.validate_filter(filt):
+            out.append(filt)
+    return out
+
+
+def data_z_filters() -> list:
+    filters = [specio.parse_filter_file(p.read_text()) for p in sorted(DATA.glob("*.filter"))]
+    return [f for f in filters if not f.group.is_finite]
+
+
+class TestTheFilterLawKeepsProductsInside:
+    """The witness trials multiply elements with no membership check: a
+    valid filter's law, decided on its window, must keep every product
+    inside.  The reference arithmetic's element() holds the check."""
+
+    FILTERS = data_z_filters() + random_z_filters(100)
+
+    def test_the_filters_are_varied(self):
+        assert len(data_z_filters()) == 3
+        assert {f.zrule.kind for f in self.FILTERS} == {"subgroup", "constant"}
+        assert {len(f.overrides) for f in self.FILTERS} == {0, 1, 2}
+        assert any(f.zrule.off != f.ring.full_mask for f in self.FILTERS)
+
+    @pytest.mark.parametrize("index", range(len(FILTERS)))
+    def test_the_law_holds_far_beyond_the_window(self, index):
+        f = self.FILTERS[index]
+        at = f.ideal_at
+        for x in range(-30, 31):
+            for y in range(-30, 31):
+                target = at(x + y)
+                assert f.product(at(x), at(y)) | target == target, (x, y)
+
+    @pytest.mark.parametrize("index", range(len(FILTERS)))
+    def test_drawn_products_and_the_searched_products_stay_inside(self, index):
+        f = self.FILTERS[index]
+        ring, rng = f.ring, random.Random(index)
+        for _ in range(10):
+            a, b = gfl.random_element(f, rng), oracle.random_element(f, rng, 4, 5)
+            products = [gfl._product(ring, a, b), gfl._product(ring, b, a)]
+            products += [gfl._product(ring, gfl._product(ring, a, ((0, c),)), b) for c in ring.elements()]
+            for terms in products:
+                assert oracle.element(f, dict(terms)).coeffs == terms
 
 
 # tri(gf(2), 2) over cyclic(3) builds a ring of up to 8^3 elements
@@ -393,48 +455,47 @@ class TestSUnitalityFailureBlocksLocalUnitsFiniteAnalogue:
 
 class TestWitnessSearch:
     def test_direct_products_need_no_middle_factor(self):
-        handle = gfl.FilterRing(gfl.make_z_filter(GF2, gfl.ZRule("subgroup", 1)))
-        witness = gfl.witness_search(handle, ((0, 1), (1, 1)), ((-1, 1),))
+        witness = gfl.witness_search(GF2, ((0, 1), (1, 1)), ((-1, 1),))
         assert witness == gfl.Witness(None, None)
 
     def test_matrix_corners_need_a_connecting_unit(self):
         m2 = fr.mat(GF2, 2)
-        handle = gfl.FilterRing(gfl.make_z_filter(m2, gfl.ZRule("subgroup", 1)))
+        filt = gfl.make_z_filter(m2, gfl.ZRule("subgroup", 1))
         a = ((0, 8),)   # E11
         b = ((0, 1),)   # E22
-        witness = gfl.witness_search(handle, a, b)
+        witness = gfl.witness_search(m2, a, b)
         assert witness == gfl.Witness(0, 4)  # E12 at degree zero
-        s = oracle.term(handle, witness.degree, witness.coeff)
-        assert (oracle.FilterElement(handle, a) * s) * oracle.FilterElement(handle, b)
+        s = oracle.term(filt, witness.degree, witness.coeff)
+        assert (oracle.FilterElement(filt, a) * s) * oracle.FilterElement(filt, b)
 
     def test_a_witness_below_the_top_terms(self):
         # over T_2(F_2), a = E11 + E12 x and b = E22 + E12 x have ab = 0 and
         # E12 c E12 = 0 for every c, yet a E22 b = E12 x
         tri2 = fr.tri(GF2, 2)
-        handle = gfl.FilterRing(gfl.make_z_filter(tri2, gfl.ZRule("subgroup", 1)))
+        filt = gfl.make_z_filter(tri2, gfl.ZRule("subgroup", 1))
         a = ((0, 4), (1, 2))
         b = ((0, 1), (1, 2))
-        assert gfl.witness_search(handle, a, b) == gfl.Witness(0, 1)
-        assert oracle.witness_search(handle, a, b, 2) == gfl.Witness(0, 1)
+        assert gfl.witness_search(tri2, a, b) == gfl.Witness(0, 1)
+        assert oracle.witness_search(filt, a, b, 2) == gfl.Witness(0, 1)
 
     def test_zero_inputs_rejected(self):
-        handle = gfl.FilterRing(gfl.make_z_filter(GF2, gfl.ZRule("subgroup", 1)))
         with pytest.raises(ValueError):
-            gfl.witness_search(handle, (), ((0, 1),))
+            gfl.witness_search(GF2, (), ((0, 1),))
 
     def test_search_respects_the_bound(self):
         # away from the distinguished degrees everything is zero, so only
         # middle factors on the even subgroup can connect; degree 0 sees them
-        handle = gfl.FilterRing(gfl.make_z_filter(GF2, gfl.ZRule("subgroup", 2)))
-        assert gfl.witness_search(handle, ((0, 1),), ((0, 1),)) == gfl.Witness(None, None)
+        filt = gfl.make_z_filter(GF2, gfl.ZRule("subgroup", 2))
+        assert gfl.witness_search(GF2, ((0, 1),), ((0, 1),)) == gfl.Witness(None, None)
+        assert oracle.witness_search(filt, ((0, 1),), ((0, 1),), 4) == gfl.Witness(None, None)
 
     def test_witnesses_are_deterministic(self):
         m2 = fr.mat(GF2, 2)
-        handle = gfl.FilterRing(gfl.make_z_filter(m2, gfl.ZRule("subgroup", 1)))
+        filt = gfl.make_z_filter(m2, gfl.ZRule("subgroup", 1))
         rng = random.Random(11)
-        pairs = [(handle.random_element(rng), handle.random_element(rng)) for _ in range(25)]
-        first = [gfl.witness_search(handle, a, b) for a, b in pairs]
-        second = [gfl.witness_search(handle, a, b) for a, b in pairs]
+        pairs = [(gfl.random_element(filt, rng), gfl.random_element(filt, rng)) for _ in range(25)]
+        first = [gfl.witness_search(m2, a, b) for a, b in pairs]
+        second = [gfl.witness_search(m2, a, b) for a, b in pairs]
         assert first == second
         assert all(w is not None for w in first)
 
@@ -448,20 +509,20 @@ class TestWitnessSearch:
         rng = random.Random(5)
         kinds = set()
         for filt in filters:
-            handle = gfl.FilterRing(filt)
             for _ in range(400):
-                a = handle.random_element(rng, rng.randint(1, 4), rng.randint(0, 5))
-                b = handle.random_element(rng, rng.randint(1, 4), rng.randint(0, 5))
+                a = oracle.random_element(filt, rng, rng.randint(1, 4), rng.randint(0, 5))
+                b = oracle.random_element(filt, rng, rng.randint(1, 4), rng.randint(0, 5))
                 bound = rng.randint(0, 6)
-                witness = gfl.witness_search(handle, a, b)
-                assert witness == oracle.witness_search(handle, a, b, bound)
+                witness = gfl.witness_search(filt.ring, a, b)
+                assert witness == oracle.witness_search(filt, a, b, bound)
                 kinds.add(None if witness is None else witness.degree is None)
         assert kinds == {None, True, False}
 
     def test_draws_match_the_draws_that_sorted_every_degree(self):
-        """members_of_degree reads a memo keyed by the ideal mask: the
-        elements drawn, and the generator's state after them, are those of
-        the version that sorted the degree's members on every draw."""
+        """GFilter.members is a memo per degree: the elements drawn, and the
+        generator's state after them, are those of the version that sorted
+        the degree's members on every draw, at its default width and shift,
+        which the library fixes."""
         tri2 = fr.tri(GF2, 2)
         corner = fr.generate_ideal(tri2, [2]).members
         filters = [
@@ -469,14 +530,12 @@ class TestWitnessSearch:
             for name in ("z_full_gf2", "z_full_mat2", "z_half_tri2")
         ] + [gfl.make_z_filter(tri2, gfl.ZRule("constant", off=corner))]
         for filt in filters:
-            handle = gfl.FilterRing(filt)
             for d in range(-9, 10):
-                assert list(handle.members_of_degree(d)) == oracle.members_of_degree(handle, d)
+                assert list(filt.members(d)) == oracle.members_of_degree(filt, d)
             for seed in range(200):
                 new, old = random.Random(seed), random.Random(seed)
-                for width, shift in ((3, 3), (1, 0), (4, 5)):
-                    assert handle.random_element(new, width, shift) == oracle.random_element(
-                        handle, old, width, shift)
+                for _ in range(3):
+                    assert gfl.random_element(filt, new) == oracle.random_element(filt, old)
                 assert new.getstate() == old.getstate()
 
 

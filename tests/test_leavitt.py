@@ -274,7 +274,7 @@ class TestIndependentModels:
         base = fr.gf(3)
         g = graph_by_name("single_loop")
         ctx = lv.LeavittContext(g, base)
-        handle = gfl.FilterRing(gfl.make_z_filter(base, gfl.ZRule("subgroup", 1)))
+        filt = gfl.make_z_filter(base, gfl.ZRule("subgroup", 1))
 
         def lpa_power(k):
             if k >= 0:
@@ -282,18 +282,18 @@ class TestIndependentModels:
             return ctx.monomial(base.unit, (), ("e",) * (-k), vertex="v")
 
         def to_laurent(elem):
-            return element(handle, {len(a) - len(b): c for (a, b, v), c in elem.terms.items()})
+            return element(filt, {len(a) - len(b): c for (a, b, v), c in elem.terms.items()})
 
         rng = random.Random(31)
         for _ in range(40):
-            xl = zero(handle)
+            xl = zero(filt)
             x = ctx.zero()
             for _ in range(rng.randint(1, 3)):
                 k = rng.randint(-3, 3)
                 c = rng.randrange(1, base.order)
-                xl = xl + term(handle, k, c)
+                xl = xl + term(filt, k, c)
                 x = x + lpa_power(k).scale(c)
-            yl = term(handle, rng.randint(-3, 3), rng.randrange(1, base.order))
+            yl = term(filt, rng.randint(-3, 3), rng.randrange(1, base.order))
             y = lpa_power(yl.coeffs[0][0]).scale(yl.coeffs[0][1])
             assert to_laurent(x) == xl and to_laurent(y) == yl
             assert to_laurent(x * y) == xl * yl

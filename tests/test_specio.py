@@ -1,6 +1,7 @@
 """Spec file parsing: ring expressions, groups, graded/filter/graph files."""
 
 import re
+from unittest import mock
 
 import pytest
 
@@ -392,3 +393,33 @@ class TestGraphFiles:
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(SpecError):
             specio.parse_graph_file("vertex v\nedge e: v -> u")
+
+
+class TestVertexCap:
+    def vertices(self, n: int) -> str:
+        return "".join(f"vertex v{k}  # a comment\n" for k in range(n))
+
+    def test_a_graph_is_refused_at_its_first_vertex_over_the_cap(self):
+        """The lines after the 257th vertex are never read: no cursor is
+        built for them, and each line read is stripped of its comment once."""
+        text = self.vertices(2 * specio.MAX_VERTICES)
+        with mock.patch.object(specio, "_Tokens", wraps=specio._Tokens) as cursors, \
+                mock.patch.object(specio, "_strip_comments", wraps=specio._strip_comments) as strips:
+            with pytest.raises(CapError, match="^graph of 257 vertices exceeds cap 256$"):
+                specio.parse_graph_file(text)
+        assert cursors.call_count == strips.call_count == specio.MAX_VERTICES + 1
+
+    def test_a_name_given_twice_before_the_cap_is_its_own_error(self):
+        text = self.vertices(100) + "vertex v7\n" + self.vertices(400)
+        with pytest.raises(SpecError, match="^vertex v7 given twice$"):
+            specio.parse_graph_file(text)
+
+    def test_a_name_given_again_counts_once(self):
+        # a repeated name is refused before it could reach the cap
+        text = self.vertices(specio.MAX_VERTICES) + "vertex v0\nvertex extra\n"
+        with pytest.raises(SpecError, match="^vertex v0 given twice$"):
+            specio.parse_graph_file(text)
+
+    def test_a_graph_at_the_cap_is_read(self):
+        graph = specio.parse_graph_file(self.vertices(specio.MAX_VERTICES))
+        assert len(graph.vertices) == specio.MAX_VERTICES

@@ -82,7 +82,7 @@ def test_an_argv_the_plain_reader_leaves_loads_argparse(argv):
 
 # The public surface, exactly: the layer modules and every name they export.
 PUBLIC = """
-    CapError Caps DEFAULT_CAPS DirectedGraph FilterRing FiniteGroup FiniteRing GFilter
+    CapError Caps DEFAULT_CAPS DirectedGraph FiniteGroup FiniteRing GFilter
     GradedRing GradingClassification Ideal IntegerGroup LeavittContext LpaElement Report
     SpecError Witness Z ZRule all_graded_ideals all_ideals attach_grading classify_filter
     classify_grading correspondence cyclic errors finring generate_ideal gf grading
@@ -91,7 +91,7 @@ PUBLIC = """
     is_graded_prime_ring is_identity_generated is_leavitt_prime is_prime_ideal is_prime_ring
     is_s_unital_module leavitt lpa_degree make_finite_filter make_ring make_z_filter mat
     parse_filter_file parse_graded_file parse_graph_file parse_group_spec parse_ring_spec
-    product reachability satisfies_mt3 specio subring symmetric_group tri trivial_grading
+    product random_element reachability satisfies_mt3 specio subring symmetric_group tri trivial_grading
     validate_filter verify_bijection_ideally_symmetric verify_bijection_identity_generated
     verify_corner_orthogonality witness_search zmod
 """.split()
