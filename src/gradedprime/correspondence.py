@@ -7,13 +7,15 @@ invariant closures J + sum_x S_{x^-1} J S_x of the members J of S_e's
 generating family of principal ideals inside it, and sums of invariant
 ideals are invariant.  finring builds and caches those closures, over which
 G-primeness quantifies, and their lattice, keyed by value (_invariant_key);
-under a trivial grading that lattice is the ideals of S, so the whole
-correspondence enumerates one lattice.
+under a trivial grading there are no conjugators and the key is S's own, so
+the whole correspondence builds one family and enumerates one lattice.
 
 The two ``verify_*`` operations return structured reports rather than
 booleans: each check carries a name, a verdict and counts, and serializes to
 stable ``check <name>: PASS|FAIL (<details>)`` lines for CI logs.  Both read
-one lift map J -> <J> and one projection map I -> I_e per graded ring.
+one lift map J -> <J> and one projection map I -> I_e per graded ring, and
+decide on the lattices' masks with the kernels; the public predicates, which
+validate their arguments, are for library callers.
 """
 
 from __future__ import annotations
@@ -29,12 +31,10 @@ from .finring import (
     _gens,
     _ideal_span,
     _invariant_span,
+    _lattice,
     _principal_ideals,
     _span,
-    _sums,
-    bits,
     closed_product,
-    generate_ideal,
     is_ideal_mask,
     is_prime_among,
 )
@@ -43,7 +43,7 @@ from .grading import (
     all_graded_ideals,
     classify_grading,
     is_graded_ideal,
-    is_graded_prime_ideal,
+    is_graded_m_system,
 )
 
 
@@ -62,8 +62,8 @@ def _conjugators(graded: GradedRing) -> tuple:
 
 
 def _invariant_key(graded: GradedRing) -> tuple:
-    """finring's family arguments for the invariant ideals of S_e: S_e's
-    elements, acted on by S_e's additive generators, and the conjugators."""
+    """finring's family and lattice key for the invariant ideals of S_e:
+    S_e's elements, acted on by its additive generators, and the conjugators."""
     return graded.ring, (graded.e_mask,), tuple(graded.component_generators.get(graded.e, ())), _conjugators(graded)
 
 
@@ -76,14 +76,7 @@ def is_g_invariant(graded: GradedRing, jmask: int) -> bool:
 
 def invariant_base_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
     """The G-invariant ideals of the identity component, as ambient masks, sorted."""
-    ring, components, actors, conjugators = _invariant_key(graded)
-    return tuple(_sums(ring, components, caps, actors, conjugators))
-
-
-def _invariant_principals(graded: GradedRing) -> dict[int, list[int]]:
-    """The invariant closures of the generating family of principal ideals
-    of S_e, taken in S_e: mask -> generators."""
-    return _principal_ideals(*_invariant_key(graded))
+    return tuple(_lattice(*_invariant_key(graded), caps))
 
 
 def is_g_prime_ideal(graded: GradedRing, qmask: int) -> bool:
@@ -92,7 +85,7 @@ def is_g_prime_ideal(graded: GradedRing, qmask: int) -> bool:
     ideals (is_prime_among)."""
     if qmask == graded.e_mask or not is_base_ideal(graded, qmask) or not is_g_invariant(graded, qmask):
         raise ValueError("subset is not a proper invariant ideal of the identity component")
-    return is_prime_among(graded.ring, qmask, _invariant_principals(graded))
+    return is_prime_among(graded.ring, qmask, _principal_ideals(*_invariant_key(graded)))
 
 
 def is_g_prime_base(graded: GradedRing) -> bool:
@@ -104,7 +97,7 @@ def is_identity_generated(graded: GradedRing, ideal: Ideal) -> bool:
     """Whether the graded ideal is generated by its identity component."""
     if not is_graded_ideal(graded, ideal):
         raise ValueError("ideal is not graded")
-    return generate_ideal(graded.ring, bits(ideal.members & graded.e_mask)).members == ideal.members
+    return _ideal_span(graded.ring, ideal.members & graded.e_mask)[0] == ideal.members
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +137,7 @@ def _maps(graded: GradedRing, caps: Caps):
     lift = {j: _ideal_span(graded.ring, j)[0] for j in invariant}
     projection = {i.members: i.members & graded.e_mask for i in graded_ideals}
     back = all(projection.get(m) == j for j, m in lift.items())
-    lift_inclusion = _preserves_inclusion(graded.ring, invariant, lift, _invariant_principals(graded))
+    lift_inclusion = _preserves_inclusion(graded.ring, invariant, lift, _principal_ideals(*_invariant_key(graded)))
     return invariant, graded_ideals, lift, projection, back, lift_inclusion
 
 
@@ -221,8 +214,9 @@ def verify_bijection_ideally_symmetric(graded: GradedRing, caps: Caps = DEFAULT_
     onto_ok = set(lift.values()) == set(projection)
 
     graded_prime = {
-        i.members: is_graded_prime_ideal(graded, i) for i in graded_ideals if i.is_proper
+        i.members: is_graded_m_system(graded, ring.full_mask & ~i.members) for i in graded_ideals if i.is_proper
     }
+    family = _principal_ideals(*_invariant_key(graded))
     prime_match = True
     gprime = []
     for q in invariant:
@@ -232,7 +226,7 @@ def verify_bijection_ideally_symmetric(graded: GradedRing, caps: Caps = DEFAULT_
         if lifted not in graded_prime:  # the whole ring, or not a graded ideal
             prime_match = False
             continue
-        q_prime = is_g_prime_ideal(graded, q)
+        q_prime = is_prime_among(ring, q, family)
         if q_prime != graded_prime[lifted]:
             prime_match = False
         if q_prime:

@@ -55,9 +55,10 @@ S_e's family.  So one builder makes all three families, keyed by ring,
 components, actors and conjugators, and one cache (``_lattice``), under the
 same key, holds the lattices that one join-closure kernel closes from them,
 for ``all_ideals``, ``grading.all_graded_ideals`` and
-``correspondence.invariant_base_ideals``; a trivial grading and two parses
-of one graded ring share its entries.  The pair tests of G-primeness and
-ideal symmetry, and the test of full idempotency, read the family itself.
+``correspondence.invariant_base_ideals``.  No conjugators, (), is S's own
+key, so a trivial grading and two parses of one graded ring share its
+entries.  The pair tests of G-primeness and ideal symmetry, and the test of
+full idempotency, read the family itself.
 """
 
 from __future__ import annotations
@@ -767,10 +768,10 @@ def _ideal_count_floor(ring: FiniteRing, components: Sequence[int]) -> int:
 
 # Family, lattice and product caches are keyed by ring, so they are bounded:
 # a long-lived process would otherwise keep every lattice it ever computed.
-# Callers reach S's families through _family and every lattice through
-# _sums, which give each family and each lattice one key.
+# Each family and each lattice has one key, (ring, components, actors,
+# conjugators): an empty tuple of conjugators closes nothing, so it is S's own.
 @lru_cache(maxsize=16)
-def _principal_ideals(ring: FiniteRing, components: tuple, actors: tuple, conjugators: Optional[tuple]) -> dict:
+def _principal_ideals(ring: FiniteRing, components: tuple, actors: tuple, conjugators: tuple) -> dict:
     """A generating family of the principal ideals of the components'
     elements, in the subring spanned by the actors (_ideal_span), mask ->
     generators: those that are not the sum of the principal ideals strictly
@@ -779,13 +780,13 @@ def _principal_ideals(ring: FiniteRing, components: tuple, actors: tuple, conjug
     principal ideals is a sum of members.  Hence the family stands exactly
     for those sums: in their join closure, in the pair tests of
     is_prime_among, in the ideal-symmetry identities, whose sides are
-    additive in the ideal, and in is_fully_idempotent.  Given a tuple of
-    conjugators, even (), each member J is replaced by its _invariant_span,
-    and sums of those are the invariant ideals.  The dict is shared by
-    every caller with the same key, so none may change it.
+    additive in the ideal, and in is_fully_idempotent.  Given conjugators,
+    each member J is replaced by its _invariant_span, and sums of those are
+    the invariant ideals; () is S's own key.  The dict is shared by every
+    caller with the same key, so none may change it.
     """
-    if conjugators is not None:
-        family = _principal_ideals(ring, components, actors, None)
+    if conjugators:
+        family = _principal_ideals(ring, components, actors, ())
         return dict(_invariant_span(ring, m, gens, conjugators) for m, gens in family.items())
     spans = {a: _ideal_span(ring, 1 << a, actors) for comp in components for a in bits(comp)}
     of = {a: span[0] for a, span in spans.items()}
@@ -799,7 +800,7 @@ def _principal_ideals(ring: FiniteRing, components: tuple, actors: tuple, conjug
 
 def _family(ring: FiniteRing, components: tuple) -> dict[int, list[int]]:
     """S's generating family of principal ideals of the components' elements."""
-    return _principal_ideals(ring, components, ring.additive_generators, None)
+    return _principal_ideals(ring, components, ring.additive_generators, ())
 
 
 def _invariant_span(ring: FiniteRing, jmask: int, jgens: Sequence[int], conjugators: tuple) -> tuple[int, list[int]]:
@@ -832,7 +833,7 @@ def _join_closure(ring: FiniteRing, principals: Mapping[int, Sequence[int]], cap
 
 
 @lru_cache(maxsize=16)
-def _lattice(ring: FiniteRing, components: tuple, actors: tuple, conjugators: Optional[tuple], caps: Caps) -> dict:
+def _lattice(ring: FiniteRing, components: tuple, actors: tuple, conjugators: tuple, caps: Caps) -> dict:
     """The sums of the members of _principal_ideals under the same key, mask
     -> generators sorted by mask, refused before enumeration when the
     components' _ideal_count_floor exceeds the cap.  Shared, so read-only."""
@@ -841,18 +842,9 @@ def _lattice(ring: FiniteRing, components: tuple, actors: tuple, conjugators: Op
     return _join_closure(ring, _principal_ideals(ring, components, actors, conjugators), caps)
 
 
-def _sums(ring: FiniteRing, components: tuple, caps: Caps, actors: Optional[tuple] = None, conjugators=()) -> dict:
-    """_lattice under one key per lattice.  The actors default to S's
-    additive generators.  An empty tuple of conjugators closes nothing, so
-    its sums are those of the family without them (None): under a trivial
-    grading the invariant ideals of S_e = S are then all_ideals' entry."""
-    actors = ring.additive_generators if actors is None else actors
-    return _lattice(ring, components, actors, conjugators or None, caps)
-
-
 def all_ideals(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]:
     """The ideal lattice: every ideal joins the principal ideals of its elements."""
-    return tuple(Ideal(ring, m) for m in _sums(ring, (ring.full_mask,), caps))
+    return tuple(Ideal(ring, m) for m in _lattice(ring, (ring.full_mask,), ring.additive_generators, (), caps))
 
 
 # The lattice cache's counters and its reset, read and called through the public name.

@@ -27,9 +27,9 @@ from .finring import (
     _check_proper_ideal,
     _family,
     _gens,
+    _lattice,
     _product_span,
     _span,
-    _sums,
     closed_product,
     is_additive_subgroup,
     is_m_system,
@@ -37,6 +37,7 @@ from .finring import (
     mask_of,
     zero_ideal,
 )
+from .frozen import Frozen
 from .groups import FiniteGroup, IntegerGroup, Z
 
 GradingGroup = Union[FiniteGroup, IntegerGroup]
@@ -49,17 +50,17 @@ class GradingClassification(NamedTuple):
     nearly_epsilon_strongly: bool
 
 
-class GradedRing:
+class GradedRing(Frozen):
     """A finite ring with a validated group grading.
 
     Instances are immutable; construct them through :func:`attach_grading`.
+    Caches key on them by identity, since the components dict cannot be hashed.
     """
 
-    def __init__(self, ring, group, components, support):
-        self.ring: FiniteRing = ring
-        self.group: GradingGroup = group
-        self.components: dict = components
-        self.support: tuple = support
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, ring: FiniteRing, group: GradingGroup, components: dict, support: tuple):
+        vars(self).update(ring=ring, group=group, components=components, support=support)
 
     def component(self, x) -> int:
         """Mask of the component at group element x ({0} when absent)."""
@@ -158,7 +159,8 @@ def is_graded_ideal(graded: GradedRing, ideal: Ideal) -> bool:
 
 def all_graded_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]:
     """The graded ideals, sorted: the sums of ideals of homogeneous elements."""
-    return tuple(Ideal(graded.ring, m) for m in _sums(graded.ring, graded.component_masks, caps))
+    ring = graded.ring
+    return tuple(Ideal(ring, m) for m in _lattice(ring, graded.component_masks, ring.additive_generators, (), caps))
 
 
 def is_graded_m_system(graded: GradedRing, tmask: int) -> bool:

@@ -180,7 +180,8 @@ also reaches the library's prime-power helpers through ``finring``.
 function of the graded ring and cached per graded ring like the property,
 and the old ``_invariant_principals`` reads it instead of the property,
 takes the subring's family from the library's ``_family``, and closes each
-member by ``finring._invariant_span``, where the closure now lives.
+member by ``finring._invariant_span``, where the closure now lives, when
+there are conjugators; without them the library keeps each member as it is.
 """
 
 from __future__ import annotations
@@ -1015,7 +1016,7 @@ def is_prime_among(ring: FiniteRing, pmask: int, ideals: Iterable[Ideal]) -> boo
 def is_prime_ideal_by_pairs(ring: FiniteRing, p: Ideal, caps: Caps = DEFAULT_CAPS) -> bool:
     """Primeness via the defining quantification over all ideal pairs."""
     fr._check_proper_ideal(ring, p)
-    return fr.is_prime_among(ring, p.members, fr._sums(ring, (ring.full_mask,), caps))
+    return fr.is_prime_among(ring, p.members, fr._lattice(ring, (ring.full_mask,), ring.additive_generators, (), caps))
 
 
 def graded_prime_pair_test(graded: GradedRing, p: Ideal, caps: Caps = DEFAULT_CAPS) -> bool:
@@ -1647,14 +1648,15 @@ def _base(graded: GradedRing):
 
 def _invariant_principals(graded: GradedRing) -> dict[int, list[int]]:
     """The invariant closures of the generating family of principal ideals
-    of S_e: mask -> generators."""
+    of S_e: mask -> generators.  Without conjugators each member is its own
+    closure and keeps its generators."""
     sub, old, _ = _base(graded)
     principals = fr._family(sub, (sub.full_mask,))
     conjugators = co._conjugators(graded)
-    return dict(
-        fr._invariant_span(graded.ring, mask_of(old[i] for i in bits(m)), [old[i] for i in gens], conjugators)
-        for m, gens in principals.items()
-    )
+    members = ((mask_of(old[i] for i in bits(m)), [old[i] for i in gens]) for m, gens in principals.items())
+    if not conjugators:
+        return dict(members)
+    return dict(fr._invariant_span(graded.ring, m, gens, conjugators) for m, gens in members)
 
 
 def _meaningful_lines(text: str):

@@ -238,6 +238,20 @@ class TestIdealGeneration:
             assert fr.generate_ideal(ring, ideal.elements()) == ideal
 
 
+class TestIdealValidation:
+    # mat(gf(2), 2): element weights (0,0) 8, (0,1) 4, (1,0) 2, (1,1) 1
+    E11, E12 = 8, 4
+
+    @pytest.mark.parametrize(
+        "members",
+        [1 | 1 << E11 | 1 << E12, 1 | 1 << E11],
+        ids=["not a subgroup", "a subgroup that does not absorb"],
+    )
+    def test_a_non_ideal_is_refused(self, members):
+        with pytest.raises(SpecError, match="^subset is not a two-sided ideal$"):
+            fr.Ideal(fr.mat(fr.gf(2), 2), members)
+
+
 class TestIdealLattice:
     def test_product_lattice_is_the_four_obvious_ideals(self):
         r = fr.product(fr.gf(2), fr.gf(2))

@@ -1,10 +1,12 @@
 """The immutable values that replaced frozen dataclasses: no attribute can
 be set or deleted, equal fields give equal values and hashes, and the reprs
-are those of the dataclasses."""
+are those of the dataclasses.  A graded ring is immutable too, but compares
+by identity."""
 
 import pytest
 
 from gradedprime import finring as fr
+from gradedprime import grading as gr
 from gradedprime import grfilter as gfl
 from gradedprime import leavitt as lv
 from gradedprime.groups import cyclic
@@ -29,16 +31,29 @@ def values():
     ]
 
 
-@pytest.mark.parametrize("value,same,other", values(), ids=lambda v: type(v).__name__)
-def test_values_are_frozen_and_compare_by_fields(value, same, other):
-    assert value is not same and value == same and hash(value) == hash(same)
-    assert value != other and value != object()
-    for name in ("order", "members", "edges", "kind", "ring", "anything_new"):
+def assert_frozen(value):
+    for name in ("order", "members", "edges", "kind", "ring", "components", "anything_new"):
         with pytest.raises(AttributeError):
             setattr(value, name, 0)
         if hasattr(value, name):
             with pytest.raises(AttributeError):
                 delattr(value, name)
+
+
+@pytest.mark.parametrize("value,same,other", values(), ids=lambda v: type(v).__name__)
+def test_values_are_frozen_and_compare_by_fields(value, same, other):
+    assert value is not same and value == same and hash(value) == hash(same)
+    assert value != other and value != object()
+    assert_frozen(value)
+
+
+def test_graded_rings_are_frozen_and_compare_by_identity():
+    """The classification and correspondence caches key on a graded ring,
+    whose components dict cannot be hashed."""
+    value = gr.attach_grading(TRI2, cyclic(2), {0: 0b110011, 1: 0b101})
+    same = gr.attach_grading(TRI2, cyclic(2), {0: 0b110011, 1: 0b101})
+    assert value == value and value != same and hash(value) == object.__hash__(value)
+    assert_frozen(value)
 
 
 def test_reprs_are_those_of_the_dataclasses():

@@ -146,7 +146,7 @@ def test_the_inclusion_check_implies_monotone_maps(name, graded):
     """On the lift map and on perturbed copies of it (one image replaced by
     the zero ideal, the identity component, the whole ring or another
     image), a pass of the check implies monotonicity; the true map passes."""
-    ring, family = graded.ring, co._invariant_principals(graded)
+    ring, family = graded.ring, fr._principal_ideals(*co._invariant_key(graded))
     invariant, _, lift, *_ = co._maps(graded, fr.DEFAULT_CAPS)
     assert co._preserves_inclusion(ring, invariant, lift, family)
     rng = random.Random(name)
@@ -162,7 +162,7 @@ def test_the_inclusion_check_needs_the_span():
     # mapping a + b onto a + b + c keeps the image of every member inside
     # the image of every ideal over it, but a + b lies in a + b + d
     graded = gr.trivial_grading(fr.product(*[fr.gf(2)] * 4), cyclic(2))
-    ring, family = graded.ring, co._invariant_principals(graded)
+    ring, family = graded.ring, fr._principal_ideals(*co._invariant_key(graded))
     invariant, _, lift, *_ = co._maps(graded, fr.DEFAULT_CAPS)
     a, b, c, d = sorted(family)
     image = {**lift, fr.subgroup_closure(ring, a | b): fr.subgroup_closure(ring, a | b | c)}

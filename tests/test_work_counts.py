@@ -12,7 +12,9 @@ with the lattice, family, correspondence and classification caches
 cleared: the counts do not depend on which tests ran before.
 """
 
+import sys
 from contextlib import ExitStack
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -27,6 +29,9 @@ from gradedprime.groups import cyclic
 import oracle
 from corpus import corpus_rings, graded_corpus
 from test_cli import f2_zero_multiplication
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 CACHES = (fr._lattice, fr._principal_ideals, co._maps, gr.classify_grading)
 
@@ -77,7 +82,7 @@ def test_the_report_on_trivially_graded_f2_6(f2_6):
     counts, report = work(lambda: co.verify_bijection_identity_generated(graded))
     assert all(check.passed for check in report.checks)
     assert co._maps(graded, DEFAULT_CAPS)[1] == lattice
-    assert counts == (82_047, 2_889, 1)
+    assert counts == (81_984, 2_889, 1)
 
 
 RING_WORK = {
@@ -113,3 +118,39 @@ def test_the_graded_and_invariant_lattices_of_each_grading(name, graded):
     assert ideals == oracle.all_graded_ideals(graded)
     assert invariant == oracle.invariant_base_ideals(graded)
     assert counts == GRADED_WORK[name]
+
+
+def both_reports(graded: gr.GradedRing):
+    return co.verify_bijection_identity_generated(graded), co.verify_bijection_ideally_symmetric(graded)
+
+
+def trivial_prod2x7() -> gr.GradedRing:
+    return gr.trivial_grading(fr.product(*[fr.gf(2)] * 7), cyclic(2))
+
+
+def bench_grpalg_gf2_s3() -> gr.GradedRing:
+    return specio.parse_graded_file(workloads.FIXED_FILES["grpalg_gf2_s3.graded"])
+
+
+@pytest.mark.parametrize(
+    "build,expected",
+    [(trivial_prod2x7, (1_957, 256, 1)), (bench_grpalg_gf2_s3, (308, 28, 2))],
+    ids=["trivial_prod2x7", "grpalg_gf2_s3"],
+)
+def test_both_reports(build, expected):
+    graded = fresh_graded(build())
+    counts, reports = work(lambda: both_reports(graded))
+    assert all(check.passed for report in reports for check in report.checks)
+    assert counts == expected
+
+
+def test_a_trivial_grading_builds_one_family_and_one_lattice():
+    """Under a trivial grading the invariant ideals of S_e = S are the
+    ideals of S, so S's family and lattice serve every caller."""
+    graded = fresh_graded(trivial_prod2x7())
+    ring = graded.ring
+    counts, _ = work(
+        lambda: (fr.all_ideals(ring), co.invariant_base_ideals(graded), co.is_g_prime_base(graded), both_reports(graded))
+    )
+    assert fr._principal_ideals.cache_info().misses == 1
+    assert counts[2] == 1
