@@ -49,8 +49,8 @@ from .grading import (
 
 def is_base_ideal(graded: GradedRing, jmask: int) -> bool:
     """Whether a subset of S_e is a two-sided ideal of the subring S_e."""
-    emask = graded.e_mask
-    return not jmask & ~emask and is_ideal_mask(graded.ring, jmask, acting=emask)
+    actors = graded.component_generators.get(graded.e, ())
+    return not jmask & ~graded.e_mask and is_ideal_mask(graded.ring, jmask, actors)
 
 
 def _conjugators(graded: GradedRing) -> tuple:
@@ -83,7 +83,11 @@ def is_g_prime_ideal(graded: GradedRing, qmask: int) -> bool:
     """Primeness quantified over invariant ideals of the identity component,
     made over the invariant closures of its generating family of principal
     ideals (is_prime_among)."""
-    if qmask == graded.e_mask or not is_base_ideal(graded, qmask) or not is_g_invariant(graded, qmask):
+    try:
+        proper = qmask != graded.e_mask and is_g_invariant(graded, qmask)
+    except ValueError:  # not an ideal of S_e
+        proper = False
+    if not proper:
         raise ValueError("subset is not a proper invariant ideal of the identity component")
     return is_prime_among(graded.ring, qmask, _principal_ideals(*_invariant_key(graded)))
 

@@ -31,11 +31,9 @@ from .finring import (
     _product_span,
     _span,
     closed_product,
-    is_additive_subgroup,
     is_m_system,
     is_s_unital_module,
     mask_of,
-    zero_ideal,
 )
 from .frozen import Frozen
 from .groups import FiniteGroup, IntegerGroup, Z
@@ -112,7 +110,7 @@ def attach_grading(ring: FiniteRing, group: GradingGroup, components: Mapping) -
         mask = val if isinstance(val, int) else mask_of(i if 0 <= i < ring.order else ring.order for i in val)
         if mask >> ring.order:  # as is a negative mask
             raise SpecError("component contains out-of-range elements")
-        if not is_additive_subgroup(ring, mask):
+        if _span(ring, mask)[0] != mask:
             raise SpecError(f"component at {x} is not an additive subgroup")
         comps[x] = mask
     e = group.identity
@@ -185,7 +183,7 @@ def is_graded_prime_ring(graded: GradedRing) -> bool:
     """Whether the zero ideal is graded prime."""
     if graded.ring.order == 1:
         raise ValueError("the zero ring is neither prime nor not prime")
-    return is_graded_prime_ideal(graded, zero_ideal(graded.ring))
+    return is_graded_prime_ideal(graded, Ideal(graded.ring, graded.ring.zero_mask))
 
 
 # ---------------------------------------------------------------------------

@@ -1507,7 +1507,7 @@ def attach_grading(ring: FiniteRing, group, components, caps: Caps = DEFAULT_CAP
         mask = val if isinstance(val, int) else mask_of(val)
         if mask >> ring.order:
             raise SpecError("component contains out-of-range elements")
-        if not fr.is_additive_subgroup(ring, mask):
+        if fr._span(ring, mask)[0] != mask:
             raise SpecError(f"component at {x} is not an additive subgroup")
         comps[x] = mask
     e = group.identity
@@ -1642,7 +1642,7 @@ def _base(graded: GradedRing):
     if graded.e_mask == graded.ring.full_mask:
         old = tuple(graded.ring.elements())
         return graded.ring, old, dict(zip(old, old))
-    sub, old = fr.induced_subring(graded.ring, bits(graded.e_mask))
+    sub, old = fr.subring(graded.ring, bits(graded.e_mask)), tuple(bits(graded.e_mask))
     return sub, old, {o: i for i, o in enumerate(old)}
 
 

@@ -594,6 +594,9 @@ def relabelled_z16sq(tmp_path_factory):
     return directory / workloads.RELABELLED
 
 
+SINKS_V_W = "coeff prime: YES\nMT-3: PASS; prime: YES\nsink v,v: v\nsink v,w: w\nsink w,v: w\nsink w,w: w\n"
+
+
 class TestInputCap:
     """An input file is read up to cli.MAX_INPUT characters: a longer one is
     refused before the rest is read, and one within the cap is judged on
@@ -635,6 +638,33 @@ class TestInputCap:
         path.write_text("gf(2)\n#" + "\u00e9" * (cli.MAX_INPUT - 7), encoding="utf-8")
         assert path.stat().st_size > cli.MAX_INPUT
         assert run_cli(capsys, "prime", path) == (0, "prime: YES\n", "")
+
+    @pytest.mark.parametrize(
+        "head,line,lines,code,out,err,budget",
+        [
+            ("", "vertex v{}\n", 75_691, 2, "", "error: graph of 257 vertices exceeds cap 256\n", 1.0),
+            ("vertex v\nvertex w\n", "edge e{}: v -> w\n", 52_983, 0, SINKS_V_W, "", 5.0),
+        ],
+        ids=["vertices", "parallel_edges"],
+    )
+    def test_the_largest_graphs_within_the_cap(self, tmp_path, head, line, lines, code, out, err, budget):
+        """As many lines as fit in cli.MAX_INPUT characters, through the
+        command line within a gigabyte of address space: the vertices are
+        refused at the 257th, and the parallel edges answer."""
+        text = head + "".join(line.format(k) for k in range(lines))
+        assert len(text) <= cli.MAX_INPUT < len(text) + len(line.format(lines))
+        path = tmp_path / "big.graph"
+        path.write_text(text)
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "gradedprime", "leavitt", str(path), "--coeff", str(DATA / "gf2.ring")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=limit_address_space,
+        )
+        assert time.perf_counter() - start < budget
+        assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
 
     def test_the_largest_legitimate_inputs_still_answer(self, capsys, tmp_path, relabelled_z16sq):
         assert 400_000 < relabelled_z16sq.stat().st_size < cli.MAX_INPUT

@@ -127,7 +127,7 @@ class TestGPrime:
 
 class TestIdentityGenerated:
     def test_zero_is_identity_generated(self, tri2_std):
-        assert co.is_identity_generated(tri2_std, fr.zero_ideal(tri2_std.ring))
+        assert co.is_identity_generated(tri2_std, fr.Ideal(tri2_std.ring, tri2_std.ring.zero_mask))
 
     def test_whole_triangular_ring_is_identity_generated(self, tri2_std):
         assert co.is_identity_generated(tri2_std, fr.Ideal(tri2_std.ring, tri2_std.ring.full_mask))

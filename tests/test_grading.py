@@ -113,7 +113,7 @@ class TestDecomposition:
 class TestGradedIdeals:
     def test_zero_and_whole_are_graded(self, tri2_std):
         ring = tri2_std.ring
-        assert gr.is_graded_ideal(tri2_std, fr.zero_ideal(ring))
+        assert gr.is_graded_ideal(tri2_std, fr.Ideal(ring, ring.zero_mask))
         assert gr.is_graded_ideal(tri2_std, fr.Ideal(ring, ring.full_mask))
 
     def test_all_five_triangular_ideals_are_graded(self, tri2_std):

@@ -27,7 +27,7 @@ from gradedprime.finring import DEFAULT_CAPS
 from gradedprime.groups import cyclic
 
 import oracle
-from corpus import corpus_rings, graded_corpus
+from corpus import corpus_rings, graded_corpus, mat_standard, zero_mult_graded
 from test_cli import f2_zero_multiplication
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -154,3 +154,41 @@ def test_a_trivial_grading_builds_one_family_and_one_lattice():
     )
     assert fr._principal_ideals.cache_info().misses == 1
     assert counts[2] == 1
+
+
+def test_a_g_prime_verdict_checks_its_argument_once():
+    """With every cache warm, is_g_prime_base checks that the zero ideal of
+    S_e is an ideal once (is_base_ideal, whose subgroup test is one
+    _extend, with S_e's cached generators acting) and invariant once (one
+    _extend for its generators, one for its invariant closure)."""
+    graded = bench_grpalg_gf2_s3()
+    co.is_g_prime_base(graded)
+    with ExitStack() as stack:
+        extend, base = (
+            stack.enter_context(mock.patch.object(module, name, wraps=getattr(module, name)))
+            for module, name in ((fr, "_extend"), (co, "is_base_ideal"))
+        )
+        assert co.is_g_prime_base(graded)
+    assert (extend.call_count, base.call_count) == (3, 1)
+
+
+def test_the_s_e_predicates_refuse_with_their_texts():
+    """mat(gf(2), 2) with its standard Z-grading: S_e is the diagonal
+    {0, E22, E11, I} (masks of the indices 0, 1, 8, 9)."""
+    g = mat_standard(2, 2)
+    e11 = fr.mask_of([0, 8])  # an ideal of S_e, but E21 E11 E12 = E22
+    not_ideals = (
+        fr.mask_of([0, 9]),  # a subgroup of S_e, but E11 I = E11
+        fr.mask_of([0, 1, 8]),  # inside S_e, not a subgroup
+        fr.mask_of([0, 2]),  # E21, outside S_e
+    )
+    proper = "^subset is not a proper invariant ideal of the identity component$"
+    for qmask in (g.e_mask, e11, *not_ideals):
+        with pytest.raises(ValueError, match=proper):
+            co.is_g_prime_ideal(g, qmask)
+    for jmask in not_ideals:
+        with pytest.raises(ValueError, match="^subset is not an ideal of the identity component$"):
+            co.is_g_invariant(g, jmask)
+    assert not co.is_g_invariant(g, e11) and co.is_g_invariant(g, g.e_mask)
+    with pytest.raises(ValueError, match=proper):
+        co.is_g_prime_base(zero_mult_graded())  # S_e is zero
