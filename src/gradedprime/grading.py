@@ -34,6 +34,7 @@ from .finring import (
     is_m_system,
     is_s_unital_module,
     mask_of,
+    subgroup_closure,
 )
 from .frozen import Frozen
 from .groups import FiniteGroup, IntegerGroup, Z
@@ -110,7 +111,7 @@ def attach_grading(ring: FiniteRing, group: GradingGroup, components: Mapping) -
         mask = val if isinstance(val, int) else mask_of(i if 0 <= i < ring.order else ring.order for i in val)
         if mask >> ring.order:  # as is a negative mask
             raise SpecError("component contains out-of-range elements")
-        if _span(ring, mask)[0] != mask:
+        if subgroup_closure(ring, mask) != mask:
             raise SpecError(f"component at {x} is not an additive subgroup")
         comps[x] = mask
     e = group.identity

@@ -464,12 +464,9 @@ PROD2X8 = "product(" + ", ".join(["gf(2)"] * 8) + ")"
 def cold_caches():
     """Empty the library's per-ring caches, so that a timed call pays for
     every lattice and family it reads."""
-    from gradedprime import correspondence, finring
+    from workcount import clear_caches
 
-    for module in (finring, gr, correspondence):
-        for value in vars(module).values():
-            if callable(getattr(value, "cache_clear", None)) and value.__module__ == module.__name__:
-                value.cache_clear()
+    clear_caches()
 
 
 class TestWallTime:

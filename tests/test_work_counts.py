@@ -8,8 +8,8 @@ The counts are pinned as equalities, so any change to the kernel's work,
 cheaper or dearer, fails here.  A change that alters a count re-pins it
 and gives the reason in CHANGES.md.  Each case runs on a fresh copy of its
 ring, so no memo on the ring object (its additive generators) is warm, and
-with the lattice, family, correspondence and classification caches
-cleared: the counts do not depend on which tests ran before.
+with every cache of the package cleared (``workcount.clear_caches``): the
+counts do not depend on which tests ran before.
 """
 
 import sys
@@ -29,11 +29,10 @@ from gradedprime.groups import cyclic
 import oracle
 from corpus import corpus_rings, graded_corpus, mat_standard, zero_mult_graded
 from test_cli import f2_zero_multiplication
+from workcount import clear_caches
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
-
-CACHES = (fr._lattice, fr._principal_ideals, co._maps, gr.classify_grading)
 
 
 def fresh(ring: fr.FiniteRing) -> fr.FiniteRing:
@@ -47,8 +46,7 @@ def fresh_graded(graded: gr.GradedRing) -> gr.GradedRing:
 def work(run):
     """(calls of _extend, of _ideal_span, of _join_closure) made by run(),
     and its result."""
-    for cached in CACHES:
-        cached.cache_clear()
+    clear_caches()
     with ExitStack() as stack:
         extend, span, join = (
             stack.enter_context(mock.patch.object(fr, name, wraps=getattr(fr, name)))

@@ -4,22 +4,22 @@ Each job of ``perfbench/workloads.py`` runs in this process through
 ``cli.main`` on the inputs that ``workloads.write_inputs`` writes, once to
 warm up (imports, the ``re`` cache, first-call set-up), then once more under
 ``sys.settrace`` with ``f_trace_opcodes`` set on every frame, counting
-opcode events.  Every ``lru_cache`` of the package is cleared before each
-run, so the counted run builds its lattices and families itself.  Only
-Python bytecode is counted: work done inside C calls (``bytes.translate``,
-``int.bit_count``) is not.  The count does not depend on the host, its load
-or ``PYTHONHASHSEED``; tracing makes a run about ten times slower.
+opcode events of its ``cli.main`` call.  Every ``lru_cache`` of the
+imported package modules is cleared before each run, so the counted run
+builds its lattices and families itself.  Only Python bytecode is counted:
+work done inside C calls (``bytes.translate``, ``int.bit_count``) is not.
+The count does not depend on the host, its load or ``PYTHONHASHSEED``;
+tracing makes a run about ten times slower.
 
-    PYTHONPATH=src python tests/workcount.py [--workload W] [--job NAME]
+    PYTHONPATH=src python tests/workcount.py
 
-prints one ``<workload> <job> <opcodes>`` line per job, on the inputs of
-seed 1.  It reads ``perfbench/`` and writes its inputs to a temporary
+prints one ``<workload> <job> <opcodes>`` line for every job, on the inputs
+of seed 1.  It reads ``perfbench/`` and writes its inputs to a temporary
 directory.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import sys
@@ -27,27 +27,36 @@ import tempfile
 from pathlib import Path
 
 from gradedprime import cli
-from gradedprime import correspondence as co
-from gradedprime import finring as fr
-from gradedprime import grading as gr
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads as wl  # noqa: E402
 
 SEED = 1
-CACHES = (fr._lattice, fr._principal_ideals, fr.ideal_product, co._maps, gr.classify_grading)
 
 
-def _run(argv: list[str]) -> int:
-    for cached in CACHES:
-        cached.cache_clear()
+def clear_caches() -> None:
+    """Empty every cache that a gradedprime module defines at its top level."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gradedprime"):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)) and value.__module__ == name:
+                    value.cache_clear()
+
+
+def _run(argv: list[str], trace=None) -> int:
+    """One cli.main run on cold caches, traced by trace from its first call."""
+    clear_caches()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return cli.main(argv)
+        sys.settrace(trace)
+        try:
+            return cli.main(argv)
+        finally:
+            sys.settrace(None)
 
 
-def opcodes(job: wl.Job, inputs: Path, seed: int) -> int:
+def opcodes(job: wl.Job, inputs: Path) -> int:
     """The opcodes one cli.main run of job executes, after a warm-up run."""
-    argv = job.resolve(inputs, seed)
+    argv = job.resolve(inputs, SEED)
     _run(argv)
     count = 0
 
@@ -59,26 +68,17 @@ def opcodes(job: wl.Job, inputs: Path, seed: int) -> int:
             count += 1
         return trace
 
-    sys.settrace(trace)
-    try:
-        _run(argv)
-    finally:
-        sys.settrace(None)
+    _run(argv, trace)
     return count
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", choices=sorted(wl.WORKLOADS), action="append")
-    ap.add_argument("--job", action="append", help="a job name; repeat for more (default: every job)")
-    args = ap.parse_args(argv)
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         inputs = Path(tmp)
         wl.write_inputs(inputs, SEED)
-        for workload in args.workload or wl.WORKLOADS:
-            for job in wl.WORKLOADS[workload]:
-                if args.job is None or job.name in args.job:
-                    print(workload, job.name, opcodes(job, inputs, SEED), flush=True)
+        for workload, jobs in wl.WORKLOADS.items():
+            for job in jobs:
+                print(workload, job.name, opcodes(job, inputs), flush=True)
     return 0
 
 
