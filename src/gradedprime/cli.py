@@ -77,11 +77,11 @@ def _cmd_ideals(args):
     lattice = fr.all_ideals(ring, _caps(args))
     yield "order", ring.order, f"ring order: {ring.order}"
     yield "ideals", len(lattice), f"ideals: {len(lattice)}"
-    for k, ideal in enumerate(lattice):
+    for k, mask in enumerate(lattice):
         yield (
             f"ideal.{k}",
-            partial(",".join, map(str, ideal.elements())),
-            partial(_listing, f"ideal {k}", map(ring.name, ideal.elements())),
+            partial(",".join, map(str, fr.bits(mask))),
+            partial(_listing, f"ideal {k}", map(ring.name, fr.bits(mask))),
         )
 
 

@@ -49,7 +49,7 @@ from .grading import (
 
 def is_base_ideal(graded: GradedRing, jmask: int) -> bool:
     """Whether a subset of S_e is a two-sided ideal of the subring S_e."""
-    actors = graded.component_generators.get(graded.e, ())
+    actors = graded.component_generators[graded.e]
     return not jmask & ~graded.e_mask and is_ideal_mask(graded.ring, jmask, actors)
 
 
@@ -64,7 +64,7 @@ def _conjugators(graded: GradedRing) -> tuple:
 def _invariant_key(graded: GradedRing) -> tuple:
     """finring's family and lattice key for the invariant ideals of S_e:
     S_e's elements, acted on by its additive generators, and the conjugators."""
-    return graded.ring, (graded.e_mask,), tuple(graded.component_generators.get(graded.e, ())), _conjugators(graded)
+    return graded.ring, (graded.e_mask,), tuple(graded.component_generators[graded.e]), _conjugators(graded)
 
 
 def is_g_invariant(graded: GradedRing, jmask: int) -> bool:
@@ -139,7 +139,7 @@ def _maps(graded: GradedRing, caps: Caps):
     graded_ideals = all_graded_ideals(graded, caps)
     invariant = invariant_base_ideals(graded, caps)
     lift = {j: _ideal_span(graded.ring, j)[0] for j in invariant}
-    projection = {i.members: i.members & graded.e_mask for i in graded_ideals}
+    projection = {m: m & graded.e_mask for m in graded_ideals}
     back = all(projection.get(m) == j for j, m in lift.items())
     lift_inclusion = _preserves_inclusion(graded.ring, invariant, lift, _principal_ideals(*_invariant_key(graded)))
     return invariant, graded_ideals, lift, projection, back, lift_inclusion
@@ -217,9 +217,7 @@ def verify_bijection_ideally_symmetric(graded: GradedRing, caps: Caps = DEFAULT_
 
     onto_ok = set(lift.values()) == set(projection)
 
-    graded_prime = {
-        i.members: is_graded_m_system(graded, ring.full_mask & ~i.members) for i in graded_ideals if i.is_proper
-    }
+    graded_prime = {m: is_graded_m_system(graded, ring.full_mask & ~m) for m in graded_ideals if m != ring.full_mask}
     family = _principal_ideals(*_invariant_key(graded))
     prime_match = True
     gprime = []

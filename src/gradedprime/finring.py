@@ -58,10 +58,12 @@ S_e's family.  So one builder makes all three families, keyed by ring,
 components, actors and conjugators, and one cache (``_lattice``), under the
 same key, holds the lattices that one join-closure kernel closes from them,
 for ``all_ideals``, ``grading.all_graded_ideals`` and
-``correspondence.invariant_base_ideals``.  No conjugators, (), is S's own
-key, so a trivial grading and two parses of one graded ring share its
-entries.  The pair tests of G-primeness and ideal symmetry, and the test of
-full idempotency, read the family itself.
+``correspondence.invariant_base_ideals``, which list them as sorted masks.
+No conjugators, (), is S's own key, so a trivial grading and two parses of
+one graded ring share its entries.  The pair tests of G-primeness and ideal
+symmetry, and the test of full idempotency, read the family itself.
+``Ideal`` is the validated handle for one ideal at the public boundary:
+``generate_ideal``, ``ideal_product`` and the primeness predicates.
 """
 
 from __future__ import annotations
@@ -573,15 +575,8 @@ def _span(ring: FiniteRing, xmask: int):
 
 
 def subgroup_closure(ring: FiniteRing, mask: int) -> int:
-    """Additive closure of a subset; always contains zero.
-
-    In a finite abelian group, closure under addition already yields a
-    subgroup (negatives arise as repeated sums).  The closure is built coset
-    by coset: a subgroup H and an element g outside it span the union of
-    the cosets H + kg for k up to the first kg in H, so the cost is linear
-    in the size of the result and the subgroup is carried by at most
-    log2(order) additive generators.
-    """
+    """Additive closure of a subset, built coset by coset (_extend); always
+    contains zero, and negatives arise as repeated sums."""
     return _span(ring, mask)[0]
 
 
@@ -723,7 +718,10 @@ def _ideal_count_floor(ring: FiniteRing, components: Sequence[int]) -> int:
     of dimension r there are sum_k [r choose k]_p of them, the Galois number
     G_r, with G_0 = 1, G_1 = 2 and G_{n+1} = 2 G_n + (p^n - 1) G_{n-1}.
     Every subgroup H with M_e inside H inside S_e is an invariant ideal of
-    S_e, since S_e H, H S_e and S_{x^-1} H S_x all lie in (S^2)_e.
+    S_e, since S_e H, H S_e and S_{x^-1} H S_x all lie in (S^2)_e.  Such
+    an H is fixed by its p-part, as M holds every other Sylow part, and a
+    sum of one such p-part for each p contains S^2 again: the floor is the
+    product of the counts over the primes.
     """
     gens = ring.additive_generators
     square = _product_span(ring, gens, gens)
@@ -747,7 +745,7 @@ def _ideal_count_floor(ring: FiniteRing, components: Sequence[int]) -> int:
             for n in range(round(math.log(comp.bit_count() // (comp & m).bit_count(), p))):
                 galois, last = 2 * galois + (p**n - 1) * last, galois
             count *= galois
-        floor = max(floor, count)
+        floor *= count
     return floor
 
 
@@ -827,9 +825,9 @@ def _lattice(ring: FiniteRing, components: tuple, actors: tuple, conjugators: tu
     return _join_closure(ring, _principal_ideals(ring, components, actors, conjugators), caps)
 
 
-def all_ideals(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]:
-    """The ideal lattice: every ideal joins the principal ideals of its elements."""
-    return tuple(Ideal(ring, m) for m in _lattice(ring, (ring.full_mask,), ring.additive_generators, (), caps))
+def all_ideals(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
+    """The ideal lattice as sorted masks: every ideal joins the principal ideals of its elements."""
+    return tuple(_lattice(ring, (ring.full_mask,), ring.additive_generators, (), caps))
 
 
 # The lattice cache's counters and its reset, read and called through the public name.

@@ -87,8 +87,9 @@ class GradedRing(Frozen):
 
     @cached_property
     def component_generators(self) -> dict:
-        """Additive generators of each component in the support."""
-        return {x: _gens(self.ring, self.components[x]) for x in self.support}
+        """Additive generators of each component in the support and of S_e,
+        an empty list when S_e = 0."""
+        return {self.e: [], **{x: _gens(self.ring, self.components[x]) for x in self.support}}
 
     def __repr__(self):
         return f"GradedRing(order={self.ring.order}, group={self.group!r}, support={list(self.support)})"
@@ -156,10 +157,10 @@ def is_graded_ideal(graded: GradedRing, ideal: Ideal) -> bool:
     return size == ideal.size
 
 
-def all_graded_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]:
-    """The graded ideals, sorted: the sums of ideals of homogeneous elements."""
+def all_graded_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
+    """The graded ideals as sorted masks: the sums of ideals of homogeneous elements."""
     ring = graded.ring
-    return tuple(Ideal(ring, m) for m in _lattice(ring, graded.component_masks, ring.additive_generators, (), caps))
+    return tuple(_lattice(ring, graded.component_masks, ring.additive_generators, (), caps))
 
 
 def is_graded_m_system(graded: GradedRing, tmask: int) -> bool:

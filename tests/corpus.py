@@ -145,9 +145,19 @@ def finite_filter_corpus() -> tuple:
     return tuple(out)
 
 
+def ideals_of(ring: fr.FiniteRing, masks) -> list:
+    """The validated Ideal of each mask of a lattice listing."""
+    return [fr.Ideal(ring, m) for m in masks]
+
+
+def member_masks(ideals) -> tuple:
+    """The masks of a tuple of Ideals, such as an oracle's lattice."""
+    return tuple(i.members for i in ideals)
+
+
 def all_candidate_filters(ring: fr.FiniteRing, group) -> list:
     """Every assignment of ideals to non-identity elements, valid or not."""
-    lattice = [i.members for i in fr.all_ideals(ring)]
+    lattice = fr.all_ideals(ring)
     others = [x for x in group.elements() if x != group.identity]
     out = []
     for combo in itertools.product(lattice, repeat=len(others)):

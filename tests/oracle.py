@@ -172,10 +172,13 @@ ideal-symmetry checks and pair tests the library's
 ``grfilter._inverse_pairs`` and this module's ``is_fully_idempotent``, and the old reports,
 invariant filter and ``is_fully_idempotent`` the library's lattices and
 ``correspondence`` helpers (this module's ``all_ideals`` is too slow for
-the rings they are compared on),
+the rings they are compared on), each wrapping the library's masks in
+``Ideal`` where it reads an ideal's generators or members,
 and the old ``gf`` and ``zmod`` the library's ``finring.make_ring``, which
 this module's own functions of those names would otherwise shadow; ``gf``
 also reaches the library's prime-power helpers through ``finring``.
+The old ``_ideal_count_floor`` multiplies its per-prime counts, as the
+library's does, where it took their maximum.
 ``_base`` is the ``GradedRing.base`` property of its version, made a
 function of the graded ring and cached per graded ring like the property,
 and the old ``_invariant_principals`` reads it instead of the property,
@@ -362,7 +365,8 @@ def _ideal_count_floor(ring: FiniteRing) -> int:
     M = S^2 + pS is an ideal, since SH + HS lies in S^2.  Those H are the
     subspaces of the F_p-space S/M; for S/M of dimension r there are
     sum_k [r choose k]_p of them, the Galois number G_r, with G_0 = 1,
-    G_1 = 2 and G_{n+1} = 2 G_n + (p^n - 1) G_{n-1}.
+    G_1 = 2 and G_{n+1} = 2 G_n + (p^n - 1) G_{n-1}.  The H for different p
+    combine by their p-parts, so the counts multiply.
     """
     gens = ring.additive_generators
     square = _product_span(ring, gens, gens)
@@ -383,7 +387,7 @@ def _ideal_count_floor(ring: FiniteRing) -> int:
         count, last = 1, 1  # G_0, and G_{-1} taken as 1 so the step gives G_1 = 2
         for n in range(r):
             count, last = 2 * count + (p**n - 1) * last, count
-        floor = max(floor, count)
+        floor *= count
     return floor
 
 
@@ -923,9 +927,9 @@ def witness_search(f, a, b, degree_bound: int):
 def _is_ideally_symmetrically_graded(graded: GradedRing, caps: Caps) -> bool:
     ring = graded.ring
     group = graded.group
-    for ideal in gr.all_graded_ideals(graded, caps):
+    for members in gr.all_graded_ideals(graded, caps):
         for x in graded.support:
-            ix = ideal.members & graded.component(x)
+            ix = members & graded.component(x)
             sx = graded.component(x)
             sxi = graded.component(group.inverse(x))
             if triple_product(ring, sx, sxi, ix) != ix:
@@ -944,7 +948,7 @@ def _ideally_symmetric_finite(f: GFilter, caps: Caps) -> bool:
     """
     ring = f.ring
     group = f.group
-    lattice = [i.members for i in fr.all_ideals(ring, caps)]
+    lattice = fr.all_ideals(ring, caps)
     choices = []
     for x in group.elements():
         ix = f.ideal_at(x)
@@ -1021,7 +1025,8 @@ def is_prime_ideal_by_pairs(ring: FiniteRing, p: Ideal, caps: Caps = DEFAULT_CAP
 
 def graded_prime_pair_test(graded: GradedRing, p: Ideal, caps: Caps = DEFAULT_CAPS) -> bool:
     """Quantification over pairs of graded ideals."""
-    return is_prime_among(graded.ring, p.members, gr.all_graded_ideals(graded, caps))
+    ring = graded.ring
+    return is_prime_among(ring, p.members, (Ideal(ring, m) for m in gr.all_graded_ideals(graded, caps)))
 
 
 @lru_cache(maxsize=16)
@@ -1029,7 +1034,7 @@ def _invariant_ideals(graded: GradedRing, caps: Caps) -> MappingProxyType[int, I
     """The G-invariant ideals of S_e as ideals of the subring _base(graded), by
     ambient mask; the index map is increasing, so the masks come sorted."""
     sub, old, _ = _base(graded)
-    ideals = {mask_of(old[k] for k in i.elements()): i for i in fr.all_ideals(sub, caps)}
+    ideals = {mask_of(old[k] for k in bits(m)): Ideal(sub, m) for m in fr.all_ideals(sub, caps)}
     return MappingProxyType({m: i for m, i in ideals.items() if is_g_invariant(graded, m)})
 
 
@@ -1357,7 +1362,7 @@ def is_fully_idempotent(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> bool:
     are compared as masks, spanned by the ideals' cached generators, so the
     loop neither builds an Ideal per pair nor fills the ideal_product cache.
     """
-    lattice = fr.all_ideals(ring, caps)
+    lattice = [Ideal(ring, m) for m in fr.all_ideals(ring, caps)]
     squares = all(_product_span(ring, i._generators, i._generators) == i.members for i in lattice)
     pairwise = all(
         _product_span(ring, i._generators, j._generators) == i.members & j.members
@@ -1373,7 +1378,7 @@ def filtered_invariant_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> 
     """The G-invariant ideals of S_e as a filter of the library's lattice of
     the induced subring, by the library's is_g_invariant."""
     sub, old, _ = _base(graded)
-    base = sorted(mask_of(old[i] for i in ideal.elements()) for ideal in fr.all_ideals(sub, caps))
+    base = sorted(mask_of(old[i] for i in bits(m)) for m in fr.all_ideals(sub, caps))
     return tuple(j for j in base if co.is_g_invariant(graded, j))
 
 
@@ -1391,7 +1396,7 @@ def verify_bijection_identity_generated(graded: GradedRing, caps: Caps = DEFAULT
     """
     ring = graded.ring
     invariant = filtered_invariant_ideals(graded, caps)
-    graded_ideals = gr.all_graded_ideals(graded, caps)
+    graded_ideals = [Ideal(ring, m) for m in gr.all_graded_ideals(graded, caps)]
     idgen = [i for i in graded_ideals if co.is_identity_generated(graded, i)]
     idgen_masks = {i.members for i in idgen}
 
@@ -1441,7 +1446,7 @@ def verify_bijection_ideally_symmetric(graded: GradedRing, caps: Caps = DEFAULT_
         raise ValueError("grading is not ideally symmetric")
     ring = graded.ring
     invariant = filtered_invariant_ideals(graded, caps)
-    graded_ideals = gr.all_graded_ideals(graded, caps)
+    graded_ideals = [Ideal(ring, m) for m in gr.all_graded_ideals(graded, caps)]
 
     generated = {j: fr.generate_ideal(ring, bits(j)).members for j in invariant}
     recovery_ok = True

@@ -23,6 +23,7 @@ from corpus import (
     all_candidate_filters,
     corpus_rings,
     graded_corpus,
+    ideals_of,
     named_graphs,
     small_graph_classes,
     z_graded_corpus,
@@ -45,7 +46,7 @@ def test_01_prime_criteria_agree():
     checked = 0
     ok = True
     for name, ring in corpus_rings():
-        for ideal in fr.all_ideals(ring):
+        for ideal in ideals_of(ring, fr.all_ideals(ring)):
             if not ideal.is_proper:
                 continue
             a = fr.is_prime_ideal(ring, ideal)
@@ -65,7 +66,7 @@ def test_02_ordered_grading_transfers_primeness():
         if ring.order > 1:
             ok = ok and fr.is_prime_ring(ring) == gr.is_graded_prime_ring(graded)
             rings += 1
-        for ideal in gr.all_graded_ideals(graded):
+        for ideal in ideals_of(ring, gr.all_graded_ideals(graded)):
             if ideal.is_proper:
                 ok = ok and fr.is_prime_ideal(ring, ideal) == gr.is_graded_prime_ideal(
                     graded, ideal
@@ -97,8 +98,8 @@ def test_03_generation_and_invariance():
             lift = fr.generate_ideal(ring, fr.bits(j))
             ok = ok and co.is_g_invariant(graded, j) == (lift.members & graded.e_mask == j)
             lifted += 1
-        for ideal in gr.all_graded_ideals(graded):
-            ok = ok and co.is_g_invariant(graded, ideal.members & graded.e_mask)
+        for m in gr.all_graded_ideals(graded):
+            ok = ok and co.is_g_invariant(graded, m & graded.e_mask)
             projected += 1
     finish(
         3,
@@ -290,7 +291,7 @@ def test_09_filter_classifiers():
                 ok = ok and c.symmetric == c.inverse_equal == c.ideally_symmetric
     idempotent_checked = 0
     for name, ring in corpus_rings():
-        lattice = fr.all_ideals(ring)
+        lattice = ideals_of(ring, fr.all_ideals(ring))
         squares = all(fr.ideal_product(i, i) == i for i in lattice)
         pairwise = all(
             fr.ideal_product(a, b).members == a.members & b.members

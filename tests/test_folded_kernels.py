@@ -18,7 +18,7 @@ from gradedprime import specio
 from gradedprime.groups import Z, cyclic, symmetric_group
 
 import oracle
-from corpus import corpus_rings, graded_corpus, group_algebra_grading
+from corpus import corpus_rings, graded_corpus, group_algebra_grading, ideals_of
 from test_lattice_kernel import SETTINGS, assembled_filter_rings, zero_mult_gradings
 from test_subgroup_kernel import small_rings
 
@@ -45,12 +45,12 @@ def m_system_criterion(ring, p, candidates=None):
     return fr.is_m_system(ring, ring.full_mask & ~p.members, candidates, fr.mask_of(ring.additive_generators))
 
 
-def element_verdicts(ring, ideals, candidates=(None,)):
-    """The pair loop kept in the oracle on every proper ideal and candidate
-    mask, asserting that the m-system test agrees with it, and with every
-    element a candidate, that primeness does."""
+def element_verdicts(ring, lattice, candidates=(None,)):
+    """The pair loop kept in the oracle on every proper ideal of a lattice
+    listing and every candidate mask, asserting that the m-system test
+    agrees with it, and with every element a candidate, that primeness does."""
     verdicts = []
-    for p in ideals:
+    for p in ideals_of(ring, lattice):
         if p.is_proper:
             for hom in candidates:
                 verdict = oracle.prime_element_criterion(ring, p, hom)
@@ -75,7 +75,7 @@ def test_element_criterion_with_and_without_homogeneous_candidates(name, graded)
     graded m-system test, gives its verdict."""
     hom = graded.homogeneous_mask
     element_verdicts(graded.ring, gr.all_graded_ideals(graded), (None, hom))
-    for p in gr.all_graded_ideals(graded):
+    for p in ideals_of(graded.ring, gr.all_graded_ideals(graded)):
         if p.is_proper:
             expected = oracle.prime_element_criterion(graded.ring, p, hom)
             assert gr.is_graded_prime_ideal(graded, p) == expected
@@ -114,7 +114,7 @@ def test_element_criterion_on_drawn_group_algebras(base, group):
 def masks_of(ring, rng):
     """The ideals of the ring, random subsets (not subgroups, as a rule),
     and the empty mask."""
-    masks = [i.members for i in fr.all_ideals(ring)][:40]
+    masks = list(fr.all_ideals(ring)[:40])
     return masks + [rng.getrandbits(ring.order) for _ in range(6)] + [0]
 
 

@@ -18,6 +18,7 @@ from corpus import (
     corpus_rings,
     graded_corpus,
     group_algebra_grading,
+    ideals_of,
     relabelled,
     tri_standard,
     z_graded_corpus,
@@ -203,7 +204,7 @@ class TestGradedPrimeness:
         homogeneous elements."""
         ring = graded.ring
         family = fr._family(ring, graded.component_masks)
-        for ideal in gr.all_graded_ideals(graded):
+        for ideal in ideals_of(ring, gr.all_graded_ideals(graded)):
             if not ideal.is_proper:
                 continue
             verdicts = {
@@ -220,7 +221,7 @@ class TestGradedPrimeness:
         takes the top index, the last middle factor a scan reaches, so a
         scan that stops one short misses it wherever it is the only one."""
         ring, top = graded.ring, graded.ring.order - 1
-        proper = [p for p in gr.all_graded_ideals(graded) if p.is_proper]
+        proper = [p for p in ideals_of(ring, gr.all_graded_ideals(graded)) if p.is_proper]
         verdicts = [(p.members, gr.is_graded_prime_ideal(graded, p)) for p in proper]
         for x in ring.elements():
             perm = list(range(ring.order))
@@ -236,7 +237,7 @@ class TestGradedPrimeness:
         ring = graded.ring
         if ring.order > 1:
             assert fr.is_prime_ring(ring) == gr.is_graded_prime_ring(graded)
-        for ideal in gr.all_graded_ideals(graded):
+        for ideal in ideals_of(ring, gr.all_graded_ideals(graded)):
             if ideal.is_proper:
                 assert fr.is_prime_ideal(ring, ideal) == gr.is_graded_prime_ideal(
                     graded, ideal

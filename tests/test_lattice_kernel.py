@@ -22,7 +22,7 @@ from gradedprime.finring import DEFAULT_CAPS
 from gradedprime.groups import Z, cyclic, symmetric_group
 
 import oracle
-from corpus import all_candidate_filters, corpus_rings, graded_corpus, group_algebra_grading
+from corpus import all_candidate_filters, corpus_rings, graded_corpus, group_algebra_grading, ideals_of, member_masks
 
 DATA = Path(__file__).parent / "data"
 # Its whole ring has 29,212 ideals, too many for the oracle's filter; its
@@ -36,7 +36,7 @@ def floor_of(graded):
 
 def assert_lattices_agree(graded):
     lattice = gr.all_graded_ideals(graded)
-    assert lattice == oracle.all_graded_ideals(graded)
+    assert lattice == member_masks(oracle.all_graded_ideals(graded))
     invariant = co.invariant_base_ideals(graded)
     assert invariant == oracle.invariant_base_ideals(graded)
     assert fr._ideal_count_floor(graded.ring, (graded.e_mask,)) <= len(invariant)
@@ -65,8 +65,36 @@ def test_zero_multiplication_f2_7_lattice_is_every_sum_of_components():
         fr.subgroup_closure(graded.ring, reduce(or_, itertools.compress(comps, pick), 0))
         for pick in itertools.product((0, 1), repeat=len(comps))
     )
-    assert [i.members for i in lattice] == sums
+    assert list(lattice) == sums
     assert floor_of(graded) == len(lattice) == 2**7
+
+
+# The three listings hand out the lattices' masks without validating them.
+# That every mask is an ideal of its class, and that the floor stays below
+# the count, is checked against validating oracles on the corpus rings
+# (test_subgroup_kernel.py::test_lattices_of_the_corpus, whose oracle builds
+# an Ideal per member, and test_finring.py::TestIdealLattice::
+# test_count_floor_is_a_lower_bound), the graded corpus and the graded data
+# files other than BIG (assert_lattices_agree, whose oracles filter those
+# Ideals by is_graded_ideal and is_g_invariant); the two tests below take
+# the data rings and BIG.
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in DATA.glob("*.ring")))
+def test_every_mask_listed_for_a_data_ring_is_an_ideal(path):
+    ring = specio.parse_ring_spec((DATA / path).read_text())
+    lattice = fr.all_ideals(ring)
+    assert lattice == tuple(sorted(set(lattice)))
+    assert all(fr.is_ideal_mask(ring, m) for m in lattice)
+    assert fr._ideal_count_floor(ring, (ring.full_mask,)) <= len(lattice)
+
+
+def test_every_mask_listed_for_big_is_of_its_class():
+    graded = specio.parse_graded_file((DATA / BIG).read_text())
+    lattice, invariant = gr.all_graded_ideals(graded), co.invariant_base_ideals(graded)
+    assert all(gr.is_graded_ideal(graded, fr.Ideal(graded.ring, m)) for m in lattice)
+    assert invariant == (graded.ring.zero_mask,) and co.is_g_invariant(graded, graded.ring.zero_mask)
+    assert fr._ideal_count_floor(graded.ring, (graded.e_mask,)) <= len(invariant)
 
 
 @pytest.mark.parametrize("group", [cyclic(2), Z], ids=["cyclic2", "Z"])
@@ -188,7 +216,7 @@ def test_a_scan_of_pair_primeness_spans_no_ideal_again():
     # the pair test reads the cached lattice with its generators, so testing
     # every ideal spans nothing once the lattice is built
     ring = fr.product(*[fr.gf(2)] * 4)
-    ideals = [p for p in fr.all_ideals(ring) if p.is_proper]
+    ideals = [p for p in ideals_of(ring, fr.all_ideals(ring)) if p.is_proper]
     oracle.is_prime_ideal_by_pairs(ring, ideals[0])
     with mock.patch.object(fr, "_span", wraps=fr._span) as spans:
         verdicts = [oracle.is_prime_ideal_by_pairs(ring, p) for p in ideals]

@@ -23,12 +23,14 @@ from gradedprime import correspondence as co
 from gradedprime import finring as fr
 from gradedprime import grading as gr
 from gradedprime import specio
+from gradedprime.errors import CapError
 from gradedprime.finring import DEFAULT_CAPS
 from gradedprime.groups import cyclic
 
 import oracle
-from corpus import corpus_rings, graded_corpus, mat_standard, zero_mult_graded
+from corpus import corpus_rings, graded_corpus, mat_standard, member_masks, zero_mult_graded
 from test_cli import f2_zero_multiplication
+from test_lattice_kernel import zero_mult_line
 from workcount import clear_caches
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -62,14 +64,14 @@ def f2_6():
     """The zero-multiplication F_2^6 and its 2,825 ideals, every additive
     subgroup, from the oracle's join closure."""
     ring = specio.parse_ring_spec(f2_zero_multiplication(6))
-    return ring, oracle._join_closure(ring, (ring.full_mask,), DEFAULT_CAPS)
+    return ring, member_masks(oracle._join_closure(ring, (ring.full_mask,), DEFAULT_CAPS))
 
 
 def test_every_ideal_of_f2_6(f2_6):
     ring, lattice = f2_6
     counts, ideals = work(lambda: fr.all_ideals(fresh(ring)))
     assert ideals == lattice and len(ideals) == 2825
-    assert counts == (70_684, 64, 1)
+    assert counts == (67_859, 64, 1)
 
 
 def test_the_report_on_trivially_graded_f2_6(f2_6):
@@ -80,32 +82,47 @@ def test_the_report_on_trivially_graded_f2_6(f2_6):
     counts, report = work(lambda: co.verify_bijection_identity_generated(graded))
     assert all(check.passed for check in report.checks)
     assert co._maps(graded, DEFAULT_CAPS)[1] == lattice
-    assert counts == (81_984, 2_889, 1)
+    assert counts == (79_159, 2_889, 1)
+
+
+def test_the_floor_refuses_f2_6_times_z3_before_enumerating():
+    """The zero-multiplication F_2^6 x Z/3 has 2,825 x 2 = 5,650 ideals,
+    every additive subgroup; its floor multiplies the count of each prime."""
+    ring = fr.product(specio.parse_ring_spec(f2_zero_multiplication(6)), zero_mult_line(3))
+    floor = fr._ideal_count_floor(ring, (ring.full_mask,))
+
+    def refused():
+        with pytest.raises(CapError, match="^ideal lattice exceeds cap 5000$"):
+            fr.all_ideals(fresh(ring), fr.Caps(max_ideals=5000))
+
+    counts, _ = work(refused)
+    assert counts[2] == 0
+    assert floor == len(fr.all_ideals(ring)) == 5650
 
 
 RING_WORK = {
-    "gf2": (12, 2, 1), "gf3": (14, 3, 1), "gf4": (16, 4, 1), "zmod4": (19, 4, 1),
-    "zmod6": (27, 6, 1), "prod22": (22, 4, 1), "mat2": (40, 16, 1), "tri2": (34, 8, 1),
-    "tri3": (178, 64, 1), "grpalg2": (19, 4, 1), "grpalg3": (32, 9, 1), "even8": (19, 4, 1),
+    "gf2": (10, 2, 1), "gf3": (12, 3, 1), "gf4": (14, 4, 1), "zmod4": (16, 4, 1),
+    "zmod6": (23, 6, 1), "prod22": (18, 4, 1), "mat2": (38, 16, 1), "tri2": (29, 8, 1),
+    "tri3": (164, 64, 1), "grpalg2": (16, 4, 1), "grpalg3": (28, 9, 1), "even8": (16, 4, 1),
 }
 
 
 @pytest.mark.parametrize("name,ring", corpus_rings())
 def test_the_lattice_of_each_corpus_ring(name, ring):
     counts, ideals = work(lambda: fr.all_ideals(fresh(ring)))
-    assert ideals == oracle._join_closure(ring, (ring.full_mask,), DEFAULT_CAPS)
+    assert ideals == member_masks(oracle._join_closure(ring, (ring.full_mask,), DEFAULT_CAPS))
     assert counts == RING_WORK[name]
 
 
 GRADED_WORK = {
-    "trivial_gf2": (13, 2, 1), "trivial_gf3": (15, 3, 1), "trivial_gf4": (17, 4, 1),
-    "trivial_zmod4": (20, 4, 1), "trivial_zmod6": (28, 6, 1), "trivial_prod22": (23, 4, 1),
-    "trivial_mat2": (41, 16, 1), "trivial_tri2": (35, 8, 1), "trivial_tri3": (179, 64, 1),
-    "trivial_grpalg2": (20, 4, 1), "trivial_grpalg3": (33, 9, 1), "trivial_even8": (20, 4, 1),
-    "tri2_std": (48, 10, 2), "tri3_std": (106, 22, 2), "mat2_z": (44, 12, 2),
-    "zero_mult_z": (18, 3, 2), "grpalg2_canonical": (28, 6, 2), "grpalg3_canonical": (34, 9, 2),
-    "filter_full_gf2_c2": (28, 6, 2), "filter_zero_gf2_c2": (13, 2, 1), "filter_prod_c3": (52, 12, 2),
-    "filter_prod_c2": (47, 10, 2), "filter_tri2_row_c2": (75, 20, 2),
+    "trivial_gf2": (11, 2, 1), "trivial_gf3": (13, 3, 1), "trivial_gf4": (15, 4, 1),
+    "trivial_zmod4": (17, 4, 1), "trivial_zmod6": (24, 6, 1), "trivial_prod22": (19, 4, 1),
+    "trivial_mat2": (39, 16, 1), "trivial_tri2": (30, 8, 1), "trivial_tri3": (165, 64, 1),
+    "trivial_grpalg2": (17, 4, 1), "trivial_grpalg3": (29, 9, 1), "trivial_even8": (17, 4, 1),
+    "tri2_std": (43, 10, 2), "tri3_std": (92, 22, 2), "mat2_z": (42, 12, 2),
+    "zero_mult_z": (16, 3, 2), "grpalg2_canonical": (26, 6, 2), "grpalg3_canonical": (32, 9, 2),
+    "filter_full_gf2_c2": (26, 6, 2), "filter_zero_gf2_c2": (11, 2, 1), "filter_prod_c3": (48, 12, 2),
+    "filter_prod_c2": (43, 10, 2), "filter_tri2_row_c2": (70, 20, 2),
 }
 
 
@@ -113,7 +130,7 @@ GRADED_WORK = {
 def test_the_graded_and_invariant_lattices_of_each_grading(name, graded):
     copy = fresh_graded(graded)
     counts, (ideals, invariant) = work(lambda: (gr.all_graded_ideals(copy), co.invariant_base_ideals(copy)))
-    assert ideals == oracle.all_graded_ideals(graded)
+    assert ideals == member_masks(oracle.all_graded_ideals(graded))
     assert invariant == oracle.invariant_base_ideals(graded)
     assert counts == GRADED_WORK[name]
 
@@ -132,7 +149,7 @@ def bench_grpalg_gf2_s3() -> gr.GradedRing:
 
 @pytest.mark.parametrize(
     "build,expected",
-    [(trivial_prod2x7, (1_957, 256, 1)), (bench_grpalg_gf2_s3, (308, 28, 2))],
+    [(trivial_prod2x7, (1_829, 256, 1)), (bench_grpalg_gf2_s3, (306, 28, 2))],
     ids=["trivial_prod2x7", "grpalg_gf2_s3"],
 )
 def test_both_reports(build, expected):

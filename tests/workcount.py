@@ -9,13 +9,16 @@ imported package modules is cleared before each run, so the counted run
 builds its lattices and families itself.  Only Python bytecode is counted:
 work done inside C calls (``bytes.translate``, ``int.bit_count``) is not.
 The count does not depend on the host, its load or ``PYTHONHASHSEED``;
-tracing makes a run about ten times slower.
+tracing makes a run about ten times slower.  After the counted run the job
+runs ``RUNS`` more times untraced, each on cold caches, and the fastest
+``cli.main`` call gives its in-process wall time, which does depend on the
+host and its load.
 
     PYTHONPATH=src python tests/workcount.py
 
-prints one ``<workload> <job> <opcodes>`` line for every job, on the inputs
-of seed 1.  It reads ``perfbench/`` and writes its inputs to a temporary
-directory.
+prints one ``<workload> <job> <opcodes> <ms>`` line for every job, on the
+inputs of seed 1.  It reads ``perfbench/`` and writes its inputs to a
+temporary directory.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import contextlib
 import io
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from gradedprime import cli
@@ -32,6 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads as wl  # noqa: E402
 
 SEED = 1
+RUNS = 5
 
 
 def clear_caches() -> None:
@@ -43,15 +48,19 @@ def clear_caches() -> None:
                     value.cache_clear()
 
 
-def _run(argv: list[str], trace=None) -> int:
-    """One cli.main run on cold caches, traced by trace from its first call."""
+def _run(argv: list[str], trace=None) -> float:
+    """One cli.main run on cold caches, traced by trace from its first
+    call; its wall time in seconds."""
     clear_caches()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        start = time.perf_counter()
         sys.settrace(trace)
         try:
-            return cli.main(argv)
+            cli.main(argv)
         finally:
             sys.settrace(None)
+            elapsed = time.perf_counter() - start
+    return elapsed
 
 
 def opcodes(job: wl.Job, inputs: Path) -> int:
@@ -72,13 +81,22 @@ def opcodes(job: wl.Job, inputs: Path) -> int:
     return count
 
 
+def line(workload: str, job: wl.Job, inputs: Path) -> str:
+    """The job's ``<workload> <job> <opcodes> <ms>`` line: the counted run,
+    then the best of RUNS untraced runs in milliseconds."""
+    count = opcodes(job, inputs)
+    argv = job.resolve(inputs, SEED)
+    ms = 1000 * min(_run(argv) for _ in range(RUNS))
+    return f"{workload} {job.name} {count} {ms:.1f}"
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         inputs = Path(tmp)
         wl.write_inputs(inputs, SEED)
         for workload, jobs in wl.WORKLOADS.items():
             for job in jobs:
-                print(workload, job.name, opcodes(job, inputs), flush=True)
+                print(line(workload, job, inputs), flush=True)
     return 0
 
 
