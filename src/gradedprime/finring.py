@@ -192,8 +192,7 @@ def make_ring(
     n = len(add_rows)
     if n == 0:
         raise SpecError("ring must contain at least a zero element")
-    if n > caps.max_ring_order:
-        raise CapError(f"ring order {n} exceeds cap {caps.max_ring_order}")
+    _checked_order({n: 1}, caps)
     if len(mul_rows) != n or not rows_of_length((*add_rows, *mul_rows), n):
         raise SpecError("tables must be square and of equal size")
     read = read_table(add_rows), read_table(mul_rows)
@@ -229,8 +228,7 @@ def zmod(n: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     """The ring of integers modulo n."""
     if n < 1:
         raise SpecError("modulus must be positive")
-    if n > caps.max_ring_order:  # before the n x n tables are built
-        raise CapError(f"ring order {n} exceeds cap {caps.max_ring_order}")
+    _checked_order({n: 1}, caps)  # before the n x n tables are built
     residues = list(range(n))
     add = [residues[i:] + residues[:i] for i in residues]
     mul = [[0] * n]
@@ -668,9 +666,6 @@ class Ideal(Frozen):
     @cached_property
     def _generators(self) -> list[int]:
         return _gens(self.ring, self.members)
-
-    def __le__(self, other: "Ideal") -> bool:
-        return self.members | other.members == other.members
 
     def __repr__(self) -> str:
         return f"Ideal({sorted(bits(self.members))})"

@@ -11,12 +11,11 @@ terms, and only the witness trials multiply them, with no check of a
 coefficient against its component: the filter law keeps every product
 inside, and tests/oracle.py holds that check.  A filter memoises its
 products, its validity and its members of each degree.  To keep the filter
-law decidable, integer filters are restricted to two rule classes (R on a
-subgroup with a fixed ideal elsewhere, or a constant ideal away from zero)
-plus a finite override table, and all laws are checked on a window of
-degrees wide enough to realize every combination of values the rules can
-produce.  The grading classes of the subring are read from the pairs
-(I_x, I_{x^-1}) by grading's kernels.
+law decidable, integer filters are restricted to one rule class, R on nZ
+(n >= 0) with a fixed ideal elsewhere, plus a finite override table, and
+all laws are checked on a window of degrees wide enough to realize every
+combination of values the rule can produce.  The grading classes of the
+subring are read from the pairs (I_x, I_{x^-1}) by grading's kernels.
 """
 
 from __future__ import annotations
@@ -44,56 +43,49 @@ Terms = tuple[tuple[int, int], ...]  # an element's nonzero (degree, coeff) term
 
 
 class ZRule(Frozen):
-    """Degree-to-ideal rule over the integers.
+    """Degree-to-ideal rule over the integers: R on nZ, the ideal mask off
+    elsewhere.  n = 0 gives R on 0Z = {0} alone, a constant ideal away from
+    zero."""
 
-    kind "subgroup": R on multiples of n, the off ideal elsewhere.
-    kind "constant": R at zero, the constant ideal elsewhere (n is unused).
-    off is the ideal mask used away from the distinguished degrees.
-    """
+    _fields = ("n", "off")
 
-    _fields = ("kind", "n", "off")
-
-    def __init__(self, kind: str, n: int = 1, off: int = 0):
-        if kind not in ("subgroup", "constant"):
-            raise SpecError(f"unknown integer filter rule {kind!r}")
-        if kind == "subgroup" and n < 1:
-            raise SpecError("subgroup index must be positive")
-        vars(self).update(kind=kind, n=n, off=off)
+    def __init__(self, n: int, off: int = 0):
+        if n < 0:
+            raise SpecError("a rule's n must be at least 0")
+        vars(self).update(n=n, off=off)
 
 
 class GFilter(Frozen):
-    """The ideal I_x of each degree x.  An integer filter is refused with
-    CapError, before any list is built, when its window of sites (the finite
-    stand-in for Z whose pairs the laws scan) has more than
-    caps.max_group_order degrees."""
+    """The ideal I_x of each degree x, from table's (degree, ideal) pairs:
+    every element of a finite group, or over the integers zrule's overrides.
+    An integer filter is refused with CapError, before any list is built,
+    when its window of sites (the finite stand-in for Z whose pairs the laws
+    scan) has more than caps.max_group_order degrees."""
 
-    _fields = ("ring", "group", "assignment", "zrule", "overrides")
+    _fields = ("ring", "group", "table", "zrule")
 
     def __init__(
         self,
         ring: FiniteRing,
         group: Union[FiniteGroup, IntegerGroup],
-        assignment: Optional[tuple[tuple[int, int], ...]] = None,  # finite groups
-        zrule: Optional[ZRule] = None,
-        overrides: tuple[tuple[int, int], ...] = (),
+        table: tuple[tuple[int, int], ...],
+        zrule: Optional[ZRule] = None,  # integer filters
         caps: Caps = DEFAULT_CAPS,
     ):
+        ideals = dict(table)
         if group.is_finite:
-            if assignment is None:
-                raise SpecError("finite group filter needs a total assignment")
-            table = dict(assignment)
-            if set(table) != set(group.elements()):
+            if zrule is not None:
+                raise SpecError("patterns and overrides are for integer filters")
+            if set(ideals) != set(group.elements()):
                 raise SpecError("assignment must cover every group element")
         else:
             if zrule is None:
                 raise SpecError("integer filter needs a rule")
-            degrees = 2 * _window(zrule, overrides) + 1
+            degrees = 2 * _window(zrule, table) + 1
             if degrees > caps.max_group_order:
                 shown = degrees if degrees.bit_length() <= 14_000 else "over 2^14000"  # str() refuses 4,301+ digits
                 raise CapError(f"filter window of {shown} degrees exceeds cap {caps.max_group_order}")
-            table = dict(overrides)
-        vars(self).update(ring=ring, group=group, assignment=assignment, zrule=zrule,
-                          overrides=overrides, _table=table)
+        vars(self).update(ring=ring, group=group, table=table, zrule=zrule, _ideals=ideals)  # table by degree, for ideal_at
         if self.ideal_at(group.identity) != ring.full_mask:
             raise SpecError("the identity component must be the whole ring")
 
@@ -124,15 +116,14 @@ class GFilter(Frozen):
         return True
 
     def ideal_at(self, x: int) -> int:
-        if x in self._table or self.group.is_finite:
-            return self._table[x]
-        rule = self.zrule
-        distinguished = x % rule.n == 0 if rule.kind == "subgroup" else x == 0
-        return self.ring.full_mask if distinguished else rule.off
+        if x in self._ideals:
+            return self._ideals[x]
+        n = self.zrule.n
+        return self.ring.full_mask if (x % n == 0 if n else x == 0) else self.zrule.off
 
 
 def make_finite_filter(ring: FiniteRing, group: FiniteGroup, assignment: Mapping[int, int]) -> GFilter:
-    return GFilter(ring, group, assignment=tuple(sorted(assignment.items())))
+    return GFilter(ring, group, tuple(sorted(assignment.items())))
 
 
 def make_z_filter(
@@ -145,8 +136,8 @@ def make_z_filter(
     from .groups import Z
 
     if rule.off == 0:  # an empty mask means the zero ideal
-        rule = ZRule(rule.kind, rule.n, ring.zero_mask)
-    return GFilter(ring, Z, zrule=rule, overrides=tuple(sorted((overrides or {}).items())), caps=caps)
+        rule = ZRule(rule.n, ring.zero_mask)
+    return GFilter(ring, Z, tuple(sorted((overrides or {}).items())), rule, caps)
 
 
 def _window(rule: ZRule, overrides) -> int:
@@ -156,7 +147,7 @@ def _window(rule: ZRule, overrides) -> int:
     period, and the extra period per override leaves room to step around
     collisions with the finitely many overridden degrees."""
     bound = max((abs(k) for k, _ in overrides), default=0)
-    period = rule.n if rule.kind == "subgroup" else 1
+    period = rule.n or 1
     return 2 * bound + (len(overrides) + 2) * period + 2
 
 
@@ -166,7 +157,7 @@ def filter_sites(f: GFilter) -> list[int]:
     _window, which GFilter caps at caps.max_group_order degrees."""
     if f.group.is_finite:
         return list(f.group.elements())
-    w = _window(f.zrule, f.overrides)
+    w = _window(f.zrule, f.table)
     return list(range(-w, w + 1))
 
 

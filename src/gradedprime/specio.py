@@ -355,7 +355,7 @@ def _pattern(ts: _Tokens) -> tuple:
     if kind == "subgroup":
         return kind, _parse_int(ts), (_elements(ts) if ts.peek() == "[" else [])
     if kind == "constant":
-        return kind, 1, _elements(ts)
+        return kind, 0, _elements(ts)
     raise SpecError(f"unknown pattern {kind!r}")
 
 
@@ -437,8 +437,10 @@ def parse_filter_file(text: str, caps: Caps = DEFAULT_CAPS) -> GFilter:
     if assignments:
         raise SpecError("I lines are for finite groups; use overrides")
     ((kind, n, gens),) = lines["pattern"][None]
-    zrule = ZRule(kind, n, ideal_mask(gens))
-    return make_z_filter(ring, zrule, {x: ideal_mask(g) for x, g in overrides.items()}, caps)
+    off = ideal_mask(gens)
+    if kind == "subgroup" and n < 1:
+        raise SpecError("subgroup index must be positive")
+    return make_z_filter(ring, ZRule(n, off), {x: ideal_mask(g) for x, g in overrides.items()}, caps)
 
 
 def parse_graph_file(text: str) -> DirectedGraph:

@@ -1749,7 +1749,7 @@ def parse_filter_file(text: str, caps: Caps = DEFAULT_CAPS) -> GFilter:
                 rule = ("subgroup", n, gens)
             elif kind == "constant":
                 gens = specio.parse_element_list(parts[2] if len(parts) > 2 else "[]")
-                rule = ("constant", 1, gens)
+                rule = ("constant", 0, gens)
             else:
                 raise SpecError(f"unknown pattern {kind!r}")
         elif line.startswith("override"):
@@ -1775,8 +1775,10 @@ def parse_filter_file(text: str, caps: Caps = DEFAULT_CAPS) -> GFilter:
     if assignments:
         raise SpecError("I lines are for finite groups; use overrides")
     kind, n, gens = rule
-    zrule = gfl.ZRule(kind, n, ideal_mask(gens))
-    return gfl.make_z_filter(ring, zrule, {x: ideal_mask(g) for x, g in overrides.items()}, caps)
+    off = ideal_mask(gens)
+    if kind == "subgroup" and n < 1:
+        raise SpecError("subgroup index must be positive")
+    return gfl.make_z_filter(ring, gfl.ZRule(n, off), {x: ideal_mask(g) for x, g in overrides.items()}, caps)
 
 
 _VERTEX_LINE = re.compile(r"^vertex\s+([A-Za-z_][A-Za-z0-9_]*)$")

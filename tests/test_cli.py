@@ -420,6 +420,30 @@ class TestErrors:
         assert result.stdout == ""
         assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "pattern,err",
+        [
+            ("subgroup 0 [4]", "error: subgroup index must be positive\n"),
+            ("subgroup -2 [4]", "error: subgroup index must be positive\n"),
+            ("subgroup 0 [99]", "error: generator index out of range\n"),  # the generators are read first
+        ],
+        ids=["index_0", "index_minus_2", "generator_before_index"],
+    )
+    def test_a_subgroup_pattern_needs_a_positive_index(self, capsys, tmp_path, pattern, err):
+        spec = tmp_path / "spec.filter"
+        spec.write_text(f"ring: tri(gf(2), 2)\ngroup: Z\npattern {pattern}\n")
+        assert run_cli(capsys, "filter", spec) == (2, "", err)
+
+    def test_an_assignment_off_the_group_is_refused(self, capsys, tmp_path):
+        spec = tmp_path / "spec.filter"
+        spec.write_text("ring: gf(2)\ngroup: cyclic(2)\nI 1 = [1]\nI 5 = [1]\n")
+        assert run_cli(capsys, "filter", spec) == (2, "", "error: assignment must cover every group element\n")
+
+    def test_an_override_can_break_a_constant_pattern(self, capsys, tmp_path):
+        spec = tmp_path / "spec.filter"
+        spec.write_text("ring: tri(gf(2), 2)\ngroup: Z\npattern constant [4]\noverride 3 = [1]\n")
+        assert run_cli(capsys, "filter", spec) == (0, "valid filter: NO\n", "")
+
     def test_cap_flags_are_honoured(self, capsys):
         status, _, err = run_cli(capsys, "ideals", DATA / "tri2.ring", "--max-ring-order", "4")
         assert status == 2

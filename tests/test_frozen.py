@@ -22,11 +22,11 @@ def values():
         (fr.Ideal(TRI2, 1), fr.generate_ideal(TRI2, []), fr.generate_ideal(TRI2, [2])),
         (cyclic(3), cyclic(3), cyclic(4)),
         (lv.graph(["v"], [("e", "v", "v")]), lv.graph(["v"], [("e", "v", "v")]), lv.graph(["v"], [])),
-        (gfl.ZRule("subgroup", 2, 5), gfl.ZRule("subgroup", 2, 5), gfl.ZRule("subgroup", 3, 5)),
+        (gfl.ZRule(2, 5), gfl.ZRule(2, 5), gfl.ZRule(3, 5)),
         (
-            gfl.make_z_filter(TRI2, gfl.ZRule("subgroup", 2)),
-            gfl.make_z_filter(TRI2, gfl.ZRule("subgroup", 2, TRI2.zero_mask)),
-            gfl.make_z_filter(TRI2, gfl.ZRule("constant")),
+            gfl.make_z_filter(TRI2, gfl.ZRule(2)),
+            gfl.make_z_filter(TRI2, gfl.ZRule(2, TRI2.zero_mask)),
+            gfl.make_z_filter(TRI2, gfl.ZRule(0)),
         ),
     ]
 
@@ -58,8 +58,8 @@ def test_graded_rings_are_frozen_and_compare_by_identity():
 
 def test_reprs_are_those_of_the_dataclasses():
     shown = [
-        gfl.ZRule("subgroup", 2, 5),
-        gfl.make_z_filter(TRI2, gfl.ZRule("subgroup", 2)),
+        gfl.ZRule(2, 5),
+        gfl.make_z_filter(TRI2, gfl.ZRule(2)),
         gfl.make_finite_filter(GF2, cyclic(2), {0: 3, 1: 1}),
         lv.graph(["v", "w"], [("e", "v", "w")]),
         fr.Caps(),
@@ -67,11 +67,10 @@ def test_reprs_are_those_of_the_dataclasses():
         gfl.Witness(0, 1),
     ]
     assert [repr(v) for v in shown] == [
-        "ZRule(kind='subgroup', n=2, off=5)",
-        "GFilter(ring=FiniteRing(order=8, unital), group=Z, assignment=None, "
-        "zrule=ZRule(kind='subgroup', n=2, off=1), overrides=())",
+        "ZRule(n=2, off=5)",
+        "GFilter(ring=FiniteRing(order=8, unital), group=Z, table=(), zrule=ZRule(n=2, off=1))",
         "GFilter(ring=FiniteRing(order=2, unital), group=FiniteGroup(order=2), "
-        "assignment=((0, 3), (1, 1)), zrule=None, overrides=())",
+        "table=((0, 3), (1, 1)), zrule=None)",
         "DirectedGraph(vertices=('v', 'w'), edges=(Edge(name='e', src='v', dst='w'),))",
         "Caps(max_ring_order=256, max_ideals=65536, max_group_order=256)",
         "MT3Result(holds=True, sinks={('v', 'v'): 'v'}, violation=None)",

@@ -56,39 +56,47 @@ class TestValidation:
 
     def test_partial_assignment_rejected(self):
         with pytest.raises(SpecError):
-            gfl.GFilter(GF2, cyclic(2), assignment=((0, GF2.full_mask),))
+            gfl.GFilter(GF2, cyclic(2), ((0, GF2.full_mask),))
+
+    def test_a_finite_filter_takes_no_rule(self):
+        with pytest.raises(SpecError, match="^patterns and overrides are for integer filters$"):
+            gfl.GFilter(GF2, cyclic(2), ((0, GF2.full_mask), (1, GF2.zero_mask)), gfl.ZRule(1))
+
+    def test_a_rule_of_negative_n_is_refused(self):
+        with pytest.raises(SpecError, match="^a rule's n must be at least 0$"):
+            gfl.ZRule(-2)
 
     def test_z_subgroup_patterns_validate(self):
-        filt = gfl.make_z_filter(GF2, gfl.ZRule("subgroup", 2))
+        filt = gfl.make_z_filter(GF2, gfl.ZRule(2))
         assert gfl.validate_filter(filt)
 
     def test_z_constant_patterns_validate(self):
         t2 = fr.tri(GF2, 2)
-        filt = gfl.make_z_filter(t2, gfl.ZRule("constant", off=row_ideal_tri2()))
+        filt = gfl.make_z_filter(t2, gfl.ZRule(0, off=row_ideal_tri2()))
         assert gfl.validate_filter(filt)
 
     def test_z_override_must_respect_the_law(self):
         # forcing the whole ring at degree 1 breaks I_1*I_1 inside I_2 = 0
-        filt = gfl.make_z_filter(GF2, gfl.ZRule("subgroup", 3), {1: GF2.full_mask})
+        filt = gfl.make_z_filter(GF2, gfl.ZRule(3), {1: GF2.full_mask})
         assert not gfl.validate_filter(filt)
 
     def test_z_override_can_be_consistent(self):
         # a nilpotent constant ideal can be shrunk pointwise to zero
         z4 = fr.zmod(4)
         j = fr.generate_ideal(z4, [2]).members
-        filt = gfl.make_z_filter(z4, gfl.ZRule("constant", off=j), {3: z4.zero_mask})
+        filt = gfl.make_z_filter(z4, gfl.ZRule(0, off=j), {3: z4.zero_mask})
         assert gfl.validate_filter(filt)
 
     def test_z_override_shrinking_a_full_pattern_is_caught(self):
         z4 = fr.zmod(4)
         j = fr.generate_ideal(z4, [2]).members
-        filt = gfl.make_z_filter(z4, gfl.ZRule("subgroup", 1), {5: j, -5: j})
+        filt = gfl.make_z_filter(z4, gfl.ZRule(1), {5: j, -5: j})
         assert not gfl.validate_filter(filt)
 
     def test_the_window_is_capped_by_the_group_cap(self):
         """2w + 1 sites, w = 2 * 5 + 3 * 2 + 2 for period 2 and an override
         at 5: 37 degrees."""
-        rule, over = gfl.ZRule("subgroup", 2), {5: GF2.zero_mask}
+        rule, over = gfl.ZRule(2), {5: GF2.zero_mask}
         filt = gfl.make_z_filter(GF2, rule, over, fr.Caps(max_group_order=37))
         assert gfl.filter_sites(filt) == list(range(-18, 19))
         with pytest.raises(CapError, match="^filter window of 37 degrees exceeds cap 36$"):
@@ -102,12 +110,12 @@ class TestValidation:
         scan of its pairs uncapped."""
         start = time.perf_counter()
         with pytest.raises(CapError, match=f"^filter window of {degrees} degrees exceeds cap 256$"):
-            gfl.validate_filter(gfl.GFilter(GF2, Z, zrule=gfl.ZRule("subgroup", n, 1)))
+            gfl.validate_filter(gfl.GFilter(GF2, Z, (), gfl.ZRule(n, 1)))
         assert time.perf_counter() - start < 1.0
 
     def test_a_filter_built_directly_takes_the_group_cap(self):
-        rule = gfl.ZRule("subgroup", 3000, 1)
-        filt = gfl.GFilter(GF2, Z, zrule=rule, caps=fr.Caps(max_group_order=12005))
+        rule = gfl.ZRule(3000, 1)
+        filt = gfl.GFilter(GF2, Z, (), rule, caps=fr.Caps(max_group_order=12005))
         assert len(gfl.filter_sites(filt)) == 12005
 
 
@@ -134,7 +142,7 @@ class TestBuild:
             gfl.assemble_filter_ring(bad)
 
     def test_z_filters_multiply_term_tuples(self):
-        filt = gfl.make_z_filter(GF2, gfl.ZRule("subgroup", 1))
+        filt = gfl.make_z_filter(GF2, gfl.ZRule(1))
         assert gfl.validate_filter(filt)
         u = GF2.unit
         assert gfl._product(GF2, ((1, u),), ((2, u),)) == ((3, u),)
@@ -179,14 +187,14 @@ class TestBuild:
 
 @pytest.fixture(scope="module")
 def z4():
-    return gfl.make_z_filter(fr.zmod(4), gfl.ZRule("subgroup", 1))
+    return gfl.make_z_filter(fr.zmod(4), gfl.ZRule(1))
 
 
 class TestElements:
 
     def test_membership_is_enforced(self):
         t2 = fr.tri(GF2, 2)
-        filt = gfl.make_z_filter(t2, gfl.ZRule("subgroup", 2, off=row_ideal_tri2()))
+        filt = gfl.make_z_filter(t2, gfl.ZRule(2, off=row_ideal_tri2()))
         oracle.element(filt, {1: 4})  # E11 lies in the row ideal
         with pytest.raises(SpecError, match="^coefficient .* is outside the degree-1 component$"):
             oracle.element(filt, {1: 1})  # E22 does not
@@ -227,7 +235,7 @@ class TestElements:
 
 
 def random_z_filters(count: int, seed: int = 0) -> list:
-    """count valid integer filters, drawn with both rule kinds and up to two
+    """count valid integer filters, drawn with n = 0 and n > 0 and up to two
     overrides over small corpus rings, whose ideals make many filters
     invalid."""
     rng = random.Random(seed)
@@ -236,8 +244,8 @@ def random_z_filters(count: int, seed: int = 0) -> list:
     while len(out) < count:
         ring = rng.choice(rings)
         ideals = fr.all_ideals(ring)
-        kind = rng.choice(("subgroup", "constant"))
-        rule = gfl.ZRule(kind, rng.randint(1, 4) if kind == "subgroup" else 1, rng.choice(ideals))
+        n = rng.randint(1, 4) if rng.choice(("subgroup", "constant")) == "subgroup" else 0
+        rule = gfl.ZRule(n, rng.choice(ideals))
         overrides = {rng.randint(-6, 6): rng.choice(ideals) for _ in range(rng.randint(0, 2))}
         try:
             filt = gfl.make_z_filter(ring, rule, overrides)
@@ -262,8 +270,8 @@ class TestTheFilterLawKeepsProductsInside:
 
     def test_the_filters_are_varied(self):
         assert len(data_z_filters()) == 3
-        assert {f.zrule.kind for f in self.FILTERS} == {"subgroup", "constant"}
-        assert {len(f.overrides) for f in self.FILTERS} == {0, 1, 2}
+        assert {f.zrule.n == 0 for f in self.FILTERS} == {False, True}
+        assert {len(f.table) for f in self.FILTERS} == {0, 1, 2}
         assert any(f.zrule.off != f.ring.full_mask for f in self.FILTERS)
 
     @pytest.mark.parametrize("index", range(len(FILTERS)))
@@ -334,13 +342,13 @@ class TestClassification:
         assert not c.symmetric and c.ideally_symmetric is False and not c.nearly_eps
 
     def test_z_subgroup_pattern_with_zero_off_ideal(self):
-        c = gfl.classify_filter(gfl.make_z_filter(GF2, gfl.ZRule("subgroup", 2)))
+        c = gfl.classify_filter(gfl.make_z_filter(GF2, gfl.ZRule(2)))
         assert c.symmetric and c.ideally_symmetric and c.nearly_eps
 
     def test_z_row_ideal_pattern_is_undecided_for_ideal_symmetry(self):
         t2 = fr.tri(GF2, 2)
         c = gfl.classify_filter(
-            gfl.make_z_filter(t2, gfl.ZRule("subgroup", 2, off=row_ideal_tri2()))
+            gfl.make_z_filter(t2, gfl.ZRule(2, off=row_ideal_tri2()))
         )
         assert c.symmetric and c.ideally_symmetric is None and not c.nearly_eps
 
@@ -416,14 +424,14 @@ class TestSubgroupPatternAnalogue:
 
     def test_z_row_pattern(self):
         t2 = fr.tri(GF2, 2)
-        partial = gfl.make_z_filter(t2, gfl.ZRule("subgroup", 2, off=row_ideal_tri2()))
-        full = gfl.make_z_filter(t2, gfl.ZRule("subgroup", 1))
+        partial = gfl.make_z_filter(t2, gfl.ZRule(2, off=row_ideal_tri2()))
+        full = gfl.make_z_filter(t2, gfl.ZRule(1))
         assert gfl.classify_filter(partial).symmetric
         assert not gfl.classify_filter(partial).nearly_eps
         assert gfl.classify_filter(full).nearly_eps
 
     def test_zero_pattern_keeps_local_units_vacuously(self):
-        filt = gfl.make_z_filter(GF2, gfl.ZRule("subgroup", 2))
+        filt = gfl.make_z_filter(GF2, gfl.ZRule(2))
         assert gfl.classify_filter(filt).nearly_eps
 
 
@@ -458,7 +466,7 @@ class TestWitnessSearch:
 
     def test_matrix_corners_need_a_connecting_unit(self):
         m2 = fr.mat(GF2, 2)
-        filt = gfl.make_z_filter(m2, gfl.ZRule("subgroup", 1))
+        filt = gfl.make_z_filter(m2, gfl.ZRule(1))
         a = ((0, 8),)   # E11
         b = ((0, 1),)   # E22
         witness = gfl.witness_search(m2, a, b)
@@ -470,7 +478,7 @@ class TestWitnessSearch:
         # over T_2(F_2), a = E11 + E12 x and b = E22 + E12 x have ab = 0 and
         # E12 c E12 = 0 for every c, yet a E22 b = E12 x
         tri2 = fr.tri(GF2, 2)
-        filt = gfl.make_z_filter(tri2, gfl.ZRule("subgroup", 1))
+        filt = gfl.make_z_filter(tri2, gfl.ZRule(1))
         a = ((0, 4), (1, 2))
         b = ((0, 1), (1, 2))
         assert gfl.witness_search(tri2, a, b) == gfl.Witness(0, 1)
@@ -483,13 +491,13 @@ class TestWitnessSearch:
     def test_search_respects_the_bound(self):
         # away from the distinguished degrees everything is zero, so only
         # middle factors on the even subgroup can connect; degree 0 sees them
-        filt = gfl.make_z_filter(GF2, gfl.ZRule("subgroup", 2))
+        filt = gfl.make_z_filter(GF2, gfl.ZRule(2))
         assert gfl.witness_search(GF2, ((0, 1),), ((0, 1),)) == gfl.Witness(None, None)
         assert oracle.witness_search(filt, ((0, 1),), ((0, 1),), 4) == gfl.Witness(None, None)
 
     def test_witnesses_are_deterministic(self):
         m2 = fr.mat(GF2, 2)
-        filt = gfl.make_z_filter(m2, gfl.ZRule("subgroup", 1))
+        filt = gfl.make_z_filter(m2, gfl.ZRule(1))
         rng = random.Random(11)
         pairs = [(gfl.random_element(filt, rng), gfl.random_element(filt, rng)) for _ in range(25)]
         first = [gfl.witness_search(m2, a, b) for a, b in pairs]
@@ -503,7 +511,7 @@ class TestWitnessSearch:
         filters = [
             specio.parse_filter_file((DATA / f"{name}.filter").read_text())
             for name in ("z_full_gf2", "z_full_mat2", "z_half_tri2")
-        ] + [gfl.make_z_filter(tri2, gfl.ZRule("constant", off=corner))]
+        ] + [gfl.make_z_filter(tri2, gfl.ZRule(0, off=corner))]
         rng = random.Random(5)
         kinds = set()
         for filt in filters:
@@ -526,7 +534,7 @@ class TestWitnessSearch:
         filters = [
             specio.parse_filter_file((DATA / f"{name}.filter").read_text())
             for name in ("z_full_gf2", "z_full_mat2", "z_half_tri2")
-        ] + [gfl.make_z_filter(tri2, gfl.ZRule("constant", off=corner))]
+        ] + [gfl.make_z_filter(tri2, gfl.ZRule(0, off=corner))]
         for filt in filters:
             for d in range(-9, 10):
                 assert list(filt.members(d)) == oracle.members_of_degree(filt, d)
@@ -578,8 +586,8 @@ def z_filters(ring):
     ideal, alone and with one override at degree 1, which can make I_1 and
     I_{-1} differ."""
     lattice = fr.all_ideals(ring)
-    rules = [gfl.ZRule("subgroup", n, off) for n in (1, 2, 3) for off in lattice]
-    rules += [gfl.ZRule("constant", 1, off) for off in lattice]
+    rules = [gfl.ZRule(n, off) for n in (1, 2, 3) for off in lattice]
+    rules += [gfl.ZRule(0, off) for off in lattice]
     return [gfl.make_z_filter(ring, rule, over) for rule in rules for over in [{}] + [{1: k} for k in lattice]]
 
 

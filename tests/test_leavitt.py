@@ -274,7 +274,7 @@ class TestIndependentModels:
         base = fr.gf(3)
         g = graph_by_name("single_loop")
         ctx = lv.LeavittContext(g, base)
-        filt = gfl.make_z_filter(base, gfl.ZRule("subgroup", 1))
+        filt = gfl.make_z_filter(base, gfl.ZRule(1))
 
         def lpa_power(k):
             if k >= 0:

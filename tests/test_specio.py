@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 
 from gradedprime import finring as fr
+from gradedprime import grfilter as gfl
 from gradedprime import specio
 from gradedprime.errors import CapError, SpecError
 from gradedprime.groups import Z
@@ -317,7 +318,13 @@ class TestKeywords:
 
     def test_separators_need_no_whitespace(self):
         filt = specio.parse_filter_file("ring:gf(2)\ngroup:Z\npattern constant[]\noverride-1=[]")
-        assert filt.zrule.kind == "constant" and filt.overrides == ((-1, 1),)  # the mask of the zero ideal
+        assert filt.zrule.n == 0 and filt.table == ((-1, 1),)  # the mask of the zero ideal
+
+    def test_a_constant_pattern_is_the_rule_of_n_0(self):
+        ring = fr.tri(fr.gf(2), 2)
+        parsed = specio.parse_filter_file("ring: tri(gf(2), 2)\ngroup: Z\npattern constant [4]\n")
+        built = gfl.make_z_filter(ring, gfl.ZRule(0, fr.generate_ideal(ring, [4]).members))
+        assert parsed == built and hash(parsed) == hash(built)
 
     def test_a_nested_generator_list_is_refused(self):
         with pytest.raises(SpecError, match="^expected a flat list of element indices$"):
