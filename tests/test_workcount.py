@@ -3,6 +3,8 @@ two in-process runs of one bench job execute the same number of opcodes.
 No count or time is pinned, so a change to the program's work does not fail
 here; the wall-time column is only checked to be a positive number."""
 
+import gc
+
 import pytest
 
 import workcount
@@ -21,6 +23,26 @@ def inputs(tmp_path_factory):
 def test_two_runs_of_a_job_execute_equal_opcodes(inputs, name):
     first, second = (workcount.opcodes(JOBS[name], inputs) for _ in range(2))
     assert first == second > 0
+
+
+def test_collections_in_the_counted_run_are_not_counted(inputs):
+    """A gc callback of another module, run by a collection in the traced
+    run, would add its opcodes to the job's."""
+    job = JOBS["leavitt-two-cycles"]
+    plain = workcount.opcodes(job, inputs)
+    threshold = gc.get_threshold()
+
+    def callback(phase, info):
+        return None
+
+    gc.callbacks.append(callback)
+    gc.set_threshold(1)  # a collection after every allocation
+    try:
+        busy = workcount.opcodes(job, inputs)
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(callback)
+    assert busy == plain
 
 
 def test_a_line_ends_with_a_positive_wall_time(inputs):

@@ -6,8 +6,12 @@ warm up (imports, the ``re`` cache, first-call set-up), then once more under
 ``sys.settrace`` with ``f_trace_opcodes`` set on every frame, counting
 opcode events of its ``cli.main`` call.  Every ``lru_cache`` of the
 imported package modules is cleared before each run, so the counted run
-builds its lattices and families itself.  Only Python bytecode is counted:
-work done inside C calls (``bytes.translate``, ``int.bit_count``) is not.
+builds its lattices and families itself.  The cyclic garbage collector is
+paused for the counted run: a collection there would run the Python
+``gc.callbacks`` of other modules (hypothesis installs one), counted as the
+job's, at points set by the allocations made before the run.  Only Python
+bytecode is counted: work done inside C calls (``bytes.translate``,
+``int.bit_count``) is not.
 The count does not depend on the host, its load or ``PYTHONHASHSEED``;
 tracing makes a run about ten times slower.  After the counted run the job
 runs ``RUNS`` more times untraced, each on cold caches, and the fastest
@@ -24,6 +28,7 @@ temporary directory.
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import sys
 import tempfile
@@ -50,9 +55,12 @@ def clear_caches() -> None:
 
 def _run(argv: list[str], trace=None) -> float:
     """One cli.main run on cold caches, traced by trace from its first
-    call; its wall time in seconds."""
+    call with the garbage collector paused; its wall time in seconds."""
     clear_caches()
+    collecting = gc.isenabled()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        if trace is not None:
+            gc.disable()
         start = time.perf_counter()
         sys.settrace(trace)
         try:
@@ -60,6 +68,8 @@ def _run(argv: list[str], trace=None) -> float:
         finally:
             sys.settrace(None)
             elapsed = time.perf_counter() - start
+            if collecting:
+                gc.enable()
     return elapsed
 
 
