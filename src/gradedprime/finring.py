@@ -320,17 +320,17 @@ def _checked_order(sizes: dict[int, int], caps: Caps) -> int:
     """
     cap = caps.max_ring_order
     low_bits = sum(k * (size.bit_length() - 1) for size, k in sizes.items())  # 2**low_bits <= order
-    shown = "*".join(f"{size}^{k}" if k > 1 else str(size) for size, k in sorted(sizes.items()))
     if low_bits < max(cap.bit_length(), _SHOWN_BITS):
         order = math.prod(size**k for size, k in sizes.items())
         if order <= cap:
             if sum(sizes.values()) > cap:
                 raise CapError(f"tuple ring of {sum(sizes.values())} coordinates exceeds cap {cap}")
             return order
-        try:
-            shown = str(order)
-        except ValueError:  # more digits than Python converts
+        try:  # the text fails with ValueError when order has more digits than Python converts
+            raise CapError(f"ring order {order} exceeds cap {cap}")
+        except ValueError:
             pass
+    shown = "*".join(f"{size}^{k}" if k > 1 else str(size) for size, k in sorted(sizes.items()))
     raise CapError(f"ring order {shown} exceeds cap {cap}")
 
 

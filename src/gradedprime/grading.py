@@ -9,7 +9,7 @@ Integer gradings store only their finite support; a missing index means the
 zero component.
 
 The grading classes are statements about the pairs (S_x, S_{x^-1}): one kernel,
-_pair_classes and _is_ideally_symmetric, decides them on a set of distinct
+_pair_classes, decides all but strength in one pass over a set of distinct
 pairs, here and for a filter's pairs (I_x, I_{x^-1}) in grfilter.
 """
 
@@ -30,7 +30,6 @@ from .finring import (
     _lattice,
     _product_span,
     _span,
-    closed_product,
     is_m_system,
     is_s_unital_module,
     mask_of,
@@ -200,7 +199,8 @@ def _is_strongly_graded(graded: GradedRing) -> bool:
     ring, group, at, support = graded.ring, graded.group, graded.component, graded.support
     if not group.is_finite or len(support) < group.order:
         return ring.order == 1
-    return all(closed_product(ring, at(x), at(y)) == at(group.op(x, y)) for x in support for y in support)
+    gens = graded.component_generators
+    return all(_product_span(ring, gens[x], gens[y]) == at(group.op(x, y)) for x in support for y in support)
 
 
 def _component_pairs(graded: GradedRing) -> set[tuple[int, int]]:
@@ -209,43 +209,38 @@ def _component_pairs(graded: GradedRing) -> set[tuple[int, int]]:
     return {(at(x), at(inverse(x))) for x in graded.support}
 
 
-def _pair_classes(ring: FiniteRing, pairs: Iterable[tuple[int, int]]) -> tuple[bool, bool]:
-    """(symmetric, nearly epsilon-strong) over pairs (A, B) = (S_x, S_{x^-1}):
-    whether each ABA = A, and whether each A is s-unital as a left AB-module
-    and a right BA-module.  A left s-unital A lies in ABA, so the first pair
-    with ABA != A answers both."""
-    nearly = True
+def _pair_classes(ring: FiniteRing, pairs: Iterable[tuple[int, int]]) -> tuple[bool, bool, bool]:
+    """(symmetric, nearly epsilon-strong, ideally symmetric) over pairs
+    (A, B) = (S_x, S_{x^-1}): whether each ABA = A; whether each A is
+    s-unital as a left AB-module and a right BA-module; and whether
+    ABK = K = KBA for each K = K'_x, K' a graded ideal.  That is tested on
+    K = P & A for P = <h> in the generating family of principal ideals of h
+    in A: every <h> is graded (Nastasescu & Van Oystaeyen, LNM 1836,
+    section 2), K'_x is the sum of the <h>_x over its elements h, each <h>
+    is a sum of members, and both sides are additive in K.  An A s-unital
+    on both sides passes: each k in K is ek for some e in AB and ke' for
+    some e' in BA.  The first pair with ABA != A answers all three: a left
+    s-unital A lies in ABA, and an ideally symmetric A is the sum of its
+    K = P & A, so ABA contains the sum of the ABK = K, which is A."""
+    mul = ring.mul_table
+    nearly = ideally = True
     for a, b in pairs:
         ga, gb = _gens(ring, a), _gens(ring, b)
-        if _product_span(ring, ga, gb, ga) != a:
-            return False, False
-        if nearly:
-            ab, ba = _product_span(ring, ga, gb), _product_span(ring, gb, ga)
-            nearly = is_s_unital_module(ring, ab, a, "left") and is_s_unital_module(ring, ba, a, "right")
-    return True, nearly
-
-
-def _is_ideally_symmetric(ring: FiniteRing, pairs: Iterable[tuple[int, int]]) -> bool:
-    """Whether ABK = K = KBA for each pair (A, B) = (S_x, S_{x^-1}) and each
-    K = K'_x, K' a graded ideal.  It is enough to test K = P & A for P = <h>
-    in the generating family of principal ideals of h in A: every <h> is
-    graded (Nastasescu & Van Oystaeyen, LNM 1836, section 2), K'_x is the
-    sum of the <h>_x over its elements h, each <h> is a sum of members, and
-    both sides are additive in K."""
-    for a, b in pairs:
-        ga, gb = _gens(ring, a), _gens(ring, b)
-        gab, gba = _gens(ring, _product_span(ring, ga, gb)), _gens(ring, _product_span(ring, gb, ga))
-        for k in (p & a for p in _family(ring, (a,))):
-            gk = _gens(ring, k)
-            if not _product_span(ring, gab, gk) == k == _product_span(ring, gk, gba):
-                return False
-    return True
+        ab, gab = _span(ring, mask_of(mul[x][y] for x in ga for y in gb))
+        if _product_span(ring, gab, ga) != a:
+            return False, False, False
+        if nearly or ideally:
+            ba, gba = _span(ring, mask_of(mul[y][x] for x in ga for y in gb))
+            unital = is_s_unital_module(ring, ab, a, "left") and is_s_unital_module(ring, ba, a, "right")
+            nearly &= unital
+            if ideally and not unital:
+                kernels = (_span(ring, p & a) for p in _family(ring, (a,)))
+                ideally = all(_product_span(ring, gab, gk) == k == _product_span(ring, gk, gba) for k, gk in kernels)
+    return True, nearly, ideally
 
 
 @lru_cache(maxsize=16)
 def classify_grading(graded: GradedRing) -> GradingClassification:
     """Compute the four grading classes by exhaustive check."""
-    pairs = _component_pairs(graded)
-    symmetrically, nearly = _pair_classes(graded.ring, pairs)
-    ideally = _is_ideally_symmetric(graded.ring, pairs)
+    symmetrically, nearly, ideally = _pair_classes(graded.ring, _component_pairs(graded))
     return GradingClassification(_is_strongly_graded(graded), symmetrically, ideally, nearly)

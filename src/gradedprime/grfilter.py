@@ -36,7 +36,7 @@ from .finring import (
     mask_of,
 )
 from .frozen import Frozen
-from .grading import GradedRing, _is_ideally_symmetric, _pair_classes, attach_grading
+from .grading import GradedRing, _pair_classes, attach_grading
 from .groups import FiniteGroup, IntegerGroup
 
 Terms = tuple[tuple[int, int], ...]  # an element's nonzero (degree, coeff) terms, degrees ascending
@@ -259,42 +259,31 @@ def classify_filter(f: GFilter) -> FilterClassification:
     """Classify the grading of the filter subring from the filter data.
 
     The symmetric, ideally symmetric and local-unit flags are grading's
-    kernels run in R on the distinct pairs (I_x, I_{x^-1}) in place of S's
+    kernel run in R on the distinct pairs (I_x, I_{x^-1}) in place of S's
     pairs (S_x, S_{x^-1}).  Symmetry and local units read the pair alone.
     Ideal symmetry is decided at degree x on the principal ideals <c x>,
-    c in I_x (grading._is_ideally_symmetric).  As I_e = R, the component of
+    c in I_x (grading._pair_classes).  As I_e = R, the component of
     <c x> at x is C = J + sum I_a J I_b (a x b = x) for J = <c> in R.  As
     I_{x^-1} I_a and I_b I_{x^-1} lie in I_{x^-1}, and I_a J and J I_b in J,
     I_x I_{x^-1} C = I_x I_{x^-1} J and C I_{x^-1} I_x = J I_{x^-1} I_x; and
     C is an ideal of R inside I_x, a sum of principal ones.  So the
     identities hold on every such C exactly when I_x I_{x^-1} J = J =
     J I_{x^-1} I_x for every principal J of R inside I_x: the kernel's test
-    on the pair (I_x, I_{x^-1}) in R.  It is run for finite groups; over
-    the integers ideal symmetry follows from the other flags when R is
-    fully idempotent or the filter is not even symmetric, and is None
-    otherwise.  The tests compare the flags with classify_grading on
-    assemble_filter_ring's ring.
+    on the pair (I_x, I_{x^-1}) in R.  Over the integers the verdict is
+    given only where the other flags decide it too: False for a filter that
+    is not symmetric, True for a symmetric one when R is fully idempotent or
+    the filter is nearly epsilon-strong; None otherwise.  The tests compare
+    the flags with classify_grading on assemble_filter_ring's ring.
     """
     if not validate_filter(f):
         raise SpecError("not a valid filter")
     ring, pairs = f.ring, _inverse_pairs(f)
-
-    symmetric, nearly = _pair_classes(ring, pairs)
+    symmetric, nearly, ideally = _pair_classes(ring, pairs)
     inverse_equal = all(ix == ixi for ix, ixi in pairs)
     r_idem = f.product(ring.full_mask, ring.full_mask) == ring.full_mask
     r_fully = is_fully_idempotent(ring)
-
-    if f.group.is_finite:
-        ideally: Optional[bool] = _is_ideally_symmetric(ring, pairs)
-    elif not symmetric:
-        ideally = False
-    elif r_fully:
-        ideally = symmetric
-    elif nearly:
-        ideally = True
-    else:
-        ideally = None  # no finite criterion is available in this case
-
+    if symmetric and not (f.group.is_finite or r_fully or nearly):
+        ideally = None
     return FilterClassification(symmetric, inverse_equal, ideally, nearly, r_idem, r_fully)
 
 

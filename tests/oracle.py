@@ -67,11 +67,11 @@ products itself, not through ``grfilter._product``, the convolution that
 the witness search runs.
 
 The ideal-symmetry checks from before they ran over principal graded
-ideals: ``_is_ideally_symmetrically_graded`` walks the whole graded lattice,
+ideals: ``_ideally_symmetric_graded`` walks the whole graded lattice,
 and ``_ideally_symmetric_finite`` enumerates every family of ideals K_x
 inside I_x, keeps the graded ideals among them and tests each.  Both stand
-against the library's one kernel, ``grading._is_ideally_symmetric``, on the
-pairs of ``grading._component_pairs`` and of ``grfilter._inverse_pairs``.
+against the third flag of the library's one kernel, ``grading._pair_classes``,
+on the pairs of ``grading._component_pairs`` and of ``grfilter._inverse_pairs``.
 
 The pair tests from before they ran over principal ideals:
 ``graded_prime_pair_test`` quantifies over the whole graded lattice and
@@ -168,7 +168,7 @@ group parser names the library's ``groups.group_from_table`` and
 ``groups.group_from_table``, the old
 ideal-symmetry checks and pair tests the library's
 ``grading.all_graded_ideals`` and ``finring.all_ideals``, the old
-``classify_filter`` the library's ``grading._is_ideally_symmetric`` on
+``classify_filter`` the third flag of the library's ``grading._pair_classes`` on
 ``grfilter._inverse_pairs`` and this module's ``is_fully_idempotent``, and the old reports,
 invariant filter and ``is_fully_idempotent`` the library's lattices and
 ``correspondence`` helpers (this module's ``all_ideals`` is too slow for
@@ -924,7 +924,7 @@ def witness_search(f, a, b, degree_bound: int):
     return None
 
 
-def _is_ideally_symmetrically_graded(graded: GradedRing, caps: Caps) -> bool:
+def _ideally_symmetric_graded(graded: GradedRing, caps: Caps) -> bool:
     ring = graded.ring
     group = graded.group
     for members in gr.all_graded_ideals(graded, caps):
@@ -1103,7 +1103,7 @@ def classify_filter(f: GFilter, caps: Caps = DEFAULT_CAPS) -> FilterClassificati
             break
 
     if group.is_finite:
-        ideally: Optional[bool] = gr._is_ideally_symmetric(ring, gfl._inverse_pairs(f))
+        ideally: Optional[bool] = gr._pair_classes(ring, gfl._inverse_pairs(f))[2]
     elif not symmetric:
         ideally = False
     elif r_fully:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gradedprime
 from gradedprime import cli
 from gradedprime import grading as gr
 from gradedprime import grfilter as gfl
@@ -27,6 +28,8 @@ from test_spec_reader import mutated_line_file
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+# child processes import the package from this checkout, installed or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(gradedprime.__file__).resolve().parent.parent)}
 
 
 def run_cli(capsys, *argv):
@@ -415,6 +418,7 @@ class TestErrors:
             capture_output=True,
             text=True,
             timeout=5,
+            env=CHILD_ENV,
         )
         assert result.returncode == 2
         assert result.stdout == ""
@@ -547,6 +551,7 @@ class TestOrthogonalityMemory:
             text=True,
             timeout=60,
             preexec_fn=limit_address_space,
+            env=CHILD_ENV,
         )
         elapsed = time.perf_counter() - start
         assert (result.returncode, result.stderr) == (0, "")
@@ -683,6 +688,7 @@ class TestInputCap:
             text=True,
             timeout=60,
             preexec_fn=limit_address_space,
+            env=CHILD_ENV,
         )
         assert time.perf_counter() - start < budget
         assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
@@ -1125,6 +1131,7 @@ class TestDeterminism:
                 [sys.executable, "-c", guard, command, str(DATA / spec)],
                 capture_output=True,
                 timeout=60,
+                env=CHILD_ENV,
             )
             assert result.returncode == 0, result.stderr
             assert result.stdout == (GOLDEN / golden).read_bytes()
@@ -1134,6 +1141,7 @@ class TestDeterminism:
             [sys.executable, "-m", "gradedprime", "prime", str(DATA / "gf2.ring")],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert result.returncode == 0
         assert result.stdout == "prime: YES\n"
@@ -1156,7 +1164,7 @@ class TestProcessExit:
     def child(*argv, env=(), **kwargs) -> subprocess.CompletedProcess:
         """A child with buffered standard streams, so that output left
         unflushed at ``os._exit`` would be lost."""
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | dict(env)
+        env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"} | dict(env)
         return subprocess.run(
             [sys.executable, "-m", "gradedprime", *map(str, argv)], env=env, timeout=60, **kwargs
         )
@@ -1208,7 +1216,7 @@ class TestProcessExit:
             entry = tomllib.load(f)["project"]["scripts"]["gradedprime"]
         module, func = entry.split(":")
         spec = self.f2_power(tmp_path) if large else DATA / "gf2.ring"
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:

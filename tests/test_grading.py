@@ -283,7 +283,7 @@ class TestClassification:
     )
     def test_a_missing_component_decides_strength_without_a_product(self, graded):
         # some S_z = 0 forces every S_w = S_z S_{z^-1 w} = 0
-        with mock.patch.object(gr, "closed_product", wraps=gr.closed_product) as products:
+        with mock.patch.object(gr, "_product_span", wraps=gr._product_span) as products:
             assert gr._is_strongly_graded(graded) is False
         assert products.call_count == 0
 

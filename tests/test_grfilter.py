@@ -2,6 +2,7 @@
 witness search."""
 
 import hashlib
+import itertools
 import random
 import time
 from pathlib import Path
@@ -593,6 +594,43 @@ def z_filters(ring):
 
 def zero_mult_z4():
     return fr.make_ring([[(a + b) % 4 for b in range(4)] for a in range(4)], [[0] * 4] * 4)
+
+
+# the valid filters, then those of them that are not symmetric, symmetric over
+# a fully idempotent R, else nearly epsilon-strong, else undecided over Z
+DISPLAY_CASES = {
+    "gf2": (32, 0, 32, 0, 0), "prod22": (64, 0, 64, 0, 0), "tri2": (90, 22, 0, 44, 24),
+    "zmod4": (58, 22, 0, 36, 0), "even8": (127, 127, 0, 0, 0), "zero_mult_z4": (192, 192, 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("name", DISPLAY_CASES)
+def test_the_theorems_behind_the_shown_ideal_symmetry(name):
+    """Over Z classify_filter shows the kernel's ideal symmetry where the
+    other flags decide it: a filter that is not symmetric is not ideally
+    symmetric, and a symmetric one is when R is fully idempotent or the
+    filter nearly epsilon-strong.  Each rule is tried with overrides at 1
+    and at -1, alone and together."""
+    ring = zero_mult_z4() if name == "zero_mult_z4" else dict(corpus_rings())[name]
+    lattice = fr.all_ideals(ring)
+    r_fully = fr.is_fully_idempotent(ring)
+    cases = [0] * 5
+    for rule in (gfl.ZRule(n, off) for n in (0, 1, 2, 3) for off in lattice):
+        for at_1, at_minus_1 in itertools.product([None, *lattice], repeat=2):
+            over = {d: k for d, k in ((1, at_1), (-1, at_minus_1)) if k is not None}
+            f = gfl.make_z_filter(ring, rule, over)
+            if not gfl.validate_filter(f):
+                continue
+            symmetric, nearly, ideally = gr._pair_classes(ring, gfl._inverse_pairs(f))
+            if not symmetric:
+                assert ideally is False
+            if symmetric and (r_fully or nearly):
+                assert ideally is True
+            shown = gfl.classify_filter(f).ideally_symmetric
+            assert shown == (None if symmetric and not (r_fully or nearly) else ideally)
+            cases[0] += 1
+            cases[1 if not symmetric else 2 if r_fully else 3 if nearly else 4] += 1
+    assert tuple(cases) == DISPLAY_CASES[name]
 
 
 @pytest.mark.parametrize("name", ["gf2", "prod22", "tri2", "zmod4", "even8", "zero_mult_z4"])

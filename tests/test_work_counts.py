@@ -1,8 +1,8 @@
-"""Exact work counts of the lattice kernel: how many times a lattice calls
-the coset extension ``finring._extend``, the ideal generator
-``_ideal_span`` (through finring's name and correspondence's) and the join
-closure ``_join_closure``, next to the lattice itself checked against
-oracle.py.
+"""Exact work counts of the lattice kernel and the classifiers: how many
+times a lattice or a classification calls the coset extension
+``finring._extend``, the ideal generator ``_ideal_span`` (through finring's
+name and correspondence's) and the join closure ``_join_closure``, next to
+the lattice itself checked against oracle.py.
 
 The counts are pinned as equalities, so any change to the kernel's work,
 cheaper or dearer, fails here.  A change that alters a count re-pins it
@@ -22,6 +22,7 @@ import pytest
 from gradedprime import correspondence as co
 from gradedprime import finring as fr
 from gradedprime import grading as gr
+from gradedprime import grfilter as gfl
 from gradedprime import specio
 from gradedprime.errors import CapError
 from gradedprime.finring import DEFAULT_CAPS
@@ -35,6 +36,8 @@ from workcount import clear_caches
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
+
+DATA = Path(__file__).parent / "data"
 
 
 def fresh(ring: fr.FiniteRing) -> fr.FiniteRing:
@@ -149,7 +152,7 @@ def bench_grpalg_gf2_s3() -> gr.GradedRing:
 
 @pytest.mark.parametrize(
     "build,expected",
-    [(trivial_prod2x7, (1_829, 256, 1)), (bench_grpalg_gf2_s3, (306, 28, 2))],
+    [(trivial_prod2x7, (1_802, 256, 1)), (bench_grpalg_gf2_s3, (144, 16, 2))],
     ids=["trivial_prod2x7", "grpalg_gf2_s3"],
 )
 def test_both_reports(build, expected):
@@ -157,6 +160,34 @@ def test_both_reports(build, expected):
     counts, reports = work(lambda: both_reports(graded))
     assert all(check.passed for report in reports for check in report.checks)
     assert counts == expected
+
+
+CLASSIFY_WORK = {"tri2_std": 11, "tri3_std": 4, "mat2_z": 21, "grpalg_c2": 20}
+
+
+@pytest.mark.parametrize("name", CLASSIFY_WORK)
+def test_classify_grading(name):
+    """_extend calls of the four grading classes of a tests/data grading:
+    one pass of grading._pair_classes and the strength check."""
+    graded = fresh_graded(specio.parse_graded_file((DATA / f"{name}.graded").read_text()))
+    counts, _ = work(lambda: gr.classify_grading(graded))
+    assert counts == (CLASSIFY_WORK[name], 0, 0)
+
+
+CLASSIFY_FILTER_WORK = {
+    "c2_row": (66, 12), "c3_prod": (43, 4), "z_full_gf2": (19, 2), "z_full_mat2": (47, 16), "z_half_tri2": (66, 12),
+}
+
+
+@pytest.mark.parametrize("name", CLASSIFY_FILTER_WORK)
+def test_classify_filter(name):
+    """_extend and _ideal_span calls of validating and classifying a
+    tests/data filter.  z_half_tri2 pays for an ideal symmetry that
+    classify_filter then shows as undecided."""
+    f = specio.parse_filter_file((DATA / f"{name}.filter").read_text())
+    f = gfl.GFilter(fresh(f.ring), f.group, f.table, f.zrule)
+    counts, _ = work(lambda: gfl.classify_filter(f))
+    assert counts == (*CLASSIFY_FILTER_WORK[name], 0)
 
 
 def test_a_trivial_grading_builds_one_family_and_one_lattice():
