@@ -21,21 +21,20 @@ validate their arguments, are for library callers.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .finring import (
     Caps,
     DEFAULT_CAPS,
     Ideal,
     _family,
-    _gens,
+    _ideal_gens,
     _ideal_span,
     _invariant_span,
     _lattice,
     _principal_ideals,
     _span,
     closed_product,
-    is_ideal_mask,
     is_prime_among,
 )
 from .grading import (
@@ -47,10 +46,12 @@ from .grading import (
 )
 
 
-def is_base_ideal(graded: GradedRing, jmask: int) -> bool:
-    """Whether a subset of S_e is a two-sided ideal of the subring S_e."""
-    actors = graded.component_generators[graded.e]
-    return not jmask & ~graded.e_mask and is_ideal_mask(graded.ring, jmask, actors)
+def _base_ideal_gens(graded: GradedRing, jmask: int) -> Optional[list[int]]:
+    """Additive generators of J if it is a two-sided ideal of the subring
+    S_e, else None."""
+    if jmask & ~graded.e_mask:
+        return None
+    return _ideal_gens(graded.ring, jmask, graded.component_generators[graded.e])
 
 
 def _conjugators(graded: GradedRing) -> tuple:
@@ -68,10 +69,12 @@ def _invariant_key(graded: GradedRing) -> tuple:
 
 
 def is_g_invariant(graded: GradedRing, jmask: int) -> bool:
-    """Whether conjugating J by every component pair lands back inside J."""
-    if not is_base_ideal(graded, jmask):
+    """Whether conjugating J by every component pair lands back inside J.
+    The generators that the ideal test spans J for are the ones conjugated."""
+    gens = _base_ideal_gens(graded, jmask)
+    if gens is None:
         raise ValueError("subset is not an ideal of the identity component")
-    return _invariant_span(graded.ring, jmask, _gens(graded.ring, jmask), _conjugators(graded))[0] == jmask
+    return _invariant_span(graded.ring, jmask, gens, _conjugators(graded))[0] == jmask
 
 
 def invariant_base_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:

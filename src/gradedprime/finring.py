@@ -602,10 +602,15 @@ def closed_product(ring: FiniteRing, amask: int, bmask: int) -> int:
     return _product_span(ring, _gens(ring, amask), _gens(ring, bmask))
 
 
-def is_ideal_mask(ring: FiniteRing, mask: int, actors: Optional[Sequence[int]] = None) -> bool:
-    """Whether mask is an additive subgroup absorbing products on both sides
-    with the subring R whose additive generators are the actors (default:
-    the ring's own), as in _ideal_span.
+def is_ideal_mask(ring: FiniteRing, mask: int) -> bool:
+    """Whether mask is an additive subgroup absorbing products on both sides."""
+    return _ideal_gens(ring, mask, ring.additive_generators) is not None
+
+
+def _ideal_gens(ring: FiniteRing, mask: int, actors: Sequence[int]) -> Optional[list[int]]:
+    """Additive generators of mask if it is an additive subgroup absorbing
+    products on both sides with the subring R whose additive generators are
+    the actors, as in _ideal_span; else None.
 
     Once mask is known to be a subgroup, absorption is tested on additive
     generators of mask and the actors only: by biadditivity every product
@@ -613,16 +618,15 @@ def is_ideal_mask(ring: FiniteRing, mask: int, actors: Optional[Sequence[int]] =
     """
     closed, gens = _span(ring, mask)
     if closed != mask:
-        return False
+        return None
     mul = ring.mul_table
-    actors = ring.additive_generators if actors is None else actors
     for m in gens:
         for s in actors:
             if not mask >> mul[s][m] & 1:
-                return False
+                return None
             if not mask >> mul[m][s] & 1:
-                return False
-    return True
+                return None
+    return gens
 
 
 def is_s_unital_module(ring: FiniteRing, acting: int, acted: int, side: str) -> bool:

@@ -54,6 +54,10 @@ class ZRule(Frozen):
             raise SpecError("a rule's n must be at least 0")
         vars(self).update(n=n, off=off)
 
+    def at(self, x: int, full: int) -> int:
+        """The ideal at degree x, full being the mask of R."""
+        return full if (x % self.n == 0 if self.n else x == 0) else self.off
+
 
 class GFilter(Frozen):
     """The ideal I_x of each degree x, from table's (degree, ideal) pairs:
@@ -118,8 +122,7 @@ class GFilter(Frozen):
     def ideal_at(self, x: int) -> int:
         if x in self._ideals:
             return self._ideals[x]
-        n = self.zrule.n
-        return self.ring.full_mask if (x % n == 0 if n else x == 0) else self.zrule.off
+        return self.zrule.at(x, self.ring.full_mask)
 
 
 def make_finite_filter(ring: FiniteRing, group: FiniteGroup, assignment: Mapping[int, int]) -> GFilter:
@@ -132,12 +135,19 @@ def make_z_filter(
     overrides: Optional[Mapping[int, int]] = None,
     caps: Caps = DEFAULT_CAPS,
 ) -> GFilter:
-    """The integer filter of rule and overrides, its window capped by caps."""
+    """The integer filter of rule and overrides, its window capped by caps.
+    A rule that is R off nZ too is read as ZRule(1), and an override equal
+    to the rule's ideal at its degree is dropped, so neither widens the
+    window."""
     from .groups import Z
 
+    full = ring.full_mask
+    if rule.off == full:
+        rule = ZRule(1)
     if rule.off == 0:  # an empty mask means the zero ideal
         rule = ZRule(rule.n, ring.zero_mask)
-    return GFilter(ring, Z, tuple(sorted((overrides or {}).items())), rule, caps)
+    table = tuple(sorted((x, m) for x, m in (overrides or {}).items() if m != rule.at(x, full)))
+    return GFilter(ring, Z, table, rule, caps)
 
 
 def _window(rule: ZRule, overrides) -> int:

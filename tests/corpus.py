@@ -150,11 +150,6 @@ def ideals_of(ring: fr.FiniteRing, masks) -> list:
     return [fr.Ideal(ring, m) for m in masks]
 
 
-def member_masks(ideals) -> tuple:
-    """The masks of a tuple of Ideals, such as an oracle's lattice."""
-    return tuple(i.members for i in ideals)
-
-
 def all_candidate_filters(ring: fr.FiniteRing, group) -> list:
     """Every assignment of ideals to non-identity elements, valid or not."""
     lattice = fr.all_ideals(ring)

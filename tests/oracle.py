@@ -1,190 +1,96 @@
-"""Earlier versions of gradedprime's kernels, kept as the references the
-differential tests compare against.
+"""References for the differential tests: for each concept, one version
+that decides it from its definition, or as close to it as the tests'
+inputs allow within the suite's time, kept apart from the library's
+kernels so that a fault in one is seen against the other.  Each concept
+names its reference below; the tests read no other.
 
-The additive-subgroup kernel from before it moved to additive generators:
-closure by pairwise sums, the subgroup test over all pairs, absorption over
-every member and every acting element, ideal generation iterated to a
-fixpoint and the lattice as the join-closure of all principal ideals.  Only
-the unbounded cache on ``all_ideals`` is left off.
+- Subgroup: ``subgroup_closure`` adds every pair of members until no new
+  element appears; a mask is a subgroup when it is its own closure.
+- Ideal: ``is_ideal_mask`` tests a subgroup for absorption by every acting
+  element on both sides, and ``generate_ideal`` iterates additive closure
+  and two-sided products with every acting element to a fixpoint; the
+  acting elements default to the whole ring, and a mask of them gives the
+  ideals of the subring they span, such as the identity component.
+  ``set_product`` lists the raw products {ab} of two masks, and
+  ``triple_product`` is the library's span of the products abc, which the
+  grading, invariance and filter references below read.
+- Lattice: ``all_ideals`` lists every sum of principal ideals as sorted
+  masks, adding each principal ideal in turn to every sum found before
+  it; the sum of two subgroups is their sumset.  ``all_graded_ideals``
+  sums the principal ideals of homogeneous elements alone, which generate
+  exactly the graded ideals, and ``invariant_base_ideals`` keeps the
+  ideals of the identity component that ``is_g_invariant`` accepts.
+- Floor: ``_ideal_count_floor`` counts the subgroups over S^2 + pS of the
+  whole ring, for each prime p, and multiplies the counts.
+- Primeness: ``is_prime_among``, the defining quantification: AB inside P
+  forces A or B inside P, for A and B among the ideals given: all ideals,
+  the graded ones or the invariant ones of the identity component, or
+  ``principal_ideals``, those of single elements, all or homogeneous ones,
+  which decide the same verdicts with fewer ideals.
+- Grading validation: ``attach_grading`` multiplies every pair of elements
+  of two components, and ``_decompose`` sums every tuple of the product of
+  the components into the table s -> {x: nonzero part of s in S_x},
+  refusing a sum that comes twice; ``decomposition`` builds it for a graded
+  ring, ``is_graded_ideal`` tests that every member's parts lie in the
+  ideal, and ``e_component`` projects a subset onto the identity component
+  part by part.
+- Grading classes: ``_is_nearly_epsilon_strongly_graded`` scans each
+  component element by element; ``_ideally_symmetric_graded`` walks the
+  whole graded lattice, and for a filter ``_ideally_symmetric_finite``
+  enumerates every family of ideals K_x inside I_x and tests the graded
+  ones; ``is_s_unital_module`` spans one product per element; and
+  ``is_fully_idempotent`` squares every ideal of ``all_ideals``.
+- Invariant ideals: ``is_g_invariant`` conjugates J by every pair
+  (S_{x^-1}, S_x), x every element of a finite group or, over the
+  integers, each degree whose components are both nonzero.
+- Table validation: ``make_ring`` tests every ring axiom on all pairs and
+  triples with numpy, distributivity row by row (left), then column by
+  column (right), before associativity, the order in which the library's
+  validator names a failure; ``group_from_table`` tests associativity on
+  all triples.  ``gf``, ``zmod`` and ``symmetric_group`` fill every table
+  entry in turn and hand the tables to the library's validators.
+- Tuple rings: ``_tuple_ring`` sums every pair of tuples coordinate by
+  coordinate and calls ``mul_vec`` on every pair; its tables go through
+  ``make_ring``.  A subring is the tuple ring of one coordinate whose
+  coefficient set is the selection.
+- Spec and line-file reading: ``tokenize`` lists every token of a spec, and
+  ``_Tokens`` and ``_parse_list`` walk that list; the ring, group and
+  element-list parsers above them call the library's constructors and
+  table validators, so a differential test compares the readers alone.
+  Its ``tables{}`` reader, like the library's, refuses a field given twice
+  or one its block does not take.  ``parse_graded_file``,
+  ``parse_filter_file`` and ``parse_graph_file`` split each line by hand,
+  ``ring:`` and ``group:`` lines with ``str.partition``, degree lines by a
+  keyword prefix and a split at their separator, ``pattern`` lines with
+  ``str.split`` and graph lines with two regexes, and read the fields
+  through the library's readers.
+- Filters and witness search: ``FilterElement`` adds, negates, subtracts
+  and multiplies elements of an integer filter's subring given by their
+  (degree, coefficient) terms, each product summed degree by degree, and
+  shows them as the trial transcripts do; ``element``, ``zero`` and
+  ``term`` build them, ``element`` checking every coefficient against its
+  degree's component.  ``witness_search`` scans every degree up to the
+  bound and forms a*s*b for every candidate s in turn; ``members_of_degree``
+  sorts a degree's ideal on every draw and ``random_element`` draws through
+  it, with the support width and base shift as parameters.
+  ``validate_filter`` tests every degree's ideal and every pair of degrees'
+  product, and ``classify_filter`` forms the symmetric, inverse-equality
+  and local-unit flags degree by degree, reading ideal symmetry from the
+  library's ``grading._pair_classes`` on ``grfilter._inverse_pairs``.
+- MT-3: ``reachability`` iterates every vertex's successor masks to a
+  fixpoint, ``satisfies_mt3`` lists the vertices below each vertex and scans
+  them for each pair, and ``verify_corner_orthogonality`` lists every path
+  up to the length bound and gates each one by its own engine product.
+- Correspondence reports: ``verify_bijection_identity_generated`` and
+  ``verify_bijection_ideally_symmetric`` regenerate an ideal for each check
+  that needs one, and ``_monotone`` tests inclusion on every pair of
+  ideals.  They read this module's invariant lattice and the library's
+  graded lattice, lifts and verdicts, wrapping its masks in ``Ideal`` where
+  a library predicate takes one.
 
-The lattices of a graded ring from before they came from one join-closure
-kernel: ``all_graded_ideals`` filters the lattice of the whole ring by
-``is_graded_ideal``, ``invariant_base_ideals`` filters the lattice of the
-identity component by ``is_g_invariant``, and ``_ideal_count_floor`` bounds
-the lattice of the whole ring only.  The lattices they filter come from this
-module's ``all_ideals``.
-
-The table validators from before they became one generator-based check:
-``make_ring`` tests every ring axiom on all pairs and triples with numpy,
-and ``group_from_table`` tests associativity on all triples in Python.
-
-The distributivity scan from before it checked the rows of the additive
-generators alone: ``distributivity_error`` tests every row x -> ax, then
-every column x -> xa, for additivity along the additive generators, and
-gives the text the library's ``make_ring`` raised at the first failure.
-
-The tuple-ring builder from before it filled its tables from monomial
-products: ``_tuple_ring`` sums every pair of tuples coordinate by
-coordinate and calls ``mul_vec`` on every pair.  Its tables go through this
-module's ``make_ring``, which accepts the same tables as the library's and
-builds an equal ring from them.
-
-The subring builder from before it went through the tuple-ring builder:
-``induced_subring`` checks the selection for closure under negation,
-addition and multiplication pair by pair, with error texts of its own,
-and fills its tables itself, through this module's ``make_ring`` too.
-
-The spec reader from before it became a cursor over the text: ``tokenize``
-lists every token of a spec, and ``_Tokens`` and ``_parse_list`` walk that
-list.  The ring, group and element-list parsers above it are the ones of
-that version, calling the library's constructors and table validators, so
-a differential test compares the readers alone.  Its ``tables{}`` reader
-has one change from that version, so that both readers keep one grammar:
-like the library's, it refuses a field given twice or one its block does
-not take.
-
-The line-file readers from before every line went through the spec cursor:
-``parse_graded_file``, ``parse_filter_file`` and ``parse_graph_file`` split
-each line by hand, ``ring:`` and ``group:`` lines with ``str.partition``,
-degree lines by a keyword prefix and a split at their separator,
-``pattern`` lines with ``str.split`` and graph lines with two regexes.  They
-read the fields through the library's spec, element-list and integer
-readers, so a differential test compares the line splitting alone.
-
-The witness search from before it searched degree 0 alone:
-``witness_search`` scans every degree up to the bound and forms a*s*b for
-every candidate s in turn, as products of ``FilterElement``s below.
-
-The element arithmetic over the integers from before the witness trials ran
-on plain term tuples: ``FilterElement`` adds, negates, subtracts and
-multiplies elements of an integer filter's subring given by their (degree,
-coefficient) terms, and shows them as the trial transcripts do; ``element``,
-``zero`` and ``term`` build them.  ``element`` checks every coefficient
-against its degree's component: the membership check that the library's
-convolution ran on every product, until it was left to the filter law,
-which ``validate_filter`` decides once.  Its product sums each degree's
-products itself, not through ``grfilter._product``, the convolution that
-the witness search runs.
-
-The ideal-symmetry checks from before they ran over principal graded
-ideals: ``_ideally_symmetric_graded`` walks the whole graded lattice,
-and ``_ideally_symmetric_finite`` enumerates every family of ideals K_x
-inside I_x, keeps the graded ideals among them and tests each.  Both stand
-against the third flag of the library's one kernel, ``grading._pair_classes``,
-on the pairs of ``grading._component_pairs`` and of ``grfilter._inverse_pairs``.
-
-The pair tests from before they ran over principal ideals:
-``graded_prime_pair_test`` quantifies over the whole graded lattice and
-``is_g_prime_ideal`` over the whole invariant lattice of the identity
-component, ``_invariant_ideals``, each through the ``is_prime_among`` of
-that version, which takes ``Ideal``s.  ``is_g_invariant`` is the invariance
-test of that version, with its ``_invariance_sites`` (every element of a
-finite group); ``invariant_base_ideals`` above filters by it.
-
-The filter checks from before they ran once per distinct value:
-``validate_filter`` tests every degree's ideal and every pair of degrees'
-product, and ``classify_filter`` forms the symmetric, inverse-equality and
-local-unit flags degree by degree, each product spanned afresh; its ideal
-test is this module's exhaustive ``is_ideal_mask``.
-
-The corner-orthogonality scan from before it gated paths by their source
-vertex: ``verify_corner_orthogonality`` lists every path up to the length
-bound and gates each one by its own engine product with v or w, and tests
-its requirement on the pairs of this module's ``reachability``.
-
-Reachability and condition MT-3 from before one depth-bounded sweep over
-vertex masks served both and the orthogonality scan: ``reachability``
-iterates every vertex's successor masks to a fixpoint, and
-``satisfies_mt3`` lists the vertices below each vertex and scans them for
-each pair.
-
-The symmetric-group builder from before it composed permutations with
-``operator.itemgetter``: ``symmetric_group`` forms every product
-coordinate by coordinate and hands the table to the library's
-``groups.group_from_table``.
-
-The random elements of the witness trials from before the members of a
-degree were memoised: ``members_of_degree`` sorts the bits of the degree's
-ideal on every draw, and ``random_element`` draws through it.  Both take
-the integer filter as their first argument, and ``random_element`` gives
-the drawn element's terms.  It keeps the support width and base shift as
-parameters, which the library fixes at 3 and 3.
-
-The triple product that left the library once no caller there was left:
-``triple_product`` spans the products abc from the additive generators of
-three masks.  The grading and filter references here call it.  Likewise
-``set_product``, the raw pairwise products {ab} of two masks, which
-``attach_grading`` here reads, and ``is_prime_ideal_by_pairs``, primeness
-by the defining quantification over every pair of ideals, through the
-library's ``is_prime_among`` on its cached lattice.
-
-The field and residue-ring builders from before they built their tables
-row by row, and ``gf`` from before it went through the tuple-ring builder:
-``gf`` and ``zmod`` fill every entry in a double loop, and hand the tables
-to the library's ``make_ring``.
-
-The m-system test from before it screened each row: ``is_m_system``
-searches the middle factors for every pair a, b with ab outside T.
-
-The ideal families and the correspondence reports from before every
-quantifier over ideals ran over a generating family of principal ideals:
-``_principal_ideals`` keeps every principal ideal, ``_join_closure`` closes
-the principal ideals of the components' elements, its floor check inside;
-``is_fully_idempotent`` walks the whole lattice and every pair in it;
-``filtered_invariant_ideals`` filters the lattice of the identity component
-by invariance; ``_monotone`` tests inclusion on every pair of ideals; and
-the two report functions regenerate an ideal for each check that needs one.
-
-The grading validator from before multiplicativity was checked on
-additive generators: ``attach_grading`` multiplies every pair of elements
-of two components.
-
-The per-element decomposition from before a grading was kept as its
-component masks alone: ``_decompose`` sums every tuple of the product of
-the components into the table s -> {x: nonzero part of s in S_x}, refusing
-a sum that comes twice, where the library counts; ``attach_grading`` builds
-it as its direct-sum check, and ``decomposition`` builds it for a graded
-ring.  ``is_graded_ideal`` tests that every member's parts lie in the ideal,
-where the library multiplies the sizes of the ideal's meets with the
-components, and ``e_component`` projects a subset onto the identity
-component part by part.  ``all_graded_ideals`` and the reports read them.
-
-The copies from before each became a call into the kernel it copied:
-``prime_element_criterion`` loops over the pairs outside P itself, where
-the library's is the m-system test on the complement; ``is_s_unital_module``
-spans one product per element, where the library's scans the span of the
-acting set once (this module's ``classify_filter`` reads this one);
-``_is_nearly_epsilon_strongly_graded`` scans each component element by
-element, where the library's ``grading._pair_classes`` runs the s-unital
-kernel once per distinct pair (S_x, S_{x^-1}); and ``_base`` builds the identity component as a subring, with its
-index maps, on which ``_invariant_principals`` takes S_e's generating
-family and maps it back, where the library takes the family in the ambient
-ring.  ``base_ideals``, ``_invariant_ideals`` and
-``filtered_invariant_ideals`` read ``_base``.
-
-The function bodies are unchanged from those versions, except that the old
-group parser names the library's ``groups.group_from_table`` and
-``groups.symmetric_group``, the old symmetric-group builder the library's
-``groups.group_from_table``, the old
-ideal-symmetry checks and pair tests the library's
-``grading.all_graded_ideals`` and ``finring.all_ideals``, the old
-``classify_filter`` the third flag of the library's ``grading._pair_classes`` on
-``grfilter._inverse_pairs`` and this module's ``is_fully_idempotent``, and the old reports,
-invariant filter and ``is_fully_idempotent`` the library's lattices and
-``correspondence`` helpers (this module's ``all_ideals`` is too slow for
-the rings they are compared on), each wrapping the library's masks in
-``Ideal`` where it reads an ideal's generators or members,
-and the old ``gf`` and ``zmod`` the library's ``finring.make_ring``, which
-this module's own functions of those names would otherwise shadow; ``gf``
-also reaches the library's prime-power helpers through ``finring``.
-The old ``_ideal_count_floor`` multiplies its per-prime counts, as the
-library's does, where it took their maximum.
-``_base`` is the ``GradedRing.base`` property of its version, made a
-function of the graded ring and cached per graded ring like the property,
-and the old ``_invariant_principals`` reads it instead of the property,
-takes the subring's family from the library's ``_family``, and closes each
-member by ``finring._invariant_span``, where the closure now lives, when
-there are conjugators; without them the library keeps each member as it is.
+Where a reference reads the library (its products, lattices, constructors
+or readers), the library's version is checked against a reference of its
+own elsewhere in the suite.
 """
 
 from __future__ import annotations
@@ -193,7 +99,7 @@ import itertools
 import math
 import re
 from functools import lru_cache, reduce
-from types import MappingProxyType
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -203,10 +109,8 @@ from gradedprime import finring as fr
 from gradedprime import grading as gr
 from gradedprime import groups
 from gradedprime.errors import CapError, SpecError
-from gradedprime.correspondence import is_base_ideal
 from gradedprime.finring import (
-    DEFAULT_CAPS, Caps, FiniteRing, Ideal, _gens, _product_span, _span, bits, closed_product,
-    mask_of,
+    DEFAULT_CAPS, Caps, FiniteRing, _gens, _product_span, _span, bits, closed_product, mask_of,
 )
 from gradedprime.frozen import Frozen
 from gradedprime.grading import GradedRing, classify_grading
@@ -242,23 +146,10 @@ def subgroup_closure(ring: FiniteRing, mask: int) -> int:
     return closed
 
 
-def is_additive_subgroup(ring: FiniteRing, mask: int) -> bool:
-    if not mask >> ring.zero & 1:
-        return False
-    members = list(bits(mask))
-    add = ring.add_table
-    for x in members:
-        row = add[x]
-        for y in members:
-            if not mask >> row[y] & 1:
-                return False
-    return True
-
-
 def is_ideal_mask(ring: FiniteRing, mask: int, acting: Optional[int] = None) -> bool:
     """Whether mask is an additive subgroup absorbing products with the
     acting elements (default: the whole ring) on both sides."""
-    if not is_additive_subgroup(ring, mask):
+    if subgroup_closure(ring, mask) != mask:
         return False
     mul = ring.mul_table
     actors = ring.elements() if acting is None else list(bits(acting))
@@ -269,11 +160,6 @@ def is_ideal_mask(ring: FiniteRing, mask: int, acting: Optional[int] = None) -> 
             if not mask >> mul[m][s] & 1:
                 return False
     return True
-
-
-def triple_product(ring: FiniteRing, amask: int, bmask: int, cmask: int) -> int:
-    """All finite sums of products abc, as a mask."""
-    return _product_span(ring, _gens(ring, amask), _gens(ring, bmask), _gens(ring, cmask))
 
 
 def set_product(ring: FiniteRing, amask: int, bmask: int) -> int:
@@ -287,75 +173,80 @@ def set_product(ring: FiniteRing, amask: int, bmask: int) -> int:
     return out
 
 
-def generate_ideal(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
-    """Smallest two-sided ideal containing the generators.
+def triple_product(ring: FiniteRing, amask: int, bmask: int, cmask: int) -> int:
+    """All finite sums of products abc, as a mask."""
+    return _product_span(ring, _gens(ring, amask), _gens(ring, bmask), _gens(ring, cmask))
+
+
+def generate_ideal(ring: FiniteRing, gens: Iterable[int], acting: Optional[int] = None) -> int:
+    """Smallest two-sided ideal containing the generators, of the subring
+    spanned by the acting elements (default: the whole ring), as a mask.
 
     Iterates additive closure and two-sided absorption to a fixpoint, so no
     unit is ever assumed: the integer-multiple part of the generated ideal
-    comes from the additive closure step.
+    comes from the additive closure step.  Each element is multiplied by
+    the acting elements once, in the round after it appears.
     """
     mask = mask_of(gens)
     if mask >> ring.order:
         raise SpecError("generator index out of range")
+    actors = ring.elements() if acting is None else list(bits(acting))
     current = subgroup_closure(ring, mask)
+    new = current
     mul = ring.mul_table
-    while True:
+    while new:
         grow = current
-        for m in bits(current):
-            for s in ring.elements():
-                grow |= 1 << mul[s][m]
-                grow |= 1 << mul[m][s]
+        for m in bits(new):
+            for s in actors:
+                grow |= 1 << mul[s][m] | 1 << mul[m][s]
+        if grow == ring.full_mask:  # the whole ring is an ideal
+            return grow
         grow = subgroup_closure(ring, grow)
-        if grow == current:
-            return Ideal(ring, current)
-        current = grow
+        current, new = grow, grow & ~current
+    return current
 
 
-def all_ideals(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]:
-    """The complete ideal lattice, canonically ordered by bitmask.
+def all_ideals(ring: FiniteRing, acting: Optional[int] = None, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
+    """The ideals of the subring spanned by the acting elements (default:
+    the whole ring), as sorted masks."""
+    acting = ring.full_mask if acting is None else acting
+    return _sums(ring, acting, acting, caps)
 
-    Computed as the join-closure of all principal ideals, which is correct
-    for any finite ring.
-    """
+
+@lru_cache(maxsize=8)
+def _sums(ring: FiniteRing, elements: int, acting: int, caps: Caps) -> tuple[int, ...]:
+    """Every sum of the principal ideals of the elements, in the subring
+    spanned by the acting elements: each principal ideal in turn is added
+    to every sum found before it.  Both are subgroups, so their sum is their
+    sumset."""
+    add = ring.add_table
     lattice = {ring.zero_mask}
-    for a in ring.elements():
-        lattice.add(generate_ideal(ring, (a,)).members)
+    for p in {generate_ideal(ring, (a,), acting) for a in bits(elements)}:
+        members = list(bits(p))
+        for mask in list(lattice):
+            if p & ~mask:
+                join = 0
+                for x in bits(mask):
+                    row = add[x]
+                    for y in members:
+                        join |= 1 << row[y]
+                lattice.add(join)
         if len(lattice) > caps.max_ideals:
             raise CapError(f"ideal lattice exceeds cap {caps.max_ideals}")
-    frontier = list(lattice)
-    while frontier:
-        fresh = []
-        snapshot = list(lattice)
-        for a in frontier:
-            for b in snapshot:
-                join = subgroup_closure(ring, a | b)
-                if join not in lattice:
-                    lattice.add(join)
-                    fresh.append(join)
-                    if len(lattice) > caps.max_ideals:
-                        raise CapError(
-                            f"ideal lattice exceeds cap {caps.max_ideals}"
-                        )
-        frontier = fresh
-    return tuple(Ideal(ring, m) for m in sorted(lattice))
+    return tuple(sorted(lattice))
 
 
-def all_graded_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[Ideal, ...]:
-    """The graded members of the ideal lattice, canonically ordered."""
-    return tuple(i for i in all_ideals(graded.ring, caps) if is_graded_ideal(graded, i))
-
-
-def base_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
-    """All ideals of the identity component, as ambient masks, sorted."""
-    sub, old, _ = _base(graded)
-    out = []
-    for ideal in all_ideals(sub, caps):
-        out.append(mask_of(old[i] for i in bits(ideal.members)))
-    return tuple(sorted(out))
+def all_graded_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
+    """The graded ideals, sorted: the sums of the principal ideals of the
+    elements of the components, since an ideal is graded exactly when
+    homogeneous elements generate it."""
+    ring = graded.ring
+    return _sums(ring, reduce(or_, graded.components.values(), 0), ring.full_mask, caps)
 
 
 def invariant_base_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
-    return tuple(j for j in base_ideals(graded, caps) if is_g_invariant(graded, j))
+    """The G-invariant ideals of the identity component, as ambient masks, sorted."""
+    return tuple(j for j in all_ideals(graded.ring, graded.e_mask, caps) if is_g_invariant(graded, j))
 
 
 def _ideal_count_floor(ring: FiniteRing) -> int:
@@ -430,12 +321,12 @@ def make_ring(
         if len(ys) != 1:
             raise SpecError(f"element {x} has no unique additive inverse")
         neg.append(int(ys[0]))
-    if not (mul[mul, :] == mul[:, mul]).all():
-        raise SpecError("multiplication is not associative")
     if not (mul[:, add] == add[mul[:, :, None], mul[:, None, :]]).all():
         raise SpecError("left distributivity fails")
     if not (mul[add, :] == add[mul[:, None, :], mul[None, :, :]]).all():
         raise SpecError("right distributivity fails")
+    if not (mul[mul, :] == mul[:, mul]).all():
+        raise SpecError("multiplication is not associative")
     unit = None
     for u in range(n):
         if (mul[u] == rng).all() and (mul[:, u] == rng).all():
@@ -456,25 +347,6 @@ def make_ring(
         unit=unit,
         names=names,
     )
-
-
-def distributivity_error(add_rows, mul_rows) -> Optional[str]:
-    """The text make_ring raised when every row, then every column, of the
-    multiplication table was scanned for additivity; None when all pass.
-    The tables are square over one order, and addition is a commutative
-    group."""
-    read = groups.read_table(add_rows)
-    _, add_maps, after, _ = read
-    _, _, gens = groups.check_group_table(read, ("", "", ""))
-    _, mul_maps, _, mul_columns = groups.read_table(mul_rows)
-    plus_g = [(g, after(add_maps[g])) for g in gens]
-    for lines, error in ((mul_maps, "left distributivity fails"), (mul_columns(), "right distributivity fails")):
-        for f in lines:
-            through_f = after(f)
-            for g, pick in plus_g:
-                if pick(f) != through_f(add_maps[f[g]]):
-                    return error
-    return None
 
 
 def group_from_table(op_rows: Sequence[Sequence[int]], names=None) -> FiniteGroup:
@@ -546,33 +418,6 @@ def _tuple_ring(factors, members, mul_vec, name_vec, caps: Caps):
     mul = [[element(mul_vec(x, y), "multiplication") for y in vectors] for x in vectors]
     names = [name_vec(v) for v in vectors]
     return make_ring(add, mul, names, caps=caps), index
-
-
-def induced_subring(ring: FiniteRing, elements: Iterable[int], caps: Caps = DEFAULT_CAPS):
-    """Subring on a subset closed under addition, negation and multiplication.
-
-    Returns (subring, old_indices) where old_indices[i] is the base-ring
-    index of subring element i.
-    """
-    elems = sorted(set(elements))
-    if not elems:
-        raise SpecError("subring selection is empty")
-    if elems[0] < 0 or elems[-1] >= ring.order:
-        raise SpecError("subring selection is out of range")
-    inset = set(elems)
-    for x in elems:
-        if ring.neg(x) not in inset:
-            raise SpecError(f"selection is not closed under negation at {ring.name(x)}")
-        for y in elems:
-            if ring.add(x, y) not in inset:
-                raise SpecError("selection is not closed under addition")
-            if ring.mul(x, y) not in inset:
-                raise SpecError("selection is not closed under multiplication")
-    new_of = {old: i for i, old in enumerate(elems)}
-    add = [[new_of[ring.add(x, y)] for y in elems] for x in elems]
-    mul = [[new_of[ring.mul(x, y)] for y in elems] for x in elems]
-    names = [ring.name(x) for x in elems]
-    return make_ring(add, mul, names, caps=caps), tuple(elems)
 
 
 # The token kinds.  No two of them match at the same position, and findall
@@ -987,7 +832,7 @@ def _invariance_sites(graded: GradedRing):
 
 def is_g_invariant(graded: GradedRing, jmask: int) -> bool:
     """Whether conjugating J by every component pair lands back inside J."""
-    if not is_base_ideal(graded, jmask):
+    if jmask & ~graded.e_mask or not is_ideal_mask(graded.ring, jmask, graded.e_mask):
         raise ValueError("subset is not an ideal of the identity component")
     ring = graded.ring
     group = graded.group
@@ -1000,50 +845,29 @@ def is_g_invariant(graded: GradedRing, jmask: int) -> bool:
     return True
 
 
-def is_prime_among(ring: FiniteRing, pmask: int, ideals: Iterable[Ideal]) -> bool:
+def is_prime_among(ring: FiniteRing, pmask: int, ideals: Iterable[int]) -> bool:
     """Whether AB inside P forces A or B inside P, for A and B ranging over
-    the given ideals of the ring.
+    the given ideals of the ring, as masks.
 
     P must be an additive subgroup (every caller passes an ideal); then AB
-    lies in P exactly when the products of the cached additive generators
-    of A and B do.
+    lies in P exactly when every product ab does.
     """
     mul = ring.mul_table
-    outside = [a._generators for a in ideals if a.members | pmask != pmask]
-    for ga in outside:
-        for gb in outside:
-            if all(pmask >> mul[x][y] & 1 for x in ga for y in gb):
+    outside = [a for a in ideals if a | pmask != pmask]
+    for a in outside:
+        for b in outside:
+            if all(pmask >> mul[x][y] & 1 for x in bits(a) for y in bits(b)):
                 return False
     return True
 
 
-def is_prime_ideal_by_pairs(ring: FiniteRing, p: Ideal, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Primeness via the defining quantification over all ideal pairs."""
-    fr._check_proper_ideal(ring, p)
-    return fr.is_prime_among(ring, p.members, fr._lattice(ring, (ring.full_mask,), ring.additive_generators, (), caps))
-
-
-def graded_prime_pair_test(graded: GradedRing, p: Ideal, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Quantification over pairs of graded ideals."""
-    ring = graded.ring
-    return is_prime_among(ring, p.members, (Ideal(ring, m) for m in gr.all_graded_ideals(graded, caps)))
-
-
 @lru_cache(maxsize=16)
-def _invariant_ideals(graded: GradedRing, caps: Caps) -> MappingProxyType[int, Ideal]:
-    """The G-invariant ideals of S_e as ideals of the subring _base(graded), by
-    ambient mask; the index map is increasing, so the masks come sorted."""
-    sub, old, _ = _base(graded)
-    ideals = {mask_of(old[k] for k in bits(m)): Ideal(sub, m) for m in fr.all_ideals(sub, caps)}
-    return MappingProxyType({m: i for m, i in ideals.items() if is_g_invariant(graded, m)})
-
-
-def is_g_prime_ideal(graded: GradedRing, qmask: int, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Primeness quantified over invariant ideals of the identity component."""
-    invariant = _invariant_ideals(graded, caps)
-    if qmask == graded.e_mask or qmask not in invariant:
-        raise ValueError("subset is not a proper invariant ideal of the identity component")
-    return is_prime_among(_base(graded)[0], invariant[qmask].members, invariant.values())
+def principal_ideals(ring: FiniteRing, within: Optional[int] = None) -> tuple[int, ...]:
+    """The ideals generated by one element of within (default: the whole
+    ring), sorted.  P is prime exactly when the pair test over the principal
+    ideals passes, and graded prime when it passes over those of the
+    homogeneous elements: (a)(b) lies in P exactly when ab and aSb do."""
+    return tuple(sorted({generate_ideal(ring, (a,)) for a in bits(ring.full_mask if within is None else within)}))
 
 
 def validate_filter(f: GFilter) -> bool:
@@ -1300,86 +1124,9 @@ def gf(q: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     return fr.make_ring(add, mul, [name(i) for i in range(q)], caps=caps)
 
 
-def _restrict(mask: int, subset: Optional[int]) -> list[int]:
-    return list(bits(mask if subset is None else mask & subset))
-
-
-def is_m_system(
-    ring: FiniteRing,
-    tmask: int,
-    candidates: Optional[int] = None,
-    middles: Optional[int] = None,
-) -> bool:
-    """Whether T is an m-system: a,b in T admit ab in T or asb in T.
-
-    Only a, b in the candidates mask and s in the middles mask are
-    considered; both default to the whole ring.
-    """
-    mul = ring.mul_table
-    members = _restrict(tmask, candidates)
-    mids = _restrict(ring.full_mask, middles)
-    for a in members:
-        arow = mul[a]
-        for b in members:
-            if tmask >> arow[b] & 1:
-                continue
-            if not any(tmask >> mul[arow[s]][b] & 1 for s in mids):
-                return False
-    return True
-
-
-def _principal_ideals(ring: FiniteRing, components: Sequence[int]) -> dict[int, list[int]]:
-    """The principal ideals of the components' elements: mask -> generators."""
-    return dict(fr._ideal_span(ring, 1 << a) for comp in components for a in bits(comp))
-
-
-def _join_closure(ring: FiniteRing, components: Sequence[int], caps: Caps) -> tuple[Ideal, ...]:
-    """The sums of the principal ideals of the elements of the components,
-    ordered by bitmask: the closure of the zero ideal under joins with them,
-    each extending an ideal by a principal ideal's additive generators.  It
-    is refused before it is enumerated when _ideal_count_floor exceeds the cap.
-    """
-    if fr._ideal_count_floor(ring, components) > caps.max_ideals:
-        raise CapError(f"ideal lattice exceeds cap {caps.max_ideals}")
-    lattice = {ring.zero_mask: ()}
-    for pmask, pgens in _principal_ideals(ring, components).items():
-        xmask = mask_of(pgens)
-        for mask, gens in list(lattice.items()):
-            if pmask & ~mask:
-                join, join_gens = fr._extend(ring, mask, gens, xmask)
-                if join not in lattice:
-                    lattice[join] = join_gens
-                    if len(lattice) > caps.max_ideals:
-                        raise CapError(f"ideal lattice exceeds cap {caps.max_ideals}")
-    return tuple(Ideal(ring, m) for m in sorted(lattice))
-
-
 def is_fully_idempotent(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Whether every ideal I satisfies I*I = I.
-
-    Also evaluates the pairwise criterion IJ = (I intersect J) and insists
-    the two agree; disagreement would be an implementation bug.  Products
-    are compared as masks, spanned by the ideals' cached generators, so the
-    loop neither builds an Ideal per pair nor fills the ideal_product cache.
-    """
-    lattice = [Ideal(ring, m) for m in fr.all_ideals(ring, caps)]
-    squares = all(_product_span(ring, i._generators, i._generators) == i.members for i in lattice)
-    pairwise = all(
-        _product_span(ring, i._generators, j._generators) == i.members & j.members
-        for i in lattice
-        for j in lattice
-    )
-    if squares != pairwise:
-        raise RuntimeError("idempotent-ideal criteria disagree; internal bug")
-    return squares
-
-
-def filtered_invariant_ideals(graded: GradedRing, caps: Caps = DEFAULT_CAPS) -> tuple[int, ...]:
-    """The G-invariant ideals of S_e as a filter of the library's lattice of
-    the induced subring, by the library's is_g_invariant."""
-    sub, old, _ = _base(graded)
-    base = sorted(mask_of(old[i] for i in bits(m)) for m in fr.all_ideals(sub, caps))
-    return tuple(j for j in base if co.is_g_invariant(graded, j))
+    """Whether every ideal I satisfies I*I = I."""
+    return all(subgroup_closure(ring, set_product(ring, i, i)) == i for i in all_ideals(ring, caps=caps))
 
 
 def _monotone(masks, image: dict) -> bool:
@@ -1395,8 +1142,8 @@ def verify_bijection_identity_generated(graded: GradedRing, caps: Caps = DEFAULT
     implementation defect, not a property of the input.
     """
     ring = graded.ring
-    invariant = filtered_invariant_ideals(graded, caps)
-    graded_ideals = [Ideal(ring, m) for m in gr.all_graded_ideals(graded, caps)]
+    invariant = invariant_base_ideals(graded, caps)
+    graded_ideals = [fr.Ideal(ring, m) for m in gr.all_graded_ideals(graded, caps)]
     idgen = [i for i in graded_ideals if co.is_identity_generated(graded, i)]
     idgen_masks = {i.members for i in idgen}
 
@@ -1407,7 +1154,7 @@ def verify_bijection_identity_generated(graded: GradedRing, caps: Caps = DEFAULT
     for j in invariant:
         lifted = fr.generate_ideal(ring, bits(j))
         generated[j] = lifted.members
-        if not is_graded_ideal(graded, lifted):
+        if not is_graded_ideal(graded, lifted.members):
             gen_graded = False
         elif not co.is_identity_generated(graded, lifted):
             gen_idgen = False
@@ -1445,8 +1192,8 @@ def verify_bijection_ideally_symmetric(graded: GradedRing, caps: Caps = DEFAULT_
     if not classify_grading(graded).ideally_symmetrically:
         raise ValueError("grading is not ideally symmetric")
     ring = graded.ring
-    invariant = filtered_invariant_ideals(graded, caps)
-    graded_ideals = [Ideal(ring, m) for m in gr.all_graded_ideals(graded, caps)]
+    invariant = invariant_base_ideals(graded, caps)
+    graded_ideals = [fr.Ideal(ring, m) for m in gr.all_graded_ideals(graded, caps)]
 
     generated = {j: fr.generate_ideal(ring, bits(j)).members for j in invariant}
     recovery_ok = True
@@ -1554,9 +1301,9 @@ def decomposition(graded: GradedRing) -> tuple[dict, ...]:
     return _decompose(graded.ring, graded.components, graded.support)
 
 
-def is_graded_ideal(graded: GradedRing, ideal: Ideal) -> bool:
+def is_graded_ideal(graded: GradedRing, mask: int) -> bool:
     """Whether every member's homogeneous components all lie in the ideal."""
-    mask, decomp = ideal.members, decomposition(graded)
+    decomp = decomposition(graded)
     for m in bits(mask):
         for part in decomp[m].values():
             if not mask >> part & 1:
@@ -1590,28 +1337,6 @@ def symmetric_group(n: int) -> FiniteGroup:
     return groups.group_from_table(rows, names)
 
 
-def prime_element_criterion(ring: FiniteRing, p: Ideal, candidates: Optional[int] = None) -> bool:
-    """Elementwise criterion: aSb in P and ab in P force a in P or b in P.
-
-    Only a, b in the candidates mask (default: the whole ring) are tested.
-    The middle factor ranges over the ring's additive generators, which is
-    the same test: P is additive, so aSb lies in P when agb does for each
-    generator g.
-    """
-    fr._check_proper_ideal(ring, p)
-    pm = p.members
-    mul = ring.mul_table
-    outside = _restrict(ring.full_mask & ~pm, candidates)
-    for a in outside:
-        arow = mul[a]
-        for b in outside:
-            if not pm >> arow[b] & 1:
-                continue
-            if all(pm >> mul[arow[s]][b] & 1 for s in ring.additive_generators):
-                return False
-    return True
-
-
 def is_s_unital_module(ring: FiniteRing, acting: int, acted: int, side: str) -> bool:
     """Whether every m in the acted ideal lies in (sums of) acting*m or
     m*acting, per side."""
@@ -1638,30 +1363,6 @@ def _is_nearly_epsilon_strongly_graded(graded: GradedRing) -> bool:
             if not any(ring.mul(s, eps) == s for eps in bits(right_units)):
                 return False
     return True
-
-
-@lru_cache(maxsize=16)
-def _base(graded: GradedRing):
-    """The identity component as a ring: (subring, old indices, index map),
-    the ring itself when S_e = S."""
-    if graded.e_mask == graded.ring.full_mask:
-        old = tuple(graded.ring.elements())
-        return graded.ring, old, dict(zip(old, old))
-    sub, old = fr.subring(graded.ring, bits(graded.e_mask)), tuple(bits(graded.e_mask))
-    return sub, old, {o: i for i, o in enumerate(old)}
-
-
-def _invariant_principals(graded: GradedRing) -> dict[int, list[int]]:
-    """The invariant closures of the generating family of principal ideals
-    of S_e: mask -> generators.  Without conjugators each member is its own
-    closure and keeps its generators."""
-    sub, old, _ = _base(graded)
-    principals = fr._family(sub, (sub.full_mask,))
-    conjugators = co._conjugators(graded)
-    members = ((mask_of(old[i] for i in bits(m)), [old[i] for i in gens]) for m, gens in principals.items())
-    if not conjugators:
-        return dict(members)
-    return dict(fr._invariant_span(graded.ring, m, gens, conjugators) for m, gens in members)
 
 
 def _meaningful_lines(text: str):

@@ -443,6 +443,19 @@ class TestErrors:
         spec.write_text("ring: gf(2)\ngroup: cyclic(2)\nI 1 = [1]\nI 5 = [1]\n")
         assert run_cli(capsys, "filter", spec) == (2, "", "error: assignment must cover every group element\n")
 
+    def test_a_component_off_the_group_is_refused(self, capsys, tmp_path):
+        spec = tmp_path / "spec.graded"
+        spec.write_text("ring: gf(2)\ngroup: cyclic(2)\ncomponent 0: [0, 1]\ncomponent 2: [0]\n")
+        assert run_cli(capsys, "classify", spec) == (2, "", "error: 2 is not a group element index\n")
+
+    def test_an_override_equal_to_the_pattern_gets_the_verdict_of_the_pattern(self, capsys, tmp_path):
+        spec = tmp_path / "spec.filter"
+        plain = "ring: gf(2)\ngroup: Z\npattern subgroup 1\n"
+        spec.write_text(plain)
+        want = run_cli(capsys, "filter", spec)
+        spec.write_text(plain + "override 100 = [1]\n")
+        assert run_cli(capsys, "filter", spec) == want and want[0] == 0
+
     def test_an_override_can_break_a_constant_pattern(self, capsys, tmp_path):
         spec = tmp_path / "spec.filter"
         spec.write_text("ring: tri(gf(2), 2)\ngroup: Z\npattern constant [4]\noverride 3 = [1]\n")
@@ -850,9 +863,9 @@ class TestRefusals:
         "lines,degrees",
         [
             ("pattern subgroup 3000", 12005),
-            ("pattern subgroup 1\noverride 3000 = [1]", 12011),
+            ("pattern subgroup 1\noverride 3000 = [0]", 12011),
             ("pattern subgroup 99999999999999999999", 400000000000000000001),
-            ("pattern subgroup 1\noverride 999999999999999999999 = [1]", 4000000000000000000007),
+            ("pattern subgroup 1\noverride 999999999999999999999 = [0]", 4000000000000000000007),
             ("pattern subgroup " + "9" * 4300, "over 2^14000"),
         ],
         ids=["period_3000", "override_at_3000", "period_1e20", "override_at_1e21", "period_of_4300_digits"],

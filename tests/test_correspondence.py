@@ -1,6 +1,7 @@
 """Identity-component correspondence: invariant ideals, lifts, reports."""
 
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -83,7 +84,7 @@ class TestInvariance:
 
     @pytest.mark.parametrize("name,graded", graded_corpus())
     def test_invariance_matches_lift_and_restrict(self, name, graded):
-        for j in oracle.base_ideals(graded):
+        for j in oracle.all_ideals(graded.ring, graded.e_mask):
             lifted = fr.generate_ideal(graded.ring, fr.bits(j))
             assert co.is_g_invariant(graded, j) == (lifted.members & graded.e_mask == j)
 
@@ -174,3 +175,45 @@ class TestReports:
             graded = gr.trivial_grading(ring)
             report = co.verify_bijection_identity_generated(graded)
             assert all(c.passed for c in report.checks)
+
+
+class TestPlantedFaults:
+    """A corrupted lift or projection, planted in the maps both reports
+    read, makes the report line that checks it FAIL.  On F_2 x F_2, trivially
+    graded, both maps are the identity on the ideals 0, A, B and the whole
+    ring; 0 is not prime, A and B are."""
+
+    @pytest.fixture
+    def planted(self):
+        graded = gr.trivial_grading(fr.product(fr.gf(2), fr.gf(2)), cyclic(2))
+        invariant, graded_ideals, lift, projection, *flags = co._maps(graded, fr.DEFAULT_CAPS)
+        zero, a, b, full = invariant
+        assert lift == projection == {m: m for m in invariant} and invariant == graded_ideals
+
+        def report(verify, lift=lift, projection=projection):
+            maps = (invariant, graded_ideals, lift, projection, *flags)
+            with mock.patch.object(co, "_maps", lambda *_: maps):
+                lines = verify(graded).lines()
+            return {line.split(":")[0].removeprefix("check "): line.split(": ")[1].split(" ")[0] for line in lines}
+
+        return report, lift, projection, (zero, a, b, full)
+
+    def test_a_lift_that_is_not_one_to_one_fails_the_image_check(self, planted):
+        report, lift, _, (zero, a, b, full) = planted
+        extra = a | 1 << 3  # no ideal, and no projection of one
+        assert extra not in lift
+        assert report(co.verify_bijection_identity_generated, lift={**lift, extra: a})["lift_image_matches"] == "FAIL"
+
+    def test_a_lifted_ideal_that_its_projection_does_not_regenerate_fails(self, planted):
+        report, _, projection, (zero, a, b, full) = planted
+        lines = report(co.verify_bijection_identity_generated, projection={**projection, a: zero})
+        assert lines["lift_is_identity_generated"] == "FAIL"
+
+    def test_a_lift_onto_the_whole_ring_fails_the_prime_match(self, planted):
+        report, lift, _, (zero, a, b, full) = planted
+        assert report(co.verify_bijection_ideally_symmetric, lift={**lift, a: full})["prime_verdicts_match"] == "FAIL"
+
+    def test_a_lift_that_swaps_a_prime_and_a_nonprime_fails_the_prime_match(self, planted):
+        report, lift, _, (zero, a, b, full) = planted
+        swapped = {**lift, zero: a, a: zero}
+        assert report(co.verify_bijection_ideally_symmetric, lift=swapped)["prime_verdicts_match"] == "FAIL"

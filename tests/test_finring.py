@@ -110,6 +110,16 @@ class TestConstruction:
         with pytest.raises(SpecError):
             fr.gf(6)
 
+    @pytest.mark.parametrize("q", [1, 257])
+    def test_a_field_order_off_2_to_256_is_refused_under_any_cap(self, q):
+        with pytest.raises(SpecError, match="^field order must be a prime power between 2 and 256$"):
+            fr.gf(q, fr.Caps(max_ring_order=512))
+
+    @pytest.mark.parametrize("build", [fr.mat, fr.tri])
+    def test_matrices_of_size_one_are_the_base_ring(self, build):
+        ring = build(fr.zmod(4), 1)
+        assert (ring.add_table, ring.mul_table) == (fr.zmod(4).add_table, fr.zmod(4).mul_table)
+
     def test_fields_equal_the_entrywise_builder(self):
         built = 0
         for q in range(2, 257):
@@ -253,6 +263,11 @@ class TestIdealValidation:
 
 
 class TestIdealLattice:
+    def test_a_lattice_as_large_as_its_floor_and_the_cap_is_listed(self):
+        ring = fr.product(*[fr.subring(fr.zmod(4), [0, 2])] * 3)  # F_2^3, zero products
+        assert fr._ideal_count_floor(ring, (ring.full_mask,)) == 16
+        assert len(fr.all_ideals(ring, fr.Caps(max_ideals=16))) == 16
+
     def test_product_lattice_is_the_four_obvious_ideals(self):
         r = fr.product(fr.gf(2), fr.gf(2))
         assert [sorted(fr.bits(m)) for m in fr.all_ideals(r)] == [
@@ -365,6 +380,9 @@ class TestIdealProduct:
 
 
 class TestPrimeness:
+    def test_the_empty_set_is_an_m_system(self):
+        assert fr.is_m_system(fr.gf(2), 0)
+
     def test_fields_are_prime(self):
         assert fr.is_prime_ideal(fr.gf(2), fr.Ideal(fr.gf(2), 1))
 
@@ -401,8 +419,8 @@ class TestPrimeness:
                 continue
             verdicts = {
                 fr.is_prime_ideal(ring, ideal),
-                oracle.prime_element_criterion(ring, ideal),
-                oracle.is_prime_ideal_by_pairs(ring, ideal),
+                oracle.is_prime_among(ring, ideal.members, oracle.principal_ideals(ring)),
+                oracle.is_prime_among(ring, ideal.members, oracle.all_ideals(ring)),
             }
             assert len(verdicts) == 1, f"criteria disagree on {ideal} of {name}"
 

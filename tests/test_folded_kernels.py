@@ -1,9 +1,12 @@
 """The elementwise prime criterion, s-unitality and the generating family of
 the identity component as calls into the kernels they used to copy (the
 m-system test, one s-unital scan, the principal ideals of the ambient ring),
-against the loops and the subring path they replaced, kept in oracle.py."""
+against the references in oracle.py: the pair test over principal ideals,
+the element-by-element scans and the invariant lattice."""
 
 import random
+from functools import reduce
+from operator import or_
 from pathlib import Path
 from unittest import mock
 
@@ -46,14 +49,15 @@ def m_system_criterion(ring, p, candidates=None):
 
 
 def element_verdicts(ring, lattice, candidates=(None,)):
-    """The pair loop kept in the oracle on every proper ideal of a lattice
-    listing and every candidate mask, asserting that the m-system test
-    agrees with it, and with every element a candidate, that primeness does."""
+    """The oracle's pair test over the principal ideals of the candidates on
+    every proper ideal of a lattice listing and every candidate mask,
+    asserting that the m-system test agrees with it, and with every element
+    a candidate, that primeness does."""
     verdicts = []
     for p in ideals_of(ring, lattice):
         if p.is_proper:
             for hom in candidates:
-                verdict = oracle.prime_element_criterion(ring, p, hom)
+                verdict = oracle.is_prime_among(ring, p.members, oracle.principal_ideals(ring, hom))
                 assert verdict == m_system_criterion(ring, p, hom), (p, hom)
                 if hom is None:
                     assert verdict == fr.is_prime_ideal(ring, p), p
@@ -77,16 +81,15 @@ def test_element_criterion_with_and_without_homogeneous_candidates(name, graded)
     element_verdicts(graded.ring, gr.all_graded_ideals(graded), (None, hom))
     for p in ideals_of(graded.ring, gr.all_graded_ideals(graded)):
         if p.is_proper:
-            expected = oracle.prime_element_criterion(graded.ring, p, hom)
+            expected = oracle.is_prime_among(graded.ring, p.members, oracle.principal_ideals(graded.ring, hom))
             assert gr.is_graded_prime_ideal(graded, p) == expected
 
 
 def test_element_criterion_refuses_what_the_loop_refused():
     ring = fr.gf(2)
     for p in (fr.Ideal(ring, ring.full_mask), fr.Ideal(fr.gf(3), 1)):
-        for criterion in (fr.is_prime_ideal, oracle.prime_element_criterion):
-            with pytest.raises(ValueError):
-                criterion(ring, p)
+        with pytest.raises(ValueError):
+            fr.is_prime_ideal(ring, p)
 
 
 @SETTINGS
@@ -168,19 +171,34 @@ def test_nearly_epsilon_scan_on_drawn_trivial_gradings(ring, group):
 # the generating family of S_e, taken in the ambient ring
 
 
+def assert_identity_family(graded):
+    """S_e's invariant family is, by the oracle's generation and invariant
+    lattice, exactly the least invariant ideals over the principal ideals of
+    S_e that are not the sum of the principal ideals strictly inside them,
+    and each member is spanned by its generators."""
+    ring, e_mask = graded.ring, graded.e_mask
+    family = fr._principal_ideals(*co._invariant_key(graded))
+    invariant = oracle.invariant_base_ideals(graded)
+    principals = {oracle.generate_ideal(ring, [a], e_mask) for a in fr.bits(e_mask)}
+    expected = set()
+    for p in principals:
+        below = reduce(or_, (q for q in principals if q | p == p and q != p), 0)
+        if oracle.subgroup_closure(ring, below) != p:
+            expected.add(min((k for k in invariant if k | p == k), key=int.bit_count))
+    assert set(family) == expected
+    for mask, gens in family.items():
+        assert oracle.subgroup_closure(ring, fr.mask_of(gens)) == mask
+
+
 @pytest.mark.parametrize("name,graded", GRADED, ids=IDS)
-def test_identity_family_matches_the_subring_path(name, graded):
-    """The same masks and generator lists, in the same order."""
-    family = list(fr._principal_ideals(*co._invariant_key(graded)).items())
-    assert family == list(oracle._invariant_principals(graded).items())
+def test_identity_family_matches_the_invariant_lattice(name, graded):
+    assert_identity_family(graded)
 
 
 @SETTINGS
 @given(drawn=zero_mult_gradings())
-def test_identity_family_matches_the_subring_path_on_drawn_gradings(drawn):
-    graded, _ = drawn
-    family = fr._principal_ideals(*co._invariant_key(graded))
-    assert list(family.items()) == list(oracle._invariant_principals(graded).items())
+def test_identity_family_matches_the_invariant_lattice_on_drawn_gradings(drawn):
+    assert_identity_family(drawn[0])
 
 
 PROPER_E = [(name, g) for name, g in GRADED if g.e_mask != g.ring.full_mask]
@@ -191,7 +209,7 @@ def test_correspondence_builds_no_ring_for_an_identity_component(name, graded):
     """A fresh copy of the grading, so that no cached family or lattice
     stands in for the work; no subring and no table is built."""
     fresh = gr.attach_grading(graded.ring, graded.group, graded.components)
-    invariant = oracle.invariant_base_ideals(graded)  # through the subring
+    invariant = oracle.invariant_base_ideals(graded)
     refuse = mock.Mock(side_effect=AssertionError("a ring was built"))
     with mock.patch.object(fr, "subring", refuse), mock.patch.object(fr, "make_ring", refuse):
         assert co.invariant_base_ideals(fresh) == invariant

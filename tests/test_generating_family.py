@@ -1,9 +1,9 @@
 """The generating family of principal ideals and everything that quantifies
 over it (the three lattices, full idempotency, the correspondence reports)
-against the versions over every principal ideal, every ideal and every pair
-of ideals kept in oracle.py; the graded-ideal count against the scan of
-every member's decomposition; and the grading validator's multiplicativity
-check on generators against the check on every pair of elements."""
+against the references in oracle.py, over every principal ideal and every
+ideal; the graded-ideal count against the scan of every member's
+decomposition; and the grading validator's multiplicativity check on
+generators against the check on every pair of elements."""
 
 import itertools
 import random
@@ -20,7 +20,7 @@ from gradedprime.errors import SpecError
 from gradedprime.groups import Z, cyclic
 
 import oracle
-from corpus import corpus_rings, graded_corpus, ideals_of, member_masks
+from corpus import corpus_rings, graded_corpus, ideals_of
 from test_lattice_kernel import BIG, SETTINGS, assembled_filter_rings, zero_mult_gradings
 from test_subgroup_kernel import small_rings
 
@@ -52,12 +52,13 @@ def components(graded):
 
 
 def assert_family_generates(ring, comps):
-    """The family is part of the principal ideals, every principal ideal is
-    the sum of the members inside it, and no member is the sum of the
-    principal ideals strictly inside it."""
-    principals = oracle._principal_ideals(ring, comps)
+    """The family is part of the principal ideals, each member spanned by
+    its generators, every principal ideal is the sum of the members inside
+    it, and no member is the sum of the principal ideals strictly inside it."""
+    principals = {oracle.generate_ideal(ring, [a]) for comp in comps for a in fr.bits(comp)}
     family = fr._family(ring, comps)
-    assert family.items() <= principals.items()
+    assert family.keys() <= principals
+    assert all(oracle.subgroup_closure(ring, fr.mask_of(gens)) == mask for mask, gens in family.items())
     for pmask in principals:
         inside = [f for f in family if f | pmask == pmask]
         below = [q for q in principals if q != pmask and q | pmask == pmask]
@@ -69,7 +70,7 @@ def assert_family_generates(ring, comps):
 @pytest.mark.parametrize("name,ring", corpus_rings())
 def test_ring_family_and_lattice(name, ring):
     assert_family_generates(ring, (ring.full_mask,))
-    assert fr.all_ideals(ring) == member_masks(oracle._join_closure(ring, (ring.full_mask,), fr.DEFAULT_CAPS))
+    assert fr.all_ideals(ring) == oracle.all_ideals(ring)
     assert fr.is_fully_idempotent(ring) == oracle.is_fully_idempotent(ring)
 
 
@@ -87,8 +88,8 @@ def test_full_idempotency_is_the_pairwise_criterion_on_drawn_rings(ring):
 def assert_graded_agrees(graded):
     ring = graded.ring
     assert_family_generates(ring, components(graded))
-    assert gr.all_graded_ideals(graded) == member_masks(oracle._join_closure(ring, components(graded), fr.DEFAULT_CAPS))
-    assert co.invariant_base_ideals(graded) == oracle.filtered_invariant_ideals(graded)
+    assert gr.all_graded_ideals(graded) == oracle.all_graded_ideals(graded)
+    assert co.invariant_base_ideals(graded) == oracle.invariant_base_ideals(graded)
     assert fr.is_fully_idempotent(ring) == oracle.is_fully_idempotent(ring)
     assert co.verify_bijection_identity_generated(graded) == oracle.verify_bijection_identity_generated(graded)
     if gr.classify_grading(graded).ideally_symmetrically:
@@ -111,7 +112,7 @@ def test_the_graded_ideal_count_agrees_with_the_decomposition_scan():
     for name, graded in [*GRADED, (BIG, big), *trivial]:
         if graded.ring.order <= 128:
             for ideal in ideals_of(graded.ring, fr.all_ideals(graded.ring)):
-                verdict = oracle.is_graded_ideal(graded, ideal)
+                verdict = oracle.is_graded_ideal(graded, ideal.members)
                 assert gr.is_graded_ideal(graded, ideal) == verdict, (name, ideal.members)
                 seen.add(verdict)
     assert seen == {True, False}

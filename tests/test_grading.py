@@ -78,6 +78,11 @@ class TestAttach:
         with pytest.raises(SpecError):
             gr.attach_grading(tri2, Z, {0: [0, 1, 4], 1: [0, E12]})
 
+    @pytest.mark.parametrize("x", [2, -1, "1"])
+    def test_a_degree_off_a_finite_group_is_refused(self, x):
+        with pytest.raises(SpecError, match=f"^{x!r} is not a group element index$"):
+            gr.attach_grading(fr.gf(2), cyclic(2), {0: [0, 1], x: [0]})
+
     def test_grading_with_zero_identity_component(self):
         g = zero_mult_graded()
         assert g.e_mask == g.ring.zero_mask
@@ -198,19 +203,20 @@ class TestGradedPrimeness:
 
     @pytest.mark.parametrize("name,graded", THEOREM_RINGS, ids=THEOREM_IDS)
     def test_three_graded_prime_criteria_agree(self, name, graded):
-        """Graded primeness (the graded m-system test) against the pair test
-        over graded ideals and the homogeneous element criterion, kept in
-        the oracle, and the pair test over the principal ideals of
-        homogeneous elements."""
+        """Graded primeness (the graded m-system test) against the oracle's
+        pair test over graded ideals and over the principal ideals of
+        homogeneous elements, and the library's pair test over the principal
+        ideals of homogeneous elements."""
         ring = graded.ring
         family = fr._family(ring, graded.component_masks)
+        graded_ideals = oracle.all_graded_ideals(graded)
         for ideal in ideals_of(ring, gr.all_graded_ideals(graded)):
             if not ideal.is_proper:
                 continue
             verdicts = {
                 gr.is_graded_prime_ideal(graded, ideal),
-                oracle.graded_prime_pair_test(graded, ideal),
-                oracle.prime_element_criterion(ring, ideal, graded.homogeneous_mask),
+                oracle.is_prime_among(ring, ideal.members, graded_ideals),
+                oracle.is_prime_among(ring, ideal.members, oracle.principal_ideals(ring, graded.homogeneous_mask)),
                 fr.is_prime_among(ring, ideal.members, family),
             }
             assert len(verdicts) == 1, f"criteria disagree on {ideal} of {name}"

@@ -97,14 +97,28 @@ class TestValidation:
     def test_the_window_is_capped_by_the_group_cap(self):
         """2w + 1 sites, w = 2 * 5 + 3 * 2 + 2 for period 2 and an override
         at 5: 37 degrees."""
-        rule, over = gfl.ZRule(2), {5: GF2.zero_mask}
+        rule, over = gfl.ZRule(2), {5: GF2.full_mask}
         filt = gfl.make_z_filter(GF2, rule, over, fr.Caps(max_group_order=37))
         assert gfl.filter_sites(filt) == list(range(-18, 19))
         with pytest.raises(CapError, match="^filter window of 37 degrees exceeds cap 36$"):
             gfl.make_z_filter(GF2, rule, over, fr.Caps(max_group_order=36))
 
+    @pytest.mark.parametrize("rule", [gfl.ZRule(1), gfl.ZRule(0, GF2.full_mask), gfl.ZRule(5, GF2.full_mask)])
+    def test_an_override_equal_to_the_rule_is_dropped(self, rule):
+        """R at every degree, however the rule says it, is ZRule(1) with no
+        override: 2 * 4 + 1 sites, not the 19 an override at 2 would give."""
+        filt = gfl.make_z_filter(GF2, rule, {2: GF2.full_mask, -7: GF2.full_mask})
+        assert filt == gfl.make_z_filter(GF2, gfl.ZRule(1))
+        assert len(gfl.filter_sites(filt)) == 9
+
+    def test_an_override_off_the_rule_is_kept(self):
+        filt = gfl.make_z_filter(GF2, gfl.ZRule(2), {4: GF2.full_mask, 5: GF2.full_mask})
+        assert filt.table == ((5, GF2.full_mask),)
+
     @pytest.mark.parametrize(
-        "n,degrees", [(10**20, 400000000000000000005), (3000, 12005)], ids=["period_1e20", "period_3000"]
+        "n,degrees",
+        [(10**20, 400000000000000000005), (3000, 12005), (2**13997, 2**13999 + 5)],
+        ids=["period_1e20", "period_3000", "window_of_14000_bits"],
     )
     def test_a_filter_built_directly_is_capped(self, n, degrees):
         """GFilter itself refuses the window, so no path reaches the laws'
@@ -237,8 +251,8 @@ class TestElements:
 
 def random_z_filters(count: int, seed: int = 0) -> list:
     """count valid integer filters, drawn with n = 0 and n > 0 and up to two
-    overrides over small corpus rings, whose ideals make many filters
-    invalid."""
+    overrides, each off the rule's ideal at its degree, over small corpus
+    rings, whose ideals make many filters invalid."""
     rng = random.Random(seed)
     rings = [ring_by_name(name) for name in ("zmod4", "tri2", "prod22", "even8", "zmod6")]
     out = []
@@ -247,7 +261,9 @@ def random_z_filters(count: int, seed: int = 0) -> list:
         ideals = fr.all_ideals(ring)
         n = rng.randint(1, 4) if rng.choice(("subgroup", "constant")) == "subgroup" else 0
         rule = gfl.ZRule(n, rng.choice(ideals))
-        overrides = {rng.randint(-6, 6): rng.choice(ideals) for _ in range(rng.randint(0, 2))}
+        overrides = {}
+        for x in (rng.randint(-6, 6) for _ in range(rng.randint(0, 2))):
+            overrides[x] = rng.choice([m for m in ideals if m != rule.at(x, ring.full_mask)])
         try:
             filt = gfl.make_z_filter(ring, rule, overrides)
         except SpecError:  # an override of degree 0 that is not the whole ring

@@ -22,7 +22,7 @@ from gradedprime.finring import DEFAULT_CAPS
 from gradedprime.groups import Z, cyclic, symmetric_group
 
 import oracle
-from corpus import all_candidate_filters, corpus_rings, graded_corpus, group_algebra_grading, ideals_of, member_masks
+from corpus import all_candidate_filters, corpus_rings, graded_corpus, group_algebra_grading, ideals_of
 
 DATA = Path(__file__).parent / "data"
 # Its whole ring has 29,212 ideals, too many for the oracle's filter; its
@@ -36,7 +36,7 @@ def floor_of(graded):
 
 def assert_lattices_agree(graded):
     lattice = gr.all_graded_ideals(graded)
-    assert lattice == member_masks(oracle.all_graded_ideals(graded))
+    assert lattice == oracle.all_graded_ideals(graded)
     invariant = co.invariant_base_ideals(graded)
     assert invariant == oracle.invariant_base_ideals(graded)
     assert fr._ideal_count_floor(graded.ring, (graded.e_mask,)) <= len(invariant)
@@ -217,9 +217,9 @@ def test_a_scan_of_pair_primeness_spans_no_ideal_again():
     # every ideal spans nothing once the lattice is built
     ring = fr.product(*[fr.gf(2)] * 4)
     ideals = [p for p in ideals_of(ring, fr.all_ideals(ring)) if p.is_proper]
-    oracle.is_prime_ideal_by_pairs(ring, ideals[0])
+    lattice = fr._lattice(ring, (ring.full_mask,), ring.additive_generators, (), DEFAULT_CAPS)
     with mock.patch.object(fr, "_span", wraps=fr._span) as spans:
-        verdicts = [oracle.is_prime_ideal_by_pairs(ring, p) for p in ideals]
+        verdicts = [fr.is_prime_among(ring, p.members, lattice) for p in ideals]
     assert spans.call_count == 0
     assert verdicts == [fr.is_prime_ideal(ring, p) for p in ideals]
     assert sum(verdicts) == 4

@@ -1,6 +1,6 @@
 """Graded primeness and G-primeness decided on principal ideals, against the
-quantifications over whole graded and invariant lattices kept in oracle.py,
-and the per-graded-ring caches and invariance sites they rest on."""
+oracle's pair test over whole graded and invariant lattices, and the
+per-graded-ring caches and invariance sites they rest on."""
 
 from pathlib import Path
 from unittest import mock
@@ -27,16 +27,17 @@ def verdicts(graded):
     and every proper invariant ideal of the identity component, asserting
     that each agrees with the oracle."""
     graded_prime, g_prime = [], []
+    graded_ideals = oracle.all_graded_ideals(graded)
     for p in ideals_of(graded.ring, gr.all_graded_ideals(graded)):
         if p.is_proper:
             verdict = fr.is_prime_among(graded.ring, p.members, fr._family(graded.ring, graded.component_masks))
-            assert verdict == oracle.graded_prime_pair_test(graded, p), p
+            assert verdict == oracle.is_prime_among(graded.ring, p.members, graded_ideals), p
             assert verdict == gr.is_graded_prime_ideal(graded, p)
             graded_prime.append(verdict)
     for q in co.invariant_base_ideals(graded):
         if q != graded.e_mask:
             verdict = co.is_g_prime_ideal(graded, q)
-            assert verdict == oracle.is_g_prime_ideal(graded, q), q
+            assert verdict == oracle.is_prime_among(graded.ring, q, oracle.invariant_base_ideals(graded)), q
             g_prime.append(verdict)
     return graded_prime, g_prime
 
@@ -135,7 +136,7 @@ def test_invariance_is_checked_where_both_components_are_nonzero(graded, sites):
 def test_invariant_closures_are_the_least_invariant_ideals_over_them(name, graded):
     invariant = oracle.invariant_base_ideals(graded)
     conjugators = co._conjugators(graded)
-    for j in oracle.base_ideals(graded):
+    for j in oracle.all_ideals(graded.ring, graded.e_mask):
         closure = fr._invariant_span(graded.ring, j, fr._gens(graded.ring, j), conjugators)[0]
         assert closure == min((k for k in invariant if k | j == k), key=int.bit_count)
         assert oracle.is_g_invariant(graded, j) == (closure == j) == co.is_g_invariant(graded, j)
@@ -185,10 +186,13 @@ def test_a_correspondence_run_classifies_once():
 )
 def test_screened_m_system_test_agrees_with_the_pair_loop(name, graded):
     """The complement of every proper ideal, with the masks that the prime
-    and graded-prime tests pass: none, and the homogeneous elements."""
+    and graded-prime tests pass: none, and the homogeneous elements.  It is
+    an m-system exactly when the ideal passes the oracle's pair test over
+    every ideal, and over every graded ideal."""
     ring, hom = graded.ring, graded.homogeneous_mask
+    ideals, graded_ideals = oracle.all_ideals(ring), oracle.all_graded_ideals(graded)
     for p in fr.all_ideals(ring):
         if p != ring.full_mask:
             tmask = ring.full_mask & ~p
-            assert fr.is_m_system(ring, tmask) == oracle.is_m_system(ring, tmask), p
-            assert fr.is_m_system(ring, tmask, hom, hom) == oracle.is_m_system(ring, tmask, hom, hom), p
+            assert fr.is_m_system(ring, tmask) == oracle.is_prime_among(ring, p, ideals), p
+            assert fr.is_m_system(ring, tmask, hom, hom) == oracle.is_prime_among(ring, p, graded_ideals), p

@@ -317,8 +317,8 @@ class TestKeywords:
         assert graded.ring == fr.gf(2) and graded.group is Z and graded.e_mask == 3
 
     def test_separators_need_no_whitespace(self):
-        filt = specio.parse_filter_file("ring:gf(2)\ngroup:Z\npattern constant[]\noverride-1=[]")
-        assert filt.zrule.n == 0 and filt.table == ((-1, 1),)  # the mask of the zero ideal
+        filt = specio.parse_filter_file("ring:gf(2)\ngroup:Z\npattern constant[]\noverride-1=[1]")
+        assert filt.zrule.n == 0 and filt.table == ((-1, 3),)  # the mask of the whole ring
 
     def test_a_constant_pattern_is_the_rule_of_n_0(self):
         ring = fr.tri(fr.gf(2), 2)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from gradedprime import finring as fr
 
 import oracle
-from corpus import corpus_rings, member_masks, ring_by_name
+from corpus import corpus_rings, ring_by_name
 
 
 def ring_closure(ring, seeds):
@@ -42,7 +42,7 @@ SMALL.append(("strict_tri3", strict_tri3()))
 
 
 def subgroup_masks(ring):
-    return [m for m in range(1 << ring.order) if oracle.is_additive_subgroup(ring, m)]
+    return [m for m in range(1 << ring.order) if oracle.subgroup_closure(ring, m) == m]
 
 
 def reference_product(ring, *masks):
@@ -54,12 +54,12 @@ def reference_product(ring, *masks):
 
 def assert_kernel_agrees(ring, mask, actings=()):
     assert fr.subgroup_closure(ring, mask) == oracle.subgroup_closure(ring, mask)
-    assert (fr._span(ring, mask)[0] == mask) == oracle.is_additive_subgroup(ring, mask)
+    assert (fr._span(ring, mask)[0] == mask) == (oracle.subgroup_closure(ring, mask) == mask)
     assert fr.is_ideal_mask(ring, mask) == oracle.is_ideal_mask(ring, mask)
     for acting in actings:
-        assert fr.is_ideal_mask(ring, mask, fr._gens(ring, acting)) == oracle.is_ideal_mask(ring, mask, acting)
+        assert (fr._ideal_gens(ring, mask, fr._gens(ring, acting)) is not None) == oracle.is_ideal_mask(ring, mask, acting)
     gens = list(fr.bits(mask))
-    assert fr.generate_ideal(ring, gens) == oracle.generate_ideal(ring, gens)
+    assert fr.generate_ideal(ring, gens).members == oracle.generate_ideal(ring, gens)
 
 
 @pytest.mark.parametrize("name,ring", SMALL)
@@ -76,7 +76,7 @@ def sampled_masks(ring, rng, count):
     out = []
     for _ in range(count):
         sparse = fr.mask_of(rng.sample(range(ring.order), rng.randint(1, 3)))
-        ideal = oracle.generate_ideal(ring, fr.bits(sparse)).members
+        ideal = oracle.generate_ideal(ring, fr.bits(sparse))
         toggled = ideal ^ 1 << rng.randrange(ring.order)
         dense = rng.getrandbits(ring.order)
         out += [sparse, oracle.subgroup_closure(ring, sparse), ideal, toggled, dense]
@@ -95,7 +95,7 @@ def test_sampled_masks_of_larger_corpus_rings(name):
 
 @pytest.mark.parametrize("name,ring", corpus_rings())
 def test_lattices_of_the_corpus(name, ring):
-    assert fr.all_ideals(ring) == member_masks(oracle.all_ideals(ring))
+    assert fr.all_ideals(ring) == oracle.all_ideals(ring)
 
 
 @pytest.mark.parametrize("name,ring", corpus_rings())
@@ -151,7 +151,7 @@ def small_rings(draw):
 )
 @given(ring=small_rings(), data=st.data())
 def test_drawn_rings_agree_with_the_reference(ring, data):
-    assert fr.all_ideals(ring) == member_masks(oracle.all_ideals(ring))
+    assert fr.all_ideals(ring) == oracle.all_ideals(ring)
     masks = data.draw(st.lists(st.integers(0, ring.full_mask), min_size=1, max_size=6))
     for mask in masks:
         assert_kernel_agrees(ring, mask, masks)
