@@ -21,8 +21,7 @@ _EXPORTS = {
     "groups": "FiniteGroup IntegerGroup Z cyclic symmetric_group",
     "leavitt": """DirectedGraph LeavittContext LpaElement graph is_leavitt_prime lpa_degree
         reachability satisfies_mt3 verify_corner_orthogonality""",
-    "grfilter": """GFilter Witness ZRule classify_filter make_finite_filter make_z_filter random_element
-        validate_filter witness_search""",
+    "grfilter": "GFilter Witness ZRule classify_filter random_element witness_search",
     "specio": "parse_filter_file parse_graded_file parse_graph_file parse_group_spec parse_ring_spec",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

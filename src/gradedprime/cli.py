@@ -178,7 +178,7 @@ def _cmd_filter(args):
         raise SpecError(f"--trials must be between 0 and {MAX_TRIALS}")
     caps = _caps(args)
     filt = specio.parse_filter_file(_read(args.filter), caps=caps)
-    valid = gfl.validate_filter(filt)
+    valid = filt.valid
     yield _verdict("valid", "valid filter", valid)
     if not valid:
         return

@@ -9,19 +9,22 @@ correspondence machinery.  Over the integers the subring is infinite: its
 elements are finitely supported, kept as tuples of (degree, coefficient)
 terms, and only the witness trials multiply them, with no check of a
 coefficient against its component: the filter law keeps every product
-inside, and tests/oracle.py holds that check.  A filter memoises its
-products, its validity and its members of each degree.  To keep the filter
-law decidable, integer filters are restricted to one rule class, R on nZ
-(n >= 0) with a fixed ideal elsewhere, plus a finite override table, and
-all laws are checked on a window of degrees wide enough to realize every
-combination of values the rule can produce.  The grading classes of the
-subring are read from the pairs (I_x, I_{x^-1}) by grading's kernels.
+inside, and tests/oracle.py holds that check.  GFilter is the one
+constructor of a filter, and it fixes one representation: two filters
+with the same ideal at every degree compare equal and scan the same sites.
+A filter memoises its products, its validity and its members of each
+degree.  To keep the filter law decidable, integer filters are restricted
+to one rule class, R on nZ (n >= 0) with a fixed ideal elsewhere, plus a
+finite override table, and all laws are checked on a window of degrees
+wide enough to realize every combination of values the rule can produce.
+The grading classes of the subring are read from the pairs
+(I_x, I_{x^-1}) by grading's kernels.
 """
 
 from __future__ import annotations
 
 from functools import cache, cached_property, partial
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import CapError, SpecError
 from .finring import (
@@ -54,15 +57,15 @@ class ZRule(Frozen):
             raise SpecError("a rule's n must be at least 0")
         vars(self).update(n=n, off=off)
 
-    def at(self, x: int, full: int) -> int:
-        """The ideal at degree x, full being the mask of R."""
-        return full if (x % self.n == 0 if self.n else x == 0) else self.off
-
 
 class GFilter(Frozen):
-    """The ideal I_x of each degree x, from table's (degree, ideal) pairs:
-    every element of a finite group, or over the integers zrule's overrides.
-    An integer filter is refused with CapError, before any list is built,
+    """The ideal I_x of each degree x, given by ideals, a degree -> ideal
+    mapping or its pairs: every element of a finite group, or over the
+    integers zrule's overrides.  The constructor fixes one representation,
+    so that equal filters compare equal and scan the same sites: an empty
+    off is the zero ideal, a rule that is R at every degree is ZRule(1,
+    zero ideal), and an override equal to the rule's ideal is dropped.  An
+    integer filter is then refused with CapError, before any list is built,
     when its window of sites (the finite stand-in for Z whose pairs the laws
     scan) has more than caps.max_group_order degrees."""
 
@@ -72,11 +75,11 @@ class GFilter(Frozen):
         self,
         ring: FiniteRing,
         group: Union[FiniteGroup, IntegerGroup],
-        table: tuple[tuple[int, int], ...],
+        ideals: Union[Mapping[int, int], Iterable[tuple[int, int]]],
         zrule: Optional[ZRule] = None,  # integer filters
         caps: Caps = DEFAULT_CAPS,
     ):
-        ideals = dict(table)
+        ideals, full = dict(ideals), ring.full_mask
         if group.is_finite:
             if zrule is not None:
                 raise SpecError("patterns and overrides are for integer filters")
@@ -85,12 +88,17 @@ class GFilter(Frozen):
         else:
             if zrule is None:
                 raise SpecError("integer filter needs a rule")
-            degrees = 2 * _window(zrule, table) + 1
+            off = zrule.off or ring.zero_mask  # an empty mask is the zero ideal
+            zrule = ZRule(1, ring.zero_mask) if zrule.n == 1 or off == full else ZRule(zrule.n, off)
+            n, off = zrule.n, zrule.off
+            ideals = {x: m for x, m in ideals.items() if m != (full if (x % n == 0 if n else x == 0) else off)}
+            degrees = 2 * _window(zrule, ideals) + 1
             if degrees > caps.max_group_order:
                 shown = degrees if degrees.bit_length() <= 14_000 else "over 2^14000"  # str() refuses 4,301+ digits
                 raise CapError(f"filter window of {shown} degrees exceeds cap {caps.max_group_order}")
+        table = tuple(sorted(ideals.items()))
         vars(self).update(ring=ring, group=group, table=table, zrule=zrule, _ideals=ideals)  # table by degree, for ideal_at
-        if self.ideal_at(group.identity) != ring.full_mask:
+        if self.ideal_at(group.identity) != full:
             raise SpecError("the identity component must be the whole ring")
 
     @cached_property
@@ -106,8 +114,9 @@ class GFilter(Frozen):
 
     @cached_property
     def valid(self) -> bool:
-        """validate_filter's verdict, kept like the products: a filter is
-        validated once however many checks ask."""
+        """Whether every component is an ideal and products respect the
+        filter law, decided on the first call: a filter is validated once
+        however many checks ask."""
         sites, at, op, product = filter_sites(self), self.ideal_at, self.group.op, self.product
         if not all(is_ideal_mask(self.ring, ix) for ix in {at(x) for x in sites}):
             return False
@@ -122,41 +131,17 @@ class GFilter(Frozen):
     def ideal_at(self, x: int) -> int:
         if x in self._ideals:
             return self._ideals[x]
-        return self.zrule.at(x, self.ring.full_mask)
+        n = self.zrule.n
+        return self.ring.full_mask if (x % n == 0 if n else x == 0) else self.zrule.off
 
 
-def make_finite_filter(ring: FiniteRing, group: FiniteGroup, assignment: Mapping[int, int]) -> GFilter:
-    return GFilter(ring, group, tuple(sorted(assignment.items())))
-
-
-def make_z_filter(
-    ring: FiniteRing,
-    rule: ZRule,
-    overrides: Optional[Mapping[int, int]] = None,
-    caps: Caps = DEFAULT_CAPS,
-) -> GFilter:
-    """The integer filter of rule and overrides, its window capped by caps.
-    A rule that is R off nZ too is read as ZRule(1), and an override equal
-    to the rule's ideal at its degree is dropped, so neither widens the
-    window."""
-    from .groups import Z
-
-    full = ring.full_mask
-    if rule.off == full:
-        rule = ZRule(1)
-    if rule.off == 0:  # an empty mask means the zero ideal
-        rule = ZRule(rule.n, ring.zero_mask)
-    table = tuple(sorted((x, m) for x, m in (overrides or {}).items() if m != rule.at(x, full)))
-    return GFilter(ring, Z, table, rule, caps)
-
-
-def _window(rule: ZRule, overrides) -> int:
+def _window(rule: ZRule, overrides: Mapping[int, int]) -> int:
     """w for the integer sites -w..w: wide enough that every combination of
     rule values occurs for some pair inside it.  Any configuration
     elsewhere can be shifted into the window by multiples of the pattern
     period, and the extra period per override leaves room to step around
     collisions with the finitely many overridden degrees."""
-    bound = max((abs(k) for k, _ in overrides), default=0)
+    bound = max(map(abs, overrides), default=0)
     period = rule.n or 1
     return 2 * bound + (len(overrides) + 2) * period + 2
 
@@ -167,14 +152,8 @@ def filter_sites(f: GFilter) -> list[int]:
     _window, which GFilter caps at caps.max_group_order degrees."""
     if f.group.is_finite:
         return list(f.group.elements())
-    w = _window(f.zrule, f.table)
+    w = _window(f.zrule, f._ideals)
     return list(range(-w, w + 1))
-
-
-def validate_filter(f: GFilter) -> bool:
-    """Whether every component is an ideal and products respect the filter
-    law, decided on the first call for a filter (GFilter.valid)."""
-    return f.valid
 
 
 def _inverse_pairs(f: GFilter) -> set[tuple[int, int]]:
@@ -223,7 +202,7 @@ def random_element(f: GFilter, rng) -> Terms:
     """
     if f.group.is_finite:
         raise SpecError("random elements are drawn for integer filters")
-    if not validate_filter(f):
+    if not f.valid:
         raise SpecError("not a valid filter")
     if f.ring.order == 1:
         raise SpecError("the zero ring has no nonzero elements")
@@ -285,7 +264,7 @@ def classify_filter(f: GFilter) -> FilterClassification:
     the filter is nearly epsilon-strong; None otherwise.  The tests compare
     the flags with classify_grading on assemble_filter_ring's ring.
     """
-    if not validate_filter(f):
+    if not f.valid:
         raise SpecError("not a valid filter")
     ring, pairs = f.ring, _inverse_pairs(f)
     symmetric, nearly, ideally = _pair_classes(ring, pairs)

@@ -412,7 +412,7 @@ def parse_graded_file(text: str, caps: Caps = DEFAULT_CAPS) -> GradedRing:
 
 
 def parse_filter_file(text: str, caps: Caps = DEFAULT_CAPS) -> GFilter:
-    from .grfilter import ZRule, make_finite_filter, make_z_filter
+    from .grfilter import GFilter, ZRule
 
     degree_line = (_parse_int, "=", _elements)
     ring, group, lines = _ring_file(text, caps, "filter", I=degree_line, pattern=(None, _pattern),
@@ -431,7 +431,7 @@ def parse_filter_file(text: str, caps: Caps = DEFAULT_CAPS) -> GFilter:
         missing = set(group.elements()) - set(table)
         if missing:
             raise SpecError(f"missing assignments for group elements {sorted(missing)}")
-        return make_finite_filter(ring, group, table)
+        return GFilter(ring, group, table)
     if not lines["pattern"]:
         raise SpecError("an integer filter needs a pattern line")
     if assignments:
@@ -440,7 +440,7 @@ def parse_filter_file(text: str, caps: Caps = DEFAULT_CAPS) -> GFilter:
     off = ideal_mask(gens)
     if kind == "subgroup" and n < 1:
         raise SpecError("subgroup index must be positive")
-    return make_z_filter(ring, ZRule(n, off), {x: ideal_mask(g) for x, g in overrides.items()}, caps)
+    return GFilter(ring, group, {x: ideal_mask(g) for x, g in overrides.items()}, ZRule(n, off), caps)
 
 
 def parse_graph_file(text: str) -> DirectedGraph:

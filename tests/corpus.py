@@ -115,7 +115,7 @@ def graded_corpus() -> tuple:
     members.append(("grpalg2_canonical", group_algebra_grading(fr.gf(2), cyclic(2))))
     members.append(("grpalg3_canonical", group_algebra_grading(fr.gf(3), cyclic(2))))
     for name, filt in finite_filter_corpus():
-        assert gfl.validate_filter(filt), name
+        assert filt.valid, name
         members.append((f"filter_{name}", gfl.assemble_filter_ring(filt)))
     return tuple(members)
 
@@ -136,11 +136,11 @@ def finite_filter_corpus() -> tuple:
     t2 = fr.tri(r2, 2)
     f20 = fr.generate_ideal(p22, [2]).members
     out = [
-        ("full_gf2_c2", gfl.make_finite_filter(r2, cyclic(2), {0: r2.full_mask, 1: r2.full_mask})),
-        ("zero_gf2_c2", gfl.make_finite_filter(r2, cyclic(2), {0: r2.full_mask, 1: r2.zero_mask})),
-        ("prod_c3", gfl.make_finite_filter(p22, cyclic(3), {0: p22.full_mask, 1: f20, 2: f20})),
-        ("prod_c2", gfl.make_finite_filter(p22, cyclic(2), {0: p22.full_mask, 1: f20})),
-        ("tri2_row_c2", gfl.make_finite_filter(t2, cyclic(2), {0: t2.full_mask, 1: row_ideal_tri2()})),
+        ("full_gf2_c2", gfl.GFilter(r2, cyclic(2), {0: r2.full_mask, 1: r2.full_mask})),
+        ("zero_gf2_c2", gfl.GFilter(r2, cyclic(2), {0: r2.full_mask, 1: r2.zero_mask})),
+        ("prod_c3", gfl.GFilter(p22, cyclic(3), {0: p22.full_mask, 1: f20, 2: f20})),
+        ("prod_c2", gfl.GFilter(p22, cyclic(2), {0: p22.full_mask, 1: f20})),
+        ("tri2_row_c2", gfl.GFilter(t2, cyclic(2), {0: t2.full_mask, 1: row_ideal_tri2()})),
     ]
     return tuple(out)
 
@@ -158,7 +158,7 @@ def all_candidate_filters(ring: fr.FiniteRing, group) -> list:
     for combo in itertools.product(lattice, repeat=len(others)):
         table = {group.identity: ring.full_mask}
         table.update(zip(others, combo))
-        out.append(gfl.make_finite_filter(ring, group, table))
+        out.append(gfl.GFilter(ring, group, table))
     return out
 
 

@@ -31,11 +31,18 @@ input can tell them from the module.  Each entry is one ``<module> <line>
 <operator> | <text>`` line, the text being the module's line stripped, and
 a line starting with ``#`` is a comment.  An entry for the module whose
 text or operator is no longer on its line is an error, so that an entry
-never skips whatever mutant moves onto its line.  A run past three times
-the clean run's time, plus a minute, counts as killed.  A killed mutant
-costs a few seconds and a survivor a whole tier-1 run, so a module of a
-few dozen mutants takes minutes.  Each run is limited to 2 GiB of address space.
-Standard library only.
+never skips whatever mutant moves onto its line.  A killed mutant costs a few
+seconds and a survivor a whole tier-1 run, so a module of a few dozen
+mutants takes minutes.  Each run is limited to 2 GiB of address space.
+
+A mutant that loops forever is stopped by a time limit on each test: every
+run loads a pytest plugin, written into the scratch directory and named in
+``PYTEST_PLUGINS``, that arms ``faulthandler.dump_traceback_later(limit,
+exit=True)`` around each module's collection and each test's set-up, call
+and tear-down.  The limit is three times the clean run's slowest such step,
+and at least ``LIMIT_FLOOR`` seconds.  A command that is not pytest loads
+no plugin, and for every command a run past three times the clean run's
+time, plus a minute, counts as killed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -58,6 +65,50 @@ EQUIVALENT = "tests/equivalent_mutants.txt"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 MEMORY = 2 << 30
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "_work")
+LIMIT_FLOOR = 30.0  # seconds a test may always take
+
+# The per-test limit, loaded by pytest from PYTEST_PLUGINS: it arms
+# MUTANTS_LIMIT seconds (0: none) and writes the slowest step to MUTANTS_SLOWEST.
+PLUGIN = """\
+import contextlib, faulthandler, os, sys, time
+import pytest
+
+LIMIT = float(os.environ["MUTANTS_LIMIT"])
+slowest = 0.0
+
+
+@contextlib.contextmanager
+def limited():
+    global slowest
+    if LIMIT:
+        faulthandler.dump_traceback_later(LIMIT, exit=True, file=sys.__stderr__)
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        slowest = max(slowest, time.perf_counter() - start)
+        if LIMIT:
+            faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_make_collect_report(collector):
+    if not isinstance(collector, pytest.Module):
+        return (yield)
+    with limited():
+        return (yield)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    with limited():
+        return (yield)
+
+
+def pytest_unconfigure(config):
+    with open(os.environ["MUTANTS_SLOWEST"], "w") as out:
+        out.write(repr(slowest))
+"""
 
 COMPARE = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -152,10 +203,16 @@ def _limit() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
 
 
-def run(copy: Path, command: list[str], timeout: Optional[float]) -> tuple[bool, float]:
+def run(copy: Path, command: list[str], timeout: Optional[float], limit: float = 0.0) -> tuple[bool, float]:
     """Whether the test command passes in the copy, and its seconds; a run
-    past the timeout is stopped, with every process it started, and fails."""
-    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
+    past the timeout, or a pytest step past the limit (0: none), is stopped,
+    with every process it started, and fails."""
+    plugin = copy.parent / "plugin"
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join([str(copy / "src"), str(plugin)]), PYTHONDONTWRITEBYTECODE="1",
+        OPENBLAS_NUM_THREADS="1", PYTEST_PLUGINS="mutant_limit", MUTANTS_LIMIT=repr(limit),
+        MUTANTS_SLOWEST=str(plugin / "slowest"),
+    )
     start = time.perf_counter()
     child = subprocess.Popen(
         command, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -192,6 +249,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         copy = Path(scratch) / "checkout"
         shutil.copytree(args.checkout, copy, ignore=IGNORE)
+        plugin = copy.parent / "plugin"  # beside the copy, where run() puts it on the path
+        plugin.mkdir()
+        (plugin / "mutant_limit.py").write_text(PLUGIN)
         target = copy / module
         target.write_text(ast.unparse(ast.parse(source)) + "\n")
         passed, seconds = run(copy, command, None)
@@ -199,11 +259,13 @@ def main(argv=None) -> int:
             print(f"error: the tests fail on the unparsed, unmutated {module}", file=sys.stderr)
             return 2
         timeout = 3 * seconds + 60
+        slowest = plugin / "slowest"  # written by the plugin, when the command is pytest
+        limit = max(LIMIT_FLOOR, 3 * float(slowest.read_text())) if slowest.exists() else 0.0
         for line, _, label, number, slot in mutants:
             if (line, label) in skip:
                 continue
             target.write_text(mutate(source, number, slot))
-            passed, seconds = run(copy, command, timeout)
+            passed, seconds = run(copy, command, timeout, limit)
             print(f"{module} {line} {label} {'survived' if passed else 'killed'} {seconds:.1f}", flush=True)
     return 0
 

@@ -79,8 +79,10 @@ names its reference below; the tests read no other.
   library's ``grading._pair_classes`` on ``grfilter._inverse_pairs``.
 - MT-3: ``reachability`` iterates every vertex's successor masks to a
   fixpoint, ``satisfies_mt3`` lists the vertices below each vertex and scans
-  them for each pair, and ``verify_corner_orthogonality`` lists every path
-  up to the length bound and gates each one by its own engine product.
+  them for each pair, ``hs_closure`` closes a vertex set under successors
+  and saturation (the route through the graded ideals), and
+  ``verify_corner_orthogonality`` lists every path up to the length bound
+  and gates each one by its own engine product.
 - Correspondence reports: ``verify_bijection_identity_generated`` and
   ``verify_bijection_ideally_symmetric`` regenerate an ideal for each check
   that needs one, and ``_monotone`` tests inclusion on every pair of
@@ -1009,6 +1011,27 @@ def satisfies_mt3(g: DirectedGraph) -> MT3Result:
     return MT3Result(True, sinks, None)
 
 
+def hs_closure(g: DirectedGraph, mask: int) -> int:
+    """The least hereditary saturated vertex set holding mask, as a mask over
+    g.vertices (Tomforde, J. Algebra 318, 2007): it adds every successor of
+    a vertex inside (hereditary) and every vertex that emits edges whose
+    targets all lie inside (saturated), until nothing changes."""
+    idx = g.vertex_index
+    succ = [0] * len(g.vertices)
+    for e in g.edges:
+        succ[idx[e.src]] |= 1 << idx[e.dst]
+    while True:
+        grown = mask
+        for i, s in enumerate(succ):
+            if mask >> i & 1:
+                grown |= s
+            elif s and not s & ~mask:
+                grown |= 1 << i
+        if grown == mask:
+            return mask
+        mask = grown
+
+
 def verify_corner_orthogonality(
     g: DirectedGraph,
     coeff: FiniteRing,
@@ -1470,7 +1493,7 @@ def parse_filter_file(text: str, caps: Caps = DEFAULT_CAPS) -> GFilter:
         missing = set(group.elements()) - set(table)
         if missing:
             raise SpecError(f"missing assignments for group elements {sorted(missing)}")
-        return gfl.make_finite_filter(ring, group, table)
+        return gfl.GFilter(ring, group, table)
     if rule is None:
         raise SpecError("an integer filter needs a pattern line")
     if assignments:
@@ -1479,7 +1502,7 @@ def parse_filter_file(text: str, caps: Caps = DEFAULT_CAPS) -> GFilter:
     off = ideal_mask(gens)
     if kind == "subgroup" and n < 1:
         raise SpecError("subgroup index must be positive")
-    return gfl.make_z_filter(ring, gfl.ZRule(n, off), {x: ideal_mask(g) for x, g in overrides.items()}, caps)
+    return gfl.GFilter(ring, group, {x: ideal_mask(g) for x, g in overrides.items()}, gfl.ZRule(n, off), caps)
 
 
 _VERTEX_LINE = re.compile(r"^vertex\s+([A-Za-z_][A-Za-z0-9_]*)$")

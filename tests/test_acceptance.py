@@ -16,7 +16,7 @@ from gradedprime import grfilter as gfl
 from gradedprime import leavitt as lv
 from gradedprime.cli import main
 from gradedprime.errors import SpecError
-from gradedprime.groups import cyclic
+from gradedprime.groups import Z, cyclic
 
 import oracle
 from corpus import (
@@ -272,7 +272,7 @@ def test_09_filter_classifiers():
     for ring, group in ((p22, cyclic(2)), (p22, cyclic(3)), (gf2, cyclic(2))):
         for filt in all_candidate_filters(ring, group):
             candidates += 1
-            is_valid = gfl.validate_filter(filt)
+            is_valid = filt.valid
             try:
                 built = gfl.assemble_filter_ring(filt)
                 assembled = True
@@ -317,7 +317,7 @@ def test_10_witness_search_over_group_rings():
     found = 0
     ok = True
     for ring in (fr.gf(2), fr.gf(4), fr.mat(fr.gf(2), 2)):
-        filt = gfl.make_z_filter(ring, gfl.ZRule(1))
+        filt = gfl.GFilter(ring, Z, {}, gfl.ZRule(1))
         rng = random.Random(42)
         for _ in range(trials_per_ring):
             a = gfl.random_element(filt, rng)

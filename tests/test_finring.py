@@ -102,6 +102,13 @@ class TestConstruction:
             build()
         assert str(info.value) == f"ring order {shown} exceeds cap 256"
 
+    def test_the_coordinates_are_capped_like_the_order(self):
+        """Order-1 factors leave the order at 1: the cap of 256 holds their
+        count, 256 of them accepted and 257 refused."""
+        assert fr.product(*[fr.zmod(1)] * 256).order == 1
+        with pytest.raises(CapError, match="^tuple ring of 257 coordinates exceeds cap 256$"):
+            fr.product(*[fr.zmod(1)] * 257)
+
     def test_zmod_checks_the_cap_before_building_its_tables(self):
         with pytest.raises(CapError, match="ring order 1000000000 exceeds cap 256"):
             fr.zmod(10**9)

@@ -9,7 +9,7 @@ from gradedprime import finring as fr
 from gradedprime import grading as gr
 from gradedprime import grfilter as gfl
 from gradedprime import leavitt as lv
-from gradedprime.groups import cyclic
+from gradedprime.groups import Z, cyclic
 
 GF2 = fr.gf(2)
 TRI2 = fr.tri(GF2, 2)
@@ -24,9 +24,9 @@ def values():
         (lv.graph(["v"], [("e", "v", "v")]), lv.graph(["v"], [("e", "v", "v")]), lv.graph(["v"], [])),
         (gfl.ZRule(2, 5), gfl.ZRule(2, 5), gfl.ZRule(3, 5)),
         (
-            gfl.make_z_filter(TRI2, gfl.ZRule(2)),
-            gfl.make_z_filter(TRI2, gfl.ZRule(2, TRI2.zero_mask)),
-            gfl.make_z_filter(TRI2, gfl.ZRule(0)),
+            gfl.GFilter(TRI2, Z, {}, gfl.ZRule(2)),
+            gfl.GFilter(TRI2, Z, {}, gfl.ZRule(2, TRI2.zero_mask)),
+            gfl.GFilter(TRI2, Z, {}, gfl.ZRule(0)),
         ),
     ]
 
@@ -59,8 +59,8 @@ def test_graded_rings_are_frozen_and_compare_by_identity():
 def test_reprs_are_those_of_the_dataclasses():
     shown = [
         gfl.ZRule(2, 5),
-        gfl.make_z_filter(TRI2, gfl.ZRule(2)),
-        gfl.make_finite_filter(GF2, cyclic(2), {0: 3, 1: 1}),
+        gfl.GFilter(TRI2, Z, {}, gfl.ZRule(2)),
+        gfl.GFilter(GF2, cyclic(2), {0: 3, 1: 1}),
         lv.graph(["v", "w"], [("e", "v", "w")]),
         fr.Caps(),
         lv.satisfies_mt3(lv.graph(["v"], [])),

@@ -32,28 +32,26 @@ DATA = Path(__file__).parent / "data"
 
 
 def f2_c2_full():
-    return gfl.make_finite_filter(GF2, cyclic(2), {0: GF2.full_mask, 1: GF2.full_mask})
+    return gfl.GFilter(GF2, cyclic(2), {0: GF2.full_mask, 1: GF2.full_mask})
 
 
 class TestValidation:
     def test_the_full_group_ring_is_a_filter(self):
-        assert gfl.validate_filter(f2_c2_full())
+        assert f2_c2_full().valid
 
     def test_matching_corner_ideals_are_accepted(self):
-        assert gfl.validate_filter(dict(finite_filter_corpus())["prod_c3"])
+        assert dict(finite_filter_corpus())["prod_c3"].valid
 
     def test_crossed_corner_ideals_are_rejected(self):
         p22 = fr.product(GF2, GF2)
         f20 = fr.generate_ideal(p22, [2]).members
         f02 = fr.generate_ideal(p22, [1]).members
-        bad = gfl.make_finite_filter(
-            p22, cyclic(3), {0: p22.full_mask, 1: f20, 2: f02}
-        )
-        assert not gfl.validate_filter(bad)
+        bad = gfl.GFilter(p22, cyclic(3), {0: p22.full_mask, 1: f20, 2: f02})
+        assert not bad.valid
 
     def test_identity_component_must_be_everything(self):
         with pytest.raises(SpecError):
-            gfl.make_finite_filter(GF2, cyclic(2), {0: GF2.zero_mask, 1: GF2.zero_mask})
+            gfl.GFilter(GF2, cyclic(2), {0: GF2.zero_mask, 1: GF2.zero_mask})
 
     def test_partial_assignment_rejected(self):
         with pytest.raises(SpecError):
@@ -68,52 +66,70 @@ class TestValidation:
             gfl.ZRule(-2)
 
     def test_z_subgroup_patterns_validate(self):
-        filt = gfl.make_z_filter(GF2, gfl.ZRule(2))
-        assert gfl.validate_filter(filt)
+        filt = gfl.GFilter(GF2, Z, {}, gfl.ZRule(2))
+        assert filt.valid
 
     def test_z_constant_patterns_validate(self):
         t2 = fr.tri(GF2, 2)
-        filt = gfl.make_z_filter(t2, gfl.ZRule(0, off=row_ideal_tri2()))
-        assert gfl.validate_filter(filt)
+        filt = gfl.GFilter(t2, Z, {}, gfl.ZRule(0, off=row_ideal_tri2()))
+        assert filt.valid
 
     def test_z_override_must_respect_the_law(self):
         # forcing the whole ring at degree 1 breaks I_1*I_1 inside I_2 = 0
-        filt = gfl.make_z_filter(GF2, gfl.ZRule(3), {1: GF2.full_mask})
-        assert not gfl.validate_filter(filt)
+        filt = gfl.GFilter(GF2, Z, {1: GF2.full_mask}, gfl.ZRule(3))
+        assert not filt.valid
 
     def test_z_override_can_be_consistent(self):
         # a nilpotent constant ideal can be shrunk pointwise to zero
         z4 = fr.zmod(4)
         j = fr.generate_ideal(z4, [2]).members
-        filt = gfl.make_z_filter(z4, gfl.ZRule(0, off=j), {3: z4.zero_mask})
-        assert gfl.validate_filter(filt)
+        filt = gfl.GFilter(z4, Z, {3: z4.zero_mask}, gfl.ZRule(0, off=j))
+        assert filt.valid
 
     def test_z_override_shrinking_a_full_pattern_is_caught(self):
         z4 = fr.zmod(4)
         j = fr.generate_ideal(z4, [2]).members
-        filt = gfl.make_z_filter(z4, gfl.ZRule(1), {5: j, -5: j})
-        assert not gfl.validate_filter(filt)
+        filt = gfl.GFilter(z4, Z, {5: j, -5: j}, gfl.ZRule(1))
+        assert not filt.valid
 
     def test_the_window_is_capped_by_the_group_cap(self):
         """2w + 1 sites, w = 2 * 5 + 3 * 2 + 2 for period 2 and an override
         at 5: 37 degrees."""
         rule, over = gfl.ZRule(2), {5: GF2.full_mask}
-        filt = gfl.make_z_filter(GF2, rule, over, fr.Caps(max_group_order=37))
+        filt = gfl.GFilter(GF2, Z, over, rule, fr.Caps(max_group_order=37))
         assert gfl.filter_sites(filt) == list(range(-18, 19))
         with pytest.raises(CapError, match="^filter window of 37 degrees exceeds cap 36$"):
-            gfl.make_z_filter(GF2, rule, over, fr.Caps(max_group_order=36))
+            gfl.GFilter(GF2, Z, over, rule, fr.Caps(max_group_order=36))
 
     @pytest.mark.parametrize("rule", [gfl.ZRule(1), gfl.ZRule(0, GF2.full_mask), gfl.ZRule(5, GF2.full_mask)])
     def test_an_override_equal_to_the_rule_is_dropped(self, rule):
         """R at every degree, however the rule says it, is ZRule(1) with no
         override: 2 * 4 + 1 sites, not the 19 an override at 2 would give."""
-        filt = gfl.make_z_filter(GF2, rule, {2: GF2.full_mask, -7: GF2.full_mask})
-        assert filt == gfl.make_z_filter(GF2, gfl.ZRule(1))
+        filt = gfl.GFilter(GF2, Z, {2: GF2.full_mask, -7: GF2.full_mask}, rule)
+        assert filt == gfl.GFilter(GF2, Z, {}, gfl.ZRule(1))
         assert len(gfl.filter_sites(filt)) == 9
 
     def test_an_override_off_the_rule_is_kept(self):
-        filt = gfl.make_z_filter(GF2, gfl.ZRule(2), {4: GF2.full_mask, 5: GF2.full_mask})
+        filt = gfl.GFilter(GF2, Z, {4: GF2.full_mask, 5: GF2.full_mask}, gfl.ZRule(2))
         assert filt.table == ((5, GF2.full_mask),)
+
+    # The constructor fixes one representation: the same ideal at every
+    # degree, however it is given, is one filter with one window.
+
+    def test_an_override_equal_to_a_period_one_rule_is_dropped(self):
+        filt = gfl.GFilter(GF2, Z, {2: GF2.full_mask}, gfl.ZRule(1))
+        assert filt == gfl.GFilter(GF2, Z, {}, gfl.ZRule(1))
+        assert len(gfl.filter_sites(filt)) == 9
+
+    def test_over_the_zero_ring_every_rule_is_the_whole_ring(self):
+        z1 = fr.zmod(1)
+        filt = gfl.GFilter(z1, Z, {}, gfl.ZRule(2, 0))
+        assert filt == gfl.GFilter(z1, Z, {}, gfl.ZRule(1))
+        assert len(gfl.filter_sites(filt)) == 9
+
+    def test_a_period_one_rule_ignores_its_off_ideal(self):
+        t2 = fr.tri(GF2, 2)
+        assert gfl.GFilter(t2, Z, {}, gfl.ZRule(1, row_ideal_tri2())) == gfl.GFilter(t2, Z, {}, gfl.ZRule(1))
 
     @pytest.mark.parametrize(
         "n,degrees",
@@ -125,7 +141,7 @@ class TestValidation:
         scan of its pairs uncapped."""
         start = time.perf_counter()
         with pytest.raises(CapError, match=f"^filter window of {degrees} degrees exceeds cap 256$"):
-            gfl.validate_filter(gfl.GFilter(GF2, Z, (), gfl.ZRule(n, 1)))
+            gfl.GFilter(GF2, Z, (), gfl.ZRule(n, 1))
         assert time.perf_counter() - start < 1.0
 
     def test_a_filter_built_directly_takes_the_group_cap(self):
@@ -137,28 +153,28 @@ class TestValidation:
 class TestBuild:
     def test_full_filter_builds_the_group_algebra(self):
         filt = f2_c2_full()
-        assert gfl.validate_filter(filt)
+        assert filt.valid
         built = gfl.assemble_filter_ring(filt)
         assert built.ring.order == 4
         assert gr.classify_grading(built).strongly
 
     def test_component_counting(self):
         filt = dict(finite_filter_corpus())["prod_c3"]
-        assert gfl.validate_filter(filt)
+        assert filt.valid
         assert gfl.assemble_filter_ring(filt).ring.order == 16
 
     def test_invalid_filters_do_not_build(self):
         p22 = fr.product(GF2, GF2)
         f20 = fr.generate_ideal(p22, [2]).members
         f02 = fr.generate_ideal(p22, [1]).members
-        bad = gfl.make_finite_filter(p22, cyclic(3), {0: p22.full_mask, 1: f20, 2: f02})
-        assert not gfl.validate_filter(bad)
+        bad = gfl.GFilter(p22, cyclic(3), {0: p22.full_mask, 1: f20, 2: f02})
+        assert not bad.valid
         with pytest.raises(SpecError):
             gfl.assemble_filter_ring(bad)
 
     def test_z_filters_multiply_term_tuples(self):
-        filt = gfl.make_z_filter(GF2, gfl.ZRule(1))
-        assert gfl.validate_filter(filt)
+        filt = gfl.GFilter(GF2, Z, {}, gfl.ZRule(1))
+        assert filt.valid
         u = GF2.unit
         assert gfl._product(GF2, ((1, u),), ((2, u),)) == ((3, u),)
         assert oracle.term(filt, 1, u) * oracle.term(filt, 2, u) == oracle.term(filt, 3, u)
@@ -168,7 +184,7 @@ class TestBuild:
         # when products and sums stay inside the chosen components
         p22 = fr.product(GF2, GF2)
         for filt in all_candidate_filters(p22, cyclic(3)):
-            expected = gfl.validate_filter(filt)
+            expected = filt.valid
             try:
                 gfl.assemble_filter_ring(filt)
                 built = True
@@ -193,7 +209,7 @@ class TestBuild:
     )
     def test_full_filter_ring_is_the_group_algebra(self, base, group):
         full = {x: base.full_mask for x in group.elements()}
-        built = gfl.assemble_filter_ring(gfl.make_finite_filter(base, group, full)).ring
+        built = gfl.assemble_filter_ring(gfl.GFilter(base, group, full)).ring
         algebra = fr.grpalg(base, group)
         assert built.add_table == algebra.add_table
         assert built.mul_table == algebra.mul_table
@@ -202,14 +218,14 @@ class TestBuild:
 
 @pytest.fixture(scope="module")
 def z4():
-    return gfl.make_z_filter(fr.zmod(4), gfl.ZRule(1))
+    return gfl.GFilter(fr.zmod(4), Z, {}, gfl.ZRule(1))
 
 
 class TestElements:
 
     def test_membership_is_enforced(self):
         t2 = fr.tri(GF2, 2)
-        filt = gfl.make_z_filter(t2, gfl.ZRule(2, off=row_ideal_tri2()))
+        filt = gfl.GFilter(t2, Z, {}, gfl.ZRule(2, off=row_ideal_tri2()))
         oracle.element(filt, {1: 4})  # E11 lies in the row ideal
         with pytest.raises(SpecError, match="^coefficient .* is outside the degree-1 component$"):
             oracle.element(filt, {1: 1})  # E22 does not
@@ -260,15 +276,15 @@ def random_z_filters(count: int, seed: int = 0) -> list:
         ring = rng.choice(rings)
         ideals = fr.all_ideals(ring)
         n = rng.randint(1, 4) if rng.choice(("subgroup", "constant")) == "subgroup" else 0
-        rule = gfl.ZRule(n, rng.choice(ideals))
+        plain = gfl.GFilter(ring, Z, {}, gfl.ZRule(n, rng.choice(ideals)))  # the rule alone
         overrides = {}
         for x in (rng.randint(-6, 6) for _ in range(rng.randint(0, 2))):
-            overrides[x] = rng.choice([m for m in ideals if m != rule.at(x, ring.full_mask)])
+            overrides[x] = rng.choice([m for m in ideals if m != plain.ideal_at(x)])
         try:
-            filt = gfl.make_z_filter(ring, rule, overrides)
+            filt = gfl.GFilter(ring, Z, overrides, plain.zrule)
         except SpecError:  # an override of degree 0 that is not the whole ring
             continue
-        if gfl.validate_filter(filt):
+        if filt.valid:
             out.append(filt)
     return out
 
@@ -354,24 +370,24 @@ class TestClassification:
         z4 = fr.zmod(4)
         j = fr.generate_ideal(z4, [2]).members
         c = gfl.classify_filter(
-            gfl.make_finite_filter(z4, cyclic(2), {0: z4.full_mask, 1: j})
+            gfl.GFilter(z4, cyclic(2), {0: z4.full_mask, 1: j})
         )
         assert not c.symmetric and c.ideally_symmetric is False and not c.nearly_eps
 
     def test_z_subgroup_pattern_with_zero_off_ideal(self):
-        c = gfl.classify_filter(gfl.make_z_filter(GF2, gfl.ZRule(2)))
+        c = gfl.classify_filter(gfl.GFilter(GF2, Z, {}, gfl.ZRule(2)))
         assert c.symmetric and c.ideally_symmetric and c.nearly_eps
 
     def test_z_row_ideal_pattern_is_undecided_for_ideal_symmetry(self):
         t2 = fr.tri(GF2, 2)
         c = gfl.classify_filter(
-            gfl.make_z_filter(t2, gfl.ZRule(2, off=row_ideal_tri2()))
+            gfl.GFilter(t2, Z, {}, gfl.ZRule(2, off=row_ideal_tri2()))
         )
         assert c.symmetric and c.ideally_symmetric is None and not c.nearly_eps
 
     @pytest.mark.parametrize("name,filt", finite_filter_corpus())
     def test_filter_flags_match_the_built_grading(self, name, filt):
-        assert gfl.validate_filter(filt)
+        assert filt.valid
         assert_flags_match_the_built_grading(filt)
 
     def test_exhaustive_candidates_crosscheck(self):
@@ -379,7 +395,7 @@ class TestClassification:
         for ring in (fr.product(GF2, GF2), fr.tri(GF2, 2), fr.zmod(4)):
             for group in (cyclic(2), cyclic(3)):
                 for filt in all_candidate_filters(ring, group):
-                    if gfl.validate_filter(filt):
+                    if filt.valid:
                         fully += assert_flags_match_the_built_grading(filt).R_fully_idempotent
                         checked += 1
         assert 0 < fully < checked
@@ -422,8 +438,8 @@ class TestSubgroupPatternAnalogue:
 
     def test_c2_row_pattern(self):
         t2 = fr.tri(GF2, 2)
-        partial = gfl.make_finite_filter(t2, cyclic(2), {0: t2.full_mask, 1: row_ideal_tri2()})
-        full = gfl.make_finite_filter(t2, cyclic(2), {0: t2.full_mask, 1: t2.full_mask})
+        partial = gfl.GFilter(t2, cyclic(2), {0: t2.full_mask, 1: row_ideal_tri2()})
+        full = gfl.GFilter(t2, cyclic(2), {0: t2.full_mask, 1: t2.full_mask})
         cp = gfl.classify_filter(partial)
         cf = gfl.classify_filter(full)
         assert cp.symmetric and cf.symmetric
@@ -432,23 +448,21 @@ class TestSubgroupPatternAnalogue:
     def test_c4_row_pattern_on_the_even_subgroup(self):
         t2 = fr.tri(GF2, 2)
         row = row_ideal_tri2()
-        filt = gfl.make_finite_filter(
-            t2, cyclic(4), {0: t2.full_mask, 1: row, 2: t2.full_mask, 3: row}
-        )
-        assert gfl.validate_filter(filt)
+        filt = gfl.GFilter(t2, cyclic(4), {0: t2.full_mask, 1: row, 2: t2.full_mask, 3: row})
+        assert filt.valid
         c = gfl.classify_filter(filt)
         assert c.symmetric and not c.nearly_eps
 
     def test_z_row_pattern(self):
         t2 = fr.tri(GF2, 2)
-        partial = gfl.make_z_filter(t2, gfl.ZRule(2, off=row_ideal_tri2()))
-        full = gfl.make_z_filter(t2, gfl.ZRule(1))
+        partial = gfl.GFilter(t2, Z, {}, gfl.ZRule(2, off=row_ideal_tri2()))
+        full = gfl.GFilter(t2, Z, {}, gfl.ZRule(1))
         assert gfl.classify_filter(partial).symmetric
         assert not gfl.classify_filter(partial).nearly_eps
         assert gfl.classify_filter(full).nearly_eps
 
     def test_zero_pattern_keeps_local_units_vacuously(self):
-        filt = gfl.make_z_filter(GF2, gfl.ZRule(2))
+        filt = gfl.GFilter(GF2, Z, {}, gfl.ZRule(2))
         assert gfl.classify_filter(filt).nearly_eps
 
 
@@ -471,7 +485,7 @@ class TestSUnitalityFailureBlocksLocalUnitsFiniteAnalogue:
     def test_the_mechanism_on_a_product_style_ring(self):
         z4 = fr.zmod(4)
         j = fr.generate_ideal(z4, [2]).members
-        filt = gfl.make_finite_filter(z4, cyclic(2), {0: z4.full_mask, 1: j})
+        filt = gfl.GFilter(z4, cyclic(2), {0: z4.full_mask, 1: j})
         assert not gfl.classify_filter(filt).nearly_eps
         assert not fr.is_s_unital_module(z4, fr.closed_product(z4, j, j), j, "left")
 
@@ -483,7 +497,7 @@ class TestWitnessSearch:
 
     def test_matrix_corners_need_a_connecting_unit(self):
         m2 = fr.mat(GF2, 2)
-        filt = gfl.make_z_filter(m2, gfl.ZRule(1))
+        filt = gfl.GFilter(m2, Z, {}, gfl.ZRule(1))
         a = ((0, 8),)   # E11
         b = ((0, 1),)   # E22
         witness = gfl.witness_search(m2, a, b)
@@ -495,7 +509,7 @@ class TestWitnessSearch:
         # over T_2(F_2), a = E11 + E12 x and b = E22 + E12 x have ab = 0 and
         # E12 c E12 = 0 for every c, yet a E22 b = E12 x
         tri2 = fr.tri(GF2, 2)
-        filt = gfl.make_z_filter(tri2, gfl.ZRule(1))
+        filt = gfl.GFilter(tri2, Z, {}, gfl.ZRule(1))
         a = ((0, 4), (1, 2))
         b = ((0, 1), (1, 2))
         assert gfl.witness_search(tri2, a, b) == gfl.Witness(0, 1)
@@ -508,13 +522,13 @@ class TestWitnessSearch:
     def test_search_respects_the_bound(self):
         # away from the distinguished degrees everything is zero, so only
         # middle factors on the even subgroup can connect; degree 0 sees them
-        filt = gfl.make_z_filter(GF2, gfl.ZRule(2))
+        filt = gfl.GFilter(GF2, Z, {}, gfl.ZRule(2))
         assert gfl.witness_search(GF2, ((0, 1),), ((0, 1),)) == gfl.Witness(None, None)
         assert oracle.witness_search(filt, ((0, 1),), ((0, 1),), 4) == gfl.Witness(None, None)
 
     def test_witnesses_are_deterministic(self):
         m2 = fr.mat(GF2, 2)
-        filt = gfl.make_z_filter(m2, gfl.ZRule(1))
+        filt = gfl.GFilter(m2, Z, {}, gfl.ZRule(1))
         rng = random.Random(11)
         pairs = [(gfl.random_element(filt, rng), gfl.random_element(filt, rng)) for _ in range(25)]
         first = [gfl.witness_search(m2, a, b) for a, b in pairs]
@@ -528,7 +542,7 @@ class TestWitnessSearch:
         filters = [
             specio.parse_filter_file((DATA / f"{name}.filter").read_text())
             for name in ("z_full_gf2", "z_full_mat2", "z_half_tri2")
-        ] + [gfl.make_z_filter(tri2, gfl.ZRule(0, off=corner))]
+        ] + [gfl.GFilter(tri2, Z, {}, gfl.ZRule(0, off=corner))]
         rng = random.Random(5)
         kinds = set()
         for filt in filters:
@@ -551,7 +565,7 @@ class TestWitnessSearch:
         filters = [
             specio.parse_filter_file((DATA / f"{name}.filter").read_text())
             for name in ("z_full_gf2", "z_full_mat2", "z_half_tri2")
-        ] + [gfl.make_z_filter(tri2, gfl.ZRule(0, off=corner))]
+        ] + [gfl.GFilter(tri2, Z, {}, gfl.ZRule(0, off=corner))]
         for filt in filters:
             for d in range(-9, 10):
                 assert list(filt.members(d)) == oracle.members_of_degree(filt, d)
@@ -605,7 +619,7 @@ def z_filters(ring):
     lattice = fr.all_ideals(ring)
     rules = [gfl.ZRule(n, off) for n in (1, 2, 3) for off in lattice]
     rules += [gfl.ZRule(0, off) for off in lattice]
-    return [gfl.make_z_filter(ring, rule, over) for rule in rules for over in [{}] + [{1: k} for k in lattice]]
+    return [gfl.GFilter(ring, Z, over, rule) for rule in rules for over in [{}] + [{1: k} for k in lattice]]
 
 
 def zero_mult_z4():
@@ -634,8 +648,8 @@ def test_the_theorems_behind_the_shown_ideal_symmetry(name):
     for rule in (gfl.ZRule(n, off) for n in (0, 1, 2, 3) for off in lattice):
         for at_1, at_minus_1 in itertools.product([None, *lattice], repeat=2):
             over = {d: k for d, k in ((1, at_1), (-1, at_minus_1)) if k is not None}
-            f = gfl.make_z_filter(ring, rule, over)
-            if not gfl.validate_filter(f):
+            f = gfl.GFilter(ring, Z, over, rule)
+            if not f.valid:
                 continue
             symmetric, nearly, ideally = gr._pair_classes(ring, gfl._inverse_pairs(f))
             if not symmetric:
@@ -659,14 +673,14 @@ def test_filter_checks_agree_with_the_degree_by_degree_checks(name):
             filters += all_candidate_filters(ring, group)
     # every subset holding zero at degree 1, ideal or not
     filters += [
-        gfl.make_finite_filter(ring, cyclic(2), {0: ring.full_mask, 1: m})
+        gfl.GFilter(ring, cyclic(2), {0: ring.full_mask, 1: m})
         for m in range(1 << ring.order)
         if m & ring.zero_mask
     ]
     valid = 0
     for f in filters:
-        assert gfl.validate_filter(f) == oracle.validate_filter(f)
-        if gfl.validate_filter(f):
+        assert f.valid == oracle.validate_filter(f)
+        if f.valid:
             valid += 1
             assert gfl.classify_filter(f) == oracle.classify_filter(f)
     assert 0 < valid < len(filters)

@@ -95,7 +95,7 @@ def valid_candidate_filters(ring_name: str, group_name: str) -> tuple:
     ring, group = filter_ring(ring_name), FILTER_GROUPS[group_name]
     if len(fr.all_ideals(ring)) ** (group.order - 1) > MAX_CANDIDATES:
         return ()
-    return tuple(f for f in all_candidate_filters(ring, group) if gfl.validate_filter(f))
+    return tuple(f for f in all_candidate_filters(ring, group) if f.valid)
 
 
 # The family enumeration forms the same few products over and over, and

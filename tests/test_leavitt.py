@@ -10,6 +10,7 @@ from gradedprime import finring as fr
 from gradedprime import leavitt as lv
 from gradedprime.errors import SpecError
 
+import oracle
 from corpus import named_graphs, small_graph_classes
 
 
@@ -66,6 +67,68 @@ class TestReachability:
                             todo.append(e.dst)
                 pairs |= {(u, w) for w in seen}
             assert lv.reachability(g) == pairs
+
+
+def adjacency_graph(n: int, pattern: int):
+    """The graph on v0..v{n-1} with an edge i -> j, loops too, for each bit
+    i * n + j of pattern."""
+    slots = [(i, j) for i in range(n) for j in range(n) if pattern >> (i * n + j) & 1]
+    return lv.graph([f"v{i}" for i in range(n)], [(f"e{k}", f"v{i}", f"v{j}") for k, (i, j) in enumerate(slots)])
+
+
+def closures_meet(g) -> bool:
+    """Whether the hereditary saturated closures of every two vertices meet."""
+    closures = [oracle.hs_closure(g, 1 << i) for i in range(len(g.vertices))]
+    return all(a & b for a in closures for b in closures)
+
+
+def hs_sets_meet(g) -> bool:
+    """Whether every two nonempty hereditary saturated vertex sets meet."""
+    sets = [h for h in range(1, 1 << len(g.vertices)) if oracle.hs_closure(g, h) == h]
+    return all(a & b for a in sets for b in sets)
+
+
+# every adjacency pattern, loops allowed, on 1 to 3 vertices, and a seeded
+# sample of the 65,536 on 4
+SMALL_PATTERNS = [(n, p) for n in (1, 2, 3) for p in range(1 << (n * n))]
+PATTERNS = SMALL_PATTERNS + [(4, p) for p in random.Random(0).sample(range(1 << 16), 2000)]
+
+
+class TestMT3IsTheMeetingOfHereditarySaturatedClosures:
+    """MT-3 through the graded ideals of a Leavitt path algebra (Tomforde,
+    J. Algebra 318, 2007): the graded ideals are I(H) for the hereditary
+    saturated vertex sets H, and I(H) I(H') = I(H ∩ H'), so the zero ideal is
+    graded prime exactly when every two nonempty such sets meet."""
+
+    def test_on_the_small_graph_classes(self):
+        for g in small_graph_classes():
+            assert lv.satisfies_mt3(g).holds == closures_meet(g), g
+
+    def test_on_adjacency_patterns(self):
+        verdicts = set()
+        for n, pattern in PATTERNS:
+            g = adjacency_graph(n, pattern)
+            holds = lv.satisfies_mt3(g).holds
+            assert holds == closures_meet(g), (n, pattern)
+            if n <= 3:
+                assert holds == hs_sets_meet(g), (n, pattern)
+            verdicts.add((n, holds))
+        assert verdicts == {(1, True), *((n, h) for n in (2, 3, 4) for h in (False, True))}
+
+    def test_an_acyclic_graph_has_a_set_for_each_set_of_sinks(self):
+        """Its Leavitt algebra over a field is a product of matrix rings, one
+        per sink, so it has 2^(sinks) ideals, all graded: saturation, not
+        heredity alone, gives that count."""
+        acyclic = 0
+        for n, pattern in SMALL_PATTERNS:
+            g = adjacency_graph(n, pattern)
+            reach = oracle.reachability(g)
+            if any((e.dst, e.src) in reach for e in g.edges):
+                continue
+            sinks = sum(not g.out_edges[v] for v in g.vertices)
+            assert sum(oracle.hs_closure(g, h) == h for h in range(1 << n)) == 2**sinks, (n, pattern)
+            acyclic += 1
+        assert acyclic == 29
 
 
 class TestMT3:
@@ -269,12 +332,13 @@ class TestIndependentModels:
         # over a filter's terms (the witness tests' reference) builds by a
         # completely different route
         from gradedprime import grfilter as gfl
+        from gradedprime.groups import Z
         from oracle import element, term, zero
 
         base = fr.gf(3)
         g = graph_by_name("single_loop")
         ctx = lv.LeavittContext(g, base)
-        filt = gfl.make_z_filter(base, gfl.ZRule(1))
+        filt = gfl.GFilter(base, Z, {}, gfl.ZRule(1))
 
         def lpa_power(k):
             if k >= 0:

@@ -176,6 +176,12 @@ class TestGroupExpressions:
         assert specio.parse_group_spec("cyclic(256)").order == 256
         assert specio.parse_group_spec("sym(5)").order == 120
 
+    def test_sym_counts_past_a_partial_factorial_equal_to_the_cap(self):
+        caps = fr.Caps(max_group_order=6)
+        assert specio.parse_group_spec("sym(3)", caps=caps).order == 6
+        with pytest.raises(CapError, match=r"^group order 4! exceeds cap 6$"):
+            specio.parse_group_spec("sym(4)", caps=caps)
+
     def test_the_group_cap_reaches_every_group_expression(self):
         caps = fr.Caps(max_group_order=5)
         assert specio.parse_group_spec("cyclic(5)", caps=caps).order == 5
@@ -284,6 +290,12 @@ class TestFilterFiles:
                 pattern subgroup 2
             """)
 
+    @pytest.mark.parametrize("line", ["pattern subgroup 2", "override 3 = [1]"])
+    def test_a_pattern_or_an_override_alone_is_refused_on_a_finite_group(self, line):
+        """Each one is refused by itself, in a file that assigns every element."""
+        with pytest.raises(SpecError, match="^patterns and overrides are for integer filters$"):
+            specio.parse_filter_file(f"ring: gf(2)\ngroup: cyclic(2)\nI 1 = [1]\n{line}\n")
+
     def test_assignments_on_integer_filters_rejected(self):
         with pytest.raises(SpecError):
             specio.parse_filter_file("""
@@ -323,7 +335,7 @@ class TestKeywords:
     def test_a_constant_pattern_is_the_rule_of_n_0(self):
         ring = fr.tri(fr.gf(2), 2)
         parsed = specio.parse_filter_file("ring: tri(gf(2), 2)\ngroup: Z\npattern constant [4]\n")
-        built = gfl.make_z_filter(ring, gfl.ZRule(0, fr.generate_ideal(ring, [4]).members))
+        built = gfl.GFilter(ring, Z, {}, gfl.ZRule(0, fr.generate_ideal(ring, [4]).members))
         assert parsed == built and hash(parsed) == hash(built)
 
     def test_a_nested_generator_list_is_refused(self):

@@ -81,6 +81,8 @@ def test_an_argv_the_plain_reader_leaves_loads_argparse(argv):
 
 
 # The public surface, exactly: the layer modules and every name they export.
+# make_finite_filter, make_z_filter and validate_filter left it: GFilter is
+# the one constructor of a filter, and GFilter.valid its validity.
 PUBLIC = """
     CapError Caps DEFAULT_CAPS DirectedGraph FiniteGroup FiniteRing GFilter
     GradedRing GradingClassification Ideal IntegerGroup LeavittContext LpaElement Report
@@ -89,10 +91,10 @@ PUBLIC = """
     graph grfilter groups grpalg ideal_product is_fully_idempotent is_g_invariant
     is_g_prime_base is_g_prime_ideal is_graded_ideal is_graded_m_system is_graded_prime_ideal
     is_graded_prime_ring is_identity_generated is_leavitt_prime is_prime_ideal is_prime_ring
-    is_s_unital_module leavitt lpa_degree make_finite_filter make_ring make_z_filter mat
+    is_s_unital_module leavitt lpa_degree make_ring mat
     parse_filter_file parse_graded_file parse_graph_file parse_group_spec parse_ring_spec
     product random_element reachability satisfies_mt3 specio subring symmetric_group tri trivial_grading
-    validate_filter verify_bijection_ideally_symmetric verify_bijection_identity_generated
+    verify_bijection_ideally_symmetric verify_bijection_identity_generated
     verify_corner_orthogonality witness_search zmod
 """.split()
 

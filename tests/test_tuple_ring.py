@@ -168,7 +168,7 @@ def test_coefficient_sets_in_any_order(base, members, error):
 
 def test_an_empty_filter_value_is_a_spec_error():
     ring = fr.zmod(4)
-    f = gfl.make_finite_filter(ring, cyclic(2), {0: ring.full_mask, 1: 0})
+    f = gfl.GFilter(ring, cyclic(2), {0: ring.full_mask, 1: 0})
     assert assert_same(lambda: gfl.assemble_filter_ring(f)) == (
         "SpecError",
         "ring must contain at least a zero element",
