@@ -6,7 +6,8 @@ axiom is checked exactly at construction time, so any FiniteRing in
 circulation is known-good: commutativity of addition on all pairs, the rest
 on additive generators only, which is exact by Light's associativity test
 and by biadditivity (see groups.check_group_table and make_ring), on rows
-composed in C (groups.read_table).  All values are immutable and all
+composed in C (groups.read_table).  A ring keeps the rows make_ring read,
+bytes up to order 256 and tuples above.  All values are immutable and all
 operations are pure functions, safe for concurrent use.
 
 Element index conventions of the built-in constructors (these are a public
@@ -25,11 +26,12 @@ contract, since spec files refer to elements by index):
   tuple-ring builder; ``grpalg`` is the filter subring whose every
   coefficient set is the whole base ring, and ``subring`` the tuple ring of
   one coordinate whose coefficient set is the selection.  The builder
-  fills its tables from monomial products (tuples with one nonzero
-  coordinate) by biadditivity: addition is a Kronecker sum of
-  per-coordinate tables, each other product is a sum of two entries built
-  before it, and closure under multiplication, checked on monomial
-  products only, is still exact because the monomials span the tuples.
+  composes nearly every row from others in C: an add row is the
+  translations of two summands composed, and a mul row xy is row x after
+  row y, from the rows of a few generators built by biadditivity from
+  monomial products (tuples with one nonzero coordinate).  Closure under
+  multiplication, checked on monomial products only, is still exact
+  because the monomials span the tuples.
 * ``subring``: elements are the chosen base-ring indices in ascending order.
 
 Additive subgroups (ideals, graded components, filter values) all go through
@@ -72,12 +74,16 @@ import itertools
 import math
 from collections import Counter
 from functools import cached_property, lru_cache, reduce
-from operator import itemgetter, or_
+from itertools import repeat
+from operator import add as plus, getitem, itemgetter, or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import CapError, SpecError
 from .frozen import Frozen
-from .groups import FiniteGroup, check_group_table, element_names, read_table, rows_of_length, table_identity
+from .groups import (
+    FiniteGroup, check_group_table, composer, element_names, left_rows, read_table, rotations, row_form,
+    rows_of_length, stored_rows, table_identity,
+)
 
 
 class Caps(NamedTuple):
@@ -115,6 +121,10 @@ def mask_of(indices: Iterable[int]) -> int:
 
 
 class FiniteRing(Frozen):
+    """A validated ring (make_ring).  Its tables keep their rows in the one
+    form of groups.stored_rows, bytes up to order 256 and tuples above, so
+    equal tables compare and hash equal whatever rows they were given as."""
+
     _fields = ("order", "add_table", "mul_table", "zero", "neg_table", "unit", "names")
 
     def __init__(
@@ -128,6 +138,7 @@ class FiniteRing(Frozen):
         names: tuple[str, ...],
     ):
         # every lru_cache is keyed by a ring, so its hash is computed once
+        add_table, mul_table = stored_rows(add_table), stored_rows(mul_table)
         vars(self).update(
             order=order, add_table=add_table, mul_table=mul_table, zero=zero, neg_table=neg_table,
             unit=unit, names=names, full_mask=(1 << order) - 1, zero_mask=1 << zero,
@@ -198,24 +209,27 @@ def make_ring(
     read = read_table(add_rows), read_table(mul_rows)
     if None in read:
         raise SpecError("table entries must be element indices")
-    (add, add_maps, after, add_columns), (mul, mul_maps, _, mul_columns) = read
+    (add, add_maps, apply, add_columns), (mul, mul_maps, _, mul_columns) = read
     if add_maps != add_columns():
         raise SpecError("addition is not commutative")
     zero, neg, gens = check_group_table(
         read[0],
         ("addition is not associative", "addition has no identity element", "element {} has no unique additive inverse"),
     )
-    plus_g = [(g, after(add_maps[g])) for g in gens]  # f -> (b -> f(b+g)), for every b
 
-    def additive(f) -> bool:  # f is x -> ax (a row) or x -> xa (a column)
-        through_f = after(f)
-        return all(pick(f) == through_f(add_maps[f[g]]) for g, pick in plus_g)
+    def additive(maps) -> bool:  # whether every f in maps, rows x -> ax or columns x -> xa, is additive
+        return all(  # b -> f(b+g) and b -> f(b) + f(g) for every f, in C
+            list(map(apply, repeat(add_maps[g]), maps))
+            == list(map(apply, maps, map(add_maps.__getitem__, map(itemgetter(g), maps))))
+            for g in gens
+        )
 
-    if not all(map(additive, mul_columns())):
-        raise SpecError(f"{'right' if all(map(additive, mul_maps)) else 'left'} distributivity fails")
-    if not all(additive(mul_maps[g]) for g in gens):
+    if not additive(mul_columns()):
+        raise SpecError(f"{'right' if additive(mul_maps) else 'left'} distributivity fails")
+    if not additive([mul_maps[g] for g in gens]):
         raise SpecError("left distributivity fails")
-    if any(mul[mul[x][y]][z] != mul[x][mul[y][z]] for x in gens for y in gens for z in gens):
+    on_gens = itemgetter(*gens, zero)  # (xy)z, x(yz) for z in G and 0 (G of the zero ring is empty)
+    if any(on_gens(mul_maps[mul[x][y]]) != on_gens(apply(mul_maps[y], mul_maps[x])) for x in gens for y in gens):
         raise SpecError("multiplication is not associative")
     return FiniteRing(n, add, mul, zero, neg, table_identity(mul), element_names(names, n))
 
@@ -225,16 +239,14 @@ def make_ring(
 
 
 def zmod(n: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
-    """The ring of integers modulo n."""
+    """The ring of integers modulo n: add row i is 0..n-1 rotated by i, and
+    the mul rows are composed (left_rows) from those of a few generators."""
     if n < 1:
         raise SpecError("modulus must be positive")
     _checked_order({n: 1}, caps)  # before the n x n tables are built
-    residues = list(range(n))
-    add = [residues[i:] + residues[:i] for i in residues]
-    mul = [[0] * n]
-    for _ in residues[1:]:  # row i is row i - 1 plus row 1, read off the add rows
-        mul.append([row[u] for row, u in zip(add, mul[-1])])
-    return make_ring(add, mul, caps=caps)
+    form = row_form(n)
+    mul = left_rows(n, lambda g: form(g * y % n for y in range(n)))
+    return make_ring(rotations(n), mul, caps=caps)
 
 
 def _poly_mod(a, m, p):
@@ -334,88 +346,93 @@ def _checked_order(sizes: dict[int, int], caps: Caps) -> int:
     raise CapError(f"ring order {shown} exceeds cap {cap}")
 
 
-def _kronecker_sum(tables):
-    """The add table of tuples added coordinatewise by tables, indexed in
-    mixed radix with the last coordinate varying fastest."""
-    add = [[0]]  # the add table over the coordinates done so far, the last first
-    for table in reversed(tables):
-        stride = len(add)
-        add = [
-            [c + v for c in crow for v in row]
-            for crow in ([c * stride for c in crow] for crow in table)
-            for row in add
-        ]
-    return add
-
-
 def _tuple_ring(factors, members, mul_vec, name_vec, caps: Caps):
     """The ring of tuples whose coordinate t is drawn from members[t], a
     list of distinct elements of the ring factors[t], added componentwise
-    and multiplied by mul_vec, which must be biadditive.
+    and multiplied by mul_vec, which must be biadditive and associative.
 
     Returns (ring, index) with index mapping each tuple to its element.
     Nothing is validated up front: a sum or product leaving the tuples
     raises SpecError.
 
-    The add table is the Kronecker sum of the per-coordinate tables of
-    positions in members[t]; a coordinate's table is where addition is
-    checked for closure.  Once it passes, every members[t] is an additive
-    subgroup, so each tuple x other than zero is head(x) + tail(x): tail(x)
-    is the monomial (one nonzero coordinate) holding x's last nonzero
-    coordinate and head(x) is x with that coordinate set to zero.  mul_vec
-    is called on pairs of monomials only.  By biadditivity the other
-    entries of a monomial's row are row[head(j)] + row[tail(j)], and the
-    other rows are mul[head(x)] + mul[tail(x)] entrywise.  The tuples form
-    an additive group spanned by the monomials, so they are closed under
-    multiplication exactly when the monomial products stay inside: the
-    closure error is raised exactly when some product of tuples leaves.
+    Rows are bytes up to order 256, tuples above (groups.stored_rows), and
+    are composed in C (groups.composer).  Addition is checked for closure on
+    the per-coordinate tables of positions in members[t].  Once it passes,
+    every members[t] is an additive subgroup, so each tuple is the sum of
+    its monomials (tuples with one nonzero coordinate).  A monomial's add
+    row moves its coordinate by that coordinate's table, and the add row of
+    m + y, for m a monomial and y a tuple zero at m's coordinate and
+    before, is T_m after T_y.  mul_vec is called on pairs of monomials
+    only.  The mul rows are composed by groups.left_rows (row xy is row x
+    after row y) from the rows of a few generators, each built by
+    additivity from its products with the monomials: x(m + y) is xm + xy,
+    so the row of x on the tuples zero before coordinate t is the row on
+    those zero up to t, translated by each xm for m at t and joined.  The
+    tuples form an additive group spanned by the monomials, so they are
+    closed under multiplication exactly when the monomial products stay
+    inside: the closure error is raised exactly when some product of
+    tuples leaves.
     """
     if not all(members):  # an empty coefficient set, such as an empty filter value
         raise SpecError("ring must contain at least a zero element")
     order = _checked_order(Counter(len(m) for m in members), caps)
+    form = row_form(order)
+    join = b"".join if form is bytes else lambda parts: tuple(itertools.chain.from_iterable(parts))
     vectors = list(itertools.product(*members))
     index = {v: i for i, v in enumerate(vectors)}
 
-    tables = []
+    tables, strides, zero_at = [], [], []
+    stride = order
     for factor, coeffs in zip(factors, members):
+        stride //= len(coeffs)  # element x holds position x // stride % len(coeffs) at this coordinate
         pos = {c: p for p, c in enumerate(coeffs)}
         table = [[pos.get(factor.add_table[a][b]) for b in coeffs] for a in coeffs]
         if any(None in row for row in table):
             raise SpecError("coefficient sets are not closed under addition")
         tables.append(table)
-    add = _kronecker_sum(tables)
+        strides.append(stride)
+        zero_at.append(pos[factor.zero])
+    z = sum(p * s for p, s in zip(zero_at, strides))
+    # at[t][p]: the tuple holding position p at coordinate t and zero elsewhere
+    at = [[z + (p - zp) * s for p in range(len(table))] for table, s, zp in zip(tables, strides, zero_at)]
 
-    zeros = tuple(f.zero for f in factors)
-    z = index[zeros]
-    monomials = []
-    steps = []  # (t, x, head, tail) for x with two or more nonzero coordinates
-    for x, v in enumerate(vectors):
-        support = [t for t, (c, zero) in enumerate(zip(v, zeros)) if c != zero]
-        if len(support) == 1:
-            monomials.append(x)
-        elif support:
-            t = support[-1]
-            head = index[v[:t] + zeros[t : t + 1] + v[t + 1 :]]
-            tail = index[zeros[:t] + v[t : t + 1] + zeros[t + 1 :]]
-            steps.append((t, x, head, tail))
-    steps.sort()  # head(x) has its last nonzero coordinate before x's
+    as_map, apply = composer(order)
+    add = [None] * order
+    add[z] = form(range(order))
+    below = [z]  # the tuples zero at coordinate t and before
+    for t in reversed(range(len(tables))):
+        table, s = tables[t], strides[t]
+        m = len(table)
+        digits = [p for p in range(m) for _ in range(s)] * (order // (m * s))
+        for p, x in enumerate(at[t]):
+            if x != z:
+                shift = [(r - q) * s for q, r in enumerate(table[p])]
+                add[x] = form(map(plus, range(order), map(shift.__getitem__, digits)))  # y + shift, in C
+                then_x = as_map(add[x])
+                for y in below:
+                    if y != z:
+                        add[x + y - z] = apply(add[y], then_x)
+        below = [x + y - z for x in at[t] for y in below]
 
-    mul = [None] * order
-    mul[z] = [z] * order
+    monomials = [x for line in at for x in line if x != z]
+    products = {a: {z: z} for a in monomials}  # products[a][b] = ab for monomials a, b and for b = 0
     for a in monomials:
-        row = [z] * order
         for b in monomials:
             c = index.get(mul_vec(vectors[a], vectors[b]))
             if c is None:
                 raise SpecError("coefficient sets are not closed under multiplication")
-            row[b] = c
-        for _, x, head, tail in steps:
-            row[x] = add[row[head]][row[tail]]
-        mul[a] = row
-    for _, x, head, tail in steps:
-        mul[x] = [add[u][v] for u, v in zip(mul[head], mul[tail])]
-    names = [name_vec(v) for v in vectors]
-    return make_ring(add, mul, names, caps=caps), index
+            products[a][b] = c
+
+    def row_of(x):
+        parts = [products[a] for a in (line[x // s % len(line)] for line, s in zip(at, strides)) if a != z]
+        row = form([z])
+        for line in reversed(at):  # the row on the tuples zero before coordinate t, from the last t
+            xm = [reduce(lambda u, am: add[u][am[m]], parts, z) for m in line]
+            row = join([apply(row, as_map(add[v])) for v in xm])
+        return row
+
+    names = list(map(name_vec, vectors))
+    return make_ring(add, left_rows(order, row_of), names, caps=caps), index
 
 
 def product(*rings: FiniteRing, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
@@ -423,13 +440,13 @@ def product(*rings: FiniteRing, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     if not rings:
         raise SpecError("product needs at least one factor")
     muls = [r.mul_table for r in rings]
-    coords = range(len(rings))
+    names = [r.names for r in rings]
 
     def mul_vec(x, y):
-        return tuple(muls[t][x[t]][y[t]] for t in coords)
+        return tuple(map(getitem, map(getitem, muls, x), y))
 
     def name_vec(v):
-        return "(" + ",".join(rings[t].name(v[t]) for t in coords) + ")"
+        return "(" + ",".join(map(getitem, names, v)) + ")"
 
     return _tuple_ring(rings, [r.elements() for r in rings], mul_vec, name_vec, caps)[0]
 

@@ -63,21 +63,29 @@ if TYPE_CHECKING:  # the file readers import their layers when called
 # that satisfies MT-3: 65,536 lines at the cap, the default ideal cap's count
 MAX_VERTICES = 256
 
-# The token kinds.  No two of them match at the same position.
+# The token kinds' patterns.  No two of them match at the same position.
 _KINDS = {
-    "int": re.compile(r"-?\d+"),
-    "punct": re.compile(r"->|[(){}\[\],;=:]"),
-    "name": re.compile(r"[A-Za-z_][A-Za-z0-9_]*"),
+    "int": r"-?\d+",
+    "punct": r"->|[(){}\[\],;=:]",
+    "name": r"[A-Za-z_][A-Za-z0-9_]*",
 }
-_VALID = re.compile("|".join(kind.pattern for kind in _KINDS.values()))
+# The next token, after any whitespace: the one pattern a plain call
+# compiles.  The others are compiled (and cached by re) when first used.
+_NEXT = re.compile(r"\s*(" + "|".join(_KINDS.values()) + ")")
 # A character that starts no token: one in no token's alphabet, a "-" that
 # starts neither an integer nor "->", or a ">" that does not end "->".  No
 # character inside a token is one of these, so the first match is the first
 # character that a left-to-right tokenizer cannot read.
-_BAD = re.compile(r"[^\s\dA-Za-z_(){}\[\],;=:>-]|-(?![\d>])|(?<!-)>")
-# The ASCII characters _BAD matches in no context: the token alphabet but - and >.
-_SAFE = bytes(c for c in range(128) if not _BAD.search(chr(c)))
-_NEXT = re.compile(r"\s*(" + _VALID.pattern + ")")
+_BAD = r"[^\s\dA-Za-z_(){}\[\],;=:>-]|-(?![\d>])|(?<!-)>"
+# The ASCII characters _BAD matches in no context: the token alphabet but -
+# and >, with the ASCII whitespace of \s.
+_SAFE = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f (),0123456789:;=ABCDEFGHIJKLMNOPQRSTUVWXYZ[]_abcdefghijklmnopqrstuvwxyz{}"
+
+
+def _is(kind: str, tok: str) -> bool:
+    """Whether the token tok is of the kind.  A token is a name exactly when
+    it is an identifier, which needs no pattern."""
+    return tok.isidentifier() if kind == "name" else re.fullmatch(_KINDS[kind], tok) is not None
 
 
 def _strip_comments(text: str) -> str:
@@ -91,7 +99,7 @@ def _checked(text: str) -> str:
     text = _strip_comments(text)
     if text.isascii() and not text.encode().translate(None, _SAFE):
         return text
-    bad = _BAD.search(text)
+    bad = re.search(_BAD, text)
     if bad:
         raise SpecError(f"unexpected character {bad[0]!r}")
     return text
@@ -103,6 +111,7 @@ class _Tokens:
     def __init__(self, text: str):
         self.text = _checked(text)
         self.pos = 0
+        self.rings = {}  # ("gf" or "zmod", argument) -> the ring, built once per text
 
     def peek(self):
         m = _NEXT.match(self.text, self.pos)
@@ -116,8 +125,10 @@ class _Tokens:
         return m[1]
 
     def expect(self, kind, value=None):
+        """The next token, which must be value if one is given (a token of
+        the kind), else any token of the kind."""
         tok = self.next()
-        if not _KINDS[kind].fullmatch(tok) or (value is not None and tok != value):
+        if tok != value if value is not None else not _is(kind, tok):
             want = value if value is not None else kind
             raise SpecError(f"expected {want!r}, found {tok!r}")
         return tok
@@ -130,7 +141,7 @@ def _int(tok: str) -> int:
     try:
         return int(tok)
     except ValueError:  # a name or punctuation, or an int over the digit limit
-        if _KINDS["int"].fullmatch(tok):
+        if _is("int", tok):
             raise SpecError(f"an integer of {len(tok.lstrip('-'))} digits is too long") from None
         raise SpecError(f"expected 'int', found {tok!r}") from None
 
@@ -241,8 +252,11 @@ def _args(ts: _Tokens, *readers) -> list:
 def _parse_ring_expr(ts: _Tokens, caps: Caps) -> FiniteRing:
     head = ts.expect("name")
     ring = partial(_parse_ring_expr, caps=caps)
-    if head in ("gf", "zmod"):
-        return getattr(fr, head)(*_args(ts, _parse_int), caps=caps)
+    if head in ("gf", "zmod"):  # product(gf(2), ..., gf(2)) builds gf(2) once
+        key = (head, *_args(ts, _parse_int))
+        if key not in ts.rings:
+            ts.rings[key] = getattr(fr, head)(*key[1:], caps=caps)
+        return ts.rings[key]
     if head == "product":
         ts.expect("punct", "(")
         factors = [ring(ts)]

@@ -16,7 +16,12 @@ module list them in the same order and their kill lists compare line by
 line.  The checkout is copied once to a scratch directory, each mutant is
 written there as ``ast.unparse`` gives it, and tier-1 runs in that copy
 with ``-x``; the checkout itself is never written.  A mutant is killed when
-the run fails and survives when it passes.
+the run fails and survives when it passes.  With tier-1 as the command, a
+mutant first runs the test files that import the module by name
+(``importers``), and tier-1 only if it survives them: most mutants are
+killed there in seconds, and the kill list is the one of tier-1 alone.
+The file that killed the last mutant runs first, since neighbouring
+mutants tend to fail the same tests.
 ``ast.unparse`` drops comments and redoes the layout, so before it counts
 anything the tool runs tier-1 once on the unparsed, unmutated module and
 stops with an error if that run fails.
@@ -24,7 +29,7 @@ stops with an error if that run fails.
     python tests/mutants.py src/gradedprime/grading.py [--checkout DIR] [-- COMMAND...]
 
 prints one ``<module> <line> <operator> killed|survived <s>`` line per
-mutant, ``<s>`` being the seconds its run took.  The checkout defaults to
+mutant, ``<s>`` being the seconds its runs took.  The checkout defaults to
 the one holding this file, and the command to tier-1 with ``-x``.  Mutants
 named in the checkout's ``tests/equivalent_mutants.txt`` are skipped: no
 input can tell them from the module.  Each entry is one ``<module> <line>
@@ -42,7 +47,8 @@ exit=True)`` around each module's collection and each test's set-up, call
 and tear-down.  The limit is three times the clean run's slowest such step,
 and at least ``LIMIT_FLOOR`` seconds.  A command that is not pytest loads
 no plugin, and for every command a run past three times the clean run's
-time, plus a minute, counts as killed.  Standard library only.
+time, plus a minute, counts as killed; the first runs of tier-1 have their
+own clean time.  Standard library only.
 """
 
 from __future__ import annotations
@@ -63,12 +69,14 @@ from typing import Optional
 CHECKOUT = Path(__file__).resolve().parents[1]
 EQUIVALENT = "tests/equivalent_mutants.txt"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+TESTPATHS = ("tests", "perfbench/tests")  # tier-1's, in pyproject.toml
 MEMORY = 2 << 30
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "_work")
 LIMIT_FLOOR = 30.0  # seconds a test may always take
 
 # The per-test limit, loaded by pytest from PYTEST_PLUGINS: it arms
-# MUTANTS_LIMIT seconds (0: none) and writes the slowest step to MUTANTS_SLOWEST.
+# MUTANTS_LIMIT seconds (0: none), writes the slowest step to MUTANTS_SLOWEST
+# and the file of the first failing test to MUTANTS_FAILED.
 PLUGIN = """\
 import contextlib, faulthandler, os, sys, time
 import pytest
@@ -103,6 +111,12 @@ def pytest_make_collect_report(collector):
 def pytest_runtest_protocol(item, nextitem):
     with limited():
         return (yield)
+
+
+def pytest_runtest_logreport(report):
+    if report.failed and not os.path.exists(os.environ["MUTANTS_FAILED"]):
+        with open(os.environ["MUTANTS_FAILED"], "w") as out:
+            out.write(report.nodeid.split("::")[0])
 
 
 def pytest_unconfigure(config):
@@ -199,6 +213,28 @@ def read_equivalent(path: Path) -> dict[tuple[str, int, str], str]:
     return out
 
 
+def importers(checkout: Path, module: str) -> list[str]:
+    """The test files of TESTPATHS in the checkout that import the module
+    by its name (src/pkg/mod.py is pkg.mod): ``import pkg.mod``,
+    ``from pkg import mod`` or ``from pkg.mod import ...``; those whose
+    name holds the module's come first, as the likeliest to fail."""
+    name = ".".join(Path(module).relative_to("src").with_suffix("").parts)
+    paths = sorted(p for root in TESTPATHS for p in (checkout / root).glob("test_*.py"))
+    found = []
+    for path in sorted(paths, key=lambda p: Path(module).stem not in p.stem):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                named = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                named = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if name in named:
+                found.append(path.relative_to(checkout).as_posix())
+                break
+    return found
+
+
 def _limit() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
 
@@ -211,8 +247,9 @@ def run(copy: Path, command: list[str], timeout: Optional[float], limit: float =
     env = dict(
         os.environ, PYTHONPATH=os.pathsep.join([str(copy / "src"), str(plugin)]), PYTHONDONTWRITEBYTECODE="1",
         OPENBLAS_NUM_THREADS="1", PYTEST_PLUGINS="mutant_limit", MUTANTS_LIMIT=repr(limit),
-        MUTANTS_SLOWEST=str(plugin / "slowest"),
+        MUTANTS_SLOWEST=str(plugin / "slowest"), MUTANTS_FAILED=str(plugin / "failed"),
     )
+    (plugin / "failed").unlink(missing_ok=True)
     start = time.perf_counter()
     child = subprocess.Popen(
         command, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -254,19 +291,32 @@ def main(argv=None) -> int:
         (plugin / "mutant_limit.py").write_text(PLUGIN)
         target = copy / module
         target.write_text(ast.unparse(ast.parse(source)) + "\n")
-        passed, seconds = run(copy, command, None)
-        if not passed:
-            print(f"error: the tests fail on the unparsed, unmutated {module}", file=sys.stderr)
-            return 2
-        timeout = 3 * seconds + 60
+        files = importers(copy, module) if command is TIER1 else []
+        stages = [TIER1 + files, command] if files else [command]
+        timeouts = []
+        for stage in stages:  # the last, the command itself, sets the per-test limit
+            passed, seconds = run(copy, stage, None)
+            if not passed:
+                print(f"error: the tests fail on the unparsed, unmutated {module}", file=sys.stderr)
+                return 2
+            timeouts.append(3 * seconds + 60)
         slowest = plugin / "slowest"  # written by the plugin, when the command is pytest
         limit = max(LIMIT_FLOOR, 3 * float(slowest.read_text())) if slowest.exists() else 0.0
         for line, _, label, number, slot in mutants:
             if (line, label) in skip:
                 continue
             target.write_text(mutate(source, number, slot))
-            passed, seconds = run(copy, command, timeout, limit)
+            passed, seconds = True, 0.0
+            for stage, timeout in zip(stages, timeouts):
+                passed, took = run(copy, stage, timeout, limit)
+                seconds += took
+                if not passed:
+                    break
             print(f"{module} {line} {label} {'survived' if passed else 'killed'} {seconds:.1f}", flush=True)
+            killer = plugin / "failed"
+            if not passed and killer.exists() and killer.read_text() in files:  # first for the next mutant
+                files.insert(0, files.pop(files.index(killer.read_text())))
+                stages[0] = TIER1 + files
     return 0
 
 

@@ -284,6 +284,13 @@ def _ideal_count_floor(ring: FiniteRing) -> int:
     return floor
 
 
+def tuple_rows(table) -> tuple:
+    """A table's rows as tuples of ints, the form in which numpy, pinned
+    digests and JSON texts read them; a ring or group keeps rows of bytes
+    up to order 256."""
+    return tuple(map(tuple, table))
+
+
 def make_ring(
     add_rows: Sequence[Sequence[int]],
     mul_rows: Sequence[Sequence[int]],
@@ -306,8 +313,8 @@ def make_ring(
     # range-checked before the int16 cast, which overflows on large entries
     if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
         raise SpecError("table entries must be element indices")
-    add = np.asarray(add_rows, dtype=np.int16)
-    mul = np.asarray(mul_rows, dtype=np.int16)
+    add = np.asarray(tuple_rows(add_rows), dtype=np.int16)
+    mul = np.asarray(tuple_rows(mul_rows), dtype=np.int16)
     if not (add == add.T).all():
         raise SpecError("addition is not commutative")
     if not (add[add, :] == add[:, add]).all():

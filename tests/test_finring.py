@@ -10,6 +10,7 @@ from gradedprime.errors import CapError, SpecError
 
 import oracle
 from corpus import corpus_rings, ideals_of, ring_by_name, zero_mult_ring
+from oracle import tuple_rows
 from gradedprime.groups import cyclic, symmetric_group
 
 
@@ -152,8 +153,12 @@ class TestConstruction:
         assert capped == 70 - 6  # the prime powers from 9 to 256
 
     def test_residue_rings_equal_the_entrywise_builder(self):
-        for n in range(1, 65):
-            assert fr.zmod(n) == oracle.zmod(n), n
+        """Rows of bytes up to order 256, and of tuples past it."""
+        caps = fr.Caps(max_ring_order=300)
+        for n in range(1, 301):
+            ring = fr.zmod(n, caps)
+            assert ring == oracle.zmod(n, caps), n
+            assert type(ring.mul_table[0]) is (bytes if n <= 256 else tuple)
 
     @pytest.mark.parametrize("name,ring", corpus_rings())
     def test_corpus_units_are_genuine(self, name, ring):
@@ -222,7 +227,7 @@ class TestConstructorTables:
     )
     def test_table_digest(self, build, expected):
         r = build()
-        assert table_digest(r.add_table, r.mul_table, r.names) == expected
+        assert table_digest(tuple_rows(r.add_table), tuple_rows(r.mul_table), r.names) == expected
 
 
 class TestIdealGeneration:

@@ -27,6 +27,7 @@ from gradedprime.errors import CapError, SpecError
 
 import oracle
 from corpus import relabelled
+from oracle import tuple_rows
 
 # Small caps, the same on both sides, keep every drawn ring cheap to build.
 CAPS = fr.Caps(max_ring_order=16, max_ideals=64, max_group_order=8)
@@ -205,7 +206,7 @@ def test_a_non_json_tables_spec_of_order_256_reads_like_its_json_form():
     perm = list(range(256))
     rng.shuffle(perm)
     ring = relabelled(fr.product(fr.zmod(16), fr.zmod(16)), perm)
-    plain = f"tables{{order=256; add={json.dumps(ring.add_table)}; mul={json.dumps(ring.mul_table)}}}"
+    plain = f"tables{{order=256; add={json.dumps(tuple_rows(ring.add_table))}; mul={json.dumps(tuple_rows(ring.mul_table))}}}"
     start = time.perf_counter()
     got = specio.parse_ring_spec(plain.replace("]", ",]"))
     assert time.perf_counter() - start < 2.0
@@ -251,7 +252,9 @@ def test_patterns_compile_before_python_3_11():
         for value in vars(importlib.import_module(info.name)).values():
             values = value.values() if isinstance(value, dict) else [value]
             patterns += [v for v in values if isinstance(v, re.Pattern)]
-    assert specio._BAD in patterns
+    assert specio._NEXT in patterns
+    # specio keeps the patterns a plain call does not read as text, compiled when first used
+    patterns += [re.compile(text) for text in (specio._BAD, *specio._KINDS.values())]
     for pattern in patterns:
         ops = set(_opcodes(parser.parse(pattern.pattern, pattern.flags), parser))
         assert not ops & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}, pattern.pattern
@@ -337,7 +340,8 @@ TABLE_SPECS = [
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS + [
-    "tables{order=256; add=%s; mul=%s}" % (json.dumps(r.add_table), json.dumps(r.mul_table).replace("], ", "],\n "))
+    "tables{order=256; add=%s; mul=%s}" % (json.dumps(tuple_rows(r.add_table)),
+                                           json.dumps(tuple_rows(r.mul_table)).replace("], ", "],\n "))
     for r in [fr.zmod(256)]
 ])
 def test_every_tables_block_reads_the_same_through_both_paths(spec):

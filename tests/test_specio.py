@@ -17,6 +17,16 @@ class TestRingExpressions:
         ring = specio.parse_ring_spec("product(gf(2), zmod(4))")
         assert ring.order == 8
 
+    def test_each_field_and_residue_ring_is_built_once_per_text(self):
+        with mock.patch.object(fr, "gf", wraps=fr.gf) as gf:
+            ring = specio.parse_ring_spec("product(gf(2), gf(4), gf(2), gf(2))")
+            specio.parse_ring_spec("gf(2)")
+        assert ring == fr.product(fr.gf(2), fr.gf(4), fr.gf(2), fr.gf(2))
+        assert [c.args for c in gf.call_args_list] == [(2,), (4,), (2,)]
+        with mock.patch.object(fr, "zmod", wraps=fr.zmod) as zmod:
+            assert specio.parse_ring_spec("product(zmod(4), zmod(4))").order == 16
+        assert [c.args for c in zmod.call_args_list] == [(4,)]
+
     def test_whitespace_and_comments_are_ignored(self):
         ring = specio.parse_ring_spec("""
             # a field

@@ -1,11 +1,13 @@
 """What a CLI call loads: each subcommand imports the layers it uses and no
 others, nothing imports dataclasses (which pulls in inspect, ast, dis and
 tokenize), a plain argv loads no argparse (nor gettext and locale with
-it), json is loaded for a tables{} spec only, and the package's public
+it), json is loaded for a tables{} spec only, a plain call compiles one
+regular expression, specio's token pattern, and the package's public
 names resolve lazily."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +75,48 @@ def test_a_subcommand_loads_its_own_layers(command):
 def test_a_tables_spec_loads_json(argv):
     loaded = loaded_by(argv)
     assert "json" in loaded and not ARGPARSE & loaded
+
+
+# Lists the patterns that re compiles from the import of cli to the end of
+# the call, each once, in the order first compiled.
+COMPILES = """
+import re, sys
+compiled = []
+compile_ = re._compile
+def logged(pattern, flags):
+    if (pattern, flags) not in compiled:
+        compiled.append((pattern, flags))
+    return compile_(pattern, flags)
+re._compile = logged
+from gradedprime import cli
+status = cli.main(sys.argv[1:])
+re._compile = compile_
+import json
+print(json.dumps([status, [pattern for pattern, _ in compiled]]))
+"""
+
+
+@pytest.mark.parametrize("argv", [["prime", "gf2.ring"], ["classify", "tri2_std.graded", "--porcelain"]])
+def test_a_plain_call_compiles_the_token_pattern_only(argv):
+    from gradedprime import specio
+
+    argv = [str(DATA / a) if (DATA / a).is_file() else a for a in argv]
+    result = subprocess.run([sys.executable, "-c", COMPILES, *argv], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    assert result.returncode == 0, result.stderr
+    status, compiled = json.loads(result.stdout.splitlines()[-1])
+    assert status == 0 and compiled == [specio._NEXT.pattern]
+
+
+def test_a_character_outside_the_tokens_compiles_the_check_that_names_it():
+    """The first character that starts no token is named by _BAD, which a
+    text of tokens alone never compiles."""
+    from gradedprime import specio
+    from gradedprime.errors import SpecError
+
+    with pytest.raises(SpecError, match="unexpected character '@'"):
+        specio.parse_ring_spec("gf(2) @")
+    assert specio._SAFE == bytes(c for c in range(128) if not re.search(specio._BAD, chr(c)))
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["filter", "--help"], ["prime", "gf2.ring", "--porc"]])

@@ -366,6 +366,18 @@ def test_a_table_of_non_integers_that_int_would_read_is_refused():
         group_from_table([[0.0, 1.0], [1.0, 0.0]])
 
 
+@pytest.mark.parametrize("byte_rows", [256, 0], ids=["bytes", "tuples"])
+def test_the_inverse_error_names_the_first_element_without_one(byte_rows):
+    """Z/4 with 2 + 2 = 1: row 2 holds no zero, and rows 0, 1 and 3 one each."""
+    add = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    add[2][2] = 1
+    with mock.patch.object(groups, "_BYTE_ROWS", byte_rows):
+        with pytest.raises(SpecError, match="^element 2 has no unique additive inverse$"):
+            fr.make_ring(add, [[0] * 4] * 4)
+        with pytest.raises(SpecError, match="^element 2 has no unique inverse$"):
+            group_from_table(add)
+
+
 @pytest.mark.parametrize("row", [5, None, 1.5], ids=["int", "none", "float"])
 def test_a_row_without_a_length_is_not_square(row):
     """A row that has no length, in either table, gets the text of a table
@@ -381,8 +393,8 @@ def test_a_row_without_a_length_is_not_square(row):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_symmetric_group_table_matches_the_coordinatewise_builder(n):
-    """Rows built with one itemgetter per permutation, n = 1 included, where
-    itemgetter(0) returns a scalar rather than a tuple."""
+    """Rows composed from those of a few generators (groups.left_rows),
+    n = 1 included, against the entry-by-entry builder."""
     assert symmetric_group(n) == oracle.symmetric_group(n)
 
 

@@ -49,3 +49,11 @@ def test_a_line_ends_with_a_positive_wall_time(inputs):
     workload, job, count, ms = workcount.line("cli_small", JOBS["leavitt-two-cycles"], inputs).split(" ")
     assert (workload, job) == ("cli_small", "leavitt-two-cycles")
     assert int(count) > 0 and float(ms) > 0
+
+
+def test_a_cold_line_holds_the_in_process_and_past_start_up_times(inputs):
+    env = {**workcount.os.environ, "PYTHONPATH": str(workcount.ROOT / "src")}
+    workload, job, ms, past_start = workcount.cold_line("cli_small", JOBS["prime-gf2"], inputs, 3, env).split(" ")
+    assert (workload, job) == ("cli_small", "prime-gf2")
+    assert float(ms) > 0
+    float(past_start)  # a difference of two medians, which noise may make negative

@@ -23,13 +23,33 @@ host and its load.
 prints one ``<workload> <job> <opcodes> <ms>`` line for every job, on the
 inputs of seed 1.  It reads ``perfbench/`` and writes its inputs to a
 temporary directory.
+
+The in-process time leaves out what a fresh process pays: the package's
+import and every first call's set-up.  ``--cold N`` measures that instead:
+
+    python tests/workcount.py --cold 21
+
+runs each job in N fresh children of this checkout's ``src``, alternated
+with N children that only start, and prints one ``<workload> <job> <ms>
+<past_start_ms>`` line of medians.  A job's child does what ``python -m
+gradedprime`` does, ``cli.main`` and then ``os._exit``, and reports the time
+from its ``import gradedprime.cli`` to its last byte: ``<ms>``, the cold
+in-process cost.  ``<past_start_ms>`` is the job children's wall time,
+spawn to reap, minus that of the children that only start (``import os;
+os._exit(0)``, which skip the interpreter's teardown as the job's do).
+The children get the environment the bench gives them (no ``PYTHON*``
+variable but the path and a byte-code cache, warmed by one untimed child).
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import gc
 import io
+import os
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -37,7 +57,8 @@ from pathlib import Path
 
 from gradedprime import cli
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads as wl  # noqa: E402
 
 SEED = 1
@@ -100,13 +121,60 @@ def line(workload: str, job: wl.Job, inputs: Path) -> str:
     return f"{workload} {job.name} {count} {ms:.1f}"
 
 
-def main() -> int:
+# A job's child: cli.main, as python -m gradedprime runs it, timed from the
+# import of cli; the seconds go to stderr, past stdout's last byte.
+COLD_CHILD = """\
+import os, sys, time
+start = time.perf_counter()
+from gradedprime import cli
+status = cli.main(sys.argv[1:])
+sys.stderr.write(repr(time.perf_counter() - start))
+sys.stderr.flush()
+os._exit(status)
+"""
+STARTS_ONLY = "import os; os._exit(0)"
+
+
+def spawned(code: str, args: list[str], env: dict) -> tuple[float, bytes]:
+    """One child python running code with args: its wall time in seconds,
+    spawn to reap, and its stderr; a child that fails is an error."""
+    start = time.perf_counter()
+    child = subprocess.run([sys.executable, "-c", code, *args], env=env, stdout=subprocess.DEVNULL,
+                           stderr=subprocess.PIPE, check=True)
+    return time.perf_counter() - start, child.stderr
+
+
+def cold_line(workload: str, job: wl.Job, inputs: Path, runs: int, env: dict) -> str:
+    """The job's ``<workload> <job> <ms> <past_start_ms>`` line over runs
+    fresh children of each kind, alternated."""
+    args = job.resolve(inputs, SEED)
+    spawned(COLD_CHILD, args, env)  # writes the byte-code cache
+    walls, inside, starts = [], [], []
+    for _ in range(runs):
+        wall, err = spawned(COLD_CHILD, args, env)
+        walls.append(wall)
+        inside.append(float(err))
+        starts.append(spawned(STARTS_ONLY, [], env)[0])
+    ms = 1000 * statistics.median(inside)
+    past_start = 1000 * (statistics.median(walls) - statistics.median(starts))
+    return f"{workload} {job.name} {ms:.1f} {past_start:.1f}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--cold", type=int, metavar="N", help="time N fresh processes per job instead")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         inputs = Path(tmp)
         wl.write_inputs(inputs, SEED)
+        env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+        env.update(PYTHONPATH=str(ROOT / "src"), PYTHONPYCACHEPREFIX=str(inputs / "pycache"))
         for workload, jobs in wl.WORKLOADS.items():
             for job in jobs:
-                print(line(workload, job, inputs), flush=True)
+                if args.cold is None:
+                    print(line(workload, job, inputs), flush=True)
+                else:
+                    print(cold_line(workload, job, inputs, args.cold, env), flush=True)
     return 0
 
 
